@@ -20,6 +20,7 @@ _OP_PUT = 0x01
 _OP_GET = 0x02
 
 _SLOT = struct.Struct(">B16sH")  # in_use, key digest, value length
+_NEAR_PROBES = 4  # slots probed one by one before the table is searched whole
 
 
 def encode_put(key: bytes, value: bytes) -> bytes:
@@ -89,19 +90,47 @@ class KvApplication(Application):
         return self.app_offset + slot * self.slot_size
 
     def _find_slot(self, digest: bytes) -> tuple[int, bool]:
-        """(slot, exists): the slot holding the key, or the first free one."""
-        start = int.from_bytes(digest[:4], "big") % self.num_slots
+        """(slot, exists): the slot holding the key, or the first free one.
+
+        A free slot does not end the probe sequence (``migrate_purge``
+        leaves holes), so a key is only known missing once every slot was
+        looked at.  A stored key sits within a few probes of its home slot;
+        past those the whole table is read once and searched with
+        ``bytes.find``, so a key's first insert does not cost one read per
+        slot.
+        """
+        num_slots = self.num_slots
+        start = int.from_bytes(digest[:4], "big") % num_slots
         first_free = -1
-        for probe in range(self.num_slots):
-            slot = (start + probe) % self.num_slots
+        for probe in range(min(_NEAR_PROBES, num_slots)):
+            slot = (start + probe) % num_slots
             raw = self.state.read(self._slot_offset(slot), _SLOT.size)
             in_use, stored, _length = _SLOT.unpack(raw)
             if in_use and stored == digest:
                 return slot, True
             if not in_use and first_free < 0:
                 first_free = slot
+        size = self.slot_size
+        table = self.state.read(self.app_offset, num_slots * size)
+        nearest = -1  # probe distance of the closest slot holding the key
+        at = table.find(digest)
+        while at >= 0:
+            # The digest follows the in-use byte; anywhere else it is value data.
+            slot, within = divmod(at - 1, size)
+            if within == 0 and table[at - 1]:
+                distance = (slot - start) % num_slots
+                if nearest < 0 or distance < nearest:
+                    nearest = distance
+            at = table.find(digest, at + 1)
+        if nearest >= 0:
+            return (start + nearest) % num_slots, True
         if first_free < 0:
-            raise StateError("kv store is full")
+            in_use_flags = table[::size]
+            first_free = in_use_flags.find(0, start)
+            if first_free < 0:
+                first_free = in_use_flags.find(0, 0, start)
+            if first_free < 0:
+                raise StateError("kv store is full")
         return first_free, False
 
     def _put(self, key: bytes, value: bytes) -> bytes:

@@ -62,9 +62,10 @@ class UnreplicatedServer:
             return
         costs = self.config.costs
         cost = costs.msg_recv_ns + costs.bytes_cost(req.body_size())
-        self.host.execute(cost, lambda: self._serve(req, packet.src))
+        self.host.execute(cost, self._serve, packet)
 
-    def _serve(self, req: _Req, reply_to: Address) -> None:
+    def _serve(self, packet: Packet) -> None:
+        req, reply_to = packet.payload, packet.src
         self.host.charge_cpu(self.app.execute_cost_ns(req.op, False))
         result = self.app.execute(req.op, req.client, self.host.local_time(), False)
         self.host.charge_cpu(self.app.take_accumulated_cost())

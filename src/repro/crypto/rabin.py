@@ -19,7 +19,7 @@ corrupted signatures genuinely fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import CryptoError
 from repro.crypto.digests import md5_digest
@@ -46,6 +46,11 @@ class RabinKeyPair:
     public: RabinPublicKey
     p: int
     q: int
+    # q^-1 mod p for the CRT combination, derived once per key.
+    q_inv_p: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "q_inv_p", pow(self.q, -1, self.p))
 
 
 @dataclass(frozen=True)
@@ -78,20 +83,27 @@ def _salted_value(message: bytes, salt: int, n: int) -> int:
 
 
 def rabin_sign(key: RabinKeyPair, message: bytes) -> RabinSignature:
-    """Sign ``message``: find a salt making its hash a residue, take a root."""
+    """Sign ``message``: find a salt making its hash a residue, take a root.
+
+    For ``p ≡ 3 (mod 4)``, ``r = u**((p+1)//4) mod p`` squares to ``u`` iff
+    ``u`` is a quadratic residue, so the candidate root doubles as Euler's
+    criterion: one exponentiation per prime instead of two, and ``q`` is
+    only touched once ``p`` accepted the salt.
+    """
     p, q, n = key.p, key.q, key.public.n
     for salt in range(_MAX_SALT):
         u = _salted_value(message, salt, n)
-        if u == 0:
+        u_p = u % p
+        root_p = pow(u_p, (p + 1) // 4, p)
+        # A multiple of p (or q) is rejected like any non-residue.
+        if u_p == 0 or root_p * root_p % p != u_p:
             continue
-        # Euler's criterion mod each prime.
-        if pow(u, (p - 1) // 2, p) != 1 or pow(u, (q - 1) // 2, q) != 1:
+        u_q = u % q
+        root_q = pow(u_q, (q + 1) // 4, q)
+        if u_q == 0 or root_q * root_q % q != u_q:
             continue
-        root_p = pow(u, (p + 1) // 4, p)
-        root_q = pow(u, (q + 1) // 4, q)
         # CRT combine: s ≡ root_p (mod p), s ≡ root_q (mod q).
-        q_inv_p = pow(q, -1, p)
-        s = (root_q + q * ((root_p - root_q) * q_inv_p % p)) % n
+        s = (root_q + q * ((root_p - root_q) * key.q_inv_p % p)) % n
         return RabinSignature(salt=salt, root=s)
     raise CryptoError("could not find a quadratic-residue salt (astronomically unlikely)")
 

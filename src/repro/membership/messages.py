@@ -3,7 +3,7 @@
 Phase 1 of the join and the challenge are plain transport-level messages
 (there is nothing to order yet).  Phase 2 and Leave are *system requests*:
 their payloads are packed into a normal :class:`repro.pbft.messages.Request`
-op whose first byte is :data:`repro.pbft.replica.SYSTEM_OP_PREFIX`, giving
+op whose first byte is :data:`repro.pbft.messages.SYSTEM_OP_PREFIX`, giving
 them the same total order as every application request.
 """
 
@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 from repro.common.errors import ProtocolError
 from repro.crypto.digests import DIGEST_SIZE, md5_digest
-from repro.pbft.messages import WireMemo
+from repro.pbft.messages import (  # noqa: F401  (SYS_* re-exported)
+    SYS_JOIN2,
+    SYS_LEAVE,
+    SYS_RECONFIG,
+    SYSTEM_OP_PREFIX,
+    WireMemo,
+)
 from repro.pbft.wire import Decoder, Encoder
-
-SYSTEM_OP_PREFIX = 0xFF
-SYS_JOIN2 = 1
-SYS_LEAVE = 2
-SYS_RECONFIG = 3
 
 # Replica-reconfiguration actions (ordered system ops; see
 # repro.pbft.reconfig).  The group stays 3f+1 *slots*; a reconfiguration

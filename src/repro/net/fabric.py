@@ -7,7 +7,6 @@ from fnmatch import fnmatch
 from typing import Callable, Optional
 
 from repro.common.errors import ConfigError, NetworkError
-from repro.common.hotpath import HOTPATH
 from repro.common.units import MICROSECOND, SECOND
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
@@ -15,20 +14,30 @@ from repro.sim.simulator import Simulator
 Address = tuple[str, int]  # (host name, port)
 
 
-@dataclass(frozen=True)
 class Packet:
-    """A datagram in flight.
+    """A datagram in flight (one is allocated per destination, so slotted).
 
     ``payload`` is the protocol message object; ``size`` is its wire size in
     bytes (computed from the byte codec in :mod:`repro.pbft.wire`), which is
     what the bandwidth model charges for.
     """
 
-    src: Address
-    dst: Address
-    payload: object
-    size: int
-    kind: str = ""
+    __slots__ = ("src", "dst", "payload", "size", "kind")
+
+    def __init__(
+        self, src: Address, dst: Address, payload: object, size: int, kind: str = ""
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size = size
+        self.kind = kind
+
+    def __repr__(self) -> str:
+        return (
+            f"Packet(src={self.src!r}, dst={self.dst!r}, payload={self.payload!r}, "
+            f"size={self.size!r}, kind={self.kind!r})"
+        )
 
 
 @dataclass
@@ -162,6 +171,24 @@ class LinkFault:
         return fnmatch(packet.src[0], self.src) and fnmatch(packet.dst[0], self.dst)
 
 
+class _Route:
+    """Everything :meth:`NetworkFabric.transmit` needs for one directed
+    host pair, resolved once: topology is fixed at build time (hosts are
+    only added, link overrides only set at construction), so a route can
+    never go stale mid-run."""
+
+    __slots__ = ("link", "latency_ns", "jitter_span", "jitter_bits", "lossy", "tx_ns")
+
+    def __init__(self, link: LinkSpec) -> None:
+        self.link = link
+        self.latency_ns = link.latency_ns
+        # Jitter is uniform over [0, jitter_ns]; no draw at all without it.
+        self.jitter_span = link.jitter_ns + 1 if link.jitter_ns else 0
+        self.jitter_bits = self.jitter_span.bit_length()
+        self.lossy = link.loss_probability > 0.0
+        self.tx_ns: dict[int, int] = {}  # datagram size -> serialization time
+
+
 class Host:
     """A simulated machine: a clock (with optional skew), one CPU, one NIC.
 
@@ -172,15 +199,13 @@ class Host:
 
     def __init__(self, fabric: "NetworkFabric", name: str, clock_skew_ns: int = 0) -> None:
         self.fabric = fabric
+        self.sim: Simulator = fabric.sim
         self.name = name
         self.clock_skew_ns = clock_skew_ns
         self._cpu_free_at = 0
         self._nic_free_at = 0
+        self._routes: dict[str, _Route] = {}  # destination host name -> route
         self.cpu_busy_ns = 0  # accumulated, for utilization reporting
-
-    @property
-    def sim(self) -> Simulator:
-        return self.fabric.sim
 
     def local_time(self) -> int:
         """This host's wall clock: simulated time plus its skew.
@@ -190,19 +215,21 @@ class Host:
         """
         return self.sim.now + self.clock_skew_ns
 
-    def execute(self, cost_ns: int, work: Callable[[], None]) -> None:
-        """Run ``work`` after ``cost_ns`` of CPU time, honouring the queue.
+    def execute(self, cost_ns: int, fn: Callable[[object], None], arg: object) -> None:
+        """Run ``fn(arg)`` after ``cost_ns`` of CPU time, honouring the queue.
 
-        ``work`` fires when the CPU finishes this job; the CPU is busy from
+        The call fires when the CPU finishes this job; the CPU is busy from
         ``max(now, cpu_free_at)`` until then.
         """
         if cost_ns < 0:
             raise ConfigError(f"negative CPU cost {cost_ns}")
-        start = max(self.sim.now, self._cpu_free_at)
-        done = start + cost_ns
+        sim = self.sim
+        now = sim.now
+        free = self._cpu_free_at
+        done = (free if free > now else now) + cost_ns
         self._cpu_free_at = done
         self.cpu_busy_ns += cost_ns
-        self.sim.schedule_anonymous(done, work)
+        sim.schedule_call(done, fn, arg)
 
     def charge_cpu(self, cost_ns: int) -> tuple[int, int]:
         """Account CPU time with no completion callback (fire-and-forget cost).
@@ -211,20 +238,14 @@ class Host:
         CPU, so callers can trace where the time actually goes (the start
         is pushed back behind whatever the CPU is already chewing on).
         """
+        now = self.sim.now
+        free = self._cpu_free_at
+        start = free if free > now else now
         if cost_ns <= 0:
-            at = max(self.sim.now, self._cpu_free_at)
-            return (at, at)
-        start = max(self.sim.now, self._cpu_free_at)
+            return (start, start)
         self._cpu_free_at = start + cost_ns
         self.cpu_busy_ns += cost_ns
         return (start, self._cpu_free_at)
-
-    def _reserve_nic(self, tx_ns: int) -> int:
-        """Reserve the NIC for ``tx_ns``; return the time serialization ends."""
-        start = max(self.sim.now, self._nic_free_at)
-        done = start + tx_ns
-        self._nic_free_at = done
-        return done
 
 
 class DatagramSocket:
@@ -237,29 +258,20 @@ class DatagramSocket:
     def __init__(self, host: Host, port: int) -> None:
         self.host = host
         self.port = port
+        self.address: Address = (host.name, port)
         self.handler: Optional[Callable[[Packet], None]] = None
         self.closed = False
         self.received = 0
         self.sent = 0
-
-    @property
-    def address(self) -> Address:
-        return (self.host.name, self.port)
 
     def on_receive(self, handler: Callable[[Packet], None]) -> None:
         self.handler = handler
 
     def send(self, dst: Address, payload: object, size: int, kind: str = "") -> None:
         """Send one datagram. May be silently lost; never raises for loss."""
-        if self.closed:
-            raise NetworkError(f"socket {self.address} is closed")
-        self.sent += 1
-        packet = Packet(src=self.address, dst=dst, payload=payload, size=size, kind=kind)
-        self.host.fabric.transmit(packet)
+        self.multicast((dst,), payload, size, kind)
 
-    def multicast(
-        self, dsts: list[Address], payload: object, size: int, kind: str = ""
-    ) -> None:
+    def multicast(self, dsts, payload: object, size: int, kind: str = "") -> None:
         """Send the same datagram to each destination (serial unicasts).
 
         The paper disables IP multicast in all experiments ("the networks we
@@ -267,8 +279,10 @@ class DatagramSocket:
         unicasts sharing the sender's NIC — the cost that makes the primary
         the bottleneck when it must forward full request bodies.
         """
-        for dst in dsts:
-            self.send(dst, payload, size, kind)
+        if self.closed:
+            raise NetworkError(f"socket {self.address} is closed")
+        self.sent += len(dsts)
+        self.host.fabric.transmit(self.host, self.address, dsts, payload, size, kind)
 
     def close(self) -> None:
         self.closed = True
@@ -310,13 +324,6 @@ class NetworkFabric:
         self.packets_dropped = 0
         self.bytes_sent = 0
         self.partitions: set[frozenset[str]] = set()
-        # Hot-path memos (repro.common.hotpath).  Routes — the (Host, link)
-        # pair for a (src, dst) host pair — and serialization times are
-        # pure functions of topology, which is fixed at build time (hosts
-        # are only added, link overrides only set at construction), so the
-        # memos can never go stale mid-run.
-        self._route_memo: dict[tuple[str, str], tuple[Host, LinkSpec]] = {}
-        self._txtime_memo: dict[tuple[int, int, int], int] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -382,58 +389,68 @@ class NetworkFabric:
 
     # -- transmission -------------------------------------------------------
 
-    def transmit(self, packet: Packet) -> None:
-        self.packets_sent += 1
-        self.bytes_sent += packet.size
-        if HOTPATH.enabled:
-            route_key = (packet.src[0], packet.dst[0])
-            route = self._route_memo.get(route_key)
-            if route is None:
-                route = self._route_memo[route_key] = (
-                    self.host(packet.src[0]),
-                    self.config.link_for(packet.src[0], packet.dst[0]),
-                )
-            src_host, link = route
-            if not (
-                self.partitions
-                or self.drop_rules
-                or self.link_faults
-                or link.loss_probability > 0.0
-                or self.trace_enabled
-            ):
-                # Fault-free fast path: with no drop source active the
-                # packet provably survives and no RNG draws are owed, so
-                # the drop/fault machinery is skipped entirely.  Memoized
-                # serialization time, same arrival as the general path.
-                tx_key = (packet.size, link.bandwidth_bps, self.config.mtu)
-                tx_ns = self._txtime_memo.get(tx_key)
-                if tx_ns is None:
-                    tx_ns = self._txtime_memo[tx_key] = self._tx_time(
-                        packet.size, link
-                    )
-                serialized_at = src_host._reserve_nic(tx_ns)
-                jitter = (
-                    self.jitter_rng.randrange(link.jitter_ns + 1)
-                    if link.jitter_ns
-                    else 0
-                )
-                arrival = serialized_at + link.latency_ns + jitter
-                tracer = self.tracer
-                if tracer is not None and tracer.enabled:
-                    self._trace_packet(packet, self.sim.now, arrival, "")
-                self.sim.schedule_anonymous(
-                    arrival, lambda p=packet: self._deliver(p)
-                )
-                return
-        else:
-            src_host = self.host(packet.src[0])
-            link = self.config.link_for(packet.src[0], packet.dst[0])
+    def transmit(
+        self, host: Host, src: Address, dsts, payload: object, size: int, kind: str
+    ) -> None:
+        """Put one datagram per destination on the wire, in order.
 
+        The one send loop behind :meth:`DatagramSocket.send` and
+        ``multicast``.  While no drop source is active (partitions, drop
+        rules, link faults, a lossy link, the packet log) a packet provably
+        survives and owes no loss/fault RNG draw, so NIC reservation,
+        jitter and arrival are computed right here; otherwise the packet
+        takes :meth:`_transmit_faulty`, which arrives at the same instant
+        for a packet that survives undisturbed.
+        """
+        count = len(dsts)
+        self.packets_sent += count
+        self.bytes_sent += size * count
+        sim = self.sim
+        now = sim.now
+        routes = host._routes
+        quiet = not (
+            self.partitions or self.drop_rules or self.link_faults or self.trace_enabled
+        )
+        tracer = self.tracer
+        tracing = tracer is not None and tracer.enabled
+        getrandbits = self.jitter_rng.getrandbits
+        deliver = self._deliver
+        for dst in dsts:
+            packet = Packet(src, dst, payload, size, kind)
+            route = routes.get(dst[0])
+            if route is None:
+                route = routes[dst[0]] = _Route(self.config.link_for(src[0], dst[0]))
+            if not quiet or route.lossy:
+                self._transmit_faulty(host, packet, route)
+                continue
+            tx_ns = route.tx_ns.get(size)
+            if tx_ns is None:
+                tx_ns = route.tx_ns[size] = self._tx_time(size, route.link)
+            free = host._nic_free_at
+            serialized_at = (free if free > now else now) + tx_ns
+            host._nic_free_at = serialized_at
+            arrival = serialized_at + route.latency_ns
+            span = route.jitter_span
+            if span:
+                # randrange(span), inlined: the same rejection loop over
+                # getrandbits, hence the same draws from the stream.
+                jitter = getrandbits(route.jitter_bits)
+                while jitter >= span:
+                    jitter = getrandbits(route.jitter_bits)
+                arrival += jitter
+            if tracing:
+                self._trace_packet(packet, now, arrival, "")
+            sim.schedule_call(arrival, deliver, packet)
+
+    def _transmit_faulty(self, host: Host, packet: Packet, route: _Route) -> None:
+        """The general path: drop decision, packet log, link faults."""
+        link = route.link
+        now = self.sim.now
         dropped, reason = self._drop_decision(packet, link)
         if self.trace_enabled and len(self.trace) < self.trace_limit:
             self.trace.append(
                 TraceRecord(
-                    time=self.sim.now,
+                    time=now,
                     src=packet.src,
                     dst=packet.dst,
                     kind=packet.kind,
@@ -444,17 +461,17 @@ class NetworkFabric:
             )
         # The sender's NIC serializes the bytes whether or not the network
         # later drops them.
-        tx_ns = self._tx_time(packet.size, link)
-        serialized_at = src_host._reserve_nic(tx_ns)
+        serialized_at = max(now, host._nic_free_at) + self._tx_time(packet.size, link)
+        host._nic_free_at = serialized_at
         if dropped:
             self.packets_dropped += 1
-            self._trace_packet(packet, self.sim.now, None, reason)
+            self._trace_packet(packet, now, None, reason)
             return
-        jitter = self.jitter_rng.randrange(link.jitter_ns + 1) if link.jitter_ns else 0
+        jitter = self.jitter_rng.randrange(route.jitter_span) if route.jitter_span else 0
         arrival = serialized_at + link.latency_ns + jitter
         arrival = self._apply_link_faults(packet, arrival)
-        self._trace_packet(packet, self.sim.now, arrival, "")
-        self.sim.schedule_anonymous(arrival, lambda p=packet: self._deliver(p))
+        self._trace_packet(packet, now, arrival, "")
+        self.sim.schedule_call(arrival, self._deliver, packet)
 
     def _apply_link_faults(self, packet: Packet, arrival: int) -> int:
         """Delay/duplicate/reorder a surviving packet per active faults.
@@ -483,7 +500,7 @@ class NetworkFabric:
             ):
                 fault.duplicated += 1
                 dup_at = arrival + fault.duplicate_delay_ns
-                self.sim.schedule_anonymous(dup_at, lambda p=packet: self._deliver(p))
+                self.sim.schedule_call(dup_at, self._deliver, packet)
         return arrival
 
     def _trace_packet(

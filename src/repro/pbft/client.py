@@ -28,7 +28,7 @@ from repro.pbft.messages import (
     Reply,
     Request,
 )
-from repro.pbft.node import Envelope, KeyDirectory, Node
+from repro.pbft.node import Envelope, KeyDirectory, Node, replica_address
 
 
 @dataclass
@@ -119,9 +119,7 @@ class PbftClient(Node):
         if key_entries and self.joined:
             msg = AuthenticatorRefresh(client=self.node_id, keys=key_entries)
             # Signed so a replica with no session key can still trust it.
-            for rid in range(self.config.n):
-                from repro.pbft.node import replica_address
-
+            for rid in range(self.n):
                 self.send_signed(replica_address(rid, self.group_prefix), msg)
         self._start_authenticator_rebroadcast()
 
@@ -170,9 +168,7 @@ class PbftClient(Node):
             return
         request = pending.request
         if pending.signed:
-            from repro.pbft.node import replica_address
-
-            for rid in range(self.config.n):
+            for rid in range(self.n):
                 self.send_signed(replica_address(rid, self.group_prefix), request)
         elif request.big or request.readonly or not first:
             # Big and read-only requests are always multicast; ordinary
@@ -180,7 +176,7 @@ class PbftClient(Node):
             # their view-change timers.
             self.broadcast_to_replicas(request)
         else:
-            primary = self.view_guess % self.config.n
+            primary = self.view_guess % self.n
             self.broadcast_to_replicas(request, only=[primary])
         pending.timer = self.host.sim.schedule(
             self._retransmit_interval_ns(pending.retransmits),
@@ -339,7 +335,7 @@ class PbftClient(Node):
         if pending is None:
             return
         votes = pending.votes.get(digest, {})
-        stable = sum(1 for tentative in votes.values() if not tentative)
+        stable = list(votes.values()).count(False)
         total = len(votes)
         if pending.request.readonly:
             done = total >= self.config.quorum

@@ -10,44 +10,72 @@ collects everything at or below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import ProtocolError
 from repro.pbft.messages import PrePrepare, Request
 
 
-@dataclass
 class ViewSlot:
-    """Per-(seq, view) certificate state."""
+    """Per-(seq, view) certificate state.
 
-    pre_prepare: Optional[PrePrepare] = None
-    prepares: dict[int, bytes] = field(default_factory=dict)  # replica -> digest
-    commits: dict[int, bytes] = field(default_factory=dict)
+    Votes go in through :meth:`add_prepare` / :meth:`add_commit` and the
+    pre-prepare through :meth:`accept`, which keep the matching-vote counts
+    current, so the per-message ``prepared`` / ``committed_local`` checks
+    are O(1) instead of a pass over the votes.
+    """
 
-    def matching_prepares(self) -> int:
-        if self.pre_prepare is None:
-            return 0
-        want = self.pre_prepare.batch_digest
-        return sum(1 for d in self.prepares.values() if d == want)
+    __slots__ = (
+        "pre_prepare", "prepares", "commits", "matching_prepares", "matching_commits",
+    )
 
-    def matching_commits(self) -> int:
-        if self.pre_prepare is None:
-            return 0
-        want = self.pre_prepare.batch_digest
-        return sum(1 for d in self.commits.values() if d == want)
+    def __init__(self) -> None:
+        self.pre_prepare: Optional[PrePrepare] = None
+        self.prepares: dict[int, bytes] = {}  # replica -> digest
+        self.commits: dict[int, bytes] = {}
+        # Votes whose digest equals the pre-prepare's (0 until it arrives).
+        self.matching_prepares = 0
+        self.matching_commits = 0
+
+    def accept(self, pre_prepare: PrePrepare) -> None:
+        """Install the pre-prepare; votes that beat it here count now."""
+        self.pre_prepare = pre_prepare
+        want = pre_prepare.batch_digest
+        self.matching_prepares = sum(1 for d in self.prepares.values() if d == want)
+        self.matching_commits = sum(1 for d in self.commits.values() if d == want)
+
+    def add_prepare(self, sender: int, digest: bytes) -> None:
+        self.matching_prepares += self._vote(self.prepares, sender, digest)
+
+    def add_commit(self, sender: int, digest: bytes) -> None:
+        self.matching_commits += self._vote(self.commits, sender, digest)
+
+    def _vote(self, votes: dict[int, bytes], sender: int, digest: bytes) -> int:
+        """Record ``sender``'s vote (a later one replaces an earlier one);
+        return the change in votes matching the pre-prepare."""
+        pp = self.pre_prepare
+        delta = 0
+        if pp is not None:
+            want = pp.batch_digest
+            delta = (digest == want) - (votes.get(sender) == want)
+        votes[sender] = digest
+        return delta
 
 
-@dataclass
 class Slot:
     """All protocol state for one sequence number."""
 
-    seq: int
-    views: dict[int, ViewSlot] = field(default_factory=dict)
-    executed: bool = False
-    tentative: bool = False  # executed tentatively, commit still pending
-    committed: bool = False
-    committed_view: int = 0
+    __slots__ = ("seq", "views", "executed", "tentative", "committed", "committed_view")
+
+    def __init__(self, seq: int) -> None:
+        self.seq = seq
+        self.views: dict[int, ViewSlot] = {}
+        # Flipped only through MessageLog.set_executed, which keeps the
+        # log's count of unexecuted slots.
+        self.executed = False
+        self.tentative = False  # executed tentatively, commit still pending
+        self.committed = False
+        self.committed_view = 0
 
     def view_slot(self, view: int) -> ViewSlot:
         vs = self.views.get(view)
@@ -62,16 +90,15 @@ class Slot:
 
     def prepared(self, view: int, f: int) -> bool:
         vs = self.views.get(view)
-        if vs is None or vs.pre_prepare is None:
-            return False
         # The primary's pre-prepare counts as its prepare.
-        return vs.matching_prepares() >= 2 * f
+        return (
+            vs is not None
+            and vs.pre_prepare is not None
+            and vs.matching_prepares >= 2 * f
+        )
 
     def committed_local(self, view: int, f: int) -> bool:
-        vs = self.views.get(view)
-        if vs is None or vs.pre_prepare is None:
-            return False
-        return self.prepared(view, f) and vs.matching_commits() >= 2 * f + 1
+        return self.prepared(view, f) and self.views[view].matching_commits >= 2 * f + 1
 
     def latest_prepared_proof(self, f: int) -> Optional[tuple[int, bytes]]:
         """(view, batch digest) of the highest view in which this slot
@@ -100,6 +127,23 @@ class RequestStore:
 
     def already_executed(self, request: Request) -> bool:
         return self.last_executed_req.get(request.client, -1) >= request.req_id
+
+    def held_for(self, client: int, digests) -> list[bytes]:
+        """Those of ``digests`` whose stored body belongs to ``client``."""
+        by_digest = self.by_digest
+        return [
+            d for d in digests
+            if (req := by_digest.get(d)) is not None and req.client == client
+        ]
+
+    def executed_among(self, digests) -> set[bytes]:
+        """Those of ``digests`` whose stored body has already executed."""
+        by_digest, marks = self.by_digest, self.last_executed_req
+        return {
+            d for d in digests
+            if (req := by_digest.get(d)) is not None
+            and marks.get(req.client, -1) >= req.req_id
+        }
 
     def record_execution(self, request: Request, reply, timestamp: int) -> None:
         self.last_executed_req[request.client] = request.req_id
@@ -130,6 +174,8 @@ class MessageLog:
         self.log_window = log_window
         self.low_watermark = 0  # last stable checkpoint seq
         self.slots: dict[int, Slot] = {}
+        # Slots in the log that have not executed: outstanding work.
+        self.unexecuted = 0
 
     @property
     def high_watermark(self) -> int:
@@ -148,7 +194,14 @@ class MessageLog:
         if entry is None:
             entry = Slot(seq)
             self.slots[seq] = entry
+            self.unexecuted += 1
         return entry
+
+    def set_executed(self, slot: Slot, executed: bool) -> None:
+        """Flip a live slot's ``executed`` flag, keeping :attr:`unexecuted`."""
+        if slot.executed != executed:
+            slot.executed = executed
+            self.unexecuted += -1 if executed else 1
 
     def peek(self, seq: int) -> Optional[Slot]:
         return self.slots.get(seq)
@@ -159,7 +212,8 @@ class MessageLog:
             return
         self.low_watermark = seq
         for old in [s for s in self.slots if s <= seq]:
-            del self.slots[old]
+            if not self.slots.pop(old).executed:
+                self.unexecuted -= 1
 
     def live_request_digests(self) -> set[bytes]:
         digests: set[bytes] = set()

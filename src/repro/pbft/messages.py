@@ -10,8 +10,8 @@ authenticator refresh of paper section 2.3.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.common.errors import ProtocolError
 from repro.common.hotpath import HOTPATH
@@ -22,49 +22,64 @@ from repro.pbft.wire import Decoder, Encoder
 NO_SEQ = 0
 
 
+class _lazy:
+    """Compute-once attribute for frozen messages.
+
+    A non-data descriptor: the first access runs ``fn`` and stores the
+    value in the instance ``__dict__`` under the same name, which shadows
+    the descriptor from then on — later reads are plain attribute loads
+    with no call at all (``functools.cached_property`` minus the per-access
+    lock it takes on Python 3.11).  ``hot_only`` values are stored only
+    while :data:`~repro.common.hotpath.HOTPATH` is on, so with the caches
+    off every access recomputes, as the seed implementation did.
+    """
+
+    def __init__(self, fn, hot_only: bool = False) -> None:
+        self.fn = fn
+        self.hot_only = hot_only
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        if not self.hot_only or HOTPATH.enabled:
+            obj.__dict__[self.name] = value
+        return value
+
+
 class WireMemo:
     """Memoized canonical bytes for a frozen message.
 
     Messages are immutable, so their canonical encoding and wire size are
     fixed at construction — yet the seed implementation re-encoded on
     every authentication and re-counted bytes on every send.  ``wire``
-    and ``wire_size`` compute once and memoize in the instance
-    ``__dict__`` (the same mechanism ``functools.cached_property`` uses on
-    frozen dataclasses).  ``encode()``/``body_size()`` stay memo-free so
-    differential tests can always compare a fresh encoding against the
-    cached one, and so the global :data:`~repro.common.hotpath.HOTPATH`
-    switch can reproduce seed behaviour exactly.
+    and ``wire_size`` compute once (see :class:`_lazy`).
+    ``encode()``/``body_size()`` stay memo-free so differential tests can
+    always compare a fresh encoding against the cached one.
     """
 
     __slots__ = ()
 
-    @property
-    def wire(self) -> bytes:
-        """Canonical encoding, computed at most once per object."""
-        if not HOTPATH.enabled:
-            return self.encode()
-        memo = self.__dict__
-        cached = memo.get("_wire")
-        if cached is None:
-            cached = memo["_wire"] = self.encode()
-        return cached
+    #: Datagram kind label for traces and drop rules: the class name.
+    KIND = ""
 
-    @property
-    def wire_size(self) -> int:
-        """Accounted wire size, computed at most once per object.
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.KIND = cls.__name__
 
-        Derived from ``body_size()``, *not* ``len(self.wire)``: the two
-        intentionally differ for messages whose simulated wire cost covers
-        material the in-memory encoding elides (``AuthenticatorRefresh``
-        charges public-key-encrypted blocks per key entry).
-        """
-        if not HOTPATH.enabled:
-            return self.body_size()
-        memo = self.__dict__
-        cached = memo.get("_wire_size")
-        if cached is None:
-            cached = memo["_wire_size"] = self.body_size()
-        return cached
+    #: Canonical encoding, computed at most once per object.
+    wire = _lazy(lambda self: self.encode(), hot_only=True)
+
+    #: Accounted wire size, computed at most once per object.  Derived from
+    #: ``body_size()``, *not* ``len(self.wire)``: the two intentionally
+    #: differ for messages whose simulated wire cost covers material the
+    #: in-memory encoding elides (``AuthenticatorRefresh`` charges
+    #: public-key-encrypted blocks per key entry).
+    wire_size = _lazy(lambda self: self.body_size(), hot_only=True)
 
     def auth_bytes(self) -> bytes:
         return self.wire
@@ -87,31 +102,26 @@ class Request(WireMemo):
     readonly: bool = False
     big: bool = False
 
+    _HEAD = struct.Struct(">BIQI")  # tag, client, req_id, len(op)
+    _FLAGS = struct.Struct(">??")  # readonly, big
+
     def encode(self) -> bytes:
         return (
-            Encoder()
-            .u8(self.TAG)
-            .u32(self.client)
-            .u64(self.req_id)
-            .blob(self.op)
-            .boolean(self.readonly)
-            .boolean(self.big)
-            .finish()
+            self._HEAD.pack(self.TAG, self.client, self.req_id, len(self.op))
+            + self.op
+            + self._FLAGS.pack(self.readonly, self.big)
         )
 
     @classmethod
     def decode(cls, dec: Decoder) -> "Request":
-        if dec.u8() != cls.TAG:
+        tag, client, req_id, op_len = dec.unpack(cls._HEAD)
+        if tag != cls.TAG:
             raise ProtocolError("not a Request")
-        return cls(
-            client=dec.u32(),
-            req_id=dec.u64(),
-            op=dec.blob(),
-            readonly=dec.boolean(),
-            big=dec.boolean(),
-        )
+        op = dec.raw(op_len)
+        readonly, big = dec.unpack(cls._FLAGS)
+        return cls(client=client, req_id=req_id, op=op, readonly=readonly, big=big)
 
-    @cached_property
+    @_lazy
     def digest(self) -> bytes:
         return md5_digest(self.wire)
 
@@ -178,18 +188,10 @@ class PrePrepare(WireMemo):
             sender=sender,
         )
 
-    @property
-    def header_wire(self) -> bytes:
-        """Memoized header encoding (the authenticated portion)."""
-        if not HOTPATH.enabled:
-            return self.encode_header()
-        memo = self.__dict__
-        cached = memo.get("_header_wire")
-        if cached is None:
-            cached = memo["_header_wire"] = self.encode_header()
-        return cached
+    #: Memoized header encoding (the authenticated portion).
+    header_wire = _lazy(encode_header, hot_only=True)
 
-    @cached_property
+    @_lazy
     def batch_digest(self) -> bytes:
         """Digest identifying (view, seq, batch, nondet) for prepare/commit."""
         return md5_digest(self.header_wire)
@@ -205,8 +207,27 @@ class PrePrepare(WireMemo):
         return self.header_wire
 
 
+class _Vote(WireMemo):
+    """Shared codec of the two agreement votes (identical layout)."""
+
+    _HEAD = struct.Struct(">BHQQ")  # tag, sender, view, seq; then the digest
+
+    def encode(self) -> bytes:
+        return self._HEAD.pack(self.TAG, self.sender, self.view, self.seq) + self.batch_digest
+
+    @classmethod
+    def decode(cls, dec: Decoder):
+        tag, sender, view, seq = dec.unpack(cls._HEAD)
+        if tag != cls.TAG:
+            raise ProtocolError(f"not a {cls.__name__}")
+        return cls(view=view, seq=seq, batch_digest=dec.raw(DIGEST_SIZE), sender=sender)
+
+    def body_size(self) -> int:
+        return 1 + 2 + 8 + 8 + DIGEST_SIZE
+
+
 @dataclass(frozen=True)
-class Prepare(WireMemo):
+class Prepare(_Vote):
     """A backup's agreement to the primary's sequence assignment."""
 
     TAG = 3
@@ -216,34 +237,9 @@ class Prepare(WireMemo):
     batch_digest: bytes
     sender: int
 
-    def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.view)
-            .u64(self.seq)
-            .raw(self.batch_digest)
-            .finish()
-        )
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "Prepare":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a Prepare")
-        return cls(
-            sender=dec.u16(),
-            view=dec.u64(),
-            seq=dec.u64(),
-            batch_digest=dec.raw(DIGEST_SIZE),
-        )
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 8 + DIGEST_SIZE
-
 
 @dataclass(frozen=True)
-class Commit(WireMemo):
+class Commit(_Vote):
     """Second-round vote guaranteeing total order across views."""
 
     TAG = 4
@@ -252,31 +248,6 @@ class Commit(WireMemo):
     seq: int
     batch_digest: bytes
     sender: int
-
-    def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.view)
-            .u64(self.seq)
-            .raw(self.batch_digest)
-            .finish()
-        )
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "Commit":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a Commit")
-        return cls(
-            sender=dec.u16(),
-            view=dec.u64(),
-            seq=dec.u64(),
-            batch_digest=dec.raw(DIGEST_SIZE),
-        )
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 8 + DIGEST_SIZE
 
 
 @dataclass(frozen=True)
@@ -299,35 +270,28 @@ class Reply(WireMemo):
     tentative: bool = False
     digest_only: bool = False
 
+    # tag, sender, view, req_id, client, tentative, digest_only, len(result)
+    _HEAD = struct.Struct(">BHQQI??I")
+
     def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.view)
-            .u64(self.req_id)
-            .u32(self.client)
-            .boolean(self.tentative)
-            .boolean(self.digest_only)
-            .blob(self.result)
-            .finish()
-        )
+        return self._HEAD.pack(
+            self.TAG, self.sender, self.view, self.req_id, self.client,
+            self.tentative, self.digest_only, len(self.result),
+        ) + self.result
 
     @classmethod
     def decode(cls, dec: Decoder) -> "Reply":
-        if dec.u8() != cls.TAG:
+        tag, sender, view, req_id, client, tentative, digest_only, size = dec.unpack(
+            cls._HEAD
+        )
+        if tag != cls.TAG:
             raise ProtocolError("not a Reply")
         return cls(
-            sender=dec.u16(),
-            view=dec.u64(),
-            req_id=dec.u64(),
-            client=dec.u32(),
-            tentative=dec.boolean(),
-            digest_only=dec.boolean(),
-            result=dec.blob(),
+            view=view, req_id=req_id, client=client, sender=sender,
+            result=dec.raw(size), tentative=tentative, digest_only=digest_only,
         )
 
-    @cached_property
+    @_lazy
     def result_digest(self) -> bytes:
         """Digest used to match full and digest-only replies."""
         if self.digest_only:
@@ -367,21 +331,17 @@ class CheckpointMsg(WireMemo):
     root: bytes
     sender: int
 
+    _HEAD = struct.Struct(">BHQ")  # tag, sender, seq; then the root
+
     def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.seq)
-            .raw(self.root)
-            .finish()
-        )
+        return self._HEAD.pack(self.TAG, self.sender, self.seq) + self.root
 
     @classmethod
     def decode(cls, dec: Decoder) -> "CheckpointMsg":
-        if dec.u8() != cls.TAG:
+        tag, sender, seq = dec.unpack(cls._HEAD)
+        if tag != cls.TAG:
             raise ProtocolError("not a CheckpointMsg")
-        return cls(sender=dec.u16(), seq=dec.u64(), root=dec.raw(DIGEST_SIZE))
+        return cls(sender=sender, seq=seq, root=dec.raw(DIGEST_SIZE))
 
     def body_size(self) -> int:
         return 1 + 2 + 8 + DIGEST_SIZE
@@ -488,7 +448,7 @@ class ViewChangeMsg(WireMemo):
             sender=sender,
         )
 
-    @cached_property
+    @_lazy
     def digest(self) -> bytes:
         return md5_digest(self.wire)
 
@@ -580,28 +540,23 @@ class StatusMsg(WireMemo):
     sender: int
     recovering: bool = False
 
+    # tag, sender, view, last_exec_seq, stable_seq, recovering
+    _LAYOUT = struct.Struct(">BHQQQ?")
+
     def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.view)
-            .u64(self.last_exec_seq)
-            .u64(self.stable_seq)
-            .boolean(self.recovering)
-            .finish()
+        return self._LAYOUT.pack(
+            self.TAG, self.sender, self.view, self.last_exec_seq,
+            self.stable_seq, self.recovering,
         )
 
     @classmethod
     def decode(cls, dec: Decoder) -> "StatusMsg":
-        if dec.u8() != cls.TAG:
+        tag, sender, view, last_exec_seq, stable_seq, recovering = dec.unpack(cls._LAYOUT)
+        if tag != cls.TAG:
             raise ProtocolError("not a StatusMsg")
         return cls(
-            sender=dec.u16(),
-            view=dec.u64(),
-            last_exec_seq=dec.u64(),
-            stable_seq=dec.u64(),
-            recovering=dec.boolean(),
+            view=view, last_exec_seq=last_exec_seq, stable_seq=stable_seq,
+            sender=sender, recovering=recovering,
         )
 
     def body_size(self) -> int:
@@ -826,6 +781,15 @@ class AuthenticatorRefresh(WireMemo):
         return 1 + 4 + 4 + len(self.keys) * (2 + 64)
 
 
+# Operations whose first byte is this prefix are middleware system
+# requests (Join phase 2, Leave, replica Reconfig) — ordered like client
+# requests but executed by the middleware, invisible to the application.
+# The second byte says which (payload codecs: repro.membership.messages).
+SYSTEM_OP_PREFIX = 0xFF
+SYS_JOIN2 = 1
+SYS_LEAVE = 2
+SYS_RECONFIG = 3
+
 # BUSY reply reason codes (admission pipeline, see DESIGN.md overload
 # section): the request was shed from a full queue, rejected because the
 # client already has an operation in flight, or rejected for size.
@@ -857,32 +821,25 @@ class BusyReply(WireMemo):
     retry_after_ns: int
     queue_depth: int
 
+    # tag, sender, view, req_id, client, reason, retry_after_ns, queue_depth
+    _LAYOUT = struct.Struct(">BHQQIBQI")
+
     def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.view)
-            .u64(self.req_id)
-            .u32(self.client)
-            .u8(self.reason)
-            .u64(self.retry_after_ns)
-            .u32(self.queue_depth)
-            .finish()
+        return self._LAYOUT.pack(
+            self.TAG, self.sender, self.view, self.req_id, self.client,
+            self.reason, self.retry_after_ns, self.queue_depth,
         )
 
     @classmethod
     def decode(cls, dec: Decoder) -> "BusyReply":
-        if dec.u8() != cls.TAG:
+        tag, sender, view, req_id, client, reason, retry_after_ns, queue_depth = (
+            dec.unpack(cls._LAYOUT)
+        )
+        if tag != cls.TAG:
             raise ProtocolError("not a BusyReply")
         return cls(
-            sender=dec.u16(),
-            view=dec.u64(),
-            req_id=dec.u64(),
-            client=dec.u32(),
-            reason=dec.u8(),
-            retry_after_ns=dec.u64(),
-            queue_depth=dec.u32(),
+            view=view, req_id=req_id, client=client, sender=sender,
+            reason=reason, retry_after_ns=retry_after_ns, queue_depth=queue_depth,
         )
 
     def body_size(self) -> int:

@@ -17,7 +17,6 @@ and checked, so corruption genuinely fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import ConfigError
@@ -44,60 +43,73 @@ AUTH_VECTOR = 2  # authenticator: one MAC per replica
 AUTH_SIG = 3
 
 
-def _msg_wire_size(msg) -> int:
-    """Accounted body size, memoized on the message when it supports it."""
-    try:
-        return msg.wire_size
-    except AttributeError:
-        return msg.body_size()
+def _receive_cost(costs, wire_size: int, auth_kind: int) -> int:
+    """Simulated CPU a receiver spends before it can dispatch a message."""
+    if auth_kind == AUTH_SIG:
+        verify = costs.crypto.verify_ns
+    elif auth_kind == AUTH_NONE:
+        verify = 0
+    else:
+        verify = costs.crypto.mac_ns
+    return costs.msg_recv_ns + costs.bytes_cost(wire_size) + verify
 
 
-@dataclass
 class Envelope:
     """A message plus its authentication trailer.
 
-    Envelopes are logically immutable once sent (the same object flows by
-    reference to every destination), so ``size`` is computed once and
-    memoized — broadcasts and receive-side byte accounting reuse it.
+    Envelopes are immutable once sent (the same object flows by reference
+    to every destination), so everything the per-datagram lane needs is
+    computed once, here: the wire ``size``, the ``sender`` key receivers
+    look session keys up by, and — when the sender passes its cost model —
+    the ``recv_cost`` every receiver sharing that model charges (receivers
+    with another model, as in multi-config deployments, compute their own).
     """
 
-    msg: object
-    auth_kind: int
-    auth: object  # bytes tag | Authenticator | RabinSignature | None
-    sender_kind: str  # "replica" | "client"
-    sender_id: int
-    # The sender's configuration epoch (repro.pbft.reconfig).  Stamped on
-    # every send; receivers gate replica agreement traffic on it so a
-    # reconfigured-away incarnation is rejected loudly.  Clients always
-    # send 0 — their requests are ordered, not epoch-bound.
-    sender_epoch: int = 0
-    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    # Receive-side cost memo: every receiver of a broadcast charges the
-    # same bytes/verify cost, so the first receiver's computation is
-    # reused — but only while the cost model object matches (multi-config
-    # deployments keep their own numbers).
-    _recv_cost: int = field(default=0, init=False, repr=False, compare=False)
-    _recv_cost_model: object = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "msg", "auth_kind", "auth", "sender_kind", "sender_id", "sender_epoch",
+        "sender", "size", "recv_cost", "cost_model",
+    )
 
-    @property
-    def size(self) -> int:
-        if not HOTPATH.enabled:
-            return self._compute_size()
-        size = self._size
-        if size is None:
-            size = self._size = self._compute_size()
-        return size
+    def __init__(
+        self,
+        msg,
+        auth_kind: int,
+        auth: object,  # bytes tag | Authenticator | RabinSignature | None
+        sender_kind: str,  # "replica" | "client"
+        sender_id: int,
+        # The sender's configuration epoch (repro.pbft.reconfig).  Stamped
+        # on every send; receivers gate replica agreement traffic on it so
+        # a reconfigured-away incarnation is rejected loudly.  Clients
+        # always send 0 — their requests are ordered, not epoch-bound.
+        sender_epoch: int = 0,
+        costs=None,
+    ) -> None:
+        self.msg = msg
+        self.auth_kind = auth_kind
+        self.auth = auth
+        self.sender_kind = sender_kind
+        self.sender_id = sender_id
+        self.sender_epoch = sender_epoch
+        self.sender = (sender_kind, sender_id)
+        wire_size = msg.wire_size
+        size = wire_size + 4  # 4-byte trailer header
+        if auth_kind == AUTH_MAC:
+            size += 4
+        elif auth_kind == AUTH_VECTOR:
+            size += auth.size
+        elif auth_kind == AUTH_SIG:
+            size += auth.size_bytes if auth is not None else 66
+        self.size = size
+        self.cost_model = costs
+        self.recv_cost = (
+            _receive_cost(costs, wire_size, auth_kind) if costs is not None else 0
+        )
 
-    def _compute_size(self) -> int:
-        base = _msg_wire_size(self.msg) + 4  # 4-byte trailer header
-        if self.auth_kind == AUTH_MAC:
-            return base + 4
-        if self.auth_kind == AUTH_VECTOR:
-            return base + self.auth.size
-        if self.auth_kind == AUTH_SIG:
-            sig = self.auth
-            return base + (sig.size_bytes if sig is not None else 66)
-        return base
+    def __repr__(self) -> str:
+        return (
+            f"Envelope({self.msg!r}, auth_kind={self.auth_kind}, "
+            f"sender={self.sender_kind}{self.sender_id}, epoch={self.sender_epoch})"
+        )
 
 
 class KeyDirectory:
@@ -173,6 +185,7 @@ class Node:
 
         config.validate()
         self.config = config
+        self.n = config.n  # group size; a node's config never changes
         self.costs = config.costs
         self.host = host
         self.keys = keys
@@ -191,12 +204,14 @@ class Node:
         # Session keys for MAC mode, keyed by (peer kind, peer id).
         self.session_keys: dict[tuple[str, int], MacKey] = {}
         # Replica-group key map memo for broadcasts; invalidated whenever
-        # session keys change (install/drop) or the group grows.
+        # session keys change (install/drop).
         self._group_keys: Optional[dict[int, MacKey]] = None
-        self._group_keys_n = 0
-        # (n, excluded id) -> [(rid, address)] for full-group broadcasts;
-        # replica addresses are a pure function of the id.
-        self._dests_memo: dict[tuple[int, int | None], list] = {}
+        # excluded id -> addresses for full-group broadcasts; replica
+        # addresses are a pure function of the id.
+        self._dests_memo: dict[int | None, tuple[Address, ...]] = {}
+        # Replicas point this at their admission penalty box; while it has
+        # entries, ``_penalized`` may shed a packet before verification.
+        self.penalty = None
         self.auth_failures = 0
         self.messages_handled = 0
         # Fault injection: a muted node receives and processes messages but
@@ -235,15 +250,25 @@ class Node:
 
     # -- send paths ------------------------------------------------------------
 
+    def _post(self, dsts, msg, auth_kind: int, auth, kind: str) -> None:
+        """Seal ``msg`` in one envelope and put a copy out per destination."""
+        env = Envelope(
+            msg, auth_kind, auth, self.kind, self.node_id, self.current_epoch, self.costs
+        )
+        self.socket.multicast(dsts, env, env.size, kind or msg.KIND)
+
+    def _sign(self, msg) -> Optional[RabinSignature]:
+        if not self.real_crypto:
+            return None
+        return rabin_sign(self._own_signing_key(), msg.auth_bytes())
+
     def send_signed(self, dst: Address, msg, kind: str = "") -> None:
         """Sign with our private key and send (expensive)."""
         if self.muted:
             self.messages_muted += 1
             return
         self.host.charge_cpu(self._marshal_cost(msg) + self.costs.crypto.sign_ns)
-        sig = rabin_sign(self._own_signing_key(), msg.auth_bytes()) if self.real_crypto else None
-        env = Envelope(msg, AUTH_SIG, sig, self.kind, self.node_id, self.current_epoch)
-        self.socket.send(dst, env, env.size, kind or type(msg).__name__)
+        self._post((dst,), msg, AUTH_SIG, self._sign(msg), kind)
 
     def send_mac(self, dst: Address, peer_kind: str, peer_id: int, msg, kind: str = "") -> None:
         """Authenticate with the pairwise session key and send (cheap)."""
@@ -257,8 +282,7 @@ class Node:
             if (self.real_crypto and key)
             else b"\0\0\0\0"
         )
-        env = Envelope(msg, AUTH_MAC, tag, self.kind, self.node_id, self.current_epoch)
-        self.socket.send(dst, env, env.size, kind or type(msg).__name__)
+        self._post((dst,), msg, AUTH_MAC, tag, kind)
 
     def send_plain(self, dst: Address, msg, kind: str = "") -> None:
         """Unauthenticated send (join phase 1, challenges)."""
@@ -266,8 +290,7 @@ class Node:
             self.messages_muted += 1
             return
         self.host.charge_cpu(self._marshal_cost(msg))
-        env = Envelope(msg, AUTH_NONE, None, self.kind, self.node_id, self.current_epoch)
-        self.socket.send(dst, env, env.size, kind or type(msg).__name__)
+        self._post((dst,), msg, AUTH_NONE, None, kind)
 
     def broadcast_to_replicas(
         self,
@@ -288,49 +311,33 @@ class Node:
         if self.muted:
             self.messages_muted += 1
             return
-        if only is None and HOTPATH.enabled:
-            memo_key = (self.config.n, exclude)
-            dests = self._dests_memo.get(memo_key)
+        if only is None:
+            dests = self._dests_memo.get(exclude)
             if dests is None:
-                dests = self._dests_memo[memo_key] = [
-                    (rid, replica_address(rid, self.group_prefix))
-                    for rid in range(self.config.n)
+                dests = self._dests_memo[exclude] = tuple(
+                    replica_address(rid, self.group_prefix)
+                    for rid in range(self.n)
                     if rid != exclude
-                ]
+                )
         else:
-            rids = only if only is not None else list(range(self.config.n))
             dests = [
-                (rid, replica_address(rid, self.group_prefix))
-                for rid in rids
-                if rid != exclude
+                replica_address(rid, self.group_prefix) for rid in only if rid != exclude
             ]
         if not dests:
             return
-        per_copy = self._marshal_cost(msg)
-        kind = kind or type(msg).__name__
+        marshal = self._marshal_cost(msg) * len(dests)
         if self.config.use_macs:
             known = self._replica_group_keys()
-            self.host.charge_cpu(
-                per_copy * len(dests) + self.costs.crypto.authenticator_cost(len(known))
-            )
+            self.host.charge_cpu(marshal + self.costs.crypto.authenticator_cost(len(known)))
             auth = (
                 self.keys.mac_cache.authenticator(known, msg.auth_bytes())
                 if self.real_crypto
                 else Authenticator({rid: b"\0\0\0\0" for rid in known})
             )
-            env = Envelope(msg, AUTH_VECTOR, auth, self.kind, self.node_id, self.current_epoch)
-            for _rid, addr in dests:
-                self.socket.send(addr, env, env.size, kind)
+            self._post(dests, msg, AUTH_VECTOR, auth, kind)
         else:
-            self.host.charge_cpu(per_copy * len(dests) + self.costs.crypto.sign_ns)
-            sig = (
-                rabin_sign(self._own_signing_key(), msg.auth_bytes())
-                if self.real_crypto
-                else None
-            )
-            env = Envelope(msg, AUTH_SIG, sig, self.kind, self.node_id, self.current_epoch)
-            for _rid, addr in dests:
-                self.socket.send(addr, env, env.size, kind)
+            self.host.charge_cpu(marshal + self.costs.crypto.sign_ns)
+            self._post(dests, msg, AUTH_SIG, self._sign(msg), kind)
 
     def _replica_group_keys(self) -> dict[int, MacKey]:
         """Session keys we hold for every replica in the group, memoized.
@@ -340,22 +347,21 @@ class Node:
         invalidate the memo instead.
         """
         known = self._group_keys
-        if known is not None and self._group_keys_n == self.config.n and HOTPATH.enabled:
+        if known is not None and HOTPATH.enabled:
             return known
         exclude_self = self.node_id if self.kind == "replica" else -1
         known = {}
-        for rid in range(self.config.n):
+        for rid in range(self.n):
             if rid == exclude_self:
                 continue
             key = self._session_key_for("replica", rid)
             if key is not None:
                 known[rid] = key
         self._group_keys = known
-        self._group_keys_n = self.config.n
         return known
 
     def _marshal_cost(self, msg) -> int:
-        return self.costs.msg_send_ns + self.costs.bytes_cost(_msg_wire_size(msg))
+        return self.costs.msg_send_ns + self.costs.bytes_cost(msg.wire_size)
 
     def _session_key_for(self, peer_kind: str, peer_id: int) -> Optional[MacKey]:
         key = self.session_keys.get((peer_kind, peer_id))
@@ -378,25 +384,14 @@ class Node:
         env = packet.payload
         if not isinstance(env, Envelope):
             return
-        if HOTPATH.enabled and env._recv_cost_model is self.costs:
-            cost = env._recv_cost
+        penalty = self.penalty
+        if penalty is not None and penalty.entries and self._penalized(env):
+            return
+        if env.cost_model is self.costs:
+            cost = env.recv_cost
         else:
-            cost = (
-                self.costs.msg_recv_ns
-                + self.costs.bytes_cost(_msg_wire_size(env.msg))
-                + self._verify_cost(env)
-            )
-            if HOTPATH.enabled:
-                env._recv_cost = cost
-                env._recv_cost_model = self.costs
-        self.host.execute(cost, lambda: self._verified_dispatch(env))
-
-    def _verify_cost(self, env: Envelope) -> int:
-        if env.auth_kind == AUTH_SIG:
-            return self.costs.crypto.verify_ns
-        if env.auth_kind in (AUTH_MAC, AUTH_VECTOR):
-            return self.costs.crypto.mac_ns
-        return 0
+            cost = _receive_cost(self.costs, env.msg.wire_size, env.auth_kind)
+        self.host.execute(cost, self._verified_dispatch, env)
 
     def _verified_dispatch(self, env: Envelope) -> None:
         if not self.verify_envelope(env):
@@ -414,33 +409,37 @@ class Node:
         bytes at all.  Baseline mode re-creates the seed's unconditional
         marshalling so cache-off measurements stay faithful.
         """
-        if env.auth_kind == AUTH_NONE:
+        auth_kind = env.auth_kind
+        if auth_kind == AUTH_NONE:
             return True
         if not HOTPATH.enabled:
             env.msg.auth_bytes()
-        if env.auth_kind == AUTH_SIG:
-            public = (
-                self.keys.replica_public(env.sender_id)
-                if env.sender_kind == "replica"
-                else self.keys.client_public(env.sender_id)
-            )
+        if auth_kind == AUTH_SIG:
+            public = self._public_key_of(env.sender_kind, env.sender_id)
             if public is None:
                 return False
             if not self.real_crypto:
                 return True
             return rabin_verify(public, env.msg.auth_bytes(), env.auth)
-        key = self._session_key_for(env.sender_kind, env.sender_id)
+        key = self.session_keys.get(env.sender)
         if key is None:
-            # No session key for this peer: exactly the restarted-replica
-            # condition of paper section 2.3.
-            return False
+            key = self._session_key_for(env.sender_kind, env.sender_id)
+            if key is None:
+                # No session key for this peer: exactly the restarted-replica
+                # condition of paper section 2.3.
+                return False
         if not self.real_crypto:
             return True
         mac_cache = self.keys.mac_cache
         data = env.msg.auth_bytes()
-        if env.auth_kind == AUTH_MAC:
+        if auth_kind == AUTH_MAC:
             return mac_cache.verify(key, data, env.auth)
         return mac_cache.verify_authenticator(key, self.node_id, data, env.auth)
+
+    def _public_key_of(self, kind: str, node_id: int) -> Optional[RabinPublicKey]:
+        if kind == "replica":
+            return self.keys.replica_public(node_id)
+        return self.keys.client_public(node_id)
 
     # -- subclass hooks ---------------------------------------------------------
 
@@ -449,3 +448,7 @@ class Node:
 
     def on_auth_failure(self, env: Envelope) -> None:
         """Called when a message fails authentication (default: drop)."""
+
+    def _penalized(self, env: Envelope) -> bool:
+        """Whether to drop ``env`` unverified (only asked with a penalty box)."""
+        return False

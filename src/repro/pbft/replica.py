@@ -18,8 +18,7 @@ from collections import defaultdict
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.common.hotpath import HOTPATH
-from repro.crypto.digests import DIGEST_SIZE
+from repro.crypto.digests import DIGEST_SIZE, md5_digest
 from repro.net.fabric import Address, Host
 from repro.pbft.admission import (
     ADMIT,
@@ -34,6 +33,8 @@ from repro.pbft.messages import (
     BUSY_INFLIGHT,
     BUSY_OVERSIZED,
     BUSY_SHED,
+    SYS_RECONFIG,
+    SYSTEM_OP_PREFIX,
     AuthenticatorRefresh,
     BatchRetransmit,
     BusyReply,
@@ -63,17 +64,6 @@ from repro.pbft.viewchange import ViewChangeMixin
 from repro.statemgr.checkpoints import Checkpoint, CheckpointStore
 from repro.statemgr.pages import PagedState
 from repro.crypto.mac import MacKey
-
-# Operations whose first byte is this prefix are middleware system
-# requests (Join phase 2, Leave, replica Reconfig) — ordered like client
-# requests but executed by the middleware, invisible to the application.
-SYSTEM_OP_PREFIX = 0xFF
-
-# Replica-sender message types subject to the configuration-epoch gate.
-# Exactly the agreement/view-change family: a stale incarnation must not
-# contribute votes, but the recovery family (status, retransmit, state
-# transfer) stays epoch-neutral — it is all a bootstrapping replica sends.
-_EPOCH_GATED = (PrePrepare, Prepare, Commit, ViewChangeMsg, NewViewMsg)
 
 
 class Application:
@@ -135,8 +125,6 @@ class NullApplication(Application):
         # the principal is a digest of it (one session per buffer).
         if not idbuf:
             return None
-        from repro.crypto.digests import md5_digest
-
         return int.from_bytes(md5_digest(idbuf)[:6], "big")
 
     def execute(self, op: bytes, client_id: int, nondet_ts: int, readonly: bool) -> bytes:
@@ -241,6 +229,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         # Overload admission pipeline (see repro.pbft.admission): per-client
         # in-flight caps, queue shedding policy, and the penalty box.
         self.admission = AdmissionControl(config)
+        self.penalty = self.admission.penalty
         self._depth_gauge = self.obs.registry.gauge(
             f"{config.group_prefix}replica{replica_id}.pending_depth"
         )
@@ -259,27 +248,28 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self._genesis_pages = self.state.snapshot_pages()
         self._genesis_tree_nodes = self.state.tree.snapshot_nodes()
 
+        # message class -> (handler, subject to the configuration-epoch gate)
         self._handlers = {
-            Request: self.on_request,
-            PrePrepare: self.on_pre_prepare,
-            Prepare: self.on_prepare,
-            Commit: self.on_commit,
-            CheckpointMsg: self.on_checkpoint,
-            StatusMsg: self.on_status,
-            BatchRetransmit: self.on_batch_retransmit,
-            FetchDigestsMsg: self.on_fetch_digests,
-            FetchPagesMsg: self.on_fetch_pages,
-            DigestsMsg: self.on_digests,
-            PagesMsg: self.on_pages,
-            ViewChangeMsg: lambda m, e=None: self.on_view_change(m),
-            NewViewMsg: lambda m, e=None: self.on_new_view(m),
-            AuthenticatorRefresh: self.on_authenticator_refresh,
+            Request: (self.on_request, False),
+            PrePrepare: (self.on_pre_prepare, True),
+            Prepare: (self.on_prepare, True),
+            Commit: (self.on_commit, True),
+            CheckpointMsg: (self.on_checkpoint, False),
+            StatusMsg: (self.on_status, False),
+            BatchRetransmit: (self.on_batch_retransmit, False),
+            FetchDigestsMsg: (self.on_fetch_digests, False),
+            FetchPagesMsg: (self.on_fetch_pages, False),
+            DigestsMsg: (self.on_digests, False),
+            PagesMsg: (self.on_pages, False),
+            ViewChangeMsg: (lambda m, e=None: self.on_view_change(m), True),
+            NewViewMsg: (lambda m, e=None: self.on_new_view(m), True),
+            AuthenticatorRefresh: (self.on_authenticator_refresh, False),
         }
 
     # -- identity helpers ---------------------------------------------------------
 
     def primary_of(self, view: int) -> int:
-        return view % self.config.n
+        return view % self.n
 
     def _status_gossip(self) -> None:
         """Periodic status while work is outstanding: peers respond with
@@ -289,8 +279,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         )
         if self.crashed:
             return
-        lagging = any(not slot.executed for slot in self.log.slots.values())
-        if lagging or self.wedged or self.waiting_requests:
+        if self.log.unexecuted or self.wedged or self.waiting_requests:
             # A wedge that outlives a full status interval means the
             # certificate-only retransmits cannot help: the missing piece
             # is a big-request body (section 2.4), and if f+1 replicas are
@@ -311,7 +300,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
 
     @property
     def is_primary(self) -> bool:
-        return self.primary_of(self.view) == self.node_id
+        return self.view % self.n == self.node_id
 
     def register_client(self, client_id: int, addr: Address, session_key=None) -> None:
         """Static-membership setup: record a client's address and session key."""
@@ -340,26 +329,25 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             public = self.membership.client_public(client_id)
         return public
 
-    def verify_envelope(self, env: Envelope) -> bool:
+    def _public_key_of(self, kind: str, node_id: int):
         # Route client public-key lookups through the membership table so
         # dynamically joined clients can be verified.
-        if env.auth_kind == 3 and env.sender_kind == "client":  # AUTH_SIG
-            public = self.lookup_client_public(env.sender_id)
-            if public is None:
-                return False
-            if not self.real_crypto:
-                return True
-            from repro.crypto.rabin import rabin_verify
-
-            return rabin_verify(public, env.msg.auth_bytes(), env.auth)
-        return super().verify_envelope(env)
+        if kind == "client":
+            return self.lookup_client_public(node_id)
+        return super()._public_key_of(kind, node_id)
 
     # -- dispatch ------------------------------------------------------------------
 
     def dispatch(self, env: Envelope) -> None:
         if self.crashed:
             return
-        if env.sender_kind == "replica" and isinstance(env.msg, _EPOCH_GATED):
+        msg = env.msg
+        handler, epoch_gated = self._handlers.get(msg.__class__, (None, False))
+        # The gate covers exactly the agreement/view-change family from
+        # replica senders: a stale incarnation must not contribute votes,
+        # but the recovery family (status, retransmit, state transfer)
+        # stays epoch-neutral — it is all a bootstrapping replica sends.
+        if epoch_gated and env.sender_kind == "replica":
             if not self.reconfig.admit_sender(env.sender_id, env.sender_epoch):
                 # A reconfigured-away incarnation (or a vacated slot) is
                 # still talking: reject loudly.  Recovery-family messages
@@ -382,29 +370,22 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 # harmless (we will cross it at the same seq), but worth
                 # counting for the campaign's forensics.
                 self.stats["newer_epoch_observed"] += 1
-        handler = self._handlers.get(type(env.msg))
         if handler is None:
             if self.membership is not None:
                 self.membership.dispatch(env)
             return
-        handler(env.msg, env)
+        handler(msg, env)
 
-    def _on_packet(self, packet) -> None:
+    def _penalized(self, env: Envelope) -> bool:
         # Penalty box: packets from muted senders are dropped for the cost
         # of a header peek, before the MAC/signature check — the whole
         # point of the box is to shed a garbage flood's verification cost.
-        env = packet.payload
-        if isinstance(env, Envelope) and not self.crashed:
-            penalty = self.admission.penalty
-            # With the box empty (the steady state) there is nothing to
-            # look up; the hot path skips building the key tuple.
-            if not (HOTPATH.enabled and not penalty.entries):
-                key = (env.sender_kind, env.sender_id)
-                if penalty.muted(key, self.host.sim.now):
-                    self.host.charge_cpu(self.costs.msg_recv_ns)
-                    self.stats["penalty_box_drops"] += 1
-                    return
-        super()._on_packet(packet)
+        # (Node._on_packet only asks while the box has entries.)
+        if self.crashed or not self.penalty.muted(env.sender, self.host.sim.now):
+            return False
+        self.host.charge_cpu(self.costs.msg_recv_ns)
+        self.stats["penalty_box_drops"] += 1
+        return True
 
     def on_auth_failure(self, env: Envelope) -> None:
         self.stats["auth_failures"] += 1
@@ -498,11 +479,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         it is running.  The log scan is skipped entirely in the common case
         of a caught-up backup holding nothing for the client.
         """
-        held = []
-        for digest in self.waiting_requests:
-            req = self.reqstore.get(digest)
-            if req is not None and req.client == client:
-                held.append(digest)
+        held = self.reqstore.held_for(client, self.waiting_requests)
         if not held:
             return 0
         ordered = self.log.live_request_digests()
@@ -604,8 +581,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
 
     @staticmethod
     def _is_reconfig_op(req: Request) -> bool:
-        from repro.membership.messages import SYS_RECONFIG
-
         return (
             len(req.op) >= 2
             and req.op[0] == SYSTEM_OP_PREFIX
@@ -675,7 +650,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             sender=self.node_id,
         )
         slot = self.log.slot(seq)
-        slot.view_slot(self.view).pre_prepare = pp
+        slot.view_slot(self.view).accept(pp)
         for req in batch:
             self.queued_digests.discard(req.digest)
             # The in-flight cap guards the *unordered* queue.  Release at
@@ -752,7 +727,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             self.stats["nondet_rejections"] += 1
             self.start_view_change(self.view + 1)
             return
-        vs.pre_prepare = pp
+        vs.accept(pp)
         if pp.inline_requests:
             # A backup must re-digest every inline body to check it against
             # the pre-prepare's request digests before accepting.
@@ -771,7 +746,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             view=pp.view, seq=pp.seq, batch_digest=pp.batch_digest, sender=self.node_id
         )
         slot = self.log.slot(pp.seq)
-        slot.view_slot(pp.view).prepares[self.node_id] = pp.batch_digest
+        slot.view_slot(pp.view).add_prepare(self.node_id, pp.batch_digest)
         self.broadcast_to_replicas(prepare, exclude=self.node_id)
 
     def on_prepare(self, msg: Prepare, env: Envelope = None) -> None:
@@ -781,7 +756,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         if not self.log.in_window(msg.seq):
             return
         slot = self.log.slot(msg.seq)
-        slot.view_slot(msg.view).prepares[msg.sender] = msg.batch_digest
+        slot.view_slot(msg.view).add_prepare(msg.sender, msg.batch_digest)
         if not slot.executed:
             # Peer activity on an operation we have not executed is
             # evidence of outstanding work: start the clock on the primary
@@ -799,7 +774,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             commit = Commit(
                 view=view, seq=seq, batch_digest=pp.batch_digest, sender=self.node_id
             )
-            vs.commits[self.node_id] = pp.batch_digest
+            vs.add_commit(self.node_id, pp.batch_digest)
             self.broadcast_to_replicas(commit, exclude=self.node_id)
             if self.tracer.enabled and self.is_primary:
                 self._mark_batch(pp, "prepared")
@@ -816,7 +791,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         if not self.log.in_window(msg.seq):
             return
         slot = self.log.slot(msg.seq)
-        slot.view_slot(msg.view).commits[msg.sender] = msg.batch_digest
+        slot.view_slot(msg.view).add_commit(msg.sender, msg.batch_digest)
         self._maybe_committed(msg.seq, msg.view)
 
     def _maybe_committed(self, seq: int, view: int) -> None:
@@ -1006,7 +981,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self._clear_wedge()
         self.last_exec = pp.seq
         if slot is not None:
-            slot.executed = True
+            self.log.set_executed(slot, True)
             slot.tentative = tentative
         if not tentative:
             self.committed_upto = max(self.committed_upto, pp.seq)
@@ -1023,7 +998,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 self.tracer.mark((req.client, req.req_id), boundary, self.host.name)
 
     def _designated_replier(self, req: Request) -> int:
-        return (req.req_id + req.client) % self.config.n
+        return (req.req_id + req.client) % self.n
 
     def _send_reply(self, reply: Reply, req: Request, force_full: bool = False) -> None:
         addr = self.client_addr.get(req.client)
@@ -1216,5 +1191,5 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 del self.checkpoints._by_seq[seq]
         for slot in self.log.slots.values():
             if slot.seq > self.committed_upto and slot.executed:
-                slot.executed = False
+                self.log.set_executed(slot, False)
                 slot.tentative = False

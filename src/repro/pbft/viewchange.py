@@ -57,19 +57,12 @@ class ViewChangeMixin:
         self.start_view_change(self.view + 1)
 
     def _has_outstanding_work(self) -> bool:
-        for slot in self.log.slots.values():
-            if not slot.executed:
-                return True
+        if self.log.unexecuted:
+            return True
         if self.is_primary and self.pending_requests:
             return True
         # Prune waiting requests that got executed through another path.
-        stale = {
-            digest
-            for digest in self.waiting_requests
-            if (req := self.reqstore.get(digest)) is not None
-            and self.reqstore.already_executed(req)
-        }
-        self.waiting_requests -= stale
+        self.waiting_requests -= self.reqstore.executed_among(self.waiting_requests)
         return bool(self.waiting_requests)
 
     # -- initiating ---------------------------------------------------------------
@@ -389,8 +382,7 @@ class ViewChangeMixin:
                     sender=nv.sender,
                 )
             slot = self.log.slot(seq)
-            vs = slot.view_slot(view)
-            vs.pre_prepare = rebuilt
+            slot.view_slot(view).accept(rebuilt)
             if not slot.executed:
                 if not is_primary:
                     self._send_prepare(rebuilt)

@@ -111,6 +111,10 @@ class Decoder:
     def boolean(self) -> bool:
         return self.u8() != 0
 
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """Decode one fixed-layout run of fields (a precompiled Struct)."""
+        return layout.unpack(self._take(layout.size))
+
     def blob(self) -> bytes:
         size = self.u32()
         return self._take(size)

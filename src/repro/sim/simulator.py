@@ -6,7 +6,6 @@ import heapq
 from typing import Callable, Optional
 
 from repro.common.errors import ConfigError
-from repro.common.hotpath import HOTPATH
 
 
 class Timer:
@@ -38,28 +37,29 @@ class Timer:
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    Events scheduled for the same instant run in scheduling order (a
-    monotonically increasing tiebreak sequence guarantees heap stability),
-    which keeps runs bit-for-bit reproducible.
+    An event is a ``(when, seq, fn, arg)`` tuple on one heap; running it is
+    ``fn(arg)``.  Events scheduled for the same instant run in scheduling
+    order (the monotonically increasing ``seq`` makes the heap stable),
+    which keeps runs bit-for-bit reproducible.  A :class:`Timer` is an
+    ordinary event whose ``fn`` looks at the timer's cancelled flag.
     """
 
     def __init__(self) -> None:
-        self._now: int = 0
-        self._queue: list[tuple[int, int, Timer]] = []
+        #: Current simulated time in nanoseconds (read-only for callers).
+        self.now: int = 0
+        self._queue: list[tuple[int, int, Callable, object]] = []
         self._seq: int = 0
-        self._events_run: int = 0
         self._events_cancelled: int = 0
         self._max_queue_len: int = 0
 
     @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
-    @property
     def events_run(self) -> int:
-        """Total number of event callbacks executed so far."""
-        return self._events_run
+        """Total number of event callbacks executed so far.
+
+        Every popped event either ran or was a cancelled timer, so nothing
+        is counted per event.
+        """
+        return self._seq - len(self._queue) - self._events_cancelled
 
     @property
     def events_scheduled(self) -> int:
@@ -83,8 +83,8 @@ class Simulator:
 
     def collect_metrics(self, registry, prefix: str = "sim.") -> None:
         """Publish event-loop counters into a metrics registry."""
-        registry.gauge(prefix + "now_ns").set(self._now)
-        registry.gauge(prefix + "events_run").set(self._events_run)
+        registry.gauge(prefix + "now_ns").set(self.now)
+        registry.gauge(prefix + "events_run").set(self.events_run)
         registry.gauge(prefix + "events_scheduled").set(self._seq)
         registry.gauge(prefix + "events_cancelled").set(self._events_cancelled)
         registry.gauge(prefix + "pending_events").set(len(self._queue))
@@ -94,49 +94,51 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` nanoseconds from now."""
         if delay < 0:
             raise ConfigError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, when: int, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` to run at absolute time ``when``."""
-        if when < self._now:
-            raise ConfigError(
-                f"cannot schedule at t={when} which is before now={self._now}"
-            )
         timer = Timer(when, callback)
-        heapq.heappush(self._queue, (when, self._seq, timer))
-        self._seq += 1
-        if len(self._queue) > self._max_queue_len:
-            self._max_queue_len = len(self._queue)
+        self.schedule_call(when, self._fire, timer)
         return timer
 
-    def schedule_anonymous(self, when: int, callback: Callable[[], None]) -> None:
-        """Schedule a fire-and-forget event with no cancellation handle.
+    def schedule_call(self, when: int, fn: Callable[[object], None], arg: object) -> None:
+        """Schedule ``fn(arg)`` at absolute time ``when``, with no handle.
 
-        The hot path (packet delivery, CPU-queue completions) schedules an
-        event per datagram and never cancels it, so the :class:`Timer`
-        handle is pure overhead there; this queues the bare callable under
-        the same ``(when, seq)`` ordering key, making the event sequence
-        identical to :meth:`schedule_at`'s.  With the hot-path caches off
-        it falls back to a full Timer, reproducing the seed's allocations.
+        The per-datagram lane (packet delivery, CPU-queue completions)
+        schedules an event per datagram and never cancels it, so it passes
+        a bound method plus its one argument instead of allocating a
+        closure and a :class:`Timer`.
         """
-        if not HOTPATH.enabled:
-            self.schedule_at(when, callback)
-            return
-        if when < self._now:
+        if when < self.now:
             raise ConfigError(
-                f"cannot schedule at t={when} which is before now={self._now}"
+                f"cannot schedule at t={when} which is before now={self.now}"
             )
-        heapq.heappush(self._queue, (when, self._seq, callback))
+        queue = self._queue
+        heapq.heappush(queue, (when, self._seq, fn, arg))
         self._seq += 1
-        if len(self._queue) > self._max_queue_len:
-            self._max_queue_len = len(self._queue)
+        if len(queue) > self._max_queue_len:
+            self._max_queue_len = len(queue)
+
+    def _fire(self, timer: Timer) -> None:
+        if timer.cancelled:
+            self._events_cancelled += 1
+            return
+        timer.fired = True
+        timer.callback()
 
     def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the event queue drains (or ``max_events`` callbacks ran)."""
-        budget = max_events if max_events is not None else float("inf")
-        while self._queue and budget > 0:
-            self._pop_and_run()
-            budget -= 1
+        """Run until the event queue drains (or ``max_events`` callbacks ran).
+
+        Cancelled timers popped on the way ran nothing and do not count
+        against ``max_events``.
+        """
+        stop = float("inf") if max_events is None else self.events_run + max_events
+        queue = self._queue
+        while queue and self.events_run < stop:
+            when, _seq, fn, arg = heapq.heappop(queue)
+            self.now = when
+            fn(arg)
 
     def run_until(self, deadline: int) -> None:
         """Run all events with time <= ``deadline``; advance the clock to it.
@@ -144,26 +146,15 @@ class Simulator:
         Events scheduled beyond the deadline stay queued, so a later
         ``run_until`` continues seamlessly.
         """
-        while self._queue and self._queue[0][0] <= deadline:
-            self._pop_and_run()
-        if deadline > self._now:
-            self._now = deadline
+        queue = self._queue
+        pop = heapq.heappop
+        while queue and queue[0][0] <= deadline:
+            when, _seq, fn, arg = pop(queue)
+            self.now = when
+            fn(arg)
+        if deadline > self.now:
+            self.now = deadline
 
     def run_for(self, duration: int) -> None:
         """Run for ``duration`` nanoseconds of simulated time."""
-        self.run_until(self._now + duration)
-
-    def _pop_and_run(self) -> None:
-        when, _seq, event = heapq.heappop(self._queue)
-        self._now = when
-        if event.__class__ is Timer:
-            if event.cancelled:
-                self._events_cancelled += 1
-                return
-            event.fired = True
-            self._events_run += 1
-            event.callback()
-        else:
-            # A bare callable from schedule_anonymous: nothing to cancel.
-            self._events_run += 1
-            event()
+        self.run_until(self.now + duration)

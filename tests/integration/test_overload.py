@@ -73,7 +73,7 @@ def test_backup_body_store_bounds_only_unordered_bodies():
     pp = PrePrepare(
         view=0, seq=1, request_digests=(first.digest,), nondet=b"", sender=0
     )
-    backup.log.slot(1).view_slot(0).pre_prepare = pp
+    backup.log.slot(1).view_slot(0).accept(pp)
     backup.on_request(second)
     assert second.digest in backup.waiting_requests
     assert backup.stats["waiting_shed"] == 1

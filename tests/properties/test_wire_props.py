@@ -240,13 +240,13 @@ def test_memoized_wire_equals_fresh_encode_for_every_type():
 
 def test_wire_memo_populated_on_first_access_survives_toggle():
     # A memo filled while caches were on must still read back correct
-    # bytes (fresh re-encode) once they are off — the off path never
-    # consults the memo.
+    # bytes once they are off: the stored value shadows the descriptor for
+    # good, and it is exactly what a fresh re-encode yields.
     for msg in sample_messages():
         with hotpath_caches(True):
             cached = msg.wire
         with hotpath_caches(False):
-            assert msg.wire == cached
+            assert msg.wire == cached == msg.encode()
 
 
 @given(msg=requests)

@@ -1,9 +1,12 @@
 """The key-value application on the raw state region."""
 
+import random
+
 import pytest
 
-from repro.apps.kvstore import KvApplication, encode_get, encode_put
+from repro.apps.kvstore import _SLOT, KvApplication, encode_get, encode_put
 from repro.common.errors import StateError
+from repro.crypto.digests import md5_digest
 from repro.statemgr.pages import PagedState
 
 
@@ -70,3 +73,79 @@ def test_state_identical_for_identical_histories():
 
 def test_bad_op_rejected(app):
     assert run(app, b"\xee???") == b"\x00ERR bad op"
+
+
+# -- _find_slot against the slot-by-slot probe it replaced ---------------------
+
+
+def _probe_every_slot(app, digest):
+    """The old _find_slot: first in-use match in probe order, else first free."""
+    start = int.from_bytes(digest[:4], "big") % app.num_slots
+    first_free = -1
+    for probe in range(app.num_slots):
+        slot = (start + probe) % app.num_slots
+        in_use, stored, _length = _SLOT.unpack(app.state.read(app._slot_offset(slot), _SLOT.size))
+        if in_use and stored == digest:
+            return slot, True
+        if not in_use and first_free < 0:
+            first_free = slot
+    if first_free < 0:
+        raise StateError("kv store is full")
+    return first_free, False
+
+
+def _outcome(find, digest):
+    try:
+        return find(digest)
+    except StateError:
+        return "full"
+
+
+def _set_slot(app, slot, in_use, digest, value=b""):
+    offset = app._slot_offset(slot)
+    app.state.modify(offset, app.slot_size)
+    app.state.write(offset, _SLOT.pack(in_use, digest, len(value)) + value)
+    app.state.end_of_execution()
+
+
+def _digest_homed_at(slot, tail):
+    return slot.to_bytes(4, "big") + bytes([tail]) * 12
+
+
+def test_find_slot_matches_full_probe_on_random_tables():
+    rng = random.Random(7)
+    for num_slots, app_offset in ((1, 0), (3, 100), (16, 0), (37, 700)):
+        app = KvApplication(num_slots=num_slots, value_size=40)
+        # 59 + 700 bytes per slot run: slots straddle the 512-byte pages.
+        app.bind_state(PagedState(16, 512), app_offset=app_offset)
+        digests = [md5_digest(bytes([i])) for i in range(num_slots + 6)]
+        for _round in range(60):
+            slot = rng.randrange(num_slots)
+            kind = rng.random()
+            if kind < 0.5:  # a stored key, anywhere (duplicates included)
+                _set_slot(app, slot, 1, rng.choice(digests), b"v")
+            elif kind < 0.8:  # a purge hole: header cleared, old digest gone
+                _set_slot(app, slot, 0, bytes(16))
+            else:  # a digest as value bytes, and a free slot still naming a key
+                _set_slot(app, slot, rng.randrange(2), bytes(16), rng.choice(digests))
+                _set_slot(app, rng.randrange(num_slots), 0, rng.choice(digests))
+            for digest in digests:
+                assert _outcome(app._find_slot, digest) == _outcome(
+                    lambda d: _probe_every_slot(app, d), digest)
+
+
+def test_find_slot_far_from_home_wraps_and_prefers_the_nearest_copy():
+    app = KvApplication(num_slots=16, value_size=8)
+    app.bind_state(PagedState(16, 512), app_offset=0)
+    key = _digest_homed_at(14, 0xAB)
+    for slot in range(16):
+        _set_slot(app, slot, 1, _digest_homed_at(slot, 0x01))
+    with pytest.raises(StateError, match="full"):
+        app._find_slot(key)
+    _set_slot(app, 9, 1, key)   # probe distance 11
+    _set_slot(app, 3, 1, key)   # probe distance 5, past the near probes
+    assert app._find_slot(key) == (3, True)
+    _set_slot(app, 3, 0, key)   # freed but the digest bytes stay
+    assert app._find_slot(key) == (9, True)
+    _set_slot(app, 9, 0, bytes(16))
+    assert app._find_slot(key) == (3, False)  # first free after 14 wraps to 3

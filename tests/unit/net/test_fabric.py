@@ -251,10 +251,10 @@ def test_host_cpu_serializes_work():
     sim, fabric = make_fabric()
     host = fabric.host("a")
     done = []
-    host.execute(100, lambda: done.append(sim.now))
-    host.execute(100, lambda: done.append(sim.now))
+    host.execute(100, lambda tag: done.append((tag, sim.now)), "first")
+    host.execute(100, lambda tag: done.append((tag, sim.now)), "second")
     sim.run()
-    assert done == [100, 200]
+    assert done == [("first", 100), ("second", 200)]
     assert host.cpu_busy_ns == 200
 
 
@@ -263,7 +263,7 @@ def test_charge_cpu_pushes_later_work_back():
     host = fabric.host("a")
     host.charge_cpu(500)
     done = []
-    host.execute(100, lambda: done.append(sim.now))
+    host.execute(100, lambda _arg: done.append(sim.now), None)
     sim.run()
     assert done == [600]
 
@@ -419,3 +419,85 @@ def test_per_pair_link_override():
     sa.send(("b", 1), "x", 10)
     sim.run()
     assert times[0] >= 10_000_000
+
+
+# -- the per-datagram lane ------------------------------------------------------
+
+
+def test_packet_is_slotted_with_keyword_constructor():
+    from repro.net.fabric import Packet
+
+    packet = Packet(src=("a", 1), dst=("b", 2), payload="p", size=42, kind="Test")
+    assert (packet.src, packet.dst, packet.payload, packet.size, packet.kind) == (
+        ("a", 1), ("b", 2), "p", 42, "Test",
+    )
+    assert Packet(("a", 1), ("b", 2), "p", 42).kind == ""
+    assert not hasattr(packet, "__dict__")
+    with pytest.raises(AttributeError):
+        packet.extra = 1
+    assert "Test" in repr(packet) and "42" in repr(packet)
+
+
+def test_socket_address_is_a_stable_attribute():
+    _sim, fabric = make_fabric()
+    sock = fabric.bind("a", 7)
+    assert sock.address == ("a", 7)
+    assert sock.address is sock.address
+
+
+def test_jitter_draws_match_randrange_on_the_same_stream():
+    # The fast lane inlines randrange's rejection loop over getrandbits;
+    # arrivals must be exactly what randrange(jitter + 1) would have given.
+    jitter = 10 * MICROSECOND
+    sim, fabric = make_fabric(jitter=jitter, seed=9)
+    twin = RngStreams(9).stream("net.jitter")
+    sa = fabric.bind("a", 1)
+    sb = fabric.bind("b", 1)
+    arrivals = []
+    sb.on_receive(lambda p: arrivals.append(sim.now))
+    sent_at = []
+    for i in range(200):
+        sim.run_until(i * 1000 * MICROSECOND)  # idle NIC for every send
+        sent_at.append(sim.now)
+        sa.send(("b", 1), i, 100)
+    sim.run()
+    tx_ns = fabric._tx_time(100, fabric.config.default_link)
+    expected = [
+        t + tx_ns + 70 * MICROSECOND + twin.randrange(jitter + 1) for t in sent_at
+    ]
+    assert arrivals == expected
+
+
+def test_quiet_and_faulty_paths_arrive_at_the_same_instant():
+    # An inert drop rule forces every packet down the general path; with
+    # nothing actually dropped the arrival times (and jitter draws) must
+    # match the fast path's exactly.
+    def arrivals(with_rule):
+        sim, fabric = make_fabric(jitter=5 * MICROSECOND, seed=4)
+        if with_rule:
+            fabric.add_drop_rule(DropRule(lambda p: False))
+        sa = fabric.bind("a", 1)
+        sb = fabric.bind("b", 1)
+        seen = []
+        sb.on_receive(lambda p: seen.append((p.payload, sim.now)))
+        for i in range(50):
+            sa.send(("b", 1), i, 100 + 37 * i)
+        sa.multicast([("b", 1), ("b", 1)], "twice", 3000)
+        sim.run()
+        return seen, fabric.packets_sent, fabric.bytes_sent, sa.sent
+
+    assert arrivals(False) == arrivals(True)
+
+
+def test_multicast_counts_every_copy():
+    sim, fabric = make_fabric()
+    fabric.add_host("c")
+    sa = fabric.bind("a", 1)
+    got = []
+    for name in ("b", "c"):
+        fabric.bind(name, 1).on_receive(lambda p, name=name: got.append((name, p.kind)))
+    sa.multicast([("b", 1), ("c", 1), ("nowhere", 1)], "x", 200, kind="K")
+    sim.run()
+    assert sorted(got) == [("b", "K"), ("c", "K")]
+    assert sa.sent == 3
+    assert fabric.packets_sent == 3 and fabric.bytes_sent == 600

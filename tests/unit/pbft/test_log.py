@@ -17,50 +17,52 @@ def pp_for(seq, view=0, digests=(D,)):
 def prepared_slot(seq=1, view=0):
     slot = Slot(seq)
     vs = slot.view_slot(view)
-    vs.pre_prepare = pp_for(seq, view)
-    vs.prepares[1] = vs.pre_prepare.batch_digest
-    vs.prepares[2] = vs.pre_prepare.batch_digest
+    vs.accept(pp_for(seq, view))
+    vs.add_prepare(1, vs.pre_prepare.batch_digest)
+    vs.add_prepare(2, vs.pre_prepare.batch_digest)
     return slot
 
 
 class TestSlot:
     def test_not_prepared_without_preprepare(self):
         slot = Slot(1)
-        slot.view_slot(0).prepares.update({1: D, 2: D})
+        slot.view_slot(0).add_prepare(1, D)
+        slot.view_slot(0).add_prepare(2, D)
         assert not slot.prepared(0, F)
 
     def test_prepared_needs_2f_matching_prepares(self):
         slot = Slot(1)
         vs = slot.view_slot(0)
-        vs.pre_prepare = pp_for(1)
-        vs.prepares[1] = vs.pre_prepare.batch_digest
+        vs.accept(pp_for(1))
+        vs.add_prepare(1, vs.pre_prepare.batch_digest)
         assert not slot.prepared(0, F)
-        vs.prepares[2] = vs.pre_prepare.batch_digest
+        vs.add_prepare(2, vs.pre_prepare.batch_digest)
         assert slot.prepared(0, F)
 
     def test_mismatched_prepare_digests_do_not_count(self):
         slot = Slot(1)
         vs = slot.view_slot(0)
-        vs.pre_prepare = pp_for(1)
-        vs.prepares[1] = b"x" * 16
-        vs.prepares[2] = b"y" * 16
+        vs.accept(pp_for(1))
+        vs.add_prepare(1, b"x" * 16)
+        vs.add_prepare(2, b"y" * 16)
         assert not slot.prepared(0, F)
 
     def test_committed_needs_prepared_plus_quorum_commits(self):
         slot = prepared_slot()
         vs = slot.view_slot(0)
         digest = vs.pre_prepare.batch_digest
-        vs.commits.update({0: digest, 1: digest})
+        vs.add_commit(0, digest)
+        vs.add_commit(1, digest)
         assert not slot.committed_local(0, F)
-        vs.commits[2] = digest
+        vs.add_commit(2, digest)
         assert slot.committed_local(0, F)
 
     def test_latest_prepared_proof_picks_highest_view(self):
         slot = prepared_slot(seq=5, view=0)
         vs2 = slot.view_slot(2)
-        vs2.pre_prepare = pp_for(5, view=2)
-        vs2.prepares[1] = vs2.pre_prepare.batch_digest
-        vs2.prepares[3] = vs2.pre_prepare.batch_digest
+        vs2.accept(pp_for(5, view=2))
+        vs2.add_prepare(1, vs2.pre_prepare.batch_digest)
+        vs2.add_prepare(3, vs2.pre_prepare.batch_digest)
         view, digest = slot.latest_prepared_proof(F)
         assert view == 2
         assert digest == vs2.pre_prepare.batch_digest
@@ -96,8 +98,8 @@ class TestMessageLog:
 
     def test_live_request_digests_collects_from_preprepares(self):
         log = MessageLog(16)
-        log.slot(1).view_slot(0).pre_prepare = pp_for(1, digests=(b"a" * 16, b"b" * 16))
-        log.slot(2).view_slot(0).pre_prepare = pp_for(2, digests=(b"c" * 16,))
+        log.slot(1).view_slot(0).accept(pp_for(1, digests=(b"a" * 16, b"b" * 16)))
+        log.slot(2).view_slot(0).accept(pp_for(2, digests=(b"c" * 16,)))
         assert log.live_request_digests() == {b"a" * 16, b"b" * 16, b"c" * 16}
 
     def test_prepared_proofs_ordered_by_seq(self):
@@ -105,9 +107,9 @@ class TestMessageLog:
         for seq in (5, 2, 9):
             slot = log.slot(seq)
             vs = slot.view_slot(0)
-            vs.pre_prepare = pp_for(seq)
-            vs.prepares[1] = vs.pre_prepare.batch_digest
-            vs.prepares[2] = vs.pre_prepare.batch_digest
+            vs.accept(pp_for(seq))
+            vs.add_prepare(1, vs.pre_prepare.batch_digest)
+            vs.add_prepare(2, vs.pre_prepare.batch_digest)
         assert [seq for seq, _v, _d in log.prepared_proofs(F)] == [2, 5, 9]
 
 

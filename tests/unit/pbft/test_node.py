@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.fabric import NetworkFabric
+from repro.net.fabric import DropRule, NetworkFabric
 from repro.pbft.config import PbftConfig
 from repro.pbft.messages import StatusMsg
 from repro.pbft.node import (
@@ -158,3 +158,89 @@ def test_tampered_message_with_valid_looking_mac_rejected(rig):
     sim.run()
     assert nodes[1].received == []
     assert nodes[1].auth_failures == 1
+
+
+# -- the slotted envelope ---------------------------------------------------------
+
+
+def test_envelope_keyword_constructor_and_attributes():
+    message = msg(2)
+    env = Envelope(
+        msg=message, auth_kind=AUTH_MAC, auth=b"abcd",
+        sender_kind="replica", sender_id=2, sender_epoch=5,
+    )
+    assert env.msg is message and env.auth == b"abcd"
+    assert (env.auth_kind, env.sender_kind, env.sender_id, env.sender_epoch) == (
+        AUTH_MAC, "replica", 2, 5,
+    )
+    assert env.sender == ("replica", 2)
+    assert Envelope(message, AUTH_NONE, None, "client", 9).sender_epoch == 0
+    assert not hasattr(env, "__dict__")
+    with pytest.raises(AttributeError):
+        env.extra = 1
+    assert "StatusMsg" in repr(env)
+
+
+def test_envelope_size_is_exact_for_every_trailer(rig):
+    _sim, _config, keys, _nodes = rig
+    from repro.crypto.authenticators import Authenticator
+    from repro.crypto.rabin import rabin_sign
+
+    message = msg(0)
+    body = message.body_size()
+    assert Envelope(message, AUTH_NONE, None, "replica", 0).size == body + 4
+    assert Envelope(message, AUTH_MAC, b"\0\0\0\0", "replica", 0).size == body + 8
+    vec = Authenticator({rid: b"tag!" for rid in range(3)})
+    assert Envelope(message, AUTH_VECTOR, vec, "replica", 0).size == body + 4 + 3 * 6
+    sig = rabin_sign(keys.replica_keys[0], message.auth_bytes())
+    assert Envelope(message, AUTH_SIG, sig, "replica", 0).size == body + 4 + sig.size_bytes
+    # Fake-crypto signed sends carry no signature object: nominal 66 bytes.
+    assert Envelope(message, AUTH_SIG, None, "replica", 0).size == body + 4 + 66
+
+
+def test_envelope_receive_cost_computed_once_for_the_senders_model(rig):
+    from repro.crypto.authenticators import Authenticator
+
+    _sim, config, _keys, _nodes = rig
+    costs = config.costs
+    message = msg(0)
+    byte_ns = costs.bytes_cost(message.body_size())
+    bare = Envelope(message, AUTH_MAC, b"\0\0\0\0", "replica", 0)
+    assert bare.cost_model is None  # hand-built: receivers compute their own
+    for auth_kind, verify_ns in (
+        (AUTH_NONE, 0),
+        (AUTH_MAC, costs.crypto.mac_ns),
+        (AUTH_VECTOR, costs.crypto.mac_ns),
+        (AUTH_SIG, costs.crypto.verify_ns),
+    ):
+        auth = Authenticator({}) if auth_kind == AUTH_VECTOR else None
+        env = Envelope(message, auth_kind, auth, "replica", 0, costs=costs)
+        assert env.cost_model is costs
+        assert env.recv_cost == costs.msg_recv_ns + byte_ns + verify_ns
+
+
+def test_receiver_charges_the_same_cpu_with_or_without_the_senders_cost(rig):
+    # A hand-built envelope (no cost model) and a node-sealed one must
+    # occupy the receiver's CPU identically.
+    sim, config, _keys, nodes = rig
+    nodes[0].send_plain(replica_address(1), msg(0))
+    sim.run()
+    sealed = nodes[1].host.cpu_busy_ns
+    env = Envelope(msg(0), AUTH_NONE, None, "replica", 0)
+    nodes[0].socket.send(replica_address(1), env, env.size, "bare")
+    sim.run()
+    assert nodes[1].host.cpu_busy_ns == 2 * sealed
+    assert len(nodes[1].received) == 2
+
+
+def test_kind_label_defaults_to_the_message_class_name(rig):
+    sim, _config, _keys, nodes = rig
+    kinds = []
+    # A never-matching drop rule is a tap on every datagram sent.
+    nodes[0].host.fabric.add_drop_rule(DropRule(lambda p: kinds.append(p.kind) or False))
+    nodes[0].send_plain(replica_address(1), msg(0))
+    nodes[0].send_mac(replica_address(1), "replica", 1, msg(0), kind="custom")
+    nodes[0].broadcast_to_replicas(msg(0), only=[2])
+    sim.run()
+    assert kinds == ["StatusMsg", "custom", "StatusMsg"]
+    assert StatusMsg.KIND == "StatusMsg"

@@ -123,42 +123,53 @@ def test_events_run_counter_skips_cancelled():
     assert keep.fired
 
 
-def test_anonymous_events_interleave_with_timers_in_order():
-    from repro.common.hotpath import hotpath_caches
-
-    with hotpath_caches(True):
-        sim = Simulator()
-        order = []
-        sim.schedule_anonymous(10, lambda: order.append("anon10"))
-        sim.schedule_at(10, lambda: order.append("timer10"))
-        sim.schedule_anonymous(5, lambda: order.append("anon5"))
-        sim.schedule_at(20, lambda: order.append("timer20"))
-        sim.run_until(100)
-    # Time order, and same-time ties break by scheduling order — the
-    # anonymous fast path shares the Timer path's (when, seq) heap keys.
-    assert order == ["anon5", "anon10", "timer10", "timer20"]
-
-
-def test_anonymous_event_in_the_past_rejected():
-    from repro.common.hotpath import hotpath_caches
-
-    with hotpath_caches(True):
-        sim = Simulator()
-        sim.schedule_at(50, lambda: None)
-        sim.run_until(60)
-        with pytest.raises(ConfigError):
-            sim.schedule_anonymous(10, lambda: None)
+def test_max_events_counts_callbacks_not_cancelled_timers():
+    # Regression: a popped cancelled timer used to spend budget without
+    # running anything, so run(max_events=3) ran fewer than 3 callbacks.
+    sim = Simulator()
+    fired = []
+    for i in range(10):
+        timer = sim.schedule(i + 1, lambda i=i: fired.append(i))
+        if i % 2 == 0:
+            timer.cancel()
+    sim.run(max_events=3)
+    assert fired == [1, 3, 5]
+    assert sim.events_run == 3
+    assert sim.events_cancelled == 3  # timers 0, 2, 4 were popped on the way
+    assert sim.now == 6
+    sim.run(max_events=0)
+    assert fired == [1, 3, 5]
+    sim.run()
+    assert fired == [1, 3, 5, 7, 9]
+    assert (sim.events_run, sim.events_cancelled, sim.pending_events) == (5, 5, 0)
 
 
-def test_anonymous_events_counted_and_fall_back_when_disabled():
-    from repro.common.hotpath import hotpath_caches
+def test_calls_interleave_with_timers_in_order():
+    sim = Simulator()
+    order = []
+    sim.schedule_call(10, order.append, "call10")
+    sim.schedule_at(10, lambda: order.append("timer10"))
+    sim.schedule_call(5, order.append, "call5")
+    sim.schedule_at(20, lambda: order.append("timer20"))
+    sim.run_until(100)
+    # Time order, and same-time ties break by scheduling order — handle-free
+    # calls share the Timer path's (when, seq) heap keys.
+    assert order == ["call5", "call10", "timer10", "timer20"]
 
-    for enabled in (True, False):
-        with hotpath_caches(enabled):
-            sim = Simulator()
-            fired = []
-            sim.schedule_anonymous(1, lambda: fired.append(1))
-            sim.schedule_anonymous(2, lambda: fired.append(2))
-            sim.run_until(10)
-            assert fired == [1, 2]
-            assert sim.events_run == 2
+
+def test_call_in_the_past_rejected():
+    sim = Simulator()
+    sim.schedule_at(50, lambda: None)
+    sim.run_until(60)
+    with pytest.raises(ConfigError):
+        sim.schedule_call(10, print, None)
+
+
+def test_calls_are_counted_like_timers():
+    sim = Simulator()
+    fired = []
+    sim.schedule_call(1, fired.append, 1)
+    sim.schedule_call(2, fired.append, 2)
+    sim.run_until(10)
+    assert fired == [1, 2]
+    assert (sim.events_run, sim.events_scheduled, sim.max_queue_len) == (2, 2, 2)
