@@ -2,17 +2,22 @@
 
 Classic structure: interior nodes hold separator keys and child pointers,
 leaves hold the entries and are chained left-to-right for in-order scans.
-Pages are parsed to entry lists on access and re-serialized on change;
-oversized leaves/interiors split, pushing a separator up (growing a new
-root when the old root splits).  Deletion is lazy — emptied leaves stay in
-place until the tree is rebuilt — which keeps the code honest and simple
-without affecting correctness.
+A page is a 7-byte header, its cells contiguous in key order, and a zero
+tail.  Pages are parsed to key/value lists on access; a change edits the
+page image — the bytes before and after the changed cell are copied as two
+slices — instead of rebuilding it, so a write costs O(cell), not
+O(entries on the page), and yields exactly the bytes a from-scratch
+serialisation would.  Oversized leaves/interiors split, pushing a
+separator up (growing a new root when the old root splits).  Deletion is
+lazy — emptied leaves stay in place until the tree is rebuilt — which
+keeps the code honest and simple without affecting correctness.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from repro.common.errors import SqlError
@@ -20,82 +25,63 @@ from repro.sqlstate.pager import Pager
 
 _LEAF = 1
 _INTERIOR = 2
-_LEAF_HEAD = struct.Struct(">BHI")  # type, count, next_leaf
-_INT_HEAD = struct.Struct(">BHI")  # type, count, child0
+_HEAD = struct.Struct(">BHI")  # type, count, link
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
+# A cell is u16 key length, key, then a leaf's u32 value length and value
+# or an interior's u32 child page.
+_CELL_FIXED = 6
 
 
-@dataclass
-class _Leaf:
-    entries: list[tuple[bytes, bytes]]
-    next_leaf: int
+class _Node:
+    """A parsed page and the image it was parsed from.
 
-    def serialize(self, page_size: int) -> Optional[bytes]:
-        parts = [_LEAF_HEAD.pack(_LEAF, len(self.entries), self.next_leaf)]
-        size = _LEAF_HEAD.size
-        for key, value in self.entries:
-            size += 2 + len(key) + 4 + len(value)
-            if size > page_size:
-                return None
-            parts.append(_U16.pack(len(key)))
-            parts.append(key)
-            parts.append(_U32.pack(len(value)))
-            parts.append(value)
-        raw = b"".join(parts)
-        return raw + bytes(page_size - len(raw))
+    ``keys`` and ``vals`` are parallel.  A leaf's ``vals`` are the stored
+    values and ``link`` is the next leaf; an interior's ``vals[i]`` is the
+    child covering keys >= ``keys[i]`` and ``link`` is the child below
+    ``keys[0]``.  ``raw`` is the pager's own ``bytes`` object (not a
+    copy); ``raw[used:]`` is the zero tail.
+    """
 
+    __slots__ = ("leaf", "link", "keys", "vals", "raw", "used")
 
-@dataclass
-class _Interior:
-    child0: int
-    entries: list[tuple[bytes, int]]  # (separator key, child covering >= key)
-
-    def serialize(self, page_size: int) -> Optional[bytes]:
-        parts = [_INT_HEAD.pack(_INTERIOR, len(self.entries), self.child0)]
-        size = _INT_HEAD.size
-        for key, child in self.entries:
-            size += 2 + len(key) + 4
-            if size > page_size:
-                return None
-            parts.append(_U16.pack(len(key)))
-            parts.append(key)
-            parts.append(_U32.pack(child))
-        raw = b"".join(parts)
-        return raw + bytes(page_size - len(raw))
+    def __init__(self, leaf: bool, link: int, keys: list, vals: list,
+                 raw: bytes, used: int) -> None:
+        self.leaf = leaf
+        self.link = link
+        self.keys = keys
+        self.vals = vals
+        self.raw = raw
+        self.used = used
 
 
-def _parse(raw: bytes):
-    kind = raw[0]
-    if kind == _LEAF:
-        _t, count, next_leaf = _LEAF_HEAD.unpack_from(raw)
-        pos = _LEAF_HEAD.size
-        entries = []
-        for _ in range(count):
-            (klen,) = _U16.unpack_from(raw, pos)
-            pos += 2
-            key = raw[pos : pos + klen]
-            pos += klen
-            (vlen,) = _U32.unpack_from(raw, pos)
-            pos += 4
-            value = raw[pos : pos + vlen]
-            pos += vlen
-            entries.append((bytes(key), bytes(value)))
-        return _Leaf(entries=entries, next_leaf=next_leaf)
-    if kind == _INTERIOR:
-        _t, count, child0 = _INT_HEAD.unpack_from(raw)
-        pos = _INT_HEAD.size
-        entries = []
-        for _ in range(count):
-            (klen,) = _U16.unpack_from(raw, pos)
-            pos += 2
-            key = raw[pos : pos + klen]
-            pos += klen
-            (child,) = _U32.unpack_from(raw, pos)
-            pos += 4
-            entries.append((bytes(key), child))
-        return _Interior(child0=child0, entries=entries)
-    raise SqlError(f"corrupt b-tree page (type byte {kind})")
+def _parse(raw: bytes) -> _Node:
+    kind, count, link = _HEAD.unpack_from(raw)
+    if kind != _LEAF and kind != _INTERIOR:
+        raise SqlError(f"corrupt b-tree page (type byte {kind})")
+    leaf = kind == _LEAF
+    pos = _HEAD.size
+    keys: list = []
+    vals: list = []
+    for _ in range(count):
+        (klen,) = _U16.unpack_from(raw, pos)
+        pos += 2
+        keys.append(raw[pos : pos + klen])
+        pos += klen
+        (word,) = _U32.unpack_from(raw, pos)
+        pos += 4
+        if leaf:
+            vals.append(raw[pos : pos + word])
+            pos += word
+        else:
+            vals.append(word)
+    return _Node(leaf, link, keys, vals, raw, pos)
+
+
+def _cell(leaf: bool, key: bytes, val) -> bytes:
+    if leaf:
+        return b"".join((_U16.pack(len(key)), key, _U32.pack(len(val)), val))
+    return b"".join((_U16.pack(len(key)), key, _U32.pack(val)))
 
 
 class BTree:
@@ -112,20 +98,19 @@ class BTree:
 
     @classmethod
     def create(cls, pager: Pager) -> "BTree":
-        page_no = pager.allocate()
-        tree = cls(pager, page_no)
-        pager.put(page_no, _Leaf(entries=[], next_leaf=0).serialize(pager.page_size))
+        tree = cls(pager, pager.allocate())
+        tree._store(tree.root_page, True, 0, [], [], b"")
         return tree
 
-    def _node(self, page_no: int):
+    def _node(self, page_no: int) -> _Node:
         """Parse a page, going through the pager's parsed-node cache.
 
         Profiling shows re-parsing pages on every access dominates the
         engine's cost; the cache is gated on the hot-path switch so the
-        naive parse-every-time behavior is still reachable.  Write paths
-        must call ``pager.forget_node`` *before* mutating a node in place
-        (an exception between mutate and store must not leave a stale
-        parse cached) and re-register only after a successful store.
+        naive parse-every-time behavior is still reachable.  A cached node
+        always describes the pager's current image of its page: the pager
+        drops it on every ``put``/rollback/crash, and the write path
+        brings a node up to date only after the new image is stored.
         """
         node = self.pager.cached_node(page_no)
         if node is None:
@@ -136,40 +121,24 @@ class BTree:
     # -- lookup ------------------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        leaf = self._node(self._find_leaf(key))
-        index = self._bisect(leaf.entries, key)
-        if index < len(leaf.entries) and leaf.entries[index][0] == key:
-            return leaf.entries[index][1]
+        _page_no, leaf = self._find_leaf(key)
+        index = bisect_left(leaf.keys, key)
+        if index < len(leaf.keys) and leaf.keys[index] == key:
+            return leaf.vals[index]
         return None
 
-    def _find_leaf(self, key: bytes) -> int:
+    def _find_leaf(self, key: bytes) -> tuple[int, _Node]:
         page_no = self.root_page
         while True:
             node = self._node(page_no)
-            if isinstance(node, _Leaf):
-                return page_no
+            if node.leaf:
+                return page_no, node
             page_no = self._child_for(node, key)
 
     @staticmethod
-    def _child_for(node: _Interior, key: bytes) -> int:
-        child = node.child0
-        for sep, right in node.entries:
-            if key >= sep:
-                child = right
-            else:
-                break
-        return child
-
-    @staticmethod
-    def _bisect(entries: list[tuple[bytes, bytes]], key: bytes) -> int:
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def _child_for(node: _Node, key: bytes) -> int:
+        index = bisect_right(node.keys, key)
+        return node.vals[index - 1] if index else node.link
 
     # -- mutation ------------------------------------------------------------------
 
@@ -187,69 +156,117 @@ class BTree:
         self, page_no: int, key: bytes, value: bytes, replace: bool
     ) -> Optional[tuple[bytes, int]]:
         node = self._node(page_no)
-        if isinstance(node, _Leaf):
-            index = self._bisect(node.entries, key)
-            if index < len(node.entries) and node.entries[index][0] == key:
-                if not replace:
-                    raise SqlError("duplicate key")
-                self.pager.forget_node(page_no)
-                node.entries[index] = (key, value)
-            else:
-                self.pager.forget_node(page_no)
-                node.entries.insert(index, (key, value))
-            return self._store_leaf(page_no, node)
-        child = self._child_for(node, key)
-        split = self._insert_into(child, key, value, replace)
+        if node.leaf:
+            index = bisect_left(node.keys, key)
+            found = index < len(node.keys) and node.keys[index] == key
+            if found and not replace:
+                raise SqlError("duplicate key")
+            return self._splice(page_no, node, index, found, key, value)
+        split = self._insert_into(self._child_for(node, key), key, value, replace)
         if split is None:
             return None
         sep, right_page = split
-        index = 0
-        while index < len(node.entries) and node.entries[index][0] < sep:
-            index += 1
-        self.pager.forget_node(page_no)
-        node.entries.insert(index, (sep, right_page))
-        return self._store_interior(page_no, node)
+        return self._splice(
+            page_no, node, bisect_left(node.keys, sep), False, sep, right_page
+        )
 
-    def _store_leaf(self, page_no: int, node: _Leaf) -> Optional[tuple[bytes, int]]:
-        raw = node.serialize(self.pager.page_size)
-        if raw is not None:
-            self.pager.put(page_no, raw)
-            self.pager.register_node(page_no, node)
-            return None
-        # Overflow: split entries in half, link the new right leaf in.
-        mid = len(node.entries) // 2
-        right = _Leaf(entries=node.entries[mid:], next_leaf=node.next_leaf)
-        left = _Leaf(entries=node.entries[:mid], next_leaf=0)
-        right_page = self.pager.allocate()
-        left.next_leaf = right_page
-        right_raw = right.serialize(self.pager.page_size)
-        left_raw = left.serialize(self.pager.page_size)
-        if right_raw is None or left_raw is None:
-            raise SqlError("entry too large to split across pages")
-        self.pager.put(right_page, right_raw)
-        self.pager.put(page_no, left_raw)
-        self.pager.register_node(right_page, right)
-        self.pager.register_node(page_no, left)
-        return (right.entries[0][0], right_page)
-
-    def _store_interior(
-        self, page_no: int, node: _Interior
+    def _splice(
+        self, page_no: int, node: _Node, index: int, drop: bool,
+        key: Optional[bytes] = None, val=None,
     ) -> Optional[tuple[bytes, int]]:
-        raw = node.serialize(self.pager.page_size)
-        if raw is not None:
-            self.pager.put(page_no, raw)
-            self.pager.register_node(page_no, node)
-            return None
-        mid = len(node.entries) // 2
-        sep, right_child0 = node.entries[mid]
-        right = _Interior(child0=right_child0, entries=node.entries[mid + 1 :])
-        left = _Interior(child0=node.child0, entries=node.entries[:mid])
+        """The one write path: the cell at ``index`` leaves if ``drop``
+        (leaves only), and ``(key, val)``, if given, enters there.
+
+        The next image is cut from the current one and stored; only then
+        is the node brought up to date and re-registered, so an exception
+        leaves image and cached node as they were.  Returns the
+        ``(separator, right page)`` to push up when the page had to split.
+        """
+        keys, vals, raw, leaf = node.keys, node.vals, node.raw, node.leaf
+        if index == len(keys):
+            start = node.used
+        else:
+            start = _HEAD.size + _CELL_FIXED * index + sum(map(len, keys[:index]))
+            if leaf:
+                start += sum(map(len, vals[:index]))
+        end = start
+        if drop:
+            end += _CELL_FIXED + len(keys[index]) + len(vals[index])
+        if key is None:
+            cell, new_keys, new_vals = b"", [], []
+        else:
+            cell, new_keys, new_vals = _cell(leaf, key, val), [key], [val]
+        before, after = raw[_HEAD.size : start], raw[end : node.used]
+        used = node.used - (end - start) + len(cell)
+        page_size = self.pager.page_size
+        if used > page_size:
+            return self._split(
+                page_no, node,
+                keys[:index] + new_keys + keys[index + drop :],
+                vals[:index] + new_vals + vals[index + drop :],
+                b"".join((before, cell, after)),
+            )
+        count = len(keys) - drop + len(new_keys)
+        image = b"".join((
+            _HEAD.pack(_LEAF if leaf else _INTERIOR, count, node.link),
+            before, cell, after, bytes(page_size - used),
+        ))
+        self.pager.put(page_no, image)
+        keys[index : index + drop] = new_keys
+        vals[index : index + drop] = new_vals
+        node.raw = image
+        node.used = used
+        self.pager.register_node(page_no, node)
+        return None
+
+    def _store(
+        self, page_no: int, leaf: bool, link: int, keys: list, vals: list, cells: bytes
+    ) -> None:
+        """Store a page built around ``cells`` and cache its node."""
+        used = _HEAD.size + len(cells)
+        image = b"".join((
+            _HEAD.pack(_LEAF if leaf else _INTERIOR, len(keys), link),
+            cells, bytes(self.pager.page_size - used),
+        ))
+        self.pager.put(page_no, image)
+        self.pager.register_node(page_no, _Node(leaf, link, keys, vals, image, used))
+
+    def _split(
+        self, page_no: int, node: _Node, keys: list, vals: list, cells: bytes
+    ) -> tuple[bytes, int]:
+        """Cut an overflowing page in two; ``keys``, ``vals`` and ``cells``
+        are its content with the change applied.  A leaf's right half
+        starts at the cut cell; an interior's cut cell moves up and its
+        child becomes the right half's leftmost."""
+        leaf = node.leaf
+        up = 0 if leaf else 1
+        if leaf:
+            sizes = [_CELL_FIXED + len(k) + len(v) for k, v in zip(keys, vals)]
+        else:
+            sizes = [_CELL_FIXED + len(k) for k in keys]
+        starts = [0, *accumulate(sizes)]
+        room = self.pager.page_size - _HEAD.size
+
+        def larger_half(cut: int) -> int:
+            return max(starts[cut], starts[-1] - starts[cut + up])
+
+        # The count midpoint whenever both halves fit; only uneven cells
+        # need the byte-balanced cut.
+        cut = len(keys) // 2
+        if larger_half(cut) > room:
+            cut = min(range(1, len(keys) - up), key=larger_half)
+            if larger_half(cut) > room:
+                raise SqlError("entry too large to split across pages")
         right_page = self.pager.allocate()
-        self.pager.put(right_page, right.serialize(self.pager.page_size))
-        self.pager.put(page_no, left.serialize(self.pager.page_size))
-        self.pager.register_node(right_page, right)
-        self.pager.register_node(page_no, left)
-        return (sep, right_page)
+        left_link, right_link = (right_page, node.link) if leaf else (node.link, vals[cut])
+        self._store(
+            right_page, leaf, right_link,
+            keys[cut + up :], vals[cut + up :], cells[starts[cut + up] :],
+        )
+        self._store(
+            page_no, leaf, left_link, keys[:cut], vals[:cut], cells[: starts[cut]]
+        )
+        return (keys[cut], right_page)
 
     def _grow_root(self, split: tuple[bytes, int]) -> None:
         """Re-root in place: move the current root to a new page and make
@@ -257,20 +274,17 @@ class BTree:
         sep, right_page = split
         moved = self.pager.allocate()
         self.pager.put(moved, self.pager.get(self.root_page))
-        new_root = _Interior(child0=moved, entries=[(sep, right_page)])
-        self.pager.put(self.root_page, new_root.serialize(self.pager.page_size))
+        self._store(
+            self.root_page, False, moved, [sep], [right_page],
+            _cell(False, sep, right_page),
+        )
 
     def delete(self, key: bytes) -> bool:
-        page_no = self._find_leaf(key)
-        node = self._node(page_no)
-        index = self._bisect(node.entries, key)
-        if index >= len(node.entries) or node.entries[index][0] != key:
+        page_no, node = self._find_leaf(key)
+        index = bisect_left(node.keys, key)
+        if index >= len(node.keys) or node.keys[index] != key:
             return False
-        self.pager.forget_node(page_no)
-        del node.entries[index]
-        raw = node.serialize(self.pager.page_size)
-        self.pager.put(page_no, raw)
-        self.pager.register_node(page_no, node)
+        self._splice(page_no, node, index, True)
         return True
 
     # -- iteration -------------------------------------------------------------------
@@ -278,18 +292,18 @@ class BTree:
     def scan(self, start_key: Optional[bytes] = None) -> Iterator[tuple[bytes, bytes]]:
         """Yield (key, value) in key order, starting at ``start_key``."""
         if start_key is None:
-            page_no = self._leftmost_leaf()
-            index = 0
+            node, index = self._leftmost_leaf(), 0
         else:
-            page_no = self._find_leaf(start_key)
-            node = self._node(page_no)
-            index = self._bisect(node.entries, start_key)
-        while page_no:
-            node = self._node(page_no)
-            for position in range(index, len(node.entries)):
-                yield node.entries[position]
-            page_no = node.next_leaf
-            index = 0
+            _page_no, node = self._find_leaf(start_key)
+            index = bisect_left(node.keys, start_key)
+        while True:
+            # Snapshots, so a write to this leaf mid-scan cannot shift
+            # what the scan yields from it or where it goes next.
+            next_leaf = node.link
+            yield from zip(node.keys[index:], node.vals[index:])
+            if not next_leaf:
+                return
+            node, index = self._node(next_leaf), 0
 
     def scan_prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         for key, value in self.scan(start_key=prefix):
@@ -315,30 +329,25 @@ class BTree:
                 return
             yield key, value
 
-    def _leftmost_leaf(self) -> int:
-        page_no = self.root_page
-        while True:
-            node = self._node(page_no)
-            if isinstance(node, _Leaf):
-                return page_no
-            page_no = node.child0
+    def _leftmost_leaf(self) -> _Node:
+        node = self._node(self.root_page)
+        while not node.leaf:
+            node = self._node(node.link)
+        return node
 
     def last_key(self) -> Optional[bytes]:
         """The maximum key (used for rowid assignment)."""
-        page_no = self.root_page
-        while True:
-            node = self._node(page_no)
-            if isinstance(node, _Interior):
-                page_no = node.entries[-1][1] if node.entries else node.child0
-                continue
-            if node.entries:
-                return node.entries[-1][0]
-            # Lazy deletion can leave an empty rightmost leaf; fall back to
-            # a full scan of the (rare) degenerate tree.
-            best = None
-            for key, _value in self.scan():
-                best = key
-            return best
+        node = self._node(self.root_page)
+        while not node.leaf:
+            node = self._node(node.vals[-1] if node.vals else node.link)
+        if node.keys:
+            return node.keys[-1]
+        # Lazy deletion can leave an empty rightmost leaf; fall back to
+        # a full scan of the (rare) degenerate tree.
+        best = None
+        for key, _value in self.scan():
+            best = key
+        return best
 
     def count(self) -> int:
         return sum(1 for _ in self.scan())

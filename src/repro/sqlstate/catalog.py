@@ -32,11 +32,20 @@ class Table:
     rowid_alias: Optional[int] = None  # column index aliasing the rowid
     indexes: list["Index"] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.remap_columns()
+
+    def remap_columns(self) -> None:
+        """(Re)build the name → position map; call after changing ``columns``."""
+        self._positions: dict[str, int] = {}
+        for i, col in enumerate(self.columns):  # the first of equal names wins
+            self._positions.setdefault(col.name.lower(), i)
+
     def column_index(self, name: str) -> int:
-        for i, col in enumerate(self.columns):
-            if col.name.lower() == name.lower():
-                return i
-        raise SqlError(f"table {self.name} has no column {name!r}")
+        position = self._positions.get(name.lower())
+        if position is None:
+            raise SqlError(f"table {self.name} has no column {name!r}")
+        return position
 
 
 @dataclass
@@ -253,6 +262,7 @@ class Catalog:
                 default=default,
             )
         )
+        table.remap_columns()
         self._persist_table(table)
 
     def drop_table(self, name: str, if_exists: bool) -> None:

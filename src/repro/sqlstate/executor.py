@@ -340,13 +340,11 @@ class Executor:
                 raise SqlConstraintError(
                     f"NOT NULL constraint failed: {table.name}.{col.name}"
                 )
-        self._check_unique_indexes(table, values, exclude_rowid=None)
-        tree.insert(encode_rowid(rowid), encode_record(values), replace=False)
-        for index in table.indexes:
-            self._index_tree(index).insert(
-                self._index_key(index, table, values, rowid),
-                encode_rowid(rowid),
-            )
+        prefixes = self._check_unique_indexes(table, values, exclude_rowid=None)
+        rowid_key = encode_rowid(rowid)
+        tree.insert(rowid_key, encode_record(values), replace=False)
+        for index, prefix in zip(table.indexes, prefixes):
+            self._index_tree(index).insert(prefix + rowid_key, rowid_key)
         self.rows_written += 1
         return rowid
 
@@ -371,14 +369,17 @@ class Executor:
             values[alias] = rowid
         return rowid
 
-    def _check_unique_indexes(self, table, values, exclude_rowid) -> None:
+    def _check_unique_indexes(self, table, values, exclude_rowid) -> list[bytes]:
+        """Raise if ``values`` collides in a unique index.  Returns the
+        encoded key columns of every index, in ``table.indexes`` order,
+        so the caller's index writes need not encode them again."""
+        prefixes = []
         for index in table.indexes:
-            if not index.unique:
-                continue
             key_values = [values[table.column_index(c)] for c in index.columns]
-            if any(v is SqlNull for v in key_values):
-                continue  # SQL: NULLs never collide in unique indexes
             prefix = encode_key(key_values)
+            prefixes.append(prefix)
+            if not index.unique or any(v is SqlNull for v in key_values):
+                continue  # SQL: NULLs never collide in unique indexes
             for key, value in self._index_tree(index).scan_prefix(prefix):
                 existing_rowid = decode_rowid(value)
                 if exclude_rowid is not None and existing_rowid == exclude_rowid:
@@ -387,6 +388,7 @@ class Executor:
                     f"UNIQUE constraint failed: {table.name}"
                     f"({', '.join(index.columns)})"
                 )
+        return prefixes
 
     def _index_tree(self, index: Index) -> BTree:
         return BTree(self.pager, index.root_page)
@@ -427,7 +429,9 @@ class Executor:
                 if not isinstance(alias_value, int):
                     raise SqlConstraintError("rowid must remain an integer")
                 new_rowid = alias_value
-            self._check_unique_indexes(table, new_values, exclude_rowid=rowid)
+            prefixes = self._check_unique_indexes(
+                table, new_values, exclude_rowid=rowid
+            )
             if new_rowid != rowid and tree.get(encode_rowid(new_rowid)) is not None:
                 raise SqlConstraintError(f"UNIQUE constraint failed: {table.name}")
             for index in table.indexes:
@@ -436,12 +440,10 @@ class Executor:
                 )
             if new_rowid != rowid:
                 tree.delete(encode_rowid(rowid))
-            tree.insert(encode_rowid(new_rowid), encode_record(new_values))
-            for index in table.indexes:
-                self._index_tree(index).insert(
-                    self._index_key(index, table, new_values, new_rowid),
-                    encode_rowid(new_rowid),
-                )
+            new_key = encode_rowid(new_rowid)
+            tree.insert(new_key, encode_record(new_values))
+            for index, prefix in zip(table.indexes, prefixes):
+                self._index_tree(index).insert(prefix + new_key, new_key)
             changed += 1
             self.rows_written += 1
         return changed

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+import weakref
 from collections import OrderedDict
 from typing import Optional
 
@@ -104,6 +105,9 @@ class Pager:
         )
         self.pool = pool if pool is not None else _SHARED_POOL
         self._owner = next(_OWNER_IDS)
+        # A dead pager's clean pages would otherwise sit in the shared pool
+        # until live pagers' pages push them out.
+        weakref.finalize(self, self.pool.drop_owner, self._owner)
         self._dirty: dict[int, bytes] = {}  # pinned until flush
         self._nodes: dict[int, object] = {}  # parsed b-tree nodes, by page
         self.in_transaction = False
@@ -249,9 +253,6 @@ class Pager:
         if len(self._nodes) >= _NODE_CACHE_CAP:
             self._nodes.clear()
         self._nodes[page_no] = node
-
-    def forget_node(self, page_no: int) -> None:
-        self._nodes.pop(page_no, None)
 
     # -- allocation -------------------------------------------------------------------
 

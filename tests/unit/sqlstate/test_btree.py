@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.common.errors import SqlError
+from repro.common.errors import SqlConstraintError, SqlError
 from repro.sqlstate.btree import BTree
+from repro.sqlstate.engine import Database
 from repro.sqlstate.pager import Pager
 from repro.sqlstate.vfs import MemoryVfsFile
+from tests.properties.test_btree_props import check_tree_images, node_state
 
 
 def make_tree(page_size=512):
@@ -183,3 +185,119 @@ class TestScanRange:
         for i in range(10):
             tree.insert(key(i * 10), b"v")
         assert list(tree.scan_range(key(11), key(19))) == []
+
+
+class TestUnevenSplits:
+    """A split falls back from the count midpoint to the byte-balanced
+    cut when the midpoint leaves one half over a page."""
+
+    def test_small_then_two_large_values_split_two_to_one(self):
+        tree, _ = make_tree(page_size=4096)
+        tree.insert(b"a", b"x" * 100)
+        tree.insert(b"b", b"y" * 3000)
+        tree.insert(b"c", b"z" * 3000)  # [a] | [b, c] does not fit; [a, b] | [c] does
+        assert list(tree.scan()) == [
+            (b"a", b"x" * 100), (b"b", b"y" * 3000), (b"c", b"z" * 3000)
+        ]
+        assert check_tree_images(tree) == 2
+
+    def test_replace_with_a_larger_value_forces_the_split(self):
+        tree, pager = make_tree(page_size=4096)
+        tree.insert(b"a", b"x" * 100)
+        tree.insert(b"b", b"y" * 3000)
+        tree.insert(b"c", b"z" * 100)
+        pages = pager.page_count
+        tree.insert(b"c", b"z" * 3000)
+        assert pager.page_count == pages + 2  # right leaf + the moved root
+        assert tree.get(b"b") == b"y" * 3000
+        assert tree.get(b"c") == b"z" * 3000
+        assert check_tree_images(tree) == 2
+
+    def test_even_cells_still_split_at_the_count_midpoint(self):
+        tree, _ = make_tree(page_size=512)
+        for i in range(12):
+            tree.insert(key(i), b"v" * 32)
+        root = tree._node(tree.root_page)
+        assert not root.leaf
+        assert len(tree._node(root.link).keys) == 5  # 11 // 2 of the overflowing 11
+
+    def test_a_run_no_cut_can_halve_is_still_refused(self):
+        tree, _ = make_tree(page_size=4096)
+        tree.insert(b"a", b"x" * 2000)
+        tree.insert(b"c", b"z" * 2000)
+        with pytest.raises(SqlError, match="too large to split"):
+            tree.insert(b"b", b"y" * 3000)
+        assert tree.count() == 2
+        check_tree_images(tree)
+
+
+def snapshot(pager):
+    """Every page image plus the state of every cached node."""
+    images = [pager.get(page_no) for page_no in range(pager.page_count)]
+    nodes = {page_no: node_state(node) for page_no, node in pager._nodes.items()}
+    return images, nodes
+
+
+class TestImagesAndCachedNodesStayInStep:
+    def make_db(self):
+        db = Database(page_size=512)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, tag TEXT UNIQUE, pad TEXT)")
+        for i in range(40):
+            db.execute("INSERT INTO t (tag, pad) VALUES (?, ?)", (f"tag-{i:03d}", "p" * 40))
+        db.execute("SELECT count(*) FROM t WHERE tag >= 'tag-000'")  # warm the node cache
+        return db
+
+    def test_statement_failing_after_its_leaf_edits_rolls_back_both(self):
+        db = self.make_db()
+        images, nodes = snapshot(db.pager)
+        assert nodes
+        with pytest.raises(SqlConstraintError, match="UNIQUE"):
+            # The first row edits the table leaf and the index leaf; the
+            # second collides with it in the unique index.
+            db.execute(
+                "INSERT INTO t (tag, pad) VALUES ('fresh', 'x'), ('fresh', 'y')"
+            )
+        after_images, after_nodes = snapshot(db.pager)
+        assert after_images == images
+        # The edited pages' nodes are gone; the others are untouched.
+        assert len(after_nodes) < len(nodes)
+        assert all(nodes[page_no] == state for page_no, state in after_nodes.items())
+        assert db.execute("SELECT count(*) FROM t").rows == [(40,)]
+        for table in db.catalog.tables.values():
+            check_tree_images(BTree(db.pager, table.root_page))
+            for index in table.indexes:
+                check_tree_images(BTree(db.pager, index.root_page))
+
+    def test_crash_and_reopen_never_serve_a_stale_node(self):
+        file, journal_file = MemoryVfsFile(), MemoryVfsFile()
+        pager = Pager(file, page_size=512, journal_file=journal_file)
+        pager.begin()
+        tree = BTree.create(pager)
+        for i in range(60):
+            tree.insert(key(i), b"committed")
+        pager.commit()
+        committed = dict(tree.scan())
+
+        def edit_uncommitted():
+            pager.begin()
+            for i in range(0, 120, 3):
+                tree.insert(key(i), b"lost in the crash, and longer")
+            tree.delete(key(1))
+            assert dict(tree.scan()) != committed
+
+        # Crash with the edits only in the cache: nothing reached the file.
+        edit_uncommitted()
+        pager.crash()
+        assert not pager._nodes
+        assert dict(tree.scan()) == committed
+        # Crash mid-commit, journal sealed and the edited images already in
+        # the file: reopening rolls them back under a cold node cache.
+        edit_uncommitted()
+        pager.journal.seal()
+        pager._flush_all()
+        pager.crash()
+        reopened = BTree(
+            Pager(file, page_size=512, journal_file=journal_file), tree.root_page
+        )
+        assert dict(reopened.scan()) == committed
+        check_tree_images(reopened)
