@@ -3,9 +3,9 @@
 
 Every built-in fault schedule — primary/backup crash and restart, primary
 partition, lossy/delaying/duplicating/reordering links, mute primary,
-equivocating primary, the Byzantine clients (flooding, invalid-MAC spam,
-oversized requests), Markov replica churn, and a live replica replace —
-runs against a fresh deterministic cluster at each RNG seed.  After every
+equivocating primary, a replica withholding reply bodies, the Byzantine
+clients (flooding, invalid-MAC spam, oversized requests), Markov replica
+churn, and a live replica replace — runs against a fresh deterministic cluster at each RNG seed.  After every
 run the protocol invariants are checked:
 
 * agreement (replicas never diverge),
@@ -21,7 +21,11 @@ dumps a Chrome trace plus a minimized event log under ``--artifacts``.
 
 Run:  python examples/fault_campaign.py [--smoke] [--seeds N] [--workers W]
           [--artifacts DIR]
+      python examples/fault_campaign.py --degraded
       --smoke runs one seed per schedule (the CI-sized sweep).
+      --degraded skips the campaign: it crashes one backup, then the
+      primary, under the 12-client 1 KiB null load and exits non-zero if
+      the surviving three replicas serve below 90 % of pre-crash ops/sim-s.
       --workers W farms the schedule × seed grid across W processes; each
       cell carries its seed explicitly, so the report is identical at any
       worker count.
@@ -71,6 +75,30 @@ def run_campaign_parallel(seeds, artifact_dir, timings, workers):
     ])
 
 
+DEGRADED_FLOOR = 0.9
+
+
+def degraded_check() -> int:
+    """Three of four replicas are a full quorum and must serve like one."""
+    from repro.harness import run_degraded_experiment
+
+    worst = 1.0
+    for victim, role in ((2, "backup"), (0, "primary")):
+        result = run_degraded_experiment(crash_replica=victim)
+        fetches = sum(c.full_reply_fetches for c in result.cluster.clients)
+        print(
+            f"crash {role} replica{victim}: {result.before_tps:,.0f} -> "
+            f"{result.after_tps:,.0f} ops/sim-s ({result.ratio:.1%} of pre-crash; "
+            f"failover {result.failover_ns / MILLISECOND:.0f} ms, "
+            f"{fetches} full-reply fetches)"
+        )
+        worst = min(worst, result.ratio)
+    if worst < DEGRADED_FLOOR:
+        print(f"FAIL: degraded service below {DEGRADED_FLOOR:.0%} of pre-crash")
+        return 1
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -90,7 +118,14 @@ def main() -> int:
         help="processes to farm the schedule × seed grid across "
         "(default 1 = in-process)",
     )
+    parser.add_argument(
+        "--degraded", action="store_true",
+        help="instead of the campaign, check that a 3-of-4 group keeps "
+        "90%% of pre-crash throughput",
+    )
     args = parser.parse_args()
+    if args.degraded:
+        return degraded_check()
 
     seeds = [1] if args.smoke else list(range(1, args.seeds + 1))
     # Smoke mode shortens the phases too: every built-in schedule still

@@ -67,7 +67,8 @@ def main() -> None:
         )
         print(f"  MACs, rebroadcast every {interval_s:.1f}s: recovery took "
               f"{format_duration(result.recovery_time_ns)} "
-              f"({result.replay_auth_failures} failed replay validations)")
+              f"(state caught up after {format_duration(result.catch_up_time_ns)}, "
+              f"{result.replay_auth_failures} failed replay validations)")
     sig = run_recovery_experiment(use_macs=False, rebroadcast_interval_ns=1 * SECOND)
     print(f"  signatures:                    recovery took "
           f"{format_duration(sig.recovery_time_ns)} (no stall)")

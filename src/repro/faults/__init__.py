@@ -42,6 +42,7 @@ from repro.faults.schedule import (
     PartitionFault,
     ReplicaReplace,
     Trigger,
+    WithholdFullReplies,
 )
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "RunResult",
     "Trigger",
     "Violation",
+    "WithholdFullReplies",
     "builtin_schedules",
     "campaign_config",
     "check_agreement",

@@ -34,6 +34,7 @@ from repro.faults.schedule import (
     OversizedClient,
     PartitionFault,
     ReplicaReplace,
+    WithholdFullReplies,
 )
 
 
@@ -190,6 +191,19 @@ class FaultInjector:
                 fault.duration_ns,
                 stop_equivocating,
                 f"replica{primary.node_id} stops equivocating",
+            )
+        elif isinstance(fault, WithholdFullReplies):
+            replica = cluster.replicas[fault.replica]
+            replica.withhold_full_replies = True
+            self._note(fault.describe())
+
+            def stop_withholding() -> None:
+                replica.withhold_full_replies = False
+
+            self._heal_later(
+                fault.duration_ns,
+                stop_withholding,
+                f"replica{fault.replica} sends full replies again",
             )
         elif isinstance(fault, MarkovChurn):
             self._apply_markov_churn(fault)

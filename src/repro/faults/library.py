@@ -24,6 +24,7 @@ from repro.faults.schedule import (
     PartitionFault,
     ReplicaReplace,
     Trigger,
+    WithholdFullReplies,
 )
 
 
@@ -157,6 +158,23 @@ def equivocating_primary() -> FaultSchedule:
     )
 
 
+def withholding_replica() -> FaultSchedule:
+    return FaultSchedule(
+        name="withholding-replica",
+        description="A Byzantine backup votes on every request but never "
+        "sends a reply body, not even when designated or re-asked; clients "
+        "must fetch the body from another responder instead of stalling "
+        "a retransmit interval on every fourth request.",
+        faults=(
+            WithholdFullReplies(
+                replica=1,
+                start=Trigger(at_ns=250 * MILLISECOND),
+                duration_ns=500 * MILLISECOND,
+            ),
+        ),
+    )
+
+
 def flooding_client() -> FaultSchedule:
     return FaultSchedule(
         name="flooding-client",
@@ -259,6 +277,7 @@ def builtin_schedules() -> list[FaultSchedule]:
         reorder_storm(),
         mute_primary(),
         equivocating_primary(),
+        withholding_replica(),
         flooding_client(),
         invalid_mac_spammer(),
         oversized_client(),

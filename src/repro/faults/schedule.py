@@ -157,6 +157,28 @@ class EquivocatingPrimary:
 
 
 @dataclass(frozen=True)
+class WithholdFullReplies:
+    """Make one replica answer digest-only even when it is the designated
+    replier, retransmissions included.
+
+    Its votes still count, so every request it is designated for reaches
+    a reply quorum with no body.  Clients must get the body from another
+    responder (the full-reply fetch) rather than wait out a retransmit
+    timer per request.
+    """
+
+    replica: int
+    start: Trigger = field(default_factory=Trigger)
+    duration_ns: int = 400 * MILLISECOND
+
+    def describe(self) -> str:
+        return (
+            f"replica{self.replica} withholds full replies "
+            f"({self.start.describe()}, {self.duration_ns / MILLISECOND:.0f}ms)"
+        )
+
+
+@dataclass(frozen=True)
 class FloodingClient:
     """A registered Byzantine client firing requests far faster than it
     waits for replies, aimed at the primary's batching queue.
@@ -272,6 +294,7 @@ Fault = (
     | LinkDisturbance
     | MutePrimary
     | EquivocatingPrimary
+    | WithholdFullReplies
     | FloodingClient
     | InvalidMacSpammer
     | OversizedClient
@@ -292,9 +315,12 @@ class FaultSchedule:
         if not self.name:
             raise ConfigError("fault schedule needs a name")
         for fault in self.faults:
-            if isinstance(fault, CrashReplica) and not 0 <= fault.replica < n:
+            if (
+                isinstance(fault, (CrashReplica, WithholdFullReplies))
+                and not 0 <= fault.replica < n
+            ):
                 raise ConfigError(
-                    f"schedule {self.name!r} crashes unknown replica {fault.replica}"
+                    f"schedule {self.name!r} targets unknown replica {fault.replica}"
                 )
             if isinstance(fault, MarkovChurn):
                 if not 0 <= fault.replica < n:

@@ -8,6 +8,8 @@
 * section 4.2's ACID vs No-ACID — :func:`run_acid_comparison`;
 * section 2.3's recovery stall — :func:`run_recovery_experiment`;
 * section 2.4's packet-loss wedge — :func:`run_packet_loss_experiment`;
+* degraded service, one replica of four crashed —
+  :func:`run_degraded_experiment`;
 * the fault-injection campaign — :func:`run_fault_campaign` (schedules ×
   seeds, four protocol invariants checked after every run).
 
@@ -29,6 +31,7 @@ from repro.harness.experiments import (
     run_acid_comparison,
     run_recovery_experiment,
     run_packet_loss_experiment,
+    run_degraded_experiment,
     run_fault_campaign,
 )
 from repro.harness.batching import (
@@ -103,6 +106,7 @@ __all__ = [
     "run_fig5_sql",
     "run_acid_comparison",
     "run_recovery_experiment",
+    "run_degraded_experiment",
     "run_packet_loss_experiment",
     "run_fault_campaign",
     "BatchingPoint",

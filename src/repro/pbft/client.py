@@ -4,7 +4,9 @@ Implements the client side of the protocol as the paper describes it
 (section 2.1): one outstanding request at a time; requests go to the
 primary unless they are *big* or read-only (then they are multicast);
 replies are accepted once f+1 stable or 2f+1 tentative copies match; on
-timeout the request is retransmitted to the whole group.
+timeout the request is retransmitted to the whole group.  A reply quorum
+of digests whose body is the business of a crashed, withholding or deposed
+replica is completed by fetching the body from one of the responders.
 
 In MAC mode the client holds one session key per replica and stamps every
 request with an authenticator covering the full group.  It also runs the
@@ -27,6 +29,7 @@ from repro.pbft.messages import (
     BusyReply,
     Reply,
     Request,
+    designated_replier,
 )
 from repro.pbft.node import Envelope, KeyDirectory, Node, replica_address
 
@@ -47,6 +50,9 @@ class PendingOp:
     # result digest -> {replica id -> is_tentative}
     votes: dict[bytes, dict[int, bool]] = field(default_factory=dict)
     full_result: dict[bytes, bytes] = field(default_factory=dict)
+    # A reply quorum formed on a digest whose body has not arrived: the
+    # designated replier's full reply is late, lost, or never coming.
+    awaiting_body: bool = False
     retransmits: int = 0
     # Consecutive BUSY replies absorbed for this request: drives the
     # busy-backoff schedule, separate from the loss-retransmit counter.
@@ -84,6 +90,15 @@ class PbftClient(Node):
         self.completed_ops = 0
         self.failed_ops = 0
         self.retransmissions = 0
+        # Replicas not expected to deliver the reply bodies they are
+        # designated for: one that left a request at its retransmit timeout
+        # with a digest quorum and no body (crashed, or withholding), and
+        # the primaries the group deposed.  A full reply clears its sender.
+        # Requests whose designated replier is listed fetch their body
+        # from a responder instead of waiting out the timer; the set is
+        # empty, and nothing extra is ever sent, in a fault-free run.
+        self.suspects: set[int] = set()
+        self.full_reply_fetches = 0
         self.latencies_ns: list[int] = []
         prefix = config.group_prefix
         self.stats = self.obs.registry.view(f"{prefix}client{client_id}.")
@@ -203,6 +218,8 @@ class PbftClient(Node):
         pending.retransmits += 1
         self.retransmissions += 1
         self.stats["retransmissions"] += 1
+        if pending.awaiting_body:
+            self.suspects.add(designated_replier(pending.request, self.n))
         if self.tracer.enabled:
             self.tracer.event(
                 self._track, "retransmit", cat="client",
@@ -240,7 +257,7 @@ class PbftClient(Node):
             return
         self.stats["busy_received"] += 1
         if msg.view > self.view_guess:
-            self.view_guess = msg.view
+            self._advance_view(msg.view)
         if msg.reason == BUSY_OVERSIZED:
             pending.oversized_from.add(msg.sender)
             if len(pending.oversized_from) >= self.config.weak_quorum:
@@ -326,8 +343,10 @@ class PbftClient(Node):
             votes[reply.sender] = reply.tentative
         if not reply.digest_only:
             pending.full_result[digest] = reply.result
+            if self.suspects:
+                self.suspects.discard(reply.sender)
         if reply.view > self.view_guess:
-            self.view_guess = reply.view
+            self._advance_view(reply.view)
         self._check_quorum(digest)
 
     def _check_quorum(self, digest: bytes) -> None:
@@ -341,7 +360,13 @@ class PbftClient(Node):
             done = total >= self.config.quorum
         else:
             done = stable >= self.config.weak_quorum or total >= self.config.quorum
-        if not done or digest not in pending.full_result:
+        if not done:
+            return
+        if digest not in pending.full_result:
+            if not pending.awaiting_body:
+                pending.awaiting_body = True
+                if self.suspects:
+                    self._fetch_full_reply(pending, votes)
             return
         result = pending.full_result[digest]
         latency = self.host.sim.now - pending.sent_at
@@ -363,6 +388,44 @@ class PbftClient(Node):
             )
         if pending.callback is not None:
             pending.callback(result, latency)
+
+    def _advance_view(self, view: int) -> None:
+        """Adopt a later view.  The group deposed every primary in between,
+        which is as good a reason to suspect them as a stall of our own
+        (at most the n-1 latest, never the new view's primary)."""
+        first = max(self.view_guess, view - self.n + 1)
+        self.suspects.update(v % self.n for v in range(first, view))
+        self.view_guess = view
+
+    def _fetch_full_reply(self, pending: PendingOp, votes: dict[int, bool]) -> None:
+        """Ask one responder for the body a suspect designated replier owes.
+
+        Called once per request, when its reply quorum first forms without
+        the body.  If the designated replier is a suspect, waiting for it
+        most likely means waiting out the retransmit timer; instead the
+        request is re-sent to one replica that already voted, which answers
+        an executed request with its cached reply in full.  The target
+        rotates over the non-suspect responders so the extra body is not
+        always the primary's to send.  The retransmit timer stays armed as
+        the fallback.
+        """
+        request = pending.request
+        if designated_replier(request, self.n) not in self.suspects:
+            return
+        responders = sorted(votes.keys() - self.suspects)
+        if not responders:
+            return
+        target = responders[self.full_reply_fetches % len(responders)]
+        self.full_reply_fetches += 1
+        self.stats["full_reply_fetches"] += 1
+        if self.tracer.enabled:
+            self.tracer.event(
+                self._track, "fetch-full-reply", cat="client",
+                args={"req_id": request.req_id, "target": target},
+            )
+        # (Signed join requests never get here: their replies fit a digest
+        # and are always sent whole.)
+        self.broadcast_to_replicas(request, only=[target])
 
     def cancel_pending(self) -> None:
         """Abort the outstanding request (used by workload teardown)."""

@@ -118,6 +118,9 @@ class RequestStore:
         self.last_executed_req: dict[int, int] = {}  # client -> req_id
         self.last_reply: dict[int, object] = {}  # client -> Reply
         self.last_active: dict[int, int] = {}  # client -> primary-timestamp
+        # client -> req_id of the last read-only request answered; those
+        # execute unordered and leave no other trace here.
+        self.last_readonly: dict[int, int] = {}
 
     def add(self, request: Request) -> None:
         self.by_digest.setdefault(request.digest, request)
@@ -154,6 +157,7 @@ class RequestStore:
         self.last_executed_req.pop(client, None)
         self.last_reply.pop(client, None)
         self.last_active.pop(client, None)
+        self.last_readonly.pop(client, None)
 
     def gc_digests(self, keep: set[bytes]) -> None:
         """Drop executed bodies not referenced by any live slot.

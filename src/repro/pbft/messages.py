@@ -129,6 +129,14 @@ class Request(WireMemo):
         return 1 + 4 + 8 + (4 + len(self.op)) + 1 + 1
 
 
+def designated_replier(req: Request, n: int) -> int:
+    """The one replica of ``n`` that answers ``req`` with the full result
+    under the reply-digest optimization; the others send the digest.  The
+    replicas decide with it who sends the body, the client who withheld it.
+    """
+    return (req.req_id + req.client) % n
+
+
 @dataclass(frozen=True)
 class PrePrepare(WireMemo):
     """Primary's sequence-number assignment for a batch of requests.

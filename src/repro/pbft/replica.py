@@ -51,6 +51,7 @@ from repro.pbft.messages import (
     Request,
     StatusMsg,
     ViewChangeMsg,
+    designated_replier,
 )
 from repro.pbft.node import Envelope, KeyDirectory, Node, REPLICA_PORT, replica_address
 from repro.pbft.nondet import (
@@ -203,6 +204,10 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         # pre-prepares for the same sequence number (see
         # :meth:`_issue_pre_prepare`).  Harmless on a backup.
         self.equivocate = False
+        # Fault injection: answer every request digest-only, the designated
+        # ones and retransmissions included — a Byzantine replica sitting
+        # on the reply bodies it owes (see :meth:`_send_reply`).
+        self.withhold_full_replies = False
         self.recovering = False
         self.recovery_started_at: Optional[int] = None
         self.recovery_completed_at: Optional[int] = None
@@ -608,7 +613,14 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self.stats["readonly_executed"] += 1
         if self.tracer.enabled:
             self.tracer.mark((req.client, req.req_id), "executed", self.host.name)
-        self._send_reply(reply, req)
+        # Asked a second time, the client is missing the body (it
+        # retransmitted, or is fetching what the designated replier owes
+        # it): answer in full, as _resend_cached_reply does for ordered
+        # requests.
+        marks = self.reqstore.last_readonly
+        repeat = marks.get(req.client) == req.req_id
+        marks[req.client] = req.req_id
+        self._send_reply(reply, req, force_full=repeat)
 
     # -- primary batching ----------------------------------------------------------------
 
@@ -997,9 +1009,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             if req is not None:
                 self.tracer.mark((req.client, req.req_id), boundary, self.host.name)
 
-    def _designated_replier(self, req: Request) -> int:
-        return (req.req_id + req.client) % self.n
-
     def _send_reply(self, reply: Reply, req: Request, force_full: bool = False) -> None:
         addr = self.client_addr.get(req.client)
         if addr is None and self.membership is not None:
@@ -1007,11 +1016,13 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         if addr is None:
             return
         if (
-            not force_full
-            and self.config.reply_digest_optimization
-            and self._designated_replier(req) != self.node_id
-            and len(reply.result) > DIGEST_SIZE
-        ):
+            self.withhold_full_replies
+            or (
+                not force_full
+                and self.config.reply_digest_optimization
+                and designated_replier(req, self.n) != self.node_id
+            )
+        ) and len(reply.result) > DIGEST_SIZE:
             reply = Reply(
                 view=reply.view,
                 req_id=reply.req_id,

@@ -53,7 +53,8 @@ def test_threshold_keys():
 
 def test_fault_campaign_smoke():
     out = run_example("fault_campaign.py", args=("--smoke",))
-    assert "13/13 runs passed all invariants" in out
+    assert "14/14 runs passed all invariants" in out
+    assert "withholding-replica" in out
 
 
 def test_rebalance_campaign_smoke():

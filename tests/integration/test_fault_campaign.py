@@ -25,7 +25,7 @@ from repro.faults import (
     run_campaign,
     run_schedule,
 )
-from repro.faults.library import lossy_replica_links
+from repro.faults.library import lossy_replica_links, withholding_replica
 
 # Shortened phases keep the sweep fast; every schedule still applies and
 # heals all its faults well inside the run window.
@@ -62,6 +62,25 @@ def test_lossy_links_regression_tentative_and_transferred_replies():
     result = run_schedule(lossy_replica_links(), seed=2, **FAST)
     assert result.ok, [str(v) for v in result.violations]
     assert result.completed_ops == result.invoked_ops
+
+
+def test_withholding_replica_costs_a_round_trip_not_a_timeout():
+    """A Byzantine backup votes on every request and never sends a body.
+    Without the full-reply fetch every fourth request of every client ends
+    in a digest quorum with no body and waits out a retransmit interval."""
+    clean = run_schedule(FaultSchedule("clean", "no faults", ()), seed=1)
+    result = run_schedule(withholding_replica(), seed=1)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.completed_ops == result.invoked_ops
+    assert result.max_view == 0
+    assert any("withholds full replies" in line for line in result.fault_log)
+    assert any("sends full replies again" in line for line in result.fault_log)
+    # Each of the three clients pays one retransmit interval (60 ms of a
+    # 1.2 s run) to learn who is withholding, then a round trip per
+    # affected request; at a timeout each it would finish under half.
+    assert result.completed_ops >= 0.9 * clean.completed_ops, (
+        result.completed_ops, clean.completed_ops
+    )
 
 
 def test_violation_dumps_artifacts(tmp_path):

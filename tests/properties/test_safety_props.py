@@ -142,27 +142,50 @@ def test_safety_under_primary_crash(seed):
     assert_liveness(cluster, schedule)
 
 
-def test_stale_state_transfer_is_abandoned_regression():
-    """Pinned from hypothesis (seed=0 falsifying example).
+STALE_TRANSFER_PIN = dict(seed=46, loss=0.01, crash_replica=0,
+                          crash_at_ms=64, restart_after_ms=238)
 
-    A view change rolled replica 3 back to stable checkpoint 16; a state
-    transfer targeting checkpoint 32 was started; the new-view then let
-    the replica replay forward past seq 32 while the transfer was still
-    fetching pages.  When the transfer completed, it used to install the
-    checkpoint-32 pages *over* the newer state while keeping the higher
-    ``last_exec`` and the newer per-client watermarks — so after the next
-    rollback, re-executions were suppressed as duplicates and the replica
-    forked from the quorum permanently (divergent roots at seqs 48/64).
-    Stale transfers are now abandoned at dispatch instead of installed.
+
+def test_stale_state_transfer_is_abandoned_regression():
+    """Pinned from hypothesis (first found as a seed=0 falsifying example).
+
+    A view change rolled a replica back to its stable checkpoint; a state
+    transfer targeting the next checkpoint was started; the new-view then
+    let the replica replay forward past the target while the transfer was
+    still fetching pages.  When the transfer completed, it used to install
+    the older checkpoint's pages *over* the newer state while keeping the
+    higher ``last_exec`` and the newer per-client watermarks — so after the
+    next rollback, re-executions were suppressed as duplicates and the
+    replica forked from the quorum permanently (divergent roots two or
+    three checkpoints later).  Stale transfers are now abandoned at
+    dispatch instead of installed.
+
+    The pin is a trajectory, and timing changes move it (seed 0 stopped
+    reaching the condition when degraded groups began serving at rate).
+    Re-pinned at seed 46; the second test below proves the pin still falsifies.
     """
-    cluster = run_faulty_cluster(seed=0, loss=0.01, crash_replica=0,
-                                 crash_at_ms=64, restart_after_ms=238)
+    cluster = run_faulty_cluster(**STALE_TRANSFER_PIN)
     assert_safety(cluster)
     assert cluster.total_completed() > 50
     abandoned = sum(
         r.stats["state_transfers_abandoned"] for r in cluster.replicas
     )
     assert abandoned >= 1
+
+
+def test_stale_state_transfer_pin_forks_without_the_fix(monkeypatch):
+    """The same schedule with the dispatch-time abandonment disabled must
+    reproduce the fork.  If this fails after a timing change, the pin above
+    no longer exercises the bug: search seeds for a new one (abandoned >= 1
+    with the fix, divergent roots without) rather than deleting this."""
+    import pytest
+
+    from repro.pbft.recovery import RecoveryMixin
+
+    monkeypatch.setattr(RecoveryMixin, "transfer_is_stale", lambda self: False)
+    cluster = run_faulty_cluster(**STALE_TRANSFER_PIN)
+    with pytest.raises(AssertionError, match="divergent roots"):
+        assert_safety(cluster)
 
 
 def test_restarted_ex_primary_view_sync_regression():
