@@ -1,49 +1,9 @@
-"""Global switch for the hot-path caches (see DESIGN.md "Hot-path cost
-model and caching").
+"""Residue of the retired off/on switch: the memoised path is the only one.
 
-Every optimization added by the hot-path pass — memoized wire encodings,
-the MAC tag cache, batched Merkle refreshes — is a pure memo of a value
-the protocol provably cannot change, so toggling the switch changes wall
-clock only, never simulated results.  The switch exists for exactly two
-consumers:
-
-* the perf harness (:mod:`repro.perf.bench`), which measures the same
-  scenario with caches off and on in one process to produce an
-  apples-to-apples before/after ratio, and
-* the differential tests, which assert the cached and uncached paths
-  produce byte-identical output.
-
-``enabled=False`` reproduces the seed implementation's behaviour: fresh
-encodes per send/verify, one HMAC key schedule per MAC, per-leaf Merkle
-path rehashes, and eager marshalling in ``verify_envelope``.
+``bench/run.py`` imports ``HOTPATH`` and refuses to measure unless
+``enabled`` is true; nothing else may read it.
 """
 
-from __future__ import annotations
 
-from contextlib import contextmanager
-
-
-class _HotpathSwitch:
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = True
-
-
-HOTPATH = _HotpathSwitch()
-
-
-def set_hotpath_caches(enabled: bool) -> None:
-    """Enable or disable every hot-path cache at once."""
-    HOTPATH.enabled = bool(enabled)
-
-
-@contextmanager
-def hotpath_caches(enabled: bool):
-    """Temporarily force the caches on or off (tests, A/B benchmarks)."""
-    prior = HOTPATH.enabled
-    HOTPATH.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        HOTPATH.enabled = prior
+class HOTPATH:
+    enabled = True

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hmac
 from collections import OrderedDict
 
-from repro.common.hotpath import HOTPATH
 from repro.crypto.mac import MAC_SIZE, MacKey, compute_mac, verify_mac
 
 
@@ -89,8 +88,6 @@ class MacCache:
 
     def tag(self, key: MacKey, data: bytes) -> bytes:
         """Compute (or recall) the 4-byte tag over ``data``."""
-        if not HOTPATH.enabled:
-            return compute_mac(key, data)
         tags = self._tags
         cache_key = (key.key, data)
         tag = tags.get(cache_key)
@@ -121,9 +118,8 @@ class MacCache:
         """:func:`verify_authenticator` through the cache.
 
         The receiver's entry is almost always already cached (the sender
-        just computed it), so the hit is checked inline; with the caches
-        off nothing is ever stored and every probe falls through to
-        :meth:`tag`.
+        just computed it), so the hit is checked inline and only a miss
+        goes through :meth:`tag`.
         """
         tag = auth.tags.get(replica_id)
         if tag is None or len(tag) != MAC_SIZE:

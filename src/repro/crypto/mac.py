@@ -13,7 +13,6 @@ import hashlib
 import hmac
 
 from repro.common.errors import CryptoError
-from repro.common.hotpath import HOTPATH
 
 MAC_SIZE = 4
 _KEY_SIZE = 16
@@ -54,18 +53,16 @@ class MacKey:
 
 def compute_mac(key: MacKey, data: bytes) -> bytes:
     """Compute the 4-byte tag over ``data``."""
-    if HOTPATH.enabled:
-        iproto = key._iproto
-        if iproto is None:
-            block = key.key.ljust(_MD5_BLOCK, b"\0")
-            iproto = key._iproto = hashlib.md5(bytes(b ^ 0x36 for b in block))
-            key._oproto = hashlib.md5(bytes(b ^ 0x5C for b in block))
-        inner = iproto.copy()
-        inner.update(data)
-        outer = key._oproto.copy()
-        outer.update(inner.digest())
-        return outer.digest()[:MAC_SIZE]
-    return hmac.new(key.key, data, hashlib.md5).digest()[:MAC_SIZE]
+    iproto = key._iproto
+    if iproto is None:
+        block = key.key.ljust(_MD5_BLOCK, b"\0")
+        iproto = key._iproto = hashlib.md5(bytes(b ^ 0x36 for b in block))
+        key._oproto = hashlib.md5(bytes(b ^ 0x5C for b in block))
+    inner = iproto.copy()
+    inner.update(data)
+    outer = key._oproto.copy()
+    outer.update(inner.digest())
+    return outer.digest()[:MAC_SIZE]
 
 
 def verify_mac(key: MacKey, data: bytes, tag: bytes) -> bool:

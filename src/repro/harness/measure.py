@@ -188,11 +188,11 @@ def run_analytics_workload(
     fact table.  Every ``select_every``-th operation of each client is a
     two-table equi-join rollup; the rest append rows.
 
-    The query shapes are deliberately *metric-parity* shapes (equi hash
-    joins, hash aggregation, full scans) so the planner changes wall-clock
-    cost but not the simulated ``rows_scanned`` the cost model charges —
-    simulated TPS/latency stay bit-identical with the planner off or on,
-    which is what makes the differential benchmark assertion possible.
+    The query shapes are deliberately *metric-parity* shapes (equi joins
+    onto tiny tables, hash aggregation, full scans): a hash join and the
+    nested loop both read every row once, so which one the planner picks
+    changes wall-clock cost but not the simulated ``rows_scanned`` the
+    cost model charges, and simulated TPS/latency stay bit-identical.
     """
     from repro.apps.sqlapp import SqlApplication, encode_sql_op
 

@@ -19,7 +19,6 @@ from collections.abc import MutableMapping
 from typing import Iterator, Optional, Sequence
 
 from repro.common.errors import ConfigError
-from repro.common.hotpath import HOTPATH
 
 # Default latency buckets: 10us .. 10s, roughly 1-2-5 per decade.  Values
 # are nanoseconds, like every duration in this library.
@@ -211,37 +210,29 @@ class StatsView(MutableMapping):
     def __init__(self, registry: MetricsRegistry, prefix: str) -> None:
         self._registry = registry
         self._prefix = prefix
-        # Hot-path memo: bare key -> Counter object.  ``stats["x"] += 1``
-        # is all over the protocol's per-message path; resolving the
-        # prefixed name through the registry costs two dict operations and
-        # a type check per access, the memo costs one.  Counter objects
-        # are stable once registered (the registry only ever creates
-        # them), so a memoized hit reads/writes the same object the slow
-        # path would.
+        # Memo: bare key -> Counter object.  ``stats["x"] += 1`` is all
+        # over the protocol's per-message path; resolving the prefixed
+        # name through the registry costs two dict operations and a type
+        # check per access, the memo costs one.  Counter objects are
+        # stable once registered (the registry only ever creates them), so
+        # a memoized hit reads/writes the same object the registry holds.
         self._memo: dict[str, Counter] = {}
 
     def __getitem__(self, key: str) -> int:
-        if HOTPATH.enabled:
-            counter = self._memo.get(key)
-            if counter is not None:
-                return counter.value
+        counter = self._memo.get(key)
+        if counter is not None:
+            return counter.value
         metric = self._registry._metrics.get(self._prefix + key)
         if isinstance(metric, Counter):
-            if HOTPATH.enabled:
-                self._memo[key] = metric
+            self._memo[key] = metric
             return metric.value
         return 0
 
     def __setitem__(self, key: str, value: int) -> None:
-        if HOTPATH.enabled:
-            counter = self._memo.get(key)
-            if counter is not None:
-                counter.value = value
-                return
-        counter = self._registry.counter(self._prefix + key)
+        counter = self._memo.get(key)
+        if counter is None:
+            counter = self._memo[key] = self._registry.counter(self._prefix + key)
         counter.value = value
-        if HOTPATH.enabled:
-            self._memo[key] = counter
 
     def __delitem__(self, key: str) -> None:
         self._memo.pop(key, None)

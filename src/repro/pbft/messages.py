@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 from repro.common.errors import ProtocolError
-from repro.common.hotpath import HOTPATH
 from repro.crypto.digests import DIGEST_SIZE, md5_digest
 from repro.pbft.wire import Decoder, Encoder
 
@@ -29,14 +28,13 @@ class _lazy:
     value in the instance ``__dict__`` under the same name, which shadows
     the descriptor from then on — later reads are plain attribute loads
     with no call at all (``functools.cached_property`` minus the per-access
-    lock it takes on Python 3.11).  ``hot_only`` values are stored only
-    while :data:`~repro.common.hotpath.HOTPATH` is on, so with the caches
-    off every access recomputes, as the seed implementation did.
+    lock it takes on Python 3.11).  Storing once is safe because messages
+    are frozen dataclasses: every ``fn`` is a pure function of fields that
+    cannot change after construction.
     """
 
-    def __init__(self, fn, hot_only: bool = False) -> None:
+    def __init__(self, fn) -> None:
         self.fn = fn
-        self.hot_only = hot_only
         self.__doc__ = fn.__doc__
 
     def __set_name__(self, owner, name: str) -> None:
@@ -45,9 +43,7 @@ class _lazy:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = self.fn(obj)
-        if not self.hot_only or HOTPATH.enabled:
-            obj.__dict__[self.name] = value
+        value = obj.__dict__[self.name] = self.fn(obj)
         return value
 
 
@@ -55,11 +51,10 @@ class WireMemo:
     """Memoized canonical bytes for a frozen message.
 
     Messages are immutable, so their canonical encoding and wire size are
-    fixed at construction — yet the seed implementation re-encoded on
-    every authentication and re-counted bytes on every send.  ``wire``
-    and ``wire_size`` compute once (see :class:`_lazy`).
-    ``encode()``/``body_size()`` stay memo-free so differential tests can
-    always compare a fresh encoding against the cached one.
+    fixed at construction; ``wire`` and ``wire_size`` compute them once
+    (see :class:`_lazy`) however many times a message is authenticated or
+    sent.  ``encode()``/``body_size()`` stay memo-free so tests can always
+    compare a fresh encoding against the memoised one.
     """
 
     __slots__ = ()
@@ -72,14 +67,14 @@ class WireMemo:
         cls.KIND = cls.__name__
 
     #: Canonical encoding, computed at most once per object.
-    wire = _lazy(lambda self: self.encode(), hot_only=True)
+    wire = _lazy(lambda self: self.encode())
 
     #: Accounted wire size, computed at most once per object.  Derived from
     #: ``body_size()``, *not* ``len(self.wire)``: the two intentionally
     #: differ for messages whose simulated wire cost covers material the
     #: in-memory encoding elides (``AuthenticatorRefresh`` charges
     #: public-key-encrypted blocks per key entry).
-    wire_size = _lazy(lambda self: self.body_size(), hot_only=True)
+    wire_size = _lazy(lambda self: self.body_size())
 
     def auth_bytes(self) -> bytes:
         return self.wire
@@ -197,7 +192,7 @@ class PrePrepare(WireMemo):
         )
 
     #: Memoized header encoding (the authenticated portion).
-    header_wire = _lazy(encode_header, hot_only=True)
+    header_wire = _lazy(encode_header)
 
     @_lazy
     def batch_digest(self) -> bytes:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.common.hotpath import HOTPATH
 from repro.crypto.authenticators import Authenticator, MacCache
 from repro.crypto.mac import MacKey
 from repro.crypto.rabin import (
@@ -342,12 +341,13 @@ class Node:
     def _replica_group_keys(self) -> dict[int, MacKey]:
         """Session keys we hold for every replica in the group, memoized.
 
-        The seed rebuilt this dict on every broadcast; its contents only
-        change when session keys are installed or dropped, so those paths
-        invalidate the memo instead.
+        The dict's contents only change when session keys are installed or
+        dropped, and every such path (``install_session_key``,
+        ``drop_session_keys``, ``reconfig.refresh_replica_keys``) resets
+        ``_group_keys`` to ``None``.
         """
         known = self._group_keys
-        if known is not None and HOTPATH.enabled:
+        if known is not None:
             return known
         exclude_self = self.node_id if self.kind == "replica" else -1
         known = {}
@@ -406,14 +406,11 @@ class Node:
 
         ``auth_bytes()`` is only materialized on the branches that hash it
         — with fake crypto (the harness default) no verification receives
-        bytes at all.  Baseline mode re-creates the seed's unconditional
-        marshalling so cache-off measurements stay faithful.
+        bytes at all.
         """
         auth_kind = env.auth_kind
         if auth_kind == AUTH_NONE:
             return True
-        if not HOTPATH.enabled:
-            env.msg.auth_bytes()
         if auth_kind == AUTH_SIG:
             public = self._public_key_of(env.sender_kind, env.sender_id)
             if public is None:

@@ -1,31 +1,1 @@
-"""Wall-clock performance harness for the simulator's hot path."""
-
-from repro.perf.bench import (
-    REGRESSION_TOLERANCE,
-    bench_normal_case,
-    bench_sql_evoting,
-    compare_to_baseline,
-    format_bench,
-    run_hotpath_bench,
-    write_bench_json,
-)
-from repro.perf.sqlbench import (
-    bench_engine_micro,
-    bench_sql_analytics,
-    bench_sql_evoting_fig5,
-    run_sql_bench,
-)
-
-__all__ = [
-    "REGRESSION_TOLERANCE",
-    "bench_engine_micro",
-    "bench_normal_case",
-    "bench_sql_analytics",
-    "bench_sql_evoting",
-    "bench_sql_evoting_fig5",
-    "compare_to_baseline",
-    "format_bench",
-    "run_hotpath_bench",
-    "run_sql_bench",
-    "write_bench_json",
-]
+"""Retired: wall-clock measurement lives in the perf ledger, see ``bench/README.md``."""

@@ -106,11 +106,10 @@ class BTree:
         """Parse a page, going through the pager's parsed-node cache.
 
         Profiling shows re-parsing pages on every access dominates the
-        engine's cost; the cache is gated on the hot-path switch so the
-        naive parse-every-time behavior is still reachable.  A cached node
-        always describes the pager's current image of its page: the pager
-        drops it on every ``put``/rollback/crash, and the write path
-        brings a node up to date only after the new image is stored.
+        engine's cost.  A cached node always describes the pager's current
+        image of its page: the pager drops it on every
+        ``put``/rollback/crash, and the write path brings a node up to
+        date only after the new image is stored.
         """
         node = self.pager.cached_node(page_no)
         if node is None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.common.errors import SqlError
-from repro.common.hotpath import HOTPATH
 from repro.sqlstate import ast
 from repro.sqlstate.catalog import Catalog
 from repro.sqlstate.executor import Executor
@@ -140,9 +139,7 @@ class Database:
         return self._run(self._prepare(sql), tuple(params))
 
     def _prepare(self, sql: str):
-        """Parse, going through the statement cache on the hot path."""
-        if not HOTPATH.enabled:
-            return parse(sql)
+        """Parse, going through the statement cache."""
         stmt = self._plan_cache.get(sql)
         if stmt is not None:
             self._plan_cache.move_to_end(sql)

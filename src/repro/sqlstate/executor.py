@@ -6,7 +6,6 @@ from functools import cmp_to_key
 from typing import Iterator, Optional
 
 from repro.common.errors import SqlConstraintError, SqlError
-from repro.common.hotpath import HOTPATH
 from repro.sqlstate import ast, planner
 from repro.sqlstate.btree import BTree
 from repro.sqlstate.catalog import Catalog, Index, Table
@@ -474,47 +473,11 @@ class Executor:
     def _candidates(
         self, table: Table, alias: str, where, params
     ) -> Iterator[tuple[int, list, RowContext]]:
-        """Rows possibly matching ``where``: an index equality probe when
-        one applies, else a full scan.  The WHERE clause is still
-        re-checked by the caller."""
-        if HOTPATH.enabled:
-            plan = self._scan_plan(table, alias, where)
-            yield from self._plan_candidates(plan, table, alias, params)
-            return
-        tree = BTree(self.pager, table.root_page)
-        probe = self._find_index_probe(table, where, params)
-        if probe is not None:
-            index, value = probe
-            self.index_lookups += 1
-            prefix = encode_key([value])
-            for _key, stored in self._index_tree(index).scan_prefix(prefix):
-                rowid = decode_rowid(stored)
-                raw = tree.get(encode_rowid(rowid))
-                if raw is None:
-                    continue  # index ahead of table within this statement
-                row = self._pad_row(table, decode_record(raw))
-                ctx = RowContext()
-                ctx.bind_table(alias, table, rowid, row)
-                self.rows_scanned += 1
-                yield rowid, row, ctx
-            return
-        rowid_probe = self._find_rowid_probe(table, where, params)
-        if rowid_probe is not None:
-            raw = tree.get(encode_rowid(rowid_probe))
-            if raw is not None:
-                row = self._pad_row(table, decode_record(raw))
-                ctx = RowContext()
-                ctx.bind_table(alias, table, rowid_probe, row)
-                self.rows_scanned += 1
-                yield rowid_probe, row, ctx
-            return
-        for key, raw in tree.scan():
-            rowid = decode_rowid(key)
-            row = self._pad_row(table, decode_record(raw))
-            ctx = RowContext()
-            ctx.bind_table(alias, table, rowid, row)
-            self.rows_scanned += 1
-            yield rowid, row, ctx
+        """Rows possibly matching ``where``, by the access path the planner
+        picks (full scan when nothing narrower applies).  The WHERE clause
+        is still re-checked by the caller."""
+        plan = self._scan_plan(table, alias, where)
+        return self._plan_candidates(plan, table, alias, params)
 
     @staticmethod
     def _pad_row(table: Table, row: list) -> list:
@@ -523,49 +486,6 @@ class Executor:
         if len(row) < len(table.columns):
             row = row + [col.default for col in table.columns[len(row):]]
         return row
-
-    def _find_index_probe(self, table: Table, where, params):
-        """WHERE col = <constant> with a single-column index on col."""
-        pair = self._equality_pair(table, where, params)
-        if pair is None:
-            return None
-        column, value = pair
-        for index in table.indexes:
-            if len(index.columns) == 1 and index.columns[0].lower() == column:
-                return index, value
-        return None
-
-    def _find_rowid_probe(self, table: Table, where, params):
-        pair = self._equality_pair(table, where, params, rowid_only=True)
-        if pair is None:
-            return None
-        _column, value = pair
-        return value if isinstance(value, int) else None
-
-    def _equality_pair(self, table: Table, where, params, rowid_only: bool = False):
-        if not isinstance(where, ast.Binary) or where.op != "=":
-            return None
-        column_side, const_side = where.left, where.right
-        if not isinstance(column_side, ast.ColumnRef):
-            column_side, const_side = const_side, column_side
-        if not isinstance(column_side, ast.ColumnRef):
-            return None
-        if not isinstance(const_side, (ast.Literal, ast.Parameter)):
-            return None
-        name = column_side.name.lower()
-        if rowid_only:
-            is_rowid = name == "rowid" or (
-                table.rowid_alias is not None
-                and table.columns[table.rowid_alias].name.lower() == name
-            )
-            if not is_rowid:
-                return None
-        value = self.eval(const_side, _EMPTY_CTX, params)
-        if value is SqlNull:
-            return None
-        return name, value
-
-    # ==== cost-based row sources (hot path) ==========================================
 
     def _scan_plan(self, table: Table, alias: str, where) -> "planner.ScanPlan":
         # Validity needs the schema version, not just object identity:
@@ -591,9 +511,8 @@ class Executor:
         self, plan: "planner.ScanPlan", table: Table, alias: str, params
     ) -> Iterator[tuple[int, list, RowContext]]:
         """Execute an access plan.  Any bound value the plan cannot probe
-        with (NULL, NaN, a non-integer rowid) degrades to the full scan —
-        exactly what the naive path does in those cases, so results *and*
-        counters stay identical."""
+        with (NULL, NaN, a non-integer rowid) degrades to the full scan,
+        which the caller's WHERE re-check makes correct for any predicate."""
         tree = BTree(self.pager, table.root_page)
         if plan.method == "rowid-eq":
             value = self.eval(plan.eq_expr, _EMPTY_CTX, params)
@@ -649,7 +568,7 @@ class Executor:
                     )
                 ]
                 # Emit in rowid order — the order a full scan would use —
-                # so downstream results are bit-identical to the naive path.
+                # so results do not depend on which access path was picked.
                 rowids.sort()
                 for rowid in rowids:
                     raw = tree.get(encode_rowid(rowid))
@@ -844,35 +763,28 @@ class Executor:
         raise SqlError(f"unsupported FROM clause {type(source).__name__}")
 
     def _join_rows(self, join: ast.Join, params) -> Iterator[RowContext]:
-        if HOTPATH.enabled:
-            plan = self._join_plan(join)
-            if plan.strategy == "hash":
-                yield from self._hash_join(join, plan, params)
-                return
-            if plan.strategy == "index":
-                yield from self._index_join(join, plan, params)
-                return
-        yield from self._nested_join(join, params)
+        plan = self._join_plan(join)
+        if plan.strategy == "hash":
+            return self._hash_join(join, plan, params)
+        elif plan.strategy == "index":
+            return self._index_join(join, plan, params)
+        else:
+            return self._nested_join(join, params)
 
     def _nested_join(self, join: ast.Join, params) -> Iterator[RowContext]:
+        """Materialize the right side once, test ON against every pair.
+        The planner picks this when no equi-condition is usable, and
+        :meth:`_index_join` falls back to it when its index is gone."""
         right_table = self.catalog.table(join.right.name)
         right_alias = join.right.alias or join.right.name
-        if isinstance(join.left, ast.TableRef):
-            left_iter = self._source_rows(join.left, None, params)
-        else:
-            left_iter = self._join_rows(join.left, params)
         right_rows = [
             (rowid, row)
             for rowid, row, _ctx in self._candidates(right_table, right_alias, None, params)
         ]
-        for left_ctx in left_iter:
+        for left_ctx in self._join_left_iter(join, params):
             matched = False
             for rowid, row in right_rows:
-                ctx = RowContext()
-                ctx.qualified.update(left_ctx.qualified)
-                for name, keys in left_ctx.names.items():
-                    ctx.names[name] = list(keys)
-                ctx.bind_table(right_alias, right_table, rowid, row)
+                ctx = self._merged_ctx(left_ctx, right_alias, right_table, rowid, row)
                 if join.on is not None:
                     verdict = self.eval(join.on, ctx, params)
                     if verdict is SqlNull or not is_truthy(verdict):
@@ -880,12 +792,7 @@ class Executor:
                 matched = True
                 yield ctx
             if join.kind == "LEFT" and not matched:
-                ctx = RowContext()
-                ctx.qualified.update(left_ctx.qualified)
-                for name, keys in left_ctx.names.items():
-                    ctx.names[name] = list(keys)
-                ctx.bind_nulls(right_alias, right_table)
-                yield ctx
+                yield self._merged_ctx(left_ctx, right_alias, right_table, None, None)
 
     # ==== SELECT ======================================================================
 

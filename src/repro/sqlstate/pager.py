@@ -18,7 +18,6 @@ from collections import OrderedDict
 from typing import Optional
 
 from repro.common.errors import SqlError
-from repro.common.hotpath import HOTPATH
 from repro.sqlstate.journal import RollbackJournal
 from repro.sqlstate.vfs import VfsFile
 
@@ -243,13 +242,9 @@ class Pager:
     # -- parsed-node cache ----------------------------------------------------------
 
     def cached_node(self, page_no: int):
-        if not HOTPATH.enabled:
-            return None
         return self._nodes.get(page_no)
 
     def register_node(self, page_no: int, node: object) -> None:
-        if not HOTPATH.enabled:
-            return
         if len(self._nodes) >= _NODE_CACHE_CAP:
             self._nodes.clear()
         self._nodes[page_no] = node

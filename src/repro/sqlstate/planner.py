@@ -1,9 +1,9 @@
 """Cost-based access-path and join planning.
 
-The executor's naive row sources — full scan, plus an index probe for a
-bare top-level ``col = const`` — stay in place as the reference
-implementation (and run verbatim with the hot-path switch off).  This
-module chooses *narrower candidate sets* for the same statements:
+The executor's two trivial row sources — the full ``seq`` scan and the
+materialize-and-scan nested loop — answer every statement correctly and
+stay as the fallbacks the planner selects when nothing better applies.
+This module chooses *narrower candidate sets* for the same statements:
 
 * AND-conjunctions in WHERE are decomposed, so any one conjunct can
   drive an index equality probe or an index **range** scan;
@@ -12,13 +12,15 @@ module chooses *narrower candidate sets* for the same statements:
   materialize-and-scan nested loop, guided by table/index statistics
   from the catalog.
 
-Every plan is result-identical to the naive path by construction: a plan
-only selects *candidate rows*; the full WHERE / ON expression is always
-re-evaluated against each candidate by the executor, and candidates are
-always produced in rowid order (range scans sort their matches, hash
-buckets preserve build order), which is exactly the naive scan order.
-Cost estimates therefore only ever change *how much work* is done, never
-the answer.
+Every plan is result-identical to those fallbacks by construction: a
+plan only selects *candidate rows*; the full WHERE / ON expression is
+always re-evaluated against each candidate by the executor, and
+candidates are always produced in rowid order (range scans sort their
+matches, hash buckets preserve build order), which is exactly the full
+scan's order.  Cost estimates therefore only ever change *how much work*
+is done, never the answer; tests/unit/sqlstate/test_planner.py checks it
+by running each statement as planned and with the planner forced to its
+trivial answers.
 
 Plans reference tables and indexes by name, never by object: the
 executor validates a memoized plan against the live catalog objects and
@@ -36,8 +38,8 @@ from repro.sqlstate.catalog import Catalog, Table
 
 # Cost constants.  Units are "rows touched"; the fixed overheads make the
 # ordering stable on tiny/empty tables (a probe must beat a seq scan even
-# at row_count == 0, because the naive path also probes bare equalities
-# and metric parity with it is part of the differential contract).
+# at row_count == 0, so a bare equality on an indexed column probes
+# whatever the table size and the pinned ``index_lookups`` counts hold).
 _PROBE_OVERHEAD = 1.5
 _SEQ_OVERHEAD = 2.5
 _RANGE_SELECTIVITY = 4  # assume a range keeps ~1/4 of the rows
@@ -185,8 +187,7 @@ def extract_predicates(table: Table, alias: str, where):
 
 
 def _single_column_index(table: Table, column: str):
-    """First single-column index on ``column`` — the same pick order as
-    the naive probe, so plans mirror it exactly on bare equalities."""
+    """First single-column index on ``column``, in catalog order."""
     for index in table.indexes:
         if len(index.columns) == 1 and index.columns[0].lower() == column:
             return index
@@ -411,7 +412,7 @@ def plan_join_step(catalog: Catalog, join: ast.Join, left_est: float) -> JoinSte
 
 def plan_select_source(catalog: Catalog, source, where) -> SelectPlan:
     """Plan a SELECT's FROM clause (WHERE is only usable single-table,
-    mirroring the naive pushdown rule)."""
+    mirroring the executor's pushdown rule)."""
     plan = SelectPlan()
     if source is None:
         return plan

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.common.errors import StateError
-from repro.common.hotpath import HOTPATH
 from repro.crypto.digests import md5_digest
 from repro.statemgr.merkle import MerkleTree
 
@@ -53,7 +52,7 @@ class PagedState:
 
     def read(self, offset: int, length: int) -> bytes:
         """Read bytes; always allowed."""
-        if HOTPATH.enabled and length > 0 and offset >= 0:
+        if length > 0 and offset >= 0:
             # Fast path: a read contained in one page is a single slice.
             page_size = self.page_size
             first, in_page = divmod(offset, page_size)
@@ -76,7 +75,7 @@ class PagedState:
 
     def write(self, offset: int, data: bytes) -> None:
         """Write bytes; every touched page must have been notified."""
-        if HOTPATH.enabled and data.__class__ is bytes and data and offset >= 0:
+        if data.__class__ is bytes and data and offset >= 0:
             # Fast path: a write contained in one notified page (the common
             # case — application writes are far smaller than a page) is a
             # single slice-splice with none of the multi-page bookkeeping.
@@ -132,13 +131,9 @@ class PagedState:
         """
         if self._dirty:
             pages = self._pages
-            if HOTPATH.enabled:
-                self._tree.update_leaves(
-                    (i, md5_digest(pages[i])) for i in sorted(self._dirty)
-                )
-            else:
-                for page_index in sorted(self._dirty):
-                    self._tree.update_leaf(page_index, md5_digest(pages[page_index]))
+            self._tree.update_leaves(
+                (i, md5_digest(pages[i])) for i in sorted(self._dirty)
+            )
             self._dirty.clear()
         return self._tree.root
 
@@ -194,7 +189,7 @@ class PagedState:
             raise StateError("snapshot page count mismatch")
         self._pages = list(pages)
         self._notified.clear()
-        if tree_nodes is not None and HOTPATH.enabled:
+        if tree_nodes is not None:
             self._tree = MerkleTree.from_snapshot(self.num_pages, tree_nodes)
             self._dirty.clear()
             return

@@ -1,15 +1,13 @@
 """Seed-determinism regression: same seed, same everything.
 
 The whole repo leans on the simulation being a pure function of
-(scenario, seed): the perf harness compares two runs of one scenario,
-the fault campaign replays failures by seed, and the hot-path caches
-claim to change wall clock only.  These tests pin all three claims at
-the integration level — a run repeated with the same seed, or repeated
-with the caches toggled, must produce identical measurements, identical
-metrics registries, and identical fault logs.
+(scenario, seed): the perf ledger requires same-seed repetitions of a
+workload to agree exactly, and the fault campaign replays failures by
+seed.  These tests pin both claims at the integration level — a run
+repeated with the same seed must produce identical measurements, an
+identical metrics registry, and an identical fault log.
 """
 
-from repro.common.hotpath import hotpath_caches
 from repro.common.units import MILLISECOND
 from repro.faults import run_schedule
 from repro.faults.library import lossy_replica_links
@@ -19,16 +17,15 @@ from repro.pbft.config import PbftConfig
 WINDOW = dict(warmup_s=0.05, measure_s=0.15, seed=11)
 
 
-def _null_run(enabled: bool):
+def _null_run():
     captured = {}
-    with hotpath_caches(enabled):
-        m = run_null_workload(
-            PbftConfig(),
-            name="determinism",
-            payload_size=256,
-            cluster_hook=lambda c: captured.update(cluster=c),
-            **WINDOW,
-        )
+    m = run_null_workload(
+        PbftConfig(),
+        name="determinism",
+        payload_size=256,
+        cluster_hook=lambda c: captured.update(cluster=c),
+        **WINDOW,
+    )
     snapshot = captured["cluster"].obs.registry.snapshot()
     fingerprint = (
         m.completed,
@@ -43,29 +40,19 @@ def _null_run(enabled: bool):
 
 
 def test_normal_operation_same_seed_twice_is_identical():
-    first, first_metrics = _null_run(True)
-    second, second_metrics = _null_run(True)
+    first, first_metrics = _null_run()
+    second, second_metrics = _null_run()
     assert first == second
     assert first_metrics == second_metrics
 
 
-def test_normal_operation_identical_across_cache_modes():
-    # The hot-path differential at full-stack scope: every memo and fast
-    # path engaged, yet simulated results and the entire metrics
-    # registry (every counter on every node) match the seed code path.
-    on, on_metrics = _null_run(True)
-    off, off_metrics = _null_run(False)
-    assert on == off
-    assert on_metrics == off_metrics
-
-
-def test_fault_campaign_identical_across_cache_modes():
+def test_fault_campaign_same_seed_twice_is_identical():
     fast = dict(run_ns=400 * MILLISECOND, drain_ns=1200 * MILLISECOND)
-    with hotpath_caches(False):
-        off = run_schedule(lossy_replica_links(), seed=2, **fast)
-    with hotpath_caches(True):
-        on = run_schedule(lossy_replica_links(), seed=2, **fast)
-    assert (off.ok, off.invoked_ops, off.completed_ops, off.max_view, off.sim_time_ns) == (
-        on.ok, on.invoked_ops, on.completed_ops, on.max_view, on.sim_time_ns
+    first = run_schedule(lossy_replica_links(), seed=2, **fast)
+    second = run_schedule(lossy_replica_links(), seed=2, **fast)
+    assert (
+        first.ok, first.invoked_ops, first.completed_ops, first.max_view, first.sim_time_ns
+    ) == (
+        second.ok, second.invoked_ops, second.completed_ops, second.max_view, second.sim_time_ns
     )
-    assert off.fault_log == on.fault_log
+    assert first.fault_log and first.fault_log == second.fault_log

@@ -2,6 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.digests import md5_digest
+from repro.statemgr.merkle import MerkleTree
 from repro.statemgr.pages import PagedState
 
 NUM_PAGES, PAGE_SIZE = 8, 64
@@ -64,35 +66,62 @@ def test_restore_is_exact(ops, extra):
     assert state.refresh_tree() == root
 
 
+def reference_root(state):
+    """The root of a tree rebuilt one leaf at a time with
+    ``MerkleTree.update_leaf`` — the per-leaf algorithm that
+    ``refresh_tree``'s batched ``update_leaves`` must agree with."""
+    tree = MerkleTree.uniform(NUM_PAGES, md5_digest(bytes(PAGE_SIZE)))
+    for index in range(NUM_PAGES):
+        tree.update_leaf(index, md5_digest(state.page(index)))
+    return tree.root
+
+
+def page_chunks(offset, length):
+    """``[offset, offset+length)`` cut at page boundaries."""
+    end = offset + length
+    while offset < end:
+        stop = min(end, (offset // PAGE_SIZE + 1) * PAGE_SIZE)
+        yield offset, stop
+        offset = stop
+
+
 @given(ops=writes)
 @settings(max_examples=60)
-def test_hotpath_fast_paths_equal_slow_paths(ops):
-    """The gated read/write fast paths are invisible to the contract.
+def test_single_page_fast_paths_equal_general_paths(ops):
+    """The single-page read/write fast paths are invisible to the contract.
 
-    Same op sequence with caches off (seed code path: multi-page
-    memoryview splice, per-leaf tree refresh) and on (single-page
-    slice fast path, batched tree refresh) must yield identical
-    content, identical roots, and identical write counts.
+    The same program runs twice.  Cut into per-page ``bytes`` writes and
+    read back page by page, every call takes the single-slice fast path;
+    issued whole as ``bytearray`` data (page-straddling when it is) and
+    read back in one multi-page read, every call takes the general
+    memoryview-splice path.  Both must equal a flat ``bytearray`` model in
+    content and ``writes``, and each root a tree rebuilt leaf by leaf.
     """
-    from repro.common.hotpath import hotpath_caches
-
-    def build(enabled):
-        with hotpath_caches(enabled):
-            state = PagedState(NUM_PAGES, PAGE_SIZE)
-            for offset, data in ops:
-                data = data[: SIZE - offset]
-                state.modify(offset, len(data))
-                state.write(offset, data)
-            return state.read(0, SIZE), state.refresh_tree(), state.writes
-
-    assert build(False) == build(True)
+    fast = PagedState(NUM_PAGES, PAGE_SIZE)
+    general = PagedState(NUM_PAGES, PAGE_SIZE)
+    model = bytearray(SIZE)
+    chunk_count = 0
+    for offset, data in ops:
+        data = data[: SIZE - offset]
+        model[offset : offset + len(data)] = data
+        fast.modify(offset, len(data))
+        for start, stop in page_chunks(offset, len(data)):
+            fast.write(start, data[start - offset : stop - offset])
+            chunk_count += 1
+        general.modify(offset, len(data))
+        general.write(offset, bytearray(data))
+    fast_content = b"".join(
+        fast.read(start, stop - start) for start, stop in page_chunks(0, SIZE)
+    )
+    assert fast_content == general.read(0, SIZE) == bytes(model)
+    assert (fast.writes, general.writes) == (chunk_count, len(ops))
+    assert fast.refresh_tree() == reference_root(fast)
+    assert general.refresh_tree() == reference_root(general) == fast.root
 
 
 @given(ops=writes)
 @settings(max_examples=40)
 def test_restore_with_tree_snapshot_equals_redigest(ops):
-    from repro.common.hotpath import hotpath_caches
-
     state = PagedState(NUM_PAGES, PAGE_SIZE)
     for offset, data in ops:
         data = data[: SIZE - offset]
@@ -103,10 +132,8 @@ def test_restore_with_tree_snapshot_equals_redigest(ops):
     root = state.root
 
     with_nodes = PagedState(NUM_PAGES, PAGE_SIZE)
-    with hotpath_caches(True):
-        with_nodes.restore(pages, nodes)
+    with_nodes.restore(pages, nodes)
     redigested = PagedState(NUM_PAGES, PAGE_SIZE)
-    with hotpath_caches(False):
-        redigested.restore(pages, nodes)  # off path ignores nodes, re-digests
-    assert with_nodes.root == redigested.root == root
+    redigested.restore(pages, None)  # no tree snapshot: every page re-digested
+    assert with_nodes.root == redigested.root == root == reference_root(state)
     assert with_nodes.read(0, SIZE) == redigested.read(0, SIZE)

@@ -1,9 +1,11 @@
 """Property tests: protocol messages survive encode/decode, and the
-hot-path wire memos always equal a fresh encoding."""
+wire memos always equal a fresh encoding."""
+
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.hotpath import hotpath_caches
+from repro.crypto.digests import md5_digest
 from repro.pbft.messages import (
     AuthenticatorRefresh,
     BatchRetransmit,
@@ -224,44 +226,42 @@ def test_sample_catalog_covers_every_tag():
 
 
 def test_memoized_wire_equals_fresh_encode_for_every_type():
+    # The oracle is the memo-free codec itself: ``encode()``/``body_size()``
+    # called directly, on this object and on a fresh equal one whose memos
+    # were never filled.  Read twice: the first read computes and stores,
+    # the second is the stored value.
     for msg in sample_messages():
-        with hotpath_caches(False):
-            fresh_wire = msg.encode()
-            fresh_size = msg.body_size()
-            # Caches off: the properties delegate straight to encode().
-            assert msg.wire == fresh_wire
-            assert msg.wire_size == fresh_size
-        with hotpath_caches(True):
-            assert msg.wire == fresh_wire
-            assert msg.wire is msg.wire  # memoized: literally the same object
-            assert msg.wire_size == fresh_size
-            assert decode_message(msg.wire) == msg
-
-
-def test_wire_memo_populated_on_first_access_survives_toggle():
-    # A memo filled while caches were on must still read back correct
-    # bytes once they are off: the stored value shadows the descriptor for
-    # good, and it is exactly what a fresh re-encode yields.
-    for msg in sample_messages():
-        with hotpath_caches(True):
-            cached = msg.wire
-        with hotpath_caches(False):
-            assert msg.wire == cached == msg.encode()
+        twin = replace(msg)
+        assert twin == msg and "wire" not in vars(twin)
+        for _read in range(2):
+            assert msg.wire == msg.encode() == twin.encode()
+            assert msg.wire_size == msg.body_size() == twin.body_size()
+        assert msg.wire is msg.wire  # memoized: literally the same object
+        assert decode_message(msg.wire) == msg
+        if isinstance(msg, PrePrepare):
+            assert msg.header_wire == msg.encode_header() == twin.encode_header()
+            assert msg.header_wire is msg.header_wire
+            assert msg.batch_digest == md5_digest(twin.encode_header())
+        if isinstance(msg, (Request, ViewChangeMsg)):
+            assert msg.digest == md5_digest(twin.encode())
+            assert msg.digest is msg.digest
 
 
 @given(msg=requests)
 @settings(max_examples=100)
 def test_request_digest_identical_across_cache_modes(msg):
-    with hotpath_caches(False):
-        fresh = Request(
-            client=msg.client, req_id=msg.req_id, op=msg.op,
-            readonly=msg.readonly, big=msg.big,
-        )
-        off_digest = fresh.digest
-        off_wire = fresh.encode()
-    with hotpath_caches(True):
-        assert msg.wire == off_wire
-        assert msg.digest == off_digest
+    """The two modes a memo has: cold (this read computes) and warm (this
+    read is the stored value) both equal a digest worked out from a fresh
+    equal request's direct ``encode()``."""
+    fresh = Request(
+        client=msg.client, req_id=msg.req_id, op=msg.op,
+        readonly=msg.readonly, big=msg.big,
+    )
+    expected = md5_digest(fresh.encode())
+    assert "digest" not in vars(msg)
+    assert msg.digest == expected  # cold
+    assert msg.digest == expected  # warm
+    assert msg.wire == fresh.encode()
 
 
 @given(msg=requests)

@@ -49,66 +49,60 @@ def test_wire_size_is_six_bytes_per_entry():
 
 
 def test_mac_cache_hits_and_misses():
-    from repro.common.hotpath import hotpath_caches
     from repro.crypto.authenticators import MacCache
     from repro.crypto.mac import compute_mac
 
     cache = MacCache()
     k = MacKey.generate(RngStreams(5).stream("c"))
-    with hotpath_caches(True):
-        tag = cache.tag(k, b"data")
-        assert tag == compute_mac(k, b"data")
-        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
-        assert cache.tag(k, b"data") == tag
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.verify(k, b"data", tag)
-        assert not cache.verify(k, b"data", b"\x00" * 4 if tag != b"\x00" * 4 else b"\x01" * 4)
-        assert cache.stats() == {"hits": cache.hits, "misses": cache.misses, "entries": 1}
+    tag = cache.tag(k, b"data")
+    assert tag == compute_mac(k, b"data")
+    assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+    assert cache.tag(k, b"data") == tag
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert cache.verify(k, b"data", tag)
+    assert not cache.verify(k, b"data", b"\x00" * 4 if tag != b"\x00" * 4 else b"\x01" * 4)
+    assert cache.stats() == {"hits": cache.hits, "misses": cache.misses, "entries": 1}
 
 
 def test_mac_cache_evicts_oldest_first_and_stays_bounded():
-    from repro.common.hotpath import hotpath_caches
     from repro.crypto.authenticators import MacCache
 
     cache = MacCache(max_entries=4)
     k = MacKey.generate(RngStreams(6).stream("c"))
-    with hotpath_caches(True):
-        for i in range(10):
-            cache.tag(k, bytes([i]))
-            assert len(cache) <= 4
-        # The newest four survive; the oldest were evicted (re-tagging
-        # one of them is a miss, a recent one is a hit).
-        hits = cache.hits
-        cache.tag(k, bytes([9]))
-        assert cache.hits == hits + 1
-        misses = cache.misses
-        cache.tag(k, bytes([0]))
-        assert cache.misses == misses + 1
+    for i in range(10):
+        cache.tag(k, bytes([i]))
+        assert len(cache) <= 4
+    # The newest four survive; the oldest were evicted (re-tagging
+    # one of them is a miss, a recent one is a hit).
+    hits = cache.hits
+    cache.tag(k, bytes([9]))
+    assert cache.hits == hits + 1
+    misses = cache.misses
+    cache.tag(k, bytes([0]))
+    assert cache.misses == misses + 1
 
 
 def test_mac_cache_default_bound_evicts_fifo():
-    from repro.common.hotpath import hotpath_caches
     from repro.crypto.authenticators import MacCache
 
     cache = MacCache()
     bound = cache.max_entries
     assert bound == 1 << 12
     k = MacKey.generate(RngStreams(8).stream("c"))
-    with hotpath_caches(True):
-        for i in range(bound):
-            cache.tag(k, i.to_bytes(4, "big"))
-        assert len(cache) == bound and cache.misses == bound
-        # A hit does not refresh an entry's position (FIFO, not LRU) ...
-        cache.tag(k, (0).to_bytes(4, "big"))
-        assert cache.hits == 1
-        # ... so one insertion past the bound evicts entry 0, and only it.
-        cache.tag(k, bound.to_bytes(4, "big"))
-        assert len(cache) == bound
-        cache.tag(k, (1).to_bytes(4, "big"))
-        assert cache.hits == 2
-        cache.tag(k, (0).to_bytes(4, "big"))
-        assert cache.misses == bound + 2
-        assert len(cache) == bound
+    for i in range(bound):
+        cache.tag(k, i.to_bytes(4, "big"))
+    assert len(cache) == bound and cache.misses == bound
+    # A hit does not refresh an entry's position (FIFO, not LRU) ...
+    cache.tag(k, (0).to_bytes(4, "big"))
+    assert cache.hits == 1
+    # ... so one insertion past the bound evicts entry 0, and only it.
+    cache.tag(k, bound.to_bytes(4, "big"))
+    assert len(cache) == bound
+    cache.tag(k, (1).to_bytes(4, "big"))
+    assert cache.hits == 2
+    cache.tag(k, (0).to_bytes(4, "big"))
+    assert cache.misses == bound + 2
+    assert len(cache) == bound
 
 
 def test_mac_cache_bound_covers_the_twelve_client_working_set():
@@ -147,29 +141,14 @@ def test_mac_cache_bound_covers_the_twelve_client_working_set():
     assert len(cache) <= cache.max_entries
 
 
-def test_mac_cache_disabled_mode_bypasses_storage():
-    from repro.common.hotpath import hotpath_caches
-    from repro.crypto.authenticators import MacCache
-    from repro.crypto.mac import compute_mac
-
-    cache = MacCache()
-    k = MacKey.generate(RngStreams(7).stream("c"))
-    with hotpath_caches(False):
-        tag = cache.tag(k, b"data")
-        assert tag == compute_mac(k, b"data")
-    assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-
 def test_mac_cache_authenticator_matches_uncached():
-    from repro.common.hotpath import hotpath_caches
     from repro.crypto.authenticators import MacCache
 
     keys = keys_for()
     direct = make_authenticator(keys, b"msg")
     cache = MacCache()
-    with hotpath_caches(True):
-        cached = cache.authenticator(keys, b"msg")
-        for rid, k in keys.items():
-            assert cached.tag_for(rid) == direct.tag_for(rid)
-            assert cache.verify_authenticator(k, rid, b"msg", cached)
-        assert not cache.verify_authenticator(keys[0], 99, b"msg", cached)
+    cached = cache.authenticator(keys, b"msg")
+    for rid, k in keys.items():
+        assert cached.tag_for(rid) == direct.tag_for(rid)
+        assert cache.verify_authenticator(k, rid, b"msg", cached)
+    assert not cache.verify_authenticator(keys[0], 99, b"msg", cached)

@@ -51,31 +51,27 @@ def test_keys_hashable_for_dict_use():
 
 
 def test_compute_mac_is_hmac_md5_in_both_cache_modes():
-    # The hot-path implementation reuses precomputed inner/outer MD5
-    # states; it must stay byte-identical to the reference HMAC in the
-    # standard library, which is what the caches-off path calls.
+    # compute_mac copies precomputed inner/outer MD5 states instead of
+    # re-deriving the HMAC key schedule; it must stay byte-identical to
+    # the standard library's HMAC, both when a call builds the key's
+    # schedule (cold) and when it reuses it (warm).
     import hashlib
     import hmac as hmac_mod
-
-    from repro.common.hotpath import hotpath_caches
 
     rng = RngStreams(123).stream("hmac-vectors")
     for _ in range(50):
         k = MacKey.generate(rng)
         data = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
         reference = hmac_mod.new(k.key, data, hashlib.md5).digest()[:MAC_SIZE]
-        with hotpath_caches(True):
-            assert compute_mac(k, data) == reference
-        with hotpath_caches(False):
-            assert compute_mac(k, data) == reference
+        assert k._iproto is None
+        assert compute_mac(k, data) == reference  # cold
+        assert k._iproto is not None
+        assert compute_mac(k, data) == reference  # warm
 
 
 def test_key_schedule_memo_survives_repeated_use():
-    from repro.common.hotpath import hotpath_caches
-
     k = key()
-    with hotpath_caches(True):
-        first = compute_mac(k, b"a")
-        assert compute_mac(k, b"a") == first
-        assert compute_mac(k, b"b") != first  # distinct data, fresh tag
-        assert verify_mac(k, b"a", first)
+    first = compute_mac(k, b"a")
+    assert compute_mac(k, b"a") == first
+    assert compute_mac(k, b"b") != first  # distinct data, fresh tag
+    assert verify_mac(k, b"a", first)

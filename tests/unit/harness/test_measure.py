@@ -1,6 +1,11 @@
 """The measurement harness itself."""
 
-from repro.harness.measure import Measurement, run_null_workload, run_sql_workload
+from repro.harness.measure import (
+    Measurement,
+    run_analytics_workload,
+    run_null_workload,
+    run_sql_workload,
+)
 from repro.pbft.config import PbftConfig
 
 
@@ -71,3 +76,15 @@ def test_sql_workload_reports_agreeing_replicas():
     assert m.tps > 50
     counts = m.extras["replica_exec_counts"]
     assert max(counts) - min(counts) <= 64
+
+
+def test_analytics_workload_pins():
+    # INSERTs interleaved with join + GROUP BY rollups, n=4, MACs: the
+    # only replicated run of multi-table statements, so its results and
+    # database contents are pinned.
+    m = run_analytics_workload(
+        PbftConfig(), warmup_s=0.2, measure_s=0.6, seed=3, real_crypto=True
+    )
+    assert m.completed == 516
+    assert m.tps == 860.0
+    assert m.extras["state_root"] == "33ae553e312a43fb316f0b0c5cc9005c"

@@ -342,62 +342,44 @@ def test_statement_stats_tracked(db):
 
 class TestStatementCache:
     def test_hot_path_caches_parsed_statements(self):
-        from repro.common.hotpath import hotpath_caches
-
-        with hotpath_caches(True):
-            db = Database()
-            db.executescript("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
-            db.execute("INSERT INTO t (x) VALUES (?)", (1,))
-            db.execute("INSERT INTO t (x) VALUES (?)", (2,))
-            db.execute("INSERT INTO t (x) VALUES (?)", (3,))
-            assert db.plan_cache_hits == 2
-            assert db.plan_cache_misses == 1
-
-    def test_cold_path_never_caches(self):
-        from repro.common.hotpath import hotpath_caches
-
-        with hotpath_caches(False):
-            db = Database()
-            db.executescript("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
-            db.execute("INSERT INTO t (x) VALUES (?)", (1,))
-            db.execute("INSERT INTO t (x) VALUES (?)", (2,))
-            assert db.plan_cache_hits == 0
-            assert db.plan_cache_misses == 0
+        db = Database()
+        db.executescript("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
+        db.execute("INSERT INTO t (x) VALUES (?)", (1,))
+        db.execute("INSERT INTO t (x) VALUES (?)", (2,))
+        db.execute("INSERT INTO t (x) VALUES (?)", (3,))
+        assert db.plan_cache_hits == 2
+        assert db.plan_cache_misses == 1
 
     def test_cached_statement_sees_fresh_subquery_results(self):
         # A cached plan shares its AST across executions; the executor's
         # per-statement subquery memo must not leak between them.
-        from repro.common.hotpath import hotpath_caches
-
-        with hotpath_caches(True):
-            db = Database()
-            db.executescript(
-                "CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)"
-            )
-            db.execute("INSERT INTO t (x) VALUES (10), (20)")
-            q = "SELECT x FROM t WHERE x = (SELECT MAX(x) FROM t)"
-            assert db.execute(q).rows == [(20,)]
-            db.execute("INSERT INTO t (x) VALUES (99)")
-            assert db.execute(q).rows == [(99,)]
-            assert db.plan_cache_hits >= 1
+        db = Database()
+        db.executescript(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)"
+        )
+        db.execute("INSERT INTO t (x) VALUES (10), (20)")
+        q = "SELECT x FROM t WHERE x = (SELECT MAX(x) FROM t)"
+        assert db.execute(q).rows == [(20,)]
+        db.execute("INSERT INTO t (x) VALUES (99)")
+        assert db.execute(q).rows == [(99,)]
+        assert db.plan_cache_hits >= 1
 
     def test_cached_statement_with_different_params_and_subquery(self):
-        from repro.common.hotpath import hotpath_caches
-
-        with hotpath_caches(True):
-            db = Database()
-            db.executescript(
-                "CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)"
-            )
-            db.execute("INSERT INTO t (x) VALUES (10), (20), (30)")
-            q = "SELECT x FROM t WHERE x = (SELECT MAX(x) FROM t WHERE x < ?)"
-            assert db.execute(q, (25,)).rows == [(20,)]
-            assert db.execute(q, (15,)).rows == [(10,)]
+        db = Database()
+        db.executescript(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)"
+        )
+        db.execute("INSERT INTO t (x) VALUES (10), (20), (30)")
+        q = "SELECT x FROM t WHERE x = (SELECT MAX(x) FROM t WHERE x < ?)"
+        assert db.execute(q, (25,)).rows == [(20,)]
+        assert db.execute(q, (15,)).rows == [(10,)]
 
 
 class TestPaddedRowsAndIndexes:
     """Rows stored before ALTER TABLE ADD COLUMN are shorter than the
-    schema; every index operation must see the padded defaults."""
+    schema; every index operation must see the padded defaults — through
+    the index the planner picks and through the full scan (the ``planned``
+    fixture of conftest.py runs each test both ways)."""
 
     def build(self):
         db = Database()
@@ -407,63 +389,38 @@ class TestPaddedRowsAndIndexes:
         db.execute("CREATE INDEX idx_t_b ON t(b)")
         return db
 
-    def run_with(self, optimized, fn):
-        from repro.common.hotpath import hotpath_caches
-
-        with hotpath_caches(optimized):
-            return fn()
-
-    @pytest.mark.parametrize("optimized", [False, True])
-    def test_backfill_uses_padded_defaults(self, optimized):
-        def scenario():
-            db = self.build()
-            rows = db.execute(
-                "SELECT a FROM t WHERE b = 'd' ORDER BY id"
-            ).rows
-            return rows
-
-        assert self.run_with(optimized, scenario) == [
+    def test_backfill_uses_padded_defaults(self, planned):
+        db = self.build()
+        assert db.execute("SELECT a FROM t WHERE b = 'd' ORDER BY id").rows == [
             ("one",), ("two",), ("three",)
         ]
+        assert (db.executor.index_lookups > 0) == planned
 
-    @pytest.mark.parametrize("optimized", [False, True])
-    def test_update_of_pre_alter_row_maintains_the_index(self, optimized):
-        def scenario():
-            db = self.build()
-            db.execute("UPDATE t SET b = 'changed' WHERE a = 'two'")
-            via_new = db.execute("SELECT a FROM t WHERE b = 'changed'").rows
-            via_default = db.execute(
-                "SELECT a FROM t WHERE b = 'd' ORDER BY id"
-            ).rows
-            return via_new, via_default
+    def test_update_of_pre_alter_row_maintains_the_index(self, planned):
+        db = self.build()
+        db.execute("UPDATE t SET b = 'changed' WHERE a = 'two'")
+        assert db.execute("SELECT a FROM t WHERE b = 'changed'").rows == [("two",)]
+        assert db.execute("SELECT a FROM t WHERE b = 'd' ORDER BY id").rows == [
+            ("one",), ("three",)
+        ]
 
-        via_new, via_default = self.run_with(optimized, scenario)
-        assert via_new == [("two",)]
-        assert via_default == [("one",), ("three",)]
-
-    @pytest.mark.parametrize("optimized", [False, True])
-    def test_delete_of_pre_alter_row_leaves_no_phantom(self, optimized):
-        def scenario():
-            db = self.build()
-            db.execute("DELETE FROM t WHERE a = 'one'")
-            return db.execute("SELECT a FROM t WHERE b = 'd' ORDER BY id").rows
-
-        assert self.run_with(optimized, scenario) == [("two",), ("three",)]
+    def test_delete_of_pre_alter_row_leaves_no_phantom(self, planned):
+        db = self.build()
+        db.execute("DELETE FROM t WHERE a = 'one'")
+        assert db.execute("SELECT a FROM t WHERE b = 'd' ORDER BY id").rows == [
+            ("two",), ("three",)
+        ]
 
 
 class TestNanParameters:
-    @pytest.mark.parametrize("optimized", [False, True])
-    def test_nan_binds_as_null(self, optimized):
-        from repro.common.hotpath import hotpath_caches
-
-        with hotpath_caches(optimized):
-            db = Database()
-            db.executescript(
-                "CREATE TABLE t (id INTEGER PRIMARY KEY, x REAL)"
-            )
-            db.execute("INSERT INTO t (x) VALUES (?)", (float("nan"),))
-            assert db.execute("SELECT x FROM t WHERE x IS NULL").rows == [(SqlNull,)]
-            # NULL never compares equal: a NaN probe must match nothing.
-            assert db.execute(
-                "SELECT id FROM t WHERE x = ?", (float("nan"),)
-            ).rows == []
+    def test_nan_binds_as_null(self, planned):
+        db = Database()
+        db.executescript(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, x REAL)"
+        )
+        db.execute("INSERT INTO t (x) VALUES (?)", (float("nan"),))
+        assert db.execute("SELECT x FROM t WHERE x IS NULL").rows == [(SqlNull,)]
+        # NULL never compares equal: a NaN probe must match nothing.
+        assert db.execute(
+            "SELECT id FROM t WHERE x = ?", (float("nan"),)
+        ).rows == []

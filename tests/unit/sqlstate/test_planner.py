@@ -1,9 +1,8 @@
 """The cost-based planner: predicate extraction, plan choice, golden
-EXPLAIN plans, and the off-vs-on differential identity guarantee."""
+EXPLAIN plans, and the planned-vs-forced differential identity guarantee."""
 
 import pytest
 
-from repro.common.hotpath import hotpath_caches
 from repro.sqlstate import planner
 from repro.sqlstate.engine import Database
 from repro.sqlstate.parser import parse
@@ -113,14 +112,13 @@ class TestPlanChoice:
 
     def test_empty_table_choice_is_metric_neutral(self):
         # At rows=0 the probe and seq costs tie and seq wins; that is fine
-        # only because both paths scan zero rows, so the simulated
-        # rows_scanned metric cannot diverge from the naive path.
+        # because either way zero rows are scanned, so the simulated
+        # rows_scanned metric does not depend on the choice.
         db = make_db()
         plan = planner.plan_scan(db.catalog, *select_where(
             db, "SELECT * FROM users WHERE name = 'nobody'"))
         assert plan.method == "seq"
-        with hotpath_caches(True):
-            assert db.execute("SELECT * FROM users WHERE name = 'nobody'").rows == []
+        assert db.execute("SELECT * FROM users WHERE name = 'nobody'").rows == []
         assert db.executor.rows_scanned == 0
 
 
@@ -226,53 +224,56 @@ QUERIES = [
 
 class TestDifferentialIdentity:
     """The planner must be invisible in the results: every query returns
-    bit-identical rows with the hot path off and on."""
+    bit-identical rows whether it runs as planned or with the planner
+    forced to its trivial answers (conftest.py's ``trivial_plans``: scan
+    everything, nested-loop every join), and planning never scans more."""
 
-    def run_all(self, optimized):
-        with hotpath_caches(optimized):
-            db = make_db()
-            populate(db)
-            out = []
-            for sql, params in QUERIES:
-                out.append(db.execute(sql, params).rows)
-            # Ranged DML, then a full dump: writes must land identically.
-            out.append(db.execute("UPDATE users SET age = age + 1 "
-                                  "WHERE age BETWEEN 25 AND 28"))
-            out.append(db.execute("DELETE FROM users WHERE age > 47"))
-            out.append(db.execute("SELECT * FROM users ORDER BY id").rows)
-            out.append(db.execute("SELECT * FROM pets ORDER BY id").rows)
-        return out
+    def run_all(self):
+        db = make_db()
+        populate(db)
+        out = []
+        for sql, params in QUERIES:
+            out.append(db.execute(sql, params).rows)
+        # Ranged DML, then a full dump: writes must land identically.
+        out.append(db.execute("UPDATE users SET age = age + 1 "
+                              "WHERE age BETWEEN 25 AND 28"))
+        out.append(db.execute("DELETE FROM users WHERE age > 47"))
+        out.append(db.execute("SELECT * FROM users ORDER BY id").rows)
+        out.append(db.execute("SELECT * FROM pets ORDER BY id").rows)
+        return out, db.executor.rows_scanned, db.executor.index_lookups
 
-    def test_off_and_on_agree(self):
-        assert self.run_all(False) == self.run_all(True)
+    def test_off_and_on_agree(self, trivial_plans):
+        with trivial_plans():
+            forced_out, forced_scanned, forced_lookups = self.run_all()
+        planned_out, planned_scanned, planned_lookups = self.run_all()
+        assert planned_out == forced_out
+        assert planned_scanned < forced_scanned
+        assert forced_lookups == 0 < planned_lookups
 
 
 class TestPlanInvalidation:
     def test_dropping_the_index_mid_stream_keeps_answers_correct(self):
-        with hotpath_caches(True):
-            db = make_db()
-            populate(db)
-            q = "SELECT id FROM users WHERE age = ? ORDER BY id"
-            before = db.execute(q, (25,)).rows
-            db.execute("DROP INDEX idx_users_age")
-            assert db.execute(q, (25,)).rows == before
+        db = make_db()
+        populate(db)
+        q = "SELECT id FROM users WHERE age = ? ORDER BY id"
+        before = db.execute(q, (25,)).rows
+        db.execute("DROP INDEX idx_users_age")
+        assert db.execute(q, (25,)).rows == before
 
     def test_new_index_is_picked_up_by_cached_statements(self):
-        with hotpath_caches(True):
-            db = make_db()
-            populate(db)
-            q = "SELECT id FROM pets WHERE species = ? ORDER BY id"
-            before = db.execute(q, ("cat",)).rows
-            db.execute("CREATE INDEX idx_pets_species ON pets(species)")
-            lookups = db.executor.index_lookups
-            assert db.execute(q, ("cat",)).rows == before
-            assert db.executor.index_lookups > lookups
+        db = make_db()
+        populate(db)
+        q = "SELECT id FROM pets WHERE species = ? ORDER BY id"
+        before = db.execute(q, ("cat",)).rows
+        db.execute("CREATE INDEX idx_pets_species ON pets(species)")
+        lookups = db.executor.index_lookups
+        assert db.execute(q, ("cat",)).rows == before
+        assert db.executor.index_lookups > lookups
 
     def test_rollback_reverts_planner_visible_state(self):
-        with hotpath_caches(True):
-            db = make_db()
-            populate(db, users=10, pets=0)
-            db.execute("BEGIN")
-            db.execute("DELETE FROM users WHERE age > 0")
-            db.execute("ROLLBACK")
-            assert db.execute("SELECT COUNT(*) FROM users").scalar() == 10
+        db = make_db()
+        populate(db, users=10, pets=0)
+        db.execute("BEGIN")
+        db.execute("DELETE FROM users WHERE age > 0")
+        db.execute("ROLLBACK")
+        assert db.execute("SELECT COUNT(*) FROM users").scalar() == 10
