@@ -18,6 +18,12 @@ def md5_digest(data: bytes) -> bytes:
     return hashlib.md5(data).digest()
 
 
+def digest_state(data: bytes):
+    """A running digest over ``data``.  ``.copy()`` forks it, so several
+    suffixes of one prefix are hashed without re-hashing the prefix."""
+    return hashlib.md5(data)
+
+
 def digest_parts(parts: Iterable[bytes]) -> bytes:
     """Digest the concatenation of ``parts`` without building it in memory."""
     h = hashlib.md5()

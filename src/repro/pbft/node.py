@@ -41,6 +41,12 @@ AUTH_MAC = 1
 AUTH_VECTOR = 2  # authenticator: one MAC per replica
 AUTH_SIG = 3
 
+# Wire size charged for a signature that was never computed (stub crypto):
+# 2 salt bytes + a 512-bit root.  A modelled size, not a measured one — a
+# real signature under the default 256-bit key takes 34 — and every
+# stub-crypto run that sends a signed message pins its value.
+STUB_SIGNATURE_SIZE = 66
+
 
 def _receive_cost(costs, wire_size: int, auth_kind: int) -> int:
     """Simulated CPU a receiver spends before it can dispatch a message."""
@@ -97,7 +103,7 @@ class Envelope:
         elif auth_kind == AUTH_VECTOR:
             size += auth.size
         elif auth_kind == AUTH_SIG:
-            size += auth.size_bytes if auth is not None else 66
+            size += auth.size_bytes if auth is not None else STUB_SIGNATURE_SIZE
         self.size = size
         self.cost_model = costs
         self.recv_cost = (
@@ -213,6 +219,9 @@ class Node:
         self.penalty = None
         self.auth_failures = 0
         self.messages_handled = 0
+        # (message, key, signature) of the last signature computed: a
+        # message unicast to every replica is signed once, not n times.
+        self._last_signed: tuple = (None, None, None)
         # Fault injection: a muted node receives and processes messages but
         # sends nothing — a live process behind a dead NIC.  Muting the
         # primary models the paper's silent-primary failure, which only
@@ -257,9 +266,21 @@ class Node:
         self.socket.multicast(dsts, env, env.size, kind or msg.KIND)
 
     def _sign(self, msg) -> Optional[RabinSignature]:
+        """The signature over ``msg``; callers charge ``sign_ns`` per send.
+
+        Messages are frozen and a signature is a pure function of key and
+        bytes, so signing the same message object again under the same key
+        object returns the signature already made — identity, not equality,
+        so the check costs nothing and a refreshed key signs afresh.
+        """
         if not self.real_crypto:
             return None
-        return rabin_sign(self._own_signing_key(), msg.auth_bytes())
+        key = self._own_signing_key()
+        last_msg, last_key, signature = self._last_signed
+        if msg is not last_msg or key is not last_key:
+            signature = rabin_sign(key, msg.auth_bytes())
+            self._last_signed = (msg, key, signature)
+        return signature
 
     def send_signed(self, dst: Address, msg, kind: str = "") -> None:
         """Sign with our private key and send (expensive)."""
@@ -412,26 +433,33 @@ class Node:
         if auth_kind == AUTH_NONE:
             return True
         if auth_kind == AUTH_SIG:
-            public = self._public_key_of(env.sender_kind, env.sender_id)
-            if public is None:
-                return False
-            if not self.real_crypto:
-                return True
-            return rabin_verify(public, env.msg.auth_bytes(), env.auth)
-        key = self.session_keys.get(env.sender)
-        if key is None:
-            key = self._session_key_for(env.sender_kind, env.sender_id)
+            key = self._public_key_of(env.sender_kind, env.sender_id)
             if key is None:
-                # No session key for this peer: exactly the restarted-replica
-                # condition of paper section 2.3.
                 return False
+        else:
+            key = self.session_keys.get(env.sender)
+            if key is None:
+                key = self._session_key_for(env.sender_kind, env.sender_id)
+                if key is None:
+                    # No session key for this peer: exactly the restarted-replica
+                    # condition of paper section 2.3.
+                    return False
         if not self.real_crypto:
             return True
-        mac_cache = self.keys.mac_cache
         data = env.msg.auth_bytes()
-        if auth_kind == AUTH_MAC:
-            return mac_cache.verify(key, data, env.auth)
-        return mac_cache.verify_authenticator(key, self.node_id, data, env.auth)
+        try:
+            if auth_kind == AUTH_VECTOR:
+                return self.keys.mac_cache.verify_authenticator(
+                    key, self.node_id, data, env.auth
+                )
+            if auth_kind == AUTH_MAC:
+                return self.keys.mac_cache.verify(key, data, env.auth)
+            return rabin_verify(key, data, env.auth)
+        except (AttributeError, TypeError):
+            # The trailer is not of the shape its auth_kind promises (no
+            # trailer at all, a tag where a signature belongs): a sender
+            # can put anything there, so that is a failed check.
+            return False
 
     def _public_key_of(self, kind: str, node_id: int) -> Optional[RabinPublicKey]:
         if kind == "replica":

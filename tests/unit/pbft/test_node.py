@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.rabin import RabinSignature
 from repro.net.fabric import DropRule, NetworkFabric
 from repro.pbft.config import PbftConfig
 from repro.pbft.messages import StatusMsg
@@ -158,6 +159,105 @@ def test_tampered_message_with_valid_looking_mac_rejected(rig):
     sim.run()
     assert nodes[1].received == []
     assert nodes[1].auth_failures == 1
+
+
+# -- malformed trailers -------------------------------------------------------------
+
+
+# What a sender can put where the trailer goes (envelopes travel by
+# reference), given a good signature over the same request.
+@pytest.mark.parametrize(
+    "auth_kind,craft",
+    [
+        pytest.param(AUTH_SIG, lambda good: RabinSignature(70000, good.root), id="salt-too-big"),
+        pytest.param(AUTH_SIG, lambda good: RabinSignature(-1, good.root), id="salt-negative"),
+        # What a stub-crypto sender emits.
+        pytest.param(AUTH_SIG, lambda good: None, id="sig-missing"),
+        pytest.param(AUTH_MAC, lambda good: None, id="mac-missing"),
+        pytest.param(AUTH_MAC, lambda good: good, id="mac-is-a-signature"),
+    ],
+)
+def test_malformed_trailer_is_an_auth_failure_not_an_exception(auth_kind, craft):
+    from repro.crypto.rabin import rabin_sign
+    from repro.pbft.cluster import build_cluster
+    from repro.pbft.messages import Request
+
+    cluster = build_cluster(PbftConfig(num_clients=2), seed=5, real_crypto=True)
+    client, replica = cluster.clients[0], cluster.replicas[0]
+    assert ("client", client.node_id) in replica.session_keys
+    request = Request(client=client.node_id, req_id=1, op=b"\x00crafted")
+    good = rabin_sign(cluster.keys.client_keys[client.node_id], request.auth_bytes())
+    env = Envelope(request, auth_kind, craft(good), "client", client.node_id)
+    handled = replica.messages_handled
+    client.socket.send(replica_address(0), env, env.size, "crafted")
+    cluster.sim.run_for(5_000_000)  # raises here if the handler does
+    assert replica.auth_failures == 1
+    assert replica.stats["auth_failures"] == 1
+    assert replica.messages_handled == handled
+    # The replica is unharmed: the same client's honest request commits.
+    assert cluster.invoke_and_wait(client, b"\x00honest") is not None
+    assert replica.auth_failures == 1
+
+
+# -- one signature per message ----------------------------------------------------
+
+
+@pytest.fixture()
+def signatures(monkeypatch):
+    """Every ``rabin_sign`` call a node makes, as ``(key, bytes)``."""
+    import repro.pbft.node as node_module
+
+    made = []
+    real_sign = node_module.rabin_sign
+
+    def counting_sign(key, data):
+        made.append((key, data))
+        return real_sign(key, data)
+
+    monkeypatch.setattr(node_module, "rabin_sign", counting_sign)
+    return made
+
+
+def test_one_message_to_every_replica_is_signed_once_and_charged_per_send(rig, signatures):
+    sim, config, _keys, nodes = rig
+    sender, message = nodes[0], msg(0)
+    before = sender.host.cpu_busy_ns
+    for rid in range(1, config.n):
+        sender.send_signed(replica_address(rid), message)
+    sends = config.n - 1
+    assert len(signatures) == 1
+    # The simulated signer is still paid once per destination.
+    assert sender.host.cpu_busy_ns - before == sends * (
+        sender._marshal_cost(message) + config.costs.crypto.sign_ns
+    )
+    sim.run()
+    assert [len(peer.received) for peer in nodes[1:]] == [1] * sends
+    assert all(peer.auth_failures == 0 for peer in nodes)
+
+
+def test_equal_bytes_in_another_message_object_are_signed_afresh(rig, signatures):
+    _sim, _config, _keys, nodes = rig
+    first, second = msg(0), msg(0)
+    assert first == second and first is not second
+    nodes[0].send_signed(replica_address(1), first)
+    nodes[0].send_signed(replica_address(1), second)
+    nodes[0].send_signed(replica_address(1), first)
+    assert len(signatures) == 3
+
+
+def test_same_message_after_key_refresh_is_signed_with_the_new_key(rig, signatures):
+    sim, _config, keys, nodes = rig
+    message = msg(0)
+    nodes[0].send_signed(replica_address(1), message)
+    keys.refresh_slot(0)
+    nodes[0].send_signed(replica_address(1), message)
+    assert len(signatures) == 2
+    assert signatures[0][0] is not signatures[1][0]
+    assert signatures[1][0] is keys.replica_keys[0]
+    sim.run()
+    # The first envelope now fails against the refreshed public key; the
+    # second was signed under it.
+    assert (len(nodes[1].received), nodes[1].auth_failures) == (1, 1)
 
 
 # -- the slotted envelope ---------------------------------------------------------
