@@ -17,6 +17,7 @@ encoded result rows (or an affected-row count).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.common.errors import SqlError
@@ -45,6 +46,12 @@ def encode_sql_op(sql: str, params: tuple = ()) -> bytes:
     )
 
 
+# One operation is decoded by the router's codec, by the lock-key scan at
+# every replica and again to execute; its bytes and the decoded
+# (str, tuple-of-scalars) are both immutable, so the decodings are shared.
+# The working set is the operations in flight, a few per router or client.
+# A malformed operation raises every time: lru_cache stores no exceptions.
+@functools.lru_cache(maxsize=256)
 def decode_sql_op(op: bytes) -> tuple[str, tuple]:
     dec = Decoder(op)
     if dec.u8() != _OP_SQL:
@@ -61,6 +68,7 @@ _STOP_WORDS = frozenset(
 )
 
 
+@functools.lru_cache(maxsize=256)
 def tables_of_sql(sql: str) -> tuple[str, ...]:
     """The table names a statement references, in first-mention order.
 

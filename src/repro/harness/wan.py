@@ -49,30 +49,38 @@ def net_config_for(profile: WanProfile) -> NetworkConfig:
     )
 
 
+def tuned_config(profile: WanProfile, base: PbftConfig | None = None) -> PbftConfig:
+    """``base`` with its timeouts scaled to the profile's round trip, so
+    the protocol is measured rather than spurious retransmissions.  The
+    backoff cap grows by the factor its base interval grew by."""
+    base = base or PbftConfig()
+    rtt = 2 * profile.one_way_latency_ns
+    retransmit_ns = max(base.client_retransmit_ns, 20 * rtt)
+    tuned = base.with_options(
+        client_retransmit_ns=retransmit_ns,
+        client_retransmit_cap_ns=(
+            base.client_retransmit_cap_ns * retransmit_ns // base.client_retransmit_ns
+        ),
+        view_change_timeout_ns=max(base.view_change_timeout_ns, 60 * rtt),
+    )
+    tuned.validate()
+    return tuned
+
+
 def run_wan_sweep(
     profiles: tuple[WanProfile, ...] = PROFILES,
     measure_s: float = 0.8,
     seed: int = 3,
     config: PbftConfig | None = None,
 ) -> list[tuple[WanProfile, Measurement]]:
-    """Run the default null workload across latency profiles.
-
-    Timeouts scale with the round-trip so the protocol is measured rather
-    than spurious retransmissions.
-    """
+    """Run the default null workload across latency profiles."""
     results = []
     for profile in profiles:
-        rtt = 2 * profile.one_way_latency_ns
-        base = config or PbftConfig()
-        tuned = base.with_options(
-            client_retransmit_ns=max(base.client_retransmit_ns, 20 * rtt),
-            view_change_timeout_ns=max(base.view_change_timeout_ns, 60 * rtt),
-        )
         measurement = run_null_workload(
-            tuned,
+            tuned_config(profile, config),
             name=profile.name,
             measure_s=measure_s,
-            warmup_s=max(0.2, 40 * rtt / 1e9),
+            warmup_s=max(0.2, 80 * profile.one_way_latency_ns / 1e9),  # 40 round trips
             seed=seed,
             net_config=net_config_for(profile),
         )

@@ -9,8 +9,6 @@ them the same total order as every application request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import ProtocolError
 from repro.crypto.digests import DIGEST_SIZE, md5_digest
 from repro.pbft.messages import (  # noqa: F401  (SYS_* re-exported)
@@ -19,6 +17,7 @@ from repro.pbft.messages import (  # noqa: F401  (SYS_* re-exported)
     SYS_RECONFIG,
     SYSTEM_OP_PREFIX,
     WireMemo,
+    message,
 )
 from repro.pbft.wire import Decoder, Encoder
 
@@ -33,7 +32,7 @@ RECONFIG_REPLACE = 3
 REPLY_PREFIX_LEN = 6
 
 
-@dataclass(frozen=True)
+@message
 class JoinPhase1(WireMemo):
     """Phase 1: announce address, public key, nonce, and await a challenge."""
 
@@ -76,7 +75,7 @@ class JoinPhase1(WireMemo):
         )
 
 
-@dataclass(frozen=True)
+@message
 class JoinChallenge(WireMemo):
     """A replica's challenge, sent to the claimed address.
 
@@ -123,7 +122,7 @@ def compute_response(challenge: bytes, nonce: bytes) -> bytes:
     return md5_digest(b"join-response:" + challenge + nonce)
 
 
-@dataclass(frozen=True)
+@message
 class Join2Payload:
     """The system-op payload of a phase-2 join request."""
 
@@ -169,7 +168,7 @@ def encode_leave_op() -> bytes:
     return bytes([SYSTEM_OP_PREFIX, SYS_LEAVE])
 
 
-@dataclass(frozen=True)
+@message
 class ReconfigPayload:
     """The system-op payload of a replica-reconfiguration request.
 

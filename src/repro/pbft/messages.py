@@ -11,10 +11,11 @@ authenticator refresh of paper section 2.3.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 
 from repro.common.errors import ProtocolError
-from repro.crypto.digests import DIGEST_SIZE, md5_digest
+from repro.crypto.digests import DIGEST_SIZE, md5_digest, memo_digest
 from repro.pbft.wire import Decoder, Encoder
 
 # Sequence number used before any request is assigned one.
@@ -45,6 +46,53 @@ class _lazy:
             return self
         value = obj.__dict__[self.name] = self.fn(obj)
         return value
+
+
+def message(cls):
+    """``@dataclass(frozen=True)`` with a constructor that stores once.
+
+    The stock generated ``__init__`` of a frozen dataclass makes one
+    ``object.__setattr__`` call per field; a run builds over a dozen
+    messages per operation, which made it the largest single leaf of the
+    null workload.  This one binds every field with a single store of the
+    instance ``__dict__``.  That is safe because the class is frozen —
+    ``__setattr__``/``__delattr__`` raise, so nothing rebinds the dict
+    afterwards (``_lazy`` memos are added *to* it) — and because the stock
+    constructor validates nothing that could be skipped: it only assigns.
+    Everything else (``fields``, ``eq``/``hash``/``repr``, ``replace()``)
+    is the dataclass's own.  A class whose construction does more than
+    assign positional-or-keyword arguments — ``__post_init__``, a
+    ``default_factory``, ``init=False`` or ``kw_only`` fields — keeps the
+    stock constructor.
+
+    The constructor is compiled against the defining module's file at the
+    decorator's line, so each has its own ``(co_filename,
+    co_firstlineno)``: profilers key rows by that pair, and the stock
+    ones all share ``('<string>', 2)``, where ``pstats`` keeps one class's
+    time and drops the rest.
+    """
+    cls = dataclass(frozen=True)(cls)
+    flds = fields(cls)
+    if hasattr(cls, "__post_init__") or any(
+        not f.init or f.kw_only or f.default_factory is not MISSING for f in flds
+    ):
+        return cls
+    names = [f.name for f in flds]
+    source = (
+        "\n" * (sys._getframe(1).f_lineno - 1)
+        + f"def __init__(self, {', '.join(names)}):\n"
+        + f"    _store(self, '__dict__', {{{', '.join(f'{n!r}: {n}' for n in names)}}})\n"
+    )
+    namespace = {"__name__": cls.__module__, "_store": object.__setattr__}
+    exec(compile(source, sys.modules[cls.__module__].__file__, "exec"), namespace)
+    init = namespace["__init__"]
+    # Defaulted fields are trailing ones (dataclass enforces it), which is
+    # exactly what __defaults__ describes.
+    init.__defaults__ = tuple(f.default for f in flds if f.default is not MISSING)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
+    cls.__init__ = init
+    return cls
 
 
 class WireMemo:
@@ -80,7 +128,7 @@ class WireMemo:
         return self.wire
 
 
-@dataclass(frozen=True)
+@message
 class Request(WireMemo):
     """A client operation submitted for total ordering.
 
@@ -132,7 +180,7 @@ def designated_replier(req: Request, n: int) -> int:
     return (req.req_id + req.client) % n
 
 
-@dataclass(frozen=True)
+@message
 class PrePrepare(WireMemo):
     """Primary's sequence-number assignment for a batch of requests.
 
@@ -229,7 +277,7 @@ class _Vote(WireMemo):
         return 1 + 2 + 8 + 8 + DIGEST_SIZE
 
 
-@dataclass(frozen=True)
+@message
 class Prepare(_Vote):
     """A backup's agreement to the primary's sequence assignment."""
 
@@ -241,7 +289,7 @@ class Prepare(_Vote):
     sender: int
 
 
-@dataclass(frozen=True)
+@message
 class Commit(_Vote):
     """Second-round vote guaranteeing total order across views."""
 
@@ -253,7 +301,7 @@ class Commit(_Vote):
     sender: int
 
 
-@dataclass(frozen=True)
+@message
 class Reply(WireMemo):
     """A replica's reply, sent directly to the client.
 
@@ -299,7 +347,7 @@ class Reply(WireMemo):
         """Digest used to match full and digest-only replies."""
         if self.digest_only:
             return self.result
-        return md5_digest(self.result)
+        return memo_digest(self.result)
 
     def stabilized(self) -> "Reply":
         """This reply with the tentative flag cleared.
@@ -324,7 +372,7 @@ class Reply(WireMemo):
         return 1 + 2 + 8 + 8 + 4 + 1 + 1 + (4 + len(self.result))
 
 
-@dataclass(frozen=True)
+@message
 class CheckpointMsg(WireMemo):
     """Proof-of-state message broadcast every K executions."""
 
@@ -350,7 +398,7 @@ class CheckpointMsg(WireMemo):
         return 1 + 2 + 8 + DIGEST_SIZE
 
 
-@dataclass(frozen=True)
+@message
 class PreparedProof:
     """One entry of a view-change message's P set: a prepared batch.
 
@@ -402,7 +450,7 @@ class PreparedProof:
         )
 
 
-@dataclass(frozen=True)
+@message
 class ViewChangeMsg(WireMemo):
     """A replica's vote to depose the primary and move to ``new_view``."""
 
@@ -463,7 +511,7 @@ class ViewChangeMsg(WireMemo):
         )
 
 
-@dataclass(frozen=True)
+@message
 class NewViewMsg(WireMemo):
     """The new primary's installation message.
 
@@ -527,7 +575,7 @@ class NewViewMsg(WireMemo):
         )
 
 
-@dataclass(frozen=True)
+@message
 class StatusMsg(WireMemo):
     """Periodic/recovery gossip of a replica's progress.
 
@@ -566,7 +614,7 @@ class StatusMsg(WireMemo):
         return 1 + 2 + 8 + 8 + 8 + 1
 
 
-@dataclass(frozen=True)
+@message
 class BatchRetransmit(WireMemo):
     """A committed batch replayed to a lagging/recovering replica.
 
@@ -609,7 +657,7 @@ class BatchRetransmit(WireMemo):
         )
 
 
-@dataclass(frozen=True)
+@message
 class FetchDigestsMsg(WireMemo):
     """State transfer: ask a peer for Merkle nodes of its stable checkpoint."""
 
@@ -637,7 +685,7 @@ class FetchDigestsMsg(WireMemo):
         return 1 + 2 + 8 + 4 + 4 * len(self.node_indices)
 
 
-@dataclass(frozen=True)
+@message
 class DigestsMsg(WireMemo):
     """State transfer: Merkle node digests from a stable checkpoint."""
 
@@ -665,7 +713,7 @@ class DigestsMsg(WireMemo):
         return 1 + 2 + 8 + 4 + len(self.entries) * (4 + DIGEST_SIZE)
 
 
-@dataclass(frozen=True)
+@message
 class FetchPagesMsg(WireMemo):
     """State transfer: ask for the data of specific differing pages."""
 
@@ -693,7 +741,7 @@ class FetchPagesMsg(WireMemo):
         return 1 + 2 + 8 + 4 + 4 * len(self.page_indices)
 
 
-@dataclass(frozen=True)
+@message
 class PagesMsg(WireMemo):
     """State transfer: page payloads for a stable checkpoint."""
 
@@ -749,7 +797,7 @@ class PagesMsg(WireMemo):
         )
 
 
-@dataclass(frozen=True)
+@message
 class AuthenticatorRefresh(WireMemo):
     """A client's blind periodic rebroadcast of its session keys.
 
@@ -801,7 +849,7 @@ BUSY_INFLIGHT = 1
 BUSY_OVERSIZED = 2
 
 
-@dataclass(frozen=True)
+@message
 class BusyReply(WireMemo):
     """Explicit backpressure: the replica refused to queue a request.
 

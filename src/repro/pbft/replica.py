@@ -112,6 +112,9 @@ class NullApplication(Application):
 
     def __init__(self, reply_size: int = 1024, execute_cost_ns: int = 2_000) -> None:
         self.reply_size = reply_size
+        # One immutable buffer for every reply: bytes cannot be changed by
+        # whoever receives them, so there is nothing to copy per execution.
+        self._reply = bytes(reply_size)
         self._execute_cost_ns = execute_cost_ns
         self.state: Optional[PagedState] = None
         self.app_offset = 0
@@ -142,7 +145,7 @@ class NullApplication(Application):
             offset = self.app_offset + 8 + (counter * 8) % max(8, slot_space)
             self.state.modify(offset, 8)
             self.state.write(offset, counter.to_bytes(8, "big"))
-        return bytes(self.reply_size)
+        return self._reply
 
     def execute_cost_ns(self, op: bytes, readonly: bool) -> int:
         return self._execute_cost_ns

@@ -1,11 +1,27 @@
-"""Property tests: protocol messages survive encode/decode, and the
-wire memos always equal a fresh encoding."""
+"""Property tests: protocol messages survive encode/decode, the wire
+memos always equal a fresh encoding, and the one-store constructor builds
+what the stock dataclass constructor builds."""
 
-from dataclasses import replace
+import cProfile
+import copy
+import dataclasses
+import hashlib
+import inspect
+import linecache
+import pickle
+import pstats
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.digests import md5_digest
+from repro.crypto.digests import md5_digest, memo_digest
+from repro.membership.messages import (
+    Join2Payload,
+    JoinChallenge,
+    JoinPhase1,
+    ReconfigPayload,
+)
 from repro.pbft.messages import (
     AuthenticatorRefresh,
     BatchRetransmit,
@@ -24,8 +40,11 @@ from repro.pbft.messages import (
     StatusMsg,
     ViewChangeMsg,
     PreparedProof,
+    WireMemo,
     decode_message,
+    message,
 )
+from repro.pbft.wire import Decoder
 
 digests = st.binary(min_size=16, max_size=16)
 small_int = st.integers(min_value=0, max_value=2**31)
@@ -48,100 +67,104 @@ def test_request_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
 
 
-@given(
-    msg=st.builds(
-        PrePrepare,
-        view=seq_nums,
-        seq=seq_nums,
-        request_digests=st.lists(digests, max_size=8).map(tuple),
-        nondet=st.binary(max_size=16),
-        inline_requests=st.lists(requests, max_size=3).map(tuple),
-        sender=replica_ids,
-    )
+pre_prepares = st.builds(
+    PrePrepare,
+    view=seq_nums,
+    seq=seq_nums,
+    request_digests=st.lists(digests, max_size=8).map(tuple),
+    nondet=st.binary(max_size=16),
+    inline_requests=st.lists(requests, max_size=3).map(tuple),
+    sender=replica_ids,
 )
+
+
+@given(msg=pre_prepares)
 @settings(max_examples=60)
 def test_preprepare_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
 
 
-@given(
-    msg=st.one_of(
-        st.builds(Prepare, view=seq_nums, seq=seq_nums, batch_digest=digests, sender=replica_ids),
-        st.builds(Commit, view=seq_nums, seq=seq_nums, batch_digest=digests, sender=replica_ids),
-        st.builds(CheckpointMsg, seq=seq_nums, root=digests, sender=replica_ids),
-        st.builds(
-            StatusMsg,
-            view=seq_nums,
-            last_exec_seq=seq_nums,
-            stable_seq=seq_nums,
-            sender=replica_ids,
-            recovering=st.booleans(),
-        ),
-        st.builds(
-            Reply,
-            view=seq_nums,
-            req_id=seq_nums,
-            client=small_int,
-            sender=replica_ids,
-            result=st.binary(max_size=128),
-            tentative=st.booleans(),
-            digest_only=st.booleans(),
-        ),
-        st.builds(
-            BusyReply,
-            view=seq_nums,
-            req_id=seq_nums,
-            client=small_int,
-            sender=replica_ids,
-            reason=st.integers(min_value=0, max_value=2),
-            retry_after_ns=seq_nums,
-            queue_depth=st.integers(min_value=0, max_value=2**31),
-        ),
-    )
+small_messages = st.one_of(
+    st.builds(Prepare, view=seq_nums, seq=seq_nums, batch_digest=digests, sender=replica_ids),
+    st.builds(Commit, view=seq_nums, seq=seq_nums, batch_digest=digests, sender=replica_ids),
+    st.builds(CheckpointMsg, seq=seq_nums, root=digests, sender=replica_ids),
+    st.builds(
+        StatusMsg,
+        view=seq_nums,
+        last_exec_seq=seq_nums,
+        stable_seq=seq_nums,
+        sender=replica_ids,
+        recovering=st.booleans(),
+    ),
+    st.builds(
+        Reply,
+        view=seq_nums,
+        req_id=seq_nums,
+        client=small_int,
+        sender=replica_ids,
+        result=st.binary(max_size=128),
+        tentative=st.booleans(),
+        digest_only=st.booleans(),
+    ),
+    st.builds(
+        BusyReply,
+        view=seq_nums,
+        req_id=seq_nums,
+        client=small_int,
+        sender=replica_ids,
+        reason=st.integers(min_value=0, max_value=2),
+        retry_after_ns=seq_nums,
+        queue_depth=st.integers(min_value=0, max_value=2**31),
+    ),
 )
+
+
+@given(msg=small_messages)
 @settings(max_examples=150)
 def test_small_messages_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
 
 
-@given(
-    msg=st.builds(
-        ViewChangeMsg,
-        new_view=seq_nums,
-        stable_seq=seq_nums,
-        stable_root=digests,
-        checkpoint_proof=st.lists(
-            st.tuples(replica_ids, digests), max_size=4
-        ).map(tuple),
-        prepared=st.lists(
-            st.builds(
-                PreparedProof, seq=seq_nums, view=seq_nums, batch_digest=digests
-            ),
-            max_size=4,
-        ).map(tuple),
-        sender=replica_ids,
-    )
+view_changes = st.builds(
+    ViewChangeMsg,
+    new_view=seq_nums,
+    stable_seq=seq_nums,
+    stable_root=digests,
+    checkpoint_proof=st.lists(
+        st.tuples(replica_ids, digests), max_size=4
+    ).map(tuple),
+    prepared=st.lists(
+        st.builds(
+            PreparedProof, seq=seq_nums, view=seq_nums, batch_digest=digests
+        ),
+        max_size=4,
+    ).map(tuple),
+    sender=replica_ids,
 )
+
+
+@given(msg=view_changes)
 @settings(max_examples=60)
 def test_viewchange_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
 
 
-@given(
-    msg=st.builds(
-        PagesMsg,
-        checkpoint_seq=seq_nums,
-        root=digests,
-        pages=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=1000), st.binary(max_size=64)),
-            max_size=4,
-        ).map(tuple),
-        sender=replica_ids,
-        client_marks=st.lists(
-            st.tuples(small_int, seq_nums), max_size=4
-        ).map(tuple),
-    )
+pages_msgs = st.builds(
+    PagesMsg,
+    checkpoint_seq=seq_nums,
+    root=digests,
+    pages=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1000), st.binary(max_size=64)),
+        max_size=4,
+    ).map(tuple),
+    sender=replica_ids,
+    client_marks=st.lists(
+        st.tuples(small_int, seq_nums), max_size=4
+    ).map(tuple),
 )
+
+
+@given(msg=pages_msgs)
 @settings(max_examples=60)
 def test_pages_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
@@ -275,3 +298,307 @@ def test_digest_is_injective_over_samples(msg):
         big=msg.big,
     )
     assert msg.digest != other.digest
+
+
+# -- the one-store constructor -----------------------------------------------------
+# ``message`` replaces the dataclass-generated ``__init__``; the stock one is
+# the oracle here, twice over: an instance assembled field by field with
+# ``object.__setattr__`` (what the stock constructor does), and a twin class
+# with the same fields under plain ``@dataclass(frozen=True)``.
+
+
+def all_samples():
+    """``sample_messages()`` plus the decorated classes that carry no tag of
+    their own: proofs nested in view changes and the membership messages."""
+    samples = sample_messages()
+    proofs = [p for m in samples if isinstance(m, (ViewChangeMsg, NewViewMsg))
+              for p in getattr(m, "prepared", ()) + getattr(m, "pre_prepares", ())]
+    d = bytes(range(16))
+    return samples + proofs + [
+        JoinPhase1(temp_client=9, pubkey_n=b"\x01" * 8, nonce=b"nonce", host="h", port=7000),
+        JoinChallenge(temp_client=9, challenge=d, sender=2),
+        Join2Payload(
+            temp_client=9, pubkey_n=b"\x01" * 8, nonce=b"nonce", response=d,
+            idbuf=b"alice", session_keys=((0, d), (1, d)), host="h", port=7000,
+        ),
+        ReconfigPayload(action=3, slot=1, incarnation=4),
+    ]
+
+
+MESSAGE_CLASSES = sorted({type(m) for m in all_samples()}, key=lambda c: c.__qualname__)
+
+
+def field_values(msg) -> dict:
+    return {f.name: getattr(msg, f.name) for f in fields(msg)}
+
+
+def assembled(cls, **values):
+    """An instance put together the way the stock ``__init__`` does it."""
+    obj = cls.__new__(cls)
+    for f in fields(cls):
+        object.__setattr__(obj, f.name, values.get(f.name, f.default))
+    assert MISSING not in vars(obj).values()
+    return obj
+
+
+def stock_twin(cls):
+    """The same fields under the stock frozen-dataclass constructor."""
+    namespace = {"__annotations__": {f.name: f.type for f in fields(cls)}}
+    namespace.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
+    return dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def check_equals_assembled(msg):
+    msg = type(msg)(**field_values(msg))  # fresh: a sample may have memos filled
+    oracle = assembled(type(msg), **field_values(msg))
+    assert vars(msg) == vars(oracle)
+    assert msg == oracle and oracle == msg
+    assert hash(msg) == hash(oracle)
+    assert repr(msg) == repr(oracle)
+    assert list(vars(msg)) == [f.name for f in fields(msg)]  # field order, and no memo filled yet
+    if isinstance(msg, WireMemo):
+        assert msg.wire == oracle.wire == oracle.encode()
+        assert msg.wire_size == oracle.wire_size
+        assert msg.auth_bytes() == oracle.auth_bytes()
+        for memo in ("digest", "batch_digest", "result_digest", "header_wire"):
+            if hasattr(type(msg), memo):
+                assert getattr(msg, memo) == getattr(oracle, memo)
+
+
+def test_sample_catalog_covers_every_decorated_class():
+    import repro.membership.messages as membership
+    import repro.pbft.messages as pbft
+
+    decorated = {
+        cls for module in (pbft, membership) for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    }
+    assert decorated == set(MESSAGE_CLASSES) and len(decorated) == 21
+
+
+def test_constructor_equals_field_by_field_assembly_for_every_type():
+    for msg in all_samples():
+        check_equals_assembled(msg)
+
+
+@given(msg=st.one_of(requests, pre_prepares, small_messages, view_changes, pages_msgs))
+@settings(max_examples=200)
+def test_constructor_equals_field_by_field_assembly(msg):
+    check_equals_assembled(msg)
+    for nested in getattr(msg, "prepared", ()) + getattr(msg, "inline_requests", ()):
+        check_equals_assembled(nested)
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
+def test_constructor_signature_is_the_field_list(cls):
+    twin = stock_twin(cls)
+    assert twin.__init__.__code__.co_filename == "<string>"  # the oracle is the stock one
+    assert cls.__init__.__code__.co_filename != "<string>"  # and the class's is not
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert inspect.signature(cls.__init__) == inspect.signature(twin.__init__)
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == [f.name for f in fields(cls)]
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is MISSING else f.default for f in fields(cls)
+    ]
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+def test_positional_keyword_and_defaulted_calls():
+    for msg in all_samples():
+        cls, twin = type(msg), stock_twin(type(msg))
+        values = field_values(msg)
+        names = list(values)
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        for split in range(len(names) + 1):  # first `split` positional, the rest by keyword
+            args = [values[n] for n in names[:split]]
+            kwargs = {n: values[n] for n in names[split:]}
+            built = cls(*args, **kwargs)
+            assert built == msg
+            assert field_values(built) == field_values(twin(*args, **kwargs))
+        # Every defaulted field left out: the defaults are the dataclass's.
+        minimal = {n: values[n] for n in required}
+        assert field_values(cls(**minimal)) == field_values(twin(**minimal))
+        assert cls(**minimal) == assembled(cls, **minimal)
+        shuffled = dict(reversed(list(values.items())))
+        assert cls(**shuffled) == msg and list(vars(cls(**shuffled))) == names
+
+
+def test_unknown_missing_or_surplus_argument_is_a_type_error():
+    for msg in all_samples():
+        cls, twin = type(msg), stock_twin(type(msg))
+        values = field_values(msg)
+        first = next(iter(values))
+        bad_calls = [
+            ((), {**values, "no_such_field": 1}),
+            ((), {n: v for n, v in values.items() if n != first}),
+            ((), {}),
+            (tuple(values.values()) + (1,), {}),
+            ((values[first],), values),  # one field twice
+        ]
+        for args, kwargs in bad_calls:
+            with pytest.raises(TypeError):
+                twin(*args, **kwargs)
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+
+def test_messages_are_still_frozen():
+    for msg in all_samples():
+        before = dict(vars(msg))
+        for name in before:
+            with pytest.raises(FrozenInstanceError):
+                setattr(msg, name, before[name])
+            with pytest.raises(FrozenInstanceError):
+                delattr(msg, name)
+        with pytest.raises(FrozenInstanceError):
+            msg.not_a_field = 1
+        with pytest.raises(FrozenInstanceError):
+            msg.__dict__ = {}  # the dict the constructor installed is never rebound
+        with pytest.raises(FrozenInstanceError):
+            del msg.__dict__
+        assert vars(msg) == before
+
+
+def test_dataclass_protocol_still_works():
+    for msg in all_samples():
+        cls = type(msg)
+        assert dataclasses.is_dataclass(msg) and cls.__dataclass_params__.frozen
+        assert [f.name for f in fields(msg)] == list(inspect.signature(cls).parameters)
+        assert cls.__match_args__ == tuple(f.name for f in fields(msg))
+        twin = replace(msg)
+        assert twin == msg and twin is not msg and type(twin) is cls
+        name, value = next((n, v) for n, v in field_values(msg).items() if type(v) is int)
+        changed = replace(msg, **{name: value + 1})
+        assert getattr(changed, name) == value + 1 and changed != msg
+        assert {n: v for n, v in field_values(changed).items() if n != name} == {
+            n: v for n, v in field_values(msg).items() if n != name
+        }
+        assert list(dataclasses.asdict(msg)) == [f.name for f in fields(msg)]
+        assert len(dataclasses.astuple(msg)) == len(fields(msg))
+        if isinstance(msg, WireMemo):
+            msg.wire  # a filled memo travels with a copy and is not a field
+        for clone in (copy.copy(msg), copy.deepcopy(msg), pickle.loads(pickle.dumps(msg))):
+            assert clone == msg and clone is not msg and hash(clone) == hash(msg)
+            assert field_values(clone) == field_values(msg)
+            with pytest.raises(FrozenInstanceError):
+                setattr(clone, name, value)
+            if isinstance(msg, WireMemo):
+                assert clone.wire == msg.encode()
+                assert type(msg).decode(Decoder(clone.wire)) == msg
+
+
+def test_lazy_attribute_is_computed_once_and_stored():
+    encodings = []
+
+    @message
+    class Probe(WireMemo):
+        payload: bytes
+        sender: int = 0
+
+        def encode(self) -> bytes:
+            encodings.append(self.payload)
+            return b"<" + self.payload + b">"
+
+        def body_size(self) -> int:
+            return len(self.payload)
+
+    probe = Probe(b"p")
+    assert Probe.KIND == "Probe" and list(vars(probe)) == ["payload", "sender"]
+    assert probe.wire == b"<p>" and probe.wire is probe.wire and probe.auth_bytes() is probe.wire
+    assert encodings == [b"p"]
+    assert vars(probe)["wire"] is probe.wire and probe.wire_size == 1
+    assert list(vars(probe)) == ["payload", "sender", "wire", "wire_size"]
+    assert probe == Probe(b"p") and repr(probe).endswith("Probe(payload=b'p', sender=0)")
+    assert "wire" not in vars(replace(probe, sender=1))
+
+
+def test_classes_that_do_more_than_assign_keep_the_stock_constructor():
+    @message
+    class Checked:
+        x: int
+
+        def __post_init__(self):
+            if self.x < 0:
+                raise ValueError("negative")
+
+    @message
+    class Fresh:
+        x: int
+        items: list = field(default_factory=list)
+
+    @message
+    class Derived:
+        x: int
+        twice: int = field(init=False, default=0)
+
+    @message
+    class Named:
+        x: int
+        y: int = field(default=0, kw_only=True)
+
+    for cls in (Checked, Fresh, Derived, Named):
+        assert cls.__init__.__code__.co_filename == "<string>"
+        with pytest.raises(FrozenInstanceError):
+            cls(1).x = 2
+    with pytest.raises(ValueError):
+        Checked(-1)
+    assert Fresh(1).items == [] and Fresh(1).items is not Fresh(1).items
+    with pytest.raises(TypeError):
+        Derived(1, 2)
+    with pytest.raises(TypeError):
+        Named(1, 2)
+    assert Named(1, y=2).y == 2
+
+
+def test_each_constructor_has_its_own_code_location():
+    """Profilers key rows by ``(co_filename, co_firstlineno, co_name)``; the
+    stock constructors all share ``('<string>', 2, '__init__')``."""
+    locations = {}
+    for cls in MESSAGE_CLASSES:
+        code = cls.__init__.__code__
+        assert code.co_filename == inspect.getsourcefile(cls)
+        assert linecache.getline(code.co_filename, code.co_firstlineno).strip() == "@message"
+        _source, class_line = inspect.getsourcelines(cls)
+        assert code.co_firstlineno == class_line
+        locations[code.co_filename, code.co_firstlineno] = cls
+    assert len(locations) == len(MESSAGE_CLASSES)
+    stock = {stock_twin(cls).__init__.__code__.co_firstlineno for cls in MESSAGE_CLASSES}
+    assert len(stock) == 1  # what made the collision
+
+
+def test_profile_keeps_one_row_per_message_type():
+    d = bytes(16)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(3):
+        Prepare(view=1, seq=2, batch_digest=d, sender=3)
+    Commit(view=1, seq=2, batch_digest=d, sender=3)
+    profiler.disable()
+    rows = {
+        key: row for key, row in pstats.Stats(profiler).stats.items() if key[2] == "__init__"
+    }
+    assert sorted(row[0] for row in rows.values()) == [1, 3]  # call counts, not merged
+    assert all(key[0].endswith("messages.py") and "repro" in key[0] for key in rows)
+
+
+def test_reply_result_digest_through_the_memo_cold_warm_and_past_its_bound():
+    bound = memo_digest.cache_info().maxsize
+    assert bound and memo_digest.__wrapped__ is md5_digest
+    bodies = [index.to_bytes(4, "big") * 9 for index in range(bound + 16)]
+    memo_digest.cache_clear()
+    for _pass in range(2):
+        # The first sixteen are computed, evicted by the rest, then computed again.
+        for body in bodies[:16] + bodies[:16] + bodies:
+            expected = hashlib.md5(body).digest()
+            full = Reply(view=1, req_id=2, client=3, sender=0, result=body)
+            assert full.result_digest == expected  # this read computes or recalls
+            assert full.result_digest is vars(full)["result_digest"]  # this one is stored
+            short = Reply(view=1, req_id=2, client=3, sender=1, result=expected, digest_only=True)
+            assert short.result_digest is expected
+            assert Reply(view=1, req_id=2, client=3, sender=2, result=bytes(body)).result_digest == expected
+    info = memo_digest.cache_info()
+    assert info.currsize == bound and info.hits > 0 and info.misses > len(bodies)
+    assert Reply(view=1, req_id=2, client=3, sender=0, result=b"").result_digest == hashlib.md5(b"").digest()

@@ -7,6 +7,7 @@ from repro.apps.sqlapp import (
     decode_rows_reply,
     decode_sql_op,
     encode_sql_op,
+    tables_of_sql,
 )
 from repro.common.errors import SqlError
 from repro.sqlstate.values import SqlNull
@@ -37,6 +38,48 @@ class TestOpCodec:
         op = encode_sql_op("SELECT ?", (None,))
         _sql, params = decode_sql_op(op)
         assert params[0] is SqlNull
+
+    def test_memoised_decoding_equals_a_fresh_one(self):
+        """Cold, warm and after eviction, the shared decoding is what the
+        undecorated function returns."""
+        ops = [
+            encode_sql_op("UPDATE t SET v = ? WHERE k = ?", (f"v{i}", i, 1.5, b"\x00", None))
+            for i in range(decode_sql_op.cache_info().maxsize + 8)
+        ]
+        decode_sql_op.cache_clear()
+        for _pass in range(2):
+            for op in ops[:8] + ops:  # the first eight are evicted, then redone
+                assert decode_sql_op(op) == decode_sql_op.__wrapped__(op)
+        assert decode_sql_op(ops[-1]) is decode_sql_op(bytes(bytearray(ops[-1])))
+        assert decode_sql_op.cache_info().currsize == decode_sql_op.cache_info().maxsize
+
+    @pytest.mark.parametrize("op", [b"\x02not sql", b"", b"\x01\x00\x00", b"\x01" + bytes(8)])
+    def test_malformed_op_raises_every_time(self, op):
+        decode_sql_op.cache_clear()
+        errors = []
+        for _ in range(3):
+            with pytest.raises(Exception) as caught:
+                decode_sql_op(op)
+            errors.append(type(caught.value))
+        assert len(set(errors)) == 1
+        assert decode_sql_op.cache_info().currsize == 0
+        with pytest.raises(SqlError, match="not a SQL operation"):
+            decode_sql_op(b"\x02not sql")
+
+    @pytest.mark.parametrize("sql, tables", [
+        ("SELECT * FROM a", ("a",)),
+        ("SELECT x FROM a, b AS bb WHERE a.k = bb.k", ("a", "b")),
+        ("INSERT INTO Votes (k) VALUES (?)", ("votes",)),
+        ("UPDATE acct SET v = v + 1 WHERE k IN (SELECT 1)", ("acct",)),
+        ("SELECT 1", ()),
+        ("CREATE TABLE t2 (k)", ("t2",)),
+        ("SELECT * FROM a JOIN b ON a.k = b.k JOIN a ON 1", ("a", "b")),
+    ])
+    def test_tables_of_sql(self, sql, tables):
+        tables_of_sql.cache_clear()
+        assert tables_of_sql(sql) == tables  # cold
+        assert tables_of_sql(sql) == tables_of_sql.__wrapped__(sql) == tables  # warm
+        assert tables_of_sql.cache_info().hits == 1
 
 
 class TestExecution:

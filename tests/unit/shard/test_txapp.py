@@ -9,6 +9,7 @@ import pytest
 from repro.apps.kvstore import encode_put, keys_of_op
 from repro.common.errors import StateError
 from repro.pbft.replica import Application
+from repro.pbft.wire import Decoder, Encoder
 from repro.shard.txapp import (
     DECISION_ABORT,
     DECISION_COMMIT,
@@ -242,6 +243,37 @@ class TestPersistence:
         assert list(twin.decisions()) == list(app.decisions())
         # Locks were rebuilt too.
         assert run(twin, encode_put(b"a", b"x")).status == ST_LOCKED
+
+    @pytest.mark.parametrize("entries", [0, 1, 300])
+    def test_finished_tables_persist_as_the_per_entry_encoding(self, entries):
+        """The per-entry ``Encoder`` loop ``_persist`` used to run, kept
+        here as the reference for the one-join encoding: same bytes for
+        empty, single-entry and evicting tables."""
+        state = PagedState(num_pages=64, page_size=512)
+        app = make_app(tx_pages=48, retain_limit=64, state=state)
+        for n in range(1, entries + 1):
+            prepare(app, n, keys=(f"k{n}".encode(),))
+            run(app, encode_abort(txid(n)) if n % 3 == 0 else encode_commit(txid(n)))
+            if n % 5 == 0:
+                run(app, encode_resolve(txid(1000 + n)))  # an abort decision
+            else:
+                run(app, encode_decide(txid(1000 + n), DECISION_COMMIT))
+        app._persist()  # the empty tables have not been written yet
+        assert len(app.outcomes()) == min(entries, 64)  # 300: evictions ran
+        assert len(app.decisions()) == {0: 0, 1: 1, 300: 240}[entries]
+
+        reference = Encoder().u32(0)  # nothing prepared
+        for table in (app.outcomes(), app.decisions()):
+            reference.u32(len(table))
+            for tx, flag in table.items():
+                reference.raw(tx).u8(flag)
+        reference.u32(0).u32(0).u32(0)  # no migrations, moved or owned facts
+        header = Decoder(state.read(app.tx_offset, 8))
+        header.u32()
+        assert state.read(app.tx_offset + 8, header.u32()) == reference.finish()
+        twin = make_app(tx_pages=48, state=state)
+        assert list(twin.outcomes().items()) == list(app.outcomes().items())
+        assert list(twin.decisions().items()) == list(app.decisions().items())
 
     def test_overflow_raises_instead_of_corrupting(self):
         app = make_app(tx_pages=1)
