@@ -7,10 +7,12 @@ arXiv:2306.10960) across three regimes — healthy, steady, fragile — and
 the measured fraction of time a 2f+1 quorum is live is compared with the
 analytic binomial prediction.  A separate run orders a RECONFIG_REPLACE
 through the protocol, physically swaps the slot's machine, and profiles
-goodput before / during / after the bootstrap.  All seven campaign
-invariants (agreement, committed-op loss, checkpoint monotonicity,
-liveness, flood liveness, cross-shard atomicity, membership safety) are
-enforced on every run.
+goodput before / during / after the bootstrap.  Beside the quorum-up
+fraction each row reports ``service_availability`` — the share of 10 ms
+bins in which the group actually completed an operation.  All six
+single-group invariants (agreement, committed-op loss, checkpoint
+monotonicity, liveness, flood liveness, membership safety) are enforced
+on every run.
 
 Run:  python examples/membership_campaign.py [--smoke]
           [--baseline BENCH_membership.json] [--out PATH] [--seeds N]

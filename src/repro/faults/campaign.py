@@ -7,6 +7,12 @@ fault to heal, drains outstanding operations, and then checks the
 protocol invariants of :mod:`repro.faults.invariants`.  A *campaign*
 sweeps a list of schedules across a list of RNG seeds.
 
+This module owns that procedure for every deployment: :class:`Ledger`,
+:func:`run_phases`, :func:`group_violations`, :func:`with_forensics` and
+:func:`run_campaign` are shared; :func:`execute` is the single-group run,
+:mod:`repro.shard.campaign` supplies the sharded one, and
+:mod:`repro.harness.membershipbench` observes :func:`execute` under churn.
+
 Everything is deterministic in (schedule, seed): a failing run can be
 re-executed with tracing enabled to produce a Chrome trace plus a
 minimized protocol event log for forensics — which is exactly what
@@ -18,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.common.units import MILLISECOND
 from repro.obs import Observability
@@ -96,101 +103,140 @@ class CampaignResult:
         return [run for run in self.runs if not run.ok]
 
 
-def _start_workload(
-    cluster: Cluster,
-    invoked: list[tuple[int, int]],
-    completed: list[tuple[int, int]],
-    completed_at_ns: list[int],
-    issuing: dict[str, bool],
-) -> None:
+@dataclass
+class Ledger:
+    """What the workload did: every executor fills one, every check reads it."""
+
+    invoked: list[tuple[int, int]] = field(default_factory=list)
+    completed: list[tuple[int, int]] = field(default_factory=list)
+    completed_at_ns: list[int] = field(default_factory=list)
+    issuing: bool = True
+
+
+def _start_workload(cluster: Cluster, ledger: Ledger) -> None:
     for client in cluster.clients:
 
         def submit(client=client) -> None:
             def done(_res, _lat) -> None:
-                completed.append((client.node_id, req.req_id))
-                completed_at_ns.append(cluster.sim.now)
-                if issuing["on"]:
+                ledger.completed.append((client.node_id, req.req_id))
+                ledger.completed_at_ns.append(cluster.sim.now)
+                if ledger.issuing:
                     submit(client)
 
             req = client.invoke(PAYLOAD, callback=done)
-            invoked.append((client.node_id, req.req_id))
+            ledger.invoked.append((client.node_id, req.req_id))
 
         submit()
 
 
-def _execute(
-    schedule: FaultSchedule,
-    seed: int,
-    config: PbftConfig,
+def run_phases(
+    top,
+    injectors: list[FaultInjector],
+    ledger: Ledger,
+    busy: Callable[[], bool],
     run_ns: int,
     drain_ns: int,
     settle_ns: int,
-    trace: bool,
-) -> tuple[RunResult, Cluster]:
-    obs = Observability(tracing=trace)
-    cluster = build_cluster(config, seed=seed, real_crypto=False, obs=obs)
-    injector = FaultInjector(cluster, schedule)
-    invoked: list[tuple[int, int]] = []
-    completed: list[tuple[int, int]] = []
-    completed_at_ns: list[int] = []
-    issuing = {"on": True}
-    _start_workload(cluster, invoked, completed, completed_at_ns, issuing)
-    injector.start()
+) -> None:
+    """Main phase, drain, settle — over a ``Cluster`` or a ``ShardedCluster``.
 
+    The caller has already started the workload and the injectors, and
+    stops both afterwards; ``busy()`` says whether work is still in flight.
+    """
     step = 10 * MILLISECOND
     # Main phase: at least run_ns, extended until every fault has applied
     # and healed (bounded so a never-firing trigger cannot hang the run).
-    deadline = cluster.sim.now + run_ns
+    deadline = top.sim.now + run_ns
     hard_cap = deadline + drain_ns
-    while cluster.sim.now < deadline or (
-        not injector.quiescent and cluster.sim.now < hard_cap
+    while top.sim.now < deadline or (
+        not all(injector.quiescent for injector in injectors)
+        and top.sim.now < hard_cap
     ):
-        cluster.run_for(step)
-    if not injector.quiescent:
-        injector.log.append(
-            f"WARNING: {len(injector.pending)} fault(s) never triggered and "
-            f"{injector.open_heals} heal(s) still open at the hard cap"
-        )
+        top.run_for(step)
+    for injector in injectors:
+        if not injector.quiescent:
+            injector.log.append(
+                f"WARNING: {len(injector.pending)} fault(s) never triggered "
+                f"and {injector.open_heals} heal(s) still open at the hard cap"
+            )
 
     # Drain: stop issuing new work, let in-flight operations finish.
-    issuing["on"] = False
-    drain_deadline = cluster.sim.now + drain_ns
-    while (
-        any(client.pending is not None for client in cluster.clients)
-        and cluster.sim.now < drain_deadline
-    ):
-        cluster.run_for(step)
+    ledger.issuing = False
+    drain_deadline = top.sim.now + drain_ns
+    while busy() and top.sim.now < drain_deadline:
+        top.run_for(step)
     # Settle: no client traffic; status gossip catches stragglers up
     # before the committed-loss check examines their watermarks.
-    cluster.run_for(settle_ns)
+    top.run_for(settle_ns)
 
+
+def group_violations(
+    group: Cluster, injector: FaultInjector, completed: list[tuple[int, int]]
+) -> list[Violation]:
+    """The per-group invariants, for every group of every deployment."""
+    return (
+        check_agreement(group)
+        + check_no_committed_loss(group, completed)
+        + check_checkpoint_monotone(injector.stability_samples)
+        + check_membership_safety(group)
+    )
+
+
+def execute(
+    schedule: FaultSchedule,
+    seed: int,
+    config: PbftConfig | None = None,
+    run_ns: int = 1200 * MILLISECOND,
+    drain_ns: int = 3000 * MILLISECOND,
+    settle_ns: int = 400 * MILLISECOND,
+    trace: bool = False,
+    before_faults: Callable[[Cluster], None] | None = None,
+) -> tuple[RunResult, Cluster, Ledger]:
+    """One single-group run.  ``before_faults(cluster)`` installs observers
+    once the workload is running and before the injector starts."""
+    obs = Observability(tracing=trace)
+    cluster = build_cluster(
+        config or campaign_config(), seed=seed, real_crypto=False, obs=obs
+    )
+    injector = FaultInjector(cluster, schedule)
+    ledger = Ledger()
+    _start_workload(cluster, ledger)
+    if before_faults is not None:
+        before_faults(cluster)
+    injector.start()
+    run_phases(
+        cluster,
+        [injector],
+        ledger,
+        lambda: any(client.pending is not None for client in cluster.clients),
+        run_ns,
+        drain_ns,
+        settle_ns,
+    )
     injector.stop()
     cluster.stop_clients()
 
     violations = (
-        check_agreement(cluster)
-        + check_no_committed_loss(cluster, completed)
-        + check_checkpoint_monotone(injector.stability_samples)
-        + check_liveness(cluster, invoked, completed)
-        + check_flood_liveness(injector.client_fault_windows, completed_at_ns)
-        + check_membership_safety(cluster)
+        group_violations(cluster, injector, ledger.completed)
+        + check_liveness(ledger.invoked, ledger.completed)
+        + check_flood_liveness(
+            injector.client_fault_windows, ledger.completed_at_ns
+        )
     )
     result = RunResult(
         schedule=schedule.name,
         seed=seed,
         violations=violations,
-        invoked_ops=len(invoked),
-        completed_ops=len(completed),
+        invoked_ops=len(ledger.invoked),
+        completed_ops=len(ledger.completed),
         max_view=max(r.view for r in cluster.replicas),
         sim_time_ns=cluster.sim.now,
         fault_log=list(injector.log),
     )
-    return result, cluster
+    return result, cluster, ledger
 
 
-def _dump_artifacts(
-    result: RunResult, cluster: Cluster, artifact_dir: str
-) -> list[str]:
+def _dump_artifacts(result: RunResult, cluster, artifact_dir: str) -> list[str]:
     """Chrome trace + minimized protocol event log for a failed run."""
     os.makedirs(artifact_dir, exist_ok=True)
     stem = os.path.join(artifact_dir, f"{result.schedule}-seed{result.seed}")
@@ -223,60 +269,45 @@ def _dump_artifacts(
     return [trace_path, events_path]
 
 
-def run_schedule(
-    schedule: FaultSchedule,
-    seed: int,
-    config: PbftConfig | None = None,
-    run_ns: int = 1200 * MILLISECOND,
-    drain_ns: int = 3000 * MILLISECOND,
-    settle_ns: int = 400 * MILLISECOND,
-    trace: bool = False,
-    artifact_dir: str | None = None,
+def with_forensics(
+    execute_once: Callable[[bool], tuple], trace: bool, artifact_dir: str | None
 ) -> RunResult:
-    """Run one schedule at one seed; dump forensics if an invariant broke.
+    """Run ``execute_once(trace)``; dump forensics if an invariant broke.
 
-    The artifact pass re-executes the identical (schedule, seed) pair with
-    tracing enabled — determinism makes the re-run reproduce the failure,
-    so the trace captures the actual violating execution without paying
-    for tracing on healthy runs.
+    ``execute_once`` returns ``(result, cluster)``.  The artifact pass
+    re-executes the identical run with tracing enabled — determinism makes
+    the re-run reproduce the failure, so the trace captures the actual
+    violating execution without paying for tracing on healthy runs.
     """
-    config = config or campaign_config()
-    result, cluster = _execute(
-        schedule, seed, config, run_ns, drain_ns, settle_ns, trace
-    )
+    result, cluster = execute_once(trace)
     if result.violations and artifact_dir is not None:
         if not trace:
-            # Deterministic re-run with the tracer on.
-            traced, cluster = _execute(
-                schedule, seed, config, run_ns, drain_ns, settle_ns, trace=True
-            )
-            traced.artifacts = _dump_artifacts(traced, cluster, artifact_dir)
-            return traced
+            result, cluster = execute_once(True)
         result.artifacts = _dump_artifacts(result, cluster, artifact_dir)
     return result
 
 
-def run_campaign(
-    schedules: list[FaultSchedule],
-    seeds: list[int],
-    config: PbftConfig | None = None,
-    run_ns: int = 1200 * MILLISECOND,
-    drain_ns: int = 3000 * MILLISECOND,
-    settle_ns: int = 400 * MILLISECOND,
+def run_schedule(
+    schedule: FaultSchedule,
+    seed: int,
+    trace: bool = False,
     artifact_dir: str | None = None,
+    **run_kwargs,
+) -> RunResult:
+    """Run one schedule at one seed; dump forensics if an invariant broke.
+    ``run_kwargs`` (config, run_ns, drain_ns, settle_ns) go to :func:`execute`."""
+    return with_forensics(
+        lambda trace: execute(schedule, seed, trace=trace, **run_kwargs)[:2],
+        trace,
+        artifact_dir,
+    )
+
+
+def run_campaign(
+    items: list, seeds: list[int], run_one=run_schedule, **run_kwargs
 ) -> CampaignResult:
-    """Sweep every schedule across every seed."""
-    runs = [
-        run_schedule(
-            schedule,
-            seed,
-            config=config,
-            run_ns=run_ns,
-            drain_ns=drain_ns,
-            settle_ns=settle_ns,
-            artifact_dir=artifact_dir,
-        )
-        for schedule in schedules
-        for seed in seeds
-    ]
-    return CampaignResult(runs=runs)
+    """Sweep every item (schedule or scenario) across every seed;
+    ``run_kwargs`` (config, phase lengths, artifact_dir) go to ``run_one``."""
+    return CampaignResult(
+        runs=[run_one(item, seed, **run_kwargs) for item in items for seed in seeds]
+    )

@@ -171,7 +171,7 @@ def check_flood_liveness(
 
 
 def check_liveness(
-    cluster: Cluster, invoked: list[tuple[int, int]], completed: list[tuple[int, int]]
+    invoked: list[tuple[int, int]], completed: list[tuple[int, int]]
 ) -> list[Violation]:
     """After faults heal and the drain window passes, nothing is pending."""
     missing = sorted(set(invoked) - set(completed))

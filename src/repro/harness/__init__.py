@@ -11,7 +11,7 @@
 * degraded service, one replica of four crashed —
   :func:`run_degraded_experiment`;
 * the fault-injection campaign — :func:`run_fault_campaign` (schedules ×
-  seeds, four protocol invariants checked after every run).
+  seeds, the protocol invariants checked after every run).
 
 Each returns structured results; :mod:`repro.harness.reporting` renders
 them in the paper's row/series format.
@@ -40,13 +40,7 @@ from repro.harness.batching import (
     format_batching,
     run_batching_sweep,
 )
-from repro.harness.overload import (
-    OverloadPoint,
-    OverloadSweep,
-    estimate_capacity,
-    overload_config,
-    run_overload_sweep,
-)
+from repro.harness.overload import estimate_capacity, overload_config
 from repro.harness.reporting import (
     format_table1,
     format_fig4,
@@ -54,7 +48,6 @@ from repro.harness.reporting import (
     format_acid,
     format_aggregate_overload,
     format_campaign,
-    format_overload,
 )
 from repro.harness.workload import (
     SCENARIOS,
@@ -69,7 +62,6 @@ from repro.harness.sweeprunner import (
     SweepCell,
     derive_cell_seed,
     merged_json,
-    register_cell_runner,
     run_cells,
 )
 from repro.harness.shardbench import (
@@ -120,12 +112,8 @@ __all__ = [
     "run_shard_scaling_point",
     "run_shard_sql_mix",
     "shard_bench_config",
-    "OverloadPoint",
-    "OverloadSweep",
     "estimate_capacity",
     "overload_config",
-    "run_overload_sweep",
-    "format_overload",
     "format_aggregate_overload",
     "SCENARIOS",
     "AggregatePoint",
@@ -137,7 +125,6 @@ __all__ = [
     "SweepCell",
     "derive_cell_seed",
     "merged_json",
-    "register_cell_runner",
     "run_cells",
     "format_table1",
     "format_campaign",

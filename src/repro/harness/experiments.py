@@ -375,9 +375,10 @@ def run_fault_campaign(
     """Sweep the fault-injection campaign: schedules × seeds.
 
     Runs every :class:`repro.faults.FaultSchedule` (the built-in library
-    by default) at every seed and checks the four protocol invariants —
-    agreement, no committed-op loss, monotone checkpoint stability, and
-    client liveness — after each run.  With ``artifact_dir`` set, failing
+    by default) at every seed and checks the six single-group
+    invariants — agreement, no committed-op loss, monotone checkpoint
+    stability, client liveness, flood liveness, membership safety —
+    after each run.  With ``artifact_dir`` set, failing
     runs are deterministically re-executed with tracing enabled and dump
     a Chrome trace plus a minimized event log for forensics.  Extra
     keyword arguments (``run_ns``, ``drain_ns``, ``settle_ns``) pass

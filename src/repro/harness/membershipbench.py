@@ -13,7 +13,9 @@ Two experiment families, both riding the fault-campaign machinery:
       A = sum_{k=2f+1}^{n} C(n,k) a^k (1-a)^(n-k).
 
   The runner measures the fraction of sampled instants with >= 2f+1 live
-  replicas inside the churn window and reports it against A.
+  replicas inside the churn window and reports it against A; beside it,
+  ``service_availability`` is the share of 10 ms bins of that window in
+  which the group actually completed an operation.
 
 * **Live replica replace** — a RECONFIG_REPLACE ordered through the
   protocol followed by the physical machine swap, under packet loss; the
@@ -27,20 +29,10 @@ artifact the CI smoke job gates against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import ceil, comb
 
 from repro.common.units import MILLISECOND, SECOND
-from repro.faults.campaign import PAYLOAD, campaign_config
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import (
-    Violation,
-    check_agreement,
-    check_checkpoint_monotone,
-    check_flood_liveness,
-    check_liveness,
-    check_membership_safety,
-    check_no_committed_loss,
-)
+from repro.faults.campaign import campaign_config, execute
 from repro.faults.schedule import (
     FaultSchedule,
     LinkDisturbance,
@@ -48,8 +40,7 @@ from repro.faults.schedule import (
     ReplicaReplace,
     Trigger,
 )
-from repro.obs import Observability
-from repro.pbft.cluster import Cluster, build_cluster
+from repro.pbft.cluster import Cluster
 
 
 @dataclass(frozen=True)
@@ -85,48 +76,12 @@ def analytic_availability(f: int, mean_up_ns: int, mean_down_ns: int) -> float:
     )
 
 
-def _run_with_injector(
-    schedule: FaultSchedule,
-    seed: int,
-    sample_window: tuple[int, int] | None,
-    run_ns: int,
-    drain_ns: int = 3 * SECOND,
-    settle_ns: int = 400 * MILLISECOND,
-):
-    """Campaign-style run with per-instant quorum-availability sampling.
+def _quorum_sampler(start: int, end: int, samples: list[bool]):
+    """An ``execute`` observer: append ">= 2f+1 replicas live" to
+    ``samples`` every 2 ms of simulated time inside [start, end]."""
 
-    Returns (cluster, injector, invoked, completed, completed_at_ns,
-    samples) where ``samples`` are booleans — ">= 2f+1 replicas live" at
-    2 ms intervals inside ``sample_window``.
-    """
-    config = campaign_config()
-    cluster = build_cluster(
-        config, seed=seed, real_crypto=False, obs=Observability()
-    )
-    injector = FaultInjector(cluster, schedule)
-    invoked: list[tuple[int, int]] = []
-    completed: list[tuple[int, int]] = []
-    completed_at_ns: list[int] = []
-    issuing = {"on": True}
-
-    for client in cluster.clients:
-
-        def submit(client=client) -> None:
-            def done(_res, _lat) -> None:
-                completed.append((client.node_id, req.req_id))
-                completed_at_ns.append(cluster.sim.now)
-                if issuing["on"]:
-                    submit(client)
-
-            req = client.invoke(PAYLOAD, callback=done)
-            invoked.append((client.node_id, req.req_id))
-
-        submit()
-
-    samples: list[bool] = []
-    if sample_window is not None:
-        start, end = sample_window
-        quorum = config.quorum
+    def install(cluster: Cluster) -> None:
+        quorum = cluster.config.quorum
 
         def sample() -> None:
             now = cluster.sim.now
@@ -139,42 +94,14 @@ def _run_with_injector(
 
         cluster.sim.schedule(start, sample)
 
-    injector.start()
-    step = 10 * MILLISECOND
-    deadline = cluster.sim.now + run_ns
-    hard_cap = deadline + drain_ns
-    while cluster.sim.now < deadline or (
-        not injector.quiescent and cluster.sim.now < hard_cap
-    ):
-        cluster.run_for(step)
-    issuing["on"] = False
-    drain_deadline = cluster.sim.now + drain_ns
-    while (
-        any(client.pending is not None for client in cluster.clients)
-        and cluster.sim.now < drain_deadline
-    ):
-        cluster.run_for(step)
-    cluster.run_for(settle_ns)
-    injector.stop()
-    cluster.stop_clients()
-    return cluster, injector, invoked, completed, completed_at_ns, samples
+    return install
 
 
-def _check_all(
-    cluster: Cluster,
-    injector: FaultInjector,
-    invoked,
-    completed,
-    completed_at_ns,
-) -> list[Violation]:
-    return (
-        check_agreement(cluster)
-        + check_no_committed_loss(cluster, completed)
-        + check_checkpoint_monotone(injector.stability_samples)
-        + check_liveness(cluster, invoked, completed)
-        + check_flood_liveness(injector.client_fault_windows, completed_at_ns)
-        + check_membership_safety(cluster)
-    )
+def _service_availability(completed_at_ns: list[int], start: int, end: int) -> float:
+    """Share of 10 ms bins of [start, end) with at least one completion."""
+    bin_ns = 10 * MILLISECOND
+    served = {(t - start) // bin_ns for t in completed_at_ns if start <= t < end}
+    return len(served) / ceil((end - start) / bin_ns)
 
 
 def run_markov_scenario(
@@ -199,26 +126,19 @@ def run_markov_scenario(
             for rid in range(campaign_config().n)
         ),
     )
-    cluster, injector, invoked, completed, completed_at_ns, samples = (
-        _run_with_injector(
-            schedule,
-            seed,
-            sample_window=(start_ns, start_ns + churn_ns),
-            run_ns=start_ns + churn_ns,
-        )
-    )
-    violations = _check_all(
-        cluster, injector, invoked, completed, completed_at_ns
+    end_ns = start_ns + churn_ns
+    samples: list[bool] = []
+    result, cluster, ledger = execute(
+        schedule,
+        seed,
+        run_ns=end_ns,
+        before_faults=_quorum_sampler(start_ns, end_ns, samples),
     )
     predicted = analytic_availability(
         cluster.config.f, scenario.mean_up_ns, scenario.mean_down_ns
     )
     measured = (sum(samples) / len(samples)) if samples else 0.0
-    in_window = sum(
-        1
-        for t in completed_at_ns
-        if start_ns <= t <= start_ns + churn_ns
-    )
+    in_window = sum(1 for t in ledger.completed_at_ns if start_ns <= t <= end_ns)
     return {
         "scenario": scenario.name,
         "seed": seed,
@@ -229,9 +149,12 @@ def run_markov_scenario(
         "predicted_availability": predicted,
         "measured_availability": measured,
         "availability_ratio": (measured / predicted) if predicted else 0.0,
+        "service_availability": _service_availability(
+            ledger.completed_at_ns, start_ns, end_ns
+        ),
         "goodput_in_window_ops_per_s": in_window / (churn_ns / SECOND),
-        "completed_ops": len(completed),
-        "violations": [str(v) for v in violations],
+        "completed_ops": result.completed_ops,
+        "violations": [str(v) for v in result.violations],
     }
 
 
@@ -263,19 +186,12 @@ def run_replace_scenario(seed: int = 1, loss: float = 0.0) -> dict:
         description="ordered replica replace mid-workload",
         faults=faults,
     )
-    cluster, injector, invoked, completed, completed_at_ns, _ = (
-        _run_with_injector(
-            schedule, seed, sample_window=None, run_ns=2000 * MILLISECOND
-        )
-    )
-    violations = _check_all(
-        cluster, injector, invoked, completed, completed_at_ns
-    )
+    result, cluster, ledger = execute(schedule, seed, run_ns=2000 * MILLISECOND)
 
     def goodput(lo: int, hi: int) -> float:
         if hi <= lo:
             return 0.0
-        ops = sum(1 for t in completed_at_ns if lo <= t < hi)
+        ops = sum(1 for t in ledger.completed_at_ns if lo <= t < hi)
         return ops / ((hi - lo) / SECOND)
 
     before = goodput(0, warmup_ns)
@@ -290,11 +206,11 @@ def run_replace_scenario(seed: int = 1, loss: float = 0.0) -> dict:
         "goodput_before_ops_per_s": before,
         "goodput_during_ops_per_s": during,
         "goodput_after_ops_per_s": after,
-        "completed_ops": len(completed),
+        "completed_ops": result.completed_ops,
         "replaced_replica_last_exec": new_replica.last_exec,
         "replaced_replica_epoch": new_replica.reconfig.epoch,
         "epochs": [r.reconfig.epoch for r in cluster.replicas],
-        "violations": [str(v) for v in violations],
+        "violations": [str(v) for v in result.violations],
     }
 
 
@@ -317,6 +233,8 @@ def _summarize_scenario(scenario: MembershipScenario, runs: list[dict]) -> dict:
         "predicted_availability": predicted,
         "measured_availability": measured,
         "availability_ratio": ratio,
+        "service_availability": sum(r["service_availability"] for r in runs)
+        / len(runs),
         "within_20pct": abs(ratio - 1.0) <= 0.20,
         "violations": sorted({v for r in runs for v in r["violations"]}),
         "per_seed": runs,
@@ -362,13 +280,14 @@ def format_membership(results: dict) -> str:
             "Membership campaign: measured vs analytic Markov availability "
             f"(seeds {results['seeds']}, 2000ms windows)",
             f"{'scenario':<10} {'a(replica)':>10} {'A(pred)':>8} "
-            f"{'A(meas)':>8} {'ratio':>6}  20%?  violations",
+            f"{'A(meas)':>8} {'A(serv)':>8} {'ratio':>6}  20%?  violations",
         ]
         for row in results["scenarios"]:
             lines.append(
                 f"{row['scenario']:<10} {row['replica_availability']:>10.3f} "
                 f"{row['predicted_availability']:>8.4f} "
                 f"{row['measured_availability']:>8.4f} "
+                f"{row['service_availability']:>8.4f} "
                 f"{row['availability_ratio']:>6.2f}  "
                 f"{'yes' if row['within_20pct'] else 'NO ':<4} "
                 f"{len(row['violations'])}"
@@ -380,6 +299,7 @@ def format_membership(results: dict) -> str:
     for row in results["smoke_scenarios"]:
         lines.append(
             f"  {row['scenario']:<10} A(meas) {row['measured_availability']:.4f} "
+            f"A(serv) {row['service_availability']:.4f} "
             f"goodput {row['goodput_in_window_ops_per_s']:.1f} op/s "
             f"{len(row['violations'])} violations"
         )

@@ -1,29 +1,20 @@
-"""Open-loop overload sweep: goodput and latency past saturation.
+"""What the open-loop overload engine (:mod:`repro.harness.workload`)
+shares with its drivers: the cluster it runs against, the closed-loop
+capacity anchor, and the overload counters sampled around a window.
 
 The paper's benchmarks are closed-loop — every client waits for its reply
 before issuing the next operation — so offered load can never exceed what
-the group sustains, and overload behaviour goes unmeasured.  This sweep
-drives the cluster *open loop*: each client submits on a fixed arrival
-schedule derived from an estimated capacity, regardless of whether earlier
-operations finished.  Sweeping the arrival rate past saturation shows
-whether the admission pipeline (bounded queues, per-client caps, BUSY
-backpressure — see DESIGN.md, "Overload model and graceful degradation")
-degrades gracefully: goodput should plateau near capacity while shed rate
-and latency absorb the excess, instead of collapsing under queue growth.
-
-Every arrival tick is deterministic in (config, seed, multiplier): client
-phases are staggered fractions of the arrival interval, and the shedding
-policy itself is RNG-free, so two identical sweeps report identical shed
-counts.
+the group sustains, and overload behaviour goes unmeasured.  Driving the
+cluster *open loop* past saturation shows whether the admission pipeline
+(bounded queues, per-client caps, BUSY backpressure — see DESIGN.md,
+"Overload model and graceful degradation") degrades gracefully: goodput
+should plateau near capacity while shed rate and latency absorb the
+excess, instead of collapsing under queue growth.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
-from repro.common.units import SECOND
-from repro.obs import nearest_rank_percentile
-from repro.pbft.cluster import Cluster, build_cluster
+from repro.pbft.cluster import Cluster
 from repro.pbft.config import PbftConfig
 
 # Per-replica overload counters sampled around the measured window.
@@ -52,68 +43,6 @@ def overload_config() -> PbftConfig:
         client_busy_backoff_ns=10_000_000,   # 10 ms
         client_busy_backoff_cap_ns=160_000_000,
     )
-
-
-@dataclass
-class OverloadPoint:
-    """One multiplier's measured window."""
-
-    multiplier: float
-    offered_tps: float        # target arrival rate
-    arrived_tps: float        # ticks that actually submitted an operation
-    goodput_tps: float        # operations completed in the window
-    completed: int
-    source_drops: int         # ticks skipped: previous op still outstanding
-    mean_latency_ns: float
-    p50_latency_ns: int
-    p99_latency_ns: int
-    replica_stats: dict = field(default_factory=dict)
-    client_stats: dict = field(default_factory=dict)
-    view_changes: int = 0
-    # Window accounting: every tick either submits, or is dropped at the
-    # source because the client's previous op is still outstanding.  A
-    # dropped tick is offered load the cluster never saw, so it must not
-    # count toward ``arrived_tps`` — the conserved identity is
-    # ``ticks == completed + (outstanding_end - outstanding_start) +
-    # source_drops``.
-    ticks: int = 0
-    outstanding_start: int = 0
-    outstanding_end: int = 0
-
-    @property
-    def shed(self) -> int:
-        return self.replica_stats.get("requests_shed", 0)
-
-    @property
-    def busy_replies(self) -> int:
-        return self.replica_stats.get("busy_sent", 0)
-
-
-@dataclass
-class OverloadSweep:
-    """All points of one sweep, lowest multiplier first."""
-
-    capacity_tps: float
-    seed: int
-    payload_size: int
-    points: list[OverloadPoint]
-
-    def point_at(self, multiplier: float) -> OverloadPoint:
-        for point in self.points:
-            if abs(point.multiplier - multiplier) < 1e-9:
-                return point
-        raise KeyError(f"no sweep point at multiplier {multiplier}")
-
-    def graceful(
-        self, at: float = 2.0, reference: float = 1.0, threshold: float = 0.8
-    ) -> bool:
-        """Graceful degradation: goodput at ``at``× offered load stays
-        within ``threshold`` of goodput at ``reference``× (saturation)."""
-        ref = self.point_at(reference).goodput_tps
-        return self.point_at(at).goodput_tps >= threshold * ref
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def estimate_capacity(
@@ -146,126 +75,3 @@ def _snapshot(cluster: Cluster) -> tuple[dict, dict, int]:
     }
     views = sum(r.stats["view_changes_started"] for r in cluster.replicas)
     return replica, client, views
-
-
-def _run_point(
-    config: PbftConfig,
-    capacity_tps: float,
-    multiplier: float,
-    payload_size: int,
-    warmup_s: float,
-    measure_s: float,
-    seed: int,
-) -> OverloadPoint:
-    cluster = build_cluster(config, seed=seed, real_crypto=False)
-    payload = bytes(payload_size)
-    offered_tps = capacity_tps * multiplier
-    num_clients = len(cluster.clients)
-    interval_ns = max(1, int(num_clients * SECOND / offered_tps))
-
-    arrivals = [0] * num_clients  # ticks that actually submitted an op
-    drops = [0] * num_clients
-    completions: list[tuple[int, int]] = []  # (finish time, latency)
-    timers: list = [None] * num_clients
-
-    def tick(index: int) -> None:
-        client = cluster.clients[index]
-        if client.pending is not None:
-            # Open-loop source with a full outbox: the middleware allows
-            # one outstanding operation per client, so the source sheds
-            # locally.  This is offered load the cluster never saw — it
-            # counts as a drop, never as an arrival, or offered-vs-arrived
-            # ratios would overstate pressure at high multipliers.
-            drops[index] += 1
-        else:
-            arrivals[index] += 1
-            client.invoke(
-                payload,
-                callback=lambda _res, lat: completions.append(
-                    (cluster.sim.now, lat)
-                ),
-            )
-        timers[index] = cluster.sim.schedule(interval_ns, lambda: tick(index))
-
-    # Staggered phases: client k's first arrival at (k+1)/n of an interval,
-    # so the offered stream is smooth and fully determined by (seed, rate).
-    for index in range(num_clients):
-        delay = max(1, (index + 1) * interval_ns // num_clients)
-        cluster.sim.schedule(delay, lambda index=index: tick(index))
-
-    cluster.run_for(int(warmup_s * SECOND))
-    arrivals_before = sum(arrivals)
-    drops_before = sum(drops)
-    completed_before = len(completions)
-    outstanding_start = sum(1 for c in cluster.clients if c.pending is not None)
-    replica_before, client_before, views_before = _snapshot(cluster)
-
-    cluster.run_for(int(measure_s * SECOND))
-    outstanding_end = sum(1 for c in cluster.clients if c.pending is not None)
-    replica_after, client_after, views_after = _snapshot(cluster)
-    window = completions[completed_before:]
-    latencies = sorted(lat for _t, lat in window)
-
-    for timer in timers:
-        if timer is not None:
-            timer.cancel()
-    cluster.stop_clients()
-
-    submitted = sum(arrivals) - arrivals_before
-    source_drops = sum(drops) - drops_before
-    return OverloadPoint(
-        multiplier=multiplier,
-        offered_tps=offered_tps,
-        arrived_tps=submitted / measure_s,
-        goodput_tps=len(window) / measure_s,
-        completed=len(window),
-        source_drops=source_drops,
-        ticks=submitted + source_drops,
-        outstanding_start=outstanding_start,
-        outstanding_end=outstanding_end,
-        mean_latency_ns=(sum(latencies) / len(latencies)) if latencies else 0.0,
-        p50_latency_ns=nearest_rank_percentile(latencies, 0.50),
-        p99_latency_ns=nearest_rank_percentile(latencies, 0.99),
-        replica_stats={
-            key: replica_after[key] - replica_before[key] for key in _REPLICA_STATS
-        },
-        client_stats={
-            key: client_after[key] - client_before[key] for key in _CLIENT_STATS
-        },
-        view_changes=views_after - views_before,
-    )
-
-
-def run_overload_sweep(
-    config: PbftConfig | None = None,
-    multipliers: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0),
-    payload_size: int = 256,
-    warmup_s: float = 0.3,
-    measure_s: float = 0.5,
-    seed: int = 3,
-    capacity_tps: float | None = None,
-) -> OverloadSweep:
-    """Sweep offered load across ``multipliers`` of estimated capacity.
-
-    Each point runs a fresh deterministic cluster; the capacity anchor is
-    measured once, closed loop, on the same configuration (or supplied via
-    ``capacity_tps`` to pin the arrival schedule exactly).
-    """
-    config = config or overload_config()
-    if capacity_tps is None:
-        capacity_tps = estimate_capacity(
-            config, payload_size=payload_size, seed=seed
-        )
-    points = [
-        _run_point(
-            config, capacity_tps, multiplier, payload_size,
-            warmup_s, measure_s, seed,
-        )
-        for multiplier in sorted(multipliers)
-    ]
-    return OverloadSweep(
-        capacity_tps=capacity_tps,
-        seed=seed,
-        payload_size=payload_size,
-        points=points,
-    )

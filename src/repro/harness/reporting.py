@@ -92,32 +92,6 @@ def format_acid(acid: Measurement, noacid: Measurement) -> str:
     )
 
 
-def format_overload(sweep) -> str:
-    """One row per offered-load multiplier of an overload sweep."""
-    header = (
-        f"{'Mult':>5s} {'Offered':>8s} {'Goodput':>8s} {'%ofPeak':>8s} "
-        f"{'p50':>9s} {'p99':>9s} {'Shed':>6s} {'BUSY':>6s} {'SrcDrop':>8s} "
-        f"{'Views':>5s}"
-    )
-    lines = [
-        f"overload sweep: closed-loop capacity ~{sweep.capacity_tps:.0f} ops/s "
-        f"(seed {sweep.seed}, {sweep.payload_size}B ops)",
-        header,
-        "-" * len(header),
-    ]
-    peak = max(p.goodput_tps for p in sweep.points) or 1.0
-    for p in sweep.points:
-        lines.append(
-            f"{p.multiplier:5.1f} {p.offered_tps:8.0f} {p.goodput_tps:8.0f} "
-            f"{100 * p.goodput_tps / peak:7.1f}% "
-            f"{format_duration(p.p50_latency_ns):>9s} "
-            f"{format_duration(p.p99_latency_ns):>9s} "
-            f"{p.shed:6d} {p.busy_replies:6d} {p.source_drops:8d} "
-            f"{p.view_changes:5d}"
-        )
-    return "\n".join(lines)
-
-
 def format_aggregate_overload(sweep) -> str:
     """One row per multiplier of an aggregate (simulated-population) sweep."""
     header = (

@@ -38,7 +38,7 @@ from repro.common.errors import ConfigError
 class SweepCell:
     """One unit of sweep work; ``params`` must be picklable and JSON-able."""
 
-    kind: str                      # registered cell-runner name
+    kind: str                      # a key of _BUILTINS
     scenario: str                  # scenario label, part of seed derivation
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None     # explicit seed; None derives one per cell
@@ -57,18 +57,6 @@ def derive_cell_seed(scenario: str, base_seed: int, index: int) -> int:
 
 
 # -- cell runners -------------------------------------------------------------------
-
-# name -> callable(params: dict, seed: int) -> JSON-able dict
-_RUNNERS: dict[str, Callable[[dict, int], dict]] = {}
-
-
-def register_cell_runner(
-    name: str, fn: Callable[[dict, int], dict], replace: bool = False
-) -> None:
-    if not replace and name in _RUNNERS and _RUNNERS[name] is not fn:
-        raise ConfigError(f"cell runner {name!r} already registered")
-    _RUNNERS[name] = fn
-
 
 def _run_aggregate_overload_cell(params: dict, seed: int) -> dict:
     from repro.harness.workload import run_aggregate_point
@@ -119,6 +107,7 @@ def _run_shard_sql_mix_cell(params: dict, seed: int) -> dict:
     return run_shard_sql_mix(seed=seed, **params)
 
 
+# kind -> callable(params: dict, seed: int) -> JSON-able dict
 _BUILTINS: dict[str, Callable[[dict, int], dict]] = {
     "aggregate-overload": _run_aggregate_overload_cell,
     "fault-schedule": _run_fault_schedule_cell,
@@ -128,13 +117,11 @@ _BUILTINS: dict[str, Callable[[dict, int], dict]] = {
 
 
 def cell_runner(name: str) -> Callable[[dict, int], dict]:
-    fn = _RUNNERS.get(name) or _BUILTINS.get(name)
-    if fn is None:
+    if name not in _BUILTINS:
         raise ConfigError(
-            f"unknown cell kind {name!r}; registered: "
-            f"{sorted(set(_RUNNERS) | set(_BUILTINS))}"
+            f"unknown cell kind {name!r}; have: {sorted(_BUILTINS)}"
         )
-    return fn
+    return _BUILTINS[name]
 
 
 # -- running ------------------------------------------------------------------------
@@ -161,10 +148,7 @@ def run_cells(
     """Run every cell; results in cell order regardless of ``workers``.
 
     ``workers <= 1`` runs in-process (no subprocess cost, same results);
-    more farms cells across a process pool.  Registered *custom* runners
-    exist only in this process, so parallel runs of custom kinds rely on
-    the fork start method inheriting them — the built-in kinds resolve in
-    any child.
+    more farms cells across a process pool.
     """
     tasks = [
         (cell.kind, cell.params, seed)

@@ -1,9 +1,10 @@
 """Fault campaigns against the sharded topology.
 
-Reuses the machinery of :mod:`repro.faults` wholesale — one
-:class:`~repro.faults.injector.FaultInjector` per group, the same
-run/drain/settle phases, the same deterministic traced re-run on a
-violation — and extends it with the sharding layer's own concerns:
+Runs on the spine of :mod:`repro.faults.campaign` — one
+:class:`~repro.faults.injector.FaultInjector` per group, ``run_phases``
+for run/drain/settle, ``group_violations`` per group, ``with_forensics``
+for the deterministic traced re-run, ``run_campaign`` for the sweep —
+and supplies only the sharding layer's own concerns:
 
 * **prefixed schedules** — host-name based faults (partitions, link
   disturbances) written against the single-group names ("replica0",
@@ -20,8 +21,10 @@ violation — and extends it with the sharding layer's own concerns:
   restore atomicity;
 * **invariant #6** — after :meth:`ShardedCluster.reconcile`, no
   transaction may have committed on one shard and aborted on another
-  (:func:`repro.faults.invariants.check_cross_shard_atomicity`), on top
-  of the five single-group invariants checked per group.
+  (:func:`repro.faults.invariants.check_cross_shard_atomicity`) and,
+  when a range moved, **invariant #8** (``check_migration_safety``), on
+  top of the four per-group invariants (agreement, committed-op loss,
+  checkpoint monotonicity, membership safety) and the two liveness ones.
 """
 
 from __future__ import annotations
@@ -35,20 +38,21 @@ from repro.common.errors import ShardError
 from repro.common.units import MILLISECOND
 from repro.faults.campaign import (
     CampaignResult,
+    Ledger,
     RunResult,
-    _dump_artifacts,
     campaign_config,
+    group_violations,
+    run_campaign,
+    run_phases,
+    with_forensics,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
     Violation,
-    check_agreement,
-    check_checkpoint_monotone,
     check_cross_shard_atomicity,
     check_flood_liveness,
     check_liveness,
     check_migration_safety,
-    check_no_committed_loss,
 )
 from repro.faults.library import (
     equivocating_primary,
@@ -322,10 +326,7 @@ def rebalance_smoke_scenarios() -> list[ShardScenario]:
 
 def _start_router_workload(
     cluster: ShardedCluster,
-    invoked: list[tuple[int, int]],
-    completed: list[tuple[int, int]],
-    completed_at_ns: list[int],
-    issuing: dict[str, bool],
+    ledger: Ledger,
     inflight: dict[int, tuple[int, int]],
     committed_writes: dict[bytes, bytes],
 ) -> None:
@@ -349,12 +350,12 @@ def _start_router_workload(
         state = {"n": 0}
 
         def submit() -> None:
-            if router.crashed or not issuing["on"]:
+            if router.crashed or not ledger.issuing:
                 return
             n = state["n"]
             state["n"] += 1
             op_id = (_ROUTER_ID_BASE + router.router_id, n)
-            invoked.append(op_id)
+            ledger.invoked.append(op_id)
             inflight[router.router_id] = op_id
 
             wants_txn = n % _TXN_EVERY == _TXN_EVERY - 1 or (
@@ -373,8 +374,8 @@ def _start_router_workload(
                     # key (the workload always writes PAYLOAD).
                     for key in keys:
                         committed_writes[key] = PAYLOAD
-                completed.append(op_id)
-                completed_at_ns.append(cluster.sim.now)
+                ledger.completed.append(op_id)
+                ledger.completed_at_ns.append(cluster.sim.now)
                 inflight.pop(router.router_id, None)
                 submit()
 
@@ -394,16 +395,16 @@ def _start_router_workload(
 def _execute_shard(
     scenario: ShardScenario,
     seed: int,
-    config: PbftConfig,
-    run_ns: int,
-    drain_ns: int,
-    settle_ns: int,
-    trace: bool,
+    config: PbftConfig | None = None,
+    run_ns: int = 1200 * MILLISECOND,
+    drain_ns: int = 3000 * MILLISECOND,
+    settle_ns: int = 400 * MILLISECOND,
+    trace: bool = False,
 ) -> tuple[RunResult, ShardedCluster]:
     obs = Observability(tracing=trace)
     cluster = build_sharded_cluster(
         _NUM_SHARDS,
-        config=config,
+        config=config or shard_campaign_config(),
         seed=seed,
         real_crypto=False,
         num_routers=_NUM_ROUTERS,
@@ -429,16 +430,10 @@ def _execute_shard(
     if scenario.crash_router_point is not None:
         cluster.routers[0].crash_point = scenario.crash_router_point
 
-    invoked: list[tuple[int, int]] = []
-    completed: list[tuple[int, int]] = []
-    completed_at_ns: list[int] = []
+    ledger = Ledger()
     inflight: dict[int, tuple[int, int]] = {}
     committed_writes: dict[bytes, bytes] = {}
-    issuing = {"on": True}
-    _start_router_workload(
-        cluster, invoked, completed, completed_at_ns, issuing, inflight,
-        committed_writes,
-    )
+    _start_router_workload(cluster, ledger, inflight, committed_writes)
     for injector in injectors:
         injector.start()
 
@@ -457,29 +452,17 @@ def _execute_shard(
             ),
         )
 
-    step = 10 * MILLISECOND
-    deadline = cluster.sim.now + run_ns
-    hard_cap = deadline + drain_ns
-    while cluster.sim.now < deadline or (
-        not target.quiescent and cluster.sim.now < hard_cap
-    ):
-        cluster.run_for(step)
-    if not target.quiescent:
-        target.log.append(
-            f"WARNING: {len(target.pending)} fault(s) never triggered and "
-            f"{target.open_heals} heal(s) still open at the hard cap"
-        )
-
-    # Drain: stop issuing, let in-flight router work finish (crashed
-    # routers are excused — their stranded transactions are the point).
-    issuing["on"] = False
-    drain_deadline = cluster.sim.now + drain_ns
-    while (
-        any(r.busy for r in cluster.routers if not r.crashed)
-        and cluster.sim.now < drain_deadline
-    ):
-        cluster.run_for(step)
-    cluster.run_for(settle_ns)
+    # Drain excuses crashed routers — their stranded transactions are
+    # the point.
+    run_phases(
+        cluster,
+        injectors,
+        ledger,
+        lambda: any(r.busy for r in cluster.routers if not r.crashed),
+        run_ns,
+        drain_ns,
+        settle_ns,
+    )
 
     # Finish the migration: a crashed driver gets a successor that
     # resumes from replicated state; a live one gets time to complete.
@@ -494,7 +477,7 @@ def _execute_shard(
             )
         move_deadline = cluster.sim.now + drain_ns
         while not moves and cluster.sim.now < move_deadline:
-            cluster.run_for(step)
+            cluster.run_for(10 * MILLISECOND)
 
     # Reconciliation sweep: resolve every leftover prepared transaction
     # before atomicity is judged, exactly as a recovery daemon would.
@@ -517,19 +500,15 @@ def _execute_shard(
             for s, client_id, req_id in completions
             if s == shard
         ]
-        violations += check_agreement(group)
-        violations += check_no_committed_loss(group, group_completed)
-        violations += check_checkpoint_monotone(
-            injectors[shard].stability_samples
-        )
+        violations += group_violations(group, injectors[shard], group_completed)
     crashed_ids = {r.router_id for r in cluster.routers if r.crashed}
     excused = {
         op for rid, op in inflight.items() if rid in crashed_ids
     }
-    live_invoked = [op for op in invoked if op not in excused]
-    violations += check_liveness(cluster.groups[0], live_invoked, completed)
+    live_invoked = [op for op in ledger.invoked if op not in excused]
+    violations += check_liveness(live_invoked, ledger.completed)
     violations += check_flood_liveness(
-        target.client_fault_windows, completed_at_ns
+        target.client_fault_windows, ledger.completed_at_ns
     )
     violations += check_cross_shard_atomicity(cluster.groups)
     if scenario.migrate_at_ns is not None:
@@ -549,8 +528,8 @@ def _execute_shard(
         schedule=scenario.name,
         seed=seed,
         violations=violations,
-        invoked_ops=len(invoked),
-        completed_ops=len(completed),
+        invoked_ops=len(ledger.invoked),
+        completed_ops=len(ledger.completed),
         max_view=max(
             replica.view for group in cluster.groups for replica in group.replicas
         ),
@@ -563,52 +542,28 @@ def _execute_shard(
 def run_shard_scenario(
     scenario: ShardScenario,
     seed: int,
-    config: PbftConfig | None = None,
-    run_ns: int = 1200 * MILLISECOND,
-    drain_ns: int = 3000 * MILLISECOND,
-    settle_ns: int = 400 * MILLISECOND,
     trace: bool = False,
     artifact_dir: str | None = None,
+    **run_kwargs,
 ) -> RunResult:
-    """Run one scenario at one seed; dump forensics if an invariant broke."""
-    config = config or shard_campaign_config()
-    result, cluster = _execute_shard(
-        scenario, seed, config, run_ns, drain_ns, settle_ns, trace
+    """Run one scenario at one seed; dump forensics if an invariant broke.
+    ``run_kwargs`` are config, run_ns, drain_ns and settle_ns."""
+    return with_forensics(
+        lambda trace: _execute_shard(scenario, seed, trace=trace, **run_kwargs),
+        trace,
+        artifact_dir,
     )
-    if result.violations and artifact_dir is not None:
-        if not trace:
-            traced, cluster = _execute_shard(
-                scenario, seed, config, run_ns, drain_ns, settle_ns, trace=True
-            )
-            traced.artifacts = _dump_artifacts(traced, cluster, artifact_dir)
-            return traced
-        result.artifacts = _dump_artifacts(result, cluster, artifact_dir)
-    return result
 
 
 def run_shard_campaign(
     scenarios: list[ShardScenario] | None = None,
     seeds: list[int] | None = None,
-    config: PbftConfig | None = None,
-    run_ns: int = 1200 * MILLISECOND,
-    drain_ns: int = 3000 * MILLISECOND,
-    settle_ns: int = 400 * MILLISECOND,
-    artifact_dir: str | None = None,
+    **run_kwargs,
 ) -> CampaignResult:
     """Sweep every scenario across every seed on the 2-shard topology."""
-    scenarios = scenarios if scenarios is not None else shard_scenarios()
-    seeds = seeds if seeds is not None else [1, 2]
-    runs = [
-        run_shard_scenario(
-            scenario,
-            seed,
-            config=config,
-            run_ns=run_ns,
-            drain_ns=drain_ns,
-            settle_ns=settle_ns,
-            artifact_dir=artifact_dir,
-        )
-        for scenario in scenarios
-        for seed in seeds
-    ]
-    return CampaignResult(runs=runs)
+    return run_campaign(
+        scenarios if scenarios is not None else shard_scenarios(),
+        seeds if seeds is not None else [1, 2],
+        run_one=run_shard_scenario,
+        **run_kwargs,
+    )

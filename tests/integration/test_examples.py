@@ -58,7 +58,9 @@ def test_fault_campaign_smoke():
 
 
 def test_rebalance_campaign_smoke():
-    out = run_example("rebalance_campaign.py", args=("--smoke",))
+    out = run_example(
+        "fault_campaign.py", args=("--suite", "rebalance", "--smoke")
+    )
     assert "4/4 runs passed all invariants" in out
     assert "rebalance-under-churn" in out
 

@@ -1,6 +1,6 @@
 """The open-loop overload sweep: graceful degradation, determinism."""
 
-from repro.harness.overload import overload_config, run_overload_sweep
+from repro.harness.workload import run_aggregate_overload_sweep
 from repro.pbft.cluster import build_cluster
 from repro.pbft.config import PbftConfig
 from repro.pbft.messages import PrePrepare, Request
@@ -9,8 +9,8 @@ from repro.pbft.messages import PrePrepare, Request
 def mini_sweep(multipliers=(1.0, 2.0), capacity_tps=26000.0):
     """A CI-sized sweep: pinned capacity (skips the closed-loop estimate),
     short windows, the stock overload cluster."""
-    return run_overload_sweep(
-        config=overload_config(),
+    return run_aggregate_overload_sweep(
+        scenario="uniform",
         multipliers=multipliers,
         warmup_s=0.15,
         measure_s=0.2,
@@ -31,7 +31,17 @@ def test_goodput_degrades_gracefully_past_saturation():
     assert at_2x.shed > 0
     assert at_2x.busy_replies >= at_2x.shed
     assert at_2x.client_stats["busy_received"] > 0
-    assert at_2x.source_drops > 0
+    # Arrivals that found their client busy or no free session are offered
+    # load the cluster never saw: counted as drops, never as arrivals, and
+    # every tick of the window is classified exactly once.
+    assert at_2x.dropped_arrivals > 0
+    assert at_2x.submitted == round(at_2x.arrived_tps * 0.2)
+    assert at_2x.offered_tps > at_2x.arrived_tps
+    assert at_2x.ticks == (
+        at_2x.completed
+        + (at_2x.outstanding_end - at_2x.outstanding_start)
+        + at_2x.dropped_arrivals
+    )
     # Overload never destabilizes the group into view changes.
     assert at_2x.view_changes == 0
 
@@ -43,7 +53,7 @@ def test_sweep_is_deterministic():
         assert a.goodput_tps == b.goodput_tps
         assert a.replica_stats == b.replica_stats  # identical shed sets
         assert a.client_stats == b.client_stats
-        assert a.source_drops == b.source_drops
+        assert a.dropped_arrivals == b.dropped_arrivals
         assert (a.p50_latency_ns, a.p99_latency_ns) == (
             b.p50_latency_ns, b.p99_latency_ns
         )

@@ -19,6 +19,7 @@ from repro.shard import (
     smoke_scenarios,
 )
 from repro.shard.campaign import shard_scenarios
+from repro.shard.topology import ShardedCluster
 
 
 def _drive(cluster, box_filled, limit_ns=5 * SECOND):
@@ -157,6 +158,25 @@ class TestCampaignSmoke:
                 f"{scenario.name}: {[str(v) for v in result.violations]}"
             )
             assert result.completed_ops > 0
+
+    def test_sharded_runs_check_membership_safety(self, monkeypatch):
+        # Invariant #7 holds per group of a sharded deployment too: forge
+        # a divergent epoch boundary on one replica of shard 1 as the run
+        # shuts down, and the per-group checks must report it.
+        stop = ShardedCluster.stop
+
+        def forge_then_stop(cluster):
+            a, b = cluster.groups[1].replicas[:2]
+            a.reconfig.epoch_marks = [(0, 0), (16, 1)]
+            b.reconfig.epoch_marks = [(0, 0), (24, 1)]
+            stop(cluster)
+
+        monkeypatch.setattr(ShardedCluster, "stop", forge_then_stop)
+        result = run_shard_scenario(
+            smoke_scenarios()[0], seed=1,
+            run_ns=100 * MILLISECOND, drain_ns=500 * MILLISECOND,
+        )
+        assert {v.invariant for v in result.violations} == {"membership-safety"}
 
     def test_scenarios_cover_router_and_replica_faults(self):
         names = {s.name for s in shard_scenarios()}

@@ -1,16 +1,16 @@
-"""The multi-process sweep runner: seeds, registry, ordering, merging."""
+"""The multi-process sweep runner: seeds, cell kinds, ordering, merging."""
 
 import json
 
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.harness import sweeprunner
 from repro.harness.sweeprunner import (
     SweepCell,
     cell_seeds,
     derive_cell_seed,
     merged_json,
-    register_cell_runner,
     run_cells,
 )
 
@@ -60,21 +60,17 @@ def _echo_runner(params: dict, seed: int) -> dict:
     return {"seed": seed, **params}
 
 
+@pytest.fixture
+def echo_kind(monkeypatch):
+    monkeypatch.setitem(sweeprunner._BUILTINS, "echo", _echo_runner)
+
+
 class TestRegistryAndRunning:
     def test_unknown_kind_fails_fast(self):
         with pytest.raises(ConfigError, match="unknown cell kind"):
             run_cells([SweepCell(kind="no-such-kind", scenario="s")])
 
-    def test_duplicate_registration_rejected(self):
-        register_cell_runner("dup-kind", _echo_runner)
-        register_cell_runner("dup-kind", _echo_runner)  # same fn: idempotent
-        with pytest.raises(ConfigError, match="already registered"):
-            register_cell_runner("dup-kind", lambda p, s: p)
-        register_cell_runner("dup-kind", lambda p, s: p, replace=True)
-        register_cell_runner("dup-kind", _echo_runner, replace=True)
-
-    def test_results_in_cell_order_with_derived_seeds(self):
-        register_cell_runner("echo", _echo_runner, replace=True)
+    def test_results_in_cell_order_with_derived_seeds(self, echo_kind):
         cells = [
             SweepCell(kind="echo", scenario=scenario, params={"tag": i})
             for i, scenario in enumerate(["a", "b", "a"])
@@ -85,10 +81,9 @@ class TestRegistryAndRunning:
         # Two cells of the same scenario still get distinct seeds.
         assert results[0]["seed"] != results[2]["seed"]
 
-    def test_parallel_matches_serial(self):
-        # Forked workers inherit the registered runner; order and seeds
-        # must match the in-process run exactly.
-        register_cell_runner("echo", _echo_runner, replace=True)
+    def test_parallel_matches_serial(self, echo_kind):
+        # Forked workers inherit the patched table; order and seeds must
+        # match the in-process run exactly.
         cells = [
             SweepCell(kind="echo", scenario="s", params={"tag": i})
             for i in range(5)
