@@ -307,14 +307,11 @@ def test_digest_is_injective_over_samples(msg):
 # with the same fields under plain ``@dataclass(frozen=True)``.
 
 
-def all_samples():
-    """``sample_messages()`` plus the decorated classes that carry no tag of
-    their own: proofs nested in view changes and the membership messages."""
-    samples = sample_messages()
-    proofs = [p for m in samples if isinstance(m, (ViewChangeMsg, NewViewMsg))
-              for p in getattr(m, "prepared", ()) + getattr(m, "pre_prepares", ())]
+def membership_samples():
+    """One deterministic instance of each ``repro.membership.messages`` class;
+    pinned next to ``sample_messages()`` in test_wire_golden.py."""
     d = bytes(range(16))
-    return samples + proofs + [
+    return [
         JoinPhase1(temp_client=9, pubkey_n=b"\x01" * 8, nonce=b"nonce", host="h", port=7000),
         JoinChallenge(temp_client=9, challenge=d, sender=2),
         Join2Payload(
@@ -323,6 +320,15 @@ def all_samples():
         ),
         ReconfigPayload(action=3, slot=1, incarnation=4),
     ]
+
+
+def all_samples():
+    """``sample_messages()`` plus the decorated classes that carry no tag of
+    their own: proofs nested in view changes and the membership messages."""
+    samples = sample_messages()
+    proofs = [p for m in samples if isinstance(m, (ViewChangeMsg, NewViewMsg))
+              for p in getattr(m, "prepared", ()) + getattr(m, "pre_prepares", ())]
+    return samples + proofs + membership_samples()
 
 
 MESSAGE_CLASSES = sorted({type(m) for m in all_samples()}, key=lambda c: c.__qualname__)

@@ -15,12 +15,12 @@ import sys
 from dataclasses import replace
 
 from repro.crypto.digests import md5_digest
-from repro.pbft.messages import decode_message
+from repro.pbft.messages import PreparedProof, decode_message
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "properties")
 )
-from test_wire_props import sample_messages  # noqa: E402
+from test_wire_props import all_samples, membership_samples, sample_messages  # noqa: E402
 
 # type name -> (canonical encoding hex, md5 digest hex)
 GOLDEN = {
@@ -114,9 +114,83 @@ GOLDEN = {
     ),
 }
 
+# The four ``repro.membership.messages`` classes, same shape.  The two
+# payloads are system ops: their canonical bytes are the ordered ``op``.
+MEMBERSHIP_GOLDEN = {
+    "JoinPhase1": (
+        "1400000009000000080101010101010101000000056e6f6e636500000001681b"
+        "58",
+        "deb6914f95b1e52f65c49821f82664d5",
+    ),
+    "JoinChallenge": (
+        "15000200000009000102030405060708090a0b0c0d0e0f",
+        "38dc745489cc600b2b95f9a9860a649c",
+    ),
+    "Join2Payload": (
+        "ff0100000009000000080101010101010101000000056e6f6e63650001020304"
+        "05060708090a0b0c0d0e0f00000005616c696365000000020000000102030405"
+        "060708090a0b0c0d0e0f0001000102030405060708090a0b0c0d0e0f00000001"
+        "681b58",
+        "911fca9c471a0efbba39a9aa060c76eb",
+    ),
+    "ReconfigPayload": (
+        "ff0303000100000004",
+        "c6fb96b028a0b010dd6a692f47befb5d",
+    ),
+}
+
+# type name -> accounted wire size: what the fabric charges bandwidth for
+# and ``net.bytes_per_op`` sums.  Equal to the encoded length everywhere
+# but ``AuthenticatorRefresh`` (a 64-byte public-key block per 16-byte key).
+WIRE_SIZES = {
+    "Request": 27,
+    "PrePrepare": 80,
+    "Prepare": 35,
+    "Commit": 35,
+    "Reply": 35,
+    "CheckpointMsg": 27,
+    "ViewChangeMsg": 137,
+    "NewViewMsg": 209,
+    "StatusMsg": 28,
+    "BatchRetransmit": 132,
+    "FetchDigestsMsg": 27,
+    "DigestsMsg": 35,
+    "FetchPagesMsg": 23,
+    "PagesMsg": 80,
+    "AuthenticatorRefresh": 141,
+    "BusyReply": 36,
+    "JoinPhase1": 33,
+    "JoinChallenge": 23,
+}
+# The two proofs of the catalogue (inline in the view change, then the
+# no-op of the new view): their share of the enclosing message's size.
+PROOF_SIZES = [58, 41]
+
+
+def canonical(msg) -> bytes:
+    return msg.encode() if hasattr(msg, "encode") else msg.encode_op()
+
 
 def test_golden_covers_every_sample():
     assert {type(m).__name__ for m in sample_messages()} == set(GOLDEN)
+    assert {type(m).__name__ for m in membership_samples()} == set(MEMBERSHIP_GOLDEN)
+    sized = {type(m).__name__ for m in all_samples() if hasattr(m, "wire_size")}
+    assert sized == set(WIRE_SIZES)
+
+
+def test_membership_encodings_match_golden_vectors():
+    for msg in membership_samples():
+        wire_hex, digest_hex = MEMBERSHIP_GOLDEN[type(msg).__name__]
+        assert canonical(msg).hex() == wire_hex, type(msg).__name__
+        assert md5_digest(canonical(msg)).hex() == digest_hex, type(msg).__name__
+
+
+def test_accounted_wire_sizes_match_golden_sizes():
+    for msg in all_samples():
+        if hasattr(msg, "wire_size"):
+            assert msg.wire_size == msg.body_size() == WIRE_SIZES[type(msg).__name__], msg
+    proofs = [m for m in all_samples() if isinstance(m, PreparedProof)]
+    assert [p.size() for p in proofs] == PROOF_SIZES
 
 
 def test_canonical_encodings_match_golden_vectors():
