@@ -123,7 +123,7 @@ class JoinState:
         request = Request(
             client=client.node_id,
             req_id=client.next_req_id,
-            op=payload.encode_op(),
+            op=payload.encode(),
             big=True,  # joins are always multicast to the whole group
         )
         client.pending = PendingOp(

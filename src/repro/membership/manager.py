@@ -29,6 +29,7 @@ from repro.membership.messages import (
     compute_response,
     system_op_kind,
 )
+from repro.pbft.wire import decode_exact
 
 # Fixed-size slot layout inside the library partition, so per-request
 # activity timestamps update in place without rewriting the whole table.
@@ -122,15 +123,19 @@ class MembershipManager:
     # -- ordered execution ----------------------------------------------------------
 
     def execute_system(self, req, nondet_ts: int) -> bytes:
-        kind = system_op_kind(req.op)
-        if kind == SYS_JOIN2:
-            return self._execute_join(req, nondet_ts)
-        if kind == SYS_LEAVE:
+        """Execute one ordered Join2/Leave op.  The op is already ordered, so
+        an undecodable payload or an unknown kind is answered — identically
+        at every replica — not raised."""
+        if system_op_kind(req.op) == SYS_LEAVE:
             return self._execute_leave(req)
-        raise ProtocolError(f"unknown system op kind {kind}")
+        try:
+            payload = decode_exact(Join2Payload, req.op)  # checks the kind byte too
+        except ProtocolError:
+            self.stats["joins_malformed"] += 1
+            return REPLY_DENIED
+        return self._execute_join(payload, nondet_ts)
 
-    def _execute_join(self, req, nondet_ts: int) -> bytes:
-        payload = Join2Payload.decode_op(req.op)
+    def _execute_join(self, payload: Join2Payload, nondet_ts: int) -> bytes:
         challenge = compute_challenge(payload.pubkey_n, payload.nonce)
         if payload.response != compute_response(challenge, payload.nonce):
             self.stats["joins_denied"] += 1

@@ -9,9 +9,9 @@ them the same total order as every application request.
 
 from __future__ import annotations
 
-from repro.common.errors import ProtocolError
-from repro.crypto.digests import DIGEST_SIZE, md5_digest
+from repro.crypto.digests import md5_digest
 from repro.pbft.messages import (  # noqa: F401  (SYS_* re-exported)
+    DIGEST,
     SYS_JOIN2,
     SYS_LEAVE,
     SYS_RECONFIG,
@@ -19,7 +19,7 @@ from repro.pbft.messages import (  # noqa: F401  (SYS_* re-exported)
     WireMemo,
     message,
 )
-from repro.pbft.wire import Decoder, Encoder
+from repro.pbft.wire import blob, enum, layout, raw, seq, text, u16, u32
 
 # Replica-reconfiguration actions (ordered system ops; see
 # repro.pbft.reconfig).  The group stays 3f+1 *slots*; a reconfiguration
@@ -44,35 +44,7 @@ class JoinPhase1(WireMemo):
     host: str
     port: int
 
-    def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(self.TAG)
-            .u32(self.temp_client)
-            .blob(self.pubkey_n)
-            .blob(self.nonce)
-            .blob(self.host.encode())
-            .u16(self.port)
-            .finish()
-        )
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "JoinPhase1":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a JoinPhase1")
-        return cls(
-            temp_client=dec.u32(),
-            pubkey_n=dec.blob(),
-            nonce=dec.blob(),
-            host=dec.blob().decode(),
-            port=dec.u16(),
-        )
-
-    def body_size(self) -> int:
-        return (
-            1 + 4 + (4 + len(self.pubkey_n)) + (4 + len(self.nonce))
-            + (4 + len(self.host.encode())) + 2
-        )
+    LAYOUT = layout(TAG, temp_client=u32, pubkey_n=blob, nonce=blob, host=text, port=u16)
 
 
 @message
@@ -90,26 +62,7 @@ class JoinChallenge(WireMemo):
     challenge: bytes
     sender: int
 
-    def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u32(self.temp_client)
-            .raw(self.challenge)
-            .finish()
-        )
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "JoinChallenge":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a JoinChallenge")
-        return cls(
-            sender=dec.u16(), temp_client=dec.u32(), challenge=dec.raw(DIGEST_SIZE)
-        )
-
-    def body_size(self) -> int:
-        return 1 + 2 + 4 + DIGEST_SIZE
+    LAYOUT = layout(TAG, sender=u16, temp_client=u32, challenge=DIGEST)
 
 
 def compute_challenge(pubkey_n: bytes, nonce: bytes, epoch: int = 0) -> bytes:
@@ -135,33 +88,10 @@ class Join2Payload:
     host: str
     port: int
 
-    def encode_op(self) -> bytes:
-        enc = Encoder().u8(SYSTEM_OP_PREFIX).u8(SYS_JOIN2)
-        enc.u32(self.temp_client)
-        enc.blob(self.pubkey_n)
-        enc.blob(self.nonce)
-        enc.raw(self.response)
-        enc.blob(self.idbuf)
-        enc.sequence(self.session_keys, lambda e, rk: e.u16(rk[0]).raw(rk[1]))
-        enc.blob(self.host.encode())
-        enc.u16(self.port)
-        return enc.finish()
-
-    @classmethod
-    def decode_op(cls, op: bytes) -> "Join2Payload":
-        dec = Decoder(op)
-        if dec.u8() != SYSTEM_OP_PREFIX or dec.u8() != SYS_JOIN2:
-            raise ProtocolError("not a Join2 system op")
-        return cls(
-            temp_client=dec.u32(),
-            pubkey_n=dec.blob(),
-            nonce=dec.blob(),
-            response=dec.raw(DIGEST_SIZE),
-            idbuf=dec.blob(),
-            session_keys=tuple(dec.sequence(lambda d: (d.u16(), d.raw(16)))),
-            host=dec.blob().decode(),
-            port=dec.u16(),
-        )
+    LAYOUT = layout(
+        SYSTEM_OP_PREFIX, SYS_JOIN2, temp_client=u32, pubkey_n=blob, nonce=blob,
+        response=DIGEST, idbuf=blob, session_keys=seq(u16, raw(16)), host=text, port=u16,
+    )
 
 
 def encode_leave_op() -> bytes:
@@ -181,32 +111,14 @@ class ReconfigPayload:
     slot: int
     incarnation: int
 
-    def encode_op(self) -> bytes:
-        return (
-            Encoder()
-            .u8(SYSTEM_OP_PREFIX)
-            .u8(SYS_RECONFIG)
-            .u8(self.action)
-            .u16(self.slot)
-            .u32(self.incarnation)
-            .finish()
-        )
-
-    @classmethod
-    def decode_op(cls, op: bytes) -> "ReconfigPayload":
-        dec = Decoder(op)
-        if dec.u8() != SYSTEM_OP_PREFIX or dec.u8() != SYS_RECONFIG:
-            raise ProtocolError("not a Reconfig system op")
-        action = dec.u8()
-        if action not in (RECONFIG_JOIN, RECONFIG_LEAVE, RECONFIG_REPLACE):
-            raise ProtocolError(f"unknown reconfig action {action}")
-        return cls(action=action, slot=dec.u16(), incarnation=dec.u32())
+    LAYOUT = layout(
+        SYSTEM_OP_PREFIX, SYS_RECONFIG,
+        action=enum(RECONFIG_JOIN, RECONFIG_LEAVE, RECONFIG_REPLACE), slot=u16, incarnation=u32,
+    )
 
 
 def encode_reconfig_op(action: int, slot: int, incarnation: int = 0) -> bytes:
-    return ReconfigPayload(
-        action=action, slot=slot, incarnation=incarnation
-    ).encode_op()
+    return ReconfigPayload(action=action, slot=slot, incarnation=incarnation).encode()
 
 
 def system_op_kind(op: bytes) -> int | None:

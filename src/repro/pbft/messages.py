@@ -10,16 +10,21 @@ authenticator refresh of paper section 2.3.
 
 from __future__ import annotations
 
-import struct
 import sys
 from dataclasses import MISSING, dataclass, fields
 
 from repro.common.errors import ProtocolError
 from repro.crypto.digests import DIGEST_SIZE, md5_digest, memo_digest
-from repro.pbft.wire import Decoder, Encoder
+from repro.pbft.wire import blob, boolean, boxed, decode_exact, derive, layout, raw, seq
+from repro.pbft.wire import u8, u16, u32, u64
 
 # Sequence number used before any request is assigned one.
 NO_SEQ = 0
+
+DIGEST = raw(DIGEST_SIZE)
+
+# Leading byte -> message class, filled by ``@message`` from each ``TAG``.
+_TAG_TO_CLASS: dict[int, type] = {}
 
 
 class _lazy:
@@ -49,49 +54,64 @@ class _lazy:
 
 
 def message(cls):
-    """``@dataclass(frozen=True)`` with a constructor that stores once.
+    """``@dataclass(frozen=True)`` with a constructor that stores once and a
+    codec compiled from the class's ``LAYOUT``.
 
-    The stock generated ``__init__`` of a frozen dataclass makes one
-    ``object.__setattr__`` call per field; a run builds over a dozen
-    messages per operation, which made it the largest single leaf of the
-    null workload.  This one binds every field with a single store of the
-    instance ``__dict__``.  That is safe because the class is frozen —
-    ``__setattr__``/``__delattr__`` raise, so nothing rebinds the dict
-    afterwards (``_lazy`` memos are added *to* it) — and because the stock
-    constructor validates nothing that could be skipped: it only assigns.
-    Everything else (``fields``, ``eq``/``hash``/``repr``, ``replace()``)
-    is the dataclass's own.  A class whose construction does more than
-    assign positional-or-keyword arguments — ``__post_init__``, a
-    ``default_factory``, ``init=False`` or ``kw_only`` fields — keeps the
-    stock constructor.
+    The constructor binds every field with a single store of the instance
+    ``__dict__`` where the stock one makes an ``object.__setattr__`` call
+    per field (DESIGN.md section 7, "The message constructor").  Safe
+    because the class is frozen — nothing rebinds the dict afterwards,
+    ``_lazy`` memos are added *to* it — and the stock constructor only
+    assigns.  A class whose construction does more (``__post_init__``, a
+    ``default_factory``, ``init=False`` or ``kw_only`` fields) keeps it.
 
-    The constructor is compiled against the defining module's file at the
-    decorator's line, so each has its own ``(co_filename,
-    co_firstlineno)``: profilers key rows by that pair, and the stock
-    ones all share ``('<string>', 2)``, where ``pstats`` keeps one class's
-    time and drops the rest.
+    A class that declares ``LAYOUT`` (:class:`repro.pbft.wire.layout`) gets
+    ``encode``, ``decode(cls, dec)`` and ``body_size`` from
+    :func:`repro.pbft.wire.derive`; one with a ``TAG`` is what
+    :func:`decode_message` returns for that leading byte.
+
+    Every generated function is compiled against the defining module's
+    file at the decorator's line, so profilers — which key rows by
+    ``(co_filename, co_firstlineno, co_name)`` — keep one row per class.
     """
     cls = dataclass(frozen=True)(cls)
     flds = fields(cls)
-    if hasattr(cls, "__post_init__") or any(
+    names = [f.name for f in flds]
+    padding = "\n" * (sys._getframe(1).f_lineno - 1)
+    filename = sys.modules[cls.__module__].__file__
+
+    def define(name: str, source: str, namespace: dict):
+        namespace["__name__"] = cls.__module__
+        exec(compile(padding + source, filename, "exec"), namespace)
+        function = namespace[name]
+        function.__qualname__ = f"{cls.__qualname__}.{name}"
+        return function
+
+    if not hasattr(cls, "__post_init__") and not any(
         not f.init or f.kw_only or f.default_factory is not MISSING for f in flds
     ):
-        return cls
-    names = [f.name for f in flds]
-    source = (
-        "\n" * (sys._getframe(1).f_lineno - 1)
-        + f"def __init__(self, {', '.join(names)}):\n"
-        + f"    _store(self, '__dict__', {{{', '.join(f'{n!r}: {n}' for n in names)}}})\n"
-    )
-    namespace = {"__name__": cls.__module__, "_store": object.__setattr__}
-    exec(compile(source, sys.modules[cls.__module__].__file__, "exec"), namespace)
-    init = namespace["__init__"]
-    # Defaulted fields are trailing ones (dataclass enforces it), which is
-    # exactly what __defaults__ describes.
-    init.__defaults__ = tuple(f.default for f in flds if f.default is not MISSING)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
-    cls.__init__ = init
+        init = define(
+            "__init__",
+            f"def __init__(self, {', '.join(names)}):\n"
+            f"    _store(self, '__dict__', {{{', '.join(f'{n!r}: {n}' for n in names)}}})\n",
+            {"_store": object.__setattr__},
+        )
+        # Defaulted fields are trailing ones (dataclass enforces it), which
+        # is exactly what __defaults__ describes.
+        init.__defaults__ = tuple(f.default for f in flds if f.default is not MISSING)
+        init.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
+        cls.__init__ = init
+    spec = vars(cls).get("LAYOUT")
+    if spec is not None:
+        if sorted(spec.fields) != sorted(names):
+            raise TypeError(f"{cls.__name__}.LAYOUT must name each field once: {names}")
+        sources, namespace = derive(cls.__name__, spec)
+        for name, source in sources.items():
+            function = define(name, source, namespace)
+            setattr(cls, name, classmethod(function) if name == "decode" else function)
+    owner = _TAG_TO_CLASS.setdefault(cls.TAG, cls) if "TAG" in vars(cls) else cls
+    if owner is not cls:
+        raise TypeError(f"{cls.__name__} reuses tag {cls.TAG} of {owner.__name__}")
     return cls
 
 
@@ -117,11 +137,8 @@ class WireMemo:
     #: Canonical encoding, computed at most once per object.
     wire = _lazy(lambda self: self.encode())
 
-    #: Accounted wire size, computed at most once per object.  Derived from
-    #: ``body_size()``, *not* ``len(self.wire)``: the two intentionally
-    #: differ for messages whose simulated wire cost covers material the
-    #: in-memory encoding elides (``AuthenticatorRefresh`` charges
-    #: public-key-encrypted blocks per key entry).
+    #: Accounted wire size, computed at most once per object: ``body_size()``,
+    #: *not* ``len(self.wire)`` — a layout may charge more than it encodes.
     wire_size = _lazy(lambda self: self.body_size())
 
     def auth_bytes(self) -> bytes:
@@ -145,31 +162,11 @@ class Request(WireMemo):
     readonly: bool = False
     big: bool = False
 
-    _HEAD = struct.Struct(">BIQI")  # tag, client, req_id, len(op)
-    _FLAGS = struct.Struct(">??")  # readonly, big
-
-    def encode(self) -> bytes:
-        return (
-            self._HEAD.pack(self.TAG, self.client, self.req_id, len(self.op))
-            + self.op
-            + self._FLAGS.pack(self.readonly, self.big)
-        )
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "Request":
-        tag, client, req_id, op_len = dec.unpack(cls._HEAD)
-        if tag != cls.TAG:
-            raise ProtocolError("not a Request")
-        op = dec.raw(op_len)
-        readonly, big = dec.unpack(cls._FLAGS)
-        return cls(client=client, req_id=req_id, op=op, readonly=readonly, big=big)
+    LAYOUT = layout(TAG, client=u32, req_id=u64, op=blob, readonly=boolean, big=boolean)
 
     @_lazy
     def digest(self) -> bytes:
         return md5_digest(self.wire)
-
-    def body_size(self) -> int:
-        return 1 + 4 + 8 + (4 + len(self.op)) + 1 + 1
 
 
 def designated_replier(req: Request, n: int) -> int:
@@ -201,84 +198,26 @@ class PrePrepare(WireMemo):
     inline_requests: tuple[Request, ...] = ()
     sender: int = 0
 
-    def encode_header(self) -> bytes:
-        enc = (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.view)
-            .u64(self.seq)
-            .blob(self.nondet)
-        )
-        enc.sequence(self.request_digests, lambda e, d: e.raw(d))
-        return enc.finish()
-
-    def encode(self) -> bytes:
-        enc = Encoder().raw(self.encode_header())
-        enc.sequence(self.inline_requests, lambda e, r: e.blob(r.encode()))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "PrePrepare":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a PrePrepare")
-        sender = dec.u16()
-        view = dec.u64()
-        seq = dec.u64()
-        nondet = dec.blob()
-        digests = tuple(dec.sequence(lambda d: d.raw(DIGEST_SIZE)))
-        inline = tuple(
-            dec.sequence(lambda d: Request.decode(Decoder(d.blob())))
-        )
-        return cls(
-            view=view,
-            seq=seq,
-            request_digests=digests,
-            nondet=nondet,
-            inline_requests=inline,
-            sender=sender,
-        )
+    LAYOUT = layout(
+        TAG, sender=u16, view=u64, seq=u64, nondet=blob, request_digests=seq(DIGEST),
+        inline_requests=seq(boxed(Request)), header_through="request_digests",
+    )
 
     #: Memoized header encoding (the authenticated portion).
-    header_wire = _lazy(encode_header)
+    header_wire = _lazy(lambda self: self.encode_header())
 
     @_lazy
     def batch_digest(self) -> bytes:
         """Digest identifying (view, seq, batch, nondet) for prepare/commit."""
         return md5_digest(self.header_wire)
 
-    def body_size(self) -> int:
-        size = 1 + 2 + 8 + 8 + (4 + len(self.nondet))
-        size += 4 + DIGEST_SIZE * len(self.request_digests)
-        size += 4 + sum(4 + r.body_size() for r in self.inline_requests)
-        return size
-
     def auth_bytes(self) -> bytes:
         # Inline bodies are covered transitively by their digests.
         return self.header_wire
 
 
-class _Vote(WireMemo):
-    """Shared codec of the two agreement votes (identical layout)."""
-
-    _HEAD = struct.Struct(">BHQQ")  # tag, sender, view, seq; then the digest
-
-    def encode(self) -> bytes:
-        return self._HEAD.pack(self.TAG, self.sender, self.view, self.seq) + self.batch_digest
-
-    @classmethod
-    def decode(cls, dec: Decoder):
-        tag, sender, view, seq = dec.unpack(cls._HEAD)
-        if tag != cls.TAG:
-            raise ProtocolError(f"not a {cls.__name__}")
-        return cls(view=view, seq=seq, batch_digest=dec.raw(DIGEST_SIZE), sender=sender)
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 8 + DIGEST_SIZE
-
-
 @message
-class Prepare(_Vote):
+class Prepare(WireMemo):
     """A backup's agreement to the primary's sequence assignment."""
 
     TAG = 3
@@ -288,9 +227,11 @@ class Prepare(_Vote):
     batch_digest: bytes
     sender: int
 
+    LAYOUT = layout(TAG, sender=u16, view=u64, seq=u64, batch_digest=DIGEST)
+
 
 @message
-class Commit(_Vote):
+class Commit(WireMemo):
     """Second-round vote guaranteeing total order across views."""
 
     TAG = 4
@@ -299,6 +240,8 @@ class Commit(_Vote):
     seq: int
     batch_digest: bytes
     sender: int
+
+    LAYOUT = layout(TAG, sender=u16, view=u64, seq=u64, batch_digest=DIGEST)
 
 
 @message
@@ -321,26 +264,10 @@ class Reply(WireMemo):
     tentative: bool = False
     digest_only: bool = False
 
-    # tag, sender, view, req_id, client, tentative, digest_only, len(result)
-    _HEAD = struct.Struct(">BHQQI??I")
-
-    def encode(self) -> bytes:
-        return self._HEAD.pack(
-            self.TAG, self.sender, self.view, self.req_id, self.client,
-            self.tentative, self.digest_only, len(self.result),
-        ) + self.result
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "Reply":
-        tag, sender, view, req_id, client, tentative, digest_only, size = dec.unpack(
-            cls._HEAD
-        )
-        if tag != cls.TAG:
-            raise ProtocolError("not a Reply")
-        return cls(
-            view=view, req_id=req_id, client=client, sender=sender,
-            result=dec.raw(size), tentative=tentative, digest_only=digest_only,
-        )
+    LAYOUT = layout(
+        TAG, sender=u16, view=u64, req_id=u64, client=u32,
+        tentative=boolean, digest_only=boolean, result=blob,
+    )
 
     @_lazy
     def result_digest(self) -> bytes:
@@ -368,9 +295,6 @@ class Reply(WireMemo):
             digest_only=self.digest_only,
         )
 
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 8 + 4 + 1 + 1 + (4 + len(self.result))
-
 
 @message
 class CheckpointMsg(WireMemo):
@@ -382,20 +306,7 @@ class CheckpointMsg(WireMemo):
     root: bytes
     sender: int
 
-    _HEAD = struct.Struct(">BHQ")  # tag, sender, seq; then the root
-
-    def encode(self) -> bytes:
-        return self._HEAD.pack(self.TAG, self.sender, self.seq) + self.root
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "CheckpointMsg":
-        tag, sender, seq = dec.unpack(cls._HEAD)
-        if tag != cls.TAG:
-            raise ProtocolError("not a CheckpointMsg")
-        return cls(sender=sender, seq=seq, root=dec.raw(DIGEST_SIZE))
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + DIGEST_SIZE
+    LAYOUT = layout(TAG, sender=u16, seq=u64, root=DIGEST)
 
 
 @message
@@ -420,34 +331,10 @@ class PreparedProof:
     nondet: bytes = b""
     noop: bool = False
 
-    def encode_into(self, enc: Encoder) -> None:
-        enc.u64(self.seq).u64(self.view).raw(self.batch_digest)
-        enc.boolean(self.noop)
-        enc.blob(self.nondet)
-        enc.sequence(self.request_digests, lambda e, d: e.raw(d))
-
-    @classmethod
-    def decode_from(cls, dec: Decoder) -> "PreparedProof":
-        seq = dec.u64()
-        view = dec.u64()
-        batch_digest = dec.raw(DIGEST_SIZE)
-        noop = dec.boolean()
-        nondet = dec.blob()
-        digests = tuple(dec.sequence(lambda d: d.raw(DIGEST_SIZE)))
-        return cls(
-            seq=seq,
-            view=view,
-            batch_digest=batch_digest,
-            request_digests=digests,
-            nondet=nondet,
-            noop=noop,
-        )
-
-    def size(self) -> int:
-        return (
-            8 + 8 + DIGEST_SIZE + 1 + (4 + len(self.nondet))
-            + 4 + DIGEST_SIZE * len(self.request_digests)
-        )
+    LAYOUT = layout(
+        seq=u64, view=u64, batch_digest=DIGEST, noop=boolean, nondet=blob,
+        request_digests=seq(DIGEST),
+    )
 
 
 @message
@@ -463,52 +350,14 @@ class ViewChangeMsg(WireMemo):
     prepared: tuple[PreparedProof, ...]
     sender: int
 
-    def encode(self) -> bytes:
-        enc = (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.new_view)
-            .u64(self.stable_seq)
-            .raw(self.stable_root)
-        )
-        enc.sequence(
-            self.checkpoint_proof, lambda e, rv: e.u16(rv[0]).raw(rv[1])
-        )
-        enc.sequence(self.prepared, lambda e, p: p.encode_into(e))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "ViewChangeMsg":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a ViewChangeMsg")
-        sender = dec.u16()
-        new_view = dec.u64()
-        stable_seq = dec.u64()
-        stable_root = dec.raw(DIGEST_SIZE)
-        proof = tuple(
-            dec.sequence(lambda d: (d.u16(), d.raw(DIGEST_SIZE)))
-        )
-        prepared = tuple(dec.sequence(PreparedProof.decode_from))
-        return cls(
-            new_view=new_view,
-            stable_seq=stable_seq,
-            stable_root=stable_root,
-            checkpoint_proof=proof,
-            prepared=prepared,
-            sender=sender,
-        )
+    LAYOUT = layout(
+        TAG, sender=u16, new_view=u64, stable_seq=u64, stable_root=DIGEST,
+        checkpoint_proof=seq(u16, DIGEST), prepared=seq(PreparedProof),
+    )
 
     @_lazy
     def digest(self) -> bytes:
         return md5_digest(self.wire)
-
-    def body_size(self) -> int:
-        return (
-            1 + 2 + 8 + 8 + DIGEST_SIZE
-            + 4 + len(self.checkpoint_proof) * (2 + DIGEST_SIZE)
-            + 4 + sum(p.size() for p in self.prepared)
-        )
 
 
 @message
@@ -532,47 +381,14 @@ class NewViewMsg(WireMemo):
     stable_seq: int
     sender: int
 
-    def encode(self) -> bytes:
-        enc = (
-            Encoder()
-            .u8(self.TAG)
-            .u16(self.sender)
-            .u64(self.view)
-            .u64(self.stable_seq)
-        )
-        enc.sequence(self.view_changes, lambda e, vc: e.blob(vc.encode()))
-        enc.sequence(self.pre_prepares, lambda e, p: p.encode_into(e))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "NewViewMsg":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a NewViewMsg")
-        sender = dec.u16()
-        view = dec.u64()
-        stable_seq = dec.u64()
-        vcs = tuple(
-            dec.sequence(lambda d: ViewChangeMsg.decode(Decoder(d.blob())))
-        )
-        pps = tuple(dec.sequence(PreparedProof.decode_from))
-        return cls(
-            view=view,
-            view_changes=vcs,
-            pre_prepares=pps,
-            stable_seq=stable_seq,
-            sender=sender,
-        )
+    LAYOUT = layout(
+        TAG, sender=u16, view=u64, stable_seq=u64,
+        view_changes=seq(boxed(ViewChangeMsg)), pre_prepares=seq(PreparedProof),
+    )
 
     @property
     def view_change_digests(self) -> tuple[tuple[int, bytes], ...]:
         return tuple((vc.sender, vc.digest) for vc in self.view_changes)
-
-    def body_size(self) -> int:
-        return (
-            1 + 2 + 8 + 8
-            + 4 + sum(4 + vc.body_size() for vc in self.view_changes)
-            + 4 + sum(p.size() for p in self.pre_prepares)
-        )
 
 
 @message
@@ -591,27 +407,9 @@ class StatusMsg(WireMemo):
     sender: int
     recovering: bool = False
 
-    # tag, sender, view, last_exec_seq, stable_seq, recovering
-    _LAYOUT = struct.Struct(">BHQQQ?")
-
-    def encode(self) -> bytes:
-        return self._LAYOUT.pack(
-            self.TAG, self.sender, self.view, self.last_exec_seq,
-            self.stable_seq, self.recovering,
-        )
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "StatusMsg":
-        tag, sender, view, last_exec_seq, stable_seq, recovering = dec.unpack(cls._LAYOUT)
-        if tag != cls.TAG:
-            raise ProtocolError("not a StatusMsg")
-        return cls(
-            view=view, last_exec_seq=last_exec_seq, stable_seq=stable_seq,
-            sender=sender, recovering=recovering,
-        )
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 8 + 8 + 1
+    LAYOUT = layout(
+        TAG, sender=u16, view=u64, last_exec_seq=u64, stable_seq=u64, recovering=boolean
+    )
 
 
 @message
@@ -632,29 +430,10 @@ class BatchRetransmit(WireMemo):
     requests: tuple[Request, ...]
     sender: int
 
-    def encode(self) -> bytes:
-        enc = Encoder().u8(self.TAG).u16(self.sender)
-        enc.blob(self.pre_prepare.encode())
-        enc.sequence(self.commit_proof, lambda e, r: e.u16(r))
-        enc.sequence(self.requests, lambda e, r: e.blob(r.encode()))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "BatchRetransmit":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a BatchRetransmit")
-        sender = dec.u16()
-        pp = PrePrepare.decode(Decoder(dec.blob()))
-        proof = tuple(dec.sequence(lambda d: d.u16()))
-        reqs = tuple(dec.sequence(lambda d: Request.decode(Decoder(d.blob()))))
-        return cls(pre_prepare=pp, commit_proof=proof, requests=reqs, sender=sender)
-
-    def body_size(self) -> int:
-        return (
-            1 + 2 + (4 + self.pre_prepare.body_size())
-            + 4 + 2 * len(self.commit_proof)
-            + 4 + sum(4 + r.body_size() for r in self.requests)
-        )
+    LAYOUT = layout(
+        TAG, sender=u16, pre_prepare=boxed(PrePrepare), commit_proof=seq(u16),
+        requests=seq(boxed(Request)),
+    )
 
 
 @message
@@ -667,22 +446,7 @@ class FetchDigestsMsg(WireMemo):
     node_indices: tuple[int, ...]
     sender: int
 
-    def encode(self) -> bytes:
-        enc = Encoder().u8(self.TAG).u16(self.sender).u64(self.checkpoint_seq)
-        enc.sequence(self.node_indices, lambda e, i: e.u32(i))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "FetchDigestsMsg":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a FetchDigestsMsg")
-        sender = dec.u16()
-        seq = dec.u64()
-        idx = tuple(dec.sequence(lambda d: d.u32()))
-        return cls(checkpoint_seq=seq, node_indices=idx, sender=sender)
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 4 + 4 * len(self.node_indices)
+    LAYOUT = layout(TAG, sender=u16, checkpoint_seq=u64, node_indices=seq(u32))
 
 
 @message
@@ -695,22 +459,7 @@ class DigestsMsg(WireMemo):
     entries: tuple[tuple[int, bytes], ...]
     sender: int
 
-    def encode(self) -> bytes:
-        enc = Encoder().u8(self.TAG).u16(self.sender).u64(self.checkpoint_seq)
-        enc.sequence(self.entries, lambda e, nd: e.u32(nd[0]).raw(nd[1]))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "DigestsMsg":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a DigestsMsg")
-        sender = dec.u16()
-        seq = dec.u64()
-        entries = tuple(dec.sequence(lambda d: (d.u32(), d.raw(DIGEST_SIZE))))
-        return cls(checkpoint_seq=seq, entries=entries, sender=sender)
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 4 + len(self.entries) * (4 + DIGEST_SIZE)
+    LAYOUT = layout(TAG, sender=u16, checkpoint_seq=u64, entries=seq(u32, DIGEST))
 
 
 @message
@@ -723,22 +472,7 @@ class FetchPagesMsg(WireMemo):
     page_indices: tuple[int, ...]
     sender: int
 
-    def encode(self) -> bytes:
-        enc = Encoder().u8(self.TAG).u16(self.sender).u64(self.checkpoint_seq)
-        enc.sequence(self.page_indices, lambda e, i: e.u32(i))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "FetchPagesMsg":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a FetchPagesMsg")
-        sender = dec.u16()
-        seq = dec.u64()
-        idx = tuple(dec.sequence(lambda d: d.u32()))
-        return cls(checkpoint_seq=seq, page_indices=idx, sender=sender)
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 4 + 4 * len(self.page_indices)
+    LAYOUT = layout(TAG, sender=u16, checkpoint_seq=u64, page_indices=seq(u32))
 
 
 @message
@@ -761,40 +495,10 @@ class PagesMsg(WireMemo):
     # nothing cached to resend — a reply black hole.
     client_replies: tuple[tuple[int, bytes], ...] = ()
 
-    def encode(self) -> bytes:
-        enc = Encoder().u8(self.TAG).u16(self.sender).u64(self.checkpoint_seq)
-        enc.raw(self.root)
-        enc.sequence(self.pages, lambda e, ip: e.u32(ip[0]).blob(ip[1]))
-        enc.sequence(self.client_marks, lambda e, cm: e.u32(cm[0]).u64(cm[1]))
-        enc.sequence(self.client_replies, lambda e, cr: e.u32(cr[0]).blob(cr[1]))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "PagesMsg":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not a PagesMsg")
-        sender = dec.u16()
-        seq = dec.u64()
-        root = dec.raw(DIGEST_SIZE)
-        pages = tuple(dec.sequence(lambda d: (d.u32(), d.blob())))
-        marks = tuple(dec.sequence(lambda d: (d.u32(), d.u64())))
-        replies = tuple(dec.sequence(lambda d: (d.u32(), d.blob())))
-        return cls(
-            checkpoint_seq=seq,
-            root=root,
-            pages=pages,
-            sender=sender,
-            client_marks=marks,
-            client_replies=replies,
-        )
-
-    def body_size(self) -> int:
-        return (
-            1 + 2 + 8 + DIGEST_SIZE
-            + 4 + sum(4 + 4 + len(data) for _, data in self.pages)
-            + 4 + len(self.client_marks) * 12
-            + 4 + sum(4 + 4 + len(data) for _, data in self.client_replies)
-        )
+    LAYOUT = layout(
+        TAG, sender=u16, checkpoint_seq=u64, root=DIGEST, pages=seq(u32, blob),
+        client_marks=seq(u32, u64), client_replies=seq(u32, blob),
+    )
 
 
 @message
@@ -813,23 +517,9 @@ class AuthenticatorRefresh(WireMemo):
     client: int
     keys: tuple[tuple[int, bytes], ...]  # (replica, 16-byte key material)
 
-    def encode(self) -> bytes:
-        enc = Encoder().u8(self.TAG).u32(self.client)
-        enc.sequence(self.keys, lambda e, rk: e.u16(rk[0]).raw(rk[1]))
-        return enc.finish()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "AuthenticatorRefresh":
-        if dec.u8() != cls.TAG:
-            raise ProtocolError("not an AuthenticatorRefresh")
-        client = dec.u32()
-        keys = tuple(dec.sequence(lambda d: (d.u16(), d.raw(16))))
-        return cls(client=client, keys=keys)
-
-    def body_size(self) -> int:
-        # Each key entry ships as a public-key encrypted block (~64 bytes
-        # for the small simulated Rabin moduli).
-        return 1 + 4 + 4 + len(self.keys) * (2 + 64)
+    # Each key ships as a public-key encrypted block (~64 bytes for the
+    # small simulated Rabin moduli); the encoding carries the 16 key bytes.
+    LAYOUT = layout(TAG, client=u32, keys=seq(u16, raw(16, charged=64)))
 
 
 # Operations whose first byte is this prefix are middleware system
@@ -872,62 +562,15 @@ class BusyReply(WireMemo):
     retry_after_ns: int
     queue_depth: int
 
-    # tag, sender, view, req_id, client, reason, retry_after_ns, queue_depth
-    _LAYOUT = struct.Struct(">BHQQIBQI")
-
-    def encode(self) -> bytes:
-        return self._LAYOUT.pack(
-            self.TAG, self.sender, self.view, self.req_id, self.client,
-            self.reason, self.retry_after_ns, self.queue_depth,
-        )
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "BusyReply":
-        tag, sender, view, req_id, client, reason, retry_after_ns, queue_depth = (
-            dec.unpack(cls._LAYOUT)
-        )
-        if tag != cls.TAG:
-            raise ProtocolError("not a BusyReply")
-        return cls(
-            view=view, req_id=req_id, client=client, sender=sender,
-            reason=reason, retry_after_ns=retry_after_ns, queue_depth=queue_depth,
-        )
-
-    def body_size(self) -> int:
-        return 1 + 2 + 8 + 8 + 4 + 1 + 8 + 4
-
-
-_TAG_TO_CLASS = {
-    cls.TAG: cls
-    for cls in (
-        Request,
-        PrePrepare,
-        Prepare,
-        Commit,
-        Reply,
-        CheckpointMsg,
-        ViewChangeMsg,
-        NewViewMsg,
-        StatusMsg,
-        BatchRetransmit,
-        FetchDigestsMsg,
-        DigestsMsg,
-        FetchPagesMsg,
-        PagesMsg,
-        AuthenticatorRefresh,
-        BusyReply,
+    LAYOUT = layout(
+        TAG, sender=u16, view=u64, req_id=u64, client=u32,
+        reason=u8, retry_after_ns=u64, queue_depth=u32,
     )
-}
 
 
 def decode_message(data: bytes):
-    """Decode any protocol message from its canonical bytes."""
-    if not data:
-        raise ProtocolError("empty message")
-    cls = _TAG_TO_CLASS.get(data[0])
+    """Decode any tagged message from its canonical bytes."""
+    cls = _TAG_TO_CLASS.get(data[0]) if data else None
     if cls is None:
-        raise ProtocolError(f"unknown message tag {data[0]}")
-    dec = Decoder(data)
-    msg = cls.decode(dec)
-    dec.expect_end()
-    return msg
+        raise ProtocolError(f"no message class for tag {data[:1]!r}")
+    return decode_exact(cls, data)

@@ -45,6 +45,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.common.errors import ProtocolError
+from repro.pbft.wire import decode_exact
+
 # NB: repro.membership.messages is imported lazily inside the methods that
 # need the ReconfigPayload codec — at module level it would close an import
 # cycle (membership.messages -> pbft.messages -> pbft -> replica -> here).
@@ -193,8 +196,8 @@ class ReconfigManager:
         )
 
         try:
-            payload = ReconfigPayload.decode_op(req.op)
-        except Exception:
+            payload = decode_exact(ReconfigPayload, req.op)
+        except ProtocolError:
             self.stats["reconfig_rejected"] += 1
             return REPLY_RECONFIG_BAD
         if not (0 <= payload.slot < self.config.n):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Optional
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ProtocolError
 from repro.crypto.digests import DIGEST_SIZE, md5_digest
 from repro.net.fabric import Address, Host
 from repro.pbft.admission import (
@@ -65,6 +65,9 @@ from repro.pbft.viewchange import ViewChangeMixin
 from repro.statemgr.checkpoints import Checkpoint, CheckpointStore
 from repro.statemgr.pages import PagedState
 from repro.crypto.mac import MacKey
+
+# The reply to an ordered operation whose bytes no executor could decode.
+REPLY_MALFORMED_OP = b"\x00ERR malformed op"
 
 
 class Application:
@@ -600,10 +603,26 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             return self.reconfig.execute_system(req, nondet_ts)
         return self.membership.execute_system(req, nondet_ts)
 
+    def _malformed_op(self) -> bytes:
+        """The result of an operation whose executor could not decode it.
+
+        Nothing decodes an op before the request is ordered (or, read-only,
+        admitted), so a ``ProtocolError`` from an executor must not leave
+        the event loop — every correct replica would die on the same
+        sequence number.  The op is answered with one fixed error instead,
+        identically everywhere; executors decode before their first state
+        write, so nothing was applied.
+        """
+        self.stats["malformed_ops"] += 1
+        return REPLY_MALFORMED_OP
+
     def _execute_readonly(self, req: Request) -> None:
         """Read-only fast path: execute immediately, sequencing permitting."""
         self.host.charge_cpu(self.app.execute_cost_ns(req.op, True))
-        result = self.app.execute(req.op, req.client, self.host.local_time(), True)
+        try:
+            result = self.app.execute(req.op, req.client, self.host.local_time(), True)
+        except ProtocolError:
+            result = self._malformed_op()
         self.host.charge_cpu(self.app.take_accumulated_cost())
         reply = Reply(
             view=self.view,
@@ -943,17 +962,21 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                     self._resend_cached_reply(req)
                 continue
             traced = self.tracer.enabled
-            if self._is_system_op(req) and (
+            system = self._is_system_op(req) and (
                 self.membership is not None or self._is_reconfig_op(req)
-            ):
-                cpu_start, _ = self.host.charge_cpu(0)
-                result = self._execute_system_op(req, nondet_ts)
-                cpu_end = cpu_start
-            else:
-                cpu_start, _ = self.host.charge_cpu(
-                    self.app.execute_cost_ns(req.op, False)
-                )
-                result = self.app.execute(req.op, req.client, nondet_ts, False)
+            )
+            cpu_start, _ = self.host.charge_cpu(
+                0 if system else self.app.execute_cost_ns(req.op, False)
+            )
+            try:
+                if system:
+                    result = self._execute_system_op(req, nondet_ts)
+                else:
+                    result = self.app.execute(req.op, req.client, nondet_ts, False)
+            except ProtocolError:
+                result = self._malformed_op()
+            cpu_end = cpu_start
+            if not system:
                 _, cpu_end = self.host.charge_cpu(self.app.take_accumulated_cost())
             if traced:
                 self.tracer.complete(

@@ -52,7 +52,7 @@ def join_request(temp: int, principal: int):
         host="clienthost0",
         port=6000 + temp % 100,
     )
-    return Request(client=temp, req_id=1, op=payload.encode_op(), big=True)
+    return Request(client=temp, req_id=1, op=payload.encode(), big=True)
 
 
 # Each op: (is_join, principal, leave_target_index)

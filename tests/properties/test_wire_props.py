@@ -10,11 +10,14 @@ import inspect
 import linecache
 import pickle
 import pstats
+import random
+import struct
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import ProtocolError
 from repro.crypto.digests import md5_digest, memo_digest
 from repro.membership.messages import (
     Join2Payload,
@@ -44,38 +47,61 @@ from repro.pbft.messages import (
     decode_message,
     message,
 )
-from repro.pbft.wire import Decoder
-
-digests = st.binary(min_size=16, max_size=16)
-small_int = st.integers(min_value=0, max_value=2**31)
-seq_nums = st.integers(min_value=0, max_value=2**40)
-replica_ids = st.integers(min_value=0, max_value=6)
-
-requests = st.builds(
-    Request,
-    client=small_int,
-    req_id=seq_nums,
-    op=st.binary(max_size=256),
-    readonly=st.booleans(),
-    big=st.booleans(),
+from repro.pbft.wire import (
+    Atom, Decoder, blob, boolean, boxed, decode_exact, layout, raw, seq, text, u8,
 )
 
 
+def strategy_for(kind):
+    """The Hypothesis strategy of a message class, or of one kind of the
+    wire table, read off ``LAYOUT`` — a field added to a layout is fuzzed
+    and round-tripped without touching this file."""
+    if isinstance(kind, type):
+        fields_ = kind.LAYOUT.fields.items()
+        return st.builds(kind, **{name: strategy_for(k) for name, k in fields_})
+    if isinstance(kind, Atom):
+        if kind.allowed:
+            return st.sampled_from(kind.allowed)
+        plain = {boolean: st.booleans(), blob: st.binary(max_size=96), text: st.text(max_size=24)}
+        if kind in plain:
+            return plain[kind]
+        return st.integers(min_value=0, max_value=256 ** struct.calcsize(kind.code) - 1)
+    if isinstance(kind, raw):
+        return st.binary(min_size=kind.size, max_size=kind.size)
+    if isinstance(kind, boxed):
+        return strategy_for(kind.cls)
+    items = [strategy_for(k) for k in kind.item]
+    return st.lists(items[0] if len(items) == 1 else st.tuples(*items), max_size=4).map(tuple)
+
+
+def surcharge(value, kind=None) -> int:
+    """Σ (charged − encoded) over a message: the bytes ``wire_size`` accounts
+    for that ``wire`` does not carry (``raw(n, charged=m)`` in a layout)."""
+    if kind is None or isinstance(kind, (type, boxed)):
+        layout_fields = type(value).LAYOUT.fields.items()
+        return sum(surcharge(getattr(value, name), k) for name, k in layout_fields)
+    if isinstance(kind, raw):
+        return kind.charged - kind.size
+    if isinstance(kind, seq):
+        rows = value if len(kind.item) > 1 else [(v,) for v in value]
+        return sum(surcharge(v, k) for row in rows for v, k in zip(row, kind.item))
+    return 0
+
+
+requests = strategy_for(Request)
+pre_prepares = strategy_for(PrePrepare)
+small_messages = st.one_of(
+    *map(strategy_for, (Prepare, Commit, CheckpointMsg, StatusMsg, Reply, BusyReply))
+)
+view_changes = strategy_for(ViewChangeMsg)
+pages_msgs = strategy_for(PagesMsg)
+
+
+# Through ``decode_message``: the tag dispatch, then the class's decoder.
 @given(msg=requests)
 @settings(max_examples=100)
 def test_request_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
-
-
-pre_prepares = st.builds(
-    PrePrepare,
-    view=seq_nums,
-    seq=seq_nums,
-    request_digests=st.lists(digests, max_size=8).map(tuple),
-    nondet=st.binary(max_size=16),
-    inline_requests=st.lists(requests, max_size=3).map(tuple),
-    sender=replica_ids,
-)
 
 
 @given(msg=pre_prepares)
@@ -84,84 +110,16 @@ def test_preprepare_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
 
 
-small_messages = st.one_of(
-    st.builds(Prepare, view=seq_nums, seq=seq_nums, batch_digest=digests, sender=replica_ids),
-    st.builds(Commit, view=seq_nums, seq=seq_nums, batch_digest=digests, sender=replica_ids),
-    st.builds(CheckpointMsg, seq=seq_nums, root=digests, sender=replica_ids),
-    st.builds(
-        StatusMsg,
-        view=seq_nums,
-        last_exec_seq=seq_nums,
-        stable_seq=seq_nums,
-        sender=replica_ids,
-        recovering=st.booleans(),
-    ),
-    st.builds(
-        Reply,
-        view=seq_nums,
-        req_id=seq_nums,
-        client=small_int,
-        sender=replica_ids,
-        result=st.binary(max_size=128),
-        tentative=st.booleans(),
-        digest_only=st.booleans(),
-    ),
-    st.builds(
-        BusyReply,
-        view=seq_nums,
-        req_id=seq_nums,
-        client=small_int,
-        sender=replica_ids,
-        reason=st.integers(min_value=0, max_value=2),
-        retry_after_ns=seq_nums,
-        queue_depth=st.integers(min_value=0, max_value=2**31),
-    ),
-)
-
-
 @given(msg=small_messages)
 @settings(max_examples=150)
 def test_small_messages_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
 
 
-view_changes = st.builds(
-    ViewChangeMsg,
-    new_view=seq_nums,
-    stable_seq=seq_nums,
-    stable_root=digests,
-    checkpoint_proof=st.lists(
-        st.tuples(replica_ids, digests), max_size=4
-    ).map(tuple),
-    prepared=st.lists(
-        st.builds(
-            PreparedProof, seq=seq_nums, view=seq_nums, batch_digest=digests
-        ),
-        max_size=4,
-    ).map(tuple),
-    sender=replica_ids,
-)
-
-
 @given(msg=view_changes)
 @settings(max_examples=60)
 def test_viewchange_roundtrip(msg):
     assert decode_message(msg.encode()) == msg
-
-
-pages_msgs = st.builds(
-    PagesMsg,
-    checkpoint_seq=seq_nums,
-    root=digests,
-    pages=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=1000), st.binary(max_size=64)),
-        max_size=4,
-    ).map(tuple),
-    sender=replica_ids,
-    client_marks=st.lists(
-        st.tuples(small_int, seq_nums), max_size=4
-    ).map(tuple),
-)
 
 
 @given(msg=pages_msgs)
@@ -290,14 +248,7 @@ def test_request_digest_identical_across_cache_modes(msg):
 @given(msg=requests)
 @settings(max_examples=100)
 def test_digest_is_injective_over_samples(msg):
-    other = Request(
-        client=msg.client,
-        req_id=msg.req_id + 1,
-        op=msg.op,
-        readonly=msg.readonly,
-        big=msg.big,
-    )
-    assert msg.digest != other.digest
+    assert msg.digest != replace(msg, req_id=msg.req_id ^ 1).digest
 
 
 # -- the one-store constructor -----------------------------------------------------
@@ -332,6 +283,99 @@ def all_samples():
 
 
 MESSAGE_CLASSES = sorted({type(m) for m in all_samples()}, key=lambda c: c.__qualname__)
+
+
+# -- the wire table: every class, from its LAYOUT -------------------------------------
+
+
+def by_class(test):
+    return pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)(test)
+
+
+def check_size_law(msg):
+    """Accounted size = encoded length + the layout's declared charges."""
+    assert msg.body_size() == len(msg.encode()) + surcharge(msg)
+    if isinstance(msg, WireMemo):
+        assert msg.wire_size == msg.body_size()
+
+
+def test_size_law_on_the_catalogue_and_the_one_layout_that_charges():
+    for msg in all_samples():
+        check_size_law(msg)
+    charged = {type(m).__name__: surcharge(m) for m in all_samples() if surcharge(m)}
+    assert charged == {"AuthenticatorRefresh": 2 * (64 - 16)}
+
+
+@by_class
+@given(data=st.data())
+@settings(max_examples=40)
+def test_every_class_roundtrips_and_obeys_the_size_law(cls, data):
+    msg = data.draw(strategy_for(cls))
+    assert decode_exact(cls, msg.encode()) == msg
+    check_size_law(msg)
+
+
+def check_decodes_canonically_or_refuses(cls, data: bytes):
+    """The decoder contract: a typed refusal, or a message that *is* these
+    bytes — never another exception, never two byte strings for one message
+    (MACs and signatures cover the bytes, quorums match on the message)."""
+    try:
+        msg = decode_exact(cls, data)
+    except ProtocolError:
+        return
+    assert msg.encode() == data
+
+
+@by_class
+def test_decoder_fuzz_mutated_truncated_and_extended_samples(cls):
+    rng = random.Random(f"wire-fuzz:{cls.__name__}")  # pinned: same mutants every run
+    for sample in (m for m in all_samples() if type(m) is cls):
+        wire = sample.encode()
+        assert decode_exact(cls, wire) == sample
+        for cut in range(len(wire)):
+            with pytest.raises(ProtocolError):
+                decode_exact(cls, wire[:cut])
+        for extra in (b"\x00", rng.randbytes(rng.randrange(1, 9))):
+            with pytest.raises(ProtocolError):
+                decode_exact(cls, wire + extra)
+        for at in range(len(wire)):
+            values = {wire[at] ^ (1 << bit) for bit in range(8)} | {rng.randrange(256) for _ in range(4)}
+            for value in values - {wire[at]}:
+                check_decodes_canonically_or_refuses(cls, wire[:at] + bytes([value]) + wire[at + 1:])
+
+
+@by_class
+@given(data=st.binary(max_size=200), after_prefix=st.booleans())
+@settings(max_examples=60)
+def test_decoder_fuzz_arbitrary_bytes(cls, data, after_prefix):
+    # Arbitrary bytes rarely get past the tag; half the time put them behind it.
+    check_decodes_canonically_or_refuses(cls, bytes(cls.LAYOUT.prefix) * after_prefix + data)
+
+
+def test_decode_message_reaches_every_tagged_class_and_only_those():
+    for msg in all_samples():
+        if hasattr(msg, "TAG"):
+            assert decode_message(msg.encode()) == msg
+        elif msg.LAYOUT.prefix:  # a system op: 0xFF is nobody's tag
+            with pytest.raises(ProtocolError):
+                decode_message(msg.encode())
+
+
+def test_a_reused_tag_is_an_import_time_error():
+    with pytest.raises(TypeError, match="reuses tag 3 of Prepare"):
+        @message
+        class Impostor(WireMemo):
+            TAG = Prepare.TAG
+            sender: int
+
+
+def test_a_layout_must_name_each_field_once():
+    with pytest.raises(TypeError, match="must name each field once"):
+        @message
+        class Forgetful:
+            a: int
+            b: int
+            LAYOUT = layout(a=u8)
 
 
 def field_values(msg) -> dict:

@@ -19,6 +19,7 @@ from repro.membership.messages import (
 from repro.net.fabric import NetworkFabric
 from repro.pbft.config import PbftConfig
 from repro.pbft.messages import Request
+from repro.pbft.wire import decode_exact
 from repro.pbft.node import KeyDirectory
 from repro.pbft.replica import NullApplication, Replica
 from repro.sim.rng import RngStreams
@@ -53,7 +54,7 @@ def join_op(temp=1000, user=b"user:1", host="clienthost0", port=6000):
         host=host,
         port=port,
     )
-    return Request(client=temp, req_id=1, op=payload.encode_op(), big=True)
+    return Request(client=temp, req_id=1, op=payload.encode(), big=True)
 
 
 def execute_join(replica, **kwargs):
@@ -76,7 +77,7 @@ class TestJoin:
 
     def test_bad_response_denied(self, replica):
         request = join_op()
-        payload = Join2Payload.decode_op(request.op)
+        payload = decode_exact(Join2Payload, request.op)
         bad = Join2Payload(
             temp_client=payload.temp_client,
             pubkey_n=payload.pubkey_n,
@@ -87,7 +88,7 @@ class TestJoin:
             host=payload.host,
             port=payload.port,
         )
-        bad_req = Request(client=1000, req_id=1, op=bad.encode_op(), big=True)
+        bad_req = Request(client=1000, req_id=1, op=bad.encode(), big=True)
         assert replica.membership.execute_system(bad_req, 0) == REPLY_DENIED
 
     def test_unauthorized_idbuf_denied(self, replica):

@@ -11,7 +11,7 @@ from repro.membership.messages import (
     encode_leave_op,
     system_op_kind,
 )
-from repro.pbft.wire import Decoder
+from repro.pbft.wire import Decoder, decode_exact
 
 
 def sample_phase1():
@@ -62,9 +62,9 @@ def test_join2_payload_roundtrip():
         host="clienthost0",
         port=6001,
     )
-    op = payload.encode_op()
+    op = payload.encode()
     assert system_op_kind(op) == SYS_JOIN2
-    assert Join2Payload.decode_op(op) == payload
+    assert decode_exact(Join2Payload, op) == payload
 
 
 def test_leave_op():

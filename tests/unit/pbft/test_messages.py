@@ -3,28 +3,10 @@
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.pbft.messages import (
-    AuthenticatorRefresh,
-    BatchRetransmit,
-    CheckpointMsg,
-    Commit,
-    DigestsMsg,
-    FetchDigestsMsg,
-    FetchPagesMsg,
-    NewViewMsg,
-    PagesMsg,
-    PrePrepare,
-    Prepare,
-    PreparedProof,
-    Reply,
-    Request,
-    StatusMsg,
-    ViewChangeMsg,
-    decode_message,
-)
+from repro.pbft.messages import PrePrepare, Reply, Request, decode_message
+from tests.properties.test_wire_props import sample_messages, surcharge
 
 D = b"d" * 16
-R = b"r" * 16
 
 
 def sample_request(**kw):
@@ -33,82 +15,10 @@ def sample_request(**kw):
     return Request(**defaults)
 
 
-ALL_MESSAGES = [
-    sample_request(),
-    PrePrepare(
-        view=2,
-        seq=9,
-        request_digests=(D,),
-        nondet=b"\x00" * 8,
-        inline_requests=(sample_request(big=False),),
-        sender=0,
-    ),
-    Prepare(view=2, seq=9, batch_digest=D, sender=1),
-    Commit(view=2, seq=9, batch_digest=D, sender=3),
-    Reply(view=2, req_id=7, client=1000, sender=1, result=b"out", tentative=True),
-    Reply(view=2, req_id=7, client=1000, sender=2, result=D, digest_only=True),
-    CheckpointMsg(seq=128, root=R, sender=2),
-    ViewChangeMsg(
-        new_view=3,
-        stable_seq=128,
-        stable_root=R,
-        checkpoint_proof=((0, R), (1, R), (2, R)),
-        prepared=(
-            PreparedProof(
-                seq=130, view=2, batch_digest=D,
-                request_digests=(D, D), nondet=b"\x01" * 8,
-            ),
-        ),
-        sender=1,
-    ),
-    NewViewMsg(
-        view=3,
-        view_changes=tuple(
-            ViewChangeMsg(
-                new_view=3,
-                stable_seq=128,
-                stable_root=R,
-                checkpoint_proof=((0, R), (1, R), (2, R)),
-                prepared=(),
-                sender=rid,
-            )
-            for rid in range(3)
-        ),
-        pre_prepares=(
-            PreparedProof(seq=129, view=2, batch_digest=D, request_digests=(D,)),
-            PreparedProof(
-                seq=130, view=0, batch_digest=bytes(16), noop=True
-            ),
-        ),
-        stable_seq=128,
-        sender=3,
-    ),
-    StatusMsg(view=2, last_exec_seq=100, stable_seq=64, sender=3, recovering=True),
-    BatchRetransmit(
-        pre_prepare=PrePrepare(view=0, seq=5, request_digests=(D,), sender=0),
-        commit_proof=(0, 1, 2),
-        requests=(sample_request(),),
-        sender=1,
-    ),
-    FetchDigestsMsg(checkpoint_seq=64, node_indices=(1, 2, 3), sender=3),
-    DigestsMsg(checkpoint_seq=64, entries=((1, R), (2, R)), sender=0),
-    FetchPagesMsg(checkpoint_seq=64, page_indices=(5, 6), sender=3),
-    PagesMsg(
-        checkpoint_seq=64,
-        root=R,
-        pages=((5, b"\x01" * 32),),
-        sender=0,
-        client_marks=((1000, 7),),
-        client_replies=(
-            (
-                1000,
-                Reply(
-                    view=1, req_id=7, client=1000, sender=0, result=b"ok"
-                ).encode(),
-            ),
-        ),
-    ),
-    AuthenticatorRefresh(client=1000, keys=((0, b"k" * 16), (1, b"j" * 16))),
+# The one catalogue (its Reply is a full, tentative one) and that reply's
+# digest-only twin, which sets the other flag byte.
+ALL_MESSAGES = sample_messages() + [
+    Reply(view=2, req_id=7, client=1000, sender=2, result=D, digest_only=True)
 ]
 
 
@@ -119,8 +29,11 @@ def test_roundtrip(msg):
 
 @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=lambda m: type(m).__name__)
 def test_body_size_counts_at_least_encoded_bytes(msg):
-    # body_size is the wire accounting; it must at least cover the payload.
-    assert msg.body_size() >= len(msg.encode()) - 8 or msg.body_size() > 0
+    """Exactly them, plus what the layout declares as charged beyond its
+    encoding (``AuthenticatorRefresh``: 48 bytes per key) — the accounting
+    that ``net.bytes_per_op`` and every bandwidth charge is made of."""
+    assert msg.wire_size == msg.body_size() == len(msg.wire) + surcharge(msg)
+    assert surcharge(msg) == (96 if type(msg).__name__ == "AuthenticatorRefresh" else 0)
 
 
 def test_request_digest_stable_and_distinct():
