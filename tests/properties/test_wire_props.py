@@ -652,3 +652,90 @@ def test_reply_result_digest_through_the_memo_cold_warm_and_past_its_bound():
     info = memo_digest.cache_info()
     assert info.currsize == bound and info.hits > 0 and info.misses > len(bodies)
     assert Reply(view=1, req_id=2, client=3, sender=0, result=b"").result_digest == hashlib.md5(b"").digest()
+
+
+# -- the op families: kv, sql, shard-tx -------------------------------------------------
+# What travels *inside* ``Request.op`` and ``Reply.result``, and what a shard
+# persists in its reserved pages.  Pinned in test_wire_golden.py (OP_GOLDEN).
+
+TXID_1, TXID_2, MIG_1 = ((n).to_bytes(16, "big") for n in (1, 2, 7))
+LOW_HALF = ("range", 0, 1 << 31)
+ACCOUNTS = ("table", "accounts")
+KV_RECORDS = (
+    (md5_digest(b"a"), b"alpha"),
+    (md5_digest(b"b"), b""),
+)
+SQL_ROWS = ((1, "ann", 100), (2, "bob", None))
+
+
+def op_family_samples() -> dict[str, bytes]:
+    """One deterministic encoding of every ordered op, reply, migration
+    payload, migration chunk and of a tx-table image, keyed by the name of
+    the class that declares its layout."""
+    from repro.apps.kvstore import encode_get, encode_put
+    from repro.apps.sqlapp import encode_rows_reply, encode_sql_op
+    from repro.pbft.wire import Encoder
+    from repro.shard import txapp as tx
+    from repro.sqlstate.engine import ResultSet
+    from repro.sqlstate.records import encode_record
+    from repro.sqlstate.values import SqlNull
+
+    put = encode_put(b"key", b"value")
+    rows = [tuple(SqlNull if v is None else v for v in row) for row in SQL_ROWS]
+    kv_chunk = Encoder().sequence(KV_RECORDS, lambda e, r: e.raw(r[0]).blob(r[1])).finish()
+    sql_chunk = Encoder().sequence(rows, lambda e, r: e.blob(encode_record(list(r)))).finish()
+    holders = Encoder().sequence([(TXID_1, 0), (TXID_2, 3)], lambda e, h: e.raw(h[0]).u16(h[1]))
+    table = Encoder().u32(1).raw(TXID_1).u64(9).u16(0)
+    table.sequence((0, 1), lambda e, s: e.u16(s))
+    table.sequence((put,), lambda e, op: e.blob(op)).sequence((b"key",), lambda e, k: e.blob(k))
+    table.u32(1).raw(TXID_2 + b"\x00").u32(1).raw(TXID_1 + b"\x01")
+    table.u32(1).raw(MIG_1).u8(tx.ROLE_DST)
+    tx.encode_unit(table, ACCOUNTS)
+    table.u16(1).u32(3)
+    table.u32(1).raw(TXID_2)
+    tx.encode_unit(table, LOW_HALF)
+    table.u16(1).u32(4)
+    table.u32(1).raw(TXID_1)
+    tx.encode_unit(table, ACCOUNTS)
+    table.u32(5)
+    table = table.finish()
+    return {
+        "Put": put,
+        "Get": encode_get(b"key"),
+        "KvChunk": kv_chunk,
+        "SqlOp": encode_sql_op("SELECT * FROM t WHERE a = ? AND b = ?", (1, "x")),
+        "SqlNone": Encoder().u8(0).finish(),
+        "SqlRows": encode_rows_reply(ResultSet(columns=["id", "owner", "balance"], rows=rows)),
+        "SqlCount": Encoder().u8(2).u64(3).finish(),
+        "SqlFailure": Encoder().u8(3).blob(b"no such table t").finish(),
+        "SqlChunk": sql_chunk,
+        "TxPrepare": tx.encode_prepare(TXID_1, 0, (0, 1), (put,), (b"key",)),
+        "TxCommit": tx.encode_commit(TXID_1),
+        "TxAbort": tx.encode_abort(TXID_1),
+        "TxDecide": tx.encode_decide(TXID_1, tx.DECISION_COMMIT),
+        "TxResolve": tx.encode_resolve(TXID_1),
+        "TxStatus": tx.encode_status(TXID_1),
+        "TxForget": tx.encode_forget(TXID_1),
+        "MigFreeze": tx.encode_mig_freeze(MIG_1, LOW_HALF, 1),
+        "MigExport": tx.encode_mig_export(MIG_1, 5, 2048),
+        "MigBegin": tx.encode_mig_begin(MIG_1, ACCOUNTS, 0),
+        "MigInstall": tx.encode_mig_install(MIG_1, 2, kv_chunk),
+        "MigActivate": tx.encode_mig_activate(MIG_1, LOW_HALF, 4),
+        "MigCommit": tx.encode_mig_commit(MIG_1, ACCOUNTS, 1, 4),
+        "MigAbort": tx.encode_mig_abort(MIG_1),
+        "MigStatus": tx.encode_mig_status(MIG_1),
+        "ReplyErr": tx._reply_err("commit after abort"),
+        "ReplyOk": tx._reply_ok((b"\x01OK", b"\x00MISS")),
+        "ReplyLocked": tx._reply_locked(TXID_1, 2),
+        "ReplyTombstone": tx._reply(tx.ST_TOMBSTONE),
+        "ReplyDecision": tx._reply_decision(tx.DECISION_COMMIT),
+        "ReplyUnknown": tx._reply(tx.ST_UNKNOWN),
+        "ReplyFrozen": tx._reply(tx.ST_FROZEN),
+        "ReplyWrongShard": tx._reply_wrong_shard(LOW_HALF, 1, 4),
+        "ReplyMig": tx._reply_mig(b"payload"),
+        "FreezePayload": holders.finish(),
+        "ExportPayload": Encoder().u64(17).u8(1).blob(kv_chunk).finish(),
+        "InstallPayload": Encoder().u8(1).u32(3).finish(),
+        "StatusPayload": Encoder().u8(tx.MIG_DST_ACTIVE).u32(3).finish(),
+        "TxTableImage": Encoder().u32(0x54585331).u32(len(table)).raw(table).finish(),
+    }
