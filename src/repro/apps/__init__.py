@@ -15,7 +15,7 @@
 from repro.apps.sqlapp import SqlApplication, SqlCosts, encode_sql_op, decode_sql_op, decode_rows_reply
 from repro.apps.evoting import EvotingApplication, EvotingClient
 from repro.apps.preservation import PreservationApplication, ArchiveClient
-from repro.apps.kvstore import KvApplication, encode_put, encode_get
+from repro.apps.kvstore import Get, KvApplication, Put, encode_put
 from repro.apps.unreplicated import UnreplicatedServer, UnreplicatedClient, build_unreplicated
 
 __all__ = [
@@ -30,7 +30,8 @@ __all__ = [
     "ArchiveClient",
     "KvApplication",
     "encode_put",
-    "encode_get",
+    "Put",
+    "Get",
     "UnreplicatedServer",
     "UnreplicatedClient",
     "build_unreplicated",

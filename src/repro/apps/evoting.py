@@ -108,15 +108,6 @@ class EvotingClient:
             callback,
         )
 
-    def register_voter(
-        self, election_id: int, username: str, credential: str, callback=None
-    ):
-        return self._submit(
-            "INSERT INTO voters (election_id, username, credential) VALUES (?, ?, ?)",
-            (election_id, username, credential),
-            callback,
-        )
-
     # -- voting --------------------------------------------------------------------
 
     def cast_vote(self, election_id: int, vote: str, callback=None):

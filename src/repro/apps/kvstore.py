@@ -8,41 +8,60 @@ library was actually comfortable with, for contrast with
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from repro.common.errors import StateError
 from repro.common.units import MICROSECOND
 from repro.crypto.digests import md5_digest
+from repro.pbft.messages import message
 from repro.pbft.replica import Application
-from repro.pbft.wire import Decoder, Encoder
-
-_OP_PUT = 0x01
-_OP_GET = 0x02
+from repro.pbft.wire import blob, decode_exact, layout, raw, seq, tagged
 
 _SLOT = struct.Struct(">B16sH")  # in_use, key digest, value length
 _NEAR_PROBES = 4  # slots probed one by one before the table is searched whole
 
+KV_OP = tagged("KvOp")
+
+
+@message(family=KV_OP)
+class Put:
+    key: bytes
+    value: bytes
+
+    LAYOUT = layout(0x01, key=blob, value=blob)
+
+
+@message(family=KV_OP)
+class Get:
+    key: bytes
+
+    LAYOUT = layout(0x02, key=blob)
+
+
+@message
+class KvChunk:
+    """Migration chunk: (key digest, value) of slots leaving with a range."""
+
+    records: tuple[tuple[bytes, bytes], ...]
+
+    LAYOUT = layout(records=seq(raw(16), blob))
+
 
 def encode_put(key: bytes, value: bytes) -> bytes:
-    return Encoder().u8(_OP_PUT).blob(key).blob(value).finish()
+    return Put(key, value).encode()
 
 
-def encode_get(key: bytes) -> bytes:
-    return Encoder().u8(_OP_GET).blob(key).finish()
+# Shared like ``sqlapp.decode_sql_op``: one op is decoded by its router, by
+# the lock-key scan at every replica and again to execute.  A malformed op
+# raises every time: lru_cache stores no exceptions.
+_decode_op = functools.lru_cache(maxsize=256)(functools.partial(decode_exact, KV_OP))
 
 
 def keys_of_op(op: bytes) -> tuple[bytes, ...]:
     """The keys a kv operation touches — the sharding layer's routing and
-    locking unit (see :mod:`repro.shard`).  Unknown opcodes touch nothing."""
-    dec = Decoder(op)
-    kind = dec.u8()
-    if kind in (_OP_PUT, _OP_GET):
-        return (dec.blob(),)
-    return ()
-
-
-def op_is_readonly(op: bytes) -> bool:
-    return op[:1] == bytes((_OP_GET,))
+    locking unit (see :mod:`repro.shard`)."""
+    return (_decode_op(op).key,)
 
 
 class KvApplication(Application):
@@ -73,15 +92,10 @@ class KvApplication(Application):
         self.app_offset = app_offset
 
     def execute(self, op: bytes, client_id: int, nondet_ts: int, readonly: bool) -> bytes:
-        dec = Decoder(op)
-        kind = dec.u8()
-        if kind == _OP_PUT:
-            key = dec.blob()
-            value = dec.blob()
-            return self._put(key, value)
-        if kind == _OP_GET:
-            return self._get(dec.blob())
-        return b"\x00ERR bad op"
+        request = _decode_op(op)
+        if type(request) is Put:
+            return self._put(request.key, request.value)
+        return self._get(request.key)
 
     def execute_cost_ns(self, op: bytes, readonly: bool) -> int:
         return 5 * MICROSECOND
@@ -90,7 +104,8 @@ class KvApplication(Application):
         return self.app_offset + slot * self.slot_size
 
     def _find_slot(self, digest: bytes) -> tuple[int, bool]:
-        """(slot, exists): the slot holding the key, or the first free one.
+        """(slot, exists): the slot holding the key, or the first free one
+        (-1 when the key is new and every slot is taken).
 
         A free slot does not end the probe sequence (``migrate_purge``
         leaves holes), so a key is only known missing once every slot was
@@ -129,20 +144,24 @@ class KvApplication(Application):
             first_free = in_use_flags.find(0, start)
             if first_free < 0:
                 first_free = in_use_flags.find(0, 0, start)
-            if first_free < 0:
-                raise StateError("kv store is full")
         return first_free, False
 
     def _put(self, key: bytes, value: bytes) -> bytes:
         if len(value) > self.value_size:
             return b"\x00ERR value too large"
-        digest = md5_digest(key)
+        if not self._store(md5_digest(key), value):
+            return b"\x00ERR kv store is full"
+        self.puts += 1
+        return b"\x01OK"
+
+    def _store(self, digest: bytes, value: bytes) -> bool:
         slot, _exists = self._find_slot(digest)
+        if slot < 0:
+            return False
         offset = self._slot_offset(slot)
         self.state.modify(offset, self.slot_size)
         self.state.write(offset, _SLOT.pack(1, digest, len(value)) + value)
-        self.puts += 1
-        return b"\x01OK"
+        return True
 
     def _get(self, key: bytes) -> bytes:
         digest = md5_digest(key)
@@ -161,9 +180,10 @@ class KvApplication(Application):
     # the same set by construction.
 
     def _range_of(self, unit) -> tuple[int, int]:
-        if unit[0] != "range":
-            raise StateError("kv stores migrate key ranges, not tables")
-        return unit[1], unit[2]
+        try:
+            return unit.lo, unit.hi
+        except AttributeError:
+            raise StateError("kv stores migrate key ranges, not tables") from None
 
     def migrate_export(self, unit, cursor: int, budget: int):
         """Serialize (digest, value) records for slots >= ``cursor`` whose
@@ -180,20 +200,13 @@ class KvApplication(Application):
                 records.append((digest, raw[_SLOT.size : _SLOT.size + length]))
                 used += _SLOT.size + length
             slot += 1
-        enc = Encoder()
-        enc.sequence(records, lambda e, r: e.raw(r[0]).blob(r[1]))
-        return enc.finish(), slot, slot >= self.num_slots
+        return KvChunk(tuple(records)).encode(), slot, slot >= self.num_slots
 
     def migrate_install(self, unit, chunk: bytes) -> None:
         self._range_of(unit)
-        dec = Decoder(chunk)
-        for _ in range(dec.u32()):
-            digest = dec.raw(16)
-            value = dec.blob()
-            slot, _exists = self._find_slot(digest)
-            offset = self._slot_offset(slot)
-            self.state.modify(offset, self.slot_size)
-            self.state.write(offset, _SLOT.pack(1, digest, len(value)) + value)
+        for digest, value in decode_exact(KvChunk, chunk).records:
+            if len(value) > self.value_size or not self._store(digest, value):
+                raise StateError("kv store cannot hold the chunk")
 
     def migrate_purge(self, unit) -> None:
         """Clear every slot in the unit.  Safe under linear probing because

@@ -18,32 +18,48 @@ encoded result rows (or an affected-row count).
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 
-from repro.common.errors import SqlError
+from repro.common.errors import ProtocolError, SqlError
 from repro.common.units import MICROSECOND
 from repro.crypto.digests import md5_digest
+from repro.pbft.messages import message
 from repro.pbft.replica import Application
-from repro.pbft.wire import Decoder, Encoder
+from repro.pbft.wire import blob, decode_exact, layout, seq, tagged, text, u64
 from repro.sqlstate.engine import Database, ResultSet
 from repro.sqlstate.records import decode_record, encode_record
 from repro.sqlstate.vfs import DiskModel, MemoryVfsFile, StateRegionVfsFile, VfsEnvironment
 from repro.sqlstate.values import SqlNull
 
-_OP_SQL = 0x01
+
+def _values_of(record: bytes) -> list:
+    """The values of a client-supplied record (a statement's parameters, a
+    migrated row), which must be the one encoding of them: ``sqlstate``
+    reads its own records trustingly, so the op boundary is strict for it."""
+    try:
+        values = decode_record(record)
+        canonical = encode_record(values) == record
+    except (SqlError, IndexError, UnicodeDecodeError, struct.error) as exc:
+        raise ProtocolError(f"not a record: {exc}") from exc
+    if not canonical:
+        raise ProtocolError("not a canonical record")
+    return values
+
+
+@message
+class SqlOp:
+    """One statement and its parameters, as one record."""
+
+    sql: str
+    record: bytes
+
+    LAYOUT = layout(0x01, sql=text, record=blob)
 
 
 def encode_sql_op(sql: str, params: tuple = ()) -> bytes:
     """Encode one SQL operation for submission through PBFT."""
-    normalized = [None if p is SqlNull else p for p in params]
-    record_params = [SqlNull if p is None else p for p in normalized]
-    return (
-        Encoder()
-        .u8(_OP_SQL)
-        .blob(sql.encode())
-        .blob(encode_record(record_params))
-        .finish()
-    )
+    return SqlOp(sql, encode_record([SqlNull if p is None else p for p in params])).encode()
 
 
 # One operation is decoded by the router's codec, by the lock-key scan at
@@ -53,12 +69,8 @@ def encode_sql_op(sql: str, params: tuple = ()) -> bytes:
 # A malformed operation raises every time: lru_cache stores no exceptions.
 @functools.lru_cache(maxsize=256)
 def decode_sql_op(op: bytes) -> tuple[str, tuple]:
-    dec = Decoder(op)
-    if dec.u8() != _OP_SQL:
-        raise SqlError("not a SQL operation")
-    sql = dec.blob().decode()
-    params = tuple(decode_record(dec.blob()))
-    return sql, params
+    decoded = decode_exact(SqlOp, op)
+    return decoded.sql, tuple(_values_of(decoded.record))
 
 
 _TABLE_INTRODUCERS = frozenset({"from", "into", "update", "join", "table"})
@@ -105,27 +117,62 @@ def tables_of_sql(sql: str) -> tuple[str, ...]:
     return tuple(tables)
 
 
+SQL_REPLY = tagged("SqlReply")
+
+
+@message(family=SQL_REPLY)
+class SqlNone:
+    """The statement returns nothing (DDL)."""
+
+    LAYOUT = layout(0x00)
+
+
+@message(family=SQL_REPLY)
+class SqlRows:
+    """A SELECT's rows, one record each.  A migration chunk is the same shape."""
+
+    rows: tuple[bytes, ...]
+
+    LAYOUT = layout(0x01, rows=seq(blob))
+
+
+@message(family=SQL_REPLY)
+class SqlCount:
+    count: int  # rows affected
+
+    LAYOUT = layout(0x02, count=u64)
+
+
+@message(family=SQL_REPLY)
+class SqlFailure:
+    """Errors are part of the deterministic reply, not a crash."""
+
+    error: str
+
+    LAYOUT = layout(0x03, error=text)
+
+
+@message
+class SqlChunk:
+    """Migration chunk: the records of rows leaving with a table."""
+
+    rows: tuple[bytes, ...]
+
+    LAYOUT = layout(rows=seq(blob))
+
+
 def encode_rows_reply(result: ResultSet) -> bytes:
-    enc = Encoder().u8(1).u32(len(result.rows))
-    for row in result.rows:
-        enc.blob(encode_record(list(row)))
-    return enc.finish()
+    return SqlRows(tuple(encode_record(list(row)) for row in result.rows)).encode()
 
 
 def decode_rows_reply(reply: bytes):
     """Decode a reply: list of row tuples, or an int count, or None."""
-    dec = Decoder(reply)
-    kind = dec.u8()
-    if kind == 0:
-        return None
-    if kind == 1:
-        count = dec.u32()
-        return [tuple(decode_record(dec.blob())) for _ in range(count)]
-    if kind == 2:
-        return dec.u64()
-    if kind == 3:
-        raise SqlError(dec.blob().decode())
-    raise SqlError(f"bad reply kind {kind}")
+    decoded = decode_exact(SQL_REPLY, reply)
+    if type(decoded) is SqlFailure:
+        raise SqlError(decoded.error)
+    if type(decoded) is SqlRows:
+        return [tuple(decode_record(row)) for row in decoded.rows]
+    return getattr(decoded, "count", None)
 
 
 @dataclass(frozen=True)
@@ -278,9 +325,7 @@ class SqlApplication(Application):
             try:
                 result = self.db.execute(sql, params)
             except SqlError as exc:
-                # Errors are part of the deterministic reply, not a crash.
-                message = str(exc).encode()
-                return Encoder().u8(3).blob(message).finish()
+                return SqlFailure(str(exc)).encode()
         finally:
             if before is not None:
                 after = self._engine_counters()
@@ -291,8 +336,8 @@ class SqlApplication(Application):
         if isinstance(result, ResultSet):
             return encode_rows_reply(result)
         if isinstance(result, int):
-            return Encoder().u8(2).u64(result).finish()
-        return Encoder().u8(0).finish()
+            return SqlCount(result).encode()
+        return SqlNone().encode()
 
     def _statement_cost_ns(self, stats) -> int:
         """Engine CPU cost of one statement (excludes journal disk time,
@@ -333,9 +378,10 @@ class SqlApplication(Application):
     # at the destination.
 
     def _table_of(self, unit) -> str:
-        if unit[0] != "table":
-            raise SqlError("SQL applications migrate tables, not key ranges")
-        return unit[1]
+        try:
+            return unit.name
+        except AttributeError:
+            raise SqlError("SQL applications migrate tables, not key ranges") from None
 
     def migrate_export(self, unit, cursor: int, budget: int):
         """Rows ``cursor..`` of ``SELECT * FROM <table>``, up to ~``budget``
@@ -354,15 +400,11 @@ class SqlApplication(Application):
             records.append(record)
             used += len(record)
             index += 1
-        enc = Encoder()
-        enc.sequence(records, lambda e, r: e.blob(r))
-        return enc.finish(), index, index >= len(rows)
+        return SqlChunk(tuple(records)).encode(), index, index >= len(rows)
 
     def migrate_install(self, unit, chunk: bytes) -> None:
         table = self._table_of(unit)
-        dec = Decoder(chunk)
-        for _ in range(dec.u32()):
-            row = tuple(decode_record(dec.blob()))
+        for row in [_values_of(record) for record in decode_exact(SqlChunk, chunk).rows]:
             placeholders = ", ".join("?" for _ in row)
             self.db.execute(
                 f"INSERT INTO {table} VALUES ({placeholders})", row

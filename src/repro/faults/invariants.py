@@ -310,7 +310,7 @@ def check_migration_safety(
     frozen or tombstoned unit answers exactly as it would answer a
     client.
     """
-    from repro.apps.kvstore import encode_get
+    from repro.apps.kvstore import Get
     from repro.shard.txapp import is_tx_reply
 
     violations: list[Violation] = []
@@ -323,7 +323,7 @@ def check_migration_safety(
         for shard, app in enumerate(readers):
             if app is None:
                 continue
-            reply = app.execute(encode_get(key), 0, 0, True)
+            reply = app.execute(Get(key).encode(), 0, 0, True)
             served = not is_tx_reply(reply) and reply[:1] == b"\x01"
             if shard == owner:
                 if not served:

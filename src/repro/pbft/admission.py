@@ -152,9 +152,6 @@ class AdmissionControl:
         if not admitted:
             del self.inflight[client]
 
-    def release_client(self, client: int) -> None:
-        self.inflight.pop(client, None)
-
     def reset_inflight(self) -> None:
         """Forget all in-flight bookkeeping (view entry, restart).
 

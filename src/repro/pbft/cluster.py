@@ -48,9 +48,6 @@ class Cluster:
     def total_completed(self) -> int:
         return sum(c.completed_ops for c in self.clients)
 
-    def total_executed(self) -> int:
-        return sum(r.stats["requests_executed"] for r in self.replicas)
-
     def invoke_and_wait(
         self, client: PbftClient, op: bytes, readonly: bool = False,
         max_wait_ns: int = 10_000_000_000,

@@ -107,7 +107,6 @@ class PbftConfig:
     # Blind periodic rebroadcast of client session keys (section 2.3): the
     # only way a restarted replica re-learns authenticators.
     authenticator_rebroadcast_ns: int = 1 * SECOND
-    checkpoint_broadcast_retry_ns: int = 200 * MILLISECOND
     status_retry_ns: int = 100 * MILLISECOND
     # Periodic status gossip while work is outstanding: lets lagging
     # replicas pull missing batches from peers (the original's STATUS
@@ -148,10 +147,6 @@ class PbftConfig:
     # Max |primary timestamp - local clock| accepted by the time-delta
     # validator.
     nondet_time_delta_ns: int = 250 * MILLISECOND
-    # The paper's suggested fix: skip non-determinism validation while
-    # replaying during recovery.  Off by default (matching the original
-    # implementation whose erratic behaviour section 2.5 documents).
-    skip_nondet_validation_on_replay: bool = False
 
     # -- dynamic membership (section 3.1) ---------------------------------------
     max_node_entries: int = 64

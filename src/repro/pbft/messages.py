@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
-from repro.common.errors import ProtocolError
 from repro.crypto.digests import DIGEST_SIZE, md5_digest, memo_digest
-from repro.pbft.wire import blob, boolean, boxed, decode_exact, derive, layout, raw, seq
+from repro.pbft.wire import blob, boolean, boxed, decode_exact, derive, layout, raw, seq, tagged
 from repro.pbft.wire import u8, u16, u32, u64
 
 # Sequence number used before any request is assigned one.
@@ -23,8 +23,8 @@ NO_SEQ = 0
 
 DIGEST = raw(DIGEST_SIZE)
 
-# Leading byte -> message class, filled by ``@message`` from each ``TAG``.
-_TAG_TO_CLASS: dict[int, type] = {}
+# The protocol messages' family: leading byte -> class, for every class with a ``TAG``.
+MESSAGES = tagged("message")
 
 
 class _lazy:
@@ -53,7 +53,7 @@ class _lazy:
         return value
 
 
-def message(cls):
+def message(cls=None, *, family: tagged | None = None):
     """``@dataclass(frozen=True)`` with a constructor that stores once and a
     codec compiled from the class's ``LAYOUT``.
 
@@ -67,13 +67,16 @@ def message(cls):
 
     A class that declares ``LAYOUT`` (:class:`repro.pbft.wire.layout`) gets
     ``encode``, ``decode(cls, dec)`` and ``body_size`` from
-    :func:`repro.pbft.wire.derive`; one with a ``TAG`` is what
-    :func:`decode_message` returns for that leading byte.
+    :func:`repro.pbft.wire.derive`, and joins ``family`` — what decodes "one
+    of these" by its leading bytes (DESIGN.md section 7).  A class with a
+    ``TAG`` is a protocol message: :func:`decode_message`'s family.
 
     Every generated function is compiled against the defining module's
     file at the decorator's line, so profilers — which key rows by
     ``(co_filename, co_firstlineno, co_name)`` — keep one row per class.
     """
+    if cls is None:
+        return partial(message, family=family)  # no Python frame of its own
     cls = dataclass(frozen=True)(cls)
     flds = fields(cls)
     names = [f.name for f in flds]
@@ -109,9 +112,10 @@ def message(cls):
         for name, source in sources.items():
             function = define(name, source, namespace)
             setattr(cls, name, classmethod(function) if name == "decode" else function)
-    owner = _TAG_TO_CLASS.setdefault(cls.TAG, cls) if "TAG" in vars(cls) else cls
-    if owner is not cls:
-        raise TypeError(f"{cls.__name__} reuses tag {cls.TAG} of {owner.__name__}")
+    if family is None and "TAG" in vars(cls):
+        family = MESSAGES
+    if family is not None:
+        family.add(cls)
     return cls
 
 
@@ -386,10 +390,6 @@ class NewViewMsg(WireMemo):
         view_changes=seq(boxed(ViewChangeMsg)), pre_prepares=seq(PreparedProof),
     )
 
-    @property
-    def view_change_digests(self) -> tuple[tuple[int, bytes], ...]:
-        return tuple((vc.sender, vc.digest) for vc in self.view_changes)
-
 
 @message
 class StatusMsg(WireMemo):
@@ -570,7 +570,4 @@ class BusyReply(WireMemo):
 
 def decode_message(data: bytes):
     """Decode any tagged message from its canonical bytes."""
-    cls = _TAG_TO_CLASS.get(data[0]) if data else None
-    if cls is None:
-        raise ProtocolError(f"no message class for tag {data[:1]!r}")
-    return decode_exact(cls, data)
+    return decode_exact(MESSAGES, data)

@@ -9,8 +9,8 @@ Section 2.5's subtle issue lives in :class:`TimeDeltaValidator`: validating
 "fresh" pre-prepares against a time delta works, but the same check fails
 when a request is *replayed* during recovery, because the drift is then
 large — and the original implementation cannot tell replay from normal
-processing.  :class:`PbftConfig.skip_nondet_validation_on_replay` enables
-the paper's proposed fix.
+processing.  ``TimeDeltaValidator(recovery_aware=True)`` is the paper's
+proposed fix: skip the check while replaying.
 """
 
 from __future__ import annotations

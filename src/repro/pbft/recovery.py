@@ -33,7 +33,7 @@ from repro.pbft.messages import (
     Reply,
     StatusMsg,
 )
-from repro.pbft.wire import Decoder
+from repro.pbft.wire import decode_exact
 from repro.pbft.nondet import decode_timestamp
 from repro.statemgr.merkle import MerkleTree
 
@@ -513,7 +513,7 @@ class RecoveryMixin:
         # is at least as recent as what we hold.  The transferred
         # checkpoint is stable, so its replies count as stable too.
         for client, data in client_replies:
-            reply = Reply.decode(Decoder(data)).stabilized()
+            reply = decode_exact(Reply, data).stabilized()
             cached = self.reqstore.last_reply.get(client)
             if cached is None or cached.req_id <= reply.req_id:
                 self.reqstore.last_reply[client] = reply

@@ -603,8 +603,10 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             return self.reconfig.execute_system(req, nondet_ts)
         return self.membership.execute_system(req, nondet_ts)
 
-    def _malformed_op(self) -> bytes:
-        """The result of an operation whose executor could not decode it.
+    def _answer(self, req: Request, nondet_ts: int, tentative: bool = False,
+                readonly: bool = False, system: bool = False) -> Reply:
+        """Execute ``req`` and wrap the result for the client — the one place
+        an executor is called from.
 
         Nothing decodes an op before the request is ordered (or, read-only,
         admitted), so a ``ProtocolError`` from an executor must not leave
@@ -613,25 +615,28 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         identically everywhere; executors decode before their first state
         write, so nothing was applied.
         """
-        self.stats["malformed_ops"] += 1
-        return REPLY_MALFORMED_OP
-
-    def _execute_readonly(self, req: Request) -> None:
-        """Read-only fast path: execute immediately, sequencing permitting."""
-        self.host.charge_cpu(self.app.execute_cost_ns(req.op, True))
         try:
-            result = self.app.execute(req.op, req.client, self.host.local_time(), True)
+            if system:
+                result = self._execute_system_op(req, nondet_ts)
+            else:
+                result = self.app.execute(req.op, req.client, nondet_ts, readonly)
         except ProtocolError:
-            result = self._malformed_op()
-        self.host.charge_cpu(self.app.take_accumulated_cost())
-        reply = Reply(
+            self.stats["malformed_ops"] += 1
+            result = REPLY_MALFORMED_OP
+        return Reply(
             view=self.view,
             req_id=req.req_id,
             client=req.client,
             sender=self.node_id,
             result=result,
-            tentative=False,
+            tentative=tentative,
         )
+
+    def _execute_readonly(self, req: Request) -> None:
+        """Read-only fast path: execute immediately, sequencing permitting."""
+        self.host.charge_cpu(self.app.execute_cost_ns(req.op, True))
+        reply = self._answer(req, self.host.local_time(), readonly=True)
+        self.host.charge_cpu(self.app.take_accumulated_cost())
         self.stats["readonly_executed"] += 1
         if self.tracer.enabled:
             self.tracer.mark((req.client, req.req_id), "executed", self.host.name)
@@ -968,13 +973,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             cpu_start, _ = self.host.charge_cpu(
                 0 if system else self.app.execute_cost_ns(req.op, False)
             )
-            try:
-                if system:
-                    result = self._execute_system_op(req, nondet_ts)
-                else:
-                    result = self.app.execute(req.op, req.client, nondet_ts, False)
-            except ProtocolError:
-                result = self._malformed_op()
+            reply = self._answer(req, nondet_ts, tentative, system=system)
             cpu_end = cpu_start
             if not system:
                 _, cpu_end = self.host.charge_cpu(self.app.take_accumulated_cost())
@@ -984,14 +983,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                     cat="pbft.exec", corr=(req.client, req.req_id),
                     args={"seq": pp.seq, "tentative": tentative},
                 )
-            reply = Reply(
-                view=self.view,
-                req_id=req.req_id,
-                client=req.client,
-                sender=self.node_id,
-                result=result,
-                tentative=tentative,
-            )
             self.reqstore.record_execution(req, reply, nondet_ts)
             self.admission.release(req.client, req.req_id)
             if self.membership is not None:

@@ -133,6 +133,10 @@ class Decoder:
     def raw(self, size: int) -> bytes:
         return self._take(size)
 
+    def peek(self, size: int) -> bytes:
+        """The next ``size`` bytes (fewer at the end of input), not consumed."""
+        return self._data[self._pos : self._pos + size]
+
     def sequence(self, decode_item: Callable[["Decoder"], object]) -> list:
         count = self.u32()
         return [decode_item(self) for _ in range(count)]
@@ -196,6 +200,30 @@ class seq:
         self.item = item
 
 
+class tagged:
+    """One of several classes, told apart by the first ``width`` constant bytes
+    of their layouts, encoded inline.  It is also its family's tag registry:
+    ``@message(family=...)`` adds a class, and a tag used twice is a
+    ``TypeError`` at import."""
+
+    def __init__(self, name: str, width: int = 1) -> None:
+        self.__name__, self.width, self.classes = name, width, {}
+
+    def add(self, cls: type) -> None:
+        tag = bytes(cls.LAYOUT.prefix[: self.width])
+        if len(tag) < self.width:
+            raise TypeError(f"{cls.__name__} has no {self.width}-byte tag to join {self.__name__}")
+        owner = self.classes.setdefault(tag, cls)
+        if owner is not cls:
+            raise TypeError(f"{cls.__name__} reuses tag {tag.hex(' ')} of {owner.__name__}")
+
+    def decode(self, d: Decoder):
+        cls = self.classes.get(d.peek(self.width))
+        if cls is None:
+            raise ProtocolError(f"no {self.__name__} class for tag {d.peek(self.width)!r}")
+        return cls.decode(d)
+
+
 class layout:
     """``layout(<leading constant bytes>, <field>=<kind>, ...)`` in wire order:
     the tag (or 0xFF and the system-op kind), then the fields.  ``header_through``
@@ -213,6 +241,11 @@ def decode_exact(cls, data: bytes):
     return msg
 
 
+_BYTE = {value: bytes((value,)) for value in range(256)}  # (True and False are 1 and 0)
+_INLINE = (type, tagged)  # kinds whose values encode, decode and size themselves
+_ITEM_NAMES = "abcde"  # a sequence item's values, inside the generated comprehension
+
+
 def _member(value: int, allowed: tuple[int, ...]) -> int:
     if value not in allowed:
         raise ProtocolError(f"value {value} is not one of {allowed}")
@@ -226,7 +259,7 @@ class _Codegen:
 
     def __init__(self) -> None:
         self.namespace = {
-            "_blob": lambda data: _U32.pack(len(data)) + data, "_member": _member,
+            "_blob": lambda data: _U32.pack(len(data)) + data, "_member": _member, "_byte": _BYTE,
             "decode_exact": decode_exact, "ProtocolError": ProtocolError,
         }
 
@@ -240,12 +273,12 @@ class _Codegen:
         if isinstance(kind, Atom) and kind.code:
             return [(kind.code, x)]
         if isinstance(kind, seq):
-            names = "abc"[: len(kind.item)]
+            names = _ITEM_NAMES[: len(kind.item)]
             item = self.encode(zip(kind.item, names))
             items = x if item == names else f"[{item} for {', '.join(names)} in {x}]"
             return [("I", f"len({x})"), ("", f"b''.join({items})")]
         # A str and a boxed message encode themselves, then travel as a blob.
-        return [("", f"{x}.encode()" if isinstance(kind, type) else f"_blob({x}.encode())")]
+        return [("", f"{x}.encode()" if isinstance(kind, _INLINE) else f"_blob({x}.encode())")]
 
     def encode(self, pairs, lead=()) -> str:
         """One bytes expression for ``lead`` parts then ``(kind, expr)`` pairs;
@@ -256,6 +289,8 @@ class _Codegen:
             codes, exprs = zip(*run)
             if is_bytes:
                 terms += exprs
+            elif codes in (("B",), ("?",)):
+                terms.append(f"_byte[{exprs[0]}]")  # a lone byte: a lookup, not a call
             else:
                 pack = f"_pack{len(self.namespace)}"
                 self.namespace[pack] = struct.Struct(">" + "".join(codes)).pack
@@ -271,7 +306,7 @@ class _Codegen:
                 constant += struct.calcsize(kind.code)
             elif isinstance(kind, raw):
                 constant += kind.charged
-            elif isinstance(kind, (type, boxed)):
+            elif isinstance(kind, (*_INLINE, boxed)):
                 constant += 4 * isinstance(kind, boxed)
                 terms.append(f"{x}.body_size()")
             else:
@@ -281,7 +316,7 @@ class _Codegen:
                 elif kind is text:
                     terms.append(f"len({x}.encode())")
                 else:
-                    names = "abc"[: len(kind.item)]
+                    names = _ITEM_NAMES[: len(kind.item)]
                     item = self.size(zip(kind.item, names))
                     terms.append(
                         f"{item} * len({x})" if item.isdigit()
@@ -295,7 +330,7 @@ class _Codegen:
             return f"_member({value}, {kind.allowed})" if kind.allowed else value
         if isinstance(kind, raw):
             return f"d.raw({kind.size})"
-        if isinstance(kind, (type, boxed)):
+        if isinstance(kind, (*_INLINE, boxed)):
             cls = getattr(kind, "cls", kind)
             name = cls.__name__
             self.namespace[name] = cls

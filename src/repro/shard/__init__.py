@@ -34,13 +34,6 @@ from repro.shard.txapp import (
     DECISION_COMMIT,
     ShardTxApplication,
     decode_tx_reply,
-    encode_abort,
-    encode_commit,
-    encode_decide,
-    encode_forget,
-    encode_prepare,
-    encode_resolve,
-    encode_status,
     is_tx_reply,
 )
 
@@ -69,13 +62,6 @@ __all__ = [
     "ShardTxApplication",
     "DECISION_ABORT",
     "DECISION_COMMIT",
-    "encode_prepare",
-    "encode_commit",
-    "encode_abort",
-    "encode_decide",
-    "encode_forget",
-    "encode_resolve",
-    "encode_status",
     "decode_tx_reply",
     "is_tx_reply",
 ]

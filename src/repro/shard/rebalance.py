@@ -7,7 +7,7 @@ the driver needs no authority of its own — it is a client, and any of its
 steps can be re-driven by a successor after a crash:
 
 1. **FREEZE** the unit at the source group.  New writes and prepares draw
-   ``ST_FROZEN``; the reply names the prepared transactions still holding
+   ``ReplyFrozen``; the reply names the prepared transactions still holding
    locks on the unit, which the driver drains (resolve at their
    coordinator, presumed abort, deliver the outcome) until none remain.
 2. **BEGIN** at the destination: the incoming unit is frozen there too,
@@ -43,27 +43,28 @@ from typing import Callable, Optional
 from repro.common.errors import ShardError
 from repro.common.units import MILLISECOND
 from repro.crypto.digests import md5_digest
+from repro.pbft.wire import decode_exact
 from repro.shard.txapp import (
     DECISION_ABORT,
-    DECISION_COMMIT,
     ROLE_SRC,
-    ST_DECISION,
-    ST_MIG,
-    decode_export_payload,
-    decode_freeze_payload,
+    ExportPayload,
+    FreezePayload,
+    MigAbort,
+    MigActivate,
+    MigBegin,
+    MigCommit,
+    MigExport,
+    MigFreeze,
+    MigInstall,
+    MigStatus,
+    RangeUnit,
+    ReplyDecision,
+    ReplyErr,
+    ReplyMig,
+    TableUnit,
+    TxResolve,
     decode_tx_reply,
-    encode_abort,
-    encode_commit,
-    encode_mig_abort,
-    encode_mig_activate,
-    encode_mig_begin,
-    encode_mig_commit,
-    encode_mig_export,
-    encode_mig_freeze,
-    encode_mig_install,
-    encode_mig_status,
-    encode_resolve,
-    is_tx_reply,
+    outcome_op,
 )
 
 
@@ -146,12 +147,13 @@ class ShardRebalancer:
     def move_range(self, lo: int, hi: int, dst: int,
                    on_done: Optional[Callable] = None) -> bytes:
         """Start migrating the key range ``[lo, hi)`` to group ``dst``."""
-        return self._start(("range", lo, hi), dst, on_done)
+        return self._start(RangeUnit(lo, hi), self.directory.owner_of_range(lo, hi), dst, on_done)
 
     def move_table(self, table: str, dst: int,
                    on_done: Optional[Callable] = None) -> bytes:
         """Start migrating a whole SQL table to group ``dst``."""
-        return self._start(("table", table.lower()), dst, on_done)
+        table = table.lower()
+        return self._start(TableUnit(table), self.directory.shard_of_table(table), dst, on_done)
 
     def resume(self, on_done: Optional[Callable] = None) -> Optional[bytes]:
         """Finish whatever a crashed predecessor left mid-flight.
@@ -173,11 +175,11 @@ class ShardRebalancer:
             app = self._tx_app(shard)
             if app is None:
                 continue
-            for mig_id in sorted(app.migrations()):
-                role, unit, peer, _chunks = app.migrations()[mig_id]
-                if role != ROLE_SRC:
+            for mig_id, mig in sorted(app.migrations().items()):
+                if mig.role != ROLE_SRC:
                     continue
-                rec = MoveRecord(mig_id, unit, shard, peer, on_done)
+                peer = mig.peer
+                rec = MoveRecord(mig_id, mig.unit, shard, peer, on_done)
                 rec.resumed = True
                 rec.started_at = self.sim.now
                 self._active = rec
@@ -248,36 +250,30 @@ class ShardRebalancer:
         return False
 
     def _mig_payload(self, rec: MoveRecord, reply: bytes, step: str):
-        """The ST_MIG payload of a reply, or None after failing the move."""
-        if is_tx_reply(reply):
-            tx = decode_tx_reply(reply)
-            if tx.status == ST_MIG:
-                return tx.payload
-            self._fail(rec, f"{step}: {tx.message or f'status {tx.status}'}")
-            return None
-        self._fail(rec, f"{step}: non-migration reply")
+        """The ``ReplyMig`` payload of a reply, or None after failing the move."""
+        tx = decode_tx_reply(reply)
+        if type(tx) is ReplyMig:
+            return tx.payload
+        if type(tx) is ReplyErr:
+            self._fail(rec, f"{step}: {tx.message}")
+        else:
+            self._fail(rec, f"{step}: {type(tx).__name__ if tx else 'non-migration reply'}")
         return None
-
-    def _owner_of(self, unit) -> int:
-        if unit[0] == "range":
-            return self.directory.owner_of_range(unit[1], unit[2])
-        return self.directory.shard_of_table(unit[1])
 
     # -- the protocol, step by step -------------------------------------------
 
-    def _start(self, unit, dst: int, on_done) -> bytes:
+    def _start(self, unit, src: int, dst: int, on_done) -> bytes:
         if self.busy:
             raise ShardError("rebalancer is busy")
         if self.crashed:
             raise ShardError("rebalancer crashed; resume() it")
         if not 0 <= dst < len(self.groups):
             raise ShardError(f"no shard {dst} in this deployment")
-        src = self._owner_of(unit)
         if src == dst:
             raise ShardError(f"unit {unit} already lives on shard {dst}")
         self._seq += 1
         mig_id = md5_digest(
-            b"migration" + self._seq.to_bytes(8, "big") + repr(unit).encode()
+            b"migration" + self._seq.to_bytes(8, "big") + unit.encode()
         )
         rec = MoveRecord(mig_id, unit, src, dst, on_done)
         rec.started_at = self.sim.now
@@ -288,7 +284,7 @@ class ShardRebalancer:
 
     def _freeze(self, rec: MoveRecord) -> None:
         self._invoke(
-            rec.src, encode_mig_freeze(rec.mig_id, rec.unit, rec.dst),
+            rec.src, MigFreeze(rec.mig_id, rec.unit, rec.dst).encode(),
             lambda reply: self._on_frozen(rec, reply),
         )
 
@@ -296,7 +292,7 @@ class ShardRebalancer:
         payload = self._mig_payload(rec, reply, "freeze")
         if payload is None:
             return
-        holders = list(decode_freeze_payload(payload))
+        holders = list(decode_exact(FreezePayload, payload).holders)
         if holders:
             rec.drain_polls += 1
             if rec.drain_polls > self.drain_poll_limit:
@@ -318,24 +314,18 @@ class ShardRebalancer:
         txid, coordinator = holders.pop(0)
 
         def on_resolved(reply: bytes) -> None:
-            decision = DECISION_ABORT
-            if is_tx_reply(reply):
-                tx = decode_tx_reply(reply)
-                if tx.status == ST_DECISION:
-                    decision = tx.decision
-            outcome = (
-                encode_commit(txid)
-                if decision == DECISION_COMMIT
-                else encode_abort(txid)
+            tx = decode_tx_reply(reply)
+            decision = tx.decision if type(tx) is ReplyDecision else DECISION_ABORT
+            self._invoke(
+                rec.src, outcome_op(txid, decision), lambda _r: self._drain(rec, holders)
             )
-            self._invoke(rec.src, outcome, lambda _r: self._drain(rec, holders))
 
         self._count("holders_drained")
-        self._invoke(coordinator, encode_resolve(txid), on_resolved)
+        self._invoke(coordinator, TxResolve(txid).encode(), on_resolved)
 
     def _begin(self, rec: MoveRecord) -> None:
         self._invoke(
-            rec.dst, encode_mig_begin(rec.mig_id, rec.unit, rec.src),
+            rec.dst, MigBegin(rec.mig_id, rec.unit, rec.src).encode(),
             lambda reply: (
                 None if self._mig_payload(rec, reply, "begin") is None
                 else self._copy(rec, cursor=0, chunk_index=0)
@@ -344,7 +334,7 @@ class ShardRebalancer:
 
     def _copy(self, rec: MoveRecord, cursor: int, chunk_index: int) -> None:
         self._invoke(
-            rec.src, encode_mig_export(rec.mig_id, cursor, self.chunk_budget),
+            rec.src, MigExport(rec.mig_id, cursor, self.chunk_budget).encode(),
             lambda reply: self._on_exported(rec, chunk_index, reply),
         )
 
@@ -352,10 +342,12 @@ class ShardRebalancer:
         payload = self._mig_payload(rec, reply, "export")
         if payload is None:
             return
-        chunk, next_cursor, done = decode_export_payload(payload)
+        exported = decode_exact(ExportPayload, payload)
         self._invoke(
-            rec.dst, encode_mig_install(rec.mig_id, chunk_index, chunk),
-            lambda r: self._on_installed(rec, next_cursor, chunk_index, done, r),
+            rec.dst, MigInstall(rec.mig_id, chunk_index, exported.chunk).encode(),
+            lambda r: self._on_installed(
+                rec, exported.next_cursor, chunk_index, exported.done, r
+            ),
         )
 
     def _on_installed(self, rec: MoveRecord, next_cursor: int,
@@ -374,7 +366,7 @@ class ShardRebalancer:
         if rec.version == 0:
             rec.version = self.directory.version + 1
         self._invoke(
-            rec.dst, encode_mig_activate(rec.mig_id, rec.unit, rec.version),
+            rec.dst, MigActivate(rec.mig_id, rec.unit, rec.version).encode(),
             lambda reply: self._on_activated(rec, reply),
         )
 
@@ -413,7 +405,7 @@ class ShardRebalancer:
         # An ordered no-op (STATUS) nudges the sequence number toward the
         # next checkpoint boundary even if the group is otherwise idle.
         self._invoke(
-            rec.dst, encode_mig_status(rec.mig_id),
+            rec.dst, MigStatus(rec.mig_id).encode(),
             lambda _r: self.sim.schedule(
                 self.checkpoint_poll_ns, lambda: self._await_checkpoint(rec)
             ),
@@ -422,7 +414,7 @@ class ShardRebalancer:
     def _commit(self, rec: MoveRecord) -> None:
         self._invoke(
             rec.src,
-            encode_mig_commit(rec.mig_id, rec.unit, rec.dst, rec.version),
+            MigCommit(rec.mig_id, rec.unit, rec.dst, rec.version).encode(),
             lambda reply: (
                 None if self._mig_payload(rec, reply, "commit") is None
                 else self._publish(rec)
@@ -430,11 +422,7 @@ class ShardRebalancer:
         )
 
     def _publish(self, rec: MoveRecord) -> None:
-        unit = rec.unit
-        if unit[0] == "range":
-            self.directory.apply_move(unit[1], unit[2], rec.dst, rec.version)
-        else:
-            self.directory.apply_table(unit[1], rec.dst, rec.version)
+        rec.unit.place(self.directory, rec.dst, rec.version)
         rec.state = "done"
         rec.finished_at = self.sim.now
         self._active = None
@@ -449,9 +437,9 @@ class ShardRebalancer:
         rec.reason = reason
         self._count("moves_failed")
         self._invoke(
-            rec.src, encode_mig_abort(rec.mig_id),
+            rec.src, MigAbort(rec.mig_id).encode(),
             lambda _r: self._invoke(
-                rec.dst, encode_mig_abort(rec.mig_id),
+                rec.dst, MigAbort(rec.mig_id).encode(),
                 lambda _r2: self._finish_failed(rec),
             ),
         )

@@ -37,20 +37,18 @@ from repro.shard.directory import ShardDirectory
 from repro.shard.txapp import (
     DECISION_ABORT,
     DECISION_COMMIT,
-    ST_DECISION,
-    ST_FROZEN,
-    ST_LOCKED,
-    ST_OK,
-    ST_TOMBSTONE,
-    ST_WRONG_SHARD,
+    ReplyDecision,
+    ReplyFrozen,
+    ReplyLocked,
+    ReplyOk,
+    ReplyTombstone,
+    ReplyWrongShard,
+    TxDecide,
+    TxForget,
+    TxPrepare,
+    TxResolve,
     decode_tx_reply,
-    encode_abort,
-    encode_commit,
-    encode_decide,
-    encode_forget,
-    encode_prepare,
-    encode_resolve,
-    is_tx_reply,
+    outcome_op,
 )
 
 
@@ -185,7 +183,7 @@ class ShardRouter:
         # vouched for by f+1 matching replica replies — a single lying
         # replica can never form the quorum the underlying PBFT client
         # requires, so a Byzantine redirect cannot plant a false route);
-        # an ST_FROZEN refusal backs off and retries while the unit is
+        # a FROZEN refusal backs off and retries while the unit is
         # mid-migration.
         self.redirect_retry_limit = redirect_retry_limit
         self.frozen_retry_limit = frozen_retry_limit
@@ -293,9 +291,9 @@ class ShardRouter:
         def on_reply(result: bytes, _latency: int) -> None:
             if self.crashed:
                 return
-            if is_tx_reply(result):
-                tx = decode_tx_reply(result)
-                if tx.status == ST_LOCKED and attempt < self.locked_retry_limit:
+            tx = decode_tx_reply(result)
+            if tx is not None:
+                if type(tx) is ReplyLocked and attempt < self.locked_retry_limit:
                     # Blocked on a (possibly stranded) transaction: resolve
                     # it at its coordinator, deliver the outcome here, then
                     # retry after a deterministic backoff.
@@ -311,7 +309,7 @@ class ShardRouter:
                         ),
                     )
                     return
-                if tx.status == ST_WRONG_SHARD:
+                if type(tx) is ReplyWrongShard:
                     # The unit moved: install the learned fact (a no-op if
                     # our directory already knows something newer) and
                     # re-route.  Each redirect carries a strictly newer
@@ -329,7 +327,7 @@ class ShardRouter:
                             return
                     fail("wrong-shard")
                     return
-                if tx.status == ST_FROZEN:
+                if type(tx) is ReplyFrozen:
                     # Mid-migration: the unit will thaw at the source (on
                     # abort), redirect from it (on commit), or activate at
                     # the destination — back off and retry in place.
@@ -355,13 +353,9 @@ class ShardRouter:
 
         self._client_invoke(shard, op, on_reply, readonly=readonly)
 
-    def _learn_fact(self, tx) -> None:
+    def _learn_fact(self, tx: ReplyWrongShard) -> None:
         """Install the placement fact a WRONG_SHARD redirect carries."""
-        unit = tx.unit
-        if unit[0] == "range":
-            self.directory.apply_move(unit[1], unit[2], tx.shard, tx.version)
-        else:
-            self.directory.apply_table(unit[1], tx.shard, tx.version)
+        tx.unit.place(self.directory, tx.shard, tx.version)
 
     # -- recovery -------------------------------------------------------------
 
@@ -379,25 +373,17 @@ class ShardRouter:
         def on_resolved(result: bytes, _latency: int) -> None:
             if self.crashed:
                 return
-            decision = DECISION_ABORT
-            if is_tx_reply(result):
-                tx = decode_tx_reply(result)
-                if tx.status == ST_DECISION:
-                    decision = tx.decision
-            outcome_op = (
-                encode_commit(holder_txid)
-                if decision == DECISION_COMMIT
-                else encode_abort(holder_txid)
-            )
+            tx = decode_tx_reply(result)
+            decision = tx.decision if type(tx) is ReplyDecision else DECISION_ABORT
             blocked_client = self.clients[blocked_shard]
             if blocked_client.busy:
                 on_done()
                 return
             self._client_invoke(
-                blocked_shard, outcome_op, lambda _r, _l: on_done()
+                blocked_shard, outcome_op(holder_txid, decision), lambda _r, _l: on_done()
             )
 
-        self._client_invoke(coordinator, encode_resolve(holder_txid), on_resolved)
+        self._client_invoke(coordinator, TxResolve(holder_txid).encode(), on_resolved)
 
     # -- cross-shard transactions ---------------------------------------------
 
@@ -438,12 +424,12 @@ class ShardRouter:
             self.prepare_timeout_ns, lambda: self._on_prepare_timeout(txn)
         )
         for shard in txn.participants:
-            prepare = encode_prepare(
+            prepare = TxPrepare(
                 txn.txid, txn.coordinator, txn.participants,
-                txn.per_shard_ops[shard], txn.per_shard_keys[shard],
+                tuple(txn.per_shard_ops[shard]), tuple(txn.per_shard_keys[shard]),
             )
             self._client_invoke(
-                shard, prepare,
+                shard, prepare.encode(),
                 lambda result, _lat, s=shard: self._on_vote(txn, s, result),
             )
         return txn.txid
@@ -451,33 +437,31 @@ class ShardRouter:
     def _on_vote(self, txn: _Txn, shard: int, result: bytes) -> None:
         if self._active is not txn or txn.decision is not None or self.crashed:
             return
-        vote = False
-        if is_tx_reply(result):
-            tx = decode_tx_reply(result)
-            vote = tx.status == ST_OK
-            if tx.status == ST_LOCKED:
-                # No blocking lock waits (wound-free 2PC keeps the design
-                # deadlock-proof): our transaction aborts, and once the
-                # abort is fully delivered we recover the holder so its
-                # locks cannot strand the keys forever.
-                txn.reason = "locked"
-                txn.stranded = (tx.holder_txid, tx.holder_coordinator, shard)
-                self.stats["lock_conflicts"] += 1
-            elif tx.status == ST_TOMBSTONE:
-                txn.reason = "tombstone"
-            elif tx.status == ST_WRONG_SHARD:
-                # A participant's unit moved mid-flight: vote no (the
-                # transaction aborts presumed-abort), but learn the fact
-                # so the caller's retry routes to the new home.
-                txn.reason = "wrong-shard"
-                self._learn_fact(tx)
-                self.stats["wrong_shard_redirects"] += 1
-            elif tx.status == ST_FROZEN:
-                # Mid-migration: abort now; the caller may retry once the
-                # move settles.  Prepares must not wait out a freeze —
-                # held locks on other shards would stall their traffic.
-                txn.reason = "frozen"
-                self.stats["frozen_refusals"] += 1
+        tx = decode_tx_reply(result)
+        vote = type(tx) is ReplyOk
+        if type(tx) is ReplyLocked:
+            # No blocking lock waits (wound-free 2PC keeps the design
+            # deadlock-proof): our transaction aborts, and once the
+            # abort is fully delivered we recover the holder so its
+            # locks cannot strand the keys forever.
+            txn.reason = "locked"
+            txn.stranded = (tx.holder_txid, tx.holder_coordinator, shard)
+            self.stats["lock_conflicts"] += 1
+        elif type(tx) is ReplyTombstone:
+            txn.reason = "tombstone"
+        elif type(tx) is ReplyWrongShard:
+            # A participant's unit moved mid-flight: vote no (the
+            # transaction aborts presumed-abort), but learn the fact
+            # so the caller's retry routes to the new home.
+            txn.reason = "wrong-shard"
+            self._learn_fact(tx)
+            self.stats["wrong_shard_redirects"] += 1
+        elif type(tx) is ReplyFrozen:
+            # Mid-migration: abort now; the caller may retry once the
+            # move settles.  Prepares must not wait out a freeze —
+            # held locks on other shards would stall their traffic.
+            txn.reason = "frozen"
+            self.stats["frozen_refusals"] += 1
         txn.votes[shard] = vote
         if not vote:
             self._decide(txn, DECISION_ABORT)
@@ -515,19 +499,16 @@ class ShardRouter:
             # its client so the DECIDE can go out.
             coord.cancel_pending()
         self._client_invoke(
-            txn.coordinator, encode_decide(txn.txid, wanted),
+            txn.coordinator, TxDecide(txn.txid, wanted).encode(),
             lambda result, _lat: self._on_decided(txn, wanted, result),
         )
 
     def _on_decided(self, txn: _Txn, wanted: int, result: bytes) -> None:
         if self._active is not txn or self.crashed:
             return
-        decision = wanted
-        if is_tx_reply(result):
-            tx = decode_tx_reply(result)
-            if tx.status == ST_DECISION:
-                decision = tx.decision  # first writer may have beaten us
-        txn.decision = decision
+        tx = decode_tx_reply(result)
+        # The first writer may have beaten us.
+        txn.decision = tx.decision if type(tx) is ReplyDecision else wanted
         if self.crash_point == "after_decide":
             self._crash()
             return
@@ -541,11 +522,7 @@ class ShardRouter:
     def _deliver_outcome(self, txn: _Txn, shard: int, attempt: int) -> None:
         if self._active is not txn or self.crashed:
             return
-        op = (
-            encode_commit(txn.txid)
-            if txn.decision == DECISION_COMMIT
-            else encode_abort(txn.txid)
-        )
+        op = outcome_op(txn.txid, txn.decision)
         client = self.clients[shard]
         if client.busy:
             client.cancel_pending()
@@ -553,13 +530,12 @@ class ShardRouter:
         def on_ack(result: bytes, _latency: int) -> None:
             if self._active is not txn or self.crashed:
                 return
-            if is_tx_reply(result):
-                tx = decode_tx_reply(result)
-                if tx.status == ST_OK:
-                    txn.replies[shard] = tx.inner_replies
-                    txn.outcome_acks.add(shard)
-                    self._maybe_finish(txn)
-                    return
+            tx = decode_tx_reply(result)
+            if type(tx) is ReplyOk:
+                txn.replies[shard] = tx.inner_replies
+                txn.outcome_acks.add(shard)
+                self._maybe_finish(txn)
+                return
             if attempt < self.outcome_retry_limit:
                 self.sim.schedule(
                     self.locked_backoff_ns,
@@ -604,7 +580,7 @@ class ShardRouter:
             coord = self.clients[txn.coordinator]
             if not coord.busy:
                 self._client_invoke(
-                    txn.coordinator, encode_forget(txn.txid),
+                    txn.coordinator, TxForget(txn.txid).encode(),
                     lambda _r, _l: self._maybe_finish(txn),
                 )
                 return

@@ -129,13 +129,7 @@ class ShardedCluster:
         "prepared forever" cannot masquerade as a passing run.
         """
         from repro.shard.txapp import (
-            DECISION_COMMIT,
-            decode_tx_reply,
-            encode_abort,
-            encode_commit,
-            encode_forget,
-            encode_resolve,
-            is_tx_reply,
+            ReplyDecision, TxForget, TxResolve, decode_tx_reply, outcome_op,
         )
 
         router = self.reserve_router
@@ -163,15 +157,11 @@ class ShardedCluster:
                 entry = apps[0].prepared_entry(txid)
                 if entry is None:
                     continue
-                resolved = drive(entry.coordinator, encode_resolve(txid))
-                if resolved is None or not is_tx_reply(resolved):
+                resolved = drive(entry.coordinator, TxResolve(txid).encode())
+                decision = decode_tx_reply(resolved or b"")
+                if type(decision) is not ReplyDecision:
                     continue
-                decision = decode_tx_reply(resolved).decision
-                outcome = (
-                    encode_commit(txid)
-                    if decision == DECISION_COMMIT
-                    else encode_abort(txid)
-                )
+                outcome = outcome_op(txid, decision.decision)
                 delivered = all(
                     drive(participant, outcome) is not None
                     for participant in entry.participants
@@ -179,7 +169,7 @@ class ShardedCluster:
                 if delivered:
                     # Every participant acked the outcome, so the
                     # decision record can be garbage-collected.
-                    drive(entry.coordinator, encode_forget(txid))
+                    drive(entry.coordinator, TxForget(txid).encode())
                 reconciled += 1
         return reconciled
 

@@ -30,360 +30,379 @@ here (the source), copied chunk by chunk into another group (the
 destination), activated there, and finally committed here, leaving a
 **moved tombstone** that answers every later operation on the unit with a
 ``WRONG_SHARD`` redirect carrying the authoritative ``(unit, shard,
-version)`` fact.  Every migration step is an ordinary operation ordered
-through the group's PBFT log, so the replicas of a group always agree on
-what is frozen, what has arrived, and what has left — and all of it
-persists in the same reserved pages, so a replica that crashes and
-catches up via state transfer also catches up on the migration.
+version)`` fact.  Every migration step is an ordinary ordered operation
+too, and what is frozen, arrived or left persists in the same pages.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Optional
 
-from repro.common.errors import StateError
+from repro.common.errors import SqlError, StateError
 from repro.common.units import MICROSECOND
+from repro.pbft.messages import message
 from repro.pbft.replica import Application
-from repro.pbft.wire import Decoder, Encoder
+from repro.pbft.wire import blob, boolean, boxed, decode_exact, enum, layout, raw, seq, tagged
+from repro.pbft.wire import text, u16, u32, u64
 from repro.shard.directory import key_position
 
-# -- operation opcodes (first byte; 0xFF is the middleware's) -----------------
-TXOP_PREPARE = 0xB1
-TXOP_COMMIT = 0xB2
-TXOP_ABORT = 0xB3
-TXOP_DECIDE = 0xB4
-TXOP_RESOLVE = 0xB5
-TXOP_STATUS = 0xB6
-TXOP_FORGET = 0xB7
+DECISION_ABORT, DECISION_COMMIT = 0, 1
 
-# Migration opcodes (live rebalancing; DESIGN.md §12).
-TXOP_MIG_FREEZE = 0xB8    # source: stop writes to a unit, report lock holders
-TXOP_MIG_EXPORT = 0xB9    # source: serialize one chunk of the frozen unit
-TXOP_MIG_BEGIN = 0xBA     # destination: freeze the incoming unit
-TXOP_MIG_INSTALL = 0xBB   # destination: apply one chunk (idempotent by index)
-TXOP_MIG_ACTIVATE = 0xBC  # destination: own the unit, start serving it
-TXOP_MIG_COMMIT = 0xBD    # source: purge the unit, leave a moved tombstone
-TXOP_MIG_ABORT = 0xBE     # either side: cancel an in-flight migration
-TXOP_MIG_STATUS = 0xBF    # either side: where did this migration get to?
+TXID = MIGID = raw(16)
+DECISION = enum(DECISION_ABORT, DECISION_COMMIT)
 
-_MIG_OPS = frozenset(
-    (TXOP_MIG_FREEZE, TXOP_MIG_EXPORT, TXOP_MIG_BEGIN, TXOP_MIG_INSTALL,
-     TXOP_MIG_ACTIVATE, TXOP_MIG_COMMIT, TXOP_MIG_ABORT, TXOP_MIG_STATUS)
-)
+# -- migration units ----------------------------------------------------------
+# A unit is what moves between groups as one atom: a kv key range in the
+# 32-bit hash space or a whole SQL table.  ``covers`` says whether a lock key
+# is the unit's; ``place`` writes its new home into a directory.
 
-_TX_OPS = frozenset(
-    (TXOP_PREPARE, TXOP_COMMIT, TXOP_ABORT, TXOP_DECIDE, TXOP_RESOLVE,
-     TXOP_STATUS, TXOP_FORGET)
-) | _MIG_OPS
+UNIT = tagged("Unit")
 
-# -- shard-layer reply marker --------------------------------------------------
+
+@message(family=UNIT)
+class RangeUnit:  # kv keys by hash position (the one the directory routes by), in [lo, hi)
+    lo: int
+    hi: int
+    LAYOUT = layout(0, lo=u64, hi=u64)
+
+    def covers(self, lock_key: bytes) -> bool:
+        return self.lo <= key_position(lock_key) < self.hi
+
+    def place(self, directory, shard: int, version: int) -> None:
+        directory.apply_move(self.lo, self.hi, shard, version)
+
+
+@message(family=UNIT)
+class TableUnit:  # exactly the ``table:<name>`` lock unit the SQL ``keys_of`` emits
+    name: str
+    LAYOUT = layout(1, name=text)
+
+    def covers(self, lock_key: bytes) -> bool:
+        return lock_key == b"table:" + self.name.encode()
+
+    def place(self, directory, shard: int, version: int) -> None:
+        directory.apply_table(self.name, shard, version)
+
+
+# -- operations (first byte 0xB1..0xBF; 0xFF is the middleware's) -------------
+# Routers, the rebalancer and tests build these and send ``.encode()``.
+
+TX_OP = tagged("TxOp")
+
+
+@message(family=TX_OP)
+class TxPrepare:  # participant: lock ``keys`` and hold ``ops`` until the outcome arrives
+    txid: bytes
+    coordinator: int
+    participants: tuple[int, ...]
+    ops: tuple[bytes, ...]
+    keys: tuple[bytes, ...]
+    LAYOUT = layout(
+        0xB1, txid=TXID, coordinator=u16, participants=seq(u16), ops=seq(blob), keys=seq(blob)
+    )
+
+
+@message(family=TX_OP)
+class TxCommit:  # participant: apply the prepared ops, release the locks
+    txid: bytes
+    LAYOUT = layout(0xB2, txid=TXID)
+
+
+@message(family=TX_OP)
+class TxAbort:  # participant: drop the prepared ops, leave a tombstone
+    txid: bytes
+    LAYOUT = layout(0xB3, txid=TXID)
+
+
+@message(family=TX_OP)
+class TxDecide:  # coordinator: record the decision; the first writer wins
+    txid: bytes
+    decision: int
+    LAYOUT = layout(0xB4, txid=TXID, decision=DECISION)
+
+
+@message(family=TX_OP)
+class TxResolve:  # coordinator: the recorded decision, or presumed abort recorded now
+    txid: bytes
+    LAYOUT = layout(0xB5, txid=TXID)
+
+
+@message(family=TX_OP)
+class TxStatus:  # either side: what is known of the transaction; changes nothing
+    txid: bytes
+    LAYOUT = layout(0xB6, txid=TXID)
+
+
+@message(family=TX_OP)
+class TxForget:  # coordinator: every participant acked, drop the decision record
+    txid: bytes
+    LAYOUT = layout(0xB7, txid=TXID)
+
+
+@message(family=TX_OP)
+class MigFreeze:  # source: stop writes to the unit, report the prepared lock holders
+    mig_id: bytes
+    unit: object
+    dst: int
+    LAYOUT = layout(0xB8, mig_id=MIGID, unit=UNIT, dst=u16)
+
+
+@message(family=TX_OP)
+class MigExport:  # source: serialize one chunk of the frozen unit
+    mig_id: bytes
+    cursor: int
+    budget: int
+    LAYOUT = layout(0xB9, mig_id=MIGID, cursor=u64, budget=u32)
+
+
+@message(family=TX_OP)
+class MigBegin:  # destination: freeze the incoming unit
+    mig_id: bytes
+    unit: object
+    src: int
+    LAYOUT = layout(0xBA, mig_id=MIGID, unit=UNIT, src=u16)
+
+
+@message(family=TX_OP)
+class MigInstall:  # destination: apply one chunk (idempotent by index)
+    mig_id: bytes
+    chunk_index: int
+    chunk: bytes
+    LAYOUT = layout(0xBB, mig_id=MIGID, chunk_index=u32, chunk=blob)
+
+
+@message(family=TX_OP)
+class MigActivate:  # destination: own the unit, start serving it
+    mig_id: bytes
+    unit: object
+    version: int
+    LAYOUT = layout(0xBC, mig_id=MIGID, unit=UNIT, version=u32)
+
+
+@message(family=TX_OP)
+class MigCommit:  # source: purge the unit, leave a moved tombstone
+    mig_id: bytes
+    unit: object
+    dst: int
+    version: int
+    LAYOUT = layout(0xBD, mig_id=MIGID, unit=UNIT, dst=u16, version=u32)
+
+
+@message(family=TX_OP)
+class MigAbort:  # either side: cancel an in-flight migration
+    mig_id: bytes
+    LAYOUT = layout(0xBE, mig_id=MIGID)
+
+
+@message(family=TX_OP)
+class MigStatus:  # either side: where did this migration get to?
+    mig_id: bytes
+    LAYOUT = layout(0xBF, mig_id=MIGID)
+
+
+def outcome_op(txid: bytes, decision: int) -> bytes:
+    """The op that delivers a coordinator's decision to a participant."""
+    return (TxCommit if decision == DECISION_COMMIT else TxAbort)(txid).encode()
+
+
+_MIG_OPS = (MigFreeze, MigExport, MigBegin, MigInstall, MigActivate, MigCommit, MigAbort, MigStatus)
+
+# -- replies ------------------------------------------------------------------
 # Replies from the transaction layer start with this byte so routers can
-# tell them apart from inner-application replies (which start 0x00-0x03).
+# tell them apart from inner-application replies (which start 0x00-0x03);
+# the second byte says which.  The bare ones end in a u32 zero.
+
 REPLY_MAGIC = 0xB0
+TX_REPLY = tagged("TxReply", width=2)
 
-ST_OK = 0x01
-ST_LOCKED = 0x02
-ST_TOMBSTONE = 0x03
-ST_DECISION = 0x04
-ST_UNKNOWN = 0x05
-ST_FROZEN = 0x06       # unit is mid-migration; retry after a short backoff
-ST_WRONG_SHARD = 0x07  # unit moved away; reply carries (unit, shard, version)
-ST_MIG = 0x08          # reply to a migration op; payload is op-specific
 
-ST_ERR = 0x00
+@message(family=TX_REPLY)
+class ReplyErr:  # the op was refused; nothing changed
+    message: str
+    LAYOUT = layout(REPLY_MAGIC, 0x00, message=text)
 
-DECISION_ABORT = 0
-DECISION_COMMIT = 1
 
-TXID_BYTES = 16
-MIGID_BYTES = TXID_BYTES
+@message(family=TX_REPLY)
+class ReplyOk:  # done; after a COMMIT, with the inner application's reply to each op
+    inner_replies: tuple[bytes, ...] = ()
+    LAYOUT = layout(REPLY_MAGIC, 0x01, inner_replies=seq(blob))
 
-_U8 = tuple(bytes((value,)) for value in range(256))  # what Encoder.u8 appends
 
-_STATE_MAGIC = 0x54585331  # "TXS1"
+@message(family=TX_REPLY)
+class ReplyLocked:  # a key is held by this prepared transaction, coordinated over there
+    holder_txid: bytes
+    holder_coordinator: int
+    LAYOUT = layout(REPLY_MAGIC, 0x02, holder_txid=TXID, holder_coordinator=u16)
+
+
+@message(family=TX_REPLY)
+class ReplyTombstone:  # the transaction was aborted here; a late PREPARE takes no locks
+    LAYOUT = layout(REPLY_MAGIC, 0x03, 0, 0, 0, 0)
+
+
+@message(family=TX_REPLY)
+class ReplyDecision:
+    decision: int
+    LAYOUT = layout(REPLY_MAGIC, 0x04, decision=DECISION)
+
+
+@message(family=TX_REPLY)
+class ReplyUnknown:  # no decision and no outcome recorded here
+    LAYOUT = layout(REPLY_MAGIC, 0x05, 0, 0, 0, 0)
+
+
+@message(family=TX_REPLY)
+class ReplyFrozen:  # the unit is mid-migration; retry after a short backoff
+    LAYOUT = layout(REPLY_MAGIC, 0x06, 0, 0, 0, 0)
+
+
+@message(family=TX_REPLY)
+class ReplyWrongShard:  # the unit moved away: the authoritative (unit, shard, version) fact
+    unit: object
+    shard: int
+    version: int
+    LAYOUT = layout(REPLY_MAGIC, 0x07, unit=UNIT, shard=u16, version=u32)
+
+
+@message(family=TX_REPLY)
+class ReplyMig:  # a migration op was carried out; ``payload`` is that op's own, below
+    payload: bytes = b""
+    LAYOUT = layout(REPLY_MAGIC, 0x08, payload=blob)
+
+
+def is_tx_reply(reply: bytes) -> bool:
+    return reply[:1] == b"\xb0"
+
+
+def decode_tx_reply(reply: bytes):
+    """The shard-layer reply in ``reply``; None for an inner application's."""
+    return decode_exact(TX_REPLY, reply) if is_tx_reply(reply) else None
+
 
 # Migration roles and phases (wire + persisted encoding).
-ROLE_SRC = 0
-ROLE_DST = 1
-
+ROLE_SRC, ROLE_DST = 0, 1
 MIG_UNKNOWN = 0   # this shard holds no record of the migration
 MIG_SRC_ACTIVE = 1
 MIG_DST_ACTIVE = 2
 MIG_MOVED = 3     # source side committed: unit purged, tombstone live
 MIG_OWNED = 4     # destination side activated: unit served here
+MIG_PHASE = enum(MIG_UNKNOWN, MIG_SRC_ACTIVE, MIG_DST_ACTIVE, MIG_MOVED, MIG_OWNED)
 
-# -- migration units ----------------------------------------------------------
-# A unit is what moves between groups as one atom: a kv key range in the
-# 32-bit hash space, ("range", lo, hi) with half-open [lo, hi), or a whole
-# SQL table, ("table", name).
 
-UNIT_RANGE = 0
-UNIT_TABLE = 1
+@message
+class FreezePayload:  # (txid, coordinator shard) of each prepared transaction locking the unit
+    holders: tuple[tuple[bytes, int], ...] = ()
+    LAYOUT = layout(holders=seq(TXID, u16))
 
 
-def encode_unit(enc: Encoder, unit) -> None:
-    if unit[0] == "range":
-        enc.u8(UNIT_RANGE).u64(unit[1]).u64(unit[2])
-    elif unit[0] == "table":
-        enc.u8(UNIT_TABLE).blob(unit[1].encode())
-    else:
-        raise StateError(f"unknown migration unit kind {unit[0]!r}")
+@message
+class ExportPayload:
+    next_cursor: int
+    done: bool
+    chunk: bytes
+    LAYOUT = layout(next_cursor=u64, done=boolean, chunk=blob)
 
 
-def decode_unit(dec: Decoder):
-    kind = dec.u8()
-    if kind == UNIT_RANGE:
-        return ("range", dec.u64(), dec.u64())
-    if kind == UNIT_TABLE:
-        return ("table", dec.blob().decode())
-    raise StateError(f"unknown migration unit wire kind {kind}")
+@message
+class InstallPayload:
+    applied: bool
+    chunks_done: int
+    LAYOUT = layout(applied=boolean, chunks_done=u32)
 
 
-def unit_covers(unit, lock_key: bytes) -> bool:
-    """Does a migration unit cover this lock key?
+@message
+class StatusPayload:
+    phase: int
+    chunks_done: int
+    LAYOUT = layout(phase=MIG_PHASE, chunks_done=u32)
 
-    Range units cover kv keys by hash position (the same position the
-    directory routes by); table units cover exactly the ``table:<name>``
-    lock unit the SQL ``keys_of`` emits.
-    """
-    if unit[0] == "range":
-        return unit[1] <= key_position(lock_key) < unit[2]
-    return lock_key == b"table:" + unit[1].encode()
 
+# -- the replicated tables, as they sit in the reserved pages -----------------
 
-# -- operation encoding (used by routers and tests) ---------------------------
 
-def encode_prepare(
-    txid: bytes,
-    coordinator: int,
-    participants: Iterable[int],
-    ops: Iterable[bytes],
-    lock_keys: Iterable[bytes],
-) -> bytes:
-    enc = Encoder().u8(TXOP_PREPARE).raw(txid).u16(coordinator)
-    enc.sequence(list(participants), lambda e, s: e.u16(s))
-    enc.sequence(list(ops), lambda e, op: e.blob(op))
-    enc.sequence(list(lock_keys), lambda e, k: e.blob(k))
-    return enc.finish()
-
-
-def encode_commit(txid: bytes) -> bytes:
-    return Encoder().u8(TXOP_COMMIT).raw(txid).finish()
-
-
-def encode_abort(txid: bytes) -> bytes:
-    return Encoder().u8(TXOP_ABORT).raw(txid).finish()
-
-
-def encode_decide(txid: bytes, decision: int) -> bytes:
-    return Encoder().u8(TXOP_DECIDE).raw(txid).u8(decision).finish()
-
-
-def encode_resolve(txid: bytes) -> bytes:
-    return Encoder().u8(TXOP_RESOLVE).raw(txid).finish()
-
-
-def encode_status(txid: bytes) -> bytes:
-    return Encoder().u8(TXOP_STATUS).raw(txid).finish()
-
-
-def encode_forget(txid: bytes) -> bytes:
-    return Encoder().u8(TXOP_FORGET).raw(txid).finish()
-
-
-# -- migration op encoding (used by the rebalancer and tests) -----------------
-
-def encode_mig_freeze(mig_id: bytes, unit, dst: int) -> bytes:
-    enc = Encoder().u8(TXOP_MIG_FREEZE).raw(mig_id)
-    encode_unit(enc, unit)
-    return enc.u16(dst).finish()
-
-
-def encode_mig_export(mig_id: bytes, cursor: int, budget: int) -> bytes:
-    return (
-        Encoder().u8(TXOP_MIG_EXPORT).raw(mig_id)
-        .u64(cursor).u32(budget).finish()
-    )
-
-
-def encode_mig_begin(mig_id: bytes, unit, src: int) -> bytes:
-    enc = Encoder().u8(TXOP_MIG_BEGIN).raw(mig_id)
-    encode_unit(enc, unit)
-    return enc.u16(src).finish()
-
-
-def encode_mig_install(mig_id: bytes, chunk_index: int, chunk: bytes) -> bytes:
-    return (
-        Encoder().u8(TXOP_MIG_INSTALL).raw(mig_id)
-        .u32(chunk_index).blob(chunk).finish()
-    )
-
-
-def encode_mig_activate(mig_id: bytes, unit, version: int) -> bytes:
-    enc = Encoder().u8(TXOP_MIG_ACTIVATE).raw(mig_id)
-    encode_unit(enc, unit)
-    return enc.u32(version).finish()
-
-
-def encode_mig_commit(mig_id: bytes, unit, dst: int, version: int) -> bytes:
-    enc = Encoder().u8(TXOP_MIG_COMMIT).raw(mig_id)
-    encode_unit(enc, unit)
-    return enc.u16(dst).u32(version).finish()
-
-
-def encode_mig_abort(mig_id: bytes) -> bytes:
-    return Encoder().u8(TXOP_MIG_ABORT).raw(mig_id).finish()
-
-
-def encode_mig_status(mig_id: bytes) -> bytes:
-    return Encoder().u8(TXOP_MIG_STATUS).raw(mig_id).finish()
-
-
-# -- migration reply payloads (inside an ST_MIG reply) ------------------------
-
-def decode_freeze_payload(payload: bytes) -> tuple:
-    """FREEZE reply: the prepared transactions still holding locks on the
-    unit, as (txid, coordinator_shard) pairs — the rebalancer drains or
-    presumed-abort-resolves these before exporting."""
-    dec = Decoder(payload)
-    return tuple(
-        (dec.raw(TXID_BYTES), dec.u16()) for _ in range(dec.u32())
-    )
-
-
-def decode_export_payload(payload: bytes):
-    """EXPORT reply: (chunk, next_cursor, done)."""
-    dec = Decoder(payload)
-    next_cursor = dec.u64()
-    done = bool(dec.u8())
-    return dec.blob(), next_cursor, done
-
-
-def decode_install_payload(payload: bytes):
-    """INSTALL reply: (applied, chunks_done)."""
-    dec = Decoder(payload)
-    return bool(dec.u8()), dec.u32()
-
-
-def decode_status_payload(payload: bytes):
-    """STATUS reply: (phase, chunks_done) — phase is one of the MIG_*
-    constants."""
-    dec = Decoder(payload)
-    return dec.u8(), dec.u32()
-
-
-class TxReply:
-    """A decoded shard-layer reply."""
-
-    __slots__ = ("status", "decision", "holder_txid", "holder_coordinator",
-                 "inner_replies", "message", "unit", "shard", "version",
-                 "payload")
-
-    def __init__(self, status: int, decision: int = 0, holder_txid: bytes = b"",
-                 holder_coordinator: int = 0, inner_replies=(), message: str = "",
-                 unit=None, shard: int = 0, version: int = 0,
-                 payload: bytes = b""):
-        self.status = status
-        self.decision = decision
-        self.holder_txid = holder_txid
-        self.holder_coordinator = holder_coordinator
-        self.inner_replies = inner_replies
-        self.message = message
-        self.unit = unit
-        self.shard = shard
-        self.version = version
-        self.payload = payload
-
-
-def is_tx_reply(reply: bytes) -> bool:
-    return bool(reply) and reply[0] == REPLY_MAGIC
-
-
-def decode_tx_reply(reply: bytes) -> TxReply:
-    dec = Decoder(reply)
-    if dec.u8() != REPLY_MAGIC:
-        raise StateError("not a shard-layer reply")
-    status = dec.u8()
-    if status == ST_LOCKED:
-        return TxReply(status, holder_txid=dec.raw(TXID_BYTES),
-                       holder_coordinator=dec.u16())
-    if status == ST_DECISION:
-        return TxReply(status, decision=dec.u8())
-    if status == ST_OK:
-        count = dec.u32()
-        return TxReply(status, inner_replies=tuple(dec.blob() for _ in range(count)))
-    if status == ST_WRONG_SHARD:
-        unit = decode_unit(dec)
-        return TxReply(status, unit=unit, shard=dec.u16(), version=dec.u32())
-    if status == ST_MIG:
-        return TxReply(status, payload=dec.blob())
-    if status == ST_ERR:
-        return TxReply(status, message=dec.blob().decode())
-    return TxReply(status)
-
-
-def _reply(status: int) -> bytes:
-    return bytes((REPLY_MAGIC, status, 0, 0, 0, 0))  # u32 zero inner count
-
-
-def _reply_ok(inner_replies: Iterable[bytes] = ()) -> bytes:
-    enc = Encoder().u8(REPLY_MAGIC).u8(ST_OK)
-    enc.sequence(list(inner_replies), lambda e, r: e.blob(r))
-    return enc.finish()
-
-
-def _reply_locked(holder_txid: bytes, holder_coordinator: int) -> bytes:
-    return (
-        Encoder().u8(REPLY_MAGIC).u8(ST_LOCKED)
-        .raw(holder_txid).u16(holder_coordinator).finish()
-    )
-
-
-def _reply_decision(decision: int) -> bytes:
-    return Encoder().u8(REPLY_MAGIC).u8(ST_DECISION).u8(decision).finish()
-
-
-def _reply_err(message: str) -> bytes:
-    return Encoder().u8(REPLY_MAGIC).u8(ST_ERR).blob(message.encode()).finish()
-
-
-def _reply_wrong_shard(unit, shard: int, version: int) -> bytes:
-    enc = Encoder().u8(REPLY_MAGIC).u8(ST_WRONG_SHARD)
-    encode_unit(enc, unit)
-    return enc.u16(shard).u32(version).finish()
-
-
-def _reply_mig(payload: bytes = b"") -> bytes:
-    return Encoder().u8(REPLY_MAGIC).u8(ST_MIG).blob(payload).finish()
-
-
+@message
 class Migration:
     """One in-flight migration this shard participates in (either role)."""
-
-    __slots__ = ("mig_id", "role", "unit", "peer", "chunks_done")
-
-    def __init__(self, mig_id: bytes, role: int, unit, peer: int,
-                 chunks_done: int = 0):
-        self.mig_id = mig_id
-        self.role = role
-        self.unit = unit
-        self.peer = peer
-        self.chunks_done = chunks_done
+    mig_id: bytes
+    role: int
+    unit: object
+    peer: int
+    chunks_done: int = 0
+    LAYOUT = layout(
+        mig_id=MIGID, role=enum(ROLE_SRC, ROLE_DST), unit=UNIT, peer=u16, chunks_done=u32
+    )
 
 
+@message
 class PreparedTx:
     """One prepared (locked, undecided) transaction at this shard."""
+    txid: bytes
+    client_id: int
+    coordinator: int
+    participants: tuple[int, ...]
+    ops: tuple[bytes, ...]
+    keys: tuple[bytes, ...]
+    LAYOUT = layout(
+        txid=TXID, client_id=u64, coordinator=u16, participants=seq(u16), ops=seq(blob),
+        keys=seq(blob),
+    )
 
-    __slots__ = ("client_id", "coordinator", "participants", "ops", "keys")
 
-    def __init__(self, client_id: int, coordinator: int,
-                 participants: tuple[int, ...], ops: tuple[bytes, ...],
-                 keys: tuple[bytes, ...]):
-        self.client_id = client_id
-        self.coordinator = coordinator
-        self.participants = participants
-        self.ops = ops
-        self.keys = keys
+@message
+class TxTable:
+    """Canonical: replicas reach identical bytes for identical logical state,
+    so checkpoint roots agree.  Prepared entries sort by txid; the rest keeps
+    insertion order, which is itself replicated state (eviction is
+    oldest-first, so a replica that catches up by state transfer must adopt
+    the order, or later evictions would diverge)."""
+    prepared: tuple[PreparedTx, ...] = ()
+    outcomes: tuple[tuple[bytes, int], ...] = ()   # participant side: applied result
+    decisions: tuple[tuple[bytes, int], ...] = ()  # coordinator side: the decision
+    # In-flight, either role: the unit is frozen — writes are refused until
+    # the migration commits, aborts or (destination) activates.
+    migrations: tuple[Migration, ...] = ()
+    # Source-side tombstones (mig_id, unit, dst shard, version): every later
+    # op on the unit draws a WRONG_SHARD redirect with the new home.
+    moved: tuple[tuple, ...] = ()
+    # Destination-side facts (mig_id, unit, version): the unit arrived and is
+    # served here (what makes ACTIVATE/INSTALL re-drives idempotent).
+    owned: tuple[tuple, ...] = ()
+    LAYOUT = layout(
+        prepared=seq(PreparedTx), outcomes=seq(TXID, DECISION), decisions=seq(TXID, DECISION),
+        migrations=seq(Migration), moved=seq(MIGID, UNIT, u16, u32), owned=seq(MIGID, UNIT, u32),
+    )
+
+
+_EMPTY_TABLE = TxTable()
+_STATE_MAGIC = b"TXS1"
+
+
+@message
+class TxTableImage:
+    table: TxTable
+    LAYOUT = layout(*_STATE_MAGIC, table=boxed(TxTable))
+
+
+class _Refused(Exception):
+    """A handler cannot carry the op out: answer ``ReplyErr``, change nothing."""
+
+
+def _err(message: str) -> bytes:
+    return ReplyErr(message).encode()
+
+
+def _mig(payload) -> bytes:
+    return ReplyMig(payload.encode()).encode()
+
+
+_OK, _DONE, _NO_HOLDERS = ReplyOk().encode(), ReplyMig().encode(), _mig(FreezePayload())
+_TOMBSTONE, _UNKNOWN = ReplyTombstone().encode(), ReplyUnknown().encode()
+_FROZEN = ReplyFrozen().encode()
+
+# Where a transaction stands at this shard as a participant, and as coordinator.
+NEW, PREPARED, COMMITTED, ABORTED = range(4)
+UNDECIDED, DECIDED = range(2)
 
 
 class ShardTxApplication(Application):
@@ -396,14 +415,8 @@ class ShardTxApplication(Application):
     transactions.
     """
 
-    def __init__(
-        self,
-        inner: Application,
-        keys_of: Callable[[bytes], Iterable[bytes]],
-        shard_id: int = 0,
-        tx_pages: int = 8,
-        retain_limit: int = 256,
-    ) -> None:
+    def __init__(self, inner: Application, keys_of: Callable[[bytes], Iterable[bytes]],
+                 shard_id: int = 0, tx_pages: int = 8, retain_limit: int = 256) -> None:
         if tx_pages < 1:
             raise StateError("the transaction table needs at least one page")
         self.inner = inner
@@ -412,38 +425,19 @@ class ShardTxApplication(Application):
         self.tx_pages = tx_pages
         # Presumed-abort garbage collection keeps the replicated tables
         # bounded: finished outcomes and abort decisions beyond this many
-        # entries are dropped oldest-first.  Commit decisions are only
-        # dropped by TXOP_FORGET (sent by the router once every
-        # participant acked the outcome) or, as a last resort, past a 4x
-        # hard cap — forgetting an unacked commit is the one eviction
-        # that could cost atomicity, so it gets the widest margin.
+        # entries are dropped oldest-first.  Commit decisions are only dropped
+        # by FORGET (sent by the router once every participant acked the
+        # outcome) or, as a last resort, past a 4x hard cap — forgetting an
+        # unacked commit is the one eviction that could cost atomicity.
         self.retain_limit = retain_limit
         self.state = None
-        self.tx_offset = 0
-        self.tx_bytes = 0
-        self._prepared: dict[bytes, PreparedTx] = {}
-        self._locks: dict[bytes, bytes] = {}  # lock key -> holder txid
-        self._outcomes: dict[bytes, int] = {}  # participant-side: applied result
-        self._decisions: dict[bytes, int] = {}  # coordinator-side: the decision
-        # Live rebalancing (DESIGN.md §12), all replicated alongside the
-        # transaction tables:
-        #   _migrations — in-flight migrations (either role); their units
-        #     are frozen: writes are refused with ST_FROZEN until the
-        #     migration commits, aborts, or (destination) activates.
-        #   _moved — source-side tombstones: the unit left, every later
-        #     op on it draws a WRONG_SHARD redirect with the new home.
-        #   _owned — destination-side facts: the unit arrived and is
-        #     served here (makes ACTIVATE/INSTALL re-drives idempotent).
-        # Moved/owned facts are healing accelerators capped oldest-first
-        # at ``moved_retain_limit`` — the authoritative placement is the
-        # published directory, which every new router clones.
-        self._migrations: dict[bytes, Migration] = {}
-        self._moved: dict[bytes, tuple] = {}  # mig_id -> (unit, dst, version)
-        self._owned: dict[bytes, tuple] = {}  # mig_id -> (unit, version)
+        self.tx_offset = self.tx_bytes = 0
+        # Moved/owned facts are healing accelerators capped oldest-first at this many —
+        # the authoritative placement is the published directory, which every router clones.
         self.moved_retain_limit = 64
+        self._adopt(_EMPTY_TABLE)
         self._accumulated_ns = 0
-        self._stats = None
-        self._tracer = None
+        self._stats = self._tracer = None
         self._track = ""
 
     # -- Application plumbing -------------------------------------------------
@@ -473,12 +467,11 @@ class ShardTxApplication(Application):
         return self.inner.authorize_join(idbuf)
 
     def execute_cost_ns(self, op: bytes, readonly: bool) -> int:
-        if op and op[0] in _MIG_OPS:
-            # Chunk transfer charges the bulk cost via take_accumulated_cost.
-            return 10 * MICROSECOND
-        if op and op[0] in _TX_OPS:
-            return 3 * MICROSECOND
-        return self.inner.execute_cost_ns(op, readonly)
+        cls = TX_OP.classes.get(op[:1])
+        if cls is None:
+            return self.inner.execute_cost_ns(op, readonly)
+        # Chunk transfer charges the bulk cost via take_accumulated_cost.
+        return (10 if cls in _MIG_OPS else 3) * MICROSECOND
 
     def take_accumulated_cost(self) -> int:
         cost = self._accumulated_ns + self.inner.take_accumulated_cost()
@@ -500,385 +493,311 @@ class ShardTxApplication(Application):
     # -- execution ------------------------------------------------------------
 
     def execute(self, op: bytes, client_id: int, nondet_ts: int, readonly: bool) -> bytes:
-        kind = op[0] if op else 0
-        if kind not in _TX_OPS:
-            # A plain single-shard operation: honor migration state first
-            # (a moved unit redirects, a frozen unit refuses writes), then
-            # transaction locks, so isolation holds between the direct
-            # path and the 2PC path.
-            if self._moved or self._migrations:
-                block = self._migration_block(tuple(self.keys_of(op)), readonly)
-                if block is not None:
-                    return block
-            for key in self.keys_of(op):
-                holder = self._locks.get(key)
-                if holder is not None:
-                    self._count("lock_conflicts")
-                    entry = self._prepared[holder]
-                    return _reply_locked(holder, entry.coordinator)
-            return self.inner.execute(op, client_id, nondet_ts, readonly)
-        dec = Decoder(op)
-        dec.u8()
-        txid = dec.raw(TXID_BYTES)
-        if kind == TXOP_PREPARE:
-            return self._on_prepare(dec, txid, client_id)
-        if kind == TXOP_COMMIT:
-            return self._on_commit(txid, nondet_ts)
-        if kind == TXOP_ABORT:
-            return self._on_abort(txid)
-        if kind == TXOP_DECIDE:
-            return self._on_decide(txid, dec.u8())
-        if kind == TXOP_RESOLVE:
-            return self._on_resolve(txid)
-        if kind == TXOP_FORGET:
-            return self._on_forget(txid)
-        if kind == TXOP_MIG_FREEZE:
-            return self._on_mig_freeze(dec, txid)
-        if kind == TXOP_MIG_EXPORT:
-            return self._on_mig_export(dec, txid)
-        if kind == TXOP_MIG_BEGIN:
-            return self._on_mig_begin(dec, txid)
-        if kind == TXOP_MIG_INSTALL:
-            return self._on_mig_install(dec, txid)
-        if kind == TXOP_MIG_ACTIVATE:
-            return self._on_mig_activate(dec, txid)
-        if kind == TXOP_MIG_COMMIT:
-            return self._on_mig_commit(dec, txid)
-        if kind == TXOP_MIG_ABORT:
-            return self._on_mig_abort(txid)
-        if kind == TXOP_MIG_STATUS:
-            return self._on_mig_status(txid)
-        return self._on_status(txid)
+        if op[:1] not in TX_OP.classes:  # a plain single-shard operation
+            blocked = self._blocked(self.keys_of(op), readonly)
+            return blocked or self.inner.execute(op, client_id, nondet_ts, readonly)
+        request = decode_exact(TX_OP, op)
+        phase_of, rows = self._TABLE[type(request)]
+        row = rows.get(phase_of(self, request), rows.get(None))
+        if type(row) is bytes:
+            return row
+        try:
+            return row(self, request, client_id, nondet_ts)
+        except _Refused as refusal:
+            # Nothing was persisted: the pages still hold the tables as they
+            # were before the op, and the tables are rebuilt from them.
+            self._load_from_state()
+            self._count("refusals")
+            return _err(str(refusal))
 
-    def _migration_block(self, keys, readonly: bool):
-        """The migration-layer verdict for an op touching ``keys``:
-        a WRONG_SHARD redirect (unit moved away), an ST_FROZEN refusal
-        (unit mid-migration), or None (proceed).
+    def _blocked(self, keys: Iterable[bytes], readonly: bool) -> Optional[bytes]:
+        """What stops an op touching ``keys``, migration state first: a
+        WRONG_SHARD redirect (unit moved away), a FROZEN refusal (unit
+        mid-migration), then a LOCKED reply naming the prepared holder — so
+        isolation holds between the direct path and the 2PC path — or None.
 
         Reads stay allowed on a *source*-frozen unit — the data is still
         authoritative here until MIG_COMMIT purges it, and no write can
         change it meanwhile.  A *destination* unit refuses reads too: its
         data is half-installed until MIG_ACTIVATE.
         """
-        for key in keys:
+        keys = tuple(keys)
+        for key in keys if self._moved or self._migrations else ():
             for unit, dst, version in self._moved.values():
-                if unit_covers(unit, key):
+                if unit.covers(key):
                     self._count("wrong_shard_replies")
-                    return _reply_wrong_shard(unit, dst, version)
+                    return ReplyWrongShard(unit, dst, version).encode()
             for mig in self._migrations.values():
-                if (not readonly or mig.role == ROLE_DST) and \
-                        unit_covers(mig.unit, key):
+                if (not readonly or mig.role == ROLE_DST) and mig.unit.covers(key):
                     self._count("frozen_refusals")
-                    return _reply(ST_FROZEN)
-        return None
-
-    def _on_prepare(self, dec: Decoder, txid: bytes, client_id: int) -> bytes:
-        self._count("prepares")
-        outcome = self._outcomes.get(txid)
-        if outcome == DECISION_ABORT:
-            # Tombstone: the transaction was aborted here; a retransmitted
-            # PREPARE must not re-acquire locks.
-            return _reply(ST_TOMBSTONE)
-        if outcome == DECISION_COMMIT or txid in self._prepared:
-            return _reply_ok()  # idempotent re-prepare
-        coordinator = dec.u16()
-        participants = tuple(dec.u16() for _ in range(dec.u32()))
-        ops = tuple(dec.blob() for _ in range(dec.u32()))
-        keys = tuple(dec.blob() for _ in range(dec.u32()))
-        if self._moved or self._migrations:
-            # A prepare acquires locks (a write): frozen and moved units
-            # both refuse, so no new holder can appear mid-migration.
-            block = self._migration_block(keys, False)
-            if block is not None:
-                return block
+                    return _FROZEN
         for key in keys:
             holder = self._locks.get(key)
-            if holder is not None and holder != txid:
+            if holder is not None:
                 self._count("lock_conflicts")
-                entry = self._prepared[holder]
-                return _reply_locked(holder, entry.coordinator)
-        self._prepared[txid] = PreparedTx(client_id, coordinator, participants, ops, keys)
-        for key in keys:
-            self._locks[key] = txid
-        self._persist()
-        self._mark("prepare", txid)
-        return _reply_ok()
+                return ReplyLocked(holder, self._prepared[holder].coordinator).encode()
+        return None
 
-    def _on_commit(self, txid: bytes, nondet_ts: int) -> bytes:
-        outcome = self._outcomes.get(txid)
-        if outcome == DECISION_COMMIT:
-            return _reply_ok()  # idempotent
-        if outcome == DECISION_ABORT:
-            # The atomicity bug invariant #6 hunts for: refuse loudly.
-            return _reply_err("commit after abort")
-        entry = self._prepared.pop(txid, None)
-        if entry is None:
-            return _reply_err("commit for unprepared transaction")
-        self._count("commits")
+    # -- where the op's transaction or migration stands here -------------------
+
+    def _tx_phase(self, op) -> int:
+        outcome = self._outcomes.get(op.txid)
+        if outcome is not None:
+            return COMMITTED if outcome == DECISION_COMMIT else ABORTED
+        return PREPARED if op.txid in self._prepared else NEW
+
+    def _decision_phase(self, op) -> int:
+        return DECIDED if op.txid in self._decisions else UNDECIDED
+
+    def _mig_phase(self, op) -> int:
+        if op.mig_id in self._moved:
+            return MIG_MOVED
+        if op.mig_id in self._owned:
+            return MIG_OWNED
+        mig = self._migrations.get(op.mig_id)
+        if mig is None:
+            return MIG_UNKNOWN
+        return MIG_SRC_ACTIVE if mig.role == ROLE_SRC else MIG_DST_ACTIVE
+
+    # -- 2PC handlers: each runs in the one phase ``_TABLE`` names -----------
+
+    def _applied(self, counter: str, phase: str, xid: bytes) -> None:
+        """The tables changed: count it, persist them, mark the trace."""
+        self._count(counter)
+        self._persist()
+        self._mark(phase, xid)
+
+    def _prepare(self, op: TxPrepare, client_id: int, _ts: int) -> bytes:
+        # Every inner op must decode *now*: a COMMIT that met an undecodable
+        # one would have applied the ops before it.
+        for inner_op in op.ops:
+            self.keys_of(inner_op)
+        # A prepare acquires locks (a write): frozen and moved units both
+        # refuse, so no new holder can appear mid-migration.
+        blocked = self._blocked(op.keys, False)
+        if blocked is not None:
+            self._count("prepares")
+            return blocked
+        self._prepared[op.txid] = PreparedTx(
+            op.txid, client_id, op.coordinator, op.participants, op.ops, op.keys
+        )
+        self._locks.update(dict.fromkeys(op.keys, op.txid))
+        self._applied("prepares", "prepare", op.txid)
+        return _OK
+
+    def _commit(self, op: TxCommit, _client: int, nondet_ts: int) -> bytes:
+        entry = self._prepared[op.txid]
         replies = []
         for inner_op in entry.ops:
             self._accumulated_ns += self.inner.execute_cost_ns(inner_op, False)
-            replies.append(
-                self.inner.execute(inner_op, entry.client_id, nondet_ts, False)
-            )
-        self._release_locks(txid, entry)
-        self._outcomes[txid] = DECISION_COMMIT
-        self._gc()
-        self._persist()
-        self._mark("commit", txid)
-        return _reply_ok(replies)
+            replies.append(self.inner.execute(inner_op, entry.client_id, nondet_ts, False))
+        self._finish(op.txid, DECISION_COMMIT, "commits", "commit")
+        return ReplyOk(tuple(replies)).encode()
 
-    def _on_abort(self, txid: bytes) -> bytes:
-        outcome = self._outcomes.get(txid)
-        if outcome == DECISION_COMMIT:
-            return _reply_err("abort after commit")
-        if outcome == DECISION_ABORT:
-            return _reply_ok()  # idempotent
-        self._count("aborts")
-        entry = self._prepared.pop(txid, None)
-        if entry is not None:
-            self._release_locks(txid, entry)
+    def _abort(self, op: TxAbort, _client: int, _ts: int) -> bytes:
         # Tombstone even when never prepared here: blocks a late PREPARE.
-        self._outcomes[txid] = DECISION_ABORT
-        self._gc()
-        self._persist()
-        self._mark("abort", txid)
-        return _reply_ok()
+        self._finish(op.txid, DECISION_ABORT, "aborts", "abort")
+        return _OK
 
-    def _on_decide(self, txid: bytes, wanted: int) -> bytes:
-        existing = self._decisions.get(txid)
-        if existing is not None:
-            return _reply_decision(existing)  # first writer won
-        self._count("decisions")
-        self._decisions[txid] = wanted
+    def _finish(self, txid: bytes, outcome: int, counter: str, phase: str) -> None:
+        entry = self._prepared.pop(txid, None)
+        for key in entry.keys if entry else ():  # the entry and its locks go together
+            if self._locks.get(key) == txid:
+                del self._locks[key]
+        self._outcomes[txid] = outcome
         self._gc()
-        self._persist()
-        self._mark("decide", txid)
-        return _reply_decision(wanted)
+        self._applied(counter, phase, txid)
 
-    def _on_resolve(self, txid: bytes) -> bytes:
-        existing = self._decisions.get(txid)
-        if existing is not None:
-            return _reply_decision(existing)
+    def _decide(self, op: TxDecide, _client: int, _ts: int) -> bytes:
+        return self._record(op.txid, op.decision, "decisions", "decide")
+
+    def _resolve(self, op: TxResolve, _client: int, _ts: int) -> bytes:
         # Presumed abort: no decision was ever durably recorded, so none
         # can have been acted upon — record abort, first writer wins.
-        self._count("resolves")
-        self._decisions[txid] = DECISION_ABORT
+        return self._record(op.txid, DECISION_ABORT, "resolves", "resolve")
+
+    def _record(self, txid: bytes, decision: int, counter: str, phase: str) -> bytes:
+        self._decisions[txid] = decision
         self._gc()
-        self._persist()
-        self._mark("resolve", txid)
-        return _reply_decision(DECISION_ABORT)
+        self._applied(counter, phase, txid)
+        return ReplyDecision(decision).encode()
 
-    def _on_forget(self, txid: bytes) -> bytes:
-        """End of transaction: drop the decision record (presumed abort).
+    def _decided(self, op, _client: int, _ts: int) -> bytes:
+        return ReplyDecision(self._decisions[op.txid]).encode()  # the first writer won
 
-        Sent by the router once every participant acknowledged the
-        outcome — from then on nobody can need to RESOLVE this
-        transaction, and a resolve that arrives anyway presumes abort,
-        which no longer matters because no participant still holds
-        prepared state for it.
-        """
-        if self._decisions.pop(txid, None) is not None:
-            self._count("forgets")
-            self._persist()
-            self._mark("forget", txid)
-        return _reply_ok()
+    def _forget(self, op: TxForget, _client: int, _ts: int) -> bytes:
+        # Nobody can need to RESOLVE this transaction any more; a resolve that
+        # arrives anyway presumes abort, and no participant is left to act on it.
+        del self._decisions[op.txid]
+        self._applied("forgets", "forget", op.txid)
+        return _OK
 
-    def _on_status(self, txid: bytes) -> bytes:
-        decision = self._decisions.get(txid)
-        if decision is not None:
-            return _reply_decision(decision)
-        outcome = self._outcomes.get(txid)
-        if outcome is not None:
-            return _reply_decision(outcome)
-        return _reply(ST_UNKNOWN)
-
-    # -- migration handlers (live rebalancing, DESIGN.md §12) -----------------
-
-    def _on_mig_freeze(self, dec: Decoder, mig_id: bytes) -> bytes:
-        unit = decode_unit(dec)
-        dst = dec.u16()
-        if mig_id in self._moved:
-            # Already committed: re-freeze is a no-op with no holders.
-            return _reply_mig(Encoder().u32(0).finish())
-        mig = self._migrations.get(mig_id)
-        if mig is None:
-            mig = Migration(mig_id, ROLE_SRC, unit, dst)
-            self._migrations[mig_id] = mig
-            self._count("migrations_frozen")
-            self._persist()
-            self._mark("mig_freeze", mig_id)
-        # Report the prepared transactions still holding locks on the
-        # unit; the freeze blocks new ones, the rebalancer drains these.
-        holders = [
-            (txid, self._prepared[txid].coordinator)
-            for txid in sorted(self._prepared)
-            if any(unit_covers(mig.unit, k) for k in self._prepared[txid].keys)
-        ]
-        enc = Encoder()
-        enc.sequence(holders, lambda e, h: e.raw(h[0]).u16(h[1]))
-        return _reply_mig(enc.finish())
-
-    def _on_mig_export(self, dec: Decoder, mig_id: bytes) -> bytes:
-        mig = self._migrations.get(mig_id)
-        if mig is None or mig.role != ROLE_SRC:
-            return _reply_err("export without an active source migration")
-        for txid, entry in self._prepared.items():
-            if any(unit_covers(mig.unit, k) for k in entry.keys):
-                return _reply_err("export before prepared holders drained")
-        cursor = dec.u64()
-        budget = dec.u32()
-        export = getattr(self.inner, "migrate_export", None)
-        if export is None:
-            return _reply_err("application does not support migration")
-        # Deterministic: the unit is frozen, so every replica serializes
-        # the identical chunk for the identical (cursor, budget).
-        chunk, next_cursor, done = export(mig.unit, cursor, budget)
-        self._accumulated_ns += 2 * len(chunk)
-        self._count("chunks_exported")
-        enc = Encoder().u64(next_cursor).u8(1 if done else 0).blob(chunk)
-        return _reply_mig(enc.finish())
-
-    def _on_mig_begin(self, dec: Decoder, mig_id: bytes) -> bytes:
-        unit = decode_unit(dec)
-        src = dec.u16()
-        if mig_id in self._owned:
-            return _reply_mig()  # already activated; re-drive is a no-op
-        if mig_id not in self._migrations:
-            self._migrations[mig_id] = Migration(mig_id, ROLE_DST, unit, src)
-            self._count("migrations_incoming")
-            self._persist()
-            self._mark("mig_begin", mig_id)
-        return _reply_mig()
-
-    def _on_mig_install(self, dec: Decoder, mig_id: bytes) -> bytes:
-        chunk_index = dec.u32()
-        chunk = dec.blob()
-        mig = self._migrations.get(mig_id)
-        if mig is None:
-            if mig_id in self._owned:
-                # Post-activation re-drive: everything is already in.
-                return _reply_mig(Encoder().u8(0).u32(0).finish())
-            return _reply_err("install without MIG_BEGIN")
-        if mig.role != ROLE_DST:
-            return _reply_err("install at the migration source")
-        if chunk_index < mig.chunks_done:
-            # A rebalancer re-driving after a crash re-exports from
-            # cursor 0; chunks already installed dedupe by index.
-            self._count("chunks_deduped")
-            return _reply_mig(Encoder().u8(0).u32(mig.chunks_done).finish())
-        if chunk_index > mig.chunks_done:
-            return _reply_err(
-                f"install gap: chunk {chunk_index} after {mig.chunks_done}"
-            )
-        install = getattr(self.inner, "migrate_install", None)
-        if install is None:
-            return _reply_err("application does not support migration")
-        install(mig.unit, chunk)
-        self._accumulated_ns += 2 * len(chunk)
-        mig.chunks_done += 1
-        self._count("chunks_installed")
-        self._persist()
-        return _reply_mig(Encoder().u8(1).u32(mig.chunks_done).finish())
-
-    def _on_mig_activate(self, dec: Decoder, mig_id: bytes) -> bytes:
-        unit = decode_unit(dec)
-        version = dec.u32()
-        if mig_id in self._owned:
-            return _reply_mig()  # idempotent
-        mig = self._migrations.get(mig_id)
-        if mig is None or mig.role != ROLE_DST:
-            return _reply_err("activate without an incoming migration")
-        del self._migrations[mig_id]
-        self._owned[mig_id] = (unit, version)
-        self._trim_facts()
-        self._count("migrations_activated")
-        self._persist()
-        self._mark("mig_activate", mig_id)
-        return _reply_mig()
-
-    def _on_mig_commit(self, dec: Decoder, mig_id: bytes) -> bytes:
-        unit = decode_unit(dec)
-        dst = dec.u16()
-        version = dec.u32()
-        if mig_id in self._moved:
-            return _reply_mig()  # idempotent
-        mig = self._migrations.get(mig_id)
-        if mig is None or mig.role != ROLE_SRC:
-            return _reply_err("commit without an active source migration")
-        purge = getattr(self.inner, "migrate_purge", None)
-        if purge is None:
-            return _reply_err("application does not support migration")
-        purge(mig.unit)
-        del self._migrations[mig_id]
-        self._moved[mig_id] = (mig.unit, dst, version)
-        self._trim_facts()
-        self._count("migrations_committed")
-        self._persist()
-        self._mark("mig_commit", mig_id)
-        return _reply_mig()
-
-    def _on_mig_abort(self, mig_id: bytes) -> bytes:
-        mig = self._migrations.pop(mig_id, None)
-        if mig is not None:
-            if mig.role == ROLE_DST:
-                # Drop the half-installed copy; the source still has it all.
-                purge = getattr(self.inner, "migrate_purge", None)
-                if purge is not None:
-                    purge(mig.unit)
-            self._count("migrations_aborted")
-            self._persist()
-            self._mark("mig_abort", mig_id)
-        return _reply_mig()
-
-    def _on_mig_status(self, mig_id: bytes) -> bytes:
-        if mig_id in self._moved:
-            phase, chunks = MIG_MOVED, 0
-        elif mig_id in self._owned:
-            phase, chunks = MIG_OWNED, 0
-        else:
-            mig = self._migrations.get(mig_id)
-            if mig is None:
-                phase, chunks = MIG_UNKNOWN, 0
-            else:
-                phase = MIG_SRC_ACTIVE if mig.role == ROLE_SRC else MIG_DST_ACTIVE
-                chunks = mig.chunks_done
-        return _reply_mig(Encoder().u8(phase).u32(chunks).finish())
-
-    def _trim_facts(self) -> None:
-        while len(self._moved) > self.moved_retain_limit:
-            del self._moved[next(iter(self._moved))]
-            self._count("moved_facts_evicted")
-        while len(self._owned) > self.moved_retain_limit:
-            del self._owned[next(iter(self._owned))]
+    def _outcome(self, op: TxStatus, _client: int, _ts: int) -> bytes:
+        outcome = self._outcomes.get(op.txid)
+        return _UNKNOWN if outcome is None else ReplyDecision(outcome).encode()
 
     def _gc(self) -> None:
         """Bound the finished-transaction tables (oldest evicted first).
 
         Dict insertion order is identical at every replica of the group
-        (they execute the same operations in the same order, and the
-        tables persist in insertion order), so eviction is deterministic.
-        Dropping an old outcome only weakens idempotency for extremely
-        late duplicates; dropping an abort decision is free under
-        presumed abort.  Commit decisions outlive both — see
-        ``retain_limit`` in ``__init__``.
+        (same operations, same order, and the tables persist in insertion
+        order), so eviction is deterministic.  Dropping an old outcome only
+        weakens idempotency for extremely late duplicates; dropping an abort
+        decision is free under presumed abort.  Commit decisions outlive
+        both — see ``retain_limit`` in ``__init__``.
         """
         while len(self._outcomes) > self.retain_limit:
             del self._outcomes[next(iter(self._outcomes))]
-        if len(self._decisions) > self.retain_limit:
-            for txid in [
-                t for t, d in self._decisions.items() if d == DECISION_ABORT
-            ]:
-                if len(self._decisions) <= self.retain_limit:
-                    break
-                del self._decisions[txid]
+        excess = max(len(self._decisions) - self.retain_limit, 0)
+        for txid in [t for t, d in self._decisions.items() if d == DECISION_ABORT][:excess]:
+            del self._decisions[txid]
         while len(self._decisions) > 4 * self.retain_limit:
             del self._decisions[next(iter(self._decisions))]
 
-    def _release_locks(self, txid: bytes, entry: PreparedTx) -> None:
-        for key in entry.keys:
-            if self._locks.get(key) == txid:
-                del self._locks[key]
+    # -- migration handlers (live rebalancing, DESIGN.md §12) -----------------
+
+    def _migrate(self, hook: str, *args):
+        """The inner application's ``migrate_<hook>``, or a refusal: no
+        hooks, a unit it cannot move, a table it does not have."""
+        function = getattr(self.inner, "migrate_" + hook, None)
+        if function is None:
+            raise _Refused("application does not support migration")
+        try:
+            return function(*args)
+        except (StateError, SqlError) as exc:
+            raise _Refused(str(exc)) from exc
+
+    def _holders_of(self, mig_id: bytes) -> tuple[tuple[bytes, int], ...]:
+        """The prepared transactions still holding locks on the migration's
+        unit: the freeze blocks new ones, the rebalancer drains these."""
+        unit = self._migrations[mig_id].unit
+        return tuple(
+            (txid, self._prepared[txid].coordinator) for txid in sorted(self._prepared)
+            if any(unit.covers(key) for key in self._prepared[txid].keys)
+        )
+
+    def _freeze(self, op: MigFreeze, _client: int, _ts: int) -> bytes:
+        self._migrations[op.mig_id] = Migration(op.mig_id, ROLE_SRC, op.unit, op.dst)
+        self._applied("migrations_frozen", "mig_freeze", op.mig_id)
+        return self._holders(op, _client, _ts)
+
+    def _holders(self, op: MigFreeze, _client: int, _ts: int) -> bytes:
+        return _mig(FreezePayload(self._holders_of(op.mig_id)))
+
+    def _export(self, op: MigExport, _client: int, _ts: int) -> bytes:
+        if self._holders_of(op.mig_id):
+            return _err("export before prepared holders drained")
+        # Deterministic: the unit is frozen, so every replica serializes
+        # the identical chunk for the identical (cursor, budget).
+        unit = self._migrations[op.mig_id].unit
+        chunk, next_cursor, done = self._migrate("export", unit, op.cursor, op.budget)
+        self._accumulated_ns += 2 * len(chunk)
+        self._count("chunks_exported")
+        return _mig(ExportPayload(next_cursor, done, chunk))
+
+    def _begin(self, op: MigBegin, _client: int, _ts: int) -> bytes:
+        self._migrations[op.mig_id] = Migration(op.mig_id, ROLE_DST, op.unit, op.src)
+        self._applied("migrations_incoming", "mig_begin", op.mig_id)
+        return _DONE
+
+    def _install(self, op: MigInstall, _client: int, _ts: int) -> bytes:
+        mig = self._migrations[op.mig_id]
+        if op.chunk_index < mig.chunks_done:
+            # A rebalancer re-driving after a crash re-exports from
+            # cursor 0; chunks already installed dedupe by index.
+            self._count("chunks_deduped")
+            return _mig(InstallPayload(False, mig.chunks_done))
+        if op.chunk_index > mig.chunks_done:
+            return _err(f"install gap: chunk {op.chunk_index} after {mig.chunks_done}")
+        self._migrate("install", mig.unit, op.chunk)
+        self._accumulated_ns += 2 * len(op.chunk)
+        self._migrations[op.mig_id] = replace(mig, chunks_done=mig.chunks_done + 1)
+        self._count("chunks_installed")
+        self._persist()
+        return _mig(InstallPayload(True, mig.chunks_done + 1))
+
+    def _activate(self, op: MigActivate, _client: int, _ts: int) -> bytes:
+        del self._migrations[op.mig_id]
+        self._owned[op.mig_id] = (op.unit, op.version)
+        while len(self._owned) > self.moved_retain_limit:
+            del self._owned[next(iter(self._owned))]
+        self._applied("migrations_activated", "mig_activate", op.mig_id)
+        return _DONE
+
+    def _mig_commit(self, op: MigCommit, _client: int, _ts: int) -> bytes:
+        mig = self._migrations[op.mig_id]
+        self._migrate("purge", mig.unit)
+        del self._migrations[op.mig_id]
+        self._moved[op.mig_id] = (mig.unit, op.dst, op.version)
+        while len(self._moved) > self.moved_retain_limit:
+            del self._moved[next(iter(self._moved))]
+            self._count("moved_facts_evicted")
+        self._applied("migrations_committed", "mig_commit", op.mig_id)
+        return _DONE
+
+    def _cancel(self, op: MigAbort, _client: int, _ts: int) -> bytes:
+        mig = self._migrations[op.mig_id]
+        if mig.role == ROLE_DST and hasattr(self.inner, "migrate_purge"):
+            # Drop the half-installed copy; the source still has it all.
+            self._migrate("purge", mig.unit)
+        del self._migrations[op.mig_id]
+        self._applied("migrations_aborted", "mig_abort", op.mig_id)
+        return _DONE
+
+    def _progress(self, op: MigStatus, _client: int, _ts: int) -> bytes:
+        mig = self._migrations.get(op.mig_id)  # None: unknown here, moved or owned
+        return _mig(StatusPayload(self._mig_phase(op), mig.chunks_done if mig else 0))
+
+    # The one table: what an op draws, by where its transaction or migration
+    # stands here when the op is ordered — a fixed reply (idempotent re-drives
+    # and refusals), or the handler for the phase in which the op does
+    # something.  ``None`` is every phase not listed.
+    _TABLE = {
+        TxPrepare: (_tx_phase, {
+            NEW: _prepare, PREPARED: _OK, COMMITTED: _OK,
+            # The transaction was aborted here; a retransmitted PREPARE
+            # must not re-acquire locks.
+            ABORTED: _TOMBSTONE,
+        }),
+        TxCommit: (_tx_phase, {
+            PREPARED: _commit, COMMITTED: _OK,
+            NEW: _err("commit for unprepared transaction"),
+            # The atomicity bug invariant #6 hunts for: refuse loudly.
+            ABORTED: _err("commit after abort"),
+        }),
+        TxAbort: (_tx_phase, {
+            NEW: _abort, PREPARED: _abort, ABORTED: _OK, COMMITTED: _err("abort after commit"),
+        }),
+        TxDecide: (_decision_phase, {UNDECIDED: _decide, DECIDED: _decided}),
+        TxResolve: (_decision_phase, {UNDECIDED: _resolve, DECIDED: _decided}),
+        TxForget: (_decision_phase, {UNDECIDED: _OK, DECIDED: _forget}),
+        TxStatus: (_decision_phase, {UNDECIDED: _outcome, DECIDED: _decided}),
+        MigFreeze: (_mig_phase, {
+            MIG_UNKNOWN: _freeze, MIG_SRC_ACTIVE: _holders,
+            MIG_MOVED: _NO_HOLDERS,  # already committed
+            None: _err("freeze at the migration's destination"),
+        }),
+        MigExport: (_mig_phase, {
+            MIG_SRC_ACTIVE: _export, None: _err("export without an active source migration"),
+        }),
+        MigBegin: (_mig_phase, {MIG_UNKNOWN: _begin, None: _DONE}),
+        MigInstall: (_mig_phase, {
+            MIG_DST_ACTIVE: _install,
+            MIG_OWNED: _mig(InstallPayload(False, 0)),  # everything is already in
+            MIG_SRC_ACTIVE: _err("install at the migration source"),
+            None: _err("install without MIG_BEGIN"),
+        }),
+        MigActivate: (_mig_phase, {
+            MIG_DST_ACTIVE: _activate, MIG_OWNED: _DONE,
+            None: _err("activate without an incoming migration"),
+        }),
+        MigCommit: (_mig_phase, {
+            MIG_SRC_ACTIVE: _mig_commit, MIG_MOVED: _DONE,
+            None: _err("commit without an active source migration"),
+        }),
+        MigAbort: (_mig_phase, {MIG_SRC_ACTIVE: _cancel, MIG_DST_ACTIVE: _cancel, None: _DONE}),
+        MigStatus: (_mig_phase, {None: _progress}),
+    }
 
     # -- inspection (harness / invariant checks) ------------------------------
 
@@ -894,12 +813,9 @@ class ShardTxApplication(Application):
     def decisions(self) -> dict[bytes, int]:
         return dict(self._decisions)
 
-    def migrations(self) -> dict[bytes, tuple]:
-        """In-flight migrations: mig_id -> (role, unit, peer, chunks_done)."""
-        return {
-            mig_id: (mig.role, mig.unit, mig.peer, mig.chunks_done)
-            for mig_id, mig in self._migrations.items()
-        }
+    def migrations(self) -> dict[bytes, Migration]:
+        """In-flight migrations, either role, by migration id."""
+        return dict(self._migrations)
 
     def moved_units(self) -> dict[bytes, tuple]:
         """Source-side tombstones: mig_id -> (unit, dst_shard, version)."""
@@ -909,109 +825,36 @@ class ShardTxApplication(Application):
         """Destination-side facts: mig_id -> (unit, version)."""
         return dict(self._owned)
 
-    def frozen_units(self) -> tuple:
-        return tuple(mig.unit for mig in self._migrations.values())
-
     # -- replicated persistence ----------------------------------------------
 
     def _persist(self) -> None:
-        """Serialize the whole transaction table into the reserved pages.
-
-        Canonical encoding: replicas reach identical bytes for identical
-        logical state, so checkpoint roots agree.
-        """
-        enc = Encoder()
-        enc.u32(len(self._prepared))
-        for txid in sorted(self._prepared):
-            entry = self._prepared[txid]
-            enc.raw(txid).u64(entry.client_id).u16(entry.coordinator)
-            enc.sequence(entry.participants, lambda e, s: e.u16(s))
-            enc.sequence(entry.ops, lambda e, op: e.blob(op))
-            enc.sequence(entry.keys, lambda e, k: e.blob(k))
-        # Outcomes and decisions persist in insertion order, not sorted:
-        # the order is itself replicated state (garbage collection evicts
-        # oldest-first), so a replica that catches up via state transfer
-        # must adopt it, or later evictions would diverge.  The order is
-        # the same at every replica, so the encoding stays canonical.
-        # One join each — txid then a one-byte flag per entry: these two
-        # only shrink by eviction, so at hundreds of entries they are
-        # nearly all of what every 2PC operation re-encodes.
-        for table in (self._outcomes, self._decisions):
-            enc.u32(len(table))
-            enc.raw(b"".join([txid + _U8[flag] for txid, flag in table.items()]))
-        # Migration state persists in insertion order too (moved/owned
-        # facts are evicted oldest-first, so the order is itself state).
-        enc.u32(len(self._migrations))
-        for mig_id, mig in self._migrations.items():
-            enc.raw(mig_id).u8(mig.role)
-            encode_unit(enc, mig.unit)
-            enc.u16(mig.peer).u32(mig.chunks_done)
-        enc.u32(len(self._moved))
-        for mig_id, (unit, dst, version) in self._moved.items():
-            enc.raw(mig_id)
-            encode_unit(enc, unit)
-            enc.u16(dst).u32(version)
-        enc.u32(len(self._owned))
-        for mig_id, (unit, version) in self._owned.items():
-            enc.raw(mig_id)
-            encode_unit(enc, unit)
-            enc.u32(version)
-        payload = enc.finish()
-        if len(payload) + 8 > self.tx_bytes:
-            raise StateError(
-                f"transaction table ({len(payload)} bytes) overflows its "
-                f"{self.tx_bytes}-byte reservation — raise tx_pages"
-            )
-        data = Encoder().u32(_STATE_MAGIC).u32(len(payload)).raw(payload).finish()
-        self.state.modify(self.tx_offset, len(data))
-        self.state.write(self.tx_offset, data)
+        """Write the tables into the reserved pages, or refuse before the first byte."""
+        image = TxTableImage(TxTable(
+            prepared=tuple(self._prepared[txid] for txid in sorted(self._prepared)),
+            outcomes=self._outcomes.items(),  # (the views: at hundreds of entries these two
+            decisions=self._decisions.items(),  # are most of what every 2PC op re-encodes)
+            migrations=tuple(self._migrations.values()),
+            moved=tuple((mig_id, *fact) for mig_id, fact in self._moved.items()),
+            owned=tuple((mig_id, *fact) for mig_id, fact in self._owned.items()),
+        )).encode()
+        if len(image) > self.tx_bytes:
+            raise _Refused(f"transaction table ({len(image) - 8} bytes) overflows its "
+                           f"{self.tx_bytes}-byte reservation — raise tx_pages")
+        self.state.modify(self.tx_offset, len(image))
+        self.state.write(self.tx_offset, image)
 
     def _load_from_state(self) -> None:
-        self._prepared = {}
-        self._locks = {}
-        self._outcomes = {}
-        self._decisions = {}
-        self._migrations = {}
-        self._moved = {}
-        self._owned = {}
-        header = Decoder(self.state.read(self.tx_offset, 8))
-        if header.u32() != _STATE_MAGIC:
-            return  # fresh region
-        length = header.u32()
-        dec = Decoder(self.state.read(self.tx_offset + 8, length))
-        for _ in range(dec.u32()):
-            txid = dec.raw(TXID_BYTES)
-            client_id = dec.u64()
-            coordinator = dec.u16()
-            participants = tuple(dec.u16() for _ in range(dec.u32()))
-            ops = tuple(dec.blob() for _ in range(dec.u32()))
-            keys = tuple(dec.blob() for _ in range(dec.u32()))
-            self._prepared[txid] = PreparedTx(
-                client_id, coordinator, participants, ops, keys
-            )
-            for key in keys:
-                self._locks[key] = txid
-        for _ in range(dec.u32()):
-            txid = dec.raw(TXID_BYTES)
-            self._outcomes[txid] = dec.u8()
-        for _ in range(dec.u32()):
-            txid = dec.raw(TXID_BYTES)
-            self._decisions[txid] = dec.u8()
-        if dec.finished():
-            return  # state persisted before migrations existed
-        for _ in range(dec.u32()):
-            mig_id = dec.raw(MIGID_BYTES)
-            role = dec.u8()
-            unit = decode_unit(dec)
-            peer = dec.u16()
-            chunks_done = dec.u32()
-            self._migrations[mig_id] = Migration(mig_id, role, unit, peer,
-                                                 chunks_done)
-        for _ in range(dec.u32()):
-            mig_id = dec.raw(MIGID_BYTES)
-            unit = decode_unit(dec)
-            self._moved[mig_id] = (unit, dec.u16(), dec.u32())
-        for _ in range(dec.u32()):
-            mig_id = dec.raw(MIGID_BYTES)
-            unit = decode_unit(dec)
-            self._owned[mig_id] = (unit, dec.u32())
+        header = self.state.read(self.tx_offset, 8)
+        if header[:4] != _STATE_MAGIC:
+            return self._adopt(_EMPTY_TABLE)  # a fresh region
+        image = self.state.read(self.tx_offset, 8 + int.from_bytes(header[4:], "big"))
+        self._adopt(decode_exact(TxTableImage, image).table)
+
+    def _adopt(self, table: TxTable) -> None:
+        self._prepared = {entry.txid: entry for entry in table.prepared}
+        self._locks = {key: entry.txid for entry in table.prepared for key in entry.keys}
+        self._outcomes = dict(table.outcomes)
+        self._decisions = dict(table.decisions)
+        self._migrations = {mig.mig_id: mig for mig in table.migrations}
+        self._moved = {mig_id: tuple(fact) for mig_id, *fact in table.moved}
+        self._owned = {mig_id: tuple(fact) for mig_id, *fact in table.owned}

@@ -74,16 +74,6 @@ class RowContext:
             raise SqlError(f"ambiguous column name: {name}")
         return self.qualified[keys[0]]
 
-    def merged_with(self, other: "RowContext") -> "RowContext":
-        out = RowContext()
-        out.qualified.update(self.qualified)
-        out.qualified.update(other.qualified)
-        for name, keys in self.names.items():
-            out.names.setdefault(name, []).extend(keys)
-        for name, keys in other.names.items():
-            out.names.setdefault(name, []).extend(keys)
-        return out
-
 
 _EMPTY_CTX = RowContext()
 
@@ -1108,7 +1098,7 @@ def _collect_aggregates(expr, out: list) -> None:
 
 
 def _normalize_param(value):
-    if value is None:
+    if value is None or value is SqlNull:  # SqlNull: what a NULL is once it crossed the wire
         return SqlNull
     if isinstance(value, float) and value != value:
         return SqlNull  # NaN binds as NULL, matching storage affinity

@@ -85,9 +85,3 @@ class RollbackJournal:
             (page_no,) = _ENTRY_HEAD.unpack_from(raw)
             out.append((page_no, raw[_ENTRY_HEAD.size :]))
         return out
-
-    def reset_tracking(self) -> None:
-        """Forget per-transaction state without touching the file (used
-        after a rollback replays the pre-images)."""
-        self._journaled.clear()
-        self._count = 0

@@ -6,7 +6,7 @@ fetches the body from a responder instead of waiting out its retransmit
 timer, so throughput after a crash stays within a few percent of before.
 """
 
-from repro.apps.kvstore import encode_get, encode_put
+from repro.apps.kvstore import Get, encode_put
 from repro.common.units import MILLISECOND, SECOND
 from repro.harness.experiments import run_degraded_experiment
 from repro.pbft.cluster import build_cluster
@@ -65,10 +65,10 @@ def test_sharded_group_with_a_replica_down_keeps_90_percent_through_the_router()
         def read(result):
             assert result.committed and result.replies == (b"\x01" + value,)
             completed[0] += 1
-            router.invoke(encode_get(key), callback=read)
+            router.invoke(Get(key).encode(), callback=read)
 
         router.invoke(encode_put(key, value),
-                      callback=lambda _r: router.invoke(encode_get(key), callback=read))
+                      callback=lambda _r: router.invoke(Get(key).encode(), callback=read))
 
     for router in cluster.routers:
         start(router)

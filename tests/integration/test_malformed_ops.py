@@ -7,7 +7,8 @@ leave the event loop at all of them.  Each op below did exactly that.
 
 import pytest
 
-from repro.apps.kvstore import KvApplication, encode_get, encode_put
+from repro.apps.kvstore import Get, KvApplication, encode_put, keys_of_op
+from repro.apps.sqlapp import SqlApplication, SqlOp, encode_sql_op
 from repro.common.units import SECOND
 from repro.membership import join_client
 from repro.membership.manager import REPLY_DENIED
@@ -15,6 +16,10 @@ from repro.membership.messages import Join2Payload
 from repro.pbft.cluster import build_cluster
 from repro.pbft.config import PbftConfig
 from repro.pbft.replica import REPLY_MALFORMED_OP
+from repro.shard.txapp import (
+    MigExport, MigFreeze, RangeUnit, ReplyErr, ReplyMig, ReplyOk, ShardTxApplication,
+    TableUnit, TxCommit, TxPrepare, decode_tx_reply,
+)
 
 JOIN2_BAD_UTF8_HOST = Join2Payload(
     temp_client=1, pubkey_n=b"\x01" * 8, nonce=b"n", response=bytes(16),
@@ -63,7 +68,130 @@ def test_truncated_kv_put_is_answered_by_every_replica_and_the_group_goes_on():
     other = check_answered_everywhere(
         cluster, b"\x01\x00\x00", REPLY_MALFORMED_OP, "malformed_ops"
     )
-    assert cluster.invoke_and_wait(other, encode_get(b"k")).endswith(b"before")
+    assert cluster.invoke_and_wait(other, Get(b"k").encode()).endswith(b"before")
     # The read-only fast path executes without ordering; same answer there.
     assert cluster.invoke_and_wait(other, b"\x02\x00", readonly=True) == REPLY_MALFORMED_OP
     assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1
+
+
+# -- the ten ops of PR 24: each raised out of every replica's event loop ----------
+
+
+def sql_op(record: bytes, sql: bytes = b"SELECT 1") -> bytes:
+    """A SQL op packed by hand: the tag, the text, a parameter record."""
+    return b"\x01" + len(sql).to_bytes(4, "big") + sql + len(record).to_bytes(4, "big") + record
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        b"\x02" + encode_sql_op("SELECT 1")[1:],
+        sql_op(b"\x00", sql=b"SELECT \xff"),
+        sql_op(b"\t"),
+        sql_op(b"\xff" * 9),
+        sql_op(b""),
+    ],
+    ids=["wrong-tag", "text-not-utf8", "record-short", "record-bad-tag", "record-empty"],
+)
+def test_malformed_sql_op_is_answered_by_every_replica_and_the_group_goes_on(op):
+    schema = "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT);"
+    cluster = build_cluster(
+        PbftConfig(num_clients=2), seed=5, app_factory=lambda: SqlApplication(schema_sql=schema)
+    )
+    assert SqlOp("SELECT 1", b"\x00").encode() == sql_op(b"\x00")  # the hand packing is honest
+    other = check_answered_everywhere(cluster, op, REPLY_MALFORMED_OP, "malformed_ops")
+    insert = encode_sql_op("INSERT INTO t VALUES (?, ?)", (1, "next"))
+    assert cluster.invoke_and_wait(other, insert) == b"\x02" + (1).to_bytes(8, "big")
+    assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1
+
+
+def shard_group(num_slots: int = 64, tx_pages: int = 1):
+    """One PBFT group whose application is a shard's: what a router's (or
+    anybody's) ``PbftClient`` reaches."""
+    def app():
+        return ShardTxApplication(
+            KvApplication(num_slots=num_slots, value_size=16), keys_of_op, tx_pages=tx_pages
+        )
+    return build_cluster(PbftConfig(num_clients=2), seed=5, app_factory=app)
+
+
+def shard_stat(cluster, name: str) -> list[int]:
+    return [cluster.obs.registry.view(f"{r.host.name}.shard.")[name] for r in cluster.replicas]
+
+
+def check_group_goes_on(cluster, client, key: bytes = b"after") -> None:
+    assert cluster.invoke_and_wait(client, encode_put(key, b"next")) == b"\x01OK"
+    cluster.run_for(SECOND // 10)
+    assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1
+
+
+def test_migration_freeze_of_an_unknown_unit_kind_is_malformed():
+    cluster = shard_group()
+    freeze = MigFreeze(bytes(16), RangeUnit(0, 1), 1).encode()
+    op = freeze[:17] + b"\x07" + freeze[18:]
+    other = check_answered_everywhere(cluster, op, REPLY_MALFORMED_OP, "malformed_ops")
+    check_group_goes_on(cluster, other)
+    assert all(r.app.migrations() == {} for r in cluster.replicas)
+
+
+def test_prepare_of_an_undecodable_inner_op_takes_no_lock_and_commit_applies_nothing():
+    cluster = shard_group()
+    txid = bytes(15) + b"\x01"
+    prepare = TxPrepare(txid, 0, (0,), (encode_put(b"k", b"v"), b"\x01\x00\x00"), (b"k",))
+    other = check_answered_everywhere(
+        cluster, prepare.encode(), REPLY_MALFORMED_OP, "malformed_ops"
+    )
+    commit = cluster.invoke_and_wait(other, TxCommit(txid).encode())
+    assert decode_tx_reply(commit) == ReplyErr("commit for unprepared transaction")
+    assert cluster.invoke_and_wait(other, Get(b"k").encode()) == b"\x00MISS"  # no prefix applied
+    check_group_goes_on(cluster, other, key=b"k")  # ...and no lock left behind
+    assert all(r.app.prepared_txids() == () for r in cluster.replicas)
+
+
+def test_a_full_kv_store_refuses_the_put_at_every_replica():
+    cluster = build_cluster(
+        PbftConfig(num_clients=2), seed=5, app_factory=lambda: KvApplication(num_slots=8)
+    )
+    sender, other = cluster.clients
+    for n in range(8):
+        assert cluster.invoke_and_wait(sender, encode_put(b"key%d" % n, b"v")) == b"\x01OK"
+    full = b"\x00ERR kv store is full"
+    assert cluster.invoke_and_wait(sender, encode_put(b"ninth", b"v")) == full
+    cluster.run_for(SECOND // 10)
+    assert {r.reqstore.last_reply[sender.node_id].result for r in cluster.replicas} == {full}
+    assert [r.app.puts for r in cluster.replicas] == [8] * 4
+    assert cluster.invoke_and_wait(other, Get(b"ninth").encode(), readonly=True) == b"\x00MISS"
+    assert cluster.invoke_and_wait(other, encode_put(b"key3", b"next")) == b"\x01OK"
+    assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1
+
+
+def test_tx_table_overflow_is_refused_with_locks_and_pages_as_before():
+    cluster = shard_group(tx_pages=1)
+    sender, other = cluster.clients
+    replies = []
+    for n in range(1, 4):
+        key = bytes([n]) * 3000
+        prepare = TxPrepare(bytes(15) + bytes([n]), 0, (0,), (encode_put(b"k", b"v"),), (key,))
+        replies.append(decode_tx_reply(cluster.invoke_and_wait(sender, prepare.encode())))
+    assert [type(reply) for reply in replies] == [ReplyOk, ReplyErr, ReplyErr]
+    assert "overflows its 4096-byte reservation" in replies[1].message
+    cluster.run_for(SECOND // 10)
+    assert shard_stat(cluster, "refusals") == [2] * 4
+    assert all(r.app.prepared_txids() == (bytes(15) + b"\x01",) for r in cluster.replicas)
+    # The refused prepares hold no lock: their keys are plain keys again.
+    assert cluster.invoke_and_wait(other, encode_put(b"\x02" * 3000, b"v")) == b"\x01OK"
+    check_group_goes_on(cluster, other)
+
+
+def test_export_of_a_unit_the_application_cannot_move_is_refused():
+    cluster = shard_group()
+    sender, other = cluster.clients
+    mig = bytes(15) + b"\x09"
+    frozen = cluster.invoke_and_wait(sender, MigFreeze(mig, TableUnit("accounts"), 1).encode())
+    assert type(decode_tx_reply(frozen)) is ReplyMig
+    refusal = ReplyErr("kv stores migrate key ranges, not tables").encode()
+    assert cluster.invoke_and_wait(sender, MigExport(mig, 0, 2048).encode()) == refusal
+    cluster.run_for(SECOND // 10)
+    assert {r.reqstore.last_reply[sender.node_id].result for r in cluster.replicas} == {refusal}
+    assert shard_stat(cluster, "refusals") == [1] * 4
+    check_group_goes_on(cluster, other)

@@ -5,7 +5,7 @@ Each test builds a full sharded deployment and drives a migration with
 migration-safety battery in the shard campaign generalizes.
 """
 
-from repro.apps.kvstore import encode_get, encode_put
+from repro.apps.kvstore import Get, encode_put
 from repro.apps.sqlapp import SqlApplication, encode_sql_op
 from repro.common.units import MILLISECOND, SECOND
 from repro.shard import (
@@ -19,7 +19,7 @@ from repro.shard import (
     run_shard_scenario,
     shard_campaign_config,
 )
-from repro.shard.txapp import _reply_wrong_shard
+from repro.shard.txapp import RangeUnit, ReplyWrongShard
 
 QUARTER = 1 << 30  # with 2 shards, [0, 2^30) is the lower half of stripe 0
 
@@ -58,7 +58,7 @@ def put_all(cluster, router, pairs):
 
 def read(cluster, router, key):
     results = []
-    router.invoke(encode_get(key), callback=results.append)
+    router.invoke(Get(key).encode(), callback=results.append)
     _drive(cluster, lambda: results)
     assert results, f"read of {key!r} never completed"
     return results[0]
@@ -155,7 +155,7 @@ class TestLiveRangeMove:
         for app in cluster.tx_apps(0):
             facts = app.moved_units()
             assert [f for f in facts.values()
-                    if f[0] == ("range", 0, QUARTER)]
+                    if f[0] == RangeUnit(0, QUARTER)]
         cluster.stop()
 
     def test_move_to_current_owner_is_refused(self):
@@ -298,7 +298,7 @@ class TestRouterStaleness:
         assert stale.directory.version == 0
 
         results = []
-        stale.invoke(encode_get(key), callback=results.append)
+        stale.invoke(Get(key).encode(), callback=results.append)
         _drive(cluster, lambda: results)
         assert results and results[0].committed
         assert b"payload" in results[0].replies[0]
@@ -310,7 +310,7 @@ class TestRouterStaleness:
 
         # The next op routes straight to the new owner: no new redirect.
         again = []
-        stale.invoke(encode_get(key), callback=again.append)
+        stale.invoke(Get(key).encode(), callback=again.append)
         _drive(cluster, lambda: again)
         assert again and again[0].committed
         assert stale.stats["wrong_shard_redirects"] == 1
@@ -326,13 +326,13 @@ class TestRouterStaleness:
         key = keys_in_range(0, QUARTER, 1)[0]
         put_all(cluster, router, [(key, b"truth")])
 
-        target = encode_get(key)
+        target = Get(key).encode()
         liar = cluster.tx_apps(0)[0]
         honest_execute = liar.execute
 
         def forged(op, *args, **kwargs):
             if op == target:
-                return _reply_wrong_shard(("range", 0, QUARTER), 1, 99)
+                return ReplyWrongShard(RangeUnit(0, QUARTER), 1, 99).encode()
             return honest_execute(op, *args, **kwargs)
 
         liar.execute = forged

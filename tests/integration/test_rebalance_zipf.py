@@ -20,7 +20,7 @@ and asserts the hot shard's load recovers after the handoff.
 
 import random
 
-from repro.apps.kvstore import KvApplication, encode_get, encode_put
+from repro.apps.kvstore import KvApplication, Get, encode_put
 from repro.common.units import MILLISECOND, SECOND
 from repro.harness.workload import ZipfianPicker
 from repro.shard import build_sharded_cluster, shard_campaign_config
@@ -144,7 +144,7 @@ def run_stream(rebalance: bool):
     router = cluster.routers[0]
     for key in sorted(committed):
         results = []
-        router.invoke(encode_get(key), callback=results.append)
+        router.invoke(Get(key).encode(), callback=results.append)
         while not results and cluster.sim.now < deadline:
             cluster.run_for(10 * MILLISECOND)
         assert results and results[0].committed, key

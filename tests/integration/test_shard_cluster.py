@@ -5,7 +5,7 @@ Each test builds a real multi-group deployment (every shard a full
 routers — the same stack the shard bench and fault campaign use.
 """
 
-from repro.apps.kvstore import encode_get, encode_put
+from repro.apps.kvstore import Get, encode_put
 from repro.apps.sqlapp import SqlApplication, encode_sql_op
 from repro.common.units import MILLISECOND, SECOND
 from repro.faults.invariants import check_cross_shard_atomicity
@@ -66,7 +66,7 @@ class TestKvSharding:
 
         # The transaction's writes are visible on the direct path.
         reads = []
-        router.invoke(encode_get(k1), callback=reads.append)
+        router.invoke(Get(k1).encode(), callback=reads.append)
         _drive(cluster, lambda: reads)
         assert reads and b"right" in reads[0].replies[0]
         cluster.stop()

@@ -17,6 +17,8 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.kvstore import KV_OP, Get, KvChunk, Put
+from repro.apps.sqlapp import SqlChunk, SqlCount, SqlFailure, SqlNone, SqlOp, SqlRows
 from repro.common.errors import ProtocolError
 from repro.crypto.digests import md5_digest, memo_digest
 from repro.membership.messages import (
@@ -48,8 +50,11 @@ from repro.pbft.messages import (
     message,
 )
 from repro.pbft.wire import (
-    Atom, Decoder, blob, boolean, boxed, decode_exact, layout, raw, seq, text, u8,
+    Atom, Decoder, blob, boolean, boxed, decode_exact, layout, raw, seq, tagged, text, u8, u16,
 )
+from repro.shard import txapp as tx
+from repro.sqlstate.records import encode_record
+from repro.sqlstate.values import SqlNull
 
 
 def strategy_for(kind):
@@ -70,6 +75,8 @@ def strategy_for(kind):
         return st.binary(min_size=kind.size, max_size=kind.size)
     if isinstance(kind, boxed):
         return strategy_for(kind.cls)
+    if isinstance(kind, tagged):
+        return st.one_of(*map(strategy_for, kind.classes.values()))
     items = [strategy_for(k) for k in kind.item]
     return st.lists(items[0] if len(items) == 1 else st.tuples(*items), max_size=4).map(tuple)
 
@@ -77,7 +84,7 @@ def strategy_for(kind):
 def surcharge(value, kind=None) -> int:
     """Σ (charged − encoded) over a message: the bytes ``wire_size`` accounts
     for that ``wire`` does not carry (``raw(n, charged=m)`` in a layout)."""
-    if kind is None or isinstance(kind, (type, boxed)):
+    if kind is None or isinstance(kind, (type, boxed, tagged)):
         layout_fields = type(value).LAYOUT.fields.items()
         return sum(surcharge(getattr(value, name), k) for name, k in layout_fields)
     if isinstance(kind, raw):
@@ -282,6 +289,90 @@ def all_samples():
     return samples + proofs + membership_samples()
 
 
+# -- the op families: kv, sql, shard-tx -------------------------------------------------
+# What travels *inside* ``Request.op`` and ``Reply.result``, and what a shard
+# persists in its reserved pages.  Pinned in test_wire_golden.py (OP_GOLDEN).
+
+TXID_1, TXID_2, MIG_1 = ((n).to_bytes(16, "big") for n in (1, 2, 7))
+LOW_HALF = tx.RangeUnit(0, 1 << 31)
+ACCOUNTS = tx.TableUnit("accounts")
+KV_RECORDS = (
+    (md5_digest(b"a"), b"alpha"),
+    (md5_digest(b"b"), b""),
+)
+SQL_ROWS = ((1, "ann", 100), (2, "bob", None))
+
+
+def op_samples():
+    """One deterministic instance of every ordered op, reply, migration
+    payload and migration chunk, and a tx-table image with every table
+    populated — each a class that declares its ``LAYOUT``."""
+    put = Put(b"key", b"value")
+    rows = tuple(encode_record([SqlNull if v is None else v for v in row]) for row in SQL_ROWS)
+    kv_chunk = KvChunk(KV_RECORDS)
+    table = tx.TxTable(
+        prepared=(tx.PreparedTx(TXID_1, 9, 0, (0, 1), (put.encode(),), (b"key",)),),
+        outcomes=((TXID_2, tx.DECISION_ABORT),),
+        decisions=((TXID_1, tx.DECISION_COMMIT),),
+        migrations=(tx.Migration(MIG_1, tx.ROLE_DST, ACCOUNTS, 1, 3),),
+        moved=((TXID_2, LOW_HALF, 1, 4),),
+        owned=((TXID_1, ACCOUNTS, 5),),
+    )
+    return [
+        put,
+        Get(b"key"),
+        kv_chunk,
+        SqlOp("SELECT * FROM t WHERE a = ? AND b = ?", encode_record([1, "x"])),
+        SqlNone(),
+        SqlRows(rows),
+        SqlCount(3),
+        SqlFailure("no such table t"),
+        SqlChunk(rows),
+        tx.TxPrepare(TXID_1, 0, (0, 1), (put.encode(),), (b"key",)),
+        tx.TxCommit(TXID_1),
+        tx.TxAbort(TXID_1),
+        tx.TxDecide(TXID_1, tx.DECISION_COMMIT),
+        tx.TxResolve(TXID_1),
+        tx.TxStatus(TXID_1),
+        tx.TxForget(TXID_1),
+        tx.MigFreeze(MIG_1, LOW_HALF, 1),
+        tx.MigExport(MIG_1, 5, 2048),
+        tx.MigBegin(MIG_1, ACCOUNTS, 0),
+        tx.MigInstall(MIG_1, 2, kv_chunk.encode()),
+        tx.MigActivate(MIG_1, LOW_HALF, 4),
+        tx.MigCommit(MIG_1, ACCOUNTS, 1, 4),
+        tx.MigAbort(MIG_1),
+        tx.MigStatus(MIG_1),
+        tx.ReplyErr("commit after abort"),
+        tx.ReplyOk((b"\x01OK", b"\x00MISS")),
+        tx.ReplyLocked(TXID_1, 2),
+        tx.ReplyTombstone(),
+        tx.ReplyDecision(tx.DECISION_COMMIT),
+        tx.ReplyUnknown(),
+        tx.ReplyFrozen(),
+        tx.ReplyWrongShard(LOW_HALF, 1, 4),
+        tx.ReplyMig(b"payload"),
+        tx.FreezePayload(((TXID_1, 0), (TXID_2, 3))),
+        tx.ExportPayload(17, True, kv_chunk.encode()),
+        tx.InstallPayload(True, 3),
+        tx.StatusPayload(tx.MIG_DST_ACTIVE, 3),
+        tx.TxTableImage(table),
+    ]
+
+
+def op_family_samples() -> dict[str, bytes]:
+    """``op_samples()`` as the golden-vector test pins them: class name -> bytes."""
+    return {type(sample).__name__: sample.encode() for sample in op_samples()}
+
+
+def every_op_sample():
+    """``op_samples()`` plus the classes that only travel nested: the two
+    migration units and the rows of the tx-table image."""
+    samples = op_samples()
+    table = samples[-1].table
+    return samples + [LOW_HALF, ACCOUNTS, table, *table.prepared, *table.migrations]
+
+
 MESSAGE_CLASSES = sorted({type(m) for m in all_samples()}, key=lambda c: c.__qualname__)
 
 
@@ -289,7 +380,13 @@ MESSAGE_CLASSES = sorted({type(m) for m in all_samples()}, key=lambda c: c.__qua
 
 
 def by_class(test):
-    return pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)(test)
+    """Over the protocol messages and the op families: whatever declares a ``LAYOUT`` obeys the same laws."""
+    classes = MESSAGE_CLASSES + sorted({type(m) for m in every_op_sample()}, key=lambda c: c.__name__)
+    return pytest.mark.parametrize("cls", classes, ids=lambda c: c.__name__)(test)
+
+
+def samples_of(cls):
+    return [m for m in all_samples() + every_op_sample() if type(m) is cls]
 
 
 def check_size_law(msg):
@@ -329,7 +426,7 @@ def check_decodes_canonically_or_refuses(cls, data: bytes):
 @by_class
 def test_decoder_fuzz_mutated_truncated_and_extended_samples(cls):
     rng = random.Random(f"wire-fuzz:{cls.__name__}")  # pinned: same mutants every run
-    for sample in (m for m in all_samples() if type(m) is cls):
+    for sample in samples_of(cls):
         wire = sample.encode()
         assert decode_exact(cls, wire) == sample
         for cut in range(len(wire)):
@@ -362,11 +459,29 @@ def test_decode_message_reaches_every_tagged_class_and_only_those():
 
 
 def test_a_reused_tag_is_an_import_time_error():
-    with pytest.raises(TypeError, match="reuses tag 3 of Prepare"):
+    with pytest.raises(TypeError, match="reuses tag 03 of Prepare"):
         @message
         class Impostor(WireMemo):
             TAG = Prepare.TAG
             sender: int
+            LAYOUT = layout(TAG, sender=u16)
+
+    # ...inside each family: a kv op may be 0x01 although a Request is, but
+    # not although a Put is, and a shard-tx reply is told by its second byte.
+    with pytest.raises(TypeError, match="reuses tag 01 of Put"):
+        @message(family=KV_OP)
+        class Upsert:
+            LAYOUT = layout(0x01)
+
+    with pytest.raises(TypeError, match="reuses tag b0 03 of ReplyTombstone"):
+        @message(family=tx.TX_REPLY)
+        class Gravestone:
+            LAYOUT = layout(tx.REPLY_MAGIC, 0x03)
+
+    with pytest.raises(TypeError, match="has no 2-byte tag to join TxReply"):
+        @message(family=tx.TX_REPLY)
+        class Untagged:
+            LAYOUT = layout(tx.REPLY_MAGIC)
 
 
 def test_a_layout_must_name_each_field_once():
@@ -654,88 +769,49 @@ def test_reply_result_digest_through_the_memo_cold_warm_and_past_its_bound():
     assert Reply(view=1, req_id=2, client=3, sender=0, result=b"").result_digest == hashlib.md5(b"").digest()
 
 
-# -- the op families: kv, sql, shard-tx -------------------------------------------------
-# What travels *inside* ``Request.op`` and ``Reply.result``, and what a shard
-# persists in its reserved pages.  Pinned in test_wire_golden.py (OP_GOLDEN).
+def test_op_family_catalogue_covers_every_class_that_declares_a_layout():
+    import repro.apps.kvstore as kvstore
+    import repro.apps.sqlapp as sqlapp
 
-TXID_1, TXID_2, MIG_1 = ((n).to_bytes(16, "big") for n in (1, 2, 7))
-LOW_HALF = ("range", 0, 1 << 31)
-ACCOUNTS = ("table", "accounts")
-KV_RECORDS = (
-    (md5_digest(b"a"), b"alpha"),
-    (md5_digest(b"b"), b""),
-)
-SQL_ROWS = ((1, "ann", 100), (2, "bob", None))
-
-
-def op_family_samples() -> dict[str, bytes]:
-    """One deterministic encoding of every ordered op, reply, migration
-    payload, migration chunk and of a tx-table image, keyed by the name of
-    the class that declares its layout."""
-    from repro.apps.kvstore import encode_get, encode_put
-    from repro.apps.sqlapp import encode_rows_reply, encode_sql_op
-    from repro.pbft.wire import Encoder
-    from repro.shard import txapp as tx
-    from repro.sqlstate.engine import ResultSet
-    from repro.sqlstate.records import encode_record
-    from repro.sqlstate.values import SqlNull
-
-    put = encode_put(b"key", b"value")
-    rows = [tuple(SqlNull if v is None else v for v in row) for row in SQL_ROWS]
-    kv_chunk = Encoder().sequence(KV_RECORDS, lambda e, r: e.raw(r[0]).blob(r[1])).finish()
-    sql_chunk = Encoder().sequence(rows, lambda e, r: e.blob(encode_record(list(r)))).finish()
-    holders = Encoder().sequence([(TXID_1, 0), (TXID_2, 3)], lambda e, h: e.raw(h[0]).u16(h[1]))
-    table = Encoder().u32(1).raw(TXID_1).u64(9).u16(0)
-    table.sequence((0, 1), lambda e, s: e.u16(s))
-    table.sequence((put,), lambda e, op: e.blob(op)).sequence((b"key",), lambda e, k: e.blob(k))
-    table.u32(1).raw(TXID_2 + b"\x00").u32(1).raw(TXID_1 + b"\x01")
-    table.u32(1).raw(MIG_1).u8(tx.ROLE_DST)
-    tx.encode_unit(table, ACCOUNTS)
-    table.u16(1).u32(3)
-    table.u32(1).raw(TXID_2)
-    tx.encode_unit(table, LOW_HALF)
-    table.u16(1).u32(4)
-    table.u32(1).raw(TXID_1)
-    tx.encode_unit(table, ACCOUNTS)
-    table.u32(5)
-    table = table.finish()
-    return {
-        "Put": put,
-        "Get": encode_get(b"key"),
-        "KvChunk": kv_chunk,
-        "SqlOp": encode_sql_op("SELECT * FROM t WHERE a = ? AND b = ?", (1, "x")),
-        "SqlNone": Encoder().u8(0).finish(),
-        "SqlRows": encode_rows_reply(ResultSet(columns=["id", "owner", "balance"], rows=rows)),
-        "SqlCount": Encoder().u8(2).u64(3).finish(),
-        "SqlFailure": Encoder().u8(3).blob(b"no such table t").finish(),
-        "SqlChunk": sql_chunk,
-        "TxPrepare": tx.encode_prepare(TXID_1, 0, (0, 1), (put,), (b"key",)),
-        "TxCommit": tx.encode_commit(TXID_1),
-        "TxAbort": tx.encode_abort(TXID_1),
-        "TxDecide": tx.encode_decide(TXID_1, tx.DECISION_COMMIT),
-        "TxResolve": tx.encode_resolve(TXID_1),
-        "TxStatus": tx.encode_status(TXID_1),
-        "TxForget": tx.encode_forget(TXID_1),
-        "MigFreeze": tx.encode_mig_freeze(MIG_1, LOW_HALF, 1),
-        "MigExport": tx.encode_mig_export(MIG_1, 5, 2048),
-        "MigBegin": tx.encode_mig_begin(MIG_1, ACCOUNTS, 0),
-        "MigInstall": tx.encode_mig_install(MIG_1, 2, kv_chunk),
-        "MigActivate": tx.encode_mig_activate(MIG_1, LOW_HALF, 4),
-        "MigCommit": tx.encode_mig_commit(MIG_1, ACCOUNTS, 1, 4),
-        "MigAbort": tx.encode_mig_abort(MIG_1),
-        "MigStatus": tx.encode_mig_status(MIG_1),
-        "ReplyErr": tx._reply_err("commit after abort"),
-        "ReplyOk": tx._reply_ok((b"\x01OK", b"\x00MISS")),
-        "ReplyLocked": tx._reply_locked(TXID_1, 2),
-        "ReplyTombstone": tx._reply(tx.ST_TOMBSTONE),
-        "ReplyDecision": tx._reply_decision(tx.DECISION_COMMIT),
-        "ReplyUnknown": tx._reply(tx.ST_UNKNOWN),
-        "ReplyFrozen": tx._reply(tx.ST_FROZEN),
-        "ReplyWrongShard": tx._reply_wrong_shard(LOW_HALF, 1, 4),
-        "ReplyMig": tx._reply_mig(b"payload"),
-        "FreezePayload": holders.finish(),
-        "ExportPayload": Encoder().u64(17).u8(1).blob(kv_chunk).finish(),
-        "InstallPayload": Encoder().u8(1).u32(3).finish(),
-        "StatusPayload": Encoder().u8(tx.MIG_DST_ACTIVE).u32(3).finish(),
-        "TxTableImage": Encoder().u32(0x54585331).u32(len(table)).raw(table).finish(),
+    declared = {
+        cls for module in (kvstore, sqlapp, tx) for cls in vars(module).values()
+        if isinstance(cls, type) and hasattr(cls, "LAYOUT") and cls.__module__ == module.__name__
     }
+    assert declared == {type(m) for m in every_op_sample()} and len(declared) == 43
+
+
+def test_every_family_decodes_its_own_samples_and_refuses_its_neighbours():
+    from repro.apps.sqlapp import SQL_REPLY
+
+    families = (KV_OP, SQL_REPLY, tx.TX_OP, tx.TX_REPLY, tx.UNIT)
+    for sample in every_op_sample():
+        homes = [f for f in families if type(sample) in f.classes.values()]
+        for family in families:
+            if family in homes:
+                assert decode_exact(family, sample.encode()) == sample
+            elif type(sample).__name__ not in ("SqlOp", "KvChunk", "SqlChunk"):  # 0x01 / a count
+                check_refused(family, sample.encode())
+
+
+def check_refused(family, data):
+    try:
+        decoded = decode_exact(family, data)
+    except ProtocolError:
+        return
+    assert decoded.encode() == data  # a neighbour's bytes may *be* one of ours
+
+
+def test_sql_op_parameters_are_a_canonical_record_or_the_op_is_refused():
+    from repro.apps.sqlapp import decode_sql_op, encode_sql_op
+
+    good = encode_sql_op("SELECT ?", (1, "x", None, 2.5, b"\x00"))
+    assert decode_sql_op(good) == ("SELECT ?", (1, "x", SqlNull, 2.5, b"\x00"))
+    sql = SqlOp("SELECT 1", b"").encode()[:-4]
+    records = [
+        b"", b"\t", b"\xff" * 9, b"\x01\x03\x00\x00\x00\x05ab",  # empty, short, bad tag, short text
+        b"\x01\x03\x00\x00\x00\x01\xff", b"\x01\x01" + bytes(7),    # not UTF-8, short int
+        b"\x00trailing",
+    ]
+    for record in records:
+        with pytest.raises(ProtocolError):
+            decode_sql_op(sql + len(record).to_bytes(4, "big") + record)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.apps.kvstore import _SLOT, KvApplication, encode_get, encode_put
-from repro.common.errors import StateError
+from repro.apps.kvstore import _SLOT, Get, KvApplication, encode_put
+from repro.common.errors import ProtocolError
 from repro.crypto.digests import md5_digest
 from repro.statemgr.pages import PagedState
 
@@ -26,25 +26,25 @@ def run(app, op):
 
 
 def test_get_missing_key(app):
-    assert run(app, encode_get(b"nope")) == b"\x00MISS"
+    assert run(app, Get(b"nope").encode()) == b"\x00MISS"
 
 
 def test_put_then_get(app):
     assert run(app, encode_put(b"k", b"value")) == b"\x01OK"
-    assert run(app, encode_get(b"k")) == b"\x01value"
+    assert run(app, Get(b"k").encode()) == b"\x01value"
 
 
 def test_overwrite(app):
     run(app, encode_put(b"k", b"one"))
     run(app, encode_put(b"k", b"two"))
-    assert run(app, encode_get(b"k")) == b"\x01two"
+    assert run(app, Get(b"k").encode()) == b"\x01two"
 
 
 def test_many_keys_with_collisions(app):
     for i in range(12):
         run(app, encode_put(f"key{i}".encode(), f"v{i}".encode()))
     for i in range(12):
-        assert run(app, encode_get(f"key{i}".encode())) == f"\x01v{i}".encode()
+        assert run(app, Get(f"key{i}".encode()).encode()) == f"\x01v{i}".encode()
 
 
 def test_value_too_large_rejected(app):
@@ -54,8 +54,11 @@ def test_value_too_large_rejected(app):
 def test_store_full(app):
     for i in range(16):
         run(app, encode_put(f"key{i:02d}".encode(), b"v"))
-    with pytest.raises(StateError, match="full"):
-        run(app, encode_put(b"onemore", b"v"))
+    before = app.state.refresh_tree()
+    assert run(app, encode_put(b"onemore", b"v")) == b"\x00ERR kv store is full"
+    assert run(app, Get(b"onemore").encode()) == b"\x00MISS"
+    assert app.state.refresh_tree() == before  # refused before any write
+    assert run(app, encode_put(b"key03", b"w")) == b"\x01OK"  # a stored key still updates
 
 
 def test_state_identical_for_identical_histories():
@@ -72,7 +75,9 @@ def test_state_identical_for_identical_histories():
 
 
 def test_bad_op_rejected(app):
-    assert run(app, b"\xee???") == b"\x00ERR bad op"
+    for op in (b"\xee???", b"", b"\x01\x00\x00", Get(b"k").encode() + b"\x00"):
+        with pytest.raises(ProtocolError):  # Replica._answer's REPLY_MALFORMED_OP
+            run(app, op)
 
 
 # -- _find_slot against the slot-by-slot probe it replaced ---------------------
@@ -89,16 +94,7 @@ def _probe_every_slot(app, digest):
             return slot, True
         if not in_use and first_free < 0:
             first_free = slot
-    if first_free < 0:
-        raise StateError("kv store is full")
-    return first_free, False
-
-
-def _outcome(find, digest):
-    try:
-        return find(digest)
-    except StateError:
-        return "full"
+    return first_free, False  # -1: the store is full
 
 
 def _set_slot(app, slot, in_use, digest, value=b""):
@@ -130,8 +126,7 @@ def test_find_slot_matches_full_probe_on_random_tables():
                 _set_slot(app, slot, rng.randrange(2), bytes(16), rng.choice(digests))
                 _set_slot(app, rng.randrange(num_slots), 0, rng.choice(digests))
             for digest in digests:
-                assert _outcome(app._find_slot, digest) == _outcome(
-                    lambda d: _probe_every_slot(app, d), digest)
+                assert app._find_slot(digest) == _probe_every_slot(app, digest)
 
 
 def test_find_slot_far_from_home_wraps_and_prefers_the_nearest_copy():
@@ -140,8 +135,7 @@ def test_find_slot_far_from_home_wraps_and_prefers_the_nearest_copy():
     key = _digest_homed_at(14, 0xAB)
     for slot in range(16):
         _set_slot(app, slot, 1, _digest_homed_at(slot, 0x01))
-    with pytest.raises(StateError, match="full"):
-        app._find_slot(key)
+    assert app._find_slot(key) == (-1, False)  # full
     _set_slot(app, 9, 1, key)   # probe distance 11
     _set_slot(app, 3, 1, key)   # probe distance 5, past the near probes
     assert app._find_slot(key) == (3, True)

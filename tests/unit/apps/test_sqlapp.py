@@ -9,7 +9,7 @@ from repro.apps.sqlapp import (
     encode_sql_op,
     tables_of_sql,
 )
-from repro.common.errors import SqlError
+from repro.common.errors import ProtocolError, SqlError
 from repro.sqlstate.values import SqlNull
 from repro.statemgr.pages import PagedState
 
@@ -61,9 +61,9 @@ class TestOpCodec:
             with pytest.raises(Exception) as caught:
                 decode_sql_op(op)
             errors.append(type(caught.value))
-        assert len(set(errors)) == 1
+        assert set(errors) == {ProtocolError}  # what the replica answers, never another
         assert decode_sql_op.cache_info().currsize == 0
-        with pytest.raises(SqlError, match="not a SQL operation"):
+        with pytest.raises(ProtocolError, match="not a SqlOp"):
             decode_sql_op(b"\x02not sql")
 
     @pytest.mark.parametrize("sql, tables", [
@@ -156,3 +156,36 @@ class TestStateInstall:
         a = app.authorize_join(b"user:1")
         assert a == app.authorize_join(b"user:1")
         assert a != app.authorize_join(b"user:2")
+
+
+class TestMigrationHooks:
+    """The hooks ``repro.shard.txapp`` drives; units are duck-typed here."""
+
+    class Table:
+        name = "t"
+
+    def test_rows_with_nulls_move_and_a_null_parameter_binds(self):
+        src, src_state = make_app()
+        assert decode_rows_reply(run(src, src_state, "INSERT INTO t (k, v) VALUES (?, ?)", ("a", None))) == 1
+        run(src, src_state, "INSERT INTO t (k, v) VALUES ('b', 'two')")
+        chunk, cursor, done = src.migrate_export(self.Table, 0, 4096)
+        assert (cursor, done) == (2, True)
+        dst, dst_state = make_app()
+        dst.migrate_install(self.Table, chunk)
+        reply = run(dst, dst_state, "SELECT k, v FROM t ORDER BY k")
+        assert decode_rows_reply(reply) == [("a", SqlNull), ("b", "two")]
+
+    def test_a_chunk_of_garbage_records_is_refused_before_any_row_lands(self):
+        from repro.apps.sqlapp import SqlChunk
+        from repro.sqlstate.records import encode_record
+
+        dst, dst_state = make_app()
+        good = encode_record([1, "a", "x"])
+        for bad in (b"\t", b"", b"\xff" * 9, good + b"\x00", good[:-1]):
+            with pytest.raises(ProtocolError):
+                dst.migrate_install(self.Table, SqlChunk((good, bad)).encode())
+        with pytest.raises(ProtocolError):
+            dst.migrate_install(self.Table, b"\x00\x00\x00\x02")
+        assert decode_rows_reply(run(dst, dst_state, "SELECT * FROM t")) == []
+        with pytest.raises(SqlError, match="migrate tables"):
+            dst.migrate_export(object(), 0, 10)

@@ -16,13 +16,13 @@ from repro.apps.kvstore import KvApplication, encode_put, keys_of_op
 from repro.apps.sqlapp import SqlApplication, encode_sql_op
 from repro.crypto.digests import md5_digest
 from repro.pbft.messages import PreparedProof, decode_message
-from repro.shard.txapp import ShardTxApplication
+from repro.shard.txapp import RangeUnit, ShardTxApplication
 from repro.statemgr.pages import PagedState
 from tests.properties.test_wire_props import (
     ACCOUNTS, SQL_ROWS, all_samples, membership_samples, op_family_samples, sample_messages,
 )
 
-WHOLE_KEYSPACE = ("range", 0, 1 << 32)
+WHOLE_KEYSPACE = RangeUnit(0, 1 << 32)
 
 # type name -> (canonical encoding hex, md5 digest hex)
 GOLDEN = {

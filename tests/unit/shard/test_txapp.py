@@ -7,27 +7,26 @@ whatever order the test dictates, standing in for the group's PBFT log.
 import pytest
 
 from repro.apps.kvstore import encode_put, keys_of_op
-from repro.common.errors import StateError
 from repro.pbft.replica import Application
 from repro.pbft.wire import Decoder, Encoder
 from repro.shard.txapp import (
     DECISION_ABORT,
     DECISION_COMMIT,
-    ST_DECISION,
-    ST_ERR,
-    ST_LOCKED,
-    ST_OK,
-    ST_TOMBSTONE,
-    ST_UNKNOWN,
+    ReplyDecision,
+    ReplyErr,
+    ReplyLocked,
+    ReplyOk,
+    ReplyTombstone,
+    ReplyUnknown,
     ShardTxApplication,
+    TxAbort,
+    TxCommit,
+    TxDecide,
+    TxForget,
+    TxPrepare,
+    TxResolve,
+    TxStatus,
     decode_tx_reply,
-    encode_abort,
-    encode_commit,
-    encode_decide,
-    encode_forget,
-    encode_prepare,
-    encode_resolve,
-    encode_status,
     is_tx_reply,
 )
 from repro.statemgr.pages import PagedState
@@ -65,7 +64,7 @@ def make_app(tx_pages: int = 4, retain_limit: int = 256,
 def prepare(app, n, keys=(b"k",), ops=None, coordinator=0,
             participants=(0, 1), client_id=7):
     ops = [encode_put(k, b"v") for k in keys] if ops is None else ops
-    op = encode_prepare(txid(n), coordinator, participants, ops, keys)
+    op = TxPrepare(txid(n), coordinator, tuple(participants), tuple(ops), tuple(keys)).encode()
     return decode_tx_reply(app.execute(op, client_id, 0, False))
 
 
@@ -76,11 +75,11 @@ def run(app, op, client_id=7):
 class TestPrepareAndLocks:
     def test_prepare_acquires_locks(self):
         app = make_app()
-        assert prepare(app, 1, keys=(b"a", b"b")).status == ST_OK
+        assert type(prepare(app, 1, keys=(b"a", b"b"))) is ReplyOk
         assert app.prepared_txids() == (txid(1),)
         # A plain op on a locked key is refused with the holder named.
         reply = run(app, encode_put(b"a", b"x"))
-        assert reply.status == ST_LOCKED
+        assert type(reply) is ReplyLocked
         assert reply.holder_txid == txid(1)
         assert reply.holder_coordinator == 0
 
@@ -88,15 +87,15 @@ class TestPrepareAndLocks:
         app = make_app()
         prepare(app, 1, keys=(b"k",), coordinator=3)
         reply = prepare(app, 2, keys=(b"k",))
-        assert reply.status == ST_LOCKED
+        assert type(reply) is ReplyLocked
         assert reply.holder_txid == txid(1)
         assert reply.holder_coordinator == 3
         assert app.prepared_txids() == (txid(1),)
 
     def test_prepare_is_idempotent(self):
         app = make_app()
-        assert prepare(app, 1).status == ST_OK
-        assert prepare(app, 1).status == ST_OK
+        assert type(prepare(app, 1)) is ReplyOk
+        assert type(prepare(app, 1)) is ReplyOk
         assert app.prepared_txids() == (txid(1),)
 
     def test_unlocked_keys_pass_through(self):
@@ -111,8 +110,8 @@ class TestCommitAbort:
     def test_commit_executes_inner_ops_and_releases_locks(self):
         app = make_app()
         prepare(app, 1, keys=(b"a",), client_id=42)
-        reply = run(app, encode_commit(txid(1)))
-        assert reply.status == ST_OK
+        reply = run(app, TxCommit(txid(1)).encode())
+        assert type(reply) is ReplyOk
         assert reply.inner_replies == (b"\x00ok",)
         assert app.inner.executed == [(encode_put(b"a", b"v"), 42)]
         assert not is_tx_reply(app.execute(encode_put(b"a", b"x"), 7, 0, False))
@@ -121,90 +120,90 @@ class TestCommitAbort:
     def test_commit_is_idempotent_but_does_not_reexecute(self):
         app = make_app()
         prepare(app, 1)
-        run(app, encode_commit(txid(1)))
-        assert run(app, encode_commit(txid(1))).status == ST_OK
+        run(app, TxCommit(txid(1)).encode())
+        assert type(run(app, TxCommit(txid(1)).encode())) is ReplyOk
         assert len(app.inner.executed) == 1
 
     def test_commit_unprepared_is_an_error(self):
         app = make_app()
-        assert run(app, encode_commit(txid(9))).status == ST_ERR
+        assert type(run(app, TxCommit(txid(9)).encode())) is ReplyErr
 
     def test_abort_releases_locks_and_tombstones(self):
         app = make_app()
         prepare(app, 1, keys=(b"a",))
-        assert run(app, encode_abort(txid(1))).status == ST_OK
+        assert type(run(app, TxAbort(txid(1)).encode())) is ReplyOk
         assert not is_tx_reply(app.execute(encode_put(b"a", b"x"), 7, 0, False))
         # The tombstone blocks a late PREPARE retransmission forever.
-        assert prepare(app, 1, keys=(b"a",)).status == ST_TOMBSTONE
+        assert type(prepare(app, 1, keys=(b"a",))) is ReplyTombstone
         assert not app.inner.executed[:0]  # nothing committed
 
     def test_outcome_flips_are_refused(self):
         app = make_app()
         prepare(app, 1)
-        run(app, encode_commit(txid(1)))
-        assert run(app, encode_abort(txid(1))).status == ST_ERR
+        run(app, TxCommit(txid(1)).encode())
+        assert type(run(app, TxAbort(txid(1)).encode())) is ReplyErr
         prepare(app, 2)
-        run(app, encode_abort(txid(2)))
-        assert run(app, encode_commit(txid(2))).status == ST_ERR
+        run(app, TxAbort(txid(2)).encode())
+        assert type(run(app, TxCommit(txid(2)).encode())) is ReplyErr
 
 
 class TestDecideResolve:
     def test_first_decide_wins(self):
         app = make_app()
-        reply = run(app, encode_decide(txid(1), DECISION_COMMIT))
-        assert (reply.status, reply.decision) == (ST_DECISION, DECISION_COMMIT)
+        reply = run(app, TxDecide(txid(1), DECISION_COMMIT).encode())
+        assert reply == ReplyDecision(DECISION_COMMIT)
         # A later conflicting DECIDE gets the recorded decision back.
-        reply = run(app, encode_decide(txid(1), DECISION_ABORT))
+        reply = run(app, TxDecide(txid(1), DECISION_ABORT).encode())
         assert reply.decision == DECISION_COMMIT
 
     def test_resolve_presumes_abort(self):
         app = make_app()
-        reply = run(app, encode_resolve(txid(1)))
-        assert (reply.status, reply.decision) == (ST_DECISION, DECISION_ABORT)
+        reply = run(app, TxResolve(txid(1)).encode())
+        assert reply == ReplyDecision(DECISION_ABORT)
         # A DECIDE(commit) arriving after the resolve is too late.
-        assert run(app, encode_decide(txid(1), DECISION_COMMIT)).decision == DECISION_ABORT
+        assert run(app, TxDecide(txid(1), DECISION_COMMIT).encode()).decision == DECISION_ABORT
 
     def test_resolve_after_decide_returns_decision(self):
         app = make_app()
-        run(app, encode_decide(txid(1), DECISION_COMMIT))
-        assert run(app, encode_resolve(txid(1))).decision == DECISION_COMMIT
+        run(app, TxDecide(txid(1), DECISION_COMMIT).encode())
+        assert run(app, TxResolve(txid(1)).encode()).decision == DECISION_COMMIT
 
     def test_status_reports_decision_outcome_or_unknown(self):
         app = make_app()
-        assert run(app, encode_status(txid(1))).status == ST_UNKNOWN
-        run(app, encode_decide(txid(1), DECISION_COMMIT))
-        assert run(app, encode_status(txid(1))).decision == DECISION_COMMIT
+        assert type(run(app, TxStatus(txid(1)).encode())) is ReplyUnknown
+        run(app, TxDecide(txid(1), DECISION_COMMIT).encode())
+        assert run(app, TxStatus(txid(1)).encode()).decision == DECISION_COMMIT
         prepare(app, 2)
-        run(app, encode_abort(txid(2)))
-        assert run(app, encode_status(txid(2))).decision == DECISION_ABORT
+        run(app, TxAbort(txid(2)).encode())
+        assert run(app, TxStatus(txid(2)).encode()).decision == DECISION_ABORT
 
 
 class TestForgetAndGc:
     def test_forget_drops_the_decision(self):
         app = make_app()
-        run(app, encode_decide(txid(1), DECISION_COMMIT))
-        assert run(app, encode_forget(txid(1))).status == ST_OK
+        run(app, TxDecide(txid(1), DECISION_COMMIT).encode())
+        assert type(run(app, TxForget(txid(1)).encode())) is ReplyOk
         assert app.decisions() == {}
         # Forgetting twice (or an unknown txid) is harmless.
-        assert run(app, encode_forget(txid(1))).status == ST_OK
+        assert type(run(app, TxForget(txid(1)).encode())) is ReplyOk
         # A resolve after forget presumes abort — safe, because FORGET is
         # only sent once every participant already acted on the outcome.
-        assert run(app, encode_resolve(txid(1))).decision == DECISION_ABORT
+        assert run(app, TxResolve(txid(1)).encode()).decision == DECISION_ABORT
 
     def test_outcomes_evict_oldest_first(self):
         app = make_app(retain_limit=4)
         for n in range(1, 8):
             prepare(app, n, keys=(f"k{n}".encode(),))
-            run(app, encode_commit(txid(n)))
+            run(app, TxCommit(txid(n)).encode())
         kept = list(app.outcomes())
         assert len(kept) == 4
         assert kept == [txid(n) for n in (4, 5, 6, 7)]
 
     def test_abort_decisions_evict_but_commits_survive(self):
         app = make_app(retain_limit=4)
-        run(app, encode_decide(txid(100), DECISION_COMMIT))
+        run(app, TxDecide(txid(100), DECISION_COMMIT).encode())
         for n in range(1, 9):
-            run(app, encode_resolve(txid(n)))  # 8 abort decisions
+            run(app, TxResolve(txid(n)).encode())  # 8 abort decisions
         decisions = app.decisions()
         assert decisions[txid(100)] == DECISION_COMMIT
         assert len(decisions) == 4
@@ -212,7 +211,7 @@ class TestForgetAndGc:
     def test_commit_decisions_hard_capped(self):
         app = make_app(retain_limit=2)
         for n in range(1, 12):
-            run(app, encode_decide(txid(n), DECISION_COMMIT))
+            run(app, TxDecide(txid(n), DECISION_COMMIT).encode())
         # Commit decisions only fall to the 4x hard cap, oldest first.
         decisions = list(app.decisions())
         assert len(decisions) == 4 * 2
@@ -226,9 +225,9 @@ class TestPersistence:
         prepare(app, 1, keys=(b"a", b"b"), participants=(0, 2), coordinator=2)
         for n in (5, 3, 9):  # deliberately non-sorted insertion order
             prepare(app, n, keys=(f"k{n}".encode(),))
-            run(app, encode_commit(txid(n)))
-        run(app, encode_decide(txid(7), DECISION_COMMIT))
-        run(app, encode_resolve(txid(8)))
+            run(app, TxCommit(txid(n)).encode())
+        run(app, TxDecide(txid(7), DECISION_COMMIT).encode())
+        run(app, TxResolve(txid(8)).encode())
 
         # A replica catching up via state transfer sees the same pages.
         twin = make_app(state=state)
@@ -242,7 +241,7 @@ class TestPersistence:
         assert list(twin.outcomes()) == list(app.outcomes())
         assert list(twin.decisions()) == list(app.decisions())
         # Locks were rebuilt too.
-        assert run(twin, encode_put(b"a", b"x")).status == ST_LOCKED
+        assert type(run(twin, encode_put(b"a", b"x"))) is ReplyLocked
 
     @pytest.mark.parametrize("entries", [0, 1, 300])
     def test_finished_tables_persist_as_the_per_entry_encoding(self, entries):
@@ -253,11 +252,11 @@ class TestPersistence:
         app = make_app(tx_pages=48, retain_limit=64, state=state)
         for n in range(1, entries + 1):
             prepare(app, n, keys=(f"k{n}".encode(),))
-            run(app, encode_abort(txid(n)) if n % 3 == 0 else encode_commit(txid(n)))
+            run(app, TxAbort(txid(n)).encode() if n % 3 == 0 else TxCommit(txid(n)).encode())
             if n % 5 == 0:
-                run(app, encode_resolve(txid(1000 + n)))  # an abort decision
+                run(app, TxResolve(txid(1000 + n)).encode())  # an abort decision
             else:
-                run(app, encode_decide(txid(1000 + n), DECISION_COMMIT))
+                run(app, TxDecide(txid(1000 + n), DECISION_COMMIT).encode())
         app._persist()  # the empty tables have not been written yet
         assert len(app.outcomes()) == min(entries, 64)  # 300: evictions ran
         assert len(app.decisions()) == {0: 0, 1: 1, 300: 240}[entries]
@@ -275,13 +274,24 @@ class TestPersistence:
         assert list(twin.outcomes().items()) == list(app.outcomes().items())
         assert list(twin.decisions().items()) == list(app.decisions().items())
 
-    def test_overflow_raises_instead_of_corrupting(self):
-        app = make_app(tx_pages=1)
+    def test_overflow_is_refused_with_the_tables_as_before_the_op(self):
+        state = PagedState(num_pages=16, page_size=512)
+        app = make_app(tx_pages=1, state=state)
         big = bytes(300)
-        with pytest.raises(StateError):
-            for n in range(1, 10):
-                prepare(app, n, keys=(f"k{n}".encode(),),
-                        ops=[encode_put(f"k{n}".encode(), big)])
+        replies = [
+            prepare(app, n, keys=(f"k{n}".encode(),), ops=[encode_put(f"k{n}".encode(), big)])
+            for n in range(1, 4)
+        ]
+        assert [type(reply) for reply in replies] == [ReplyOk, ReplyErr, ReplyErr]
+        assert "overflows its 512-byte reservation" in replies[1].message
+        # The refused prepares hold nothing, in memory or in the pages.
+        assert app.prepared_txids() == (txid(1),)
+        assert make_app(tx_pages=1, state=state).prepared_txids() == (txid(1),)
+        assert not is_tx_reply(app.execute(encode_put(b"k2", b"x"), 7, 0, False))
+        assert type(run(app, encode_put(b"k1", b"x"))) is ReplyLocked
+        # Room again once the holder is gone.
+        assert type(run(app, TxAbort(txid(1)).encode())) is ReplyOk
+        assert type(prepare(app, 2, keys=(b"k2",), ops=[encode_put(b"k2", big)])) is ReplyOk
 
     def test_fresh_region_loads_empty(self):
         app = make_app()

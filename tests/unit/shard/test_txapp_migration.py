@@ -5,34 +5,36 @@ destination shard 1), standing in for two groups' PBFT logs — the full
 protocol over real state, without a cluster.
 """
 
-from repro.apps.kvstore import KvApplication, encode_get, encode_put, keys_of_op
+from repro.apps.kvstore import KvApplication, Get, encode_put, keys_of_op
 from repro.shard.directory import key_position
+from repro.pbft.wire import decode_exact
 from repro.shard.txapp import (
     MIG_DST_ACTIVE,
     MIG_MOVED,
     MIG_OWNED,
     MIG_SRC_ACTIVE,
     MIG_UNKNOWN,
-    ST_ERR,
-    ST_FROZEN,
-    ST_MIG,
-    ST_OK,
-    ST_WRONG_SHARD,
+    ExportPayload,
+    FreezePayload,
+    InstallPayload,
+    MigAbort,
+    MigActivate,
+    MigBegin,
+    MigCommit,
+    MigExport,
+    MigFreeze,
+    MigInstall,
+    MigStatus,
+    RangeUnit,
+    ReplyErr,
+    ReplyFrozen,
+    ReplyMig,
+    ReplyOk,
+    ReplyWrongShard,
     ShardTxApplication,
-    decode_export_payload,
-    decode_freeze_payload,
-    decode_install_payload,
-    decode_status_payload,
+    StatusPayload,
+    TxPrepare,
     decode_tx_reply,
-    encode_mig_abort,
-    encode_mig_activate,
-    encode_mig_begin,
-    encode_mig_commit,
-    encode_mig_export,
-    encode_mig_freeze,
-    encode_mig_install,
-    encode_mig_status,
-    encode_prepare,
 )
 from repro.statemgr.pages import PagedState
 
@@ -40,7 +42,7 @@ from repro.statemgr.pages import PagedState
 MIG = (7).to_bytes(16, "big")
 TXID = (99).to_bytes(16, "big")
 HALF = 1 << 31
-LOW_UNIT = ("range", 0, HALF)  # the lower half of the hash space
+LOW_UNIT = RangeUnit(0, HALF)  # the lower half of the hash space
 
 
 def make_kv_app(shard_id: int) -> ShardTxApplication:
@@ -64,32 +66,28 @@ def run(app, op, readonly=False, client=1):
     return app.execute(op, client, 0, readonly)
 
 
-def mig_payload(reply: bytes) -> bytes:
+def mig_payload(reply: bytes, cls=None):
+    """The migration reply's payload, decoded as ``cls`` when one is expected."""
     tx = decode_tx_reply(reply)
-    assert tx.status == ST_MIG, decode_tx_reply(reply).message
-    return tx.payload
+    assert type(tx) is ReplyMig, tx
+    return decode_exact(cls, tx.payload) if cls else tx.payload
 
 
 def migrate(src, dst, unit=LOW_UNIT, mig=MIG, budget=64):
     """Drive the whole protocol between two apps; returns chunk count."""
-    holders = decode_freeze_payload(
-        mig_payload(run(src, encode_mig_freeze(mig, unit, dst.shard_id)))
-    )
-    assert holders == ()
-    mig_payload(run(dst, encode_mig_begin(mig, unit, src.shard_id)))
+    frozen = mig_payload(run(src, MigFreeze(mig, unit, dst.shard_id).encode()), FreezePayload)
+    assert frozen.holders == ()
+    mig_payload(run(dst, MigBegin(mig, unit, src.shard_id).encode()))
     cursor, index = 0, 0
     while True:
-        chunk, cursor, done = decode_export_payload(
-            mig_payload(run(src, encode_mig_export(mig, cursor, budget)))
-        )
-        applied, _count = decode_install_payload(
-            mig_payload(run(dst, encode_mig_install(mig, index, chunk)))
-        )
+        exported = mig_payload(run(src, MigExport(mig, cursor, budget).encode()), ExportPayload)
+        cursor = exported.next_cursor
+        mig_payload(run(dst, MigInstall(mig, index, exported.chunk).encode()), InstallPayload)
         index += 1
-        if done:
+        if exported.done:
             break
-    mig_payload(run(dst, encode_mig_activate(mig, unit, 1)))
-    mig_payload(run(src, encode_mig_commit(mig, unit, dst.shard_id, 1)))
+    mig_payload(run(dst, MigActivate(mig, unit, 1).encode()))
+    mig_payload(run(src, MigCommit(mig, unit, dst.shard_id, 1).encode()))
     return index
 
 
@@ -98,11 +96,11 @@ class TestFreeze:
         src = make_kv_app(0)
         key = key_in(0, HALF, "frozen")
         assert run(src, encode_put(key, b"v1"))[:1] == b"\x01"
-        run(src, encode_mig_freeze(MIG, LOW_UNIT, 1))
+        run(src, MigFreeze(MIG, LOW_UNIT, 1).encode())
         blocked = decode_tx_reply(run(src, encode_put(key, b"v2")))
-        assert blocked.status == ST_FROZEN
+        assert type(blocked) is ReplyFrozen
         # Reads still serve: the data is authoritative here until commit.
-        assert b"v1" in run(src, encode_get(key), readonly=True)
+        assert b"v1" in run(src, Get(key).encode(), readonly=True)
         # Keys outside the unit are untouched by the freeze.
         other = key_in(HALF, 1 << 32, "other")
         assert run(src, encode_put(other, b"w"))[:1] == b"\x01"
@@ -110,21 +108,19 @@ class TestFreeze:
     def test_freeze_reports_prepared_holders_and_blocks_new_prepares(self):
         src = make_kv_app(0)
         key = key_in(0, HALF, "held")
-        prepare = encode_prepare(TXID, 0, (0,), [encode_put(key, b"x")], [key])
-        assert decode_tx_reply(run(src, prepare)).status == ST_OK
-        holders = decode_freeze_payload(
-            mig_payload(run(src, encode_mig_freeze(MIG, LOW_UNIT, 1)))
-        )
-        assert holders == ((TXID, 0),)
+        prepare = TxPrepare(TXID, 0, (0,), [encode_put(key, b"x")], [key]).encode()
+        assert type(decode_tx_reply(run(src, prepare))) is ReplyOk
+        frozen = mig_payload(run(src, MigFreeze(MIG, LOW_UNIT, 1).encode()), FreezePayload)
+        assert frozen.holders == ((TXID, 0),)
         # Export refuses while a holder could still commit into the unit.
-        export = decode_tx_reply(run(src, encode_mig_export(MIG, 0, 256)))
-        assert export.status == ST_ERR
+        export = decode_tx_reply(run(src, MigExport(MIG, 0, 256).encode()))
+        assert type(export) is ReplyErr
         # New prepares touching the unit are refused outright.
         other_txid = (5).to_bytes(16, "big")
-        prepare2 = encode_prepare(
+        prepare2 = TxPrepare(
             other_txid, 0, (0,), [encode_put(key, b"y")], [key]
-        )
-        assert decode_tx_reply(run(src, prepare2)).status == ST_FROZEN
+        ).encode()
+        assert type(decode_tx_reply(run(src, prepare2))) is ReplyFrozen
 
 
 class TestFullMigration:
@@ -139,21 +135,21 @@ class TestFullMigration:
         # Destination serves every moved key; source redirects with the
         # authoritative (unit, shard, version) fact, reads included.
         for key in inside:
-            assert b"val-" + key in run(dst, encode_get(key), readonly=True)
-            redirect = decode_tx_reply(run(src, encode_get(key), readonly=True))
-            assert redirect.status == ST_WRONG_SHARD
+            assert b"val-" + key in run(dst, Get(key).encode(), readonly=True)
+            redirect = decode_tx_reply(run(src, Get(key).encode(), readonly=True))
+            assert type(redirect) is ReplyWrongShard
             assert redirect.shard == 1
             assert redirect.version == 1
             assert redirect.unit == LOW_UNIT
             write = decode_tx_reply(run(src, encode_put(key, b"stale")))
-            assert write.status == ST_WRONG_SHARD
+            assert type(write) is ReplyWrongShard
         # Keys outside the unit never left the source.
         for key in outside:
-            assert b"val-" + key in run(src, encode_get(key), readonly=True)
-            assert run(dst, encode_get(key), readonly=True)[:1] == b"\x00"
+            assert b"val-" + key in run(src, Get(key).encode(), readonly=True)
+            assert run(dst, Get(key).encode(), readonly=True)[:1] == b"\x00"
         assert src.moved_units()[MIG] == (LOW_UNIT, 1, 1)
         assert dst.owned_units()[MIG] == (LOW_UNIT, 1)
-        assert src.frozen_units() == () and dst.frozen_units() == ()
+        assert src.migrations() == {} and dst.migrations() == {}
 
     def test_steps_are_idempotent(self):
         src, dst = make_kv_app(0), make_kv_app(1)
@@ -161,39 +157,33 @@ class TestFullMigration:
         run(src, encode_put(key, b"v"))
         migrate(src, dst)
         # Re-driving every step (a resumed driver) changes nothing.
-        holders = decode_freeze_payload(
-            mig_payload(run(src, encode_mig_freeze(MIG, LOW_UNIT, 1)))
-        )
-        assert holders == ()
-        mig_payload(run(dst, encode_mig_begin(MIG, LOW_UNIT, 0)))
-        applied, _ = decode_install_payload(
-            mig_payload(run(dst, encode_mig_install(MIG, 0, b"")))
-        )
-        assert not applied
-        mig_payload(run(dst, encode_mig_activate(MIG, LOW_UNIT, 1)))
-        mig_payload(run(src, encode_mig_commit(MIG, LOW_UNIT, 1, 1)))
-        assert b"v" in run(dst, encode_get(key), readonly=True)
+        frozen = mig_payload(run(src, MigFreeze(MIG, LOW_UNIT, 1).encode()), FreezePayload)
+        assert frozen.holders == ()
+        mig_payload(run(dst, MigBegin(MIG, LOW_UNIT, 0).encode()))
+        redone = mig_payload(run(dst, MigInstall(MIG, 0, b"").encode()), InstallPayload)
+        assert not redone.applied
+        mig_payload(run(dst, MigActivate(MIG, LOW_UNIT, 1).encode()))
+        mig_payload(run(src, MigCommit(MIG, LOW_UNIT, 1, 1).encode()))
+        assert b"v" in run(dst, Get(key).encode(), readonly=True)
 
     def test_install_gap_is_refused(self):
         src, dst = make_kv_app(0), make_kv_app(1)
-        run(src, encode_mig_freeze(MIG, LOW_UNIT, 1))
-        run(dst, encode_mig_begin(MIG, LOW_UNIT, 0))
-        gap = decode_tx_reply(run(dst, encode_mig_install(MIG, 3, b"")))
-        assert gap.status == ST_ERR
+        run(src, MigFreeze(MIG, LOW_UNIT, 1).encode())
+        run(dst, MigBegin(MIG, LOW_UNIT, 0).encode())
+        gap = decode_tx_reply(run(dst, MigInstall(MIG, 3, b"").encode()))
+        assert type(gap) is ReplyErr
 
     def test_status_reports_phases(self):
         src, dst = make_kv_app(0), make_kv_app(1)
-        status = lambda app: decode_status_payload(
-            mig_payload(run(app, encode_mig_status(MIG)))
-        )[0]
+        status = lambda app: mig_payload(run(app, MigStatus(MIG).encode()), StatusPayload).phase
         assert status(src) == MIG_UNKNOWN
-        run(src, encode_mig_freeze(MIG, LOW_UNIT, 1))
+        run(src, MigFreeze(MIG, LOW_UNIT, 1).encode())
         assert status(src) == MIG_SRC_ACTIVE
-        run(dst, encode_mig_begin(MIG, LOW_UNIT, 0))
+        run(dst, MigBegin(MIG, LOW_UNIT, 0).encode())
         assert status(dst) == MIG_DST_ACTIVE
-        run(dst, encode_mig_activate(MIG, LOW_UNIT, 1))
+        run(dst, MigActivate(MIG, LOW_UNIT, 1).encode())
         assert status(dst) == MIG_OWNED
-        run(src, encode_mig_commit(MIG, LOW_UNIT, 1, 1))
+        run(src, MigCommit(MIG, LOW_UNIT, 1, 1).encode())
         assert status(src) == MIG_MOVED
 
 
@@ -202,18 +192,16 @@ class TestAbort:
         src, dst = make_kv_app(0), make_kv_app(1)
         key = key_in(0, HALF, "abort")
         run(src, encode_put(key, b"v"))
-        run(src, encode_mig_freeze(MIG, LOW_UNIT, 1))
-        run(dst, encode_mig_begin(MIG, LOW_UNIT, 0))
-        chunk, _cur, _done = decode_export_payload(
-            mig_payload(run(src, encode_mig_export(MIG, 0, 4096)))
-        )
-        run(dst, encode_mig_install(MIG, 0, chunk))
-        run(src, encode_mig_abort(MIG))
-        run(dst, encode_mig_abort(MIG))
+        run(src, MigFreeze(MIG, LOW_UNIT, 1).encode())
+        run(dst, MigBegin(MIG, LOW_UNIT, 0).encode())
+        chunk = mig_payload(run(src, MigExport(MIG, 0, 4096).encode()), ExportPayload).chunk
+        run(dst, MigInstall(MIG, 0, chunk).encode())
+        run(src, MigAbort(MIG).encode())
+        run(dst, MigAbort(MIG).encode())
         # The source serves writes again; the half-copied data is gone
         # from the destination.
         assert run(src, encode_put(key, b"v2"))[:1] == b"\x01"
-        assert run(dst, encode_get(key), readonly=True)[:1] == b"\x00"
+        assert run(dst, Get(key).encode(), readonly=True)[:1] == b"\x00"
         assert src.migrations() == {} and dst.migrations() == {}
 
 
@@ -248,9 +236,9 @@ class TestPersistence:
         dst2.bind_state(state_dst, 0)
         assert src2.moved_units() == {MIG: (LOW_UNIT, 1, 1)}
         assert dst2.owned_units() == {MIG: (LOW_UNIT, 1)}
-        redirect = decode_tx_reply(run(src2, encode_get(key), readonly=True))
-        assert redirect.status == ST_WRONG_SHARD
-        assert b"v" in run(dst2, encode_get(key), readonly=True)
+        redirect = decode_tx_reply(run(src2, Get(key).encode(), readonly=True))
+        assert type(redirect) is ReplyWrongShard
+        assert b"v" in run(dst2, Get(key).encode(), readonly=True)
 
     def test_moved_facts_are_bounded(self):
         src = make_kv_app(0)
@@ -259,9 +247,9 @@ class TestPersistence:
         lo_step = HALF // 8
         for i in range(6):
             mig = (1000 + i).to_bytes(16, "big")
-            unit = ("range", i * lo_step, (i + 1) * lo_step)
-            run(src, encode_mig_freeze(mig, unit, 1))
-            run(src, encode_mig_commit(mig, unit, 1, i + 1))
+            unit = RangeUnit(i * lo_step, (i + 1) * lo_step)
+            run(src, MigFreeze(mig, unit, 1).encode())
+            run(src, MigCommit(mig, unit, 1, i + 1).encode())
         assert len(src.moved_units()) == 4
         # Oldest facts were evicted first.
         assert (1000).to_bytes(16, "big") not in src.moved_units()
