@@ -18,7 +18,6 @@ encoded result rows (or an affected-row count).
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 from repro.common.errors import ProtocolError, SqlError
@@ -40,7 +39,7 @@ def _values_of(record: bytes) -> list:
     try:
         values = decode_record(record)
         canonical = encode_record(values) == record
-    except (SqlError, IndexError, UnicodeDecodeError, struct.error) as exc:
+    except SqlError as exc:
         raise ProtocolError(f"not a record: {exc}") from exc
     if not canonical:
         raise ProtocolError("not a canonical record")

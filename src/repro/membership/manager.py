@@ -118,7 +118,7 @@ class MembershipManager:
         # Sent to the *claimed* address: only its true owner will ever see
         # the challenge, which is the anti-spoofing point of phase 1.
         self.replica.send_plain((msg.host, msg.port), reply)
-        self.stats["join_challenges_sent"] += 1
+        self.stats.inc("join_challenges_sent")
 
     # -- ordered execution ----------------------------------------------------------
 
@@ -131,29 +131,29 @@ class MembershipManager:
         try:
             payload = decode_exact(Join2Payload, req.op)  # checks the kind byte too
         except ProtocolError:
-            self.stats["joins_malformed"] += 1
+            self.stats.inc("joins_malformed")
             return REPLY_DENIED
         return self._execute_join(payload, nondet_ts)
 
     def _execute_join(self, payload: Join2Payload, nondet_ts: int) -> bytes:
         challenge = compute_challenge(payload.pubkey_n, payload.nonce)
         if payload.response != compute_response(challenge, payload.nonce):
-            self.stats["joins_denied"] += 1
+            self.stats.inc("joins_denied")
             return REPLY_DENIED
         principal = self.replica.app.authorize_join(payload.idbuf)
         if principal is None:
-            self.stats["joins_denied"] += 1
+            self.stats.inc("joins_denied")
             return REPLY_DENIED
         if not self.free_slots:
             self._collect_stale_sessions(nondet_ts)
         if not self.free_slots:
-            self.stats["joins_denied_full"] += 1
+            self.stats.inc("joins_denied_full")
             return REPLY_FULL
         # Single live session per principal: terminate any previous one.
         previous = self.by_principal.get(principal)
         if previous is not None:
             self._remove_client(previous)
-            self.stats["sessions_terminated"] += 1
+            self.stats.inc("sessions_terminated")
         slot = self.free_slots.pop(0)
         external_id = self.next_external
         self.next_external += 1
@@ -183,13 +183,13 @@ class MembershipManager:
             del self.pending_joins[oldest]
         self._persist_entry(entry)
         self._persist_header()
-        self.stats["joins_completed"] += 1
+        self.stats.inc("joins_completed")
         return REPLY_JOINED + external_id.to_bytes(8, "big")
 
     def _execute_leave(self, req) -> bytes:
         if req.client in self.table:
             self._remove_client(req.client, keep_session_for_reply=True)
-            self.stats["leaves_completed"] += 1
+            self.stats.inc("leaves_completed")
         return REPLY_LEFT
 
     def _remove_client(self, external_id: int, keep_session_for_reply: bool = False) -> None:
@@ -222,7 +222,7 @@ class MembershipManager:
         ]
         for ext in sorted(stale):
             self._remove_client(ext)
-            self.stats["stale_sessions_collected"] += 1
+            self.stats.inc("stale_sessions_collected")
 
     # -- per-request bookkeeping -------------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 Replaces the untyped ``stats`` defaultdicts that used to live on replicas
 and clients.  A :class:`MetricsRegistry` is one deployment's metric
-namespace; nodes carve out prefixed :class:`StatsView` windows into it so
-the existing ``node.stats["requests_executed"] += 1`` idiom keeps working
-while every number lands in one place, typed, and exportable.
+namespace; nodes carve out prefixed :class:`StatsView` windows into it and
+count with ``node.stats.inc("requests_executed")`` (the old
+``stats[key] += 1`` idiom still works) while every number lands in one
+place, typed, and exportable.
 
 All values are plain Python ints/floats; observation is O(1) and
 allocation-free on the hot path (histograms pre-allocate their bucket
@@ -200,9 +201,9 @@ class StatsView(MutableMapping):
     """A ``defaultdict(int)``-compatible window onto prefixed counters.
 
     ``view["x"]`` reads 0 when absent (without registering anything), and
-    ``view["x"] += 1`` registers/updates the counter ``<prefix>x`` — so all
-    the pre-existing ``stats`` call sites work unchanged while their
-    numbers live in the shared registry.
+    ``view.inc("x")`` — or ``view["x"] += 1`` — registers/updates the
+    counter ``<prefix>x``, so a node's counters live in the shared
+    registry behind the dict idiom callers already know.
     """
 
     __slots__ = ("_registry", "_prefix", "_memo")
@@ -210,13 +211,21 @@ class StatsView(MutableMapping):
     def __init__(self, registry: MetricsRegistry, prefix: str) -> None:
         self._registry = registry
         self._prefix = prefix
-        # Memo: bare key -> Counter object.  ``stats["x"] += 1`` is all
-        # over the protocol's per-message path; resolving the prefixed
-        # name through the registry costs two dict operations and a type
-        # check per access, the memo costs one.  Counter objects are
-        # stable once registered (the registry only ever creates them), so
-        # a memoized hit reads/writes the same object the registry holds.
+        # Memo: bare key -> Counter object.  Counting is all over the
+        # protocol's per-message path; resolving the prefixed name through
+        # the registry costs two dict operations and a type check per
+        # access, the memo costs one.  Counter objects are stable once
+        # registered (the registry only ever creates them), so a memoized
+        # hit reads/writes the same object the registry holds.
         self._memo: dict[str, Counter] = {}
+
+    def inc(self, key: str, n: int = 1) -> None:
+        """``view[key] += n`` in one call: a memo hit and an add.  The
+        counter registers on first use, exactly as ``+=`` would."""
+        counter = self._memo.get(key)
+        if counter is None:
+            counter = self._memo[key] = self._registry.counter(self._prefix + key)
+        counter.value += n
 
     def __getitem__(self, key: str) -> int:
         counter = self._memo.get(key)

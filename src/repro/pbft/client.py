@@ -217,7 +217,7 @@ class PbftClient(Node):
             return
         pending.retransmits += 1
         self.retransmissions += 1
-        self.stats["retransmissions"] += 1
+        self.stats.inc("retransmissions")
         if pending.awaiting_body:
             self.suspects.add(designated_replier(pending.request, self.n))
         if self.tracer.enabled:
@@ -255,7 +255,7 @@ class PbftClient(Node):
             or msg.client != self.node_id
         ):
             return
-        self.stats["busy_received"] += 1
+        self.stats.inc("busy_received")
         if msg.view > self.view_guess:
             self._advance_view(msg.view)
         if msg.reason == BUSY_OVERSIZED:
@@ -303,7 +303,7 @@ class PbftClient(Node):
         pending = self.pending
         if pending is None:
             return
-        self.stats["busy_retries"] += 1
+        self.stats.inc("busy_retries")
         # The replica that said BUSY is alive — retry toward the primary
         # on the first-transmission path (big/read-only requests still
         # multicast) and let the ordinary loss-retransmit timer take over
@@ -318,8 +318,8 @@ class PbftClient(Node):
             pending.timer.cancel()
         self.pending = None
         self.failed_ops += 1
-        self.stats["failed_ops"] += 1
-        self.stats[f"rejected_{reason}"] += 1
+        self.stats.inc("failed_ops")
+        self.stats.inc(f"rejected_{reason}")
         if self.tracer.enabled:
             self.tracer.event(
                 self._track, f"rejected-{reason}", cat="client",
@@ -375,7 +375,7 @@ class PbftClient(Node):
         self.pending = None
         self.completed_ops += 1
         self.latencies_ns.append(latency)
-        self.stats["completed_ops"] += 1
+        self.stats.inc("completed_ops")
         self._latency_hist.observe(latency)
         if self.tracer.enabled:
             corr = (self.node_id, pending.request.req_id)
@@ -417,7 +417,7 @@ class PbftClient(Node):
             return
         target = responders[self.full_reply_fetches % len(responders)]
         self.full_reply_fetches += 1
-        self.stats["full_reply_fetches"] += 1
+        self.stats.inc("full_reply_fetches")
         if self.tracer.enabled:
             self.tracer.event(
                 self._track, "fetch-full-reply", cat="client",
@@ -435,7 +435,7 @@ class PbftClient(Node):
         if pending.timer is not None:
             pending.timer.cancel()
         self.failed_ops += 1
-        self.stats["failed_ops"] += 1
+        self.stats.inc("failed_ops")
         self.pending = None
         if pending.fail_callback is not None:
             pending.fail_callback("cancelled")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.errors import ProtocolError
-from repro.pbft.messages import PrePrepare, Request
+from repro.pbft.messages import PrePrepare, Reply, Request
 
 
 class ViewSlot:
@@ -111,12 +111,25 @@ class Slot:
 
 
 class RequestStore:
-    """Request bodies by digest, plus per-client execution bookkeeping."""
+    """Request bodies by digest, plus per-client execution bookkeeping.
+
+    ``last_reply`` caches each client's last reply for retransmissions.  A
+    reply produced by tentative execution carries ``tentative=True`` until
+    a quorum proof (commit certificate, stable checkpoint, committed
+    replay) shows its execution final.  The proof only *records* the reply
+    in ``proven``; the stable copy is built when someone looks —
+    :meth:`cached_reply` for a resend, :meth:`stabilize_proven` for a
+    checkpoint — so a reply that is superseded before anyone asks for it
+    again is never copied.  ``proven`` holds the very object the proof
+    covered: a newer reply for the same client is a different object and
+    stays as it is.
+    """
 
     def __init__(self) -> None:
         self.by_digest: dict[bytes, Request] = {}
         self.last_executed_req: dict[int, int] = {}  # client -> req_id
-        self.last_reply: dict[int, object] = {}  # client -> Reply
+        self.last_reply: dict[int, Reply] = {}  # client -> Reply
+        self.proven: dict[int, Reply] = {}  # client -> tentative reply proven final
         self.last_active: dict[int, int] = {}  # client -> primary-timestamp
         # client -> req_id of the last read-only request answered; those
         # execute unordered and leave no other trace here.
@@ -148,14 +161,48 @@ class RequestStore:
             and marks.get(req.client, -1) >= req.req_id
         }
 
-    def record_execution(self, request: Request, reply, timestamp: int) -> None:
+    def record_execution(self, request: Request, reply: Reply, timestamp: int) -> None:
         self.last_executed_req[request.client] = request.req_id
         self.last_reply[request.client] = reply
         self.last_active[request.client] = timestamp
 
+    def prove(self, requests) -> None:
+        """A quorum proof shows the execution of ``requests`` final: each
+        one's cached reply, if it is still that request's tentative reply,
+        is to be answered stable from now on."""
+        last_reply, proven = self.last_reply, self.proven
+        for request in requests:
+            cached = last_reply.get(request.client)
+            if cached is not None and cached.req_id == request.req_id and cached.tentative:
+                proven[request.client] = cached
+
+    def cached_reply(self, client: int) -> Optional[Reply]:
+        """The client's cached reply, stabilized first if it was proven."""
+        reply = self.last_reply.get(client)
+        if reply is not None and self.proven.pop(client, None) is reply:
+            reply = self.last_reply[client] = reply.stabilized()
+        return reply
+
+    def stabilize_proven(self) -> None:
+        """Stabilize every proven reply still cached (before a checkpoint
+        snapshots ``last_reply``)."""
+        last_reply = self.last_reply
+        for client, reply in self.proven.items():
+            if last_reply.get(client) is reply:
+                last_reply[client] = reply.stabilized()
+        self.proven.clear()
+
+    def restore_replies(self, marks: dict[int, int], replies: dict[int, Reply]) -> None:
+        """Adopt a stable checkpoint's client marks and replies.  Its replies
+        are final even if they were cached as tentative when it was taken."""
+        self.last_executed_req = dict(marks)
+        self.last_reply = {client: reply.stabilized() for client, reply in replies.items()}
+        self.proven = {}
+
     def forget_client(self, client: int) -> None:
         self.last_executed_req.pop(client, None)
         self.last_reply.pop(client, None)
+        self.proven.pop(client, None)
         self.last_active.pop(client, None)
         self.last_readonly.pop(client, None)
 
@@ -200,6 +247,25 @@ class MessageLog:
             self.slots[seq] = entry
             self.unexecuted += 1
         return entry
+
+    def open(self, seq: int, view: int) -> Optional[tuple[Slot, ViewSlot]]:
+        """The slot and view slot an agreement message for ``(seq, view)``
+        lands in, created on first use; None when ``seq`` lies outside the
+        watermarks and the message is to be dropped.
+
+        The per-message form of :meth:`in_window` + :meth:`slot` +
+        :meth:`Slot.view_slot`: one call, the watermark tested inline.
+        """
+        low = self.low_watermark
+        if not low < seq <= low + self.log_window:
+            return None
+        slot = self.slots.get(seq)
+        if slot is None:
+            slot = self.slot(seq)
+        vs = slot.views.get(view)
+        if vs is None:
+            vs = slot.view_slot(view)
+        return slot, vs
 
     def set_executed(self, slot: Slot, executed: bool) -> None:
         """Flip a live slot's ``executed`` flag, keeping :attr:`unexecuted`."""

@@ -198,26 +198,26 @@ class ReconfigManager:
         try:
             payload = decode_exact(ReconfigPayload, req.op)
         except ProtocolError:
-            self.stats["reconfig_rejected"] += 1
+            self.stats.inc("reconfig_rejected")
             return REPLY_RECONFIG_BAD
         if not (0 <= payload.slot < self.config.n):
-            self.stats["reconfig_rejected"] += 1
+            self.stats.inc("reconfig_rejected")
             return REPLY_RECONFIG_BAD
         if self.pending is not None:
             # One reconfiguration per epoch transition: a second request
             # before the boundary must retry after it.
-            self.stats["reconfig_busy"] += 1
+            self.stats.inc("reconfig_busy")
             return REPLY_RECONFIG_BUSY
         slot = self.slots[payload.slot]
         if payload.action == RECONFIG_JOIN and slot.active:
-            self.stats["reconfig_rejected"] += 1
+            self.stats.inc("reconfig_rejected")
             return REPLY_RECONFIG_BAD
         if payload.action in (RECONFIG_LEAVE, RECONFIG_REPLACE) and not slot.active:
-            self.stats["reconfig_rejected"] += 1
+            self.stats.inc("reconfig_rejected")
             return REPLY_RECONFIG_BAD
         self.pending = payload
         self._persist()
-        self.stats["reconfig_accepted"] += 1
+        self.stats.inc("reconfig_accepted")
         if self.replica.tracer.enabled:
             self.replica.tracer.event(
                 self.replica.host.name, "reconfig-pending", cat="pbft.reconfig",
@@ -257,7 +257,7 @@ class ReconfigManager:
             del self.epoch_marks[: len(self.epoch_marks) - MAX_EPOCH_MARKS]
         self._persist()
         self._sync_replica_epoch()
-        self.stats["reconfig_applied"] += 1
+        self.stats.inc("reconfig_applied")
         if self.replica.tracer.enabled:
             self.replica.tracer.event(
                 self.replica.host.name, "epoch-install", cat="pbft.reconfig",
@@ -346,10 +346,10 @@ class ProactiveRecovery:
         if others_live < cluster.config.quorum:
             # Recovering now would drop the group below 2f+1 live
             # replicas; try again next period.
-            replica.stats["proactive_recovery_skipped"] += 1
+            replica.stats.inc("proactive_recovery_skipped")
             return
         refresh_replica_keys(cluster, rid)
-        replica.stats["proactive_recoveries"] += 1
+        replica.stats.inc("proactive_recoveries")
         if replica.tracer.enabled:
             replica.tracer.event(
                 replica.host.name, "proactive-recovery", cat="pbft.reconfig",

@@ -174,7 +174,7 @@ class RecoveryMixin:
         if self._gossip_timer is not None:
             self._gossip_timer.cancel()
             self._gossip_timer = None
-        self.stats["crashes"] += 1
+        self.stats.inc("crashes")
         if self.tracer.enabled:
             self.tracer.event(self.host.name, "crash", cat="pbft.fault")
 
@@ -208,13 +208,10 @@ class RecoveryMixin:
         self.waiting_requests = set()
         if stable is not None:
             self.state.restore(stable.pages, stable.tree_nodes)
-            self.reqstore.last_executed_req = dict(stable.meta.get("client_marks", {}))
-            # Stable-checkpoint replies are final regardless of how they
-            # were flagged when the checkpoint was taken.
-            self.reqstore.last_reply = {
-                client: reply.stabilized()
-                for client, reply in stable.meta.get("client_replies", {}).items()
-            }
+            self.reqstore.restore_replies(
+                stable.meta.get("client_marks", {}),
+                stable.meta.get("client_replies", {}),
+            )
         else:
             # No checkpoint has stabilized yet, so the durable image is the
             # genesis state.  Tentatively-executed effects must not survive
@@ -232,7 +229,7 @@ class RecoveryMixin:
         self.recovering = True
         self.recovery_started_at = self.host.sim.now
         self.recovery_target = stable_seq
-        self.stats["restarts"] += 1
+        self.stats.inc("restarts")
         if self.tracer.enabled:
             self.tracer.event(self.host.name, "restart", cat="pbft.fault")
         if self._gossip_timer is None or not self._gossip_timer.pending:
@@ -275,7 +272,7 @@ class RecoveryMixin:
         if last is not None and now - last < self.config.status_interval_ns:
             return
         self._view_nudges[peer] = now
-        self.stats["view_nudges_sent"] += 1
+        self.stats.inc("view_nudges_sent")
         self.send_to_replica(
             peer,
             StatusMsg(
@@ -385,12 +382,12 @@ class RecoveryMixin:
         # session key fails authentication.
         for request in msg.requests:
             if not self._validate_replayed_request(request):
-                self.stats["replay_auth_failures"] += 1
+                self.stats.inc("replay_auth_failures")
                 return False
         # Section 2.5: non-determinism data is re-validated with no replay
         # awareness in the original implementation.
         if not self.nondet_validator.validate(pp.nondet, self.host, replaying=True):
-            self.stats["replay_nondet_failures"] += 1
+            self.stats.inc("replay_nondet_failures")
             return False
         for request in msg.requests:
             self.reqstore.add(request)
@@ -427,7 +424,7 @@ class RecoveryMixin:
     def _finish_recovery(self) -> None:
         self.recovering = False
         self.recovery_completed_at = self.host.sim.now
-        self.stats["recoveries_completed"] += 1
+        self.stats.inc("recoveries_completed")
         if self._status_timer is not None:
             self._status_timer.cancel()
             self._status_timer = None
@@ -450,7 +447,7 @@ class RecoveryMixin:
                 source = rid
                 break
         self.transfer = StateTransferTask(self, target_seq, target_root, source)
-        self.stats["state_transfers_started"] += 1
+        self.stats.inc("state_transfers_started")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "state-transfer-start", cat="pbft.transfer",
@@ -475,7 +472,7 @@ class RecoveryMixin:
             return False
         task = self.transfer
         self.transfer = None
-        self.stats["state_transfers_abandoned"] += 1
+        self.stats.inc("state_transfers_abandoned")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "state-transfer-abandoned", cat="pbft.transfer",
@@ -491,12 +488,12 @@ class RecoveryMixin:
             # Reachable only via the no-diff walk (page installs are
             # guarded at dispatch): nothing was mutated, just drop it.
             self.transfer = None
-            self.stats["state_transfers_abandoned"] += 1
+            self.stats.inc("state_transfers_abandoned")
             return
         root = self.state.refresh_tree()
         if root != task.target_root:
             # Wrong or stale data from the peer: retry with another source.
-            self.stats["state_transfer_failures"] += 1
+            self.stats.inc("state_transfer_failures")
             self.transfer = None
             alt = (task.source + 1) % self.config.n
             if alt == self.node_id:
@@ -524,8 +521,8 @@ class RecoveryMixin:
         self.transfer = None
         self._state_installed()
         self._install_own_checkpoint(task.target_seq)
-        self.stats["state_transfers_completed"] += 1
-        self.stats["state_transfer_pages"] += task.pages_fetched
+        self.stats.inc("state_transfers_completed")
+        self.stats.inc("state_transfer_pages", task.pages_fetched)
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "state-transfer-complete", cat="pbft.transfer",

@@ -28,7 +28,7 @@ from repro.pbft.admission import (
     pick_shed_victim,
 )
 from repro.pbft.config import PbftConfig
-from repro.pbft.log import MessageLog, RequestStore, Slot
+from repro.pbft.log import MessageLog, RequestStore, Slot, ViewSlot
 from repro.pbft.messages import (
     BUSY_INFLIGHT,
     BUSY_OVERSIZED,
@@ -232,8 +232,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
 
         self.membership = None  # installed by repro.membership when enabled
         # Typed counters in the shared registry; reads of unset keys are 0
-        # and ``+=`` registers the counter, so this drops in for the old
-        # defaultdict(int).
+        # and ``inc`` registers the counter on first use.
         self.stats = self.obs.registry.view(
             f"{config.group_prefix}replica{replica_id}."
         )
@@ -304,7 +303,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 >= 2 * self.config.status_interval_ns
             )
             if stuck:
-                self.stats["wedge_escalations"] += 1
+                self.stats.inc("wedge_escalations")
             self._send_status(recovering=self.recovering or stuck)
         if self.transfer is not None and not self.transfer_is_stale():
             self.transfer.retry()
@@ -364,7 +363,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 # still talking: reject loudly.  Recovery-family messages
                 # (status, retransmits, state transfer) stay epoch-neutral
                 # so a bootstrapping replica can catch up.
-                self.stats["stale_epoch_rejected"] += 1
+                self.stats.inc("stale_epoch_rejected")
                 if self.tracer.enabled:
                     self.tracer.event(
                         self.host.name, "stale-epoch-rejected",
@@ -380,7 +379,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 # A correct peer is ahead of us across an epoch boundary;
                 # harmless (we will cross it at the same seq), but worth
                 # counting for the campaign's forensics.
-                self.stats["newer_epoch_observed"] += 1
+                self.stats.inc("newer_epoch_observed")
         if handler is None:
             if self.membership is not None:
                 self.membership.dispatch(env)
@@ -395,11 +394,11 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         if self.crashed or not self.penalty.muted(env.sender, self.host.sim.now):
             return False
         self.host.charge_cpu(self.costs.msg_recv_ns)
-        self.stats["penalty_box_drops"] += 1
+        self.stats.inc("penalty_box_drops")
         return True
 
     def on_auth_failure(self, env: Envelope) -> None:
-        self.stats["auth_failures"] += 1
+        self.stats.inc("auth_failures")
         if env.sender_kind != "client":
             # Muting a replica could silence a correct peer and cut into
             # the quorum; replica misbehaviour is the protocol's job.
@@ -414,7 +413,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             # client's session key.  Never penalize it.
             return
         if self.admission.penalty.strike(("client", env.sender_id), self.host.sim.now):
-            self.stats["penalty_boxed"] += 1
+            self.stats.inc("penalty_boxed")
             if self.tracer.enabled:
                 self.tracer.event(
                     self.host.name, "penalty-box", cat="pbft.admission",
@@ -427,10 +426,10 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         if self.membership is not None:
             self.host.charge_cpu(self.costs.redirection_lookup_ns)
             if not self.membership.admit_request(req):
-                self.stats["requests_rejected"] += 1
+                self.stats.inc("requests_rejected")
                 return
         elif req.client not in self.client_addr and not self._is_system_op(req):
-            self.stats["requests_rejected"] += 1
+            self.stats.inc("requests_rejected")
             return
 
         max_bytes = self.config.max_request_bytes
@@ -439,7 +438,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             and len(req.op) > max_bytes
             and not self._is_system_op(req)
         ):
-            self.stats["oversized_rejected"] += 1
+            self.stats.inc("oversized_rejected")
             self._send_busy(req, BUSY_OVERSIZED, 0)
             return
 
@@ -476,7 +475,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 and not self._is_system_op(req)
                 and self._waiting_held_by(req.client) >= cap
             ):
-                self.stats["waiting_shed"] += 1
+                self.stats.inc("waiting_shed")
                 return
             self.reqstore.add(req)
             self.waiting_requests.add(req.digest)
@@ -506,7 +505,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         heaviest client with an explicit BUSY reply.
         """
         if req.digest in self.queued_digests:
-            self.stats["duplicate_inflight"] += 1
+            self.stats.inc("duplicate_inflight")
             return
         verdict = self.admission.inflight_verdict(req)
         if verdict != ADMIT and self._is_system_op(req):
@@ -516,10 +515,10 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             # Same (client, req_id) already admitted under a *different*
             # digest — a client mutating an op it already submitted.  The
             # first version keeps its slot.
-            self.stats["duplicate_inflight"] += 1
+            self.stats.inc("duplicate_inflight")
             return
         if verdict == CAPPED:
-            self.stats["inflight_capped"] += 1
+            self.stats.inc("inflight_capped")
             self._send_busy(
                 req, BUSY_INFLIGHT,
                 self.admission.retry_hint_ns(
@@ -549,7 +548,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         # Shed requests were never assigned a sequence number, so their
         # bodies can be dropped from the store too.
         self.reqstore.by_digest.pop(req.digest, None)
-        self.stats["requests_shed"] += 1
+        self.stats.inc("requests_shed")
         self._depth_gauge.set(len(self.pending_requests))
         if self.tracer.enabled:
             self.tracer.mark((req.client, req.req_id), "shed", self.host.name)
@@ -575,7 +574,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             retry_after_ns=retry_after_ns,
             queue_depth=len(self.pending_requests),
         )
-        self.stats["busy_sent"] += 1
+        self.stats.inc("busy_sent")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "busy-reply", cat="pbft.admission",
@@ -621,7 +620,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             else:
                 result = self.app.execute(req.op, req.client, nondet_ts, readonly)
         except ProtocolError:
-            self.stats["malformed_ops"] += 1
+            self.stats.inc("malformed_ops")
             result = REPLY_MALFORMED_OP
         return Reply(
             view=self.view,
@@ -637,7 +636,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self.host.charge_cpu(self.app.execute_cost_ns(req.op, True))
         reply = self._answer(req, self.host.local_time(), readonly=True)
         self.host.charge_cpu(self.app.take_accumulated_cost())
-        self.stats["readonly_executed"] += 1
+        self.stats.inc("readonly_executed")
         if self.tracer.enabled:
             self.tracer.mark((req.client, req.req_id), "executed", self.host.name)
         # Asked a second time, the client is missing the body (it
@@ -689,7 +688,8 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             sender=self.node_id,
         )
         slot = self.log.slot(seq)
-        slot.view_slot(self.view).accept(pp)
+        vs = slot.view_slot(self.view)
+        vs.accept(pp)
         for req in batch:
             self.queued_digests.discard(req.digest)
             # The in-flight cap guards the *unordered* queue.  Release at
@@ -700,8 +700,8 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             # reordered commits), and holding the slot until then would
             # make the primary refuse valid work and get itself deposed.
             self.admission.release(req.client, req.req_id)
-        self.stats["batches_issued"] += 1
-        self.stats["batched_requests"] += len(batch)
+        self.stats.inc("batches_issued")
+        self.stats.inc("batched_requests", len(batch))
         if self.tracer.enabled:
             for req in batch:
                 self.tracer.mark((req.client, req.req_id), "pre-prepare", self.host.name)
@@ -734,36 +734,41 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 sender=self.node_id,
             )
             backups = [rid for rid in range(self.config.n) if rid != self.node_id]
-            self.stats["equivocations"] += 1
+            self.stats.inc("equivocations")
             self.broadcast_to_replicas(pp, only=backups[: self.config.f])
             self.broadcast_to_replicas(twin, only=backups[self.config.f :])
         else:
             self.broadcast_to_replicas(pp, exclude=self.node_id)
-        self._maybe_prepared(seq, self.view)
+        self._maybe_prepared(slot, vs, self.view)
 
     # -- agreement ------------------------------------------------------------------------
+    #
+    # Each handler resolves its (Slot, ViewSlot) once through MessageLog.open
+    # and hands both down: _maybe_prepared / _maybe_committed read the vote
+    # counts off the ViewSlot directly instead of looking the slot up again.
 
     def on_pre_prepare(self, pp: PrePrepare, env: Envelope = None) -> None:
-        if env is not None and env.sender_kind == "replica":
-            self._note_view_evidence(env.sender_id, pp.view)
-        if self.in_view_change or pp.view != self.view:
+        view = pp.view
+        if view and env is not None and env.sender_kind == "replica":
+            self._note_view_evidence(env.sender_id, view)
+        if self.in_view_change or view != self.view:
             return
         if env is not None and (
-            env.sender_kind != "replica" or env.sender_id != self.primary_of(pp.view)
+            env.sender_kind != "replica" or env.sender_id != self.primary_of(view)
         ):
             return
-        if not self.log.in_window(pp.seq):
+        entry = self.log.open(pp.seq, view)
+        if entry is None:
             return
-        slot = self.log.slot(pp.seq)
-        vs = slot.view_slot(pp.view)
+        slot, vs = entry
         if vs.pre_prepare is not None:
             if vs.pre_prepare.batch_digest != pp.batch_digest:
                 # Two conflicting assignments from the primary: Byzantine.
-                self.stats["conflicting_pre_prepares"] += 1
+                self.stats.inc("conflicting_pre_prepares")
                 self.start_view_change(self.view + 1)
             return
         if not self.nondet_validator.validate(pp.nondet, self.host, replaying=False):
-            self.stats["nondet_rejections"] += 1
+            self.stats.inc("nondet_rejections")
             self.start_view_change(self.view + 1)
             return
         vs.accept(pp)
@@ -776,42 +781,43 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             )
         for req in pp.inline_requests:
             self.reqstore.add(req)
-        self._send_prepare(pp)
+        self._send_prepare(pp, vs)
         self._arm_vc_timer()
-        self._maybe_prepared(pp.seq, pp.view)
+        self._maybe_prepared(slot, vs, view)
 
-    def _send_prepare(self, pp: PrePrepare) -> None:
+    def _send_prepare(self, pp: PrePrepare, vs: ViewSlot) -> None:
         prepare = Prepare(
             view=pp.view, seq=pp.seq, batch_digest=pp.batch_digest, sender=self.node_id
         )
-        slot = self.log.slot(pp.seq)
-        slot.view_slot(pp.view).add_prepare(self.node_id, pp.batch_digest)
+        vs.add_prepare(self.node_id, pp.batch_digest)
         self.broadcast_to_replicas(prepare, exclude=self.node_id)
 
     def on_prepare(self, msg: Prepare, env: Envelope = None) -> None:
-        self._note_view_evidence(msg.sender, msg.view)
-        if msg.view != self.view or self.in_view_change:
+        view = msg.view
+        if view:
+            self._note_view_evidence(msg.sender, view)
+        if view != self.view or self.in_view_change:
             return
-        if not self.log.in_window(msg.seq):
+        entry = self.log.open(msg.seq, view)
+        if entry is None:
             return
-        slot = self.log.slot(msg.seq)
-        slot.view_slot(msg.view).add_prepare(msg.sender, msg.batch_digest)
+        slot, vs = entry
+        vs.add_prepare(msg.sender, msg.batch_digest)
         if not slot.executed:
             # Peer activity on an operation we have not executed is
             # evidence of outstanding work: start the clock on the primary
             # (we may be missing its pre-prepare entirely).
             self._arm_vc_timer()
-        self._maybe_prepared(msg.seq, msg.view)
+        self._maybe_prepared(slot, vs, view)
 
-    def _maybe_prepared(self, seq: int, view: int) -> None:
-        slot = self.log.peek(seq)
-        if slot is None or not slot.prepared(view, self.config.f):
+    def _maybe_prepared(self, slot: Slot, vs: ViewSlot, view: int) -> None:
+        # Slot.prepared: the pre-prepare plus 2f matching prepares.
+        pp = vs.pre_prepare
+        if pp is None or vs.matching_prepares < 2 * self.config.f:
             return
-        vs = slot.view_slot(view)
         if self.node_id not in vs.commits:
-            pp = vs.pre_prepare
             commit = Commit(
-                view=view, seq=seq, batch_digest=pp.batch_digest, sender=self.node_id
+                view=view, seq=slot.seq, batch_digest=pp.batch_digest, sender=self.node_id
             )
             vs.add_commit(self.node_id, pp.batch_digest)
             self.broadcast_to_replicas(commit, exclude=self.node_id)
@@ -821,42 +827,51 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             # prepared; the client compensates by demanding 2f+1 replies.
             if self.config.tentative_execution:
                 self._execute_ready(allow_tentative=True)
-        self._maybe_committed(seq, view)
+        self._maybe_committed(slot, vs, view)
 
     def on_commit(self, msg: Commit, env: Envelope = None) -> None:
-        self._note_view_evidence(msg.sender, msg.view)
-        if msg.view != self.view or self.in_view_change:
+        view = msg.view
+        if view:
+            self._note_view_evidence(msg.sender, view)
+        if view != self.view or self.in_view_change:
             return
-        if not self.log.in_window(msg.seq):
+        entry = self.log.open(msg.seq, view)
+        if entry is None:
             return
-        slot = self.log.slot(msg.seq)
-        slot.view_slot(msg.view).add_commit(msg.sender, msg.batch_digest)
-        self._maybe_committed(msg.seq, msg.view)
+        slot, vs = entry
+        vs.add_commit(msg.sender, msg.batch_digest)
+        self._maybe_committed(slot, vs, view)
 
-    def _maybe_committed(self, seq: int, view: int) -> None:
-        slot = self.log.peek(seq)
-        if slot is None or slot.committed:
+    def _maybe_committed(self, slot: Slot, vs: ViewSlot, view: int) -> None:
+        # A slot at or below the low watermark was garbage collected by a
+        # checkpoint that stabilized while it executed (_maybe_prepared).
+        if slot.committed or slot.seq <= self.log.low_watermark:
             return
-        if not slot.committed_local(view, self.config.f):
+        # Slot.committed_local: prepared plus 2f+1 matching commits.
+        f = self.config.f
+        if (
+            vs.pre_prepare is None
+            or vs.matching_prepares < 2 * f
+            or vs.matching_commits < 2 * f + 1
+        ):
             return
         slot.committed = True
         slot.committed_view = view
         if self.tracer.enabled and self.is_primary:
-            pp = slot.pre_prepare_in(view)
-            if pp is not None:
-                self._mark_batch(pp, "committed")
+            self._mark_batch(vs.pre_prepare, "committed")
         self._advance_committed()
         self._execute_ready(allow_tentative=self.config.tentative_execution)
 
     def _advance_committed(self) -> None:
+        slots = self.log.slots
         seq = self.committed_upto + 1
         while True:
-            slot = self.log.peek(seq)
+            slot = slots.get(seq)
             if slot is None or not slot.committed:
                 break
             if slot.executed and slot.tentative:
-                # A tentative execution just became final: upgrade the
-                # cached replies so retransmissions get stable answers.
+                # A tentative execution just became final: retransmissions
+                # of its replies get stable answers from now on.
                 self._finalize_tentative(slot)
             self.committed_upto = seq
             seq += 1
@@ -867,19 +882,8 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
     def _finalize_tentative(self, slot: Slot) -> None:
         slot.tentative = False
         entry = self.exec_journal.get(slot.seq)
-        if entry is None:
-            return
-        for req in entry[1]:
-            if req is None:
-                continue
-            self._stabilize_cached_reply(req)
-
-    def _stabilize_cached_reply(self, req: Request) -> None:
-        """Clear the tentative flag on the cached reply for ``req`` once a
-        quorum proof shows its execution committed."""
-        cached = self.reqstore.last_reply.get(req.client)
-        if cached is not None and cached.req_id == req.req_id and cached.tentative:
-            self.reqstore.last_reply[req.client] = cached.stabilized()
+        if entry is not None:
+            self.reqstore.prove(entry[1])
 
     # -- execution -----------------------------------------------------------------------
 
@@ -889,7 +893,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         executed_any = False
         while True:
             seq = self.last_exec + 1
-            slot = self.log.peek(seq)
+            slot = self.log.slots.get(seq)
             if slot is None or slot.executed:
                 if slot is None:
                     break
@@ -935,13 +939,13 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         if not self.wedged:
             self.wedged = True
             self.wedged_since = self.host.sim.now
-            self.stats["wedged_events"] += 1
+            self.stats.inc("wedged_events")
             if self.tracer.enabled:
                 self.tracer.event(self.host.name, "wedged", cat="pbft.fault")
 
     def _clear_wedge(self) -> None:
         if self.wedged and self.wedged_since is not None:
-            self.stats["wedge_duration_ns"] += self.host.sim.now - self.wedged_since
+            self.stats.inc("wedge_duration_ns", self.host.sim.now - self.wedged_since)
         self.wedged = False
         self.wedged_since = None
 
@@ -959,10 +963,10 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 continue
             if self.reqstore.already_executed(req):
                 # A committed replay of something we executed tentatively
-                # is its commit proof: upgrade the cached reply first so
-                # the resend counts toward the client's stable quorum.
+                # is its commit proof: the resend below then counts toward
+                # the client's stable quorum.
                 if not tentative:
-                    self._stabilize_cached_reply(req)
+                    self.reqstore.prove((req,))
                 if not silent:
                     self._resend_cached_reply(req)
                 continue
@@ -988,7 +992,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             if self.membership is not None:
                 self.membership.touch(req.client, nondet_ts)
             self.waiting_requests.discard(req.digest)
-            self.stats["requests_executed"] += 1
+            self.stats.inc("requests_executed")
             if traced and self.is_primary:
                 self.tracer.mark((req.client, req.req_id), "executed", self.host.name)
             if not silent:
@@ -1049,7 +1053,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 tentative=reply.tentative,
                 digest_only=True,
             )
-        self.stats["replies_sent"] += 1
+        self.stats.inc("replies_sent")
         if self.config.use_macs and ("client", req.client) in self.session_keys:
             self.send_mac(addr, "client", req.client, reply)
         else:
@@ -1058,10 +1062,10 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             self.send_signed(addr, reply)
 
     def _resend_cached_reply(self, req: Request) -> None:
-        cached = self.reqstore.last_reply.get(req.client)
+        cached = self.reqstore.cached_reply(req.client)
         if cached is None or cached.req_id != req.req_id:
             return
-        self.stats["replies_resent"] += 1
+        self.stats.inc("replies_resent")
         # A retransmitting client may have missed the designated replier's
         # full reply (e.g. that replica is wedged or crashed), so resends
         # always carry the full result.
@@ -1072,6 +1076,9 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
     def _install_own_checkpoint(self, seq: int) -> None:
         self.host.charge_cpu(self.costs.crypto.digest_cost(self.config.page_size))
         root = self.state.refresh_tree()
+        # The snapshot below keeps each client's reply as answered now:
+        # stable wherever a quorum proof has already arrived.
+        self.reqstore.stabilize_proven()
         checkpoint = Checkpoint(
             seq=seq,
             root=root,
@@ -1087,7 +1094,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         )
         self.checkpoints.add(checkpoint)
         checkpoint.proof[self.node_id] = root
-        self.stats["checkpoints_taken"] += 1
+        self.stats.inc("checkpoints_taken")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "checkpoint", cat="pbft.checkpoint", args={"seq": seq}
@@ -1131,7 +1138,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         # certificates for the tail are still in flight.  (We only get here
         # with a local checkpoint at ``seq``, so last_exec >= seq already.)
         # That same proof finalizes any tentative execution at or below
-        # ``seq``: upgrade cached replies before committed_upto jumps over
+        # ``seq``: prove its cached replies before committed_upto jumps over
         # the slots, or clients keep receiving tentative-flagged replies
         # for operations that are in fact durable and can never assemble
         # the f+1 stable votes they are waiting for.
@@ -1148,7 +1155,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             del self.exec_journal[old]
         for old in [s for s in self.pending_votes if s <= seq]:
             del self.pending_votes[old]
-        self.stats["checkpoints_stabilized"] += 1
+        self.stats.inc("checkpoints_stabilized")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "checkpoint-stable", cat="pbft.checkpoint",
@@ -1173,7 +1180,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         for rid, key_bytes in msg.keys:
             if rid == self.node_id:
                 self.install_session_key("client", msg.client, MacKey(key_bytes))
-                self.stats["authenticators_refreshed"] += 1
+                self.stats.inc("authenticators_refreshed")
         if self.stalled_batches:
             self._retry_stalled_batches()
 
@@ -1186,22 +1193,16 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             return
         stable = self.checkpoints.latest_stable()
         stable_seq = self.checkpoints.stable_seq
-        self.stats["rollbacks"] += 1
+        self.stats.inc("rollbacks")
         if stable is not None:
             self.state.restore(stable.pages, stable.tree_nodes)
-            self.reqstore.last_executed_req = dict(
-                stable.meta.get("client_marks", {})
+            self.reqstore.restore_replies(
+                stable.meta.get("client_marks", {}),
+                stable.meta.get("client_replies", {}),
             )
-            # Replies from a *stable* checkpoint are final even if they
-            # were cached as tentative when the checkpoint was taken.
-            self.reqstore.last_reply = {
-                client: reply.stabilized()
-                for client, reply in stable.meta.get("client_replies", {}).items()
-            }
         else:
             self.state.restore([bytes(self.config.page_size)] * self.config.state_pages)
-            self.reqstore.last_executed_req = {}
-            self.reqstore.last_reply = {}
+            self.reqstore.restore_replies({}, {})
         self._state_installed()
         replay = [
             self.exec_journal[seq]

@@ -103,7 +103,7 @@ class ViewChangeMixin:
             sender=self.node_id,
         )
         self.view_changes.setdefault(new_view, {})[self.node_id] = msg
-        self.stats["view_changes_started"] += 1
+        self.stats.inc("view_changes_started")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "view-change", cat="pbft.viewchange",
@@ -126,7 +126,7 @@ class ViewChangeMixin:
             # view, and ask peers to retransmit whatever we missed.
             self.in_view_change = False
             self._vc_timeout_current = self.config.view_change_timeout_ns
-            self.stats["view_changes_abandoned"] += 1
+            self.stats.inc("view_changes_abandoned")
             self._send_status(recovering=False)
             self._execute_ready()
             if self._has_outstanding_work():
@@ -241,7 +241,7 @@ class ViewChangeMixin:
         if msg.sender != self.primary_of(msg.view):
             return
         if not self._validate_new_view(msg):
-            self.stats["new_views_rejected"] += 1
+            self.stats.inc("new_views_rejected")
             if self.tracer.enabled:
                 self.tracer.event(
                     self.host.name, "new-view-rejected", cat="pbft.viewchange",
@@ -313,7 +313,7 @@ class ViewChangeMixin:
         self.pending_new_view = view
         self.view_changes = {v: m for v, m in self.view_changes.items() if v > view}
         self._disarm_vc_timer()
-        self.stats["view_syncs"] += 1
+        self.stats.inc("view_syncs")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "view-sync", cat="pbft.viewchange",
@@ -340,7 +340,7 @@ class ViewChangeMixin:
         self.pending_new_view = view
         self.view_changes = {v: m for v, m in self.view_changes.items() if v > view}
         self._disarm_vc_timer()
-        self.stats["views_installed"] += 1
+        self.stats.inc("views_installed")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "new-view", cat="pbft.viewchange",
@@ -382,11 +382,12 @@ class ViewChangeMixin:
                     sender=nv.sender,
                 )
             slot = self.log.slot(seq)
-            slot.view_slot(view).accept(rebuilt)
+            vs = slot.view_slot(view)
+            vs.accept(rebuilt)
             if not slot.executed:
                 if not is_primary:
-                    self._send_prepare(rebuilt)
-                self._maybe_prepared(seq, view)
+                    self._send_prepare(rebuilt, vs)
+                self._maybe_prepared(slot, vs, view)
         if is_primary:
             self.next_seq = max(self.next_seq, highest)
             # Rebuild the batching queue from scratch so pending_requests

@@ -217,7 +217,7 @@ class ShardRebalancer:
     # -- helpers --------------------------------------------------------------
 
     def _count(self, name: str) -> None:
-        self.stats[name] += 1
+        self.stats.inc(name)
 
     def _tx_app(self, shard: int):
         for app in self.groups[shard].apps:

@@ -284,7 +284,7 @@ class ShardRouter:
                        redirects: int = 0, frozen: int = 0) -> None:
         def fail(reason: str) -> None:
             self._single_active = False
-            self.stats["failed_singles"] += 1
+            self.stats.inc("failed_singles")
             if callback is not None:
                 callback(TxnResult(b"", False, reason=reason))
 
@@ -297,7 +297,7 @@ class ShardRouter:
                     # Blocked on a (possibly stranded) transaction: resolve
                     # it at its coordinator, deliver the outcome here, then
                     # retry after a deterministic backoff.
-                    self.stats["lock_conflicts"] += 1
+                    self.stats.inc("lock_conflicts")
                     self._recover_holder(
                         tx.holder_txid, tx.holder_coordinator, shard,
                         lambda: self.sim.schedule(
@@ -315,7 +315,7 @@ class ShardRouter:
                     # re-route.  Each redirect carries a strictly newer
                     # version than the route that drew it, so the retry
                     # count is bounded by the moves we are behind.
-                    self.stats["wrong_shard_redirects"] += 1
+                    self.stats.inc("wrong_shard_redirects")
                     if redirects < self.redirect_retry_limit:
                         self._learn_fact(tx)
                         new_shards = self.codec.shards_of(op)
@@ -331,7 +331,7 @@ class ShardRouter:
                     # Mid-migration: the unit will thaw at the source (on
                     # abort), redirect from it (on commit), or activate at
                     # the destination — back off and retry in place.
-                    self.stats["frozen_refusals"] += 1
+                    self.stats.inc("frozen_refusals")
                     if frozen < self.frozen_retry_limit:
                         self.sim.schedule(
                             self.frozen_backoff_ns * (frozen + 1),
@@ -347,7 +347,7 @@ class ShardRouter:
                 return
             self._single_active = False
             self.completed_singles += 1
-            self.stats["singles_completed"] += 1
+            self.stats.inc("singles_completed")
             if callback is not None:
                 callback(TxnResult(b"", True, replies=(result,)))
 
@@ -364,7 +364,7 @@ class ShardRouter:
         on_done: Callable[[], None],
     ) -> None:
         """RESOLVE a stranded transaction, then unblock ``blocked_shard``."""
-        self.stats["recoveries"] += 1
+        self.stats.inc("recoveries")
         coord_client = self.clients.get(coordinator)
         if coord_client is None or coord_client.busy:
             on_done()  # cannot recover right now; retry will find out
@@ -418,7 +418,7 @@ class ShardRouter:
             self.sim.now,
         )
         self._active = txn
-        self.stats["txns_started"] += 1
+        self.stats.inc("txns_started")
         self._mark("prepare", txn)
         txn.timer = self.sim.schedule(
             self.prepare_timeout_ns, lambda: self._on_prepare_timeout(txn)
@@ -446,7 +446,7 @@ class ShardRouter:
             # locks cannot strand the keys forever.
             txn.reason = "locked"
             txn.stranded = (tx.holder_txid, tx.holder_coordinator, shard)
-            self.stats["lock_conflicts"] += 1
+            self.stats.inc("lock_conflicts")
         elif type(tx) is ReplyTombstone:
             txn.reason = "tombstone"
         elif type(tx) is ReplyWrongShard:
@@ -455,13 +455,13 @@ class ShardRouter:
             # so the caller's retry routes to the new home.
             txn.reason = "wrong-shard"
             self._learn_fact(tx)
-            self.stats["wrong_shard_redirects"] += 1
+            self.stats.inc("wrong_shard_redirects")
         elif type(tx) is ReplyFrozen:
             # Mid-migration: abort now; the caller may retry once the
             # move settles.  Prepares must not wait out a freeze —
             # held locks on other shards would stall their traffic.
             txn.reason = "frozen"
-            self.stats["frozen_refusals"] += 1
+            self.stats.inc("frozen_refusals")
         txn.votes[shard] = vote
         if not vote:
             self._decide(txn, DECISION_ABORT)
@@ -473,7 +473,7 @@ class ShardRouter:
             return
         txn.timer = None
         txn.reason = txn.reason or "prepare-timeout"
-        self.stats["prepare_timeouts"] += 1
+        self.stats.inc("prepare_timeouts")
         # Unanswered participants may be partitioned away: stop waiting,
         # decide abort.  Their PBFT clients are cancelled so the sockets
         # are free for the outcome delivery below.
@@ -549,7 +549,7 @@ class ShardRouter:
                 # but the decision must NOT be forgotten: this shard may
                 # still hold prepared state that a later RESOLVE needs
                 # the true decision for.
-                self.stats["outcome_delivery_failures"] += 1
+                self.stats.inc("outcome_delivery_failures")
                 txn.forgettable = False
                 txn.outcome_acks.add(shard)
                 self._maybe_finish(txn)
@@ -588,10 +588,10 @@ class ShardRouter:
         committed = txn.decision == DECISION_COMMIT
         if committed:
             self.committed_txns += 1
-            self.stats["txns_committed"] += 1
+            self.stats.inc("txns_committed")
         else:
             self.aborted_txns += 1
-            self.stats["txns_aborted"] += 1
+            self.stats.inc("txns_aborted")
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.complete(
                 self._track, "txn", txn.started_at, self.sim.now, cat="shard",

@@ -480,7 +480,7 @@ class ShardTxApplication(Application):
 
     def _count(self, name: str) -> None:
         if self._stats is not None:
-            self._stats[name] += 1
+            self._stats.inc(name)
 
     def _mark(self, phase: str, txid: bytes) -> None:
         tracer = self._tracer

@@ -49,31 +49,49 @@ def encode_record(values: list[SqlValue]) -> bytes:
 
 
 def decode_record(data: bytes) -> list[SqlValue]:
-    """Deserialize a row."""
+    """Deserialize a row.
+
+    Malformed input fails loud with :class:`SqlError`: a record that ends
+    before its last value (in a tag, a number, a length prefix or the bytes
+    a prefix announces), an unknown tag, or TEXT that is not UTF-8.
+    """
     if not data:
         raise SqlError("empty record")
     count = data[0]
     pos = 1
     values: list[SqlValue] = []
-    for _ in range(count):
-        tag = data[pos]
-        pos += 1
-        if tag == _TAG_NULL:
-            values.append(SqlNull)
-        elif tag == _TAG_INT:
-            values.append(_I64.unpack_from(data, pos)[0])
-            pos += 8
-        elif tag == _TAG_REAL:
-            values.append(_F64.unpack_from(data, pos)[0])
-            pos += 8
-        elif tag in (_TAG_TEXT, _TAG_BLOB):
-            length = _U32.unpack_from(data, pos)[0]
-            pos += 4
-            raw = data[pos : pos + length]
-            pos += length
-            values.append(raw.decode() if tag == _TAG_TEXT else bytes(raw))
-        else:
-            raise SqlError(f"corrupt record: unknown tag {tag}")
+    try:
+        for _ in range(count):
+            tag = data[pos]
+            pos += 1
+            if tag == _TAG_NULL:
+                values.append(SqlNull)
+            elif tag == _TAG_INT:
+                values.append(_I64.unpack_from(data, pos)[0])
+                pos += 8
+            elif tag == _TAG_REAL:
+                values.append(_F64.unpack_from(data, pos)[0])
+                pos += 8
+            elif tag in (_TAG_TEXT, _TAG_BLOB):
+                length = _U32.unpack_from(data, pos)[0]
+                pos += 4
+                if pos + length > len(data):
+                    raise SqlError(
+                        f"corrupt record: truncated value {len(values)}: "
+                        f"{length} bytes announced, {len(data) - pos} left"
+                    )
+                raw = data[pos : pos + length]
+                pos += length
+                values.append(raw.decode() if tag == _TAG_TEXT else bytes(raw))
+            else:
+                raise SqlError(f"corrupt record: unknown tag {tag}")
+    except (IndexError, struct.error):
+        raise SqlError(
+            f"corrupt record: truncated value {len(values)} of {count} "
+            f"at byte {pos} of {len(data)}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise SqlError(f"corrupt record: TEXT value {len(values)} is not UTF-8") from exc
     return values
 
 

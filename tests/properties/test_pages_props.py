@@ -137,3 +137,105 @@ def test_restore_with_tree_snapshot_equals_redigest(ops):
     redigested.restore(pages, None)  # no tree snapshot: every page re-digested
     assert with_nodes.root == redigested.root == root == reference_root(state)
     assert with_nodes.read(0, SIZE) == redigested.read(0, SIZE)
+
+
+# -- copy-on-write isolation -------------------------------------------------
+#
+# Between checkpoints a page being written is an open buffer that writes
+# splice into in place; snapshot_pages/refresh_tree/page freeze it back to
+# bytes.  Programs below interleave every operation that opens, splices,
+# freezes or replaces a page, against a flat bytearray model plus a copy of
+# the model taken at each snapshot.
+
+def _as(kind, data):
+    if kind == "bytearray":
+        return bytearray(data)
+    if kind == "memoryview":
+        return memoryview(bytearray(data))
+    return bytes(data)
+
+
+_kinds = st.sampled_from(["bytes", "bytearray", "memoryview"])
+_sub_page = st.tuples(
+    st.just("write"), st.integers(0, SIZE - 1), st.binary(min_size=1, max_size=PAGE_SIZE // 2),
+    _kinds,
+)
+_whole_page = st.tuples(
+    st.just("write"), st.integers(0, NUM_PAGES - 1).map(lambda p: p * PAGE_SIZE),
+    st.binary(min_size=PAGE_SIZE, max_size=PAGE_SIZE), _kinds,
+)
+_straddling = st.tuples(
+    st.just("write"),
+    st.integers(1, NUM_PAGES - 1).flatmap(
+        lambda p: st.integers(p * PAGE_SIZE - PAGE_SIZE // 2, p * PAGE_SIZE - 1)
+    ),
+    st.binary(min_size=PAGE_SIZE // 2 + 1, max_size=2 * PAGE_SIZE),
+    _kinds,
+)
+_steps = st.lists(
+    st.one_of(
+        _sub_page, _whole_page, _straddling,
+        st.tuples(st.just("read"), st.integers(0, SIZE - 1), st.integers(1, 2 * PAGE_SIZE)),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("page"), st.integers(0, NUM_PAGES - 1)),
+        st.tuples(
+            st.just("install"), st.integers(0, NUM_PAGES - 1),
+            st.binary(min_size=PAGE_SIZE, max_size=PAGE_SIZE), _kinds,
+        ),
+        st.tuples(st.just("restore"), st.integers(0, 7), st.booleans()),
+        st.tuples(st.just("refresh")),
+        st.tuples(st.just("end")),
+    ),
+    max_size=40,
+)
+
+
+@given(steps=_steps)
+@settings(max_examples=150, deadline=None)
+def test_snapshots_are_isolated_from_later_writes(steps):
+    state = PagedState(NUM_PAGES, PAGE_SIZE)
+    model = bytearray(SIZE)
+    snapshots = []  # (pages as returned, model copy, tree nodes)
+    writes = 0
+    for step in steps:
+        op = step[0]
+        if op == "write":
+            _, offset, data, kind = step
+            data = data[: SIZE - offset]
+            state.modify(offset, len(data))
+            state.write(offset, _as(kind, data))
+            model[offset : offset + len(data)] = data
+            writes += 1
+        elif op == "read":
+            _, offset, length = step
+            length = min(length, SIZE - offset)
+            got = state.read(offset, length)
+            assert got.__class__ is bytes
+            assert got == model[offset : offset + length]
+        elif op == "snapshot":
+            pages = state.snapshot_pages()
+            assert all(page.__class__ is bytes for page in pages)
+            snapshots.append((pages, bytes(model), state.tree.snapshot_nodes()))
+        elif op == "page":
+            index = step[1]
+            page = state.page(index)
+            assert page.__class__ is bytes
+            assert page == model[index * PAGE_SIZE : (index + 1) * PAGE_SIZE]
+        elif op == "install":
+            _, index, data, kind = step
+            state.install_page(index, _as(kind, data))
+            model[index * PAGE_SIZE : (index + 1) * PAGE_SIZE] = data
+        elif op == "restore" and snapshots:
+            pages, content, nodes = snapshots[step[1] % len(snapshots)]
+            state.restore(pages, nodes if step[2] else None)
+            model[:] = content
+        elif op == "refresh":
+            assert state.refresh_tree() == reference_root(state)
+        elif op == "end":
+            state.end_of_execution()
+        # Nothing done since may show through an earlier snapshot.
+        for pages, content, _nodes in snapshots:
+            assert b"".join(pages) == content
+    assert state.read(0, SIZE) == bytes(model)
+    assert state.writes == writes
+    assert state.refresh_tree() == reference_root(state)

@@ -103,6 +103,21 @@ def test_stats_view_behaves_like_defaultdict_int():
     assert dict(stats) == {"requests_executed": 3}
 
 
+def test_stats_view_inc_is_plus_equals():
+    reg = MetricsRegistry()
+    stats = reg.view("replica0.")
+    stats.inc("replies_sent")
+    stats.inc("replies_sent", 4)
+    stats["replies_sent"] += 1
+    assert stats["replies_sent"] == 6
+    assert reg.counter("replica0.replies_sent").value == 6
+    assert list(stats) == ["replies_sent"]
+    # A name taken by another instrument is refused exactly as += would.
+    reg.gauge("replica0.depth")
+    with pytest.raises(ConfigError):
+        stats.inc("depth")
+
+
 def test_stats_views_share_one_registry_but_not_keys():
     reg = MetricsRegistry()
     a, b = reg.view("a."), reg.view("b.")

@@ -79,6 +79,17 @@ class TestMessageLog:
         with pytest.raises(ProtocolError):
             log.slot(17)
 
+    def test_open_resolves_the_same_pair_as_slot_and_view_slot(self):
+        log = MessageLog(16)
+        log.advance_stable(4)
+        assert log.open(4, 0) is None and log.open(21, 0) is None
+        assert log.slots == {} and log.unexecuted == 0  # nothing created outside
+        slot, vs = log.open(5, 1)
+        assert (slot, vs) == (log.slot(5), log.slot(5).view_slot(1))
+        assert log.unexecuted == 1
+        assert log.open(5, 1) == (slot, vs)
+        assert log.open(5, 2)[1] is not vs
+
     def test_advance_stable_moves_window_and_gcs(self):
         log = MessageLog(16)
         log.slot(1)

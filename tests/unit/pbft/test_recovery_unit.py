@@ -160,31 +160,148 @@ def test_state_transfer_restores_reply_cache(cluster):
         assert not got.tentative
 
 
-def test_checkpoint_stable_finalizes_tentative_executions(cluster):
-    """A stable checkpoint is a global commit proof: it must clear the
-    tentative flag on covered slots and their cached replies before
-    ``committed_upto`` jumps over them."""
-    from repro.pbft.messages import Reply
+# -- what a retransmitting client is told -------------------------------------
+#
+# A reply produced by tentative execution is flagged tentative; once a quorum
+# proof shows the execution final (a commit certificate, a stable checkpoint,
+# a committed replay) every resend of it must be flagged stable, or the
+# client waits for f+1 stable votes that never come.  These tests watch the
+# resend itself, not how the replica stores it.
 
-    diverge_and_checkpoint(cluster)
-    replica = cluster.replicas[0]
-    seq = max(replica.exec_journal)
-    _pp, requests = replica.exec_journal[seq]
-    slot = replica.log.peek(seq)
-    slot.tentative = True
-    req = next(r for r in requests if r is not None)
-    cached = replica.reqstore.last_reply[req.client]
-    assert cached.req_id == req.req_id
-    replica.reqstore.last_reply[req.client] = Reply(
-        view=cached.view,
-        req_id=cached.req_id,
-        client=cached.client,
-        sender=cached.sender,
-        result=cached.result,
-        tentative=True,
-        digest_only=cached.digest_only,
+LAGGARD = 3
+
+
+def retransmit(replica, req):
+    """The reply ``replica`` sends a client that retransmits ``req``."""
+    sent = []
+    replica.send_mac = lambda addr, kind, peer, msg, *rest: sent.append(msg)
+    try:
+        replica.on_request(req)
+    finally:
+        del replica.send_mac
+    (reply,) = sent
+    assert reply.req_id == req.req_id and not reply.digest_only
+    return reply
+
+
+def execute_without_commits(cluster, ops):
+    """Run ``ops`` (client indices) while every Commit to the laggard is
+    lost: it executes each batch tentatively and never sees a commit
+    certificate.  Returns the laggard and ``{seq: requests}`` of what it
+    executed (kept here: a stable checkpoint GCs its journal)."""
+    from repro.net.fabric import DropRule
+    from repro.pbft.node import replica_address
+
+    laggard = cluster.replicas[LAGGARD]
+    cluster.fabric.add_drop_rule(
+        DropRule(
+            lambda p: p.kind == "Commit" and p.dst == replica_address(LAGGARD),
+            name="commits-to-laggard",
+        )
     )
-    replica._on_checkpoint_stable(seq)
-    assert not slot.tentative
-    assert not replica.reqstore.last_reply[req.client].tentative
-    assert replica.committed_upto >= seq
+    executed = {}
+    execute_batch = laggard._execute_batch
+
+    def spy(pp, requests, *args, **kwargs):
+        executed[pp.seq] = list(requests)
+        execute_batch(pp, requests, *args, **kwargs)
+
+    laggard._execute_batch = spy
+    try:
+        for i, client in enumerate(ops):
+            cluster.invoke_and_wait(cluster.clients[client], bytes([0, i]))
+        cluster.run_for(int(0.01 * SECOND))
+    finally:
+        del laggard._execute_batch
+    return laggard, executed
+
+
+def commit_at(replica, seq):
+    """Deliver the commit certificate for ``seq`` from the other replicas."""
+    from repro.pbft.messages import Commit
+
+    pp = replica.exec_journal[seq][0]
+    for rid in range(replica.n):
+        if rid != replica.node_id:
+            replica.on_commit(
+                Commit(view=pp.view, seq=seq, batch_digest=pp.batch_digest, sender=rid)
+            )
+
+
+def replay_committed(replica, requests, seq):
+    """A peer's certified retransmit of a committed batch at ``seq``."""
+    from repro.pbft.messages import BatchRetransmit, PrePrepare
+
+    earlier = replica.exec_journal[replica.last_exec][0]
+    pp = PrePrepare(
+        view=earlier.view, seq=seq,
+        request_digests=tuple(r.digest for r in requests),
+        nondet=earlier.nondet, sender=earlier.sender,
+    )
+    replica.on_batch_retransmit(
+        BatchRetransmit(
+            pre_prepare=pp,
+            commit_proof=tuple(range(replica.config.quorum)),
+            requests=tuple(requests),
+            sender=earlier.sender,
+        )
+    )
+
+
+def test_resend_is_tentative_until_the_commit_certificate(cluster):
+    laggard, executed = execute_without_commits(cluster, [0])
+    ((seq, (req,)),) = executed.items()
+    assert retransmit(laggard, req).tentative
+    commit_at(laggard, seq)
+    assert laggard.committed_upto == seq
+    assert not retransmit(laggard, req).tentative
+
+
+def test_checkpoint_stable_finalizes_tentative_executions(cluster):
+    """A stable checkpoint is a global commit proof: resends of replies
+    executed tentatively at or below it are stable, even though this
+    replica never saw their commit certificates."""
+    interval = cluster.config.checkpoint_interval
+    laggard, executed = execute_without_commits(cluster, [0, 1] * interval + [0])
+    stable = laggard.checkpoints.stable_seq
+    assert stable >= interval and max(executed) > stable
+    # Only the checkpoint moved committed_upto: no commit ever arrived.
+    assert laggard.committed_upto == stable
+    below = executed[stable][-1]
+    above = executed[max(executed)][-1]
+    assert below.client != above.client
+    assert not retransmit(laggard, below).tentative
+    assert retransmit(laggard, above).tentative
+    # The checkpoint snapshot carries the replies as they were answered
+    # then: nothing past its seq was proven, so nothing was stabilized.
+    snapshot = laggard.checkpoints.latest_stable().meta["client_replies"]
+    assert all(reply.tentative for reply in snapshot.values())
+
+
+def test_committed_replay_stabilizes_the_resend(cluster):
+    laggard, executed = execute_without_commits(cluster, [0])
+    ((seq, (req,)),) = executed.items()
+    assert retransmit(laggard, req).tentative
+    # The same request in a later committed batch is executed already: the
+    # replay proves it (and answers the client again, now stable).
+    replay_committed(laggard, [req], seq + 1)
+    assert laggard.last_exec == seq + 1
+    assert not retransmit(laggard, req).tentative
+
+
+def test_resend_stays_tentative_when_committed_upto_jumps_a_slot(cluster):
+    """A committed replay of the *next* slot moves committed_upto past a
+    slot that only executed tentatively; that slot is never finalized by
+    the commit walk, so its reply stays tentative until a checkpoint
+    covering it stabilizes."""
+    from repro.pbft.messages import Request
+
+    laggard, executed = execute_without_commits(cluster, [0])
+    ((seq, (req,)),) = executed.items()
+    other = Request(client=cluster.clients[1].node_id, req_id=1, op=b"\x00next")
+    replay_committed(laggard, [other], seq + 1)
+    assert laggard.committed_upto == seq + 1
+    commit_at(laggard, seq)  # too late: the walk starts past it
+    assert laggard.log.peek(seq).committed
+    assert retransmit(laggard, req).tentative
+    assert not retransmit(laggard, other).tentative

@@ -29,6 +29,38 @@ def test_corrupt_record_rejected():
         decode_record(b"\x01\xfe")  # unknown tag
 
 
+SAMPLE_ROW = [SqlNull, 42, -2.5, "tëxt", b"\x00\x01\x02", "", b""]
+
+
+def test_every_truncation_raises_only_sql_error():
+    """A record cut anywhere — in a tag, an INT/REAL, a length prefix or
+    the bytes a prefix announces — fails loud, never with a bare
+    IndexError/struct.error or a silently shortened TEXT/BLOB."""
+    record = encode_record(SAMPLE_ROW)
+    for cut in range(len(record)):
+        with pytest.raises(SqlError, match="corrupt record|empty record"):
+            decode_record(record[:cut])
+
+
+def test_truncated_text_and_blob_are_not_shortened():
+    for value in ("abcdef", b"abcdef"):
+        record = encode_record([value])
+        with pytest.raises(SqlError, match="truncated value 0: 6 bytes announced, 3 left"):
+            decode_record(record[:-3])
+
+
+def test_non_utf8_text_is_a_sql_error():
+    record = encode_record(["ab"])
+    with pytest.raises(SqlError, match="not UTF-8"):
+        decode_record(record[:-2] + b"\xff\xfe")
+
+
+def test_round_trips_unchanged_by_the_checks():
+    assert decode_record(encode_record(SAMPLE_ROW)) == SAMPLE_ROW
+    for value in SAMPLE_ROW:
+        assert decode_record(encode_record([value])) == [value]
+
+
 def test_rowid_encoding_preserves_order():
     ids = [-100, -1, 0, 1, 7, 1 << 40]
     encoded = [encode_rowid(i) for i in ids]
