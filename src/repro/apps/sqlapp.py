@@ -26,7 +26,9 @@ from repro.crypto.digests import md5_digest
 from repro.pbft.messages import message
 from repro.pbft.replica import Application
 from repro.pbft.wire import blob, decode_exact, layout, seq, tagged, text, u64
+from repro.sqlstate import ast
 from repro.sqlstate.engine import Database, ResultSet
+from repro.sqlstate.parser import parse
 from repro.sqlstate.records import decode_record, encode_record
 from repro.sqlstate.vfs import DiskModel, MemoryVfsFile, StateRegionVfsFile, VfsEnvironment
 from repro.sqlstate.values import SqlNull
@@ -72,47 +74,38 @@ def decode_sql_op(op: bytes) -> tuple[str, tuple]:
     return decoded.sql, tuple(_values_of(decoded.record))
 
 
-_TABLE_INTRODUCERS = frozenset({"from", "into", "update", "join", "table"})
-_STOP_WORDS = frozenset(
-    {"select", "where", "set", "values", "on", "as", "order", "group",
-     "limit", "inner", "left", "outer", "cross", "if", "not", "exists"}
-)
+# The field that names a table, for every node that names one.
+_TABLE_FIELDS = {
+    ast.TableRef: "name", ast.Insert: "table", ast.Update: "table",
+    ast.Delete: "table", ast.CreateTable: "name", ast.CreateIndex: "table",
+    ast.DropTable: "name", ast.AlterTableAddColumn: "table",
+}
 
 
 @functools.lru_cache(maxsize=256)
 def tables_of_sql(sql: str) -> tuple[str, ...]:
-    """The table names a statement references, in first-mention order.
+    """The table names a statement references, subqueries included, in
+    first-mention order.
 
     This is the sharding layer's routing unit for SQL (tables, not rows:
     SQL tables are few and heavy, so :mod:`repro.shard` places and locks
-    whole tables).  A word-level scan over the statement — after FROM /
-    INTO / UPDATE / JOIN / TABLE, identifiers (comma-separated lists
-    included) are tables — is exact for the dialect the embedded engine
-    accepts, which has no subqueries in FROM and no quoted table names.
+    whole tables).  The names come from the engine's own parse.  A
+    statement the engine cannot parse names no table and fails the same
+    way when executed; it does not raise here, because lock keys are
+    computed inside ordered execution at every replica.
     """
-    words = sql.replace(",", " , ").replace("(", " ( ").replace(";", " ").split()
-    tables: list[str] = []
-    # "idle" -> introducer seen: "table" -> name taken: "alias" (a comma
-    # returns to "table" so comma-separated FROM lists keep collecting).
-    state = "idle"
-    for word in words:
-        lowered = word.lower()
-        if lowered in _TABLE_INTRODUCERS:
-            state = "table"
-            continue
-        if state == "table":
-            if lowered in _STOP_WORDS or not (word[0].isalpha() or word[0] == "_"):
-                state = "idle"
-                continue
-            if lowered not in tables:
-                tables.append(lowered)
-            state = "alias"
-        elif state == "alias":
-            if lowered == ",":
-                state = "table"
-            elif lowered in _STOP_WORDS or not (word[0].isalpha() or word[0] == "_"):
-                state = "idle"
-            # any other identifier is an alias: stay, a comma may follow
+    try:
+        stmt = parse(sql)
+    except (SqlError, RecursionError):
+        return ()
+    tables: dict[str, None] = {}
+
+    def enter(node) -> None:
+        field = _TABLE_FIELDS.get(type(node))
+        if field is not None:
+            tables.setdefault(getattr(node, field).lower())
+
+    ast.walk(stmt, enter)
     return tuple(tables)
 
 

@@ -1,9 +1,9 @@
-"""Statement and expression AST nodes."""
+"""Statement and expression AST nodes, and the one traversal of them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Callable, Iterator, Optional
 
 
 # -- expressions ----------------------------------------------------------------
@@ -226,3 +226,83 @@ class Commit:
 @dataclass(frozen=True)
 class Rollback:
     pass
+
+
+# -- traversal -------------------------------------------------------------------
+# Every pass that searches or rewrites a tree goes through ``walk`` or
+# ``rewrite``, so the grammar is spelled out once: in the field lists above.
+# A field holds a node, a tuple of them (nested for CASE arms and UPDATE
+# assignments), or a scalar.
+
+_FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in list(globals().values())
+    if isinstance(cls, type) and is_dataclass(cls)
+}
+
+
+def _nodes(value) -> Iterator:
+    if type(value) is tuple:
+        for item in value:
+            yield from _nodes(item)
+    elif type(value) in _FIELDS:
+        yield value
+
+
+def children(node) -> Iterator:
+    """The child nodes of ``node`` in field order, which is source order."""
+    for name in _FIELDS.get(type(node), ()):
+        yield from _nodes(getattr(node, name))
+
+
+def walk(node, enter: Callable, in_scope: bool = False) -> None:
+    """Pre-order walk: ``enter(n)`` on ``node``, then on its children in
+    source order; when it returns False, ``n``'s children are skipped.
+    ``in_scope`` stops at a nested ``Select``: a subquery is its own scope,
+    so its column references and aggregates are not this statement's."""
+    if enter(node) is False:
+        return
+    for child in children(node):
+        if not (in_scope and type(child) is Select):
+            walk(child, enter, in_scope)
+
+
+def rewrite(node, fn: Callable, in_scope: bool = False):
+    """``node`` with subtrees replaced top-down: ``fn(n)`` returns the
+    replacement for ``n`` (not walked further) or None to descend.  An
+    unchanged subtree comes back as the *same object*, since aggregates are
+    keyed by ``id()``: a rewritten HAVING must still hold the select list's
+    own aggregate nodes.  ``in_scope`` is as for :func:`walk`."""
+    replacement = fn(node)
+    if replacement is not None:
+        return replacement
+    changes = {}
+    for name in _FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        new = _rewrite_value(value, fn, in_scope)
+        if new is not value:
+            changes[name] = new
+    return replace(node, **changes) if changes else node
+
+
+def _rewrite_value(value, fn, in_scope):
+    if type(value) is tuple:
+        items = tuple(_rewrite_value(item, fn, in_scope) for item in value)
+        return value if all(a is b for a, b in zip(items, value)) else items
+    if type(value) in _FIELDS and not (in_scope and type(value) is Select):
+        return rewrite(value, fn, in_scope)
+    return value
+
+
+def table_refs(source) -> list[TableRef]:
+    """The tables of a FROM clause (None, a TableRef or a Join), left to
+    right; ON clauses are not entered."""
+    refs: list[TableRef] = []
+
+    def enter(node) -> bool:
+        if type(node) is TableRef:
+            refs.append(node)
+        return type(node) is Join
+
+    walk(source, enter)
+    return refs

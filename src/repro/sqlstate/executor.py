@@ -40,25 +40,14 @@ class RowContext:
         self.qualified: dict[tuple[str, str], object] = {}
         self.names: dict[str, list[tuple[str, str]]] = {}
 
-    def bind_table(self, alias: str, table: Table, rowid: int, row: list) -> None:
+    def bind_table(self, alias: str, table: Table, rowid, row: list) -> None:
+        """Bind one row of ``table``, padded to its schema, as ``alias``."""
         alias_l = alias.lower()
         self.qualified[(alias_l, "rowid")] = rowid
         self.names.setdefault("rowid", []).append((alias_l, "rowid"))
-        for position, col in enumerate(table.columns):
-            # Rows written before an ALTER TABLE ADD COLUMN are shorter
-            # than the schema; missing trailing columns read as defaults.
-            value = row[position] if position < len(row) else col.default
+        for col, value in zip(table.columns, row):
             key = (alias_l, col.name.lower())
             self.qualified[key] = value
-            self.names.setdefault(col.name.lower(), []).append(key)
-
-    def bind_nulls(self, alias: str, table: Table) -> None:
-        alias_l = alias.lower()
-        self.qualified[(alias_l, "rowid")] = SqlNull
-        self.names.setdefault("rowid", []).append((alias_l, "rowid"))
-        for col in table.columns:
-            key = (alias_l, col.name.lower())
-            self.qualified[key] = SqlNull
             self.names.setdefault(col.name.lower(), []).append(key)
 
     def lookup(self, name: str, table: Optional[str]) -> object:
@@ -127,7 +116,7 @@ class Executor:
             value = self.eval(expr.operand, ctx, params, agg)
             result = value is SqlNull
             return int(result != expr.negated)
-        if isinstance(expr, ast.InList):
+        if isinstance(expr, (ast.InList, ast.InSelect)):
             return self._eval_in(expr, ctx, params, agg)
         if isinstance(expr, ast.Between):
             value = self.eval(expr.operand, ctx, params, agg)
@@ -148,22 +137,6 @@ class Executor:
             return call_scalar(expr.name, args, self.env)
         if isinstance(expr, ast.CaseExpr):
             return self._eval_case(expr, ctx, params, agg)
-        if isinstance(expr, ast.InSelect):
-            value = self.eval(expr.operand, ctx, params, agg)
-            if value is SqlNull:
-                return SqlNull
-            rows = self._subquery_rows(expr.select, params)
-            saw_null = False
-            for row in rows:
-                candidate = row[0]
-                if candidate is SqlNull:
-                    saw_null = True
-                    continue
-                if compare(value, candidate) == 0:
-                    return int(not expr.negated)
-            if saw_null:
-                return SqlNull
-            return int(expr.negated)
         if isinstance(expr, ast.ScalarSubquery):
             rows = self._subquery_rows(expr.select, params)
             return rows[0][0] if rows else SqlNull
@@ -243,26 +216,36 @@ class Executor:
             return left - right
         if op == "*":
             return left * right
+        integers = isinstance(left, int) and isinstance(right, int)
         if op == "/":
             if right == 0:
                 return SqlNull  # SQLite yields NULL on division by zero
-            result = left / right
-            if isinstance(left, int) and isinstance(right, int):
-                return int(left // right) if left % right == 0 else left // right
-            return result
+            if integers:  # truncates toward zero, as in C
+                quotient = abs(left) // abs(right)
+                return quotient if (left < 0) == (right < 0) else -quotient
+            return left / right
         if op == "%":
+            # SQLite takes the remainder of the operands cast to INTEGER,
+            # with the dividend's sign, and returns REAL if either was REAL.
+            left, right = _to_integer(left), _to_integer(right)
             if right == 0:
                 return SqlNull
-            return left % right
+            remainder = abs(left) % abs(right)
+            remainder = -remainder if left < 0 else remainder
+            return remainder if integers else float(remainder)
         raise SqlError(f"unknown operator {op}")
 
     def _eval_in(self, expr, ctx, params, agg):
+        """``x [NOT] IN`` a list or a subquery's first column, three-valued."""
         value = self.eval(expr.operand, ctx, params, agg)
         if value is SqlNull:
             return SqlNull
+        if isinstance(expr, ast.InSelect):
+            candidates = (row[0] for row in self._subquery_rows(expr.select, params))
+        else:
+            candidates = (self.eval(item, ctx, params, agg) for item in expr.items)
         saw_null = False
-        for item in expr.items:
-            candidate = self.eval(item, ctx, params, agg)
+        for candidate in candidates:
             if candidate is SqlNull:
                 saw_null = True
                 continue
@@ -291,6 +274,11 @@ class Executor:
         if expr.default is not None:
             return self.eval(expr.default, ctx, params, agg)
         return SqlNull
+
+    def _holds(self, condition, ctx: RowContext, params, agg=None) -> bool:
+        """Whether ``condition`` (None: there is none) is true for ``ctx``;
+        NULL is not true."""
+        return condition is None or is_truthy(self.eval(condition, ctx, params, agg))
 
     def eval_literal(self, expr):
         """Constant-fold an expression with no row context (defaults)."""
@@ -397,10 +385,8 @@ class Executor:
         # Materialize candidates first: mutating while scanning is unsafe.
         victims = list(self._candidates(table, table.name, stmt.where, params))
         for rowid, row, ctx in victims:
-            if stmt.where is not None:
-                verdict = self.eval(stmt.where, ctx, params)
-                if verdict is SqlNull or not is_truthy(verdict):
-                    continue
+            if not self._holds(stmt.where, ctx, params):
+                continue
             new_values = list(row)
             for position, expr in assignments:
                 value = self.eval(expr, ctx, params)
@@ -443,11 +429,8 @@ class Executor:
         tree = BTree(self.pager, table.root_page)
         victims = []
         for rowid, row, ctx in self._candidates(table, table.name, stmt.where, params):
-            if stmt.where is not None:
-                verdict = self.eval(stmt.where, ctx, params)
-                if verdict is SqlNull or not is_truthy(verdict):
-                    continue
-            victims.append((rowid, row))
+            if self._holds(stmt.where, ctx, params):
+                victims.append((rowid, row))
         for rowid, row in victims:
             tree.delete(encode_rowid(rowid))
             for index in table.indexes:
@@ -463,11 +446,12 @@ class Executor:
     def _candidates(
         self, table: Table, alias: str, where, params
     ) -> Iterator[tuple[int, list, RowContext]]:
-        """Rows possibly matching ``where``, by the access path the planner
-        picks (full scan when nothing narrower applies).  The WHERE clause
-        is still re-checked by the caller."""
-        plan = self._scan_plan(table, alias, where)
-        return self._plan_candidates(plan, table, alias, params)
+        """Rows possibly matching ``where``, each bound to ``alias``.  The
+        WHERE clause is still re-checked by the caller."""
+        for rowid, row in self._scan_rows(table, alias, where, params):
+            ctx = RowContext()
+            ctx.bind_table(alias, table, rowid, row)
+            yield rowid, row, ctx
 
     @staticmethod
     def _pad_row(table: Table, row: list) -> list:
@@ -497,86 +481,67 @@ class Executor:
         self._plan_memo[key] = (where, table, plan, self.pager.schema_version)
         return plan
 
-    def _plan_candidates(
-        self, plan: "planner.ScanPlan", table: Table, alias: str, params
-    ) -> Iterator[tuple[int, list, RowContext]]:
-        """Execute an access plan.  Any bound value the plan cannot probe
-        with (NULL, NaN, a non-integer rowid) degrades to the full scan,
-        which the caller's WHERE re-check makes correct for any predicate."""
-        tree = BTree(self.pager, table.root_page)
+    def _scan_rows(
+        self, table: Table, alias: str, where, params
+    ) -> Iterator[tuple[int, list]]:
+        """(rowid, row) of the rows possibly matching ``where``, by the
+        access path the planner picks.  Any bound value the plan cannot
+        probe with (NULL, NaN, a non-integer rowid) degrades to the full
+        scan, which the caller's WHERE re-check makes correct for any
+        predicate."""
+        plan = self._scan_plan(table, alias, where)
         if plan.method == "rowid-eq":
             value = self.eval(plan.eq_expr, _EMPTY_CTX, params)
             if isinstance(value, int):
-                raw = tree.get(encode_rowid(value))
-                if raw is not None:
-                    yield self._make_candidate(table, alias, value, raw)
-                return
-        elif plan.method == "index-eq":
+                return self._rowid_rows(table, (value,))
+        elif plan.method != "seq":
             index = self.catalog.indexes.get(plan.index.lower())
-            value = self.eval(plan.eq_expr, _EMPTY_CTX, params)
-            usable = (
-                index is not None
-                and value is not SqlNull
-                and not (isinstance(value, float) and value != value)
-            )
-            if usable:
-                self.index_lookups += 1
-                prefix = encode_key([value])
-                for _key, stored in self._index_tree(index).scan_prefix(prefix):
-                    rowid = decode_rowid(stored)
-                    raw = tree.get(encode_rowid(rowid))
-                    if raw is None:
-                        continue  # index ahead of table within this statement
-                    yield self._make_candidate(table, alias, rowid, raw)
-                return
-        elif plan.method == "index-range":
-            index = self.catalog.indexes.get(plan.index.lower())
-            low = high = None
-            usable = index is not None
-            if usable and plan.low is not None:
-                low = self.eval(plan.low, _EMPTY_CTX, params)
-                usable = low is not SqlNull and not (
-                    isinstance(low, float) and low != low
+            if plan.method == "index-eq":
+                low = high = self.eval(plan.eq_expr, _EMPTY_CTX, params)
+            else:
+                low, high = (
+                    None if bound is None else self.eval(bound, _EMPTY_CTX, params)
+                    for bound in (plan.low, plan.high)
                 )
-            if usable and plan.high is not None:
-                high = self.eval(plan.high, _EMPTY_CTX, params)
-                usable = high is not SqlNull and not (
-                    isinstance(high, float) and high != high
-                )
-            if usable:
-                # Inclusive encoded bounds; strictness is enforced by the
-                # caller's WHERE re-check on decoded values (the numeric
-                # key encoding is monotone but not injective, so skipping
-                # boundary-equal keys could drop true matches).
-                low_key = None if plan.low is None else encode_key([low])
-                high_key = None if plan.high is None else encode_key([high])
-                self.index_lookups += 1
-                rowids = [
-                    decode_rowid(stored)
-                    for _key, stored in self._index_tree(index).scan_range(
-                        low_key, high_key
-                    )
-                ]
-                # Emit in rowid order — the order a full scan would use —
-                # so results do not depend on which access path was picked.
-                rowids.sort()
-                for rowid in rowids:
-                    raw = tree.get(encode_rowid(rowid))
-                    if raw is None:
-                        continue
-                    yield self._make_candidate(table, alias, rowid, raw)
-                return
-        for key, raw in tree.scan():
-            yield self._make_candidate(table, alias, decode_rowid(key), raw)
+            if index is not None and all(
+                value is None or _probeable(value) for value in (low, high)
+            ):
+                return self._index_rows(table, index, low, high)
+        return self._table_rows(table)
 
-    def _make_candidate(
-        self, table: Table, alias: str, rowid: int, raw: bytes
-    ) -> tuple[int, list, RowContext]:
-        row = self._pad_row(table, decode_record(raw))
-        ctx = RowContext()
-        ctx.bind_table(alias, table, rowid, row)
-        self.rows_scanned += 1
-        return rowid, row, ctx
+    def _table_rows(self, table: Table) -> Iterator[tuple[int, list]]:
+        """Every row of ``table``, in rowid order."""
+        for key, raw in BTree(self.pager, table.root_page).scan():
+            self.rows_scanned += 1
+            yield decode_rowid(key), self._pad_row(table, decode_record(raw))
+
+    def _rowid_rows(self, table: Table, rowids) -> Iterator[tuple[int, list]]:
+        """The rows stored under ``rowids``; absent ones are skipped (an
+        index can be ahead of its table within a statement)."""
+        tree = BTree(self.pager, table.root_page)
+        for rowid in rowids:
+            raw = tree.get(encode_rowid(rowid))
+            if raw is not None:
+                self.rows_scanned += 1
+                yield rowid, self._pad_row(table, decode_record(raw))
+
+    def _index_rows(
+        self, table: Table, index: Index, low, high
+    ) -> Iterator[tuple[int, list]]:
+        """The rows whose ``index`` key lies in [low, high] (None: open).
+        Both bounds are inclusive encoded keys, and strictness is left to
+        the caller's re-check: the numeric key encoding is monotone but not
+        injective, so skipping boundary-equal keys could drop true matches.
+        Rows come in rowid order — a full scan's order — so results do not
+        depend on which access path was picked."""
+        self.index_lookups += 1
+        entries = self._index_tree(index).scan_range(
+            None if low is None else encode_key([low]),
+            None if high is None else encode_key([high]),
+        )
+        return self._rowid_rows(
+            table, sorted(decode_rowid(stored) for _key, stored in entries)
+        )
 
     def _join_plan(self, join: ast.Join) -> "planner.JoinStepPlan":
         key = (id(join), "join")
@@ -595,11 +560,6 @@ class Executor:
         self._plan_memo[key] = (join, self.pager.schema_version, plan)
         return plan
 
-    def _join_left_iter(self, join: ast.Join, params) -> Iterator[RowContext]:
-        if isinstance(join.left, ast.TableRef):
-            return self._source_rows(join.left, None, params)
-        return self._join_rows(join.left, params)
-
     def _merged_ctx(
         self, left_ctx: RowContext, right_alias: str, right_table: Table,
         rowid, row,
@@ -608,133 +568,8 @@ class Executor:
         ctx.qualified.update(left_ctx.qualified)
         for name, keys in left_ctx.names.items():
             ctx.names[name] = list(keys)
-        if row is None:
-            ctx.bind_nulls(right_alias, right_table)
-        else:
-            ctx.bind_table(right_alias, right_table, rowid, row)
+        ctx.bind_table(right_alias, right_table, rowid, row)
         return ctx
-
-    def _hash_join(
-        self, join: ast.Join, plan: "planner.JoinStepPlan", params
-    ) -> Iterator[RowContext]:
-        """Equi-join via a build/probe hash table.
-
-        The build side is scanned exactly once in rowid order (the same
-        ``rows_scanned`` as the naive materialization) and each bucket
-        keeps that order, so the emitted rows — after the full ON clause
-        is re-evaluated per candidate — are identical to the naive
-        nested loop's output, in the same order.
-        """
-        right_table = self.catalog.table(join.right.name)
-        right_alias = join.right.alias or join.right.name
-        position = (
-            None if plan.right_is_rowid
-            else right_table.column_index(plan.right_column)
-        )
-        right_rows: list[tuple[int, list]] = []
-        buckets: dict[object, list[tuple[int, list]]] = {}
-        nan_on_build = False
-        for rowid, row, _ctx in self._candidates(
-            right_table, right_alias, None, params
-        ):
-            right_rows.append((rowid, row))
-            value = rowid if position is None else row[position]
-            if isinstance(value, float) and value != value:
-                # A stored NaN compares equal to every number in this
-                # engine; hashing cannot honor that, so latch the whole
-                # join back to the nested loop.
-                nan_on_build = True
-            elif value is not SqlNull:
-                buckets.setdefault(_hashable(value), []).append((rowid, row))
-        for left_ctx in self._join_left_iter(join, params):
-            if nan_on_build:
-                candidates: list = right_rows
-            else:
-                probe = self.eval(plan.left_expr, left_ctx, params)
-                if isinstance(probe, float) and probe != probe:
-                    candidates = right_rows  # NaN probe: consult everything
-                elif probe is SqlNull:
-                    candidates = []
-                else:
-                    candidates = buckets.get(_hashable(probe), [])
-            matched = False
-            for rowid, row in candidates:
-                ctx = self._merged_ctx(left_ctx, right_alias, right_table, rowid, row)
-                verdict = self.eval(join.on, ctx, params)
-                if verdict is SqlNull or not is_truthy(verdict):
-                    continue
-                matched = True
-                yield ctx
-            if join.kind == "LEFT" and not matched:
-                yield self._merged_ctx(left_ctx, right_alias, right_table, None, None)
-
-    def _index_join(
-        self, join: ast.Join, plan: "planner.JoinStepPlan", params
-    ) -> Iterator[RowContext]:
-        """Index nested-loop: probe the right side per left row instead of
-        materializing it.  Candidates come out of the index in rowid order
-        and the full ON clause is re-checked, so results match the naive
-        loop exactly (the probe is a superset filter, never a decider)."""
-        right_table = self.catalog.table(join.right.name)
-        right_alias = join.right.alias or join.right.name
-        tree = BTree(self.pager, right_table.root_page)
-        index = (
-            None if plan.right_is_rowid
-            else self.catalog.indexes.get(plan.index.lower())
-        )
-        if index is None and not plan.right_is_rowid:
-            # The index vanished under a memoized plan; degrade to hash
-            # semantics-free materialization (the nested loop).
-            yield from self._nested_join(join, params)
-            return
-        for left_ctx in self._join_left_iter(join, params):
-            probe = self.eval(plan.left_expr, left_ctx, params)
-            candidates: list[tuple[int, list]] = []
-            if isinstance(probe, float) and probe != probe:
-                # NaN: equal to every number under compare(); scan all.
-                candidates = [
-                    (rowid, row)
-                    for rowid, row, _ctx in self._candidates(
-                        right_table, right_alias, None, params
-                    )
-                ]
-            elif probe is SqlNull:
-                candidates = []
-            elif plan.right_is_rowid:
-                rowid_probe = None
-                if isinstance(probe, int):
-                    rowid_probe = probe
-                elif isinstance(probe, float) and probe.is_integer():
-                    rowid_probe = int(probe)
-                if rowid_probe is not None:
-                    raw = tree.get(encode_rowid(rowid_probe))
-                    if raw is not None:
-                        row = self._pad_row(right_table, decode_record(raw))
-                        self.rows_scanned += 1
-                        candidates = [(rowid_probe, row)]
-            elif isinstance(probe, (int, float, str, bytes)):
-                self.index_lookups += 1
-                for _key, stored in self._index_tree(index).scan_prefix(
-                    encode_key([probe])
-                ):
-                    rowid = decode_rowid(stored)
-                    raw = tree.get(encode_rowid(rowid))
-                    if raw is None:
-                        continue
-                    candidates.append(
-                        (rowid, self._pad_row(right_table, decode_record(raw)))
-                    )
-                    self.rows_scanned += 1
-            matched = False
-            for rowid, row in candidates:
-                ctx = self._merged_ctx(left_ctx, right_alias, right_table, rowid, row)
-                verdict = self.eval(join.on, ctx, params)
-                if verdict is SqlNull or not is_truthy(verdict):
-                    continue
-                matched = True
-                yield ctx
-            if join.kind == "LEFT" and not matched:
-                yield self._merged_ctx(left_ctx, right_alias, right_table, None, None)
 
     def _source_rows(self, source, where, params) -> Iterator[RowContext]:
         if source is None:
@@ -753,36 +588,82 @@ class Executor:
         raise SqlError(f"unsupported FROM clause {type(source).__name__}")
 
     def _join_rows(self, join: ast.Join, params) -> Iterator[RowContext]:
-        plan = self._join_plan(join)
-        if plan.strategy == "hash":
-            return self._hash_join(join, plan, params)
-        elif plan.strategy == "index":
-            return self._index_join(join, plan, params)
-        else:
-            return self._nested_join(join, params)
-
-    def _nested_join(self, join: ast.Join, params) -> Iterator[RowContext]:
-        """Materialize the right side once, test ON against every pair.
-        The planner picks this when no equi-condition is usable, and
-        :meth:`_index_join` falls back to it when its index is gone."""
+        """Join ``join.right`` onto the rows of ``join.left``.  The plan only
+        picks which right rows are candidates for each left row, in rowid
+        order; the full ON clause is re-checked on every candidate, so each
+        strategy yields exactly the nested loop's rows, in its order."""
         right_table = self.catalog.table(join.right.name)
         right_alias = join.right.alias or join.right.name
-        right_rows = [
-            (rowid, row)
-            for rowid, row, _ctx in self._candidates(right_table, right_alias, None, params)
-        ]
-        for left_ctx in self._join_left_iter(join, params):
+        candidates = self._join_candidates(join, right_table, right_alias, params)
+        null_row = [SqlNull] * len(right_table.columns)
+        for left_ctx in self._source_rows(join.left, None, params):
             matched = False
-            for rowid, row in right_rows:
+            for rowid, row in candidates(left_ctx):
                 ctx = self._merged_ctx(left_ctx, right_alias, right_table, rowid, row)
-                if join.on is not None:
-                    verdict = self.eval(join.on, ctx, params)
-                    if verdict is SqlNull or not is_truthy(verdict):
-                        continue
-                matched = True
-                yield ctx
+                if self._holds(join.on, ctx, params):
+                    matched = True
+                    yield ctx
             if join.kind == "LEFT" and not matched:
-                yield self._merged_ctx(left_ctx, right_alias, right_table, None, None)
+                yield self._merged_ctx(
+                    left_ctx, right_alias, right_table, SqlNull, null_row
+                )
+
+    def _join_candidates(
+        self, join: ast.Join, right_table: Table, right_alias: str, params
+    ):
+        """``left_ctx -> right rows`` for the planned strategy: an index
+        probe per left row, a hash bucket, or — the nested loop — every
+        right row, materialized once.  A probe value that cannot be looked
+        up matches nothing when NULL and everything when NaN, which
+        compares equal to every number in this engine."""
+        plan = self._join_plan(join)
+        index = None
+        if plan.strategy == "index" and not plan.right_is_rowid:
+            # None if the index vanished under a memoized plan: nested loop.
+            index = self.catalog.indexes.get(plan.index.lower())
+        if index is not None or (plan.strategy == "index" and plan.right_is_rowid):
+
+            def probe(left_ctx):
+                value = self.eval(plan.left_expr, left_ctx, params)
+                if not _probeable(value):
+                    if value is SqlNull:
+                        return ()
+                    return self._scan_rows(right_table, right_alias, None, params)
+                if index is not None:
+                    return self._index_rows(right_table, index, value, value)
+                if isinstance(value, float) and value.is_integer():
+                    value = int(value)  # unlike a WHERE rowid probe
+                if not isinstance(value, int):
+                    return ()
+                return self._rowid_rows(right_table, (value,))
+
+            return probe
+        # The build side is scanned exactly once in rowid order, and each
+        # bucket keeps that order.
+        right_rows = list(self._scan_rows(right_table, right_alias, None, params))
+        if plan.strategy != "hash":
+            return lambda left_ctx: right_rows
+        position = (
+            None if plan.right_is_rowid
+            else right_table.column_index(plan.right_column)
+        )
+        buckets: dict[object, list[tuple[int, list]]] = {}
+        for rowid, row in right_rows:
+            value = rowid if position is None else row[position]
+            if _probeable(value):
+                buckets.setdefault(_hashable(value), []).append((rowid, row))
+            elif value is not SqlNull:
+                # A stored NaN equals every number; hashing cannot honor
+                # that, so the whole join falls back to the nested loop.
+                return lambda left_ctx: right_rows
+
+        def bucket(left_ctx):
+            value = self.eval(plan.left_expr, left_ctx, params)
+            if _probeable(value):
+                return buckets.get(_hashable(value), ())
+            return () if value is SqlNull else right_rows
+
+        return bucket
 
     # ==== SELECT ======================================================================
 
@@ -792,60 +673,46 @@ class Executor:
         if not nested:
             self.begin_statement()
         items = self._expand_stars(stmt)
-        having = _resolve_aliases(stmt.having, items) if stmt.having is not None else None
-        agg_nodes = []
-        for item in items:
-            _collect_aggregates(item.expr, agg_nodes)
-        for order in stmt.order_by:
-            _collect_aggregates(order.expr, agg_nodes)
-        if having is not None:
-            _collect_aggregates(having, agg_nodes)
-        # The same node can be referenced from several places (an aliased
-        # item reused by HAVING/ORDER BY); step each aggregate once per row.
-        seen_ids = set()
-        agg_nodes = [
-            n for n in agg_nodes if id(n) not in seen_ids and not seen_ids.add(id(n))
-        ]
+        having, *order_exprs = _resolve_aliases(
+            [stmt.having, *(order.expr for order in stmt.order_by)], items
+        )
+        # An aliased item reused by HAVING/ORDER BY is the same node there:
+        # each aggregate is stepped once per row.
+        agg_nodes = planner.aggregate_calls(
+            [*(item.expr for item in items), *order_exprs, having]
+        )
         is_aggregate = bool(agg_nodes) or bool(stmt.group_by)
 
         columns = [self._column_label(item, i) for i, item in enumerate(items)]
         self._validate_column_refs(stmt, items)
 
         source_where = stmt.where if isinstance(stmt.source, ast.TableRef) else None
-        rows_in = self._source_rows(stmt.source, source_where, params)
+        rows_in = (
+            ctx for ctx in self._source_rows(stmt.source, source_where, params)
+            if self._holds(stmt.where, ctx, params)
+        )
 
-        def passes_where(ctx: RowContext) -> bool:
-            if stmt.where is None:
-                return True
-            verdict = self.eval(stmt.where, ctx, params)
-            return verdict is not SqlNull and is_truthy(verdict)
+        def new_group(ctx: RowContext) -> tuple[RowContext, dict]:
+            return ctx, {
+                id(node): Aggregate(
+                    "count_star" if node.star else node.name, distinct=node.distinct
+                )
+                for node in agg_nodes
+            }
 
         results: list[tuple[tuple, RowContext, Optional[dict]]] = []
         if not is_aggregate:
             for ctx in rows_in:
-                if not passes_where(ctx):
-                    continue
                 row = tuple(self.eval(item.expr, ctx, params) for item in items)
                 results.append((row, ctx, None))
         else:
             groups: dict[tuple, tuple[RowContext, dict]] = {}
             for ctx in rows_in:
-                if not passes_where(ctx):
-                    continue
                 group_key = tuple(
                     _hashable(self.eval(g, ctx, params)) for g in stmt.group_by
                 )
                 if group_key not in groups:
-                    groups[group_key] = (
-                        ctx,
-                        {
-                            id(node): Aggregate(
-                                "count_star" if node.star else node.name,
-                                distinct=node.distinct,
-                            )
-                            for node in agg_nodes
-                        },
-                    )
+                    groups[group_key] = new_group(ctx)
                 _ctx, aggs = groups[group_key]
                 for node in agg_nodes:
                     state = aggs[id(node)]
@@ -855,22 +722,11 @@ class Executor:
                         state.step(self.eval(node.args[0], ctx, params))
             if not groups and not stmt.group_by:
                 # Aggregate over an empty set still yields one row.
-                groups[()] = (
-                    RowContext(),
-                    {
-                        id(node): Aggregate(
-                            "count_star" if node.star else node.name,
-                            distinct=node.distinct,
-                        )
-                        for node in agg_nodes
-                    },
-                )
+                groups[()] = new_group(RowContext())
             for _group_key, (ctx, aggs) in groups.items():
                 agg_values = {key: state.result() for key, state in aggs.items()}
-                if having is not None:
-                    verdict = self.eval(having, ctx, params, agg_values)
-                    if verdict is SqlNull or not is_truthy(verdict):
-                        continue
+                if not self._holds(having, ctx, params, agg_values):
+                    continue
                 row = tuple(
                     self.eval(item.expr, ctx, params, agg_values) for item in items
                 )
@@ -878,9 +734,9 @@ class Executor:
 
         if stmt.order_by:
             def cmp_rows(a, b):
-                for order in stmt.order_by:
-                    va = self._order_value(order, a, items, params)
-                    vb = self._order_value(order, b, items, params)
+                for order, expr in zip(stmt.order_by, order_exprs):
+                    va = self._order_value(order, expr, a, items, params)
+                    vb = self._order_value(order, expr, b, items, params)
                     c = compare(va, vb)
                     if c:
                         return -c if order.descending else c
@@ -909,20 +765,23 @@ class Executor:
             rows = rows[offset:]
         return columns, rows
 
-    def _order_value(self, order, result_entry, items, params):
+    def _order_value(self, order, expr, result_entry, items, params):
+        """The sort key of one result row; ``expr`` is ``order.expr`` with
+        select-item aliases resolved."""
         row, ctx, agg_values = result_entry
         # ORDER BY <n> refers to the n-th select item (1-based).
         if isinstance(order.expr, ast.Literal) and isinstance(order.expr.value, int):
             position = order.expr.value
             if 1 <= position <= len(row):
                 return row[position - 1]
-        # ORDER BY <alias> refers to a select item by its output name.
+        # ORDER BY <alias> reads the select item's value as shown, so it
+        # sorts by what a nondeterministic item such as random() returned.
         if isinstance(order.expr, ast.ColumnRef) and order.expr.table is None:
             wanted = order.expr.name.lower()
             for i, item in enumerate(items):
                 if item.alias is not None and item.alias.lower() == wanted:
                     return row[i]
-        return self.eval(order.expr, ctx, params, agg_values)
+        return self.eval(expr, ctx, params, agg_values)
 
     def _expand_stars(self, stmt: ast.Select) -> list[ast.SelectItem]:
         items: list[ast.SelectItem] = []
@@ -945,82 +804,38 @@ class Executor:
         return items
 
     def _source_tables(self, source) -> list[tuple[str, Table]]:
-        if source is None:
-            return []
-        if isinstance(source, ast.TableRef):
-            return [(source.alias or source.name, self.catalog.table(source.name))]
-        if isinstance(source, ast.Join):
-            return self._source_tables(source.left) + [
-                (source.right.alias or source.right.name, self.catalog.table(source.right.name))
-            ]
-        return []
+        return [
+            (ref.alias or ref.name, self.catalog.table(ref.name))
+            for ref in ast.table_refs(source)
+        ]
 
     def _validate_column_refs(self, stmt: ast.Select, items) -> None:
         """Reject unknown column names at statement level (like SQLite's
         prepare step), so an empty table still reports the error."""
-        tables = self._source_tables(stmt.source)
-        known: set[str] = {"rowid"}
+        known: set[str] = {"rowid"}  # unqualified: columns and item aliases
         qualified: set[tuple[str, str]] = set()
-        for alias, table in tables:
+        for alias, table in self._source_tables(stmt.source):
             qualified.add((alias.lower(), "rowid"))
             for col in table.columns:
                 known.add(col.name.lower())
                 qualified.add((alias.lower(), col.name.lower()))
-        aliases = {
-            item.alias.lower() for item in items if item.alias is not None
-        }
+        known.update(item.alias.lower() for item in items if item.alias is not None)
 
-        refs: list[ast.ColumnRef] = []
+        def check(node) -> None:
+            if not isinstance(node, ast.ColumnRef):
+                return
+            if node.table is not None:
+                if (node.table.lower(), node.name.lower()) not in qualified:
+                    raise SqlError(f"no such column: {node.table}.{node.name}")
+            elif node.name.lower() not in known:
+                raise SqlError(f"no such column: {node.name}")
 
-        def walk(expr) -> None:
-            if isinstance(expr, ast.ColumnRef):
-                refs.append(expr)
-            elif isinstance(expr, ast.Binary):
-                walk(expr.left)
-                walk(expr.right)
-            elif isinstance(expr, ast.Unary):
-                walk(expr.operand)
-            elif isinstance(expr, ast.IsNull):
-                walk(expr.operand)
-            elif isinstance(expr, ast.InList):
-                walk(expr.operand)
-                for entry in expr.items:
-                    walk(entry)
-            elif isinstance(expr, ast.Between):
-                walk(expr.operand)
-                walk(expr.low)
-                walk(expr.high)
-            elif isinstance(expr, ast.FunctionCall):
-                for arg in expr.args:
-                    walk(arg)
-            elif isinstance(expr, ast.CaseExpr):
-                if expr.operand is not None:
-                    walk(expr.operand)
-                for when, then in expr.whens:
-                    walk(when)
-                    walk(then)
-                if expr.default is not None:
-                    walk(expr.default)
-            elif isinstance(expr, ast.InSelect):
-                walk(expr.operand)
-                # The subquery's own columns are validated when it runs.
-
-        for item in items:
-            walk(item.expr)
-        if stmt.where is not None:
-            walk(stmt.where)
-        for group in stmt.group_by:
-            walk(group)
-        if stmt.having is not None:
-            walk(stmt.having)
-        for order in stmt.order_by:
-            walk(order.expr)
-        for ref in refs:
-            if ref.table is not None:
-                if (ref.table.lower(), ref.name.lower()) not in qualified:
-                    raise SqlError(f"no such column: {ref.table}.{ref.name}")
-            elif ref.name.lower() not in known and ref.name.lower() not in aliases:
-                raise SqlError(f"no such column: {ref.name}")
+        # A subquery's own columns are validated when it runs.
+        for expr in (
+            *(item.expr for item in items), stmt.where, *stmt.group_by,
+            stmt.having, *(order.expr for order in stmt.order_by),
+        ):
+            ast.walk(expr, check, in_scope=True)
 
     @staticmethod
     def _column_label(item: ast.SelectItem, position: int) -> str:
@@ -1031,70 +846,20 @@ class Executor:
         return f"column{position + 1}"
 
 
-def _resolve_aliases(expr, items):
-    """Rewrite unqualified column refs that name a select-item alias to the
-    item's expression (SQLite allows aliases in HAVING and ORDER BY)."""
-    if isinstance(expr, ast.ColumnRef) and expr.table is None:
-        for item in items:
-            if item.alias is not None and item.alias.lower() == expr.name.lower():
-                return item.expr
-        return expr
-    if isinstance(expr, ast.Binary):
-        return ast.Binary(expr.op, _resolve_aliases(expr.left, items),
-                          _resolve_aliases(expr.right, items))
-    if isinstance(expr, ast.Unary):
-        return ast.Unary(expr.op, _resolve_aliases(expr.operand, items))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_resolve_aliases(expr.operand, items), expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _resolve_aliases(expr.operand, items),
-            tuple(_resolve_aliases(i, items) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            _resolve_aliases(expr.operand, items),
-            _resolve_aliases(expr.low, items),
-            _resolve_aliases(expr.high, items),
-            expr.negated,
-        )
-    return expr
+def _resolve_aliases(exprs, items) -> list:
+    """``exprs`` with every unqualified column ref that names a select-item
+    alias replaced by that item's expression (SQLite allows aliases in
+    HAVING and ORDER BY); the first item with the alias wins."""
+    aliases = {
+        item.alias.lower(): item.expr for item in reversed(items) if item.alias is not None
+    }
 
+    def resolve(node):
+        if isinstance(node, ast.ColumnRef) and node.table is None:
+            return aliases.get(node.name.lower())
+        return None
 
-def _collect_aggregates(expr, out: list) -> None:
-    if isinstance(expr, ast.FunctionCall):
-        if expr.star or is_aggregate_call(expr.name, len(expr.args)):
-            out.append(expr)
-            return
-        for arg in expr.args:
-            _collect_aggregates(arg, out)
-        return
-    if isinstance(expr, ast.Binary):
-        _collect_aggregates(expr.left, out)
-        _collect_aggregates(expr.right, out)
-    elif isinstance(expr, ast.Unary):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.IsNull):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.InList):
-        _collect_aggregates(expr.operand, out)
-        for item in expr.items:
-            _collect_aggregates(item, out)
-    elif isinstance(expr, ast.Between):
-        _collect_aggregates(expr.operand, out)
-        _collect_aggregates(expr.low, out)
-        _collect_aggregates(expr.high, out)
-    elif isinstance(expr, ast.CaseExpr):
-        if expr.operand is not None:
-            _collect_aggregates(expr.operand, out)
-        for when, then in expr.whens:
-            _collect_aggregates(when, out)
-            _collect_aggregates(then, out)
-        if expr.default is not None:
-            _collect_aggregates(expr.default, out)
-    elif isinstance(expr, ast.InSelect):
-        _collect_aggregates(expr.operand, out)
+    return [ast.rewrite(expr, resolve, in_scope=True) for expr in exprs]
 
 
 def _normalize_param(value):
@@ -1109,8 +874,25 @@ def _normalize_param(value):
     raise SqlError(f"unsupported parameter type {type(value).__name__}")
 
 
+def _to_integer(value) -> int:
+    """CAST(value AS INTEGER) for a number: toward zero, saturating."""
+    if isinstance(value, int):
+        return value
+    if value != value:
+        return 0
+    if value >= 2.0**63:
+        return 2**63 - 1
+    return -(2**63) if value <= -(2.0**63) else int(value)
+
+
 def _as_text(value) -> str:
     return value if isinstance(value, str) else format_value(value)
+
+
+def _probeable(value) -> bool:
+    """Whether a probe can look ``value`` up: NULL equals nothing and NaN
+    compares equal to every number, so neither has a key to seek."""
+    return value is not SqlNull and not (isinstance(value, float) and value != value)
 
 
 def _hashable(value):

@@ -35,6 +35,7 @@ from typing import Optional
 
 from repro.sqlstate import ast
 from repro.sqlstate.catalog import Catalog, Table
+from repro.sqlstate.functions import is_aggregate_call
 
 # Cost constants.  Units are "rows touched"; the fixed overheads make the
 # ordering stable on tiny/empty tables (a probe must beat a seq scan even
@@ -108,6 +109,24 @@ def split_conjuncts(expr) -> list:
             out.append(node)
     # Stack order reverses; restore source order for deterministic plans.
     return out[::-1] if len(out) > 1 else out
+
+
+def aggregate_calls(exprs) -> list:
+    """The aggregate calls in ``exprs``, each node once, in source order.
+    Neither an aggregate's arguments nor a subquery is searched."""
+    found: dict[int, ast.FunctionCall] = {}
+
+    def enter(node) -> bool:
+        if isinstance(node, ast.FunctionCall) and (
+            node.star or is_aggregate_call(node.name, len(node.args))
+        ):
+            found.setdefault(id(node), node)
+            return False
+        return True
+
+    for expr in exprs:
+        ast.walk(expr, enter, in_scope=True)
+    return list(found.values())
 
 
 def _is_const(expr) -> bool:
@@ -257,58 +276,40 @@ def plan_scan(catalog: Catalog, table: Table, alias: str, where) -> ScanPlan:
 # -- join planning ----------------------------------------------------------------
 
 
-def _left_aliases(source) -> list[tuple[str, str]]:
-    """(alias, table name) pairs of every table in a source subtree."""
-    if isinstance(source, ast.TableRef):
-        return [((source.alias or source.name).lower(), source.name.lower())]
-    if isinstance(source, ast.Join):
-        return _left_aliases(source.left) + _left_aliases(source.right)
-    return []
-
-
 def _table_has_column(table: Table, name: str) -> bool:
     if name == "rowid":
         return True
     return any(col.name.lower() == name for col in table.columns)
 
 
+_LEFT_ONLY_NODES = (ast.ColumnRef, ast.Binary, ast.Unary, ast.FunctionCall,
+                    ast.Literal, ast.Parameter)
+
+
 def _resolves_left_only(expr, left_aliases: set[str], left_columns: set[str],
-                        right_table: Table, right_alias: str) -> bool:
+                        right_table: Table) -> bool:
     """True if every column reference in ``expr`` is provably bound to the
     accumulated left side (never to the incoming right table)."""
     ok = True
 
-    def walk(node) -> None:
+    def enter(node) -> bool:
         nonlocal ok
-        if not ok:
-            return
-        if isinstance(node, ast.ColumnRef):
-            if node.table is not None:
-                if node.table.lower() not in left_aliases:
-                    ok = False
-                return
-            name = node.name.lower()
-            # Unqualified: must be a left column and must not also name a
-            # right column (that would be ambiguous or right-bound).
-            if _table_has_column(right_table, name) or name not in left_columns:
-                ok = False
-            return
-        if isinstance(node, ast.Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.Unary):
-            walk(node.operand)
-        elif isinstance(node, ast.FunctionCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, (ast.Literal, ast.Parameter)):
-            return
-        else:
+        if not isinstance(node, _LEFT_ONLY_NODES):
             # Subqueries, CASE, IN, ... — too hairy to prove left-only;
             # the nested-loop fallback handles them.
             ok = False
+        elif isinstance(node, ast.ColumnRef):
+            if node.table is not None:
+                bound = node.table.lower() in left_aliases
+            else:
+                # Unqualified: must be a left column and must not also name
+                # a right column (that would be ambiguous or right-bound).
+                name = node.name.lower()
+                bound = name in left_columns and not _table_has_column(right_table, name)
+            ok = ok and bound
+        return ok
 
-    walk(expr)
+    ast.walk(expr, enter)
     return ok
 
 
@@ -324,11 +325,11 @@ def _equi_condition(join: ast.Join, catalog: Catalog):
     if right_table is None:
         return None
     right_alias = (join.right.alias or join.right.name).lower()
-    pairs = _left_aliases(join.left)
-    left_aliases = {alias for alias, _name in pairs}
+    refs = ast.table_refs(join.left)
+    left_aliases = {(ref.alias or ref.name).lower() for ref in refs}
     left_columns: set[str] = set()
-    for _alias, name in pairs:
-        table = catalog.tables.get(name)
+    for ref in refs:
+        table = catalog.tables.get(ref.name.lower())
         if table is None:
             return None
         for col in table.columns:
@@ -349,8 +350,7 @@ def _equi_condition(join: ast.Join, catalog: Catalog):
                     continue
             if not _table_has_column(right_table, name):
                 continue
-            if _resolves_left_only(other, left_aliases, left_columns,
-                                   right_table, right_alias):
+            if _resolves_left_only(other, left_aliases, left_columns, right_table):
                 return name, other
     return None
 
@@ -363,8 +363,8 @@ def estimate_source_rows(catalog: Catalog, source) -> float:
     will see.  Only used to rank join strategies, never for results.
     """
     best = 1.0
-    for _alias, name in _left_aliases(source):
-        table = catalog.tables.get(name)
+    for ref in ast.table_refs(source):
+        table = catalog.tables.get(ref.name.lower())
         if table is not None:
             best = max(best, float(catalog.stats(table).row_count))
     return best
@@ -528,21 +528,12 @@ def explain_statement(stmt, catalog: Catalog) -> list[str]:
             lines.append(_join_line(step))
         if not lines:
             lines.append("SCAN CONSTANT ROW")
-        has_aggregate = bool(stmt.group_by)
-        if not has_aggregate:
-            from repro.sqlstate.executor import _collect_aggregates
-
-            nodes: list = []
-            for item in stmt.items:
-                if not item.star:
-                    _collect_aggregates(item.expr, nodes)
-            has_aggregate = bool(nodes)
         if stmt.group_by:
             lines.append(
                 f"HASH AGGREGATE ({len(stmt.group_by)} group-by "
                 f"column{'s' if len(stmt.group_by) != 1 else ''})"
             )
-        elif has_aggregate:
+        elif aggregate_calls(item.expr for item in stmt.items):
             lines.append("AGGREGATE (scalar)")
         if stmt.distinct:
             lines.append("DISTINCT")

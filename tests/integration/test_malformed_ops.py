@@ -8,7 +8,10 @@ leave the event loop at all of them.  Each op below did exactly that.
 import pytest
 
 from repro.apps.kvstore import Get, KvApplication, encode_put, keys_of_op
-from repro.apps.sqlapp import SqlApplication, SqlOp, encode_sql_op
+from repro.apps.sqlapp import (
+    SqlApplication, SqlFailure, SqlOp, decode_sql_op, encode_sql_op, tables_of_sql,
+)
+from repro.common.errors import SqlSyntaxError
 from repro.common.units import SECOND
 from repro.membership import join_client
 from repro.membership.manager import REPLY_DENIED
@@ -20,6 +23,7 @@ from repro.shard.txapp import (
     MigExport, MigFreeze, RangeUnit, ReplyErr, ReplyMig, ReplyOk, ShardTxApplication,
     TableUnit, TxCommit, TxPrepare, decode_tx_reply,
 )
+from repro.sqlstate.engine import Database
 
 JOIN2_BAD_UTF8_HOST = Join2Payload(
     temp_client=1, pubkey_n=b"\x01" * 8, nonce=b"n", response=bytes(16),
@@ -100,6 +104,30 @@ def test_malformed_sql_op_is_answered_by_every_replica_and_the_group_goes_on(op)
     )
     assert SqlOp("SELECT 1", b"\x00").encode() == sql_op(b"\x00")  # the hand packing is honest
     other = check_answered_everywhere(cluster, op, REPLY_MALFORMED_OP, "malformed_ops")
+    insert = encode_sql_op("INSERT INTO t VALUES (?, ?)", (1, "next"))
+    assert cluster.invoke_and_wait(other, insert) == b"\x02" + (1).to_bytes(8, "big")
+    assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1
+
+
+def test_unparseable_sql_is_answered_with_the_parse_error_by_every_replica():
+    """SQL the engine cannot parse has no lock keys at a shard's replicas;
+    the op reaches the engine, whose parse error is every replica's answer."""
+    schema = "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT);"
+
+    def lock_keys(op):
+        return tuple(f"table:{t}".encode() for t in tables_of_sql(decode_sql_op(op)[0]))
+
+    cluster = build_cluster(
+        PbftConfig(num_clients=2), seed=5,
+        app_factory=lambda: ShardTxApplication(SqlApplication(schema_sql=schema), lock_keys),
+    )
+    sender, other = cluster.clients
+    with pytest.raises(SqlSyntaxError) as parse_error:
+        Database().execute("SELEC v FROM t")
+    expected = SqlFailure(str(parse_error.value)).encode()
+    assert cluster.invoke_and_wait(sender, encode_sql_op("SELEC v FROM t")) == expected
+    cluster.run_for(SECOND // 10)
+    assert {r.reqstore.last_reply[sender.node_id].result for r in cluster.replicas} == {expected}
     insert = encode_sql_op("INSERT INTO t VALUES (?, ?)", (1, "next"))
     assert cluster.invoke_and_wait(other, insert) == b"\x02" + (1).to_bytes(8, "big")
     assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1

@@ -5,8 +5,11 @@ Each test builds a real multi-group deployment (every shard a full
 routers — the same stack the shard bench and fault campaign use.
 """
 
+import pytest
+
 from repro.apps.kvstore import Get, encode_put
 from repro.apps.sqlapp import SqlApplication, encode_sql_op
+from repro.common.errors import ShardError
 from repro.common.units import MILLISECOND, SECOND
 from repro.faults.invariants import check_cross_shard_atomicity
 from repro.shard import (
@@ -73,7 +76,8 @@ class TestKvSharding:
 
 
 class TestSqlSharding:
-    def test_cross_shard_transfer(self):
+    @staticmethod
+    def ledger_cluster():
         table_map = {"ledger0": 0, "ledger1": 1}
 
         def schema(shard):
@@ -87,12 +91,21 @@ class TestSqlSharding:
             sql, _ = decode_sql_op(op)
             return tuple(f"table:{t}".encode() for t in tables_of_sql(sql))
 
-        cluster = build_sharded_cluster(
+        return build_sharded_cluster(
             2, config=shard_campaign_config(), seed=11, real_crypto=False,
             inner_app_factory=lambda s: SqlApplication(schema_sql=schema(s)),
             codec_factory=SqlShardCodec, keys_of=lock_keys,
             table_map=table_map, num_routers=1, router_hosts=1,
         )
+
+    def test_unparseable_statement_is_refused_at_invoke(self):
+        cluster = self.ledger_cluster()
+        with pytest.raises(ShardError, match=r"touches shards \(\)"):
+            cluster.routers[0].invoke(encode_sql_op("SELEC who FROM ledger0"))
+        cluster.stop()
+
+    def test_cross_shard_transfer(self):
+        cluster = self.ledger_cluster()
         router = cluster.routers[0]
         results = []
         router.invoke_txn(

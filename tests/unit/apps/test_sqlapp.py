@@ -74,6 +74,12 @@ class TestOpCodec:
         ("SELECT 1", ()),
         ("CREATE TABLE t2 (k)", ("t2",)),
         ("SELECT * FROM a JOIN b ON a.k = b.k JOIN a ON 1", ("a", "b")),
+        ("SELECT a FROM t WHERE s = 'a from b'", ("t",)),
+        ("SELECT a FROM t WHERE b IN (SELECT c FROM u)", ("t", "u")),
+        ("SELECT a FROM t -- from y", ("t",)),
+        ("CREATE TABLE IF NOT EXISTS t (a)", ("t",)),
+        ("CREATE INDEX i ON t(a)", ("t",)),
+        ("SELEC a FROM t", ()),  # the engine's parse error names no table
     ])
     def test_tables_of_sql(self, sql, tables):
         tables_of_sql.cache_clear()

@@ -86,6 +86,52 @@ class TestSelectShapes:
     def test_case_without_else_yields_null(self, db):
         assert db.execute("SELECT CASE WHEN 0 THEN 'x' END").scalar() is SqlNull
 
+    def test_integer_division_and_remainder_truncate_toward_zero(self, db):
+        row = db.execute("SELECT -9 / 4, 9 / -4, -9 % 4, 9 % -4, 7 / 2").rows[0]
+        assert row == (-2, -2, -1, 1, 3)
+
+    def test_remainder_of_reals_is_taken_on_integers(self, db):
+        row = db.execute("SELECT 5.5 % 2, -5.5 % 2, 5 % 2.5, 5 % 0.5, 7.5 / 2").rows[0]
+        assert row == (1.0, -1.0, 1.0, SqlNull, 3.75)
+        assert type(row[0]) is float
+
+
+class TestAliases:
+    """A select-item alias inside HAVING or ORDER BY expressions."""
+
+    @pytest.fixture()
+    def grouped(self, db):
+        db.execute("INSERT INTO b (y) VALUES (-70), (5)")
+        return db
+
+    def test_alias_inside_a_having_function(self, grouped):
+        rows = grouped.execute(
+            "SELECT y > 0 AS pos, SUM(y) AS s FROM b GROUP BY y > 0 "
+            "HAVING abs(s) > 3 ORDER BY pos"
+        ).rows
+        assert rows == [(0, -70), (1, 65)]
+
+    def test_alias_inside_a_having_case(self, grouped):
+        rows = grouped.execute(
+            "SELECT y > 0 AS pos, SUM(y) AS s FROM b GROUP BY y > 0 "
+            "HAVING CASE WHEN s > 0 THEN 1 ELSE 0 END"
+        ).rows
+        assert rows == [(1, 65)]
+
+    def test_alias_inside_an_order_by_function(self, grouped):
+        rows = grouped.execute(
+            "SELECT y > 0 AS pos, SUM(y) AS s FROM b GROUP BY y > 0 ORDER BY abs(s)"
+        ).rows
+        assert rows == [(1, 65), (0, -70)]
+
+    def test_alias_under_unary_minus_in_order_by(self, grouped):
+        rows = grouped.execute("SELECT y AS v FROM b ORDER BY -v").rows
+        assert rows == [(30,), (20,), (10,), (5,), (-70,)]
+
+    def test_bare_alias_sorts_by_the_values_shown(self, db):
+        rows = db.execute("SELECT random() AS r FROM b ORDER BY r").rows
+        assert rows == sorted(rows)
+
 
 class TestNullSemantics:
     def test_null_comparison_filters_row(self, db):
