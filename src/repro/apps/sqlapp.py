@@ -96,7 +96,7 @@ def tables_of_sql(sql: str) -> tuple[str, ...]:
     """
     try:
         stmt = parse(sql)
-    except (SqlError, RecursionError):
+    except SqlError:
         return ()
     tables: dict[str, None] = {}
 

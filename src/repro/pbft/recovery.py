@@ -15,14 +15,16 @@ observations:
   requests, where the time delta is now large; unless the validator is
   recovery-aware, replay stalls.
 
-State transfer itself is the Merkle tree walk of
-:mod:`repro.statemgr.transfer`, driven over Fetch/Digests/Pages messages.
+State transfer is :class:`StateTransferTask`: the section 2.1 walk down
+the Merkle tree from the root, over Fetch/Digests/Pages messages, into only
+the subtrees whose digests differ.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.pbft.log import MessageLog, RequestStore
 from repro.pbft.messages import (
     BatchRetransmit,
     CheckpointMsg,
@@ -58,6 +60,8 @@ class StateTransferTask:
         self.digests_fetched = 0
         self.pages_fetched = 0
         self._progress_marker = (0, 0)
+        self._marks: dict[int, int] = {}
+        self._replies: dict[int, bytes] = {}
 
     def start(self) -> None:
         self._request_nodes()
@@ -151,10 +155,8 @@ class StateTransferTask:
         if self.diff_pages:
             self._request_pages()
             return
-        marks = getattr(self, "_marks", {})
-        replies = getattr(self, "_replies", {})
         self.replica.finish_state_transfer(
-            self, tuple(marks.items()), tuple(replies.items())
+            self, tuple(self._marks.items()), tuple(self._replies.items())
         )
 
 
@@ -186,46 +188,18 @@ class RecoveryMixin:
         durability).  Transient, and therefore lost: the message log, the
         request store, and — crucially — the client MAC session keys.
         """
-        from repro.pbft.log import MessageLog, RequestStore
-
         self.socket = self.host.fabric.bind(self.host.name, self.socket.port)
         self.socket.on_receive(self._on_packet)
         self.crashed = False
-        stable = self.checkpoints.latest_stable()
         stable_seq = self.checkpoints.stable_seq
-        self.log = MessageLog(self.config.log_window)
-        self.log.low_watermark = stable_seq
-        self.reqstore = RequestStore()
-        self.pending_requests = []
-        self.queued_digests = set()
-        self.admission.reset_inflight()
-        self.exec_journal = {}
-        self.view_changes = {}
-        self.in_view_change = False
-        self.wedged = False
-        self.transfer = None
-        self.stalled_batches = {}
-        self.waiting_requests = set()
-        if stable is not None:
-            self.state.restore(stable.pages, stable.tree_nodes)
-            self.reqstore.restore_replies(
-                stable.meta.get("client_marks", {}),
-                stable.meta.get("client_replies", {}),
-            )
-        else:
-            # No checkpoint has stabilized yet, so the durable image is the
-            # genesis state.  Tentatively-executed effects must not survive
-            # the crash: the fresh request store would re-execute those
-            # requests on replay, double-applying them and forking this
-            # replica's checkpoint roots from the quorum's.
-            self.state.restore(self._genesis_pages, self._genesis_tree_nodes)
+        self._reset_volatile()
+        self._restore_stable()
         self.last_exec = stable_seq
         self.committed_upto = stable_seq
         self.next_seq = max(self.next_seq, stable_seq)
         # Session keys: replica-replica keys re-derive from static
         # configuration; client keys are gone until AuthenticatorRefresh.
         self.drop_session_keys("client")
-        self._state_installed()
         self.recovering = True
         self.recovery_started_at = self.host.sim.now
         self.recovery_target = stable_seq
@@ -238,6 +212,36 @@ class RecoveryMixin:
             )
         self._send_status(recovering=True)
         self._schedule_status_retry()
+
+    def _reset_volatile(self) -> None:
+        """Forget what a crash loses (paper section 2.3): the log and the
+        request store, the batching queue with its admission bookkeeping,
+        the exec journal and view-change votes, and any waiting, wedged,
+        transferring or stalled work."""
+        self.log = MessageLog(self.config.log_window)
+        self.log.low_watermark = self.checkpoints.stable_seq
+        self.reqstore = RequestStore()
+        self._drop_queue()
+        self.exec_journal: dict[int, tuple] = {}  # seq -> (PrePrepare, requests)
+        self.view_changes: dict[int, dict] = {}  # view -> sender -> ViewChangeMsg
+        self.in_view_change = False
+        # Requests a backup has seen but not yet observed ordered: these
+        # keep the view-change timer armed.
+        self.waiting_requests: set[bytes] = set()
+        self.wedged = False
+        self.wedged_since: Optional[int] = None
+        self.transfer: Optional[StateTransferTask] = None
+        self.stalled_batches: dict[int, BatchRetransmit] = {}
+
+    def _restore_stable(self) -> None:
+        """Put back the durable image, the latest stable checkpoint (genesis
+        before the first): its pages and tree, and the client marks and
+        replies taken with them.  Tentative effects must not survive, or a
+        replay re-applies them and forks this replica's roots."""
+        stable = self.checkpoints.latest_stable()
+        self.state.restore(stable.pages, stable.tree_nodes)
+        self.reqstore.restore_replies(stable.client_marks, stable.client_replies)
+        self._state_installed()
 
     def _schedule_status_retry(self) -> None:
         if self._status_timer is not None and self._status_timer.pending:
@@ -303,11 +307,9 @@ class RecoveryMixin:
         if msg.last_exec_seq < stable_seq:
             # Peer is behind our log horizon: it needs state transfer.
             stable = self.checkpoints.latest_stable()
-            if stable is not None:
-                self.send_to_replica(
-                    peer,
-                    CheckpointMsg(seq=stable.seq, root=stable.root, sender=self.node_id),
-                )
+            self.send_to_replica(
+                peer, CheckpointMsg(seq=stable.seq, root=stable.root, sender=self.node_id)
+            )
             return
         sent = 0
         seq = msg.last_exec_seq + 1
@@ -437,15 +439,9 @@ class RecoveryMixin:
             return
         if target_seq <= self.last_exec:
             return
-        source = next(
-            rid for rid in range(self.config.n) if rid != self.node_id
-        )
         # Prefer a replica that voted for this checkpoint root.
-        votes = self.pending_votes.get(target_seq, {})
-        for rid, root in sorted(votes.items()):
-            if root == target_root and rid != self.node_id:
-                source = rid
-                break
+        voters = self.checkpoints.voters(target_seq, target_root)
+        source = next(r for r in voters + list(range(self.config.n)) if r != self.node_id)
         self.transfer = StateTransferTask(self, target_seq, target_root, source)
         self.stats.inc("state_transfers_started")
         if self.tracer.enabled:
@@ -558,10 +554,9 @@ class RecoveryMixin:
             for index in msg.page_indices
             if 0 <= index < len(checkpoint.pages)
         )
-        marks = tuple(checkpoint.meta.get("client_marks", {}).items())
+        marks = tuple(checkpoint.client_marks.items())
         replies = tuple(
-            (client, reply.wire)
-            for client, reply in checkpoint.meta.get("client_replies", {}).items()
+            (client, reply.wire) for client, reply in checkpoint.client_replies.items()
         )
         self.send_to_replica(
             msg.sender,

@@ -14,7 +14,6 @@ non-determinism up-calls.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Optional
 
 from repro.common.errors import ProtocolError
@@ -28,7 +27,7 @@ from repro.pbft.admission import (
     pick_shed_victim,
 )
 from repro.pbft.config import PbftConfig
-from repro.pbft.log import MessageLog, RequestStore, Slot, ViewSlot
+from repro.pbft.log import Slot, ViewSlot
 from repro.pbft.messages import (
     BUSY_INFLIGHT,
     BUSY_OVERSIZED,
@@ -178,25 +177,16 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self.nondet_validator = nondet_validator or AcceptAllValidator()
 
         self.view = 0
-        self.in_view_change = False
         self.pending_new_view = 0
         self.last_exec = 0
         self.committed_upto = 0
         self.next_seq = 0
 
-        self.log = MessageLog(config.log_window)
-        self.reqstore = RequestStore()
         self.state = PagedState(config.state_pages, config.page_size)
-        self.checkpoints = CheckpointStore(quorum=config.quorum)
-        self.pending_votes: dict[int, dict[int, bytes]] = defaultdict(dict)
+        # The batching queue; _reset_volatile() below sets the rest of the
+        # transient state (paper section 2.3).
         self.pending_requests: list[Request] = []
-        self.queued_digests: set[bytes] = set()
-        self.exec_journal: dict[int, tuple[PrePrepare, list[Request]]] = {}
         self.client_addr: dict[int, Address] = {}
-        self.view_changes: dict[int, dict[int, ViewChangeMsg]] = {}
-        # Requests a backup has seen but not yet observed ordered —
-        # these keep the view-change timer armed.
-        self.waiting_requests: set[bytes] = set()
         # Highest view each peer has demonstrably installed (from status,
         # agreement traffic, retransmits, new-views).  Drives view
         # synchronization after restart; views only grow, so the map
@@ -218,10 +208,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self.recovery_started_at: Optional[int] = None
         self.recovery_completed_at: Optional[int] = None
         self.recovery_target = 0
-        self.wedged = False
-        self.wedged_since: Optional[int] = None
-        self.transfer = None
-        self.stalled_batches: dict[int, BatchRetransmit] = {}
 
         self._vc_timer = None
         self._vc_timeout_current = config.view_change_timeout_ns
@@ -249,14 +235,13 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
 
         app.bind_state(self.state, config.library_pages * config.page_size)
         app.attach_obs(self.obs, host.name)
-
-        # The durable image a restart falls back to before the first
-        # checkpoint stabilizes: the post-bind genesis state.  Without it,
-        # tentatively-executed effects would survive a crash (the pages are
-        # never rolled back) and be re-applied on replay, forking this
-        # replica's checkpoint roots from the quorum's.
-        self._genesis_pages = self.state.snapshot_pages()
-        self._genesis_tree_nodes = self.state.tree.snapshot_nodes()
+        # The post-bind state is stable checkpoint 0: the durable image a
+        # restart or a rollback returns to before any checkpoint is taken.
+        self.checkpoints = CheckpointStore(config.quorum, Checkpoint(
+            seq=0, root=self.state.root, pages=self.state.snapshot_pages(),
+            tree_nodes=self.state.tree.snapshot_nodes(),
+        ))
+        self._reset_volatile()
 
         # message class -> (handler, subject to the configuration-epoch gate)
         self._handlers = {
@@ -558,6 +543,16 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 len(self.pending_requests), self.config.pending_queue_budget
             ),
         )
+
+    def _drop_queue(self) -> list[Request]:
+        """Empty the batching queue and its admission bookkeeping; return
+        the requests it held."""
+        dropped = self.pending_requests
+        self.pending_requests = []
+        self.queued_digests: set[bytes] = set()
+        self.admission.reset_inflight()
+        self._depth_gauge.set(0)
+        return dropped
 
     def _send_busy(self, req: Request, reason: int, retry_after_ns: int) -> None:
         addr = self.client_addr.get(req.client)
@@ -1076,61 +1071,41 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
     def _install_own_checkpoint(self, seq: int) -> None:
         self.host.charge_cpu(self.costs.crypto.digest_cost(self.config.page_size))
         root = self.state.refresh_tree()
-        # The snapshot below keeps each client's reply as answered now:
-        # stable wherever a quorum proof has already arrived.
+        # The snapshot keeps each client's last reply as answered now, stable
+        # wherever a quorum proof has already arrived (paper section 2.1).
         self.reqstore.stabilize_proven()
-        checkpoint = Checkpoint(
+        stable = self.checkpoints.add(Checkpoint(
             seq=seq,
             root=root,
             pages=self.state.snapshot_pages(),
             tree_nodes=self.state.tree.snapshot_nodes(),
-            meta={
-                "client_marks": dict(self.reqstore.last_executed_req),
-                # The last reply per client is part of the checkpointed
-                # state (paper section 2.1): anyone who adopts the
-                # watermarks must also be able to answer retransmissions.
-                "client_replies": dict(self.reqstore.last_reply),
-            },
-        )
-        self.checkpoints.add(checkpoint)
-        checkpoint.proof[self.node_id] = root
+            client_marks=dict(self.reqstore.last_executed_req),
+            client_replies=dict(self.reqstore.last_reply),
+        ), self.node_id)
         self.stats.inc("checkpoints_taken")
         if self.tracer.enabled:
             self.tracer.event(
                 self.host.name, "checkpoint", cat="pbft.checkpoint", args={"seq": seq}
             )
-        # Fold in votes that arrived before we got here.
-        for rid, claimed in self.pending_votes.pop(seq, {}).items():
-            if self.checkpoints.record_vote(seq, rid, claimed):
-                self._on_checkpoint_stable(seq)
-        if checkpoint.stable_votes >= self.config.quorum:
-            if self.checkpoints.record_vote(seq, self.node_id, root):
-                self._on_checkpoint_stable(seq)
+        if stable:
+            self._on_checkpoint_stable(seq)
         self.broadcast_to_replicas(
             CheckpointMsg(seq=seq, root=root, sender=self.node_id),
             exclude=self.node_id,
         )
 
     def on_checkpoint(self, msg: CheckpointMsg, env: Envelope = None) -> None:
-        if msg.seq <= self.checkpoints.stable_seq:
+        if self.checkpoints.record_vote(msg.seq, msg.sender, msg.root):
+            self._on_checkpoint_stable(msg.seq)
             return
-        if self.checkpoints.get(msg.seq) is not None:
-            if self.checkpoints.record_vote(msg.seq, msg.sender, msg.root):
-                self._on_checkpoint_stable(msg.seq)
+        if msg.seq <= self.last_exec:
             return
-        votes = self.pending_votes[msg.seq]
-        votes[msg.sender] = msg.root
         # A checkpoint we have not reached: if enough correct replicas
         # vouch for it and we are stuck or far behind, fetch the state.
-        matching = defaultdict(int)
-        for root in votes.values():
-            matching[root] += 1
-        for root, count in matching.items():
-            if count >= self.config.f + 1 and msg.seq > self.last_exec:
-                behind = msg.seq >= self.last_exec + self.config.checkpoint_interval
-                if self.wedged or behind:
-                    self.maybe_start_state_transfer(msg.seq, root)
-                break
+        root = self.checkpoints.vouched_root(msg.seq, self.config.f + 1)
+        behind = msg.seq >= self.last_exec + self.config.checkpoint_interval
+        if root is not None and (self.wedged or behind):
+            self.maybe_start_state_transfer(msg.seq, root)
 
     def _on_checkpoint_stable(self, seq: int) -> None:
         # A stable checkpoint proves every batch up to ``seq`` committed
@@ -1153,8 +1128,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self.waiting_requests &= set(self.reqstore.by_digest)
         for old in [s for s in self.exec_journal if s <= seq]:
             del self.exec_journal[old]
-        for old in [s for s in self.pending_votes if s <= seq]:
-            del self.pending_votes[old]
         self.stats.inc("checkpoints_stabilized")
         if self.tracer.enabled:
             self.tracer.event(
@@ -1191,19 +1164,9 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         restoring the stable checkpoint and replaying committed batches."""
         if self.last_exec <= self.committed_upto:
             return
-        stable = self.checkpoints.latest_stable()
         stable_seq = self.checkpoints.stable_seq
         self.stats.inc("rollbacks")
-        if stable is not None:
-            self.state.restore(stable.pages, stable.tree_nodes)
-            self.reqstore.restore_replies(
-                stable.meta.get("client_marks", {}),
-                stable.meta.get("client_replies", {}),
-            )
-        else:
-            self.state.restore([bytes(self.config.page_size)] * self.config.state_pages)
-            self.reqstore.restore_replies({}, {})
-        self._state_installed()
+        self._restore_stable()
         replay = [
             self.exec_journal[seq]
             for seq in range(stable_seq + 1, self.committed_upto + 1)
@@ -1215,9 +1178,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             self._execute_batch(pp, requests, tentative=False, slot=None, silent=True)
         self.last_exec = self.committed_upto
         # Discard any checkpoints taken on tentative state.
-        for seq in [s for s in self.checkpoints._by_seq if s > self.committed_upto]:
-            if seq != self.checkpoints.stable_seq:
-                del self.checkpoints._by_seq[seq]
+        self.checkpoints.discard_after(self.committed_upto)
         for slot in self.log.slots.values():
             if slot.seq > self.committed_upto and slot.executed:
                 self.log.set_executed(slot, False)

@@ -78,11 +78,6 @@ class ViewChangeMixin:
             self._vc_timer = None
         self._rollback_uncommitted()
         stable = self.checkpoints.latest_stable()
-        stable_seq = self.checkpoints.stable_seq
-        stable_root = stable.root if stable else bytes(16)
-        proof = (
-            tuple(sorted(stable.proof.items())) if stable else ()
-        )
         prepared = tuple(
             PreparedProof(
                 seq=seq,
@@ -92,13 +87,13 @@ class ViewChangeMixin:
                 nondet=pp.nondet,
             )
             for seq, view, pp in self.log.prepared_proofs(self.config.f)
-            if seq > stable_seq
+            if seq > stable.seq
         )
         msg = ViewChangeMsg(
             new_view=new_view,
-            stable_seq=stable_seq,
-            stable_root=stable_root,
-            checkpoint_proof=proof,
+            stable_seq=stable.seq,
+            stable_root=stable.root,
+            checkpoint_proof=tuple(sorted(stable.proof.items())),
             prepared=prepared,
             sender=self.node_id,
         )
@@ -321,12 +316,7 @@ class ViewChangeMixin:
             )
         # Same queue handoff as a deposed primary entering a view as
         # backup: clients retransmit, the new primary orders.
-        for req in self.pending_requests:
-            self.waiting_requests.add(req.digest)
-        self.pending_requests = []
-        self.queued_digests = set()
-        self.admission.reset_inflight()
-        self._depth_gauge.set(0)
+        self.waiting_requests.update(req.digest for req in self._drop_queue())
         self._send_status(recovering=self.recovering)
         if self._has_outstanding_work():
             self._arm_vc_timer()
@@ -390,13 +380,9 @@ class ViewChangeMixin:
                 self._maybe_prepared(slot, vs, view)
         if is_primary:
             self.next_seq = max(self.next_seq, highest)
-            # Rebuild the batching queue from scratch so pending_requests
-            # and queued_digests stay an exact pair.  Carrying the old
-            # queued_digests across the view boundary left stale entries
-            # whenever the new view's O set re-proposed (or executed) a
-            # batch we still had queued — and a stale digest permanently
-            # blocks that request's re-submission, because both admission
-            # and this rebuild skip digests already marked queued.
+            # Rebuild the batching queue from scratch: a queued digest the
+            # new view re-proposed or executed would block that request's
+            # re-submission for good (admission skips queued digests).
             reproposed: set[bytes] = set()
             for proof in nv.pre_prepares:
                 reproposed.update(proof.request_digests)
@@ -413,15 +399,12 @@ class ViewChangeMixin:
             # carries, so the reproposed filter below catches it.  A
             # lagging primary instead waits for client retransmissions,
             # which re-check already_executed at arrival, after catch-up.
-            carried = list(self.pending_requests)
+            carried = self._drop_queue()
             if self.last_exec >= nv.stable_seq:
                 carried += [
                     self.reqstore.get(digest)
                     for digest in sorted(self.waiting_requests)
                 ]
-            self.pending_requests = []
-            self.queued_digests = set()
-            self.admission.reset_inflight()
             for req in carried:
                 if req is None or self.reqstore.already_executed(req):
                     continue
@@ -436,11 +419,6 @@ class ViewChangeMixin:
         else:
             # A deposed primary hands its queue back to the waiting set;
             # clients retransmit and the new primary orders them.
-            for req in self.pending_requests:
-                self.waiting_requests.add(req.digest)
-            self.pending_requests = []
-            self.queued_digests = set()
-            self.admission.reset_inflight()
-            self._depth_gauge.set(0)
+            self.waiting_requests.update(req.digest for req in self._drop_queue())
         if self._has_outstanding_work():
             self._arm_vc_timer()

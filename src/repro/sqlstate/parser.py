@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.errors import SqlSyntaxError
+from repro.common.errors import SqlError, SqlSyntaxError
 from repro.sqlstate import ast
 from repro.sqlstate.tokens import (
     T_BLOB,
@@ -19,6 +19,22 @@ from repro.sqlstate.tokens import (
     tokenize,
 )
 from repro.sqlstate.values import SqlNull
+
+# The deepest expression accepted, in levels: an operator, a function call,
+# a subquery and a parenthesised group each nest one level (SQLite's
+# SQLITE_MAX_EXPR_DEPTH, 1000 there).  This parser, ast.walk, the planner
+# and the executor all recurse per level; at 64 the deepest of them (this
+# parser, 12 frames a level of nested subqueries) needs under 800 of
+# Python's default 1000 frames, and a replica executes at about 45.  So the
+# verdict is the same at every replica, on any commit or replay path.
+MAX_EXPR_DEPTH = 64
+_TOO_DEEP = f"expression tree is too large (maximum depth {MAX_EXPR_DEPTH})"
+
+_EXPRESSIONS = frozenset({
+    ast.Literal, ast.Parameter, ast.ColumnRef, ast.Unary, ast.Binary, ast.IsNull,
+    ast.InList, ast.Between, ast.InSelect, ast.ScalarSubquery, ast.Exists,
+    ast.FunctionCall, ast.CaseExpr,
+})
 
 
 def parse(sql: str):
@@ -36,8 +52,22 @@ def parse_script(sql: str) -> list:
     while not parser.at_end():
         if parser.accept_op(";"):
             continue
-        statements.append(parser.statement())
+        statements.append(_check_depth(parser.statement()))
     return statements
+
+
+def _check_depth(stmt):
+    """``stmt``, unless an expression in it nests past MAX_EXPR_DEPTH.  An
+    operator chain is parsed by a loop, so its height shows only in the
+    finished tree; this walk keeps its own stack."""
+    stack = [(stmt, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depth += type(node) in _EXPRESSIONS
+        if depth > MAX_EXPR_DEPTH:
+            raise SqlError(_TOO_DEEP)
+        stack.extend((child, depth) for child in ast.children(node))
+    return stmt
 
 
 class _Parser:
@@ -45,6 +75,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self._param_auto = 0
+        self._depth = 0
 
     # -- token plumbing --------------------------------------------------------
 
@@ -401,7 +432,16 @@ class _Parser:
     # -- expressions (precedence climbing) ------------------------------------------
 
     def expression(self):
-        return self.expr_or()
+        return self._nested(self.expr_or)
+
+    def _nested(self, parse):
+        """Parse one level deeper, refusing to pass MAX_EXPR_DEPTH."""
+        self._depth += 1
+        if self._depth > MAX_EXPR_DEPTH:
+            raise SqlError(_TOO_DEEP)
+        node = parse()
+        self._depth -= 1
+        return node
 
     def expr_or(self):
         left = self.expr_and()
@@ -427,7 +467,7 @@ class _Parser:
             self.expect_op(")")
             return ast.Exists(select=subquery, negated=True)
         if self.accept_kw("NOT"):
-            return ast.Unary("NOT", self.expr_not())
+            return ast.Unary("NOT", self._nested(self.expr_not))
         if self.peek().is_kw("EXISTS"):
             self.next()
             self.expect_op("(")
@@ -508,9 +548,9 @@ class _Parser:
 
     def expr_unary(self):
         if self.accept_op("-"):
-            return ast.Unary("-", self.expr_unary())
+            return ast.Unary("-", self._nested(self.expr_unary))
         if self.accept_op("+"):
-            return ast.Unary("+", self.expr_unary())
+            return ast.Unary("+", self._nested(self.expr_unary))
         return self.expr_primary()
 
     def expr_primary(self):

@@ -12,21 +12,17 @@ This package reproduces that machinery:
   misbehaving application which fails to notify" that the paper warns
   about, section 3.2);
 * :class:`MerkleTree` — incremental hash tree over page digests;
-* :class:`CheckpointStore` — numbered snapshots, stabilization, GC;
-* :func:`diff_pages` — the "efficient tree walking algorithm ... to
-  identify the (hopefully few) data pages that are different".
+* :class:`CheckpointStore` — numbered snapshots, the votes that
+  stabilize them, GC; genesis is stable checkpoint 0.
 """
 
 from repro.statemgr.pages import PagedState
 from repro.statemgr.merkle import MerkleTree
 from repro.statemgr.checkpoints import Checkpoint, CheckpointStore
-from repro.statemgr.transfer import diff_pages, TreeFetchStats
 
 __all__ = [
     "PagedState",
     "MerkleTree",
     "Checkpoint",
     "CheckpointStore",
-    "diff_pages",
-    "TreeFetchStats",
 ]

@@ -4,7 +4,8 @@ import pytest
 
 from repro.apps.sqlapp import SqlApplication, decode_rows_reply, encode_sql_op
 from repro.common.errors import SqlError
-from repro.common.units import SECOND
+from repro.common.units import MILLISECOND, SECOND
+from repro.net.fabric import DropRule
 from repro.pbft.cluster import build_cluster
 from repro.pbft.config import PbftConfig
 
@@ -174,3 +175,61 @@ def test_update_and_aggregate_queries_through_cluster():
         )
     )
     assert tally == [("abstain", 3), ("yes", 3)]
+
+
+def test_rollback_before_the_first_checkpoint_keeps_the_database():
+    """A view change before any checkpoint is stable rolls every replica
+    back to genesis, stable checkpoint 0: the post-bind image with the
+    schema in it, not all-zero pages."""
+    cluster = build_cluster(
+        PbftConfig(num_clients=4),
+        seed=3,
+        app_factory=lambda: SqlApplication(schema_sql=SCHEMA),
+    )
+    sim = cluster.sim
+    heal = 300 * MILLISECOND
+    # Every Commit is lost for a while: batches only execute tentatively,
+    # and the primary is deposed before a checkpoint can stabilize.
+    cluster.fabric.add_drop_rule(DropRule(
+        lambda p: p.kind == "Commit" and 2 * MILLISECOND <= sim.now < heal,
+        name="drop-commits",
+    ))
+    outcomes = {"ok": 0, "failed": 0}
+    issued = [0]
+
+    def insert_until(client, stop):
+        issued[0] += 1
+
+        def done(reply, _latency):
+            if sim.now >= heal:
+                try:
+                    decode_rows_reply(reply)
+                    outcomes["ok"] += 1
+                except SqlError:
+                    outcomes["failed"] += 1
+            if sim.now < stop:
+                insert_until(client, stop)
+
+        client.invoke(insert_op(f"voter{issued[0]}"), callback=done)
+
+    for client in cluster.clients:
+        insert_until(client, 800 * MILLISECOND)
+    cluster.run_for(SECOND)
+    assert all(r.stats["rollbacks"] >= 1 and r.view > 0 for r in cluster.replicas)
+    assert [r.app.db.table_names() for r in cluster.replicas] == [["votes"]] * 4
+    assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1
+    assert outcomes["ok"] > 100 and outcomes["failed"] == 0
+
+
+def test_statement_past_max_depth_is_answered_alike_everywhere():
+    cluster = make_cluster()
+    client = cluster.clients[0]
+    too_deep = "SELECT " + "(" * 200 + "1" + ")" * 200
+    reply = cluster.invoke_and_wait(client, encode_sql_op(too_deep))
+    with pytest.raises(SqlError, match="expression tree is too large"):
+        decode_rows_reply(reply)
+    answers = {r.reqstore.cached_reply(client.node_id).result for r in cluster.replicas}
+    assert answers == {reply}
+    # The group keeps ordering and executing.
+    assert decode_rows_reply(cluster.invoke_and_wait(client, insert_op("after"))) == 1
+    assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1

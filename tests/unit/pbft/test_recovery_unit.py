@@ -116,16 +116,16 @@ def test_transfer_falls_back_to_another_source_on_bad_root(cluster):
 def test_stable_checkpoint_meta_carries_client_replies(cluster):
     diverge_and_checkpoint(cluster)
     replica = cluster.replicas[0]
-    meta = replica.checkpoints.latest_stable().meta
-    assert set(meta["client_replies"]) == set(meta["client_marks"])
-    for client, reply in meta["client_replies"].items():
-        assert reply.req_id == meta["client_marks"][client]
+    stable = replica.checkpoints.latest_stable()
+    assert set(stable.client_replies) == set(stable.client_marks)
+    for client, reply in stable.client_replies.items():
+        assert reply.req_id == stable.client_marks[client]
 
 
 def test_restart_restores_reply_cache_stabilized(cluster):
     diverge_and_checkpoint(cluster)
     replica = cluster.replicas[3]
-    expected = replica.checkpoints.latest_stable().meta["client_replies"]
+    expected = replica.checkpoints.latest_stable().client_replies
     assert expected
     replica.crash()
     replica.restart()
@@ -141,7 +141,7 @@ def test_state_transfer_restores_reply_cache(cluster):
     source = cluster.replicas[0]
     target = cluster.replicas[3]
     checkpoint = source.checkpoints.latest_stable()
-    expected = checkpoint.meta["client_replies"]
+    expected = checkpoint.client_replies
     assert expected
     target.state.restore(
         [bytes(target.config.page_size)] * target.config.state_pages
@@ -274,7 +274,7 @@ def test_checkpoint_stable_finalizes_tentative_executions(cluster):
     assert retransmit(laggard, above).tentative
     # The checkpoint snapshot carries the replies as they were answered
     # then: nothing past its seq was proven, so nothing was stabilized.
-    snapshot = laggard.checkpoints.latest_stable().meta["client_replies"]
+    snapshot = laggard.checkpoints.latest_stable().client_replies
     assert all(reply.tentative for reply in snapshot.values())
 
 

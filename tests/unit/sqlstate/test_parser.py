@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.common.errors import SqlSyntaxError
+from repro.apps.sqlapp import tables_of_sql
+from repro.common.errors import SqlError, SqlSyntaxError
 from repro.sqlstate import ast
-from repro.sqlstate.parser import parse, parse_script
+from repro.sqlstate.engine import Database
+from repro.sqlstate.parser import MAX_EXPR_DEPTH, parse, parse_script
 from repro.sqlstate.values import SqlNull
 
 
@@ -254,3 +256,55 @@ class TestDdlSyntax:
     def test_drop_index(self):
         stmt = parse("DROP INDEX IF EXISTS idx")
         assert isinstance(stmt, ast.DropIndex) and stmt.if_exists
+
+
+# -- expression depth ------------------------------------------------------------
+#
+# Each shape builds an expression ``depth`` levels deep that evaluates to 1:
+# nested parentheses (the parser recurses), and operator chains (the parser
+# loops, but the tree, and every pass over it, is ``depth`` high).
+
+DEPTH_SHAPES = {
+    "parentheses": lambda depth: "(" * (depth - 1) + "1" + ")" * (depth - 1),
+    "plus-chain": lambda depth: "+".join(["1"] * (depth - 1)) + "-" + str(depth - 2),
+    "and-chain": lambda depth: " AND ".join(["1"] * depth),
+}
+TOO_DEEP = f"expression tree is too large (maximum depth {MAX_EXPR_DEPTH})"
+
+
+def _in_deeper_frames(frames, fn):
+    return fn() if frames == 0 else _in_deeper_frames(frames - 1, fn)
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def test_expression_at_max_depth_runs(shape):
+    sql = "SELECT " + DEPTH_SHAPES[shape](MAX_EXPR_DEPTH)
+    assert Database().execute(sql).scalar() == 1
+    # The verdict does not depend on the caller's stack depth.
+    assert _in_deeper_frames(150, lambda: Database().execute(sql).scalar()) == 1
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def test_expression_past_max_depth_is_refused(shape):
+    sql = "SELECT " + DEPTH_SHAPES[shape](MAX_EXPR_DEPTH + 1)
+    with pytest.raises(SqlError) as refused:
+        Database().execute(sql)
+    assert str(refused.value) == TOO_DEEP
+    assert tables_of_sql(sql) == ()
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT " + "(" * 200 + "1" + ")" * 200,
+        "SELECT " + "+".join(["1"] * 500),
+        "SELECT " + " AND ".join(["1"] * 500),
+        "SELECT " + "+".join(["1"] * 1000) + " FROM t",
+        "SELECT " + "NOT " * 1000 + "1",
+        "SELECT " + "abs(" * 300 + "1" + ")" * 300,
+    ],
+    ids=["parens-200", "plus-500", "and-500", "plus-1000", "not-1000", "calls-300"],
+)
+def test_deep_input_is_an_sql_error_not_a_crash(sql):
+    with pytest.raises(SqlError, match="expression tree is too large"):
+        parse(sql)
