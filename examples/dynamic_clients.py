@@ -17,6 +17,8 @@ Run:  python examples/dynamic_clients.py
 
 from repro.common.units import SECOND
 from repro.membership import join_client, leave_client
+from repro.obs import Observability, chrome_trace_events
+from repro.obs.report import packets
 from repro.pbft import PbftConfig, build_cluster
 
 
@@ -24,7 +26,8 @@ def main() -> None:
     config = PbftConfig(
         dynamic_clients=True, num_clients=3, checkpoint_interval=8, log_window=16
     )
-    cluster = build_cluster(config, seed=2, trace=True)
+    obs = Observability(tracing=True)
+    cluster = build_cluster(config, seed=2, obs=obs)
     for app in cluster.apps:
         app.authorize_join = (
             lambda idbuf: int(idbuf[5:]) if idbuf.startswith(b"user:") else None
@@ -38,10 +41,10 @@ def main() -> None:
     cluster.run_for(1 * SECOND)
     print(f"alice joined with service-assigned id {assigned[0]}")
     print("join message trace:")
-    for record in cluster.fabric.trace[:14]:
-        print(f"  t={record.time/1e6:7.3f}ms {record.src[0]:>12s} -> "
-              f"{record.dst[0]:<12s} {record.kind}")
-    cluster.fabric.trace.clear()
+    for record in packets(chrome_trace_events(obs.tracer))[:14]:
+        print(f"  t={record.time/1e6:7.3f}ms {record.src:>12s} -> "
+              f"{record.dst:<12s} {record.kind}")
+    obs.tracer.enabled = False
 
     print()
     print("=== Normal operation under the new identity ===")

@@ -22,14 +22,15 @@ import os
 import tempfile
 
 from repro.common.units import format_duration
-from repro.obs import Observability
+from repro.obs import Observability, chrome_trace_events
+from repro.obs.report import packets
 from repro.pbft import PbftConfig, build_cluster
 
 
 def main() -> None:
     config = PbftConfig(num_clients=2, checkpoint_interval=8, log_window=16)
     obs = Observability(tracing=True)
-    cluster = build_cluster(config, seed=1, trace=True, obs=obs)
+    cluster = build_cluster(config, seed=1, obs=obs)
     client = cluster.clients[0]
 
     print(f"cluster: {config.n} replicas (f={config.f}), "
@@ -43,8 +44,8 @@ def main() -> None:
     print()
 
     print("figure-1 message flow (first 20 datagrams):")
-    for record in cluster.fabric.trace[:20]:
-        arrow = f"{record.src[0]:>12s} -> {record.dst[0]:<12s}"
+    for record in packets(chrome_trace_events(obs.tracer))[:20]:
+        arrow = f"{record.src:>12s} -> {record.dst:<12s}"
         print(f"  t={record.time/1e6:7.3f}ms  {arrow} {record.kind:<14s} {record.size:>5d}B")
     print()
 
@@ -63,7 +64,8 @@ def main() -> None:
     events = obs.write_chrome_trace(trace_path)
     print(f"wrote {events} trace events to {trace_path}")
     print("  open it at https://ui.perfetto.dev (or chrome://tracing) to see")
-    print("  each request tiled into its protocol phases")
+    print("  each request tiled into its protocol phases, or summarize it with")
+    print(f"  python -m repro.obs.report {trace_path} traffic")
 
 
 if __name__ == "__main__":

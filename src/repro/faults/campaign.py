@@ -28,6 +28,7 @@ from typing import Callable
 
 from repro.common.units import MILLISECOND
 from repro.obs import Observability
+from repro.obs.export import jsonl_record
 from repro.pbft.cluster import Cluster, build_cluster
 from repro.pbft.config import PbftConfig
 from repro.faults.injector import FaultInjector
@@ -250,22 +251,8 @@ def _dump_artifacts(result: RunResult, cluster, artifact_dir: str) -> list[str]:
         for line in result.fault_log:
             fh.write(json.dumps({"fault": line.strip()}) + "\n")
         for event in cluster.obs.tracer.events:
-            if event.kind != "instant":
-                continue
-            if not event.cat.startswith(keep_cats):
-                continue
-            fh.write(
-                json.dumps(
-                    {
-                        "ts": event.ts,
-                        "track": event.track,
-                        "name": event.name,
-                        "cat": event.cat,
-                        "args": event.args,
-                    }
-                )
-                + "\n"
-            )
+            if event.kind == "instant" and event.cat.startswith(keep_cats):
+                fh.write(json.dumps(jsonl_record(event)) + "\n")
     return [trace_path, events_path]
 
 

@@ -83,7 +83,6 @@ from repro.harness.membershipbench import (
     run_replace_scenario,
 )
 from repro.harness.wan import run_wan_sweep, format_wan, PROFILES
-from repro.harness.analysis import summarize, messages_per_request
 
 __all__ = [
     "TABLE1_CONFIGS",
@@ -141,6 +140,4 @@ __all__ = [
     "run_wan_sweep",
     "format_wan",
     "PROFILES",
-    "summarize",
-    "messages_per_request",
 ]

@@ -5,8 +5,9 @@ NICs, a switched 1 GbE network, and UDP datagram service — including UDP's
 failure mode (silent packet loss) that section 2.4 of the paper shows
 interacts badly with the "all requests are big" optimization.
 
-The fabric also keeps the common-clock message trace the authors built to
-reason about the middleware (paper section 2.2).
+The fabric writes every datagram onto the ``net`` track of the
+:mod:`repro.obs` tracer; :mod:`repro.obs.report` turns that common-clock
+message log into the paper's section 2.2 summaries.
 """
 
 from repro.net.fabric import (
@@ -18,7 +19,6 @@ from repro.net.fabric import (
     NetworkConfig,
     NetworkFabric,
     Packet,
-    TraceRecord,
 )
 
 __all__ = [
@@ -30,5 +30,4 @@ __all__ = [
     "NetworkConfig",
     "NetworkFabric",
     "Packet",
-    "TraceRecord",
 ]

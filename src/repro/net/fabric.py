@@ -41,19 +41,6 @@ class Packet:
 
 
 @dataclass
-class TraceRecord:
-    """One line of the common-clock message log (paper section 2.2)."""
-
-    time: int
-    src: Address
-    dst: Address
-    kind: str
-    size: int
-    dropped: bool
-    reason: str = ""
-
-
-@dataclass
 class LinkSpec:
     """Latency/bandwidth/loss parameters for one directed host pair.
 
@@ -297,8 +284,6 @@ class NetworkFabric:
         sim: Simulator,
         rng: RngStreams,
         config: Optional[NetworkConfig] = None,
-        trace_enabled: bool = False,
-        trace_limit: int = 200_000,
         tracer=None,
     ) -> None:
         self.sim = sim
@@ -313,12 +298,8 @@ class NetworkFabric:
         self.sockets: dict[Address, DatagramSocket] = {}
         self.drop_rules: list[DropRule] = []
         self.link_faults: list[LinkFault] = []
-        self.trace_enabled = trace_enabled
-        self.trace_limit = trace_limit
-        self.trace: list[TraceRecord] = []
-        # The structured tracer generalizes the TraceRecord list: packets
-        # become flight spans / drop instants on the "net" track of the
-        # common-clock trace (repro.obs), alongside protocol phases.
+        # The common-clock message log (paper section 2.2): every packet is
+        # a flight span or a drop instant on the tracer's "net" track.
         self.tracer = tracer
         self.packets_sent = 0
         self.packets_dropped = 0
@@ -396,7 +377,7 @@ class NetworkFabric:
 
         The one send loop behind :meth:`DatagramSocket.send` and
         ``multicast``.  While no drop source is active (partitions, drop
-        rules, link faults, a lossy link, the packet log) a packet provably
+        rules, link faults, a lossy link) a packet provably
         survives and owes no loss/fault RNG draw, so NIC reservation,
         jitter and arrival are computed right here; otherwise the packet
         takes :meth:`_transmit_faulty`, which arrives at the same instant
@@ -408,9 +389,7 @@ class NetworkFabric:
         sim = self.sim
         now = sim.now
         routes = host._routes
-        quiet = not (
-            self.partitions or self.drop_rules or self.link_faults or self.trace_enabled
-        )
+        quiet = not (self.partitions or self.drop_rules or self.link_faults)
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
         getrandbits = self.jitter_rng.getrandbits
@@ -443,22 +422,10 @@ class NetworkFabric:
             sim.schedule_call(arrival, deliver, packet)
 
     def _transmit_faulty(self, host: Host, packet: Packet, route: _Route) -> None:
-        """The general path: drop decision, packet log, link faults."""
+        """The general path: drop decision, then link faults."""
         link = route.link
         now = self.sim.now
         dropped, reason = self._drop_decision(packet, link)
-        if self.trace_enabled and len(self.trace) < self.trace_limit:
-            self.trace.append(
-                TraceRecord(
-                    time=now,
-                    src=packet.src,
-                    dst=packet.dst,
-                    kind=packet.kind,
-                    size=packet.size,
-                    dropped=dropped,
-                    reason=reason,
-                )
-            )
         # The sender's NIC serializes the bytes whether or not the network
         # later drops them.
         serialized_at = max(now, host._nic_free_at) + self._tx_time(packet.size, link)
@@ -478,7 +445,7 @@ class NetworkFabric:
 
         Drops were already decided in :meth:`_drop_decision` (so they share
         the normal trace/accounting path); what remains here only ever
-        *adds* copies or delay.
+        *adds* copies or delay.  A copy is traced as its own flight.
         """
         for fault in self.link_faults:
             if not fault.matches(packet):
@@ -500,13 +467,15 @@ class NetworkFabric:
             ):
                 fault.duplicated += 1
                 dup_at = arrival + fault.duplicate_delay_ns
+                self._trace_packet(packet, self.sim.now, dup_at, "")
                 self.sim.schedule_call(dup_at, self._deliver, packet)
         return arrival
 
     def _trace_packet(
         self, packet: Packet, sent_at: int, arrival: Optional[int], reason: str
     ) -> None:
-        """Structured-trace one datagram: a flight span, or a drop tick."""
+        """Trace one datagram as a flight span or a drop tick, in the one
+        shape :func:`repro.obs.report.packets` reads."""
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             return
@@ -517,6 +486,7 @@ class NetworkFabric:
         }
         name = packet.kind or "datagram"
         if arrival is None:
+            args["kind"] = name
             args["reason"] = reason
             tracer.event("net", name + " DROPPED", cat="net.drop", args=args)
         else:
@@ -564,14 +534,3 @@ class NetworkFabric:
         registry.gauge(prefix + "bytes_sent").set(self.bytes_sent)
         for name, host in self.hosts.items():
             registry.gauge(f"host.{name}.cpu_busy_ns").set(host.cpu_busy_ns)
-
-    def trace_lines(self) -> list[str]:
-        """Human-readable trace, one line per packet (paper section 2.2)."""
-        lines = []
-        for rec in self.trace:
-            flag = f" DROPPED({rec.reason})" if rec.dropped else ""
-            lines.append(
-                f"{rec.time:>12d}ns {rec.src[0]}:{rec.src[1]} -> "
-                f"{rec.dst[0]}:{rec.dst[1]} {rec.kind} {rec.size}B{flag}"
-            )
-        return lines

@@ -5,8 +5,8 @@ One :class:`Observability` object per deployment bundles the two halves:
 * a :class:`~repro.obs.metrics.MetricsRegistry` of typed counters, gauges
   and histograms (the replicas' and clients' ``stats`` views live here);
 * a :class:`~repro.obs.tracer.Tracer` of spans/instants/phase marks on
-  the simulation's common clock, exportable to JSONL or Chrome
-  ``trace_event`` JSON (:mod:`repro.obs.export`) for Perfetto.
+  the simulation's common clock, exported for Perfetto by :mod:`repro.obs.export`
+  and read as the paper's section 2.2 message log by :mod:`repro.obs.report`.
 
 By default the tracer is *disabled* and adds no per-request work; pass
 ``Observability(tracing=True)`` (or ``trace_path=`` at the harness level)
@@ -61,14 +61,13 @@ class Observability:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         tracing: bool = False,
-        trace_limit: int = 2_000_000,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         if tracer is not None:
             self.tracer = tracer
         else:
             # Clock starts at zero; attach_clock rebinds to the simulator.
-            self.tracer = Tracer(lambda: 0, enabled=tracing, limit=trace_limit)
+            self.tracer = Tracer(lambda: 0, enabled=tracing)
 
     def attach_clock(self, clock: Callable[[], int]) -> None:
         """Bind the tracer to the deployment's simulated clock."""

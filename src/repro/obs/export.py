@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.phases import request_phases
-from repro.obs.tracer import KIND_INSTANT, KIND_MARK, KIND_SPAN, Tracer
+from repro.obs.tracer import KIND_INSTANT, KIND_MARK, KIND_SPAN, TraceEvent, Tracer
 
 REQUESTS_TRACK = "requests"
 
@@ -37,28 +37,27 @@ def _jsonable(value):
     return value
 
 
+def jsonl_record(event: TraceEvent) -> dict:
+    """The one JSONL schema: a trace event as one JSON object."""
+    record = {"kind": event.kind, "track": event.track, "name": event.name}
+    record["ts_ns"] = event.ts
+    if event.cat:
+        record["cat"] = event.cat
+    if event.dur is not None:
+        record["dur_ns"] = event.dur
+    if event.corr is not None:
+        record["corr"] = _jsonable(event.corr)
+    if event.args:
+        record["args"] = _jsonable(event.args)
+    return record
+
+
 def write_jsonl(tracer: Tracer, path: str) -> int:
     """One JSON object per event, in recording order.  Returns the count."""
-    written = 0
     with open(path, "w", encoding="utf-8") as fh:
         for event in tracer.events:
-            record = {
-                "kind": event.kind,
-                "track": event.track,
-                "name": event.name,
-                "ts_ns": event.ts,
-            }
-            if event.cat:
-                record["cat"] = event.cat
-            if event.dur is not None:
-                record["dur_ns"] = event.dur
-            if event.corr is not None:
-                record["corr"] = _jsonable(event.corr)
-            if event.args:
-                record["args"] = _jsonable(event.args)
-            fh.write(json.dumps(record) + "\n")
-            written += 1
-    return written
+            fh.write(json.dumps(jsonl_record(event)) + "\n")
+    return len(tracer.events)
 
 
 def chrome_trace_events(tracer: Tracer) -> list[dict]:

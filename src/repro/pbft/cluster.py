@@ -131,7 +131,6 @@ def build_cluster(
     seed: int = 1,
     app_factory: Optional[Callable[[], Application]] = None,
     real_crypto: bool = True,
-    trace: bool = False,
     client_hosts: int = 4,
     net_config: Optional[NetworkConfig] = None,
     nondet_provider_factory=None,
@@ -161,9 +160,7 @@ def build_cluster(
     obs = obs if obs is not None else Observability()
     obs.attach_clock(lambda: sim.now)
     if fabric is None:
-        fabric = NetworkFabric(
-            sim, rng, config=net_config, trace_enabled=trace, tracer=obs.tracer
-        )
+        fabric = NetworkFabric(sim, rng, config=net_config, tracer=obs.tracer)
     keys = KeyDirectory(config, rng.stream("keys"))
     prefix = config.group_prefix
 

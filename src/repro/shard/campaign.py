@@ -409,7 +409,6 @@ def _execute_shard(
         real_crypto=False,
         num_routers=_NUM_ROUTERS,
         router_hosts=_ROUTER_HOSTS,
-        trace=trace,
         obs=obs,
     )
     # One injector per group: the target shard runs the scenario's

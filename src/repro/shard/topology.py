@@ -186,7 +186,6 @@ def build_sharded_cluster(
     tx_pages: int = 8,
     table_map: Optional[dict[str, int]] = None,
     real_crypto: bool = True,
-    trace: bool = False,
     net_config: Optional[NetworkConfig] = None,
     directory: Optional[ShardDirectory] = None,
     obs: Optional[Observability] = None,
@@ -211,9 +210,7 @@ def build_sharded_cluster(
     master_rng = RngStreams(seed)
     obs = obs if obs is not None else Observability()
     obs.attach_clock(lambda: sim.now)
-    fabric = NetworkFabric(
-        sim, master_rng, config=net_config, trace_enabled=trace, tracer=obs.tracer
-    )
+    fabric = NetworkFabric(sim, master_rng, config=net_config, tracer=obs.tracer)
 
     groups: list[Cluster] = []
     for shard in range(num_shards):
@@ -224,7 +221,6 @@ def build_sharded_cluster(
                 inner_app_factory(s), keys_of, shard_id=s, tx_pages=tx_pages
             ),
             real_crypto=real_crypto,
-            trace=trace,
             sim=sim,
             rng=RngStreams(seed * 1000 + 7 * shard + 1),
             fabric=fabric,

@@ -29,6 +29,10 @@ from repro.sqlstate.values import SqlNull
 # verdict is the same at every replica, on any commit or replay path.
 MAX_EXPR_DEPTH = 64
 _TOO_DEEP = f"expression tree is too large (maximum depth {MAX_EXPR_DEPTH})"
+# The most tables one FROM list may join (SQLite's limit too).  A join
+# nests one level per table and the planner and executor recurse per
+# level, so without a cap a wide FROM list overflows Python's stack.
+MAX_JOIN_TABLES = 64
 
 _EXPRESSIONS = frozenset({
     ast.Literal, ast.Parameter, ast.ColumnRef, ast.Unary, ast.Binary, ast.IsNull,
@@ -397,6 +401,7 @@ class _Parser:
 
     def table_source(self):
         left: object = self.table_ref()
+        tables = 1
         while True:
             kind = None
             if self.accept_kw("JOIN"):
@@ -414,6 +419,9 @@ class _Parser:
                 kind = "CROSS"
             else:
                 return left
+            tables += 1
+            if tables > MAX_JOIN_TABLES:
+                raise SqlError(f"at most {MAX_JOIN_TABLES} tables in a join")
             right = self.table_ref()
             on = None
             if kind != "CROSS" and self.accept_kw("ON"):

@@ -26,6 +26,7 @@ from repro.faults import (
     run_schedule,
 )
 from repro.faults.library import lossy_replica_links, withholding_replica
+from repro.obs.report import traffic
 
 # Shortened phases keep the sweep fast; every schedule still applies and
 # heals all its faults well inside the run window.
@@ -108,10 +109,13 @@ def test_violation_dumps_artifacts(tmp_path):
     trace_path, events_path = result.artifacts
     with open(trace_path, encoding="utf-8") as fh:
         trace = json.load(fh)
-    assert trace["traceEvents"]
+    assert traffic(trace["traceEvents"]).messages_by_kind["Prepare"] > 0
     lines = [json.loads(line) for line in open(events_path, encoding="utf-8")]
     assert any("violation" in line for line in lines)
     assert any("fault" in line for line in lines)
+    # Protocol events share write_jsonl's record schema.
+    instants = [line for line in lines if line.get("kind") == "instant"]
+    assert instants and all("ts_ns" in line and "track" in line for line in instants)
 
 
 def test_fault_log_records_apply_and_heal():

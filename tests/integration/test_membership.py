@@ -5,6 +5,8 @@ import pytest
 from repro.common.units import SECOND
 from repro.membership import join_client, leave_client
 from repro.membership.messages import JoinChallenge
+from repro.obs import chrome_trace_events
+from repro.obs.report import packets
 from repro.pbft.cluster import build_cluster
 from repro.pbft.config import PbftConfig
 
@@ -40,10 +42,10 @@ def test_figure_2_join_sequence():
     """The paper's Figure 2: phase-1 multicast, challenges, ordered
     phase 2, reply with the assigned identifier."""
     cluster = make_cluster(num_clients=1)
-    cluster.fabric.trace_enabled = True
+    cluster.obs.tracer.enabled = True
     joined = join_all(cluster)
     assert len(joined) == 1
-    kinds = [r.kind for r in cluster.fabric.trace]
+    kinds = [p.kind for p in packets(chrome_trace_events(cluster.obs.tracer))]
     assert "JoinPhase1" in kinds
     assert "JoinChallenge" in kinds
     assert "Request" in kinds  # the ordered phase-2 system request

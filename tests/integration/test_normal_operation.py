@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.units import SECOND
+from repro.obs import chrome_trace_events
+from repro.obs.report import packets
 from repro.pbft.cluster import build_cluster
 from repro.pbft.config import PbftConfig
 
@@ -22,9 +24,9 @@ def test_single_request_executes_on_all_replicas(cluster):
 def test_figure_1_message_flow(cluster):
     """The normal-case flow of the paper's Figure 1: request, pre-prepare,
     prepare, commit, replies."""
-    cluster.fabric.trace_enabled = True
+    cluster.obs.tracer.enabled = True
     cluster.invoke_and_wait(cluster.clients[0], b"\x00op")
-    kinds = [record.kind for record in cluster.fabric.trace]
+    kinds = [p.kind for p in packets(chrome_trace_events(cluster.obs.tracer))]
     for expected in ("Request", "PrePrepare", "Prepare", "Commit", "Reply"):
         assert expected in kinds, f"missing {expected} in {set(kinds)}"
     # 3-phase ordering: the first PrePrepare precedes the first Commit.
@@ -135,12 +137,12 @@ def test_non_big_requests_inline_in_preprepare():
         num_clients=2, big_request_threshold=None, checkpoint_interval=8, log_window=16
     )
     cluster = build_cluster(config, seed=5)
-    cluster.fabric.trace_enabled = True
+    cluster.obs.tracer.enabled = True
     cluster.invoke_and_wait(cluster.clients[0], b"\x00" * 300)
     # The request goes to the primary only; no client multicast.
     request_packets = [
-        r for r in cluster.fabric.trace
-        if r.kind == "Request" and r.src[0].startswith("clienthost")
+        p for p in packets(chrome_trace_events(cluster.obs.tracer))
+        if p.kind == "Request" and p.src.startswith("clienthost")
     ]
     assert len(request_packets) == 1
-    assert request_packets[0].dst[0] == "replica0"
+    assert request_packets[0].dst == "replica0"

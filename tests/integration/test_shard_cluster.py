@@ -21,7 +21,7 @@ from repro.shard import (
     shard_campaign_config,
     smoke_scenarios,
 )
-from repro.shard.campaign import shard_scenarios
+from repro.shard.campaign import _execute_shard, shard_scenarios
 from repro.shard.topology import ShardedCluster
 
 
@@ -190,6 +190,33 @@ class TestCampaignSmoke:
             run_ns=100 * MILLISECOND, drain_ns=500 * MILLISECOND,
         )
         assert {v.invariant for v in result.violations} == {"membership-safety"}
+
+    def test_traced_rerun_reproduces_the_untraced_run(self):
+        # A failing run's forensic re-run turns tracing on; it must take
+        # the same send path and so replay the same execution.  Lossy
+        # links put the drop and link-fault path under both runs.
+        scenario = {s.name: s for s in shard_scenarios()}["shard0-lossy-replica-links"]
+
+        def fingerprint(trace):
+            result, cluster = _execute_shard(scenario, seed=1, trace=trace, **FAST)
+            roots = [
+                replica.state.refresh_tree()
+                for group in cluster.groups
+                for replica in group.replicas
+            ]
+            return (
+                cluster.sim.events_scheduled,
+                result.invoked_ops,
+                result.completed_ops,
+                result.sim_time_ns,
+                result.fault_log,
+                roots,
+            ), cluster.obs.tracer.events
+
+        untraced, no_events = fingerprint(False)
+        traced, events = fingerprint(True)
+        assert no_events == [] and events
+        assert traced == untraced
 
     def test_scenarios_cover_router_and_replica_faults(self):
         names = {s.name for s in shard_scenarios()}

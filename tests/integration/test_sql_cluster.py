@@ -233,3 +233,19 @@ def test_statement_past_max_depth_is_answered_alike_everywhere():
     # The group keeps ordering and executing.
     assert decode_rows_reply(cluster.invoke_and_wait(client, insert_op("after"))) == 1
     assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1
+
+
+def test_wide_from_list_is_answered_alike_everywhere():
+    """A FROM list past the engine's join cap used to raise
+    RecursionError out of ordered execution at every replica."""
+    cluster = make_cluster()
+    client = cluster.clients[0]
+    wide = "SELECT count(*) FROM " + ", ".join(f"votes v{i}" for i in range(900))
+    reply = cluster.invoke_and_wait(client, encode_sql_op(wide))
+    with pytest.raises(SqlError, match="at most 64 tables in a join"):
+        decode_rows_reply(reply)
+    answers = {r.reqstore.cached_reply(client.node_id).result for r in cluster.replicas}
+    assert answers == {reply}
+    # The group keeps ordering and executing.
+    assert decode_rows_reply(cluster.invoke_and_wait(client, insert_op("after"))) == 1
+    assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1

@@ -5,6 +5,8 @@ import pytest
 from repro.common.errors import ConfigError, NetworkError
 from repro.common.units import MICROSECOND
 from repro.net.fabric import DropRule, LinkFault, LinkSpec, NetworkConfig, NetworkFabric
+from repro.obs import Tracer, chrome_trace_events
+from repro.obs.report import packets
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
 
@@ -18,7 +20,8 @@ def make_fabric(loss=0.0, jitter=0, trace=False, seed=1):
             loss_probability=loss,
         )
     )
-    fabric = NetworkFabric(sim, RngStreams(seed), config=config, trace_enabled=trace)
+    tracer = Tracer(lambda: sim.now, enabled=trace)
+    fabric = NetworkFabric(sim, RngStreams(seed), config=config, tracer=tracer)
     fabric.add_host("a")
     fabric.add_host("b")
     return sim, fabric
@@ -123,9 +126,9 @@ def test_drop_rule_hits_exactly_count_packets():
     sim.run()
     assert rule.matched == 2
     assert got == [2, 3, 4]
-    dropped = [r for r in fabric.trace if r.dropped]
+    dropped = [p for p in packets(chrome_trace_events(fabric.tracer)) if p.reason]
     assert len(dropped) == 2
-    assert all(r.reason == "test-rule" for r in dropped)
+    assert all(p.reason == "test-rule" and p.kind == "victim" for p in dropped)
 
 
 def test_partition_blocks_both_directions_until_healed():
@@ -241,10 +244,9 @@ def test_trace_records_all_packets():
     fabric.bind("b", 1)
     sa.send(("b", 1), "x", 42, kind="Test")
     sim.run()
-    assert len(fabric.trace) == 1
-    record = fabric.trace[0]
-    assert record.kind == "Test" and record.size == 42 and not record.dropped
-    assert "Test" in fabric.trace_lines()[0]
+    [record] = packets(chrome_trace_events(fabric.tracer))
+    assert record.kind == "Test" and record.size == 42 and not record.reason
+    assert (record.time, record.src, record.dst) == (0, "a", "b")
 
 
 def test_host_cpu_serializes_work():
@@ -340,6 +342,21 @@ def test_link_fault_duplicates_deliver_twice():
     sim.run()
     assert got == ["twin", "twin"]
     assert fault.duplicated == 1
+
+
+def test_duplicated_packet_is_traced_as_its_own_flight():
+    sim, fabric = make_fabric(trace=True)
+    sa = fabric.bind("a", 1)
+    sb = fabric.bind("b", 1)
+    arrivals = []
+    sb.on_receive(lambda p: arrivals.append(sim.now))
+    fabric.add_link_fault(LinkFault(duplicate_probability=1.0))
+    sa.send(("b", 1), "twin", 10, kind="Twin")
+    sim.run()
+    flights = [e for e in fabric.tracer.spans() if e.track == "net"]
+    assert len(arrivals) == 2 and len(flights) == 2
+    assert sorted(e.end for e in flights) == arrivals
+    assert [e.name for e in flights] == ["Twin", "Twin"]
 
 
 def test_link_fault_reorder_pushes_packet_behind_later_traffic():

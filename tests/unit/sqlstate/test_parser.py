@@ -6,7 +6,7 @@ from repro.apps.sqlapp import tables_of_sql
 from repro.common.errors import SqlError, SqlSyntaxError
 from repro.sqlstate import ast
 from repro.sqlstate.engine import Database
-from repro.sqlstate.parser import MAX_EXPR_DEPTH, parse, parse_script
+from repro.sqlstate.parser import MAX_EXPR_DEPTH, MAX_JOIN_TABLES, parse, parse_script
 from repro.sqlstate.values import SqlNull
 
 
@@ -308,3 +308,37 @@ def test_expression_past_max_depth_is_refused(shape):
 def test_deep_input_is_an_sql_error_not_a_crash(sql):
     with pytest.raises(SqlError, match="expression tree is too large"):
         parse(sql)
+
+
+# -- join width ------------------------------------------------------------------
+
+
+def wide_join(tables, joiner=", "):
+    return "SELECT count(*) FROM t t0" + "".join(
+        f"{joiner}t t{i}" for i in range(1, tables)
+    )
+
+
+def one_row_db():
+    # One row: a 64-way cross join of two rows would be 2**64 rows.
+    db = Database()
+    db.execute("CREATE TABLE t (x INTEGER)")
+    db.execute("INSERT INTO t VALUES (1)")
+    return db
+
+
+@pytest.mark.parametrize("joiner", [", ", " JOIN ", " CROSS JOIN "])
+def test_join_of_max_tables_runs(joiner):
+    db = one_row_db()
+    sql = wide_join(MAX_JOIN_TABLES, joiner)
+    assert db.execute(sql).scalar() == 1
+    assert _in_deeper_frames(150, lambda: db.execute(sql).scalar()) == 1
+
+
+@pytest.mark.parametrize("tables", [MAX_JOIN_TABLES + 1, 900])
+def test_join_past_max_tables_is_refused(tables):
+    sql = wide_join(tables)
+    with pytest.raises(SqlError) as refused:
+        one_row_db().execute(sql)
+    assert str(refused.value) == f"at most {MAX_JOIN_TABLES} tables in a join"
+    assert tables_of_sql(sql) == ()
