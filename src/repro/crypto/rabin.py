@@ -10,7 +10,9 @@ root.  We implement the standard construction:
 * signing: hash the message together with an incrementing salt until the
   hash value is a quadratic residue mod both primes — decided by Legendre
   symbols, so a rejected salt costs no exponentiation — then take the CRT
-  combination of the two roots;
+  combination of the two roots.  The symbols and roots run in libgmp when
+  it loads (:mod:`repro.crypto.gmp`), else in the pure-Python lines below;
+  both give the same signature;
 * verification: recompute the salted hash and check ``s*s ≡ u (mod n)``.
 
 Key sizes in the tests are small (the simulation charges the *cost model's*
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import CryptoError
+from repro.crypto import gmp
 from repro.crypto.digests import digest_state
 from repro.crypto.primes import random_prime
 
@@ -52,11 +55,17 @@ class RabinKeyPair:
     q_inv_p: int = field(init=False, repr=False, compare=False)
     root_exp_p: int = field(init=False, repr=False, compare=False)
     root_exp_q: int = field(init=False, repr=False, compare=False)
+    # The signer's residue-roots step, bound on the key's first signature.
+    _roots: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q_inv_p", pow(self.q, -1, self.p))
         object.__setattr__(self, "root_exp_p", (self.p + 1) // 4)
         object.__setattr__(self, "root_exp_q", (self.q + 1) // 4)
+
+    def __reduce__(self):
+        # Native registers do not pickle; a copy binds its own step.
+        return (RabinKeyPair, (self.public, self.p, self.q))
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,60 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+class _PythonRoots:
+    """The per-key step on CPython integers: both principal roots of ``u``
+    if it is a residue mod ``p`` and mod ``q``, else None."""
+
+    __slots__ = ("p", "q", "exp_p", "exp_q")
+
+    def __init__(self, key: RabinKeyPair) -> None:
+        self.p, self.q = key.p, key.q
+        self.exp_p, self.exp_q = key.root_exp_p, key.root_exp_q
+
+    def __call__(self, u: int):
+        p, q = self.p, self.q
+        if _jacobi(u, p) != 1 or _jacobi(u, q) != 1:
+            return None
+        return pow(u, self.exp_p, p), pow(u, self.exp_q, q)
+
+
+# Register numbers of a key's native step.
+_P, _Q, _EXP_P, _EXP_Q, _U, _ROOT = range(6)
+
+
+class _NativeRoots:
+    """The same step in libgmp, on registers holding the key's primes and
+    root exponents; ``u`` is below the modulus, so all fit its width."""
+
+    __slots__ = ("registers",)
+
+    def __init__(self, lib: gmp.Gmp, key: RabinKeyPair) -> None:
+        self.registers = registers = gmp.Registers(lib, 6, key.public.size_bytes)
+        registers.load(_P, key.p)
+        registers.load(_Q, key.q)
+        registers.load(_EXP_P, key.root_exp_p)
+        registers.load(_EXP_Q, key.root_exp_q)
+
+    def __call__(self, u: int):
+        registers = self.registers
+        registers.load(_U, u)
+        if registers.jacobi(_U, _P) != 1 or registers.jacobi(_U, _Q) != 1:
+            return None
+        registers.powm(_ROOT, _U, _EXP_P, _P)
+        root_p = registers.read(_ROOT)
+        registers.powm(_ROOT, _U, _EXP_Q, _Q)
+        return root_p, registers.read(_ROOT)
+
+
+def _roots_step(key: RabinKeyPair):
+    step = key._roots
+    if step is None:
+        lib = gmp.library()
+        step = _PythonRoots(key) if lib is None else _NativeRoots(lib, key)
+        object.__setattr__(key, "_roots", step)
+    return step
+
+
 def rabin_sign(key: RabinKeyPair, message: bytes) -> RabinSignature:
     """Sign ``message``: find a salt making its hash a residue, take a root.
 
@@ -133,13 +196,14 @@ def rabin_sign(key: RabinKeyPair, message: bytes) -> RabinSignature:
     hashed once; each salt forks that state.
     """
     p, q, n = key.p, key.q, key.public.n
+    roots_of = _roots_step(key)
     midstate = digest_state(message)
     for salt in range(_MAX_SALT):
         u = _salted_from(midstate, salt, n)
-        if _jacobi(u, p) != 1 or _jacobi(u, q) != 1:
+        roots = roots_of(u)
+        if roots is None:
             continue
-        root_p = pow(u, key.root_exp_p, p)
-        root_q = pow(u, key.root_exp_q, q)
+        root_p, root_q = roots
         # CRT combine: s ≡ root_p (mod p), s ≡ root_q (mod q).
         s = (root_q + q * ((root_p - root_q) * key.q_inv_p % p)) % n
         return RabinSignature(salt=salt, root=s)

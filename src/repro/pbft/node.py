@@ -147,15 +147,18 @@ class KeyDirectory:
         self.client_keys[client_id] = pair
         return pair
 
-    def replica_public(self, rid: int) -> RabinPublicKey:
-        return self.replica_keys[rid].public
+    def replica_public(self, rid: int) -> Optional[RabinPublicKey]:
+        """None for an id outside the group (a sender can claim any)."""
+        pair = self.replica_keys.get(rid)
+        return pair.public if pair else None
 
     def client_public(self, client_id: int) -> Optional[RabinPublicKey]:
         pair = self.client_keys.get(client_id)
         return pair.public if pair else None
 
-    def replica_pair_key(self, a: int, b: int) -> MacKey:
-        return self.replica_session[frozenset((a, b))]
+    def replica_pair_key(self, a: int, b: int) -> Optional[MacKey]:
+        """None unless ``a`` and ``b`` are two replicas of the group."""
+        return self.replica_session.get(frozenset((a, b)))
 
     def refresh_slot(self, rid: int) -> None:
         """Regenerate one replica slot's key material (proactive recovery
@@ -395,7 +398,8 @@ class Node:
             and peer_id != self.node_id
         ):
             key = self.keys.replica_pair_key(self.node_id, peer_id)
-            self.session_keys[(peer_kind, peer_id)] = key
+            if key is not None:
+                self.session_keys[(peer_kind, peer_id)] = key
             return key
         return None
 

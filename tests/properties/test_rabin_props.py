@@ -1,12 +1,22 @@
 """Property tests: the signer's Legendre/Jacobi symbol against Euler's
-criterion (the exponentiation it replaced) and the symbol's own laws."""
+criterion (the exponentiation it replaced) and the symbol's own laws, and
+the libgmp binding's symbol, roots and modular power against the
+pure-Python ones."""
 
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.crypto import gmp
 from repro.crypto.primes import random_prime
-from repro.crypto.rabin import _jacobi
+from repro.crypto.rabin import (
+    RabinKeyPair,
+    RabinPublicKey,
+    _jacobi,
+    _NativeRoots,
+    _PythonRoots,
+)
 from repro.sim.rng import RngStreams
 
 _rng = RngStreams(41).stream("jacobi-props")
@@ -61,3 +71,33 @@ def test_symbol_is_zero_iff_not_coprime(n, a, k):
     a *= 2 * k + 1
     assert (_jacobi(a, n) == 0) == (gcd(a, n) > 1)
     assert _jacobi(a + n, n) == _jacobi(a, n)
+
+
+native = pytest.mark.skipif(gmp.library() is None, reason="libgmp does not load here")
+
+
+@native
+@given(prime_and_argument())
+@settings(max_examples=400)
+def test_native_symbol_and_power_equal_python(case):
+    p, a = case
+    # Wide enough for every argument the strategy draws (up to 2**128).
+    registers = gmp.Registers(gmp.library(), 4, 17 + p.bit_length() // 8)
+    registers.load(0, a)
+    registers.load(1, p)
+    assert registers.jacobi(0, 1) == _jacobi(a, p)
+    for exponent in ((p + 1) // 4, (p - 1) // 2, 0, 1, a):
+        registers.load(2, exponent)
+        registers.powm(3, 0, 2, 1)
+        assert registers.read(3) == pow(a, exponent, p)
+
+
+@native
+@given(prime_and_argument(), st.sampled_from(PRIMES))
+@settings(max_examples=400)
+def test_native_roots_equal_python(case, q):
+    p, a = case
+    assume(q != p)
+    key = RabinKeyPair(public=RabinPublicKey(p * q), p=p, q=q)
+    u = a % key.public.n  # what the signer hands the step
+    assert _NativeRoots(gmp.library(), key)(u) == _PythonRoots(key)(u)

@@ -1,12 +1,21 @@
 """The Rabin signature scheme."""
 
+import copy
+import ctypes.util
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.crypto.rabin as rabin_module
 from repro.common.errors import CryptoError
+from repro.crypto import gmp
 from repro.crypto.rabin import (
+    RabinKeyPair,
     RabinSignature,
     rabin_generate,
     rabin_sign,
@@ -18,6 +27,18 @@ from repro.sim.rng import RngStreams
 @pytest.fixture(scope="module")
 def keypair():
     return rabin_generate(RngStreams(11).stream("rabin"), bits=256)
+
+
+def backends(monkeypatch):
+    """Yield each backend the host has, running the loop body on it.  A key
+    binds its backend on its first signature, so a body that signs
+    generates its own keys."""
+    real = gmp.library
+    monkeypatch.setattr(gmp, "library", lambda: None)
+    yield "python"
+    monkeypatch.setattr(gmp, "library", real)
+    if real() is not None:
+        yield "native"
 
 
 def test_modulus_is_blum_integer(keypair):
@@ -129,18 +150,20 @@ _BOUNDARY_LENGTHS = (0, 1, 54, 55, 56, 62, 63, 64, 65, 118, 119, 120, 1024, 1090
 
 
 @pytest.mark.parametrize("seed,bits", [(21, 128), (22, 256), (23, 512), (24, 1024)])
-def test_signatures_identical_to_reference_algorithm(seed, bits):
+def test_signatures_identical_to_reference_algorithm(seed, bits, monkeypatch):
     # Same salt and same root, hence the same size_bytes on the simulated
-    # wire: the symbol search must not change a single signature.
-    key = rabin_generate(RngStreams(seed).stream("rabin"), bits=bits)
-    assert key.q_inv_p == pow(key.q, -1, key.p)
+    # wire: neither the symbol search nor the backend may change a single
+    # signature.
     count = 500 if bits <= 512 else 60  # the reference takes 4 ms a signature at 1024
     messages = [f"message-{seed}-{i}".encode() * (1 + i % 7) for i in range(count)]
     messages += [bytes([seed]) * length for length in _BOUNDARY_LENGTHS]
-    for message in messages:
-        sig = rabin_sign(key, message)
-        assert sig == _reference_sign(key, message)
-        assert rabin_verify(key.public, message, sig)
+    for _backend in backends(monkeypatch):
+        key = rabin_generate(RngStreams(seed).stream("rabin"), bits=bits)
+        assert key.q_inv_p == pow(key.q, -1, key.p)
+        for message in messages:
+            sig = rabin_sign(key, message)
+            assert sig == _reference_sign(key, message)
+            assert rabin_verify(key.public, message, sig)
 
 
 @pytest.mark.parametrize("length", _BOUNDARY_LENGTHS)
@@ -153,38 +176,102 @@ def test_salted_value_equals_hash_of_concatenation(keypair, length):
         )
 
 
-def test_exactly_two_exponentiations_per_signature(keypair, monkeypatch):
+def test_exactly_two_exponentiations_per_signature(monkeypatch):
     # Rejected salts cost Legendre symbols only; the reference algorithm
     # averages six exponentiations per signature on the same messages.
-    calls = []
+    # Counted as Python ``pow`` calls on one backend and as the binding's
+    # ``powm`` calls on the other, which must then make no ``pow`` call.
+    pows, powms = [], []
 
     def counting_pow(*args):
-        calls.append(args)
+        pows.append(args)
         return pow(*args)
 
-    monkeypatch.setattr(rabin_module, "pow", counting_pow, raising=False)
-    salts = 0
-    for i in range(500):
-        before = len(calls)
-        salts += rabin_sign(keypair, f"count-{i}".encode()).salt + 1
-        assert len(calls) - before == 2
-    assert salts > 1500  # ~4 salts tried per signature: rejections happened
+    real_powm = gmp.Registers.powm
+
+    def counting_powm(registers, *args):
+        powms.append(args)
+        return real_powm(registers, *args)
+
+    monkeypatch.setattr(gmp.Registers, "powm", counting_powm)
+    for backend in backends(monkeypatch):
+        key = rabin_generate(RngStreams(11).stream("rabin"), bits=256)
+        calls, idle = (pows, powms) if backend == "python" else (powms, pows)
+        pows.clear()
+        powms.clear()
+        salts = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(rabin_module, "pow", counting_pow, raising=False)
+            for i in range(500):
+                before = len(calls)
+                salts += rabin_sign(key, f"count-{i}".encode()).salt + 1
+                assert len(calls) - before == 2
+        assert idle == []
+        assert salts > 1500  # ~4 salts tried per signature: rejections happened
 
 
-def test_multiples_of_a_prime_factor_are_not_residues():
+def test_multiples_of_a_prime_factor_are_not_residues(monkeypatch):
     # u % p == 0 (or u % q == 0) must be skipped exactly as the reference
     # does (Euler's criterion yields 0, not 1).  With 16-bit primes such
     # hashes actually occur, so the salts must still agree.
     from repro.crypto.rabin import _salted_value
 
-    key = rabin_generate(RngStreams(31).stream("rabin"), bits=32)
-    n = key.public.n
-    degenerate = 0
-    for i in range(40_000):
-        message = i.to_bytes(4, "big")
-        sig = rabin_sign(key, message)
-        assert sig == _reference_sign(key, message)
-        for salt in range(sig.salt):
-            u = _salted_value(message, salt, n)
-            degenerate += u % key.p == 0 or u % key.q == 0
-    assert degenerate > 0  # the case was actually exercised
+    for _backend in backends(monkeypatch):
+        key = rabin_generate(RngStreams(31).stream("rabin"), bits=32)
+        n = key.public.n
+        degenerate = 0
+        for i in range(40_000):
+            message = i.to_bytes(4, "big")
+            sig = rabin_sign(key, message)
+            assert sig == _reference_sign(key, message)
+            for salt in range(sig.salt):
+                u = _salted_value(message, salt, n)
+                degenerate += u % key.p == 0 or u % key.q == 0
+        assert degenerate > 0  # the case was actually exercised
+
+
+@pytest.mark.parametrize("seed,bits", [(51, 32), (52, 64), (53, 256), (54, 1024)])
+def test_key_generation_is_the_same_on_both_backends(seed, bits, monkeypatch):
+    if gmp.library() is None:
+        pytest.skip("libgmp does not load here")
+    native_rng = RngStreams(seed).stream("rabin")
+    native = rabin_generate(native_rng, bits=bits)
+    monkeypatch.setattr(gmp, "library", lambda: None)
+    python_rng = RngStreams(seed).stream("rabin")
+    python = rabin_generate(python_rng, bits=bits)
+    assert (native.p, native.q) == (python.p, python.q)
+    # The same witnesses were drawn: the streams are at the same point.
+    assert native_rng.getrandbits(64) == python_rng.getrandbits(64)
+
+
+def test_importing_the_package_loads_no_library():
+    # find_library starts a process; it runs on the first signature only.
+    probe = (
+        "import repro.crypto, repro.pbft, repro.crypto.gmp as g;"
+        "assert g.library.cache_info().currsize == 0"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
+
+
+def test_signing_runs_native_wherever_libgmp_is_installed():
+    # A broken binding must fail here, not fall back to Python silently.
+    if ctypes.util.find_library("gmp") is None:
+        pytest.skip("no libgmp on this host")
+    assert gmp.library() is not None
+    key = rabin_generate(RngStreams(13).stream("rabin"), bits=128)
+    rabin_sign(key, b"m")
+    assert isinstance(key._roots, rabin_module._NativeRoots)
+
+
+def test_a_key_that_has_signed_pickles_compares_and_hashes_as_before():
+    key = rabin_generate(RngStreams(14).stream("rabin"), bits=256)
+    fresh = RabinKeyPair(public=key.public, p=key.p, q=key.q)
+    before = rabin_sign(key, b"m")
+    assert key._roots is not None
+    for other in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key), fresh):
+        assert other == key and hash(other) == hash(key)
+        assert repr(other) == repr(key)
+        assert rabin_sign(other, b"m") == before
+        assert rabin_sign(key, b"other") == rabin_sign(other, b"other")

@@ -199,6 +199,65 @@ def test_malformed_trailer_is_an_auth_failure_not_an_exception(auth_kind, craft)
     assert replica.auth_failures == 1
 
 
+# -- sender ids outside the group ---------------------------------------------------
+
+
+def _trailer(auth_kind, cluster, data):
+    """A well-formed trailer of ``auth_kind`` under some real key."""
+    from repro.crypto.authenticators import Authenticator
+    from repro.crypto.mac import compute_mac
+    from repro.crypto.rabin import rabin_sign
+
+    if auth_kind == AUTH_SIG:
+        return rabin_sign(cluster.keys.replica_keys[1], data)
+    tag = compute_mac(cluster.keys.replica_pair_key(0, 1), data)
+    return tag if auth_kind == AUTH_MAC else Authenticator({0: tag})
+
+
+@pytest.mark.parametrize(
+    "auth_kind", [AUTH_SIG, AUTH_MAC, AUTH_VECTOR], ids=["sig", "mac", "vector"]
+)
+def test_replica_rejects_a_replica_id_outside_the_group(auth_kind):
+    from repro.pbft.cluster import build_cluster
+    from repro.pbft.messages import Prepare
+
+    cluster = build_cluster(PbftConfig(num_clients=2), seed=5, real_crypto=True)
+    client, replica = cluster.clients[0], cluster.replicas[0]
+    # The envelope's claim is what selects the key; the body's sender
+    # field is unsigned on the wire.
+    for claimed in (7, -1):
+        prepare = Prepare(view=0, seq=1, batch_digest=b"\x00" * 16, sender=7)
+        env = Envelope(
+            prepare, auth_kind, _trailer(auth_kind, cluster, prepare.auth_bytes()),
+            "replica", claimed,
+        )
+        client.socket.send(replica_address(0), env, env.size, "claimed")
+    cluster.sim.run_for(5_000_000)  # raises here if verification does
+    assert replica.auth_failures == 2
+    assert replica.stats["auth_failures"] == 2
+    assert cluster.invoke_and_wait(client, b"\x00honest") is not None
+
+
+def test_signing_client_rejects_a_replica_id_outside_the_group():
+    from repro.pbft.cluster import build_cluster
+    from repro.pbft.messages import Reply
+
+    cluster = build_cluster(
+        PbftConfig(num_clients=2, use_macs=False), seed=5, real_crypto=True
+    )
+    client, replica = cluster.clients[0], cluster.replicas[0]
+    for claimed in (7, -1):
+        reply = Reply(view=0, req_id=1, client=client.node_id, sender=7, result=b"")
+        env = Envelope(
+            reply, AUTH_SIG, _trailer(AUTH_SIG, cluster, reply.auth_bytes()),
+            "replica", claimed,
+        )
+        replica.socket.send(client.socket.address, env, env.size, "claimed")
+    cluster.sim.run_for(5_000_000)
+    assert client.auth_failures == 2
+    assert cluster.invoke_and_wait(client, b"\x00honest") is not None
+
+
 # -- one signature per message ----------------------------------------------------
 
 
