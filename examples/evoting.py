@@ -49,12 +49,11 @@ def main() -> None:
 
     print()
     print("=== replica 2 crashes mid-election ===")
-    victim = cluster.replicas[2]
-    victim.crash()
+    cluster.replicas[2].crash()
     for voter, choice in zip(voters[2:], choices[2:]):
         wait(cluster, lambda cb, v=voter, c=choice: v.cast_vote(1, c, callback=cb))
         print(f"  {voter.username} voted (with one replica down)")
-    victim.restart()
+    victim = cluster.restart(2)
     cluster.run_for(2 * SECOND)
     print(f"  replica 2 restarted and recovered "
           f"(recovering={victim.recovering}, last_exec={victim.last_exec})")

@@ -64,7 +64,7 @@ def main() -> None:
         ),
     )
     print(f"  verify middleware12.pdf with one replica down: {verdict}")
-    cluster.replicas[1].restart()
+    cluster.restart(1)
     cluster.run_for(2 * SECOND)
     print(f"  replica 1 recovered (recovering={cluster.replicas[1].recovering})")
 

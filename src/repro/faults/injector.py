@@ -138,7 +138,7 @@ class FaultInjector:
             if fault.restart_after_ns is not None:
                 self._heal_later(
                     fault.restart_after_ns,
-                    replica.restart,
+                    lambda: self._restart(fault.replica),
                     f"restart replica{fault.replica}",
                 )
         elif isinstance(fault, PartitionFault):
@@ -169,42 +169,21 @@ class FaultInjector:
                 f"close disturbance window {fault.src}->{fault.dst}",
             )
         elif isinstance(fault, MutePrimary):
-            primary = cluster.replicas[max_view % cluster.config.n]
-            primary.muted = True
-            self._note(f"{fault.describe()} -> replica{primary.node_id}")
-
-            def unmute() -> None:
-                primary.muted = False
-
-            self._heal_later(
-                fault.duration_ns, unmute, f"unmute replica{primary.node_id}"
-            )
+            slot = max_view % cluster.config.n
+            self._flag_window(slot, "muted", fault.duration_ns, f"unmute replica{slot}")
+            self._note(f"{fault.describe()} -> replica{slot}")
         elif isinstance(fault, EquivocatingPrimary):
-            primary = cluster.replicas[max_view % cluster.config.n]
-            primary.equivocate = True
-            self._note(f"{fault.describe()} -> replica{primary.node_id}")
-
-            def stop_equivocating() -> None:
-                primary.equivocate = False
-
-            self._heal_later(
-                fault.duration_ns,
-                stop_equivocating,
-                f"replica{primary.node_id} stops equivocating",
+            slot = max_view % cluster.config.n
+            self._flag_window(
+                slot, "equivocate", fault.duration_ns, f"replica{slot} stops equivocating"
             )
+            self._note(f"{fault.describe()} -> replica{slot}")
         elif isinstance(fault, WithholdFullReplies):
-            replica = cluster.replicas[fault.replica]
-            replica.withhold_full_replies = True
-            self._note(fault.describe())
-
-            def stop_withholding() -> None:
-                replica.withhold_full_replies = False
-
-            self._heal_later(
-                fault.duration_ns,
-                stop_withholding,
+            self._flag_window(
+                fault.replica, "withhold_full_replies", fault.duration_ns,
                 f"replica{fault.replica} sends full replies again",
             )
+            self._note(fault.describe())
         elif isinstance(fault, MarkovChurn):
             self._apply_markov_churn(fault)
         elif isinstance(fault, ReplicaReplace):
@@ -217,6 +196,21 @@ class FaultInjector:
             self._apply_oversized_client(fault)
         else:  # pragma: no cover - schedule.validate keeps this unreachable
             raise TypeError(f"unknown fault declaration {fault!r}")
+
+    def _restart(self, slot: int) -> None:
+        if self.cluster.restart(slot) is None:
+            self._note(f"skip: replica{slot} is already up")
+
+    def _flag_window(self, slot: int, flag: str, duration_ns: int, heal: str) -> None:
+        """Set a misbehaviour flag on whatever replica holds ``slot`` now,
+        and clear it on whatever replica holds the slot when the window
+        closes (a restart in between builds a new, well-behaved one)."""
+        setattr(self.cluster.replicas[slot], flag, True)
+        self._heal_later(
+            duration_ns,
+            lambda: setattr(self.cluster.replicas[slot], flag, False),
+            heal,
+        )
 
     # -- membership drivers ---------------------------------------------------
 
@@ -232,9 +226,7 @@ class FaultInjector:
         self._note(fault.describe())
 
         def finish() -> None:
-            replica = cluster.replicas[slot]
-            if replica.crashed:
-                replica.restart()
+            cluster.restart(slot)
             self.open_heals -= 1
             self._note(
                 f"churn window on replica{slot} ends "
@@ -255,9 +247,7 @@ class FaultInjector:
 
         def go_up() -> None:
             now = cluster.sim.now
-            replica = cluster.replicas[slot]
-            if replica.crashed:
-                replica.restart()
+            cluster.restart(slot)
             if now >= end:
                 finish()
                 return

@@ -175,11 +175,10 @@ def run_recovery_experiment(
     cluster = build_cluster(config, seed=seed, real_crypto=False)
     _start_closed_loop(cluster, bytes(256))
 
-    victim = cluster.replicas[3]  # a backup (primary is replica 0 in view 0)
     cluster.run_for(int(crash_at_s * SECOND))
-    victim.crash()
+    cluster.replicas[3].crash()  # a backup (primary is replica 0 in view 0)
     cluster.run_for(int(down_for_s * SECOND))
-    victim.restart()
+    victim = cluster.restart(3)
 
     def validates_clients() -> bool:
         return not use_macs or all(

@@ -64,17 +64,14 @@ class MembershipManager:
     def __init__(self, replica) -> None:
         self.replica = replica
         self.config = replica.config
-        self.table: dict[int, ClientEntry] = {}  # external id -> entry
-        self.redirection: dict[int, int] = {}  # external id -> slot
-        self.by_principal: dict[int, int] = {}  # principal -> external id
-        self.free_slots: list[int] = list(range(self.config.max_node_entries))
-        self.next_external = EXTERNAL_ID_BASE
         self.pending_joins: dict[int, JoinPhase1] = {}  # temp id -> phase 1
         # Addresses of recently departed clients, kept just long enough to
         # deliver the Leave acknowledgement.
         self.recently_left: dict[int, tuple[str, int]] = {}
         self.stats = replica.stats
-        self._persist_header()
+        # The client and redirection tables, from the pages (a restarted
+        # replica's already hold them).
+        self.reload_from_state()
         # The section 3.3.2 extension: per-session state slots, placed in
         # the library partition right after the client table.
         from repro.membership.sessions import SessionStateManager
@@ -298,10 +295,10 @@ class MembershipManager:
         state transfer, rollback, or restart."""
         state = self.replica.state
         magic, next_external, _count = _HEADER.unpack(state.read(0, _HEADER.size))
-        self.table.clear()
-        self.redirection.clear()
-        self.by_principal.clear()
-        self.free_slots = []
+        self.table: dict[int, ClientEntry] = {}  # external id -> entry
+        self.redirection: dict[int, int] = {}  # external id -> slot
+        self.by_principal: dict[int, int] = {}  # principal -> external id
+        self.free_slots: list[int] = []
         if magic != _MAGIC:
             # Fresh (all-zero) state: nothing persisted yet.
             self.next_external = EXTERNAL_ID_BASE

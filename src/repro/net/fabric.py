@@ -273,7 +273,8 @@ class DatagramSocket:
 
     def close(self) -> None:
         self.closed = True
-        self.host.fabric.unbind(self.address)
+        if self.host.fabric.sockets.get(self.address) is self:  # not bound anew
+            self.host.fabric.unbind(self.address)
 
 
 class NetworkFabric:

@@ -15,8 +15,10 @@ from repro.net.fabric import NetworkConfig, NetworkFabric
 from repro.obs import Observability
 from repro.pbft.client import PbftClient
 from repro.pbft.config import PbftConfig
+from repro.pbft.messages import DurableImage
 from repro.pbft.node import CLIENT_PORT, KeyDirectory
 from repro.pbft.replica import Application, NullApplication, Replica
+from repro.pbft.wire import decode_exact
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
 
@@ -70,6 +72,21 @@ class Cluster:
         for client in self.clients:
             client.stop()
 
+    def restart(self, slot: int) -> Optional[Replica]:
+        """Bring the crashed replica in ``slot`` back (paper section 2.3): a
+        new :class:`Replica` on the same host, port and app, built from the
+        bytes of the crashed one's :class:`DurableImage`, with its client
+        addresses (configuration) but no client session keys.  None, and
+        nothing done, if the slot's replica is live."""
+        old = self.replicas[slot]
+        if not old.crashed:
+            return None
+        image = decode_exact(DurableImage, old.durable_image().encode())
+        replica = self._rebuild(slot, self.apps[slot], image)
+        for client_id, addr in old.client_addr.items():
+            replica.register_client(client_id, addr)
+        return replica
+
     def replace_replica(
         self, slot: int, app_factory: Optional[Callable[[], Application]] = None
     ) -> Replica:
@@ -78,7 +95,7 @@ class Cluster:
         The deployment-side half of a RECONFIG_REPLACE: the ordered system
         op flips the slot's incarnation and epoch inside the protocol; this
         helper swaps the actual process — a brand-new :class:`Replica` with
-        empty state on the same host/address, fresh key material, and
+        an empty image on the same host/address, fresh key material, and
         nothing but the public directory to bootstrap from.  It comes up
         recovering and pulls a stable checkpoint + log tail from the group.
         """
@@ -91,33 +108,22 @@ class Cluster:
         # slot's key material; every peer's cached copies are dropped.
         refresh_replica_keys(self, slot)
         app = app_factory() if app_factory else NullApplication()
-        replica = Replica(
-            replica_id=slot,
-            config=self.config,
-            host=old.host,
-            keys=self.keys,
-            app=app,
-            real_crypto=old.real_crypto,
-            obs=self.obs,
-        )
-        if self.config.dynamic_clients:
-            from repro.membership.manager import MembershipManager
-
-            replica.membership = MembershipManager(replica)
-        self.replicas[slot] = replica
-        self.apps[slot] = app
-        # The constructor bound the socket; restart() rebinds and enters
-        # recovery (status gossip -> checkpoint votes -> state transfer),
-        # so release the first binding before calling it.
-        replica.socket.close()
-        replica.restart()
-        # Static-membership deployments: re-register the clients *after*
-        # restart() (restart drops client session keys, modelling a fresh
-        # machine that must relearn them — but addresses are config).
+        replica = self._rebuild(slot, app, DurableImage(pages=()))
+        # Static-membership deployments: the new machine is configured with
+        # the clients' addresses and pre-shared session keys.
         if not self.config.dynamic_clients:
             for client in self.clients:
                 key = client.session_keys.get(("replica", slot))
                 replica.register_client(client.node_id, client.socket.address, key)
+        return replica
+
+    def _rebuild(self, slot: int, app: Application, image: DurableImage) -> Replica:
+        old = self.replicas[slot]
+        self.replicas[slot] = replica = Replica(
+            slot, self.config, old.host, self.keys, app, old.nondet_provider,
+            old.nondet_validator, old.real_crypto, self.obs, image,
+        )
+        self.apps[slot] = app
         return replica
 
     def collect_metrics(self) -> None:
@@ -172,24 +178,12 @@ def build_cluster(
         host = fabric.add_host(f"{prefix}replica{rid}", clock_skew_ns=skew)
         app = app_factory() if app_factory else NullApplication()
         apps.append(app)
-        replica = Replica(
-            replica_id=rid,
-            config=config,
-            host=host,
-            keys=keys,
-            app=app,
-            nondet_provider=nondet_provider_factory() if nondet_provider_factory else None,
-            nondet_validator=nondet_validator_factory() if nondet_validator_factory else None,
-            real_crypto=real_crypto,
-            obs=obs,
-        )
-        replicas.append(replica)
-
-    if config.dynamic_clients:
-        from repro.membership.manager import MembershipManager
-
-        for replica in replicas:
-            replica.membership = MembershipManager(replica)
+        replicas.append(Replica(
+            rid, config, host, keys, app,
+            nondet_provider_factory() if nondet_provider_factory else None,
+            nondet_validator_factory() if nondet_validator_factory else None,
+            real_crypto, obs,
+        ))
 
     hosts = []
     for h in range(client_hosts):

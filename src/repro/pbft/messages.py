@@ -502,6 +502,32 @@ class PagesMsg(WireMemo):
 
 
 @message
+class DurableImage:
+    """Everything a replica keeps across a crash (paper section 2.3): its
+    latest stable checkpoint (pages, library pages included, client marks
+    and replies) and what view-synchronised restart reads.  ``next_seq``
+    (at least ``stable_seq``) is kept so a primary restarting into its own
+    view never assigns a number twice.  No pages: a new machine's empty
+    disk, which starts from genesis."""
+
+    pages: tuple[bytes, ...]
+    view: int = 0
+    view_evidence: tuple[tuple[int, int], ...] = ()  # (replica, view it installed)
+    next_seq: int = 0
+    stable_seq: int = 0
+    root: bytes = bytes(DIGEST_SIZE)
+    proof: tuple[tuple[int, bytes], ...] = ()  # (replica, root) checkpoint votes
+    client_marks: tuple[tuple[int, int], ...] = ()
+    client_replies: tuple[tuple[int, Reply], ...] = ()
+
+    LAYOUT = layout(
+        view=u64, view_evidence=seq(u16, u64), next_seq=u64, stable_seq=u64, root=DIGEST,
+        proof=seq(u16, DIGEST), pages=seq(blob), client_marks=seq(u32, u64),
+        client_replies=seq(u32, boxed(Reply)),
+    )
+
+
+@message
 class AuthenticatorRefresh(WireMemo):
     """A client's blind periodic rebroadcast of its session keys.
 

@@ -90,18 +90,14 @@ class ReconfigManager:
         # The record occupies the *last* library page; the client table and
         # session slots grow from the front of the partition.
         self.base_offset = (self.config.library_pages - 1) * self.config.page_size
-        self.epoch = 0
-        self.slots = [SlotState() for _ in range(self.config.n)]
-        self.pending: ReconfigPayload | None = None
-        # (boundary seq, epoch in force for seqs > boundary), ascending.
-        self.epoch_marks: list[tuple[int, int]] = [(0, 0)]
         self._gauge = replica.obs.registry.gauge(
             f"{self.config.group_prefix}replica{replica.node_id}.epoch"
         )
-        # No initial persist: a fresh all-zero state decodes to exactly
-        # these defaults (magic check fails -> defaults), which keeps the
-        # seed's state bytes and checkpoint roots bit-identical until the
-        # first reconfiguration actually executes.
+        # Epoch, slot table, pending op and the (boundary seq, epoch in force
+        # for seqs > boundary) marks, from the pages.  Nothing is persisted
+        # until the first reconfiguration executes, so all-zero pages (no
+        # magic) decode to the defaults and keep the seed's state roots.
+        self.reload_from_state()
 
     # -- persistence -------------------------------------------------------------
 
@@ -356,7 +352,7 @@ class ProactiveRecovery:
                 args={"replica": rid},
             )
         replica.crash()
-        replica.restart()
+        cluster.restart(rid)
 
     def stop(self) -> None:
         for timer in self._timers:

@@ -22,13 +22,12 @@ the subtrees whose digests differ.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.pbft.log import MessageLog, RequestStore
+from repro.common.errors import StateError
 from repro.pbft.messages import (
     BatchRetransmit,
     CheckpointMsg,
     DigestsMsg,
+    DurableImage,
     FetchDigestsMsg,
     FetchPagesMsg,
     PagesMsg,
@@ -36,7 +35,7 @@ from repro.pbft.messages import (
     StatusMsg,
 )
 from repro.pbft.wire import decode_exact
-from repro.pbft.nondet import decode_timestamp
+from repro.statemgr.checkpoints import Checkpoint
 from repro.statemgr.merkle import MerkleTree
 
 _FETCH_NODE_BATCH = 64
@@ -166,100 +165,79 @@ class RecoveryMixin:
     # -- crash & restart ------------------------------------------------------------
 
     def crash(self) -> None:
-        """Stop the replica: close the socket, freeze all timers."""
-        self.crashed = True
+        """Stop for good: close the socket and cancel every timer.
+        ``Cluster.restart`` builds a successor from :meth:`durable_image`."""
         self.socket.close()
-        self._disarm_vc_timer()
-        if self._status_timer is not None:
-            self._status_timer.cancel()
-            self._status_timer = None
-        if self._gossip_timer is not None:
-            self._gossip_timer.cancel()
-            self._gossip_timer = None
+        for timer in (self._vc_timer, self._status_timer, self._gossip_timer):
+            if timer is not None:
+                timer.cancel()
         self.stats.inc("crashes")
         if self.tracer.enabled:
             self.tracer.event(self.host.name, "crash", cat="pbft.fault")
 
-    def restart(self) -> None:
-        """Come back up from durable state only (paper section 2.3).
+    @property
+    def crashed(self) -> bool:
+        return self.socket.closed
 
-        Durable: the latest *stable* checkpoint (the original treats memory
-        as stable storage via UPS; the SQL backend adds true disk
-        durability).  Transient, and therefore lost: the message log, the
-        request store, and — crucially — the client MAC session keys.
-        """
-        self.socket = self.host.fabric.bind(self.host.name, self.socket.port)
-        self.socket.on_receive(self._on_packet)
-        self.crashed = False
-        stable_seq = self.checkpoints.stable_seq
-        self._reset_volatile()
-        self._restore_stable()
-        self.last_exec = stable_seq
-        self.committed_upto = stable_seq
-        self.next_seq = max(self.next_seq, stable_seq)
-        # Session keys: replica-replica keys re-derive from static
-        # configuration; client keys are gone until AuthenticatorRefresh.
-        self.drop_session_keys("client")
+    def durable_image(self) -> DurableImage:
+        """What survives a crash: the latest stable checkpoint (the original
+        treats memory as stable storage via UPS; the SQL backend adds true
+        disk durability) and the view-sync fields.  Lost: the message log,
+        the request store and, crucially, the client MAC session keys."""
+        stable = self.checkpoints.latest_stable()
+        return DurableImage(
+            view=self.view, view_evidence=tuple(sorted(self.view_evidence.items())),
+            next_seq=max(self.next_seq, stable.seq), stable_seq=stable.seq,
+            root=stable.root, proof=tuple(sorted(stable.proof.items())),
+            pages=tuple(stable.pages), client_marks=tuple(sorted(stable.client_marks.items())),
+            client_replies=tuple(sorted(stable.client_replies.items())),
+        )
+
+    def _load_image(self, image: DurableImage) -> Checkpoint:
+        """Install an image's pages and durable fields; return its stable
+        checkpoint.  Pages whose recomputed Merkle root is not the image's
+        root are refused."""
+        page_size = self.state.page_size
+        if any(len(page) != page_size for page in image.pages):
+            raise StateError(f"durable image pages must be {page_size} bytes")
+        self.state.restore(image.pages)
+        if self.state.root != image.root:
+            raise StateError("durable image root does not match its pages")
+        self.view = image.view
+        self.view_evidence = dict(image.view_evidence)
+        self.next_seq = image.next_seq
+        return Checkpoint(
+            seq=image.stable_seq, root=image.root, pages=list(image.pages),
+            tree_nodes=self.state.tree.snapshot_nodes(), proof=dict(image.proof),
+            client_marks=dict(image.client_marks), client_replies=dict(image.client_replies),
+        )
+
+    def _announce_restart(self) -> None:
+        """Come up recovering: ask the group for the log tail past our
+        stable checkpoint.  Replica-replica keys re-derive from static
+        configuration; client keys are gone until AuthenticatorRefresh."""
         self.recovering = True
         self.recovery_started_at = self.host.sim.now
-        self.recovery_target = stable_seq
+        self.recovery_target = self.last_exec
         self.stats.inc("restarts")
         if self.tracer.enabled:
             self.tracer.event(self.host.name, "restart", cat="pbft.fault")
-        if self._gossip_timer is None or not self._gossip_timer.pending:
-            self._gossip_timer = self.host.sim.schedule(
-                self.config.status_interval_ns, self._status_gossip
-            )
+        self._ask_for_the_tail()
+
+    def _ask_for_the_tail(self) -> None:
+        """A recovering status now and every ``status_retry_ns`` until
+        :meth:`_finish_recovery` cancels the timer."""
         self._send_status(recovering=True)
-        self._schedule_status_retry()
-
-    def _reset_volatile(self) -> None:
-        """Forget what a crash loses (paper section 2.3): the log and the
-        request store, the batching queue with its admission bookkeeping,
-        the exec journal and view-change votes, and any waiting, wedged,
-        transferring or stalled work."""
-        self.log = MessageLog(self.config.log_window)
-        self.log.low_watermark = self.checkpoints.stable_seq
-        self.reqstore = RequestStore()
-        self._drop_queue()
-        self.exec_journal: dict[int, tuple] = {}  # seq -> (PrePrepare, requests)
-        self.view_changes: dict[int, dict] = {}  # view -> sender -> ViewChangeMsg
-        self.in_view_change = False
-        # Requests a backup has seen but not yet observed ordered: these
-        # keep the view-change timer armed.
-        self.waiting_requests: set[bytes] = set()
-        self.wedged = False
-        self.wedged_since: Optional[int] = None
-        self.transfer: Optional[StateTransferTask] = None
-        self.stalled_batches: dict[int, BatchRetransmit] = {}
-
-    def _restore_stable(self) -> None:
-        """Put back the durable image, the latest stable checkpoint (genesis
-        before the first): its pages and tree, and the client marks and
-        replies taken with them.  Tentative effects must not survive, or a
-        replay re-applies them and forks this replica's roots."""
-        stable = self.checkpoints.latest_stable()
-        self.state.restore(stable.pages, stable.tree_nodes)
-        self.reqstore.restore_replies(stable.client_marks, stable.client_replies)
-        self._state_installed()
-
-    def _schedule_status_retry(self) -> None:
-        if self._status_timer is not None and self._status_timer.pending:
-            return
         self._status_timer = self.host.sim.schedule(
             self.config.status_retry_ns, self._status_retry
         )
 
     def _status_retry(self) -> None:
-        self._status_timer = None
-        if self.crashed or not self.recovering:
-            return
         self._retry_stalled_batches()
         if self.recovering:
-            self._send_status(recovering=True)
-            self._schedule_status_retry()
+            self._ask_for_the_tail()
 
-    def _send_status(self, recovering: bool) -> None:
+    def _send_status(self, recovering: bool, peer: int | None = None) -> None:
         msg = StatusMsg(
             view=self.view,
             last_exec_seq=self.last_exec,
@@ -267,7 +245,10 @@ class RecoveryMixin:
             sender=self.node_id,
             recovering=recovering,
         )
-        self.broadcast_to_replicas(msg, exclude=self.node_id)
+        if peer is None:
+            self.broadcast_to_replicas(msg, exclude=self.node_id)
+        else:
+            self.send_to_replica(peer, msg)
 
     def _nudge_stale_view(self, peer: int) -> None:
         """Targeted status to a peer stuck in an older view (rate-limited)."""
@@ -277,16 +258,7 @@ class RecoveryMixin:
             return
         self._view_nudges[peer] = now
         self.stats.inc("view_nudges_sent")
-        self.send_to_replica(
-            peer,
-            StatusMsg(
-                view=self.view,
-                last_exec_seq=self.last_exec,
-                stable_seq=self.checkpoints.stable_seq,
-                sender=self.node_id,
-                recovering=self.recovering,
-            ),
-        )
+        self._send_status(self.recovering, peer)
 
     # -- serving peers ------------------------------------------------------------
 
@@ -415,10 +387,7 @@ class RecoveryMixin:
                 return False
             self.host.charge_cpu(self.costs.crypto.mac_ns)
             return True
-        public = self.keys.client_public(request.client)
-        if public is None and self.membership is not None:
-            public = self.membership.client_public(request.client)
-        if public is None:
+        if self.lookup_client_public(request.client) is None:
             return False
         self.host.charge_cpu(self.costs.crypto.verify_ns)
         return True

@@ -27,7 +27,7 @@ from repro.pbft.admission import (
     pick_shed_victim,
 )
 from repro.pbft.config import PbftConfig
-from repro.pbft.log import Slot, ViewSlot
+from repro.pbft.log import MessageLog, RequestStore, Slot, ViewSlot
 from repro.pbft.messages import (
     BUSY_INFLIGHT,
     BUSY_OVERSIZED,
@@ -40,6 +40,7 @@ from repro.pbft.messages import (
     CheckpointMsg,
     Commit,
     DigestsMsg,
+    DurableImage,
     FetchDigestsMsg,
     FetchPagesMsg,
     NewViewMsg,
@@ -59,7 +60,7 @@ from repro.pbft.nondet import (
     decode_timestamp,
 )
 from repro.pbft.reconfig import ReconfigManager
-from repro.pbft.recovery import RecoveryMixin
+from repro.pbft.recovery import RecoveryMixin, StateTransferTask
 from repro.pbft.viewchange import ViewChangeMixin
 from repro.statemgr.checkpoints import Checkpoint, CheckpointStore
 from repro.statemgr.pages import PagedState
@@ -154,7 +155,9 @@ class NullApplication(Application):
 
 
 class Replica(ViewChangeMixin, RecoveryMixin, Node):
-    """One member of the replica group."""
+    """One member of the replica group, for one process lifetime: a restart
+    is a new ``Replica`` built from the crashed one's :class:`DurableImage`,
+    so what a crash loses is exactly what the image leaves out."""
 
     def __init__(
         self,
@@ -167,7 +170,18 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         nondet_validator=None,
         real_crypto: bool = True,
         obs=None,
+        image: Optional[DurableImage] = None,
     ) -> None:
+        # The DurableImage fields (genesis values for a new machine), read
+        # before the socket is bound so that a refused image binds nothing.
+        self.view = 0
+        # Highest view each peer has demonstrably installed (status,
+        # agreement traffic, retransmits): view sync after a restart.
+        self.view_evidence: dict[int, int] = {}
+        self.next_seq = 0
+        self.state = PagedState(config.state_pages, config.page_size)
+        stable = self._load_image(image) if image is not None and image.pages else None
+
         super().__init__(
             config, host, REPLICA_PORT, keys, "replica", replica_id, real_crypto,
             obs=obs,
@@ -175,27 +189,12 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self.app = app
         self.nondet_provider = nondet_provider or TimestampProvider()
         self.nondet_validator = nondet_validator or AcceptAllValidator()
-
-        self.view = 0
-        self.pending_new_view = 0
-        self.last_exec = 0
-        self.committed_upto = 0
-        self.next_seq = 0
-
-        self.state = PagedState(config.state_pages, config.page_size)
-        # The batching queue; _reset_volatile() below sets the rest of the
-        # transient state (paper section 2.3).
         self.pending_requests: list[Request] = []
+        # Deployment configuration, registered by whoever builds the replica.
         self.client_addr: dict[int, Address] = {}
-        # Highest view each peer has demonstrably installed (from status,
-        # agreement traffic, retransmits, new-views).  Drives view
-        # synchronization after restart; views only grow, so the map
-        # survives crash/restart cycles.
-        self.view_evidence: dict[int, int] = {}
         # Rate limit for stale-view status nudges, per peer.
         self._view_nudges: dict[int, int] = {}
 
-        self.crashed = False
         # Fault injection: an equivocating primary assigns conflicting
         # pre-prepares for the same sequence number (see
         # :meth:`_issue_pre_prepare`).  Harmless on a backup.
@@ -216,7 +215,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             config.status_interval_ns, self._status_gossip
         )
 
-        self.membership = None  # installed by repro.membership when enabled
         # Typed counters in the shared registry; reads of unset keys are 0
         # and ``inc`` registers the counter on first use.
         self.stats = self.obs.registry.view(
@@ -229,19 +227,48 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self._depth_gauge = self.obs.registry.gauge(
             f"{config.group_prefix}replica{replica_id}.pending_depth"
         )
+        self._depth_gauge.set(0)
         # Dynamic replica membership: epoch state, ordered reconfiguration
         # ops, and the stale-incarnation gate (repro.pbft.reconfig).
         self.reconfig = ReconfigManager(self)
 
+        # Over restored pages the application reopens what is there (an SQL
+        # schema is not run twice).
         app.bind_state(self.state, config.library_pages * config.page_size)
         app.attach_obs(self.obs, host.name)
-        # The post-bind state is stable checkpoint 0: the durable image a
-        # restart or a rollback returns to before any checkpoint is taken.
-        self.checkpoints = CheckpointStore(config.quorum, Checkpoint(
-            seq=0, root=self.state.root, pages=self.state.snapshot_pages(),
-            tree_nodes=self.state.tree.snapshot_nodes(),
-        ))
-        self._reset_volatile()
+        # Dynamic client membership (paper section 3).
+        self.membership = None
+        if config.dynamic_clients:
+            from repro.membership.manager import MembershipManager
+
+            self.membership = MembershipManager(self)
+        if stable is None:
+            # The post-bind state is stable checkpoint 0: what a rollback
+            # returns to before any checkpoint is taken.
+            stable = Checkpoint(
+                seq=0, root=self.state.root, pages=self.state.snapshot_pages(),
+                tree_nodes=self.state.tree.snapshot_nodes(),
+            )
+        self.checkpoints = CheckpointStore(config.quorum, stable)
+        self.last_exec = self.committed_upto = stable.seq
+
+        # Volatile (paper section 2.3): the log, the request store but for
+        # the checkpoint's client marks and replies, and all pending work.
+        self.log = MessageLog(config.log_window)
+        self.log.low_watermark = stable.seq
+        self.reqstore = RequestStore()
+        self.reqstore.restore_replies(stable.client_marks, stable.client_replies)
+        self.queued_digests: set[bytes] = set()
+        self.exec_journal: dict[int, tuple] = {}  # seq -> (PrePrepare, requests)
+        self.view_changes: dict[int, dict] = {}  # view -> sender -> ViewChangeMsg
+        self.in_view_change = False
+        # Requests a backup has seen but not yet observed ordered: these
+        # keep the view-change timer armed.
+        self.waiting_requests: set[bytes] = set()
+        self.wedged = False
+        self.wedged_since: Optional[int] = None
+        self.transfer: Optional[StateTransferTask] = None
+        self.stalled_batches: dict[int, BatchRetransmit] = {}
 
         # message class -> (handler, subject to the configuration-epoch gate)
         self._handlers = {
@@ -260,6 +287,8 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             NewViewMsg: (lambda m, e=None: self.on_new_view(m), True),
             AuthenticatorRefresh: (self.on_authenticator_refresh, False),
         }
+        if image is not None:
+            self._announce_restart()
 
     # -- identity helpers ---------------------------------------------------------
 
@@ -272,8 +301,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self._gossip_timer = self.host.sim.schedule(
             self.config.status_interval_ns, self._status_gossip
         )
-        if self.crashed:
-            return
         if self.log.unexecuted or self.wedged or self.waiting_requests:
             # A wedge that outlives a full status interval means the
             # certificate-only retransmits cannot help: the missing piece
@@ -310,13 +337,18 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             self.send_signed(replica_address(rid, self.group_prefix), msg)
 
     def _state_installed(self) -> None:
-        """The state pages were replaced wholesale (transfer, rollback,
-        restart): let the application and the membership layer rebuild any
-        caches derived from them."""
+        """The state pages were replaced wholesale (transfer, rollback): let
+        the application and the membership layer rebuild their caches."""
         if self.membership is not None:
             self.membership.reload_from_state()
         self.reconfig.reload_from_state()
         self.app.on_state_installed()
+
+    def _client_address(self, client_id: int) -> Optional[Address]:
+        addr = self.client_addr.get(client_id)
+        if addr is None and self.membership is not None:
+            addr = self.membership.client_address(client_id)
+        return addr
 
     def lookup_client_public(self, client_id: int):
         public = self.keys.client_public(client_id)
@@ -335,6 +367,8 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
 
     def dispatch(self, env: Envelope) -> None:
         if self.crashed:
+            # Work the host CPU queued before crash(): authenticated (and
+            # counted) like any packet, but a dead process runs no handler.
             return
         msg = env.msg
         handler, epoch_gated = self._handlers.get(msg.__class__, (None, False))
@@ -376,7 +410,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         # of a header peek, before the MAC/signature check — the whole
         # point of the box is to shed a garbage flood's verification cost.
         # (Node._on_packet only asks while the box has entries.)
-        if self.crashed or not self.penalty.muted(env.sender, self.host.sim.now):
+        if not self.penalty.muted(env.sender, self.host.sim.now):
             return False
         self.host.charge_cpu(self.costs.msg_recv_ns)
         self.stats.inc("penalty_box_drops")
@@ -388,10 +422,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             # Muting a replica could silence a correct peer and cut into
             # the quorum; replica misbehaviour is the protocol's job.
             return
-        registered = env.sender_id in self.client_addr or (
-            self.membership is not None
-            and self.membership.client_address(env.sender_id) is not None
-        )
+        registered = self._client_address(env.sender_id) is not None
         if registered and self._session_key_for("client", env.sender_id) is None:
             # Indistinguishable from the restarted-replica condition of
             # paper section 2.3: we may simply have lost this registered
@@ -555,9 +586,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         return dropped
 
     def _send_busy(self, req: Request, reason: int, retry_after_ns: int) -> None:
-        addr = self.client_addr.get(req.client)
-        if addr is None and self.membership is not None:
-            addr = self.membership.client_address(req.client)
+        addr = self._client_address(req.client)
         if addr is None:
             return
         msg = BusyReply(
@@ -653,7 +682,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         later leave in one batch — that pooling is the entire batching
         optimization.
         """
-        if not self.is_primary or self.in_view_change or self.crashed:
+        if not self.is_primary or self.in_view_change:
             return
         while self.pending_requests:
             # The window is measured against *committed* execution: a batch
@@ -1026,9 +1055,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
                 self.tracer.mark((req.client, req.req_id), boundary, self.host.name)
 
     def _send_reply(self, reply: Reply, req: Request, force_full: bool = False) -> None:
-        addr = self.client_addr.get(req.client)
-        if addr is None and self.membership is not None:
-            addr = self.membership.client_address(req.client)
+        addr = self._client_address(req.client)
         if addr is None:
             return
         if (
@@ -1164,16 +1191,21 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         restoring the stable checkpoint and replaying committed batches."""
         if self.last_exec <= self.committed_upto:
             return
-        stable_seq = self.checkpoints.stable_seq
+        stable = self.checkpoints.latest_stable()
         self.stats.inc("rollbacks")
-        self._restore_stable()
+        # Back to the stable checkpoint's pages and tree, and the client
+        # marks and replies taken with them: tentative effects must not
+        # survive, or the replay re-applies them and forks our roots.
+        self.state.restore(stable.pages, stable.tree_nodes)
+        self.reqstore.restore_replies(stable.client_marks, stable.client_replies)
+        self._state_installed()
         replay = [
             self.exec_journal[seq]
-            for seq in range(stable_seq + 1, self.committed_upto + 1)
+            for seq in range(stable.seq + 1, self.committed_upto + 1)
             if seq in self.exec_journal
         ]
         self.exec_journal = {}
-        self.last_exec = stable_seq
+        self.last_exec = stable.seq
         for pp, requests in replay:
             self._execute_batch(pp, requests, tentative=False, slot=None, silent=True)
         self.last_exec = self.committed_upto

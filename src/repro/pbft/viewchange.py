@@ -25,7 +25,7 @@ class ViewChangeMixin:
     # -- timer management --------------------------------------------------------
 
     def _arm_vc_timer(self) -> None:
-        if self.crashed or self.in_view_change:
+        if self.in_view_change:
             return
         if self.wedged or self.transfer is not None:
             # A wedged or transferring replica is missing data *itself*;
@@ -46,8 +46,6 @@ class ViewChangeMixin:
         self._vc_timeout_current = self.config.view_change_timeout_ns
 
     def _on_vc_timeout(self) -> None:
-        if self.crashed:
-            return
         self._vc_timer = None
         if not self._has_outstanding_work():
             return
@@ -69,7 +67,7 @@ class ViewChangeMixin:
 
     def start_view_change(self, new_view: int) -> None:
         """Vote to move to ``new_view`` and stop participating in the old."""
-        if new_view <= self.view or self.crashed:
+        if new_view <= self.view:
             return
         self.in_view_change = True
         self.pending_new_view = new_view
@@ -112,7 +110,7 @@ class ViewChangeMixin:
         )
 
     def _on_vc_timeout_during_change(self) -> None:
-        if self.crashed or not self.in_view_change:
+        if not self.in_view_change:
             return
         supporters = len(self.view_changes.get(self.pending_new_view, {}))
         if supporters <= self.config.f:
@@ -274,7 +272,7 @@ class ViewChangeMixin:
         self._maybe_sync_view()
 
     def _maybe_sync_view(self) -> None:
-        if self.crashed or self.in_view_change:
+        if self.in_view_change:
             return
         ahead = sorted(
             (v for v in self.view_evidence.values() if v > self.view),
@@ -304,16 +302,7 @@ class ViewChangeMixin:
         gossip plus client retransmissions rebuild the log in the new view.
         """
         self._rollback_uncommitted()
-        self.view = view
-        self.pending_new_view = view
-        self.view_changes = {v: m for v, m in self.view_changes.items() if v > view}
-        self._disarm_vc_timer()
-        self.stats.inc("view_syncs")
-        if self.tracer.enabled:
-            self.tracer.event(
-                self.host.name, "view-sync", cat="pbft.viewchange",
-                args={"view": view},
-            )
+        self._adopt_view(view, "view_syncs", "view-sync")
         # Same queue handoff as a deposed primary entering a view as
         # backup: clients retransmit, the new primary orders.
         self.waiting_requests.update(req.digest for req in self._drop_queue())
@@ -323,19 +312,20 @@ class ViewChangeMixin:
 
     # -- installation ------------------------------------------------------------------
 
-    def _enter_view(self, view: int, nv: NewViewMsg) -> None:
-        """Install ``view``, re-running agreement for the re-proposed set."""
+    def _adopt_view(self, view: int, counter: str, event: str) -> None:
         self.view = view
         self.in_view_change = False
-        self.pending_new_view = view
         self.view_changes = {v: m for v, m in self.view_changes.items() if v > view}
         self._disarm_vc_timer()
-        self.stats.inc("views_installed")
+        self.stats.inc(counter)
         if self.tracer.enabled:
             self.tracer.event(
-                self.host.name, "new-view", cat="pbft.viewchange",
-                args={"view": view},
+                self.host.name, event, cat="pbft.viewchange", args={"view": view}
             )
+
+    def _enter_view(self, view: int, nv: NewViewMsg) -> None:
+        """Install ``view``, re-running agreement for the re-proposed set."""
+        self._adopt_view(view, "views_installed", "new-view")
         is_primary = self.primary_of(view) == self.node_id
         highest = nv.stable_seq
         for proof in nv.pre_prepares:

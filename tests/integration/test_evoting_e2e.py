@@ -71,7 +71,7 @@ def test_results_survive_replica_crash_and_recovery():
     victim = cluster.replicas[2]
     victim.crash()
     cluster.run_for(int(0.2 * SECOND))
-    victim.restart()
+    victim = cluster.restart(2)
     cluster.run_for(2 * SECOND)
     tally = wait_result(cluster, lambda cb: admin.view_results(1, callback=cb))
     assert tally == [("yes", 3)]

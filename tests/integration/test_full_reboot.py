@@ -20,8 +20,8 @@ def test_all_replicas_restart_and_resume():
     for replica in cluster.replicas:
         replica.crash()
     cluster.run_for(int(0.2 * SECOND))
-    for replica in cluster.replicas:
-        replica.restart()
+    for slot in range(len(cluster.replicas)):
+        cluster.restart(slot)
     cluster.run_for(1 * SECOND)
 
     # The group resumes from its durable prefix and serves new requests.
@@ -48,8 +48,8 @@ def test_sql_database_survives_full_reboot():
     for replica in cluster.replicas:
         replica.crash()
     cluster.run_for(int(0.2 * SECOND))
-    for replica in cluster.replicas:
-        replica.restart()
+    for slot in range(len(cluster.replicas)):
+        cluster.restart(slot)
     cluster.run_for(1 * SECOND)
     rows = decode_rows_reply(
         cluster.invoke_and_wait(

@@ -74,7 +74,7 @@ def test_replay_during_recovery_fails_naive_validation():
     victim.crash()
     # Stay down long past the 250 ms validation delta.
     cluster.run_for(2 * SECOND)
-    victim.restart()
+    victim = cluster.restart(3)
     cluster.run_for(2 * SECOND)
     # The replayed batches were rejected by the time-delta validator, and
     # recovery is impeded: the victim is still behind the group.
@@ -92,7 +92,7 @@ def test_recovery_aware_validator_fixes_replay():
     victim = cluster.replicas[3]
     victim.crash()
     cluster.run_for(2 * SECOND)
-    victim.restart()
+    victim = cluster.restart(3)
     cluster.run_for(2 * SECOND)
     assert victim.stats["replay_nondet_failures"] == 0
     max_exec = max(r.last_exec for r in cluster.replicas)

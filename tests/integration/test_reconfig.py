@@ -133,7 +133,7 @@ def test_leave_then_rejoin_keeps_group_live():
     assert all(r.reconfig.slots[3].active for r in live(cluster))
     # The new machine for the slot bootstraps from the group.
     refresh_replica_keys(cluster, 3)
-    cluster.replicas[3].restart()
+    cluster.restart(3)
     pad(cluster, 4)
     cluster.run_for(1 * SECOND)
     rejoined = cluster.replicas[3]
@@ -223,7 +223,7 @@ def test_proactive_recovery_mid_state_transfer():
     cluster = make_cluster(seed=19)
     cluster.replicas[3].crash()
     pad(cluster, 40)  # push the frontier far past the log window
-    cluster.replicas[3].restart()
+    cluster.restart(3)
     # Step until the state transfer is actually in flight.
     for _ in range(200):
         cluster.run_for(1 * MILLISECOND)
@@ -234,7 +234,7 @@ def test_proactive_recovery_mid_state_transfer():
     refresh_replica_keys(cluster, 1)
     cluster.replicas[1].stats["proactive_recoveries"] += 1
     cluster.replicas[1].crash()
-    cluster.replicas[1].restart()
+    cluster.restart(1)
     pad(cluster, 8)
     cluster.run_for(2 * SECOND)
     frontier = max(r.last_exec for r in cluster.replicas)

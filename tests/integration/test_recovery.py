@@ -46,7 +46,7 @@ def test_restart_recovers_from_stable_checkpoint_and_log_replay():
     victim = cluster.replicas[3]
     victim.crash()
     cluster.run_for(int(0.1 * SECOND))
-    victim.restart()
+    victim = cluster.restart(3)
     cluster.run_for(2 * SECOND)
     cluster.stop_clients()
     assert not victim.recovering
@@ -108,7 +108,7 @@ def test_restarted_replica_rejoins_agreement():
     victim = cluster.replicas[2]
     victim.crash()
     cluster.run_for(int(0.2 * SECOND))
-    victim.restart()
+    victim = cluster.restart(2)
     cluster.run_for(2 * SECOND)
     executed_at_restart = victim.stats["requests_executed"]
     cluster.run_for(1 * SECOND)
@@ -123,7 +123,7 @@ def test_state_roots_converge_after_recovery():
     victim = cluster.replicas[3]
     victim.crash()
     cluster.run_for(int(0.2 * SECOND))
-    victim.restart()
+    victim = cluster.restart(3)
     cluster.run_for(2 * SECOND)
     cluster.stop_clients()
     cluster.run_for(1 * SECOND)  # drain

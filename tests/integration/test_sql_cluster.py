@@ -106,7 +106,7 @@ def test_database_survives_replica_restart():
     victim = cluster.replicas[3]
     victim.crash()
     cluster.run_for(int(0.1 * SECOND))
-    victim.restart()
+    victim = cluster.restart(3)
     cluster.run_for(2 * SECOND)
     # The restarted replica answers queries over the recovered database.
     reply = victim.app.execute(

@@ -50,7 +50,7 @@ def test_consecutive_primary_crashes():
     cluster.replicas[1].crash()
     # f=1: two crashed replicas exceed the fault budget for liveness with
     # 4 replicas... but the remaining two cannot commit.  Restart one.
-    cluster.replicas[0].restart()
+    cluster.restart(0)
     result = cluster.invoke_and_wait(
         cluster.clients[1], b"\x00c", max_wait_ns=10 * SECOND
     )
@@ -113,7 +113,7 @@ def test_view_change_timer_exponential_backoff_reaches_working_primary():
     cluster.invoke_and_wait(cluster.clients[0], b"\x00warm")
     cluster.replicas[1].crash()  # future primary of view 1
     cluster.replicas[0].crash()  # current primary
-    cluster.replicas[1].restart()
+    cluster.restart(1)
     cluster.run_for(1 * SECOND)
     result = cluster.invoke_and_wait(
         cluster.clients[2], b"\x00go", max_wait_ns=20 * SECOND

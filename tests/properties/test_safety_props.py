@@ -46,7 +46,7 @@ def run_faulty_cluster(seed, loss, crash_replica, crash_at_ms, restart_after_ms,
     cluster.run_for(crash_at_ms * MILLISECOND)
     victim.crash()
     cluster.run_for(restart_after_ms * MILLISECOND)
-    victim.restart()
+    cluster.restart(crash_replica)
     remaining = run_ms - crash_at_ms - restart_after_ms
     cluster.run_for(max(100, remaining) * MILLISECOND)
     cluster.stop_clients()

@@ -34,6 +34,7 @@ from repro.pbft.messages import (
     CheckpointMsg,
     Commit,
     DigestsMsg,
+    DurableImage,
     FetchDigestsMsg,
     FetchPagesMsg,
     NewViewMsg,
@@ -280,13 +281,25 @@ def membership_samples():
     ]
 
 
+def image_sample():
+    """A replica's durable image: two pages, two votes, one client."""
+    d = bytes(range(16))
+    reply = Reply(view=2, req_id=42, client=7, sender=1, result=b"ok", tentative=True)
+    return DurableImage(
+        view=2, view_evidence=((0, 2), (3, 1)), next_seq=140, stable_seq=128, root=d,
+        proof=((0, d), (1, d)), pages=(b"page-0", bytes(8)),
+        client_marks=((7, 42),), client_replies=((7, reply),),
+    )
+
+
 def all_samples():
     """``sample_messages()`` plus the decorated classes that carry no tag of
-    their own: proofs nested in view changes and the membership messages."""
+    their own: proofs nested in view changes, the membership messages and
+    the durable image."""
     samples = sample_messages()
     proofs = [p for m in samples if isinstance(m, (ViewChangeMsg, NewViewMsg))
               for p in getattr(m, "prepared", ()) + getattr(m, "pre_prepares", ())]
-    return samples + proofs + membership_samples()
+    return samples + proofs + membership_samples() + [image_sample()]
 
 
 # -- the op families: kv, sql, shard-tx -------------------------------------------------
@@ -538,7 +551,7 @@ def test_sample_catalog_covers_every_decorated_class():
         cls for module in (pbft, membership) for cls in vars(module).values()
         if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
     }
-    assert decorated == set(MESSAGE_CLASSES) and len(decorated) == 21
+    assert decorated == set(MESSAGE_CLASSES) and len(decorated) == 22
 
 
 def test_constructor_equals_field_by_field_assembly_for_every_type():

@@ -128,7 +128,7 @@ def test_restart_restores_reply_cache_stabilized(cluster):
     expected = replica.checkpoints.latest_stable().client_replies
     assert expected
     replica.crash()
-    replica.restart()
+    replica = cluster.restart(3)
     assert set(replica.reqstore.last_reply) == set(expected)
     for client, reply in replica.reqstore.last_reply.items():
         assert reply.req_id == expected[client].req_id
