@@ -64,13 +64,10 @@ from repro.faults import (
     run_campaign,
     run_schedule,
 )
-from repro.harness import (
-    SweepCell,
-    format_campaign,
-    run_cells,
-    run_degraded_experiment,
-)
-from repro.shard import (
+from repro.harness.experiments import run_degraded_experiment
+from repro.harness.reporting import format_campaign
+from repro.harness.sweeprunner import SweepCell, run_cells
+from repro.shard.campaign import (
     CHURN_REGRESSION_SEED,
     rebalance_scenarios,
     rebalance_smoke_scenarios,

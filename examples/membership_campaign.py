@@ -32,7 +32,7 @@ import os
 import sys
 import time
 
-from repro.harness import format_membership, run_membership_bench
+from repro.harness.membershipbench import format_membership, run_membership_bench
 
 TOLERANCE = 0.20
 

@@ -29,7 +29,7 @@ import argparse
 import sys
 import time
 
-from repro.harness import format_aggregate_overload
+from repro.harness.reporting import format_aggregate_overload
 from repro.harness.overload import estimate_capacity, overload_config
 from repro.harness.sweeprunner import merged_json
 from repro.harness.workload import run_aggregate_overload_sweep

@@ -12,11 +12,7 @@ import sys
 import time
 
 from repro.common.units import SECOND, format_duration
-from repro.harness import (
-    format_acid,
-    format_fig4,
-    format_fig5,
-    format_table1,
+from repro.harness.experiments import (
     run_acid_comparison,
     run_fig4_size_sweep,
     run_fig5_sql,
@@ -24,6 +20,7 @@ from repro.harness import (
     run_packet_loss_experiment,
     run_table1,
 )
+from repro.harness.reporting import format_acid, format_fig4, format_fig5, format_table1
 
 
 def main() -> None:

@@ -11,28 +11,3 @@
 * :mod:`repro.apps.unreplicated` — the centralized baseline the paper's
   introduction starts from.
 """
-
-from repro.apps.sqlapp import SqlApplication, SqlCosts, encode_sql_op, decode_sql_op, decode_rows_reply
-from repro.apps.evoting import EvotingApplication, EvotingClient
-from repro.apps.preservation import PreservationApplication, ArchiveClient
-from repro.apps.kvstore import Get, KvApplication, Put, encode_put
-from repro.apps.unreplicated import UnreplicatedServer, UnreplicatedClient, build_unreplicated
-
-__all__ = [
-    "SqlApplication",
-    "SqlCosts",
-    "encode_sql_op",
-    "decode_sql_op",
-    "decode_rows_reply",
-    "EvotingApplication",
-    "EvotingClient",
-    "PreservationApplication",
-    "ArchiveClient",
-    "KvApplication",
-    "encode_put",
-    "Put",
-    "Get",
-    "UnreplicatedServer",
-    "UnreplicatedClient",
-    "build_unreplicated",
-]

@@ -15,44 +15,3 @@ Two layers:
   is what produces the paper's Table 1 throughput collapse when MACs are
   disabled.
 """
-
-from repro.crypto.digests import md5_digest, digest_parts, DIGEST_SIZE
-from repro.crypto.mac import MacKey, compute_mac, verify_mac, MAC_SIZE
-from repro.crypto.authenticators import Authenticator, make_authenticator, verify_authenticator
-from repro.crypto.rabin import RabinKeyPair, RabinPublicKey, rabin_generate, rabin_sign, rabin_verify
-from repro.crypto.threshold import (
-    ThresholdScheme,
-    ThresholdShare,
-    PartialSignature,
-    threshold_setup,
-    threshold_sign_partial,
-    threshold_combine,
-    threshold_verify,
-)
-from repro.crypto.costs import CryptoCosts
-
-__all__ = [
-    "md5_digest",
-    "digest_parts",
-    "DIGEST_SIZE",
-    "MacKey",
-    "compute_mac",
-    "verify_mac",
-    "MAC_SIZE",
-    "Authenticator",
-    "make_authenticator",
-    "verify_authenticator",
-    "RabinKeyPair",
-    "RabinPublicKey",
-    "rabin_generate",
-    "rabin_sign",
-    "rabin_verify",
-    "ThresholdScheme",
-    "ThresholdShare",
-    "PartialSignature",
-    "threshold_setup",
-    "threshold_sign_partial",
-    "threshold_combine",
-    "threshold_verify",
-    "CryptoCosts",
-]

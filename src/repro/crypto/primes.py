@@ -8,6 +8,8 @@ verdicts are the same either way.
 
 from __future__ import annotations
 
+import functools
+
 from repro.crypto import gmp
 
 _SMALL_PRIMES = [
@@ -17,12 +19,19 @@ _SMALL_PRIMES = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _scratch(lib, width: int) -> gmp.Registers:
+    """One register set per width, shared by every candidate of that width."""
+    return gmp.Registers(lib, 4, width)
+
+
 def _witness_power(n: int, d: int):
-    """``a -> pow(a, d, n)`` for witnesses ``a < n``."""
+    """``a -> pow(a, d, n)`` for witnesses ``a < n``, valid until the next
+    call for a candidate of the same width (the registers are shared)."""
     lib = gmp.library()
     if lib is None:
         return lambda a: pow(a, d, n)
-    registers = gmp.Registers(lib, 4, (n.bit_length() + 7) // 8)
+    registers = _scratch(lib, (n.bit_length() + 7) // 8)
     registers.load(1, d)
     registers.load(2, n)
 

@@ -383,7 +383,8 @@ def run_fault_campaign(
     keyword arguments (``run_ns``, ``drain_ns``, ``settle_ns``) pass
     through to :func:`repro.faults.run_campaign` to resize the phases.
     """
-    from repro.faults import builtin_schedules, run_campaign
+    from repro.faults.campaign import run_campaign
+    from repro.faults.library import builtin_schedules
 
     if schedules is None:
         schedules = builtin_schedules()

@@ -66,8 +66,8 @@ def _run_aggregate_overload_cell(params: dict, seed: int) -> dict:
 
 def _run_fault_schedule_cell(params: dict, seed: int) -> dict:
     """One (schedule, seed) campaign run, reported as plain data."""
-    from repro.faults import builtin_schedules
     from repro.faults.campaign import run_schedule
+    from repro.faults.library import builtin_schedules
 
     params = dict(params)
     name = params.pop("schedule")

@@ -10,9 +10,11 @@ authenticator refresh of paper section 2.3.
 
 from __future__ import annotations
 
+import inspect
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from functools import partial
+from reprlib import recursive_repr
 
 from repro.crypto.digests import DIGEST_SIZE, md5_digest, memo_digest
 from repro.pbft.wire import blob, boolean, boxed, decode_exact, derive, layout, raw, seq, tagged
@@ -55,7 +57,7 @@ class _lazy:
 
 def message(cls=None, *, family: tagged | None = None):
     """``@dataclass(frozen=True)`` with a constructor that stores once and a
-    codec compiled from the class's ``LAYOUT``.
+    codec compiled from the class's ``LAYOUT``, all compiled in one go.
 
     The constructor binds every field with a single store of the instance
     ``__dict__`` where the stock one makes an ``object.__setattr__`` call
@@ -65,53 +67,80 @@ def message(cls=None, *, family: tagged | None = None):
     assigns.  A class whose construction does more (``__post_init__``, a
     ``default_factory``, ``init=False`` or ``kw_only`` fields) keeps it.
 
-    A class that declares ``LAYOUT`` (:class:`repro.pbft.wire.layout`) gets
+    ``__repr__``, ``__eq__`` and ``__hash__`` are the stock ones, written
+    here rather than by ``dataclass`` (which would compile each of them
+    separately); each honours the fields' ``repr``/``compare``/``hash``
+    flags, and one the class body defines itself is kept.  A class that
+    declares ``LAYOUT`` (:class:`repro.pbft.wire.layout`) also gets
     ``encode``, ``decode(cls, dec)`` and ``body_size`` from
     :func:`repro.pbft.wire.derive`, and joins ``family`` — what decodes "one
     of these" by its leading bytes (DESIGN.md section 7).  A class with a
     ``TAG`` is a protocol message: :func:`decode_message`'s family.
 
-    Every generated function is compiled against the defining module's
-    file at the decorator's line, so profilers — which key rows by
-    ``(co_filename, co_firstlineno, co_name)`` — keep one row per class.
+    All of a class's methods are one source, compiled once against the
+    defining module's file with the constructor first, at the decorator's
+    line, so profilers — which key rows by ``(co_filename,
+    co_firstlineno, co_name)`` — keep one row per class.
     """
     if cls is None:
         return partial(message, family=family)  # no Python frame of its own
-    cls = dataclass(frozen=True)(cls)
+    stock_init = hasattr(cls, "__post_init__") or any(
+        isinstance(value, Field)
+        and (not value.init or value.kw_only is True or value.default_factory is not MISSING)
+        for value in vars(cls).values()
+    )
+    documented = cls.__doc__
+    cls.__doc__ = documented or cls.__name__  # else dataclass signs a constructor not yet made
+    cls = dataclass(frozen=True, init=stock_init, repr=False, eq=False)(cls)
     flds = fields(cls)
     names = [f.name for f in flds]
-    padding = "\n" * (sys._getframe(1).f_lineno - 1)
-    filename = sys.modules[cls.__module__].__file__
+    if not stock_init and any(f.kw_only or not f.init or f.default_factory is not MISSING
+                              for f in flds):  # a KW_ONLY marker, or an inherited field
+        raise TypeError(f"@message {cls.__name__}: declare such fields with field() in its body")
 
-    def define(name: str, source: str, namespace: dict):
-        namespace["__name__"] = cls.__module__
-        exec(compile(padding + source, filename, "exec"), namespace)
-        function = namespace[name]
-        function.__qualname__ = f"{cls.__qualname__}.{name}"
-        return function
+    def row(obj: str, keep=lambda f: f.compare) -> str:
+        return "(" + "".join(f"{obj}.{f.name}," for f in flds if keep(f)) + ")"
 
-    if not hasattr(cls, "__post_init__") and not any(
-        not f.init or f.kw_only or f.default_factory is not MISSING for f in flds
-    ):
-        init = define(
-            "__init__",
-            f"def __init__(self, {', '.join(names)}):\n"
-            f"    _store(self, '__dict__', {{{', '.join(f'{n!r}: {n}' for n in names)}}})\n",
-            {"_store": object.__setattr__},
-        )
-        # Defaulted fields are trailing ones (dataclass enforces it), which
-        # is exactly what __defaults__ describes.
-        init.__defaults__ = tuple(f.default for f in flds if f.default is not MISSING)
-        init.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
-        cls.__init__ = init
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in flds if f.repr)
+    methods = {} if stock_init else {
+        "__init__": f"def __init__(self, {', '.join(names)}):\n"
+                    f"    _store(self, '__dict__', {{{', '.join(f'{n!r}: {n}' for n in names)}}})",
+    }
+    methods["__repr__"] = f'def __repr__(self): return self.__class__.__qualname__ + f"({shown})"'
+    methods["__eq__"] = (
+        "def __eq__(self, other):\n"
+        f"    if other.__class__ is self.__class__: return {row('self')} == {row('other')}\n"
+        "    return NotImplemented"
+    )
+    hashed = row("self", lambda f: f.compare if f.hash is None else f.hash)
+    methods["__hash__"] = f"def __hash__(self): return hash({hashed})"
+    methods = {name: source for name, source in methods.items() if name not in vars(cls)}
+    namespace = {}
     spec = vars(cls).get("LAYOUT")
     if spec is not None:
         if sorted(spec.fields) != sorted(names):
             raise TypeError(f"{cls.__name__}.LAYOUT must name each field once: {names}")
-        sources, namespace = derive(cls.__name__, spec)
-        for name, source in sources.items():
-            function = define(name, source, namespace)
-            setattr(cls, name, classmethod(function) if name == "decode" else function)
+        codec, namespace = derive(cls.__name__, spec)
+        methods.update(codec)
+    namespace.update(_store=object.__setattr__, __name__=cls.__module__)
+    padding = "\n" * (sys._getframe(1).f_lineno - 1)
+    source = padding + "\n".join(methods.values())
+    exec(compile(source, sys.modules[cls.__module__].__file__, "exec"), namespace)
+    for name in methods:
+        function = namespace[name]
+        function.__qualname__ = f"{cls.__qualname__}.{name}"
+        if name == "__init__":
+            # Defaulted fields are trailing ones (dataclass enforces it),
+            # which is exactly what __defaults__ describes.
+            function.__defaults__ = tuple(f.default for f in flds if f.default is not MISSING)
+            function.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
+        elif name == "__repr__":
+            function = recursive_repr()(function)
+        elif name == "decode":
+            function = classmethod(function)
+        setattr(cls, name, function)
+    if not documented:  # the stock docstring: the name and the constructor's signature
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     if family is None and "TAG" in vars(cls):
         family = MESSAGES
     if family is not None:

@@ -219,6 +219,8 @@ class Database:
                 result = None
             else:
                 raise SqlError(f"unsupported statement {type(stmt).__name__}")
+            if auto:
+                self.pager.commit()
         except Exception:
             if auto and self.pager.in_transaction:
                 if self.pager.journal is not None:
@@ -228,8 +230,6 @@ class Database:
                     # No-ACID mode cannot roll back; commit what happened.
                     self.pager.commit()
             raise
-        if auto:
-            self.pager.commit()
         return result
 
     def _backfill_index(self, index) -> None:

@@ -284,6 +284,14 @@ class Pager:
     def commit(self) -> None:
         if not self.in_transaction:
             raise SqlError("no active transaction")
+        if self._dirty and (max(self._dirty) + 1) * self.page_size > self.file.capacity:
+            # Refused before the journal is sealed or a page is written, so
+            # the file still holds the last commit.  With a journal the
+            # caller rolls back; without one nothing else could drop the
+            # transaction's pages.
+            if self.journal is None:
+                self._drop_transaction()
+            raise SqlError("database or disk is full")
         if self.journal is not None:
             self.journal.seal()
         self._flush_all()
@@ -312,10 +320,14 @@ class Pager:
         for page_no in journaled:
             self.pool.discard(self._owner, page_no)
             self._nodes.pop(page_no, None)
+        self._drop_transaction()
+        self.rollbacks += 1
+
+    def _drop_transaction(self) -> None:
+        """Forget the dirty pages and re-read the header from the file."""
         for page_no in self._dirty:
             self._nodes.pop(page_no, None)
         self._dirty.clear()
-        # Restore header fields from the rolled-back file image.
         raw = self.file.read(0, _HEADER.size)
         _magic, _ps, count, freelist, schema_root, version = _HEADER.unpack(raw)
         self.page_count = count
@@ -323,7 +335,6 @@ class Pager:
         self.schema_root = schema_root
         self.schema_version = version
         self.in_transaction = False
-        self.rollbacks += 1
 
     def _flush_all(self) -> None:
         for page_no in sorted(self._dirty):

@@ -33,6 +33,9 @@ from repro.common.errors import SqlError, StateError
 class VfsFile:
     """Abstract random-access file."""
 
+    #: Bytes the file can ever hold: fixed for a state region, unbounded in memory.
+    capacity: float = float("inf")
+
     def read(self, offset: int, length: int) -> bytes:
         raise NotImplementedError
 

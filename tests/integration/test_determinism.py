@@ -21,7 +21,7 @@ from repro.harness.membershipbench import (
     run_markov_scenario,
 )
 from repro.pbft.config import PbftConfig
-from repro.shard import run_shard_scenario, shard_scenarios
+from repro.shard.campaign import run_shard_scenario, shard_scenarios
 
 WINDOW = dict(warmup_s=0.05, measure_s=0.15, seed=11)
 

@@ -8,17 +8,17 @@ migration-safety battery in the shard campaign generalizes.
 from repro.apps.kvstore import Get, encode_put
 from repro.apps.sqlapp import SqlApplication, encode_sql_op
 from repro.common.units import MILLISECOND, SECOND
-from repro.shard import (
+from repro.shard.campaign import (
     CHURN_REGRESSION_SEED,
-    SqlShardCodec,
-    build_sharded_cluster,
     key_for_shard,
-    key_position,
     rebalance_scenarios,
     rebalance_smoke_scenarios,
     run_shard_scenario,
     shard_campaign_config,
 )
+from repro.shard.directory import key_position
+from repro.shard.router import SqlShardCodec
+from repro.shard.topology import build_sharded_cluster
 from repro.shard.txapp import RangeUnit, ReplyWrongShard
 
 QUARTER = 1 << 30  # with 2 shards, [0, 2^30) is the lower half of stripe 0

@@ -23,7 +23,8 @@ import random
 from repro.apps.kvstore import KvApplication, Get, encode_put
 from repro.common.units import MILLISECOND, SECOND
 from repro.harness.workload import ZipfianPicker
-from repro.shard import build_sharded_cluster, shard_campaign_config
+from repro.shard.campaign import shard_campaign_config
+from repro.shard.topology import build_sharded_cluster
 from repro.shard.directory import ShardDirectory, key_position
 
 NUM_SIM_CLIENTS = 1_000_000

@@ -12,17 +12,17 @@ from repro.apps.sqlapp import SqlApplication, encode_sql_op
 from repro.common.errors import ShardError
 from repro.common.units import MILLISECOND, SECOND
 from repro.faults.invariants import check_cross_shard_atomicity
-from repro.shard import (
-    DECISION_COMMIT,
-    SqlShardCodec,
-    build_sharded_cluster,
+from repro.shard.campaign import (
+    _execute_shard,
     key_for_shard,
     run_shard_scenario,
     shard_campaign_config,
+    shard_scenarios,
     smoke_scenarios,
 )
-from repro.shard.campaign import _execute_shard, shard_scenarios
-from repro.shard.topology import ShardedCluster
+from repro.shard.router import SqlShardCodec
+from repro.shard.topology import ShardedCluster, build_sharded_cluster
+from repro.shard.txapp import DECISION_COMMIT
 
 
 def _drive(cluster, box_filled, limit_ns=5 * SECOND):

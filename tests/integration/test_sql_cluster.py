@@ -249,3 +249,37 @@ def test_wide_from_list_is_answered_alike_everywhere():
     # The group keeps ordering and executing.
     assert decode_rows_reply(cluster.invoke_and_wait(client, insert_op("after"))) == 1
     assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1
+
+
+@pytest.mark.parametrize("acid", [True, False], ids=["acid", "noacid"])
+def test_a_commit_that_overflows_the_state_region_is_refused_and_nothing_else(acid):
+    """The commit that would grow the database past its state region used
+    to fail half-flushed and leave the pager inside that transaction: the
+    statements after it were acknowledged but never committed, and the
+    database no longer reopened from the region."""
+    cluster = make_cluster(acid=acid, state_pages=14)  # 6 application pages of 4 KiB
+    client = cluster.clients[0]
+    acknowledged = []
+    for i in range(200):
+        voter = f"voter-{i:03d}-" + "x" * 500
+        reply = cluster.invoke_and_wait(client, insert_op(voter))
+        try:
+            decode_rows_reply(reply)
+        except SqlError as error:
+            assert "database or disk is full" in str(error)
+            break
+        acknowledged.append(voter)
+    else:
+        pytest.fail("the state region never filled")
+    answers = {r.reqstore.cached_reply(client.node_id).result for r in cluster.replicas}
+    assert answers == {reply}  # every replica refused it
+    # The next statement commits, and the database reopens from the region
+    # holding exactly the acknowledged rows.
+    assert decode_rows_reply(cluster.invoke_and_wait(client, insert_op("short"))) == 1
+    acknowledged.append("short")
+    for replica in cluster.replicas:
+        assert not replica.app.db.pager.in_transaction
+        replica.app._open_database(fresh=False)
+        rows = replica.app.db.execute("SELECT voter FROM votes ORDER BY id").rows
+        assert [voter for (voter,) in rows] == acknowledged
+    assert len({r.state.refresh_tree() for r in cluster.replicas}) == 1

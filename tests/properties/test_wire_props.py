@@ -747,6 +747,58 @@ def test_each_constructor_has_its_own_code_location():
     assert len(stock) == 1  # what made the collision
 
 
+def test_repr_eq_hash_and_doc_are_the_stock_ones():
+    for msg in all_samples():
+        cls, twin = type(msg), stock_twin(type(msg))
+        values = field_values(msg)
+        stock = twin(**values)
+        assert repr(msg) == repr(stock) and hash(msg) == hash(stock)
+        assert (msg == stock, msg != stock) == (False, True)  # another class: NotImplemented
+        # A class without a docstring gets the stock one: its name and signature.
+        assert cls.__doc__ == twin.__doc__ or not cls.__doc__.startswith(f"{cls.__name__}(")
+        assert cls.__eq__.__code__.co_filename == cls.__init__.__code__.co_filename
+
+
+def test_generated_methods_honour_the_field_flags():
+    @message
+    class Flagged:
+        x: int
+        hidden: int = field(default=0, repr=False, compare=False)
+        unhashed: int = field(default=0, hash=False)
+
+    @dataclass(frozen=True)
+    class Stock:
+        x: int
+        hidden: int = field(default=0, repr=False, compare=False)
+        unhashed: int = field(default=0, hash=False)
+
+    assert Flagged.__init__.__code__.co_filename == __file__  # the one-store constructor
+    for args in [(1, 2, 3), (1, 5, 3), (1, 2, 4), (2, 2, 3)]:
+        assert repr(Flagged(*args)).endswith(repr(Stock(*args)).replace("Stock", "Flagged"))
+        assert hash(Flagged(*args)) == hash(Stock(*args))
+        for other in [(1, 2, 3), (1, 5, 3), (1, 2, 4)]:
+            assert (Flagged(*args) == Flagged(*other)) == (Stock(*args) == Stock(*other))
+    assert Flagged.__doc__ == Stock.__doc__.replace("Stock", "Flagged")
+
+
+def test_each_record_compiles_once(monkeypatch):
+    import builtins
+
+    compiled = []
+    real = builtins.compile
+    monkeypatch.setattr(builtins, "compile", lambda *a, **k: compiled.append(a[1]) or real(*a, **k))
+
+    @message(family=tagged("probe"))
+    class Once(WireMemo):
+        view: int
+        body: bytes = b""
+        LAYOUT = layout(0x7F, view=u16, body=blob)
+
+    assert compiled == [__file__]
+    assert Once.decode(Decoder(Once(3, b"x").encode())) == Once(3, b"x")
+    assert {Once.__dict__[name].__code__.co_filename for name in ("__init__", "__eq__", "encode")} == {__file__}
+
+
 def test_profile_keeps_one_row_per_message_type():
     d = bytes(16)
     profiler = cProfile.Profile()
