@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from repro.apps.sqlapp import (
     SqlApplication,
-    SqlCosts,
     decode_rows_reply,
     encode_sql_op,
 )
@@ -61,8 +60,8 @@ CREATE INDEX idx_ballot_election ON ballots(election_id);
 class EvotingApplication(SqlApplication):
     """The replicated server side of the voting service."""
 
-    def __init__(self, acid: bool = True, costs: Optional[SqlCosts] = None) -> None:
-        super().__init__(schema_sql=EVOTING_SCHEMA, acid=acid, costs=costs)
+    def __init__(self, acid: bool = True) -> None:
+        super().__init__(schema_sql=EVOTING_SCHEMA, acid=acid)
 
     def authorize_join(self, idbuf: bytes) -> Optional[int]:
         """Dynamic-membership authorization (paper section 3.1): the

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 from repro.apps.sqlapp import (
     SqlApplication,
-    SqlCosts,
     decode_rows_reply,
     encode_sql_op,
 )
@@ -48,8 +47,8 @@ CREATE INDEX idx_custody_doc ON custody_events(document);
 class PreservationApplication(SqlApplication):
     """The replicated archive service."""
 
-    def __init__(self, acid: bool = True, costs: Optional[SqlCosts] = None) -> None:
-        super().__init__(schema_sql=PRESERVATION_SCHEMA, acid=acid, costs=costs)
+    def __init__(self, acid: bool = True) -> None:
+        super().__init__(schema_sql=PRESERVATION_SCHEMA, acid=acid)
 
 
 class ArchiveClient:

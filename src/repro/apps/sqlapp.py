@@ -186,11 +186,10 @@ class SqlApplication(Application):
         self,
         schema_sql: str = "",
         acid: bool = True,
-        costs: SqlCosts | None = None,
     ) -> None:
         self.schema_sql = schema_sql
         self.acid = acid
-        self.costs = costs or SqlCosts()
+        self.costs = SqlCosts()
         self.env = VfsEnvironment()
         self.db: Database | None = None
         self.state = None

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net.fabric import Address, Host, NetworkFabric, Packet
-from repro.pbft.config import PbftConfig
+from repro.pbft.cluster import CLIENT_HOSTS
+from repro.pbft.config import LIBRARY_PAGES, PbftConfig
 from repro.pbft.replica import Application, NullApplication
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
@@ -54,7 +55,7 @@ class UnreplicatedServer:
         from repro.statemgr.pages import PagedState
 
         self.state = PagedState(config.state_pages, config.page_size)
-        app.bind_state(self.state, config.library_pages * config.page_size)
+        app.bind_state(self.state, LIBRARY_PAGES * config.page_size)
 
     def _on_packet(self, packet: Packet) -> None:
         req = packet.payload
@@ -148,7 +149,6 @@ def build_unreplicated(
     config: Optional[PbftConfig] = None,
     seed: int = 1,
     app_factory: Optional[Callable[[], Application]] = None,
-    client_hosts: int = 4,
 ) -> UnreplicatedDeployment:
     """Build the centralized deployment: 1 server host, N clients."""
     config = config or PbftConfig()
@@ -158,13 +158,13 @@ def build_unreplicated(
     server_host = fabric.add_host("server0")
     app = app_factory() if app_factory else NullApplication()
     server = UnreplicatedServer(config, server_host, app)
-    hosts = [fabric.add_host(f"clienthost{i}") for i in range(client_hosts)]
+    hosts = [fabric.add_host(f"clienthost{i}") for i in range(CLIENT_HOSTS)]
     clients = []
     for index in range(config.num_clients):
         client = UnreplicatedClient(
             client_id=index,
             config=config,
-            host=hosts[index % client_hosts],
+            host=hosts[index % CLIENT_HOSTS],
             port=_CLIENT_PORT + index,
             server=(server_host.name, _SERVER_PORT),
         )

@@ -12,7 +12,7 @@ goodly fraction of a millisecond, and Rabin verification sits in between
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.common.units import MICROSECOND
 
@@ -36,16 +36,3 @@ class CryptoCosts:
     def authenticator_cost(self, n_replicas: int) -> int:
         """Cost of computing a full authenticator (one MAC per replica)."""
         return self.mac_ns * n_replicas
-
-    def scaled(self, factor: float) -> "CryptoCosts":
-        """A uniformly scaled table (used by calibration sweeps)."""
-        return replace(
-            self,
-            digest_base_ns=round(self.digest_base_ns * factor),
-            digest_per_byte_ns_x100=round(self.digest_per_byte_ns_x100 * factor),
-            mac_ns=round(self.mac_ns * factor),
-            sign_ns=round(self.sign_ns * factor),
-            verify_ns=round(self.verify_ns * factor),
-            threshold_partial_ns=round(self.threshold_partial_ns * factor),
-            threshold_combine_ns=round(self.threshold_combine_ns * factor),
-        )

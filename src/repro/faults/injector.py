@@ -2,7 +2,7 @@
 
 A deterministic polling loop on the cluster's simulator evaluates every
 pending fault's :class:`~repro.faults.schedule.Trigger` against the
-current time / committed sequence / installed view, applies those that
+current time and committed sequence, applies those that
 fire through the hooks in :mod:`repro.net.fabric` and
 :mod:`repro.pbft.replica`, and schedules the matching heal (restart,
 unpartition, window close, unmute).  Each poll also samples per-replica
@@ -37,6 +37,11 @@ from repro.faults.schedule import (
     WithholdFullReplies,
 )
 
+# How often pending triggers are evaluated (and stability sampled).
+POLL_INTERVAL_NS = 2 * MILLISECOND
+# Operation size of the flooding and invalid-MAC clients.
+BYZANTINE_PAYLOAD_BYTES = 128
+
 
 class FaultInjector:
     """Drives one :class:`FaultSchedule` against one :class:`Cluster`."""
@@ -45,12 +50,10 @@ class FaultInjector:
         self,
         cluster: Cluster,
         schedule: FaultSchedule,
-        poll_interval_ns: int = 2 * MILLISECOND,
     ) -> None:
         schedule.validate(cluster.config.n)
         self.cluster = cluster
         self.schedule = schedule
-        self.poll_interval_ns = poll_interval_ns
         self.pending = list(schedule.faults)
         self.open_heals = 0  # restarts/heals scheduled but not yet fired
         self.log: list[str] = []  # human-readable applied-fault journal
@@ -84,7 +87,7 @@ class FaultInjector:
     # -- polling ------------------------------------------------------------
 
     def _arm(self) -> None:
-        self._timer = self.cluster.sim.schedule(self.poll_interval_ns, self._poll)
+        self._timer = self.cluster.sim.schedule(POLL_INTERVAL_NS, self._poll)
 
     def _poll(self) -> None:
         self._timer = None
@@ -100,7 +103,7 @@ class FaultInjector:
                 if isinstance(fault, (CrashReplica, ReplicaReplace))
                 else fault.start
             )
-            if trigger.ready(now, max_seq, max_view):
+            if trigger.ready(now, max_seq):
                 self._apply(fault, max_view)
             else:
                 still_pending.append(fault)
@@ -361,7 +364,7 @@ class FaultInjector:
     def _apply_flooding_client(self, fault: FloodingClient) -> None:
         cluster = self.cluster
         rogue = self._rogue_client(register=True)
-        payload = bytes(fault.payload_bytes)
+        payload = bytes(BYZANTINE_PAYLOAD_BYTES)
         state = {"req_id": 0, "timer": None}
 
         def tick() -> None:
@@ -399,7 +402,7 @@ class FaultInjector:
     def _apply_invalid_mac_spammer(self, fault: InvalidMacSpammer) -> None:
         cluster = self.cluster
         rogue = self._rogue_client(register=False)
-        payload = bytes(fault.payload_bytes)
+        payload = bytes(BYZANTINE_PAYLOAD_BYTES)
         state = {"req_id": 0, "timer": None}
 
         def tick() -> None:
@@ -439,8 +442,7 @@ class FaultInjector:
         cluster = self.cluster
         rogue = self._rogue_client(register=True)
         limit = cluster.config.max_request_bytes or 0
-        size = fault.payload_bytes if fault.payload_bytes is not None else 2 * limit + 1
-        payload = bytes(size)
+        payload = bytes(2 * limit + 1)
         state = {"req_id": 0, "timer": None}
 
         def tick() -> None:

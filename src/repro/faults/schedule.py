@@ -23,21 +23,17 @@ class Trigger:
     """When a fault fires: every specified condition must hold.
 
     ``at_ns`` compares against simulated time; ``at_seq`` against the
-    highest committed sequence number on any live replica; ``at_view``
-    against the highest installed view.  A trigger with no conditions
-    fires immediately.
+    highest committed sequence number on any live replica.  A trigger
+    with no conditions fires immediately.
     """
 
     at_ns: int | None = None
     at_seq: int | None = None
-    at_view: int | None = None
 
-    def ready(self, now_ns: int, max_seq: int, max_view: int) -> bool:
+    def ready(self, now_ns: int, max_seq: int) -> bool:
         if self.at_ns is not None and now_ns < self.at_ns:
             return False
         if self.at_seq is not None and max_seq < self.at_seq:
-            return False
-        if self.at_view is not None and max_view < self.at_view:
             return False
         return True
 
@@ -47,8 +43,6 @@ class Trigger:
             parts.append(f"t>={self.at_ns / MILLISECOND:.0f}ms")
         if self.at_seq is not None:
             parts.append(f"seq>={self.at_seq}")
-        if self.at_view is not None:
-            parts.append(f"view>={self.at_view}")
         return " and ".join(parts) if parts else "immediately"
 
 
@@ -191,7 +185,6 @@ class FloodingClient:
     start: Trigger = field(default_factory=Trigger)
     duration_ns: int = 400 * MILLISECOND
     interval_ns: int = 2 * MILLISECOND
-    payload_bytes: int = 128
 
     def describe(self) -> str:
         return (
@@ -212,7 +205,6 @@ class InvalidMacSpammer:
     start: Trigger = field(default_factory=Trigger)
     duration_ns: int = 300 * MILLISECOND
     interval_ns: int = 1 * MILLISECOND
-    payload_bytes: int = 128
 
     def describe(self) -> str:
         return (
@@ -226,19 +218,17 @@ class InvalidMacSpammer:
 class OversizedClient:
     """A registered client submitting operations beyond
     ``max_request_bytes``; every one must be rejected with a
-    BUSY/oversized reply before touching the queue.  ``payload_bytes``
-    of ``None`` means twice the configured limit.
+    BUSY/oversized reply before touching the queue.  Each operation is
+    twice the configured limit.
     """
 
     start: Trigger = field(default_factory=Trigger)
     duration_ns: int = 300 * MILLISECOND
     interval_ns: int = 10 * MILLISECOND
-    payload_bytes: int | None = None
 
     def describe(self) -> str:
-        size = "2x limit" if self.payload_bytes is None else f"{self.payload_bytes}B"
         return (
-            f"oversized-request client ({size}, {self.start.describe()}, "
+            f"oversized-request client (2x limit, {self.start.describe()}, "
             f"{self.duration_ns / MILLISECOND:.0f}ms)"
         )
 

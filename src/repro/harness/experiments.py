@@ -151,12 +151,10 @@ class RecoveryResult:
 def run_recovery_experiment(
     use_macs: bool = True,
     rebroadcast_interval_ns: int = 1 * SECOND,
-    crash_at_s: float = 0.2,
-    down_for_s: float = 0.05,
-    observe_for_s: float = 4.0,
     seed: int = 5,
 ) -> RecoveryResult:
-    """Crash and restart one backup replica under load (paper section 2.3).
+    """Crash and restart one backup replica under load (paper section 2.3):
+    down at 0.2 s, back at 0.25 s, watched for up to 4 s.
 
     With MACs, the restarted replica replays the log but every request
     fails authentication: it lost the session keys, and only the clients'
@@ -175,9 +173,9 @@ def run_recovery_experiment(
     cluster = build_cluster(config, seed=seed, real_crypto=False)
     _start_closed_loop(cluster, bytes(256))
 
-    cluster.run_for(int(crash_at_s * SECOND))
+    cluster.run_for(200 * MILLISECOND)
     cluster.replicas[3].crash()  # a backup (primary is replica 0 in view 0)
-    cluster.run_for(int(down_for_s * SECOND))
+    cluster.run_for(50 * MILLISECOND)
     victim = cluster.restart(3)
 
     def validates_clients() -> bool:
@@ -186,7 +184,7 @@ def run_recovery_experiment(
             for client in cluster.clients
         )
 
-    deadline = cluster.sim.now + int(observe_for_s * SECOND)
+    deadline = cluster.sim.now + 4 * SECOND
     while (
         victim.recovering or not validates_clients()
     ) and cluster.sim.now < deadline:
@@ -235,10 +233,9 @@ class PacketLossResult:
 
 def run_packet_loss_experiment(
     all_big: bool = True,
-    run_for_s: float = 3.0,
     seed: int = 7,
 ) -> PacketLossResult:
-    """Drop one client→replica datagram and watch what the middleware does.
+    """Drop one client→replica datagram and watch the middleware for 3 s.
 
     With the all-big optimization (paper section 2.4): the victim replica
     agrees on the digest but cannot execute — it is "stuck at this point
@@ -274,7 +271,7 @@ def run_packet_loss_experiment(
         dropped_kind = "client→primary request"
     cluster.fabric.add_drop_rule(rule)
     _start_closed_loop(cluster, bytes(512))
-    cluster.run_for(int(run_for_s * SECOND))
+    cluster.run_for(3 * SECOND)
 
     victim = cluster.replicas[3]
     wedged = [r.node_id for r in cluster.replicas if r.stats["wedged_events"] > 0]

@@ -113,8 +113,9 @@ def _start_closed_loop(cluster: Cluster, make_op: Callable[[int, int], tuple[byt
         loop(index)
 
 
-def _join_all(cluster: Cluster, timeout_s: float = 5.0) -> None:
-    """Dynamic membership: join every client before the workload starts."""
+def _join_all(cluster: Cluster) -> None:
+    """Dynamic membership: join every client (within 5 simulated seconds)
+    before the workload starts."""
     from repro.membership import join_client
 
     rng = cluster.rng.stream("workload-joins")
@@ -122,7 +123,7 @@ def _join_all(cluster: Cluster, timeout_s: float = 5.0) -> None:
     for index, client in enumerate(cluster.clients):
         join_client(client, f"bench-user-{index}".encode(), rng,
                     callback=lambda _eid: joined.append(1))
-    deadline = cluster.sim.now + int(timeout_s * SECOND)
+    deadline = cluster.sim.now + 5 * SECOND
     while len(joined) < len(cluster.clients) and cluster.sim.now < deadline:
         cluster.sim.run_for(10_000_000)
     if len(joined) < len(cluster.clients):
@@ -179,14 +180,13 @@ def run_analytics_workload(
     measure_s: float = 1.0,
     seed: int = 3,
     real_crypto: bool = False,
-    select_every: int = 4,
     cluster_hook: Optional[Callable[[Cluster], None]] = None,
     trace_path: Optional[str] = None,
 ) -> Measurement:
     """Multi-table analytics under replication: a stream of order INSERTs
     interleaved with join + GROUP BY aggregate SELECTs over the growing
-    fact table.  Every ``select_every``-th operation of each client is a
-    two-table equi-join rollup; the rest append rows.
+    fact table.  Every fourth operation of each client is a two-table
+    equi-join rollup; the rest append rows.
 
     The query shapes are deliberately *metric-parity* shapes (equi joins
     onto tiny tables, hash aggregation, full scans): a hash join and the
@@ -229,7 +229,7 @@ def run_analytics_workload(
     )
 
     def make_op(index: int, seq: int) -> tuple[bytes, bool]:
-        if seq % select_every == 0:
+        if seq % 4 == 0:
             return encode_sql_op(rollups[(index + seq) % len(rollups)]), False
         return (
             encode_sql_op(

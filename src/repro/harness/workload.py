@@ -234,7 +234,6 @@ class AggregateWorkload:
         timing,
         picker,
         payload: bytes = bytes(256),
-        rng_name: str = "workload-arrivals",
     ) -> None:
         if not cluster.clients:
             raise ConfigError("aggregate workload needs at least one session client")
@@ -242,7 +241,7 @@ class AggregateWorkload:
         self.timing = timing
         self.picker = picker
         self.payload = payload
-        self.rng = cluster.rng.stream(rng_name)
+        self.rng = cluster.rng.stream("workload-arrivals")
         self.sessions = list(cluster.clients)
         # LIFO free list: index order is deterministic and reuse favors
         # warm sessions.

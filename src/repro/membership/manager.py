@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ProtocolError
+from repro.common.units import SECOND
 from repro.crypto.mac import MacKey
 from repro.crypto.rabin import RabinPublicKey
 from repro.membership.messages import (
@@ -40,6 +41,10 @@ _ENTRY = struct.Struct(">BIqq16sH64sB")
 _ENTRY_SIZE = _ENTRY.size
 
 EXTERNAL_ID_BASE = 50_000
+
+# Sessions idle longer than this are eligible for cleanup when the node
+# table fills up.
+SESSION_STALE_NS = 60 * SECOND
 
 REPLY_JOINED = b"JOINED"
 REPLY_DENIED = b"DENIED"
@@ -212,8 +217,8 @@ class MembershipManager:
         self._persist_header()
 
     def _collect_stale_sessions(self, now_ts: int) -> None:
-        """Evict sessions idle longer than the configured threshold."""
-        threshold = now_ts - self.config.session_stale_ns
+        """Evict sessions idle longer than ``SESSION_STALE_NS``."""
+        threshold = now_ts - SESSION_STALE_NS
         stale = [
             ext for ext, entry in self.table.items() if entry.last_active < threshold
         ]

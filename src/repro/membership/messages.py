@@ -37,6 +37,9 @@ class JoinPhase1(WireMemo):
     """Phase 1: announce address, public key, nonce, and await a challenge."""
 
     TAG = 20
+    SENDER_KIND = "client"
+    SENDER_FIELD = "temp_client"
+    PLAIN = True
 
     temp_client: int
     pubkey_n: bytes  # Rabin modulus, big-endian
@@ -57,6 +60,7 @@ class JoinChallenge(WireMemo):
     """
 
     TAG = 21
+    PLAIN = True
 
     temp_client: int
     challenge: bytes

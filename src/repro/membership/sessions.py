@@ -19,36 +19,34 @@ from __future__ import annotations
 import struct
 
 from repro.common.errors import StateError
+from repro.pbft.config import LIBRARY_PAGES
 
 _SLOT_HEADER = struct.Struct(">H")  # used length
+SLOT_BYTES = 128  # state bytes per session
+STRIDE = _SLOT_HEADER.size + SLOT_BYTES
 
 
 class SessionStateManager:
     """Fixed-size per-session slots in the library partition."""
 
-    def __init__(self, replica, base_offset: int, slot_bytes: int = 128) -> None:
+    def __init__(self, replica, base_offset: int) -> None:
         self.replica = replica
         self.base_offset = base_offset
-        self.slot_bytes = slot_bytes
         self.capacity = replica.config.max_node_entries
-        needed = base_offset + self.capacity * self.stride
-        available = replica.config.library_pages * replica.config.page_size
+        needed = base_offset + self.capacity * STRIDE
+        available = LIBRARY_PAGES * replica.config.page_size
         if needed > available:
             raise StateError(
                 f"session state needs {needed} library bytes, "
                 f"partition has {available}"
             )
 
-    @property
-    def stride(self) -> int:
-        return _SLOT_HEADER.size + self.slot_bytes
-
     def _offset_for(self, client_id: int) -> int:
         membership = self.replica.membership
         if membership is None or client_id not in membership.redirection:
             raise StateError(f"client {client_id} has no live session")
         slot = membership.redirection[client_id]
-        return self.base_offset + slot * self.stride
+        return self.base_offset + slot * STRIDE
 
     # -- the application-facing API -------------------------------------------
 
@@ -57,28 +55,28 @@ class SessionStateManager:
         offset = self._offset_for(client_id)
         state = self.replica.state
         (length,) = _SLOT_HEADER.unpack(state.read(offset, _SLOT_HEADER.size))
-        if length == 0 or length > self.slot_bytes:
+        if length == 0 or length > SLOT_BYTES:
             return b""
         return state.read(offset + _SLOT_HEADER.size, length)
 
     def write(self, client_id: int, data: bytes) -> None:
         """Store session state; must run inside request execution so every
         replica applies the identical write."""
-        if len(data) > self.slot_bytes:
+        if len(data) > SLOT_BYTES:
             raise StateError(
                 f"session state of {len(data)} bytes exceeds the "
-                f"{self.slot_bytes}-byte slot"
+                f"{SLOT_BYTES}-byte slot"
             )
         offset = self._offset_for(client_id)
         state = self.replica.state
-        state.modify(offset, self.stride)
+        state.modify(offset, STRIDE)
         state.write(offset, _SLOT_HEADER.pack(len(data)) + data)
 
     # -- lifecycle hooks (called by the membership manager) ----------------------
 
     def wipe_slot(self, slot: int) -> None:
         """Session ended: its state must not leak to the slot's next owner."""
-        offset = self.base_offset + slot * self.stride
+        offset = self.base_offset + slot * STRIDE
         state = self.replica.state
-        state.modify(offset, self.stride)
-        state.write(offset, bytes(self.stride))
+        state.modify(offset, STRIDE)
+        state.write(offset, bytes(STRIDE))

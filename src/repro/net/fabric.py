@@ -64,19 +64,19 @@ class LinkSpec:
             raise ConfigError("loss probability must be within [0, 1]")
 
 
+# Datagrams above this size are split into MTU-sized fragments for the
+# bandwidth model (loss applies per datagram, as with UDP over Ethernet
+# where any lost fragment loses the datagram).
+MTU = 1472
+# How far behind the original a duplicated datagram arrives.
+DUPLICATE_DELAY_NS = 200 * MICROSECOND
+
+
 @dataclass
 class NetworkConfig:
-    """Fabric-wide defaults plus per-pair overrides."""
+    """The link every host pair of the fabric shares."""
 
     default_link: LinkSpec = field(default_factory=LinkSpec)
-    overrides: dict[tuple[str, str], LinkSpec] = field(default_factory=dict)
-    # Datagrams above this size are split into MTU-sized fragments for the
-    # bandwidth model (loss applies per datagram, as with UDP over Ethernet
-    # where any lost fragment loses the datagram).
-    mtu: int = 1472
-
-    def link_for(self, src_host: str, dst_host: str) -> LinkSpec:
-        return self.overrides.get((src_host, dst_host), self.default_link)
 
 
 class DropRule:
@@ -127,7 +127,6 @@ class LinkFault:
         drop_probability: float = 0.0,
         extra_delay_ns: int = 0,
         duplicate_probability: float = 0.0,
-        duplicate_delay_ns: int = 200 * MICROSECOND,
         reorder_probability: float = 0.0,
         reorder_delay_ns: int = 2_000 * MICROSECOND,
         name: str = "link-fault",
@@ -135,14 +134,13 @@ class LinkFault:
         for prob in (drop_probability, duplicate_probability, reorder_probability):
             if not 0.0 <= prob <= 1.0:
                 raise ConfigError("link fault probabilities must be within [0, 1]")
-        if extra_delay_ns < 0 or duplicate_delay_ns < 0 or reorder_delay_ns < 0:
+        if extra_delay_ns < 0 or reorder_delay_ns < 0:
             raise ConfigError("link fault delays must be non-negative")
         self.src = src
         self.dst = dst
         self.drop_probability = drop_probability
         self.extra_delay_ns = extra_delay_ns
         self.duplicate_probability = duplicate_probability
-        self.duplicate_delay_ns = duplicate_delay_ns
         self.reorder_probability = reorder_probability
         self.reorder_delay_ns = reorder_delay_ns
         self.name = name
@@ -159,10 +157,9 @@ class LinkFault:
 
 
 class _Route:
-    """Everything :meth:`NetworkFabric.transmit` needs for one directed
-    host pair, resolved once: topology is fixed at build time (hosts are
-    only added, link overrides only set at construction), so a route can
-    never go stale mid-run."""
+    """Everything :meth:`NetworkFabric.transmit` needs to time a datagram
+    on the fabric's link, resolved once at construction: every host pair
+    shares the one link, so a route can never go stale mid-run."""
 
     __slots__ = ("link", "latency_ns", "jitter_span", "jitter_bits", "lossy", "tx_ns")
 
@@ -191,7 +188,6 @@ class Host:
         self.clock_skew_ns = clock_skew_ns
         self._cpu_free_at = 0
         self._nic_free_at = 0
-        self._routes: dict[str, _Route] = {}  # destination host name -> route
         self.cpu_busy_ns = 0  # accumulated, for utilization reporting
 
     def local_time(self) -> int:
@@ -295,6 +291,7 @@ class NetworkFabric:
         self.fault_rng = rng.stream("net.faults")
         self.config = config or NetworkConfig()
         self.config.default_link.validate()
+        self._route = _Route(self.config.default_link)
         self.hosts: dict[str, Host] = {}
         self.sockets: dict[Address, DatagramSocket] = {}
         self.drop_rules: list[DropRule] = []
@@ -389,7 +386,7 @@ class NetworkFabric:
         self.bytes_sent += size * count
         sim = self.sim
         now = sim.now
-        routes = host._routes
+        route = self._route
         quiet = not (self.partitions or self.drop_rules or self.link_faults)
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
@@ -397,9 +394,6 @@ class NetworkFabric:
         deliver = self._deliver
         for dst in dsts:
             packet = Packet(src, dst, payload, size, kind)
-            route = routes.get(dst[0])
-            if route is None:
-                route = routes[dst[0]] = _Route(self.config.link_for(src[0], dst[0]))
             if not quiet or route.lossy:
                 self._transmit_faulty(host, packet, route)
                 continue
@@ -467,7 +461,7 @@ class NetworkFabric:
                 and self.fault_rng.random() < fault.duplicate_probability
             ):
                 fault.duplicated += 1
-                dup_at = arrival + fault.duplicate_delay_ns
+                dup_at = arrival + DUPLICATE_DELAY_NS
                 self._trace_packet(packet, self.sim.now, dup_at, "")
                 self.sim.schedule_call(dup_at, self._deliver, packet)
         return arrival
@@ -495,7 +489,7 @@ class NetworkFabric:
 
     def _tx_time(self, size: int, link: LinkSpec) -> int:
         # Ethernet/IP/UDP framing overhead per MTU-sized fragment.
-        fragments = max(1, -(-size // self.config.mtu))
+        fragments = max(1, -(-size // MTU))
         wire_bytes = size + fragments * 46
         return (wire_bytes * 8 * SECOND) // link.bandwidth_bps
 

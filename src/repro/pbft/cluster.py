@@ -22,6 +22,9 @@ from repro.pbft.wire import decode_exact
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
 
+# The paper's testbed: clients spread evenly over four client machines.
+CLIENT_HOSTS = 4
+
 
 @dataclass
 class Cluster:
@@ -120,8 +123,8 @@ class Cluster:
     def _rebuild(self, slot: int, app: Application, image: DurableImage) -> Replica:
         old = self.replicas[slot]
         self.replicas[slot] = replica = Replica(
-            slot, self.config, old.host, self.keys, app, old.nondet_provider,
-            old.nondet_validator, old.real_crypto, self.obs, image,
+            slot, self.config, old.host, self.keys, app, old.nondet_validator,
+            old.real_crypto, self.obs, image,
         )
         self.apps[slot] = app
         return replica
@@ -137,9 +140,7 @@ def build_cluster(
     seed: int = 1,
     app_factory: Optional[Callable[[], Application]] = None,
     real_crypto: bool = True,
-    client_hosts: int = 4,
     net_config: Optional[NetworkConfig] = None,
-    nondet_provider_factory=None,
     nondet_validator_factory=None,
     clock_skew_ns: int = 0,
     obs: Optional[Observability] = None,
@@ -180,13 +181,12 @@ def build_cluster(
         apps.append(app)
         replicas.append(Replica(
             rid, config, host, keys, app,
-            nondet_provider_factory() if nondet_provider_factory else None,
             nondet_validator_factory() if nondet_validator_factory else None,
             real_crypto, obs,
         ))
 
     hosts = []
-    for h in range(client_hosts):
+    for h in range(CLIENT_HOSTS):
         skew = skew_rng.randrange(-clock_skew_ns, clock_skew_ns + 1) if clock_skew_ns else 0
         hosts.append(fabric.add_host(f"{prefix}clienthost{h}", clock_skew_ns=skew))
 
@@ -194,7 +194,7 @@ def build_cluster(
     session_rng = rng.stream("client-sessions")
     for index in range(config.num_clients):
         client_id = make_client_id(index)
-        host = hosts[index % client_hosts]
+        host = hosts[index % CLIENT_HOSTS]
         port = CLIENT_PORT + index
         keys.new_client_keypair(client_id)
         client = PbftClient(

@@ -14,6 +14,11 @@ from repro.common.units import MICROSECOND, MILLISECOND, SECOND
 from repro.crypto.costs import CryptoCosts
 
 
+# Pages reserved at the front of the state region for the middleware itself
+# (membership tables live here, mirroring the original layout).
+LIBRARY_PAGES = 8
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Simulated CPU costs of non-crypto middleware work.
@@ -29,8 +34,6 @@ class CostModel:
     msg_send_ns: int = 7 * MICROSECOND
     # Per-byte marshalling/copy cost, in hundredths of a ns per byte.
     per_byte_ns_x100: int = 350
-    # Cost of executing a null operation inside the application upcall.
-    execute_null_ns: int = 2 * MICROSECOND
     # Per-byte cost (hundredths of ns/byte) of carrying full request bodies
     # inside a pre-prepare: the primary re-marshals/digests per backup and
     # each backup re-digests to validate, all on the agreement critical
@@ -89,8 +92,6 @@ class PbftConfig:
     congestion_window: int = 1
     max_batch: int = 64
     tentative_execution: bool = True
-    read_only_optimization: bool = True
-    reply_digest_optimization: bool = True
 
     # -- timers ----------------------------------------------------------------
     client_retransmit_ns: int = 150 * MILLISECOND
@@ -143,23 +144,12 @@ class PbftConfig:
     # pressure at the replica).
     busy_retry_hint_ns: int = 50 * MILLISECOND
 
-    # -- non-determinism (section 2.5) -----------------------------------------
-    # Max |primary timestamp - local clock| accepted by the time-delta
-    # validator.
-    nondet_time_delta_ns: int = 250 * MILLISECOND
-
     # -- dynamic membership (section 3.1) ---------------------------------------
     max_node_entries: int = 64
-    # Sessions idle longer than this are eligible for cleanup when the node
-    # table fills up.
-    session_stale_ns: int = 60 * SECOND
 
     # -- state ---------------------------------------------------------------
     state_pages: int = 256
     page_size: int = 4096
-    # Pages reserved at the front of the region for the middleware itself
-    # (membership tables live here, mirroring the original layout).
-    library_pages: int = 8
 
     # -- simulation ------------------------------------------------------------
     costs: CostModel = field(default_factory=CostModel)
@@ -200,7 +190,7 @@ class PbftConfig:
             raise ConfigError(
                 "client retransmit cap must be at least the base interval"
             )
-        if self.library_pages >= self.state_pages:
+        if LIBRARY_PAGES >= self.state_pages:
             raise ConfigError("library partition must leave room for the application")
         if self.max_client_inflight < 0:
             raise ConfigError("per-client in-flight cap cannot be negative")

@@ -163,6 +163,15 @@ class WireMemo:
     #: Datagram kind label for traces and drop rules: the class name.
     KIND = ""
 
+    #: The principal a message speaks for: the envelope sender kind it
+    #: must arrive under and the field naming that sender's id.  A
+    #: receiver drops a message whose envelope was sealed by anyone else
+    #: (:meth:`repro.pbft.node.Node.verify_envelope`).
+    SENDER_KIND = "replica"
+    SENDER_FIELD = "sender"
+    #: Whether it may travel unauthenticated: only the join handshake.
+    PLAIN = False
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.KIND = cls.__name__
@@ -188,6 +197,7 @@ class Request(WireMemo):
     """
 
     TAG = 1
+    SENDER_KIND = SENDER_FIELD = "client"
 
     client: int
     req_id: int
@@ -445,8 +455,10 @@ class StatusMsg(WireMemo):
 class BatchRetransmit(WireMemo):
     """A committed batch replayed to a lagging/recovering replica.
 
-    Carries the original pre-prepare (with full request bodies) plus the
-    commit certificate.  The receiver still authenticates the *client
+    Carries the original pre-prepare and the request bodies the receiver
+    may lack.  One replica's word is no commit certificate: the receiver
+    replays the batch only once f+1 replicas sent the same one, or it
+    committed that batch itself.  It still authenticates the *client
     requests* inside — which is exactly where the restarted replica of
     paper section 2.3 stalls: its session keys are gone, so the
     authenticators fail until the clients' periodic refresh re-arrives.
@@ -455,13 +467,11 @@ class BatchRetransmit(WireMemo):
     TAG = 10
 
     pre_prepare: PrePrepare
-    commit_proof: tuple[int, ...]  # replicas whose commits certify the batch
     requests: tuple[Request, ...]
     sender: int
 
     LAYOUT = layout(
-        TAG, sender=u16, pre_prepare=boxed(PrePrepare), commit_proof=seq(u16),
-        requests=seq(boxed(Request)),
+        TAG, sender=u16, pre_prepare=boxed(PrePrepare), requests=seq(boxed(Request)),
     )
 
 
@@ -568,6 +578,7 @@ class AuthenticatorRefresh(WireMemo):
     """
 
     TAG = 15
+    SENDER_KIND = SENDER_FIELD = "client"
 
     client: int
     keys: tuple[tuple[int, bytes], ...]  # (replica, 16-byte key material)

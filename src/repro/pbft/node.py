@@ -427,15 +427,25 @@ class Node:
         self.dispatch(env)
 
     def verify_envelope(self, env: Envelope) -> bool:
-        """Check the envelope's authentication trailer against our keys.
+        """Check that the message speaks for the envelope's principal and
+        the envelope's authentication trailer against our keys.
 
         ``auth_bytes()`` is only materialized on the branches that hash it
         — with fake crypto (the harness default) no verification receives
         bytes at all.
         """
+        msg = env.msg
+        if (
+            env.sender_kind != msg.SENDER_KIND
+            or getattr(msg, msg.SENDER_FIELD) != env.sender_id
+        ):
+            # The body names another principal than the one the trailer
+            # authenticates: handlers trust the body's sender/client field.
+            return False
         auth_kind = env.auth_kind
         if auth_kind == AUTH_NONE:
-            return True
+            # The join handshake, and only towards the other side.
+            return msg.PLAIN and msg.SENDER_KIND != self.kind
         if auth_kind == AUTH_SIG:
             key = self._public_key_of(env.sender_kind, env.sender_id)
             if key is None:
@@ -450,7 +460,7 @@ class Node:
                     return False
         if not self.real_crypto:
             return True
-        data = env.msg.auth_bytes()
+        data = msg.auth_bytes()
         try:
             if auth_kind == AUTH_VECTOR:
                 return self.keys.mac_cache.verify_authenticator(

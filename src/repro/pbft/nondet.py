@@ -32,11 +32,9 @@ def decode_timestamp(nondet: bytes) -> int:
     return _TS.unpack_from(nondet)[0]
 
 
-class TimestampProvider:
+def primary_timestamp(host: Host) -> bytes:
     """Primary-side up-call: attach the primary's wall clock."""
-
-    def generate(self, host: Host) -> bytes:
-        return encode_timestamp(host.local_time())
+    return encode_timestamp(host.local_time())
 
 
 class TimeDeltaValidator:

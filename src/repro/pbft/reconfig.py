@@ -46,6 +46,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.common.errors import ProtocolError
+from repro.pbft.config import LIBRARY_PAGES
 from repro.pbft.wire import decode_exact
 
 # NB: repro.membership.messages is imported lazily inside the methods that
@@ -89,7 +90,7 @@ class ReconfigManager:
         self.stats = replica.stats
         # The record occupies the *last* library page; the client table and
         # session slots grow from the front of the partition.
-        self.base_offset = (self.config.library_pages - 1) * self.config.page_size
+        self.base_offset = (LIBRARY_PAGES - 1) * self.config.page_size
         self._gauge = replica.obs.registry.gauge(
             f"{self.config.group_prefix}replica{replica.node_id}.epoch"
         )

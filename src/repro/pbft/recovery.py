@@ -22,6 +22,8 @@ the subtrees whose digests differ.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.common.errors import StateError
 from repro.pbft.messages import (
     BatchRetransmit,
@@ -286,8 +288,8 @@ class RecoveryMixin:
         sent = 0
         seq = msg.last_exec_seq + 1
         # Only *committed* batches may be exported: a tentatively executed
-        # batch could still be undone by a view change, and shipping it
-        # with a commit certificate would launder speculation into fact.
+        # batch could still be undone by a view change, and shipping it as
+        # committed would launder speculation into fact.
         while seq <= self.committed_upto and sent < _RETRANSMIT_LIMIT:
             entry = self.exec_journal.get(seq)
             if entry is None:
@@ -303,12 +305,7 @@ class RecoveryMixin:
             )
             self.send_to_replica(
                 peer,
-                BatchRetransmit(
-                    pre_prepare=pp,
-                    commit_proof=tuple(range(self.config.quorum)),
-                    requests=bodies,
-                    sender=self.node_id,
-                ),
+                BatchRetransmit(pre_prepare=pp, requests=bodies, sender=self.node_id),
             )
             sent += 1
             seq += 1
@@ -321,40 +318,56 @@ class RecoveryMixin:
         # The journalled pre-prepare carries the view the batch executed
         # in: the exact signal a restarted replica needs to re-synchronize
         # its view (the NEW-VIEW itself was a one-shot it missed).
-        self._note_view_evidence(msg.sender, msg.pre_prepare.view)
-        seq = msg.pre_prepare.seq
+        pp = msg.pre_prepare
+        self._note_view_evidence(msg.sender, pp.view)
+        seq = pp.seq
         if seq <= self.last_exec:
             return
-        if len(msg.commit_proof) < self.config.quorum:
+        # One replica's word is no commit certificate: replay only a batch
+        # f+1 replicas sent, so a correct one committed it, or one we hold
+        # a commit certificate for ourselves (a wedge: only bodies were
+        # missing).  Agreement is on the content; the batch digest also
+        # covers the view and the sender, which differ between honest copies.
+        votes = self.retransmits.setdefault(seq, {})
+        votes[msg.sender] = msg
+        content = (pp.request_digests, pp.nondet)
+        vouching = [
+            m for m in votes.values()
+            if (m.pre_prepare.request_digests, m.pre_prepare.nondet) == content
+        ]
+        own = self.log.peek(seq)
+        mine = None
+        if own is not None and own.committed:
+            mine = own.pre_prepare_in(own.committed_view)
+        if len(vouching) < self.config.weak_quorum and (
+            mine is None or (mine.request_digests, mine.nondet) != content
+        ):
             return
+        listed = set(pp.request_digests)
+        bodies = {r.digest: r for m in vouching for r in m.requests if r.digest in listed}
         self.recovery_target = max(self.recovery_target, seq)
-        self.stalled_batches[seq] = msg
+        self.stalled_batches[seq] = (pp, tuple(bodies.values()))
         self._retry_stalled_batches()
 
     def _retry_stalled_batches(self) -> None:
         """Replay contiguous stalled batches whose requests now validate."""
-        for seq in [s for s in self.stalled_batches if s <= self.last_exec]:
+        for seq in [s for s in self.retransmits if s <= self.last_exec]:
+            del self.retransmits[seq]
+            self.stalled_batches.pop(seq, None)
+        while self.last_exec + 1 in self.stalled_batches:
+            seq = self.last_exec + 1
+            if not self._replay_batch(*self.stalled_batches[seq]):
+                break
             del self.stalled_batches[seq]
-        progressed = True
-        while progressed:
-            progressed = False
-            msg = self.stalled_batches.get(self.last_exec + 1)
-            if msg is None:
-                break
-            if not self._replay_batch(msg):
-                break
-            del self.stalled_batches[msg.pre_prepare.seq]
-            progressed = True
         if self.recovering and self.last_exec >= self.recovery_target:
             self._finish_recovery()
 
-    def _replay_batch(self, msg: BatchRetransmit) -> bool:
+    def _replay_batch(self, pp, bodies) -> bool:
         """Validate and execute one replayed batch; False if it must stall."""
-        pp = msg.pre_prepare
         # Re-validate each client request, exactly as the original replays
         # the log.  This is where section 2.3 bites: in MAC mode a missing
         # session key fails authentication.
-        for request in msg.requests:
+        for request in bodies:
             if not self._validate_replayed_request(request):
                 self.stats.inc("replay_auth_failures")
                 return False
@@ -363,10 +376,10 @@ class RecoveryMixin:
         if not self.nondet_validator.validate(pp.nondet, self.host, replaying=True):
             self.stats.inc("replay_nondet_failures")
             return False
-        for request in msg.requests:
+        for request in bodies:
             self.reqstore.add(request)
-        # The message need not carry every body (big-request bodies come
-        # from clients); the rest must already be in the request store.
+        # The retransmits need not carry every body (big-request bodies
+        # come from clients); the rest must already be in the request store.
         requests = [self.reqstore.get(d) for d in pp.request_digests]
         if any(r is None for r in requests):
             self._mark_wedged()
@@ -476,6 +489,10 @@ class RecoveryMixin:
         # checkpoint is stable, so its replies count as stable too.
         for client, data in client_replies:
             reply = decode_exact(Reply, data).stabilized()
+            if reply.sender != self.node_id:
+                # Resent under our name: a client drops a reply whose
+                # sender field is not its envelope's.
+                reply = dataclasses.replace(reply, sender=self.node_id)
             cached = self.reqstore.last_reply.get(client)
             if cached is None or cached.req_id <= reply.req_id:
                 self.reqstore.last_reply[client] = reply

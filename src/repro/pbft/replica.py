@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.errors import ProtocolError
+from repro.common.units import MICROSECOND
 from repro.crypto.digests import DIGEST_SIZE, md5_digest
 from repro.net.fabric import Address, Host
 from repro.pbft.admission import (
@@ -26,7 +27,7 @@ from repro.pbft.admission import (
     AdmissionControl,
     pick_shed_victim,
 )
-from repro.pbft.config import PbftConfig
+from repro.pbft.config import LIBRARY_PAGES, PbftConfig
 from repro.pbft.log import MessageLog, RequestStore, Slot, ViewSlot
 from repro.pbft.messages import (
     BUSY_INFLIGHT,
@@ -56,8 +57,8 @@ from repro.pbft.messages import (
 from repro.pbft.node import Envelope, KeyDirectory, Node, REPLICA_PORT, replica_address
 from repro.pbft.nondet import (
     AcceptAllValidator,
-    TimestampProvider,
     decode_timestamp,
+    primary_timestamp,
 )
 from repro.pbft.reconfig import ReconfigManager
 from repro.pbft.recovery import RecoveryMixin, StateTransferTask
@@ -105,6 +106,10 @@ class Application:
         """Called after state transfer or rollback replaced the pages."""
 
 
+# Simulated CPU of executing one null operation in the application upcall.
+NULL_EXECUTE_NS = 2 * MICROSECOND
+
+
 class NullApplication(Application):
     """The paper's benchmark application: null requests, sized replies.
 
@@ -113,12 +118,11 @@ class NullApplication(Application):
     original benchmarks shipped.
     """
 
-    def __init__(self, reply_size: int = 1024, execute_cost_ns: int = 2_000) -> None:
+    def __init__(self, reply_size: int = 1024) -> None:
         self.reply_size = reply_size
         # One immutable buffer for every reply: bytes cannot be changed by
         # whoever receives them, so there is nothing to copy per execution.
         self._reply = bytes(reply_size)
-        self._execute_cost_ns = execute_cost_ns
         self.state: Optional[PagedState] = None
         self.app_offset = 0
         self.executed = 0
@@ -151,7 +155,7 @@ class NullApplication(Application):
         return self._reply
 
     def execute_cost_ns(self, op: bytes, readonly: bool) -> int:
-        return self._execute_cost_ns
+        return NULL_EXECUTE_NS
 
 
 class Replica(ViewChangeMixin, RecoveryMixin, Node):
@@ -166,7 +170,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         host: Host,
         keys: KeyDirectory,
         app: Application,
-        nondet_provider=None,
         nondet_validator=None,
         real_crypto: bool = True,
         obs=None,
@@ -187,7 +190,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             obs=obs,
         )
         self.app = app
-        self.nondet_provider = nondet_provider or TimestampProvider()
         self.nondet_validator = nondet_validator or AcceptAllValidator()
         self.pending_requests: list[Request] = []
         # Deployment configuration, registered by whoever builds the replica.
@@ -234,7 +236,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
 
         # Over restored pages the application reopens what is there (an SQL
         # schema is not run twice).
-        app.bind_state(self.state, config.library_pages * config.page_size)
+        app.bind_state(self.state, LIBRARY_PAGES * config.page_size)
         app.attach_obs(self.obs, host.name)
         # Dynamic client membership (paper section 3).
         self.membership = None
@@ -268,7 +270,10 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         self.wedged = False
         self.wedged_since: Optional[int] = None
         self.transfer: Optional[StateTransferTask] = None
-        self.stalled_batches: dict[int, BatchRetransmit] = {}
+        # seq -> sender -> the retransmit it sent; a batch is replayable
+        # (stalled_batches: seq -> (PrePrepare, bodies)) once f+1 agree.
+        self.retransmits: dict[int, dict[int, BatchRetransmit]] = {}
+        self.stalled_batches: dict[int, tuple] = {}
 
         # message class -> (handler, subject to the configuration-epoch gate)
         self._handlers = {
@@ -303,11 +308,11 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         )
         if self.log.unexecuted or self.wedged or self.waiting_requests:
             # A wedge that outlives a full status interval means the
-            # certificate-only retransmits cannot help: the missing piece
+            # body-less retransmits cannot help: the missing piece
             # is a big-request body (section 2.4), and if f+1 replicas are
             # wedged alike the next checkpoint never stabilizes either.
             # Escalate to a recovery-style status — peers then replay full
-            # bodies, which the commit certificate already authorizes.
+            # bodies, which f+1 matching retransmits authorize.
             stuck = (
                 self.wedged
                 and self.wedged_since is not None
@@ -461,7 +466,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
         if self.tracer.enabled and self.is_primary and not req.readonly:
             self.tracer.mark((req.client, req.req_id), "primary-recv", self.host.name)
 
-        if req.readonly and self.config.read_only_optimization:
+        if req.readonly:
             self._execute_readonly(req)
             return
 
@@ -701,7 +706,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
     def _issue_pre_prepare(self, batch: list[Request]) -> None:
         self.next_seq += 1
         seq = self.next_seq
-        nondet = self.nondet_provider.generate(self.host)
+        nondet = primary_timestamp(self.host)
         inline = tuple(r for r in batch if not r.big)
         pp = PrePrepare(
             view=self.view,
@@ -1062,7 +1067,6 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             self.withhold_full_replies
             or (
                 not force_full
-                and self.config.reply_digest_optimization
                 and designated_replier(req, self.n) != self.node_id
             )
         ) and len(reply.result) > DIGEST_SIZE:

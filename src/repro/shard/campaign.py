@@ -37,12 +37,10 @@ from repro.apps.kvstore import encode_put
 from repro.common.errors import ShardError
 from repro.common.units import MILLISECOND
 from repro.faults.campaign import (
-    CampaignResult,
     Ledger,
     RunResult,
     campaign_config,
     group_violations,
-    run_campaign,
     run_phases,
     with_forensics,
 )
@@ -551,18 +549,4 @@ def run_shard_scenario(
         lambda trace: _execute_shard(scenario, seed, trace=trace, **run_kwargs),
         trace,
         artifact_dir,
-    )
-
-
-def run_shard_campaign(
-    scenarios: list[ShardScenario] | None = None,
-    seeds: list[int] | None = None,
-    **run_kwargs,
-) -> CampaignResult:
-    """Sweep every scenario across every seed on the 2-shard topology."""
-    return run_campaign(
-        scenarios if scenarios is not None else shard_scenarios(),
-        seeds if seeds is not None else [1, 2],
-        run_one=run_shard_scenario,
-        **run_kwargs,
     )

@@ -67,6 +67,15 @@ from repro.shard.txapp import (
     outcome_op,
 )
 
+# A freeze that still finds prepared holders drains them and re-freezes
+# this long after, at most DRAIN_POLL_LIMIT times before the move fails.
+DRAIN_POLL_NS = 20 * MILLISECOND
+DRAIN_POLL_LIMIT = 100
+# The destination's checkpoint covering the install is polled (with an
+# ordered no-op) this often, at most CHECKPOINT_POLL_LIMIT times.
+CHECKPOINT_POLL_NS = 10 * MILLISECOND
+CHECKPOINT_POLL_LIMIT = 400
+
 
 class MoveRecord:
     """One migration's progress and result (also the ``on_done`` payload)."""
@@ -110,20 +119,12 @@ class ShardRebalancer:
         groups,                      # list of per-group Cluster objects
         obs=None,
         chunk_budget: int = 2048,
-        drain_poll_ns: int = 20 * MILLISECOND,
-        drain_poll_limit: int = 100,
-        checkpoint_poll_ns: int = 10 * MILLISECOND,
-        checkpoint_poll_limit: int = 400,
     ) -> None:
         self.sim = sim
         self.directory = directory
         self.clients = clients
         self.groups = groups
         self.chunk_budget = chunk_budget
-        self.drain_poll_ns = drain_poll_ns
-        self.drain_poll_limit = drain_poll_limit
-        self.checkpoint_poll_ns = checkpoint_poll_ns
-        self.checkpoint_poll_limit = checkpoint_poll_limit
         self._seq = 0
         self._active: Optional[MoveRecord] = None
         self.history: list[MoveRecord] = []
@@ -295,7 +296,7 @@ class ShardRebalancer:
         holders = list(decode_exact(FreezePayload, payload).holders)
         if holders:
             rec.drain_polls += 1
-            if rec.drain_polls > self.drain_poll_limit:
+            if rec.drain_polls > DRAIN_POLL_LIMIT:
                 self._fail(rec, "prepared holders would not drain")
                 return
             self._drain(rec, holders)
@@ -309,7 +310,7 @@ class ShardRebalancer:
         RESOLVE each at its coordinator, deliver the outcome at the source,
         then re-freeze to observe what is left."""
         if not holders:
-            self.sim.schedule(self.drain_poll_ns, lambda: self._freeze(rec))
+            self.sim.schedule(DRAIN_POLL_NS, lambda: self._freeze(rec))
             return
         txid, coordinator = holders.pop(0)
 
@@ -399,7 +400,7 @@ class ShardRebalancer:
             self._commit(rec)
             return
         rec.ckpt_polls += 1
-        if rec.ckpt_polls > self.checkpoint_poll_limit:
+        if rec.ckpt_polls > CHECKPOINT_POLL_LIMIT:
             self._fail(rec, "destination checkpoint never stabilized")
             return
         # An ordered no-op (STATUS) nudges the sequence number toward the
@@ -407,7 +408,7 @@ class ShardRebalancer:
         self._invoke(
             rec.dst, MigStatus(rec.mig_id).encode(),
             lambda _r: self.sim.schedule(
-                self.checkpoint_poll_ns, lambda: self._await_checkpoint(rec)
+                CHECKPOINT_POLL_NS, lambda: self._await_checkpoint(rec)
             ),
         )
 

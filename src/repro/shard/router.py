@@ -19,7 +19,7 @@ codec, and:
   deliver the resolved outcome to the shard it is blocked on.
 
 Timeout behaviour: a participant that does not answer PREPARE within
-``prepare_timeout_ns`` causes an abort decision — a stalled or
+``PREPARE_TIMEOUT_NS`` causes an abort decision — a stalled or
 partitioned shard delays only transactions that touch it, it cannot
 wedge the others.
 """
@@ -50,6 +50,25 @@ from repro.shard.txapp import (
     decode_tx_reply,
     outcome_op,
 )
+
+# A participant silent this long after PREPARE gets the transaction
+# aborted.
+PREPARE_TIMEOUT_NS = 400 * MILLISECOND
+# Re-sends of a COMMIT/ABORT outcome a participant did not acknowledge.
+OUTCOME_RETRY_LIMIT = 3
+# A LOCKED single-shard op retries after a linear backoff (the same step
+# spaces outcome re-sends).
+LOCKED_RETRY_LIMIT = 4
+LOCKED_BACKOFF_NS = 10 * MILLISECOND
+# Rebalancing resilience: a WRONG_SHARD redirect re-routes after installing
+# the learned placement fact (version-compared, and vouched for by f+1
+# matching replica replies — a single lying replica can never form the
+# quorum the underlying PBFT client requires, so a Byzantine redirect cannot
+# plant a false route); a FROZEN refusal backs off and retries while the
+# unit is mid-migration.
+REDIRECT_RETRY_LIMIT = 3
+FROZEN_RETRY_LIMIT = 10
+FROZEN_BACKOFF_NS = 20 * MILLISECOND
 
 
 class KvShardCodec:
@@ -160,13 +179,6 @@ class ShardRouter:
         sim,
         codec,
         obs=None,
-        prepare_timeout_ns: int = 400 * MILLISECOND,
-        outcome_retry_limit: int = 3,
-        locked_retry_limit: int = 4,
-        locked_backoff_ns: int = 10 * MILLISECOND,
-        redirect_retry_limit: int = 3,
-        frozen_retry_limit: int = 10,
-        frozen_backoff_ns: int = 20 * MILLISECOND,
     ) -> None:
         self.router_id = router_id
         self.directory = directory
@@ -174,20 +186,6 @@ class ShardRouter:
         self.sim = sim
         self.codec = codec
         self.obs = obs
-        self.prepare_timeout_ns = prepare_timeout_ns
-        self.outcome_retry_limit = outcome_retry_limit
-        self.locked_retry_limit = locked_retry_limit
-        self.locked_backoff_ns = locked_backoff_ns
-        # Rebalancing resilience: a WRONG_SHARD redirect re-routes after
-        # installing the learned placement fact (version-compared, and
-        # vouched for by f+1 matching replica replies — a single lying
-        # replica can never form the quorum the underlying PBFT client
-        # requires, so a Byzantine redirect cannot plant a false route);
-        # a FROZEN refusal backs off and retries while the unit is
-        # mid-migration.
-        self.redirect_retry_limit = redirect_retry_limit
-        self.frozen_retry_limit = frozen_retry_limit
-        self.frozen_backoff_ns = frozen_backoff_ns
         self._txn_seq = 0
         self._active: Optional[_Txn] = None
         self._single_active = False
@@ -293,7 +291,7 @@ class ShardRouter:
                 return
             tx = decode_tx_reply(result)
             if tx is not None:
-                if type(tx) is ReplyLocked and attempt < self.locked_retry_limit:
+                if type(tx) is ReplyLocked and attempt < LOCKED_RETRY_LIMIT:
                     # Blocked on a (possibly stranded) transaction: resolve
                     # it at its coordinator, deliver the outcome here, then
                     # retry after a deterministic backoff.
@@ -301,7 +299,7 @@ class ShardRouter:
                     self._recover_holder(
                         tx.holder_txid, tx.holder_coordinator, shard,
                         lambda: self.sim.schedule(
-                            self.locked_backoff_ns * (attempt + 1),
+                            LOCKED_BACKOFF_NS * (attempt + 1),
                             lambda: self._invoke_single(
                                 op, shard, callback, readonly, attempt + 1,
                                 redirects, frozen,
@@ -316,7 +314,7 @@ class ShardRouter:
                     # version than the route that drew it, so the retry
                     # count is bounded by the moves we are behind.
                     self.stats.inc("wrong_shard_redirects")
-                    if redirects < self.redirect_retry_limit:
+                    if redirects < REDIRECT_RETRY_LIMIT:
                         self._learn_fact(tx)
                         new_shards = self.codec.shards_of(op)
                         if len(new_shards) == 1 and new_shards[0] != shard:
@@ -332,9 +330,9 @@ class ShardRouter:
                     # abort), redirect from it (on commit), or activate at
                     # the destination — back off and retry in place.
                     self.stats.inc("frozen_refusals")
-                    if frozen < self.frozen_retry_limit:
+                    if frozen < FROZEN_RETRY_LIMIT:
                         self.sim.schedule(
-                            self.frozen_backoff_ns * (frozen + 1),
+                            FROZEN_BACKOFF_NS * (frozen + 1),
                             lambda: self._invoke_single(
                                 op, shard, callback, readonly, attempt,
                                 redirects, frozen + 1,
@@ -421,7 +419,7 @@ class ShardRouter:
         self.stats.inc("txns_started")
         self._mark("prepare", txn)
         txn.timer = self.sim.schedule(
-            self.prepare_timeout_ns, lambda: self._on_prepare_timeout(txn)
+            PREPARE_TIMEOUT_NS, lambda: self._on_prepare_timeout(txn)
         )
         for shard in txn.participants:
             prepare = TxPrepare(
@@ -536,9 +534,9 @@ class ShardRouter:
                 txn.outcome_acks.add(shard)
                 self._maybe_finish(txn)
                 return
-            if attempt < self.outcome_retry_limit:
+            if attempt < OUTCOME_RETRY_LIMIT:
                 self.sim.schedule(
-                    self.locked_backoff_ns,
+                    LOCKED_BACKOFF_NS,
                     lambda: self._deliver_outcome(txn, shard, attempt + 1),
                 )
             else:

@@ -189,7 +189,6 @@ def build_sharded_cluster(
     net_config: Optional[NetworkConfig] = None,
     directory: Optional[ShardDirectory] = None,
     obs: Optional[Observability] = None,
-    **router_kwargs,
 ) -> ShardedCluster:
     """Build S groups plus routers on one fabric.
 
@@ -262,7 +261,6 @@ def build_sharded_cluster(
             sim=sim,
             codec=codec,
             obs=obs,
-            **router_kwargs,
         )
 
     routers = [make_router(i) for i in range(num_routers)]

@@ -11,7 +11,6 @@ def make_cluster(recovery_aware: bool, seed=47):
         num_clients=4,
         checkpoint_interval=16,
         log_window=32,
-        nondet_time_delta_ns=250 * MILLISECOND,
         # Signature mode isolates the section 2.5 effect: request replay
         # authenticates from public keys, so only the non-determinism
         # validator can stall it (MAC mode would stall on section 2.3's
@@ -22,7 +21,7 @@ def make_cluster(recovery_aware: bool, seed=47):
 
     def factory():
         validator = TimeDeltaValidator(
-            delta_ns=config.nondet_time_delta_ns, recovery_aware=recovery_aware
+            delta_ns=250 * MILLISECOND, recovery_aware=recovery_aware
         )
         validators.append(validator)
         return validator

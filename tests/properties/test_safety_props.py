@@ -142,7 +142,7 @@ def test_safety_under_primary_crash(seed):
     assert_liveness(cluster, schedule)
 
 
-STALE_TRANSFER_PIN = dict(seed=46, loss=0.01, crash_replica=0,
+STALE_TRANSFER_PIN = dict(seed=61, loss=0.01, crash_replica=0,
                           crash_at_ms=64, restart_after_ms=238)
 
 
@@ -161,8 +161,10 @@ def test_stale_state_transfer_is_abandoned_regression():
     dispatch instead of installed.
 
     The pin is a trajectory, and timing changes move it (seed 0 stopped
-    reaching the condition when degraded groups began serving at rate).
-    Re-pinned at seed 46; the second test below proves the pin still falsifies.
+    reaching the condition when degraded groups began serving at rate, and
+    seed 46 when replay began to wait for f+1 matching retransmits).
+    Re-pinned at seed 61, which reaches it on both sides of that change;
+    the second test below proves the pin still falsifies.
     """
     cluster = run_faulty_cluster(**STALE_TRANSFER_PIN)
     assert_safety(cluster)

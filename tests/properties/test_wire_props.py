@@ -189,7 +189,7 @@ def sample_messages():
             sender=2,
         ),
         StatusMsg(view=2, last_exec_seq=101, stable_seq=100, sender=3, recovering=True),
-        BatchRetransmit(pre_prepare=pp, commit_proof=(0, 1, 2), requests=(req,), sender=1),
+        BatchRetransmit(pre_prepare=pp, requests=(req,), sender=1),
         FetchDigestsMsg(checkpoint_seq=100, node_indices=(0, 3, 7), sender=2),
         DigestsMsg(checkpoint_seq=100, entries=((3, d),), sender=0),
         FetchPagesMsg(checkpoint_seq=100, page_indices=(1, 2), sender=3),

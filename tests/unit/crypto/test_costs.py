@@ -18,11 +18,3 @@ def test_digest_cost_grows_with_size():
 def test_authenticator_cost_is_per_replica():
     costs = CryptoCosts()
     assert costs.authenticator_cost(4) == 4 * costs.mac_ns
-
-
-def test_scaled_scales_uniformly():
-    costs = CryptoCosts()
-    doubled = costs.scaled(2.0)
-    assert doubled.sign_ns == 2 * costs.sign_ns
-    assert doubled.mac_ns == 2 * costs.mac_ns
-    assert doubled.digest_cost(1000) >= 2 * costs.digest_cost(1000) - 2

@@ -8,6 +8,7 @@ from repro.membership.manager import (
     REPLY_DENIED,
     REPLY_FULL,
     REPLY_LEFT,
+    SESSION_STALE_NS,
     MembershipManager,
 )
 from repro.membership.messages import (
@@ -113,7 +114,7 @@ class TestJoin:
         for i in range(4):
             execute_join(replica, temp=1000 + i, user=f"user:{i}".encode())
         # A join long after the stale threshold evicts the idle sessions.
-        late = replica.config.session_stale_ns + 10 * SECOND
+        late = SESSION_STALE_NS + 10 * SECOND
         reply = replica.membership.execute_system(
             join_op(temp=1100, user=b"user:99"), nondet_ts=late
         )

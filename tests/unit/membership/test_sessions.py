@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import StateError
 from repro.membership.manager import MembershipManager
+from repro.membership.sessions import SLOT_BYTES
 from repro.net.fabric import NetworkFabric
 from repro.pbft.config import PbftConfig
 from repro.pbft.messages import Request
@@ -73,7 +74,7 @@ def test_oversized_state_rejected(replica):
     client = joined_client(replica)
     sessions = replica.membership.session_state
     with pytest.raises(StateError, match="slot"):
-        sessions.write(client, b"x" * (sessions.slot_bytes + 1))
+        sessions.write(client, b"x" * (SLOT_BYTES + 1))
 
 
 def test_session_state_lives_in_replicated_pages(replica):

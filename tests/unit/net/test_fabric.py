@@ -422,22 +422,6 @@ def test_link_fault_validates_probabilities_and_delays():
         LinkFault(extra_delay_ns=-1)
 
 
-def test_per_pair_link_override():
-    sim = Simulator()
-    config = NetworkConfig()
-    config.overrides[("a", "b")] = LinkSpec(latency_ns=10_000_000)  # 10ms WAN hop
-    fabric = NetworkFabric(sim, RngStreams(1), config=config)
-    fabric.add_host("a")
-    fabric.add_host("b")
-    sa = fabric.bind("a", 1)
-    sb = fabric.bind("b", 1)
-    times = []
-    sb.on_receive(lambda p: times.append(sim.now))
-    sa.send(("b", 1), "x", 10)
-    sim.run()
-    assert times[0] >= 10_000_000
-
-
 # -- the per-datagram lane ------------------------------------------------------
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.pbft.config import PbftConfig
+from repro.pbft.config import LIBRARY_PAGES, PbftConfig
 
 
 def test_group_sizes():
@@ -43,7 +43,7 @@ def test_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
         PbftConfig(max_batch=0).validate()
     with pytest.raises(ConfigError):
-        PbftConfig(library_pages=256, state_pages=256).validate()
+        PbftConfig(state_pages=LIBRARY_PAGES).validate()
 
 
 def test_with_options_makes_modified_copy():
@@ -58,3 +58,33 @@ def test_costs_bytes_cost():
     config = PbftConfig()
     assert config.costs.bytes_cost(0) == 0
     assert config.costs.bytes_cost(1000) > 0
+
+
+def test_every_config_field_is_read():
+    """A field nothing reads is a setting that changes nothing: each one
+    must be read as an attribute somewhere in the package — validating a
+    value is not using it."""
+    import ast
+    import dataclasses
+    from pathlib import Path
+
+    import repro
+    from repro.pbft import config as config_module
+    from repro.pbft.config import CostModel
+
+    read = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path == Path(config_module.__file__):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "validate":
+                    node.body = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    fields = [
+        f"{cls.__name__}.{field.name}"
+        for cls in (PbftConfig, CostModel)
+        for field in dataclasses.fields(cls)
+    ]
+    assert [name for name in fields if name.split(".")[1] not in read] == []

@@ -60,9 +60,9 @@ def shape(value):
 
 
 def replica_shape(replica):
-    # The application and the non-determinism up-calls are the deployment's
-    # objects, handed to every incarnation of the slot.
-    skip = {"app", "nondet_provider", "nondet_validator"}
+    # The application and the non-determinism validator are the
+    # deployment's objects, handed to every incarnation of the slot.
+    skip = {"app", "nondet_validator"}
     return {name: shape(v) for name, v in vars(replica).items() if name not in skip}
 
 

@@ -120,10 +120,16 @@ def test_replica_pair_keys_rederive_after_drop(rig):
 
 
 def test_plain_send_accepted_without_keys(rig):
+    """Join phase 1 travels unauthenticated to the replicas (section 3.1)."""
+    from repro.membership.messages import JoinPhase1
+
     sim, _config, _keys, nodes = rig
-    nodes[0].send_plain(replica_address(1), msg(0))
+    phase1 = JoinPhase1(temp_client=4242, pubkey_n=b"\x05", nonce=b"n", host="h", port=1)
+    env = Envelope(phase1, AUTH_NONE, None, "client", 4242)
+    nodes[0].socket.send(replica_address(1), env, env.size, "JoinPhase1")
     sim.run()
-    assert len(nodes[1].received) == 1
+    assert nodes[1].received == [phase1]
+    assert nodes[1].auth_failures == 0
 
 
 def test_envelope_size_includes_auth_trailer(rig):
@@ -381,11 +387,14 @@ def test_envelope_receive_cost_computed_once_for_the_senders_model(rig):
 def test_receiver_charges_the_same_cpu_with_or_without_the_senders_cost(rig):
     # A hand-built envelope (no cost model) and a node-sealed one must
     # occupy the receiver's CPU identically.
-    sim, config, _keys, nodes = rig
-    nodes[0].send_plain(replica_address(1), msg(0))
+    from repro.crypto.mac import compute_mac
+
+    sim, config, keys, nodes = rig
+    nodes[0].send_mac(replica_address(1), "replica", 1, msg(0))
     sim.run()
     sealed = nodes[1].host.cpu_busy_ns
-    env = Envelope(msg(0), AUTH_NONE, None, "replica", 0)
+    tag = compute_mac(keys.replica_pair_key(0, 1), msg(0).auth_bytes())
+    env = Envelope(msg(0), AUTH_MAC, tag, "replica", 0)
     nodes[0].socket.send(replica_address(1), env, env.size, "bare")
     sim.run()
     assert nodes[1].host.cpu_busy_ns == 2 * sealed
@@ -403,3 +412,90 @@ def test_kind_label_defaults_to_the_message_class_name(rig):
     sim.run()
     assert kinds == ["StatusMsg", "custom", "StatusMsg"]
     assert StatusMsg.KIND == "StatusMsg"
+
+
+# -- a message speaks for its envelope's principal ---------------------------------
+
+
+def _outsider(cluster):
+    """A socket on a host no replica or client shares a key with."""
+    host = cluster.fabric.add_host("outsider")
+    return cluster.fabric.bind(host.name, 7000)
+
+
+def _post(socket, msg, dst, sender_kind, sender_id, auth_kind=AUTH_NONE, auth=None):
+    env = Envelope(msg, auth_kind, auth, sender_kind, sender_id)
+    socket.send(dst, env, env.size, msg.KIND)
+
+
+def test_plain_view_changes_from_an_outsider_do_not_move_the_view():
+    from repro.pbft.cluster import build_cluster
+    from repro.pbft.messages import ViewChangeMsg
+
+    cluster = build_cluster(PbftConfig(num_clients=2), seed=5)
+    outsider = _outsider(cluster)
+    root = cluster.replicas[0].checkpoints.latest_stable().root
+    for claimed in (1, 2):
+        vote = ViewChangeMsg(
+            new_view=2, stable_seq=0, stable_root=root, checkpoint_proof=(),
+            prepared=(), sender=claimed,
+        )
+        for rid in range(cluster.config.n):
+            _post(outsider, vote, replica_address(rid), "replica", claimed)
+    cluster.run_for(50_000_000)
+    assert [r.view for r in cluster.replicas] == [0, 0, 0, 0]
+    assert [r.auth_failures for r in cluster.replicas] == [2, 2, 2, 2]
+    assert cluster.invoke_and_wait(cluster.clients[0], b"\x00honest") is not None
+
+
+def test_a_plain_request_does_not_run_in_a_clients_name():
+    from repro.pbft.cluster import build_cluster
+    from repro.pbft.messages import Request
+
+    cluster = build_cluster(PbftConfig(num_clients=2), seed=5)
+    victim = cluster.clients[0].node_id
+    outsider = _outsider(cluster)
+    forged = Request(client=victim, req_id=77, op=b"\x00forged")
+    for rid in range(cluster.config.n):
+        _post(outsider, forged, replica_address(rid), "client", victim)
+    cluster.run_for(50_000_000)
+    for replica in cluster.replicas:
+        assert replica.reqstore.last_executed_req.get(victim, 0) < 77
+        assert replica.auth_failures == 1
+
+
+def test_plain_replies_do_not_complete_a_clients_operation():
+    from repro.pbft.cluster import build_cluster
+    from repro.pbft.messages import Reply
+
+    cluster = build_cluster(PbftConfig(num_clients=2), seed=5)
+    client = cluster.clients[0]
+    for replica in cluster.replicas:
+        replica.muted = True  # only the outsider answers
+    results = []
+    request = client.invoke(b"\x00op", callback=lambda result, _lat: results.append(result))
+    outsider = _outsider(cluster)
+    for claimed in (0, 1):
+        forged = Reply(
+            view=0, req_id=request.req_id, client=client.node_id, sender=claimed,
+            result=b"forged",
+        )
+        _post(outsider, forged, client.socket.address, "replica", claimed)
+    cluster.run_for(50_000_000)
+    assert results == []
+    assert client.auth_failures == 2
+
+
+def test_a_keyed_client_cannot_send_in_another_clients_name():
+    from repro.pbft.cluster import build_cluster
+    from repro.pbft.messages import Request
+
+    cluster = build_cluster(PbftConfig(num_clients=2), seed=5)
+    sender, victim = cluster.clients
+    # Sealed with the sender's own authenticator: every MAC verifies.
+    sender.broadcast_to_replicas(Request(client=victim.node_id, req_id=77, op=b"\x00x"))
+    cluster.run_for(50_000_000)
+    for replica in cluster.replicas:
+        assert replica.reqstore.last_executed_req.get(victim.node_id, 0) < 77
+        assert replica.auth_failures == 1
+    assert cluster.invoke_and_wait(victim, b"\x00honest") is not None

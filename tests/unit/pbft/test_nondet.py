@@ -5,9 +5,9 @@ from repro.net.fabric import NetworkFabric
 from repro.pbft.nondet import (
     AcceptAllValidator,
     TimeDeltaValidator,
-    TimestampProvider,
     decode_timestamp,
     encode_timestamp,
+    primary_timestamp,
 )
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
@@ -31,7 +31,7 @@ def test_decode_of_short_data_is_zero():
 def test_provider_uses_host_clock():
     sim, host = make_host(skew=500)
     sim.run_until(1000)
-    assert decode_timestamp(TimestampProvider().generate(host)) == 1500
+    assert decode_timestamp(primary_timestamp(host)) == 1500
 
 
 def test_fresh_timestamp_validates():

@@ -158,6 +158,9 @@ def test_state_transfer_restores_reply_cache(cluster):
         assert got is not None
         assert got.req_id >= reply.req_id
         assert not got.tentative
+        # Resent under the target's own name, which the client checks
+        # against the envelope.
+        assert got.sender == target.node_id
 
 
 # -- what a retransmitting client is told -------------------------------------
@@ -229,7 +232,7 @@ def commit_at(replica, seq):
 
 
 def replay_committed(replica, requests, seq):
-    """A peer's certified retransmit of a committed batch at ``seq``."""
+    """f+1 peers' retransmits of a committed batch at ``seq``."""
     from repro.pbft.messages import BatchRetransmit, PrePrepare
 
     earlier = replica.exec_journal[replica.last_exec][0]
@@ -238,14 +241,11 @@ def replay_committed(replica, requests, seq):
         request_digests=tuple(r.digest for r in requests),
         nondet=earlier.nondet, sender=earlier.sender,
     )
-    replica.on_batch_retransmit(
-        BatchRetransmit(
-            pre_prepare=pp,
-            commit_proof=tuple(range(replica.config.quorum)),
-            requests=tuple(requests),
-            sender=earlier.sender,
+    peers = [rid for rid in range(replica.n) if rid != replica.node_id]
+    for peer in peers[: replica.config.weak_quorum]:
+        replica.on_batch_retransmit(
+            BatchRetransmit(pre_prepare=pp, requests=tuple(requests), sender=peer)
         )
-    )
 
 
 def test_resend_is_tentative_until_the_commit_certificate(cluster):
@@ -305,3 +305,65 @@ def test_resend_stays_tentative_when_committed_upto_jumps_a_slot(cluster):
     assert laggard.log.peek(seq).committed
     assert retransmit(laggard, req).tentative
     assert not retransmit(laggard, other).tentative
+
+
+def test_one_replicas_retransmit_is_not_replayed(cluster):
+    """A Byzantine replica journals a batch nobody ordered — a request its
+    client never made — and ships it to a peer as committed.  One replica's
+    word is no commit certificate: the peer replays only what f+1 send."""
+    from repro.pbft.messages import PrePrepare, Request, StatusMsg
+
+    for i in range(3):
+        cluster.invoke_and_wait(cluster.clients[0], bytes([0, i]))
+    cluster.run_for(int(0.05 * SECOND))
+    liar, target = cluster.replicas[1], cluster.replicas[3]
+    client = cluster.clients[0].node_id
+    seq = liar.last_exec + 1
+    assert target.last_exec == seq - 1
+    forged = Request(client=client, req_id=999, op=b"\x00never sent")
+    earlier = liar.exec_journal[liar.last_exec][0]
+    liar.exec_journal[seq] = (
+        PrePrepare(
+            view=earlier.view, seq=seq, request_digests=(forged.digest,),
+            nondet=earlier.nondet, sender=earlier.sender,
+        ),
+        [forged],
+    )
+    liar.committed_upto = seq
+    liar.on_status(
+        StatusMsg(view=target.view, last_exec_seq=target.last_exec,
+                  stable_seq=target.checkpoints.stable_seq, sender=3, recovering=True)
+    )
+    cluster.run_for(int(0.05 * SECOND))
+    assert target.reqstore.last_executed_req[client] < 999
+    assert target.last_exec == seq - 1
+    # The group goes on ordering the real seq, and the target agrees.
+    cluster.invoke_and_wait(cluster.clients[1], b"\x00after")
+    cluster.run_for(int(0.05 * SECOND))
+    honest = [r for r in cluster.replicas if r is not liar]
+    assert len({r.state.refresh_tree() for r in honest}) == 1
+
+
+def test_a_wedged_replica_replays_one_retransmit_of_a_batch_it_committed(cluster):
+    """A replica that committed a batch but lost a request body (all-big:
+    bodies travel only from the client) needs no second voice: its own
+    commit certificate vouches for the batch, and the retransmit supplies
+    the body, checked against the committed digest."""
+    from repro.net.fabric import DropRule
+    from repro.pbft.messages import BatchRetransmit
+
+    cluster.invoke_and_wait(cluster.clients[0], b"\x00warm")
+    laggard, peer = cluster.replicas[3], cluster.replicas[1]
+    cluster.fabric.add_drop_rule(
+        DropRule(lambda p: p.kind == "Request" and p.dst[0] == "replica3", count=1)
+    )
+    cluster.invoke_and_wait(cluster.clients[1], b"\x00lost body")
+    cluster.run_for(int(0.01 * SECOND))
+    seq = laggard.last_exec + 1
+    assert laggard.log.peek(seq).committed and peer.last_exec >= seq
+    pp, requests = peer.exec_journal[seq]
+    laggard.on_batch_retransmit(
+        BatchRetransmit(pre_prepare=pp, requests=tuple(requests), sender=peer.node_id)
+    )
+    assert laggard.last_exec == seq
+    assert laggard.state.refresh_tree() == peer.state.refresh_tree()

@@ -80,10 +80,9 @@ GOLDEN = {
     "BatchRetransmit": (
         "0a00010000005002000000000000000000010000000000000009000000026e64"
         "00000001a21d78358e7ef22cb8289e9a3417f5d0000000010000001b01000000"
-        "07000000000000002a000000086f702d62797465730000000000030000000100"
-        "02000000010000001b0100000007000000000000002a000000086f702d627974"
-        "65730000",
-        "3a7abc5c92a960a78667ce5ec98ca420",
+        "07000000000000002a000000086f702d62797465730000000000010000001b01"
+        "00000007000000000000002a000000086f702d62797465730000",
+        "9d80f367f50335c3547c68b3f80ce585",
     ),
     "FetchDigestsMsg": (
         "0b0002000000000000006400000003000000000000000300000007",
@@ -154,7 +153,7 @@ WIRE_SIZES = {
     "ViewChangeMsg": 137,
     "NewViewMsg": 209,
     "StatusMsg": 28,
-    "BatchRetransmit": 132,
+    "BatchRetransmit": 122,
     "FetchDigestsMsg": 27,
     "DigestsMsg": 35,
     "FetchPagesMsg": 23,
