@@ -63,19 +63,20 @@ class MacCache:
     working set is the tags of messages in flight: 12 closed-loop clients
     on 4 replicas keep fewer than 128 entries live (hit ratio 0.4998 at
     every bound from 128 up, 0.4987 at 96, 0.435 at 64 — sender miss,
-    receiver hit, so 0.5 is the ceiling).  The default of 4096 is 32x
-    that; it is not larger because every key pins its message bytes, and
-    the 32,768 entries this class used to allow held ≈13 MiB of dead 1 KiB
-    bodies.  A deployment with far more concurrent senders can pass a
-    larger bound; too small a one only costs recomputation.  The cache
-    keys on the raw key *bytes*, so dropping and re-learning a session key
-    (restart recovery, section 2.3) naturally maps onto the right
-    entries: a different key means a different cache line.
+    receiver hit, so 0.5 is the ceiling).  The default of 256 is twice
+    that; it is not larger because every key pins its message bytes: 4,096
+    entries held ≈1.6 MiB of dead 1 KiB bodies on the null row and 32,768
+    held ≈13 MiB, for the same hit ratio.  A deployment with far more
+    concurrent senders can pass a larger bound; too small a one only costs
+    recomputation.  The cache keys on the raw key *bytes*, so dropping and
+    re-learning a session key (restart recovery, section 2.3) naturally
+    maps onto the right entries: a different key means a different cache
+    line.
     """
 
     __slots__ = ("max_entries", "hits", "misses", "_tags")
 
-    def __init__(self, max_entries: int = 1 << 12) -> None:
+    def __init__(self, max_entries: int = 256) -> None:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0

@@ -7,26 +7,51 @@ from typing import Callable, Optional
 
 from repro.common.errors import ConfigError
 
+# Cancelled timers are collected out of a queue longer than this floor
+# once more than this fraction of it is cancelled timers: the rule and the
+# values of CPython's asyncio loop (base_events._MIN_SCHEDULED_TIMER_HANDLES,
+# _MIN_CANCELLED_TIMER_HANDLES_FRACTION).
+_COLLECT_MIN_QUEUED = 100
+_COLLECT_CANCELLED_FRACTION = 0.5
+
 
 class Timer:
-    """A handle to a scheduled event that can be cancelled or rescheduled.
+    """A handle to a scheduled event that can be cancelled.
 
     PBFT replicas and clients use many timers (request retransmission,
     view-change, checkpoint, authenticator rebroadcast).  Cancellation is
-    lazy: a cancelled timer stays in the heap but its callback is skipped.
+    lazy: a cancelled timer stays in the heap, its callback skipped when it
+    pops, until cancelled timers are most of the heap and the simulator
+    collects them (:meth:`Simulator._collect`).
     """
 
-    __slots__ = ("deadline", "callback", "cancelled", "fired")
+    __slots__ = ("deadline", "callback", "cancelled", "fired", "_sim")
 
-    def __init__(self, deadline: int, callback: Callable[[], None]) -> None:
+    def __init__(self, deadline: int, callback: Callable[[], None], sim: Simulator) -> None:
         self.deadline = deadline
         self.callback = callback
         self.cancelled = False
         self.fired = False
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the timer's callback from running."""
+        queued = self.pending
         self.cancelled = True
+        if queued:
+            self._sim._cancelled_queued += 1
+            self._sim._collect()
+
+    def _fire(self) -> None:
+        # The heap entry's ``fn``: the plain function ``Timer._fire``, so
+        # scheduling a timer builds no bound method.
+        if self.cancelled:
+            sim = self._sim
+            sim._events_cancelled += 1
+            sim._cancelled_queued -= 1
+            return
+        self.fired = True
+        self.callback()
 
     @property
     def pending(self) -> bool:
@@ -42,6 +67,13 @@ class Simulator:
     order (the monotonically increasing ``seq`` makes the heap stable),
     which keeps runs bit-for-bit reproducible.  A :class:`Timer` is an
     ordinary event whose ``fn`` looks at the timer's cancelled flag.
+
+    Cancelled timers that are still queued are counted; when they are more
+    than half of a queue longer than ``_COLLECT_MIN_QUEUED`` -- checked
+    when a pending timer is cancelled and at the end of every run -- the
+    heap is rebuilt from its live entries.  ``(when, seq)`` orders the entries totally, so removing
+    entries that would only have been popped and skipped changes nothing
+    that runs, or when.
     """
 
     def __init__(self) -> None:
@@ -50,14 +82,15 @@ class Simulator:
         self._queue: list[tuple[int, int, Callable, object]] = []
         self._seq: int = 0
         self._events_cancelled: int = 0
+        self._cancelled_queued: int = 0
         self._max_queue_len: int = 0
 
     @property
     def events_run(self) -> int:
         """Total number of event callbacks executed so far.
 
-        Every popped event either ran or was a cancelled timer, so nothing
-        is counted per event.
+        Every event that left the queue either ran or was a cancelled
+        timer (popped or collected), so nothing is counted per event.
         """
         return self._seq - len(self._queue) - self._events_cancelled
 
@@ -68,7 +101,7 @@ class Simulator:
 
     @property
     def events_cancelled(self) -> int:
-        """Events popped after cancellation (scheduled but never run)."""
+        """Cancelled timers taken off the queue, popped or collected."""
         return self._events_cancelled
 
     @property
@@ -78,7 +111,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of events still queued (including cancelled timers not yet
+        collected)."""
         return len(self._queue)
 
     def collect_metrics(self, registry, prefix: str = "sim.") -> None:
@@ -98,8 +132,8 @@ class Simulator:
 
     def schedule_at(self, when: int, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` to run at absolute time ``when``."""
-        timer = Timer(when, callback)
-        self.schedule_call(when, self._fire, timer)
+        timer = Timer(when, callback, self)
+        self.schedule_call(when, Timer._fire, timer)
         return timer
 
     def schedule_call(self, when: int, fn: Callable[[object], None], arg: object) -> None:
@@ -120,18 +154,29 @@ class Simulator:
         if len(queue) > self._max_queue_len:
             self._max_queue_len = len(queue)
 
-    def _fire(self, timer: Timer) -> None:
-        if timer.cancelled:
-            self._events_cancelled += 1
+    def _collect(self) -> None:
+        """Drop the queued cancelled timers if they are most of the queue.
+
+        The rebuild is in place: ``run`` and ``run_until`` hold the list.
+        """
+        queue = self._queue
+        if (len(queue) <= _COLLECT_MIN_QUEUED
+                or self._cancelled_queued <= len(queue) * _COLLECT_CANCELLED_FRACTION):
             return
-        timer.fired = True
-        timer.callback()
+        fire = Timer._fire
+        live = [entry for entry in queue if entry[2] is not fire or not entry[3].cancelled]
+        self._events_cancelled += len(queue) - len(live)
+        self._cancelled_queued = 0
+        queue[:] = live
+        heapq.heapify(queue)
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains (or ``max_events`` callbacks ran).
 
         Cancelled timers popped on the way ran nothing and do not count
-        against ``max_events``.
+        against ``max_events``.  The clock ends at the last event popped, so
+        a cancelled timer collected before it popped leaves ``now`` where
+        the event before it put it.
         """
         stop = float("inf") if max_events is None else self.events_run + max_events
         queue = self._queue
@@ -139,6 +184,7 @@ class Simulator:
             when, _seq, fn, arg = heapq.heappop(queue)
             self.now = when
             fn(arg)
+        self._collect()
 
     def run_until(self, deadline: int) -> None:
         """Run all events with time <= ``deadline``; advance the clock to it.
@@ -152,6 +198,7 @@ class Simulator:
             when, _seq, fn, arg = pop(queue)
             self.now = when
             fn(arg)
+        self._collect()
         if deadline > self.now:
             self.now = deadline
 

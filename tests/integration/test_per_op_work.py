@@ -12,6 +12,10 @@ fails here with the number instead of as a slower ledger row:
 * ``StatsView`` mapping calls: none.  Counters are bumped with ``inc``;
   ``stats[key] += 1`` would cost a ``__getitem__`` and a ``__setitem__``
   per bump.
+* Queued events: the live ones plus at most as many cancelled timers.
+  Every executed batch re-arms each backup's view-change timer and every
+  op arms a client retransmit timer; were cancelled timers kept until
+  their far-future deadline popped, the heap would grow by thousands.
 """
 
 from collections import Counter
@@ -47,9 +51,9 @@ def counted(monkeypatch):
     return counts
 
 
-def run_null_closed_loop(window_ns: int) -> int:
+def run_null_closed_loop(window_ns: int):
     """12 clients, one 1 KiB null op outstanding each, for ``window_ns`` of
-    simulated time; returns the number of completed ops."""
+    simulated time; returns the cluster."""
     cluster = build_cluster(
         PbftConfig(), seed=3, real_crypto=False,
         app_factory=lambda: NullApplication(reply_size=1024),
@@ -63,11 +67,11 @@ def run_null_closed_loop(window_ns: int) -> int:
         closed_loop(client)
     cluster.run_for(window_ns)
     cluster.stop_clients()
-    return cluster.total_completed()
+    return cluster
 
 
 def test_normal_case_reply_objects_and_stats_calls_per_op(counted):
-    completed = run_null_closed_loop(SIM_WINDOW_NS)
+    completed = run_null_closed_loop(SIM_WINDOW_NS).total_completed()
     assert completed >= 400
     replies_per_op = counted["Reply.__init__"] / completed
     mapping_calls = counted["StatsView.__getitem__"] + counted["StatsView.__setitem__"]
@@ -75,3 +79,10 @@ def test_normal_case_reply_objects_and_stats_calls_per_op(counted):
     # when the window closes and one stable copy per client per checkpoint.
     assert 6.9 <= replies_per_op <= 7.1, f"{replies_per_op:.2f} Reply objects per op"
     assert mapping_calls == 0, f"{mapping_calls / completed:.2f} StatsView mapping calls per op"
+
+
+def test_event_heap_holds_live_events_not_cancelled_timers():
+    cluster = run_null_closed_loop(200_000_000)
+    assert cluster.total_completed() >= 2_000
+    # 159 at seed 3; 5,005 with every cancelled timer left in the heap.
+    assert cluster.sim.max_queue_len < 1_000, f"{cluster.sim.max_queue_len} queued events"

@@ -1,9 +1,11 @@
 """Property tests for the simulation kernel: ordering and determinism."""
 
 import heapq
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import simulator
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
 
@@ -91,26 +93,46 @@ def test_run_until_is_equivalent_to_stepped_runs(schedule):
 # -- the kernel against a reference heap model ----------------------------------
 #
 # Random programs of schedule / schedule_at / schedule_call / cancel /
-# re-arm, with callbacks that run nested programs, interleaved with
-# run_until / run_for / run(max_events).  The same program drives the real
-# Simulator and the plain model below; everything observable must agree.
+# re-arm / bursts of far-future timers / cancelling every k-th timer, with
+# callbacks that run nested programs, interleaved with run_until / run_for /
+# run(max_events).  The same program drives the real Simulator and the
+# plain model below; everything observable must agree.
+#
+# The collection rule, as documented on Simulator: on every cancel of a
+# pending timer and at the end of every run, if the queue holds more than
+# ``floor`` entries and more than half of them are cancelled timers, every
+# cancelled timer leaves the queue and counts as cancelled.
 
 
 class _RefTimer:
-    def __init__(self, callback):
+    def __init__(self, callback, sim):
         self.callback, self.cancelled, self.fired = callback, False, False
+        self.sim = sim
 
     def cancel(self):
+        pending = not (self.cancelled or self.fired)
         self.cancelled = True
+        if pending:
+            self.sim.cancelled_queued += 1
+            self.sim.collect()
 
 
 class _RefSim:
     """The obvious kernel: one heap of (when, seq, entry), counted per pop."""
 
-    def __init__(self):
+    def __init__(self, floor):
         self.now = self.events_scheduled = self.events_run = 0
-        self.events_cancelled = self.max_queue_len = 0
+        self.events_cancelled = self.max_queue_len = self.cancelled_queued = 0
+        self.floor = floor
         self.heap = []
+
+    def collect(self):
+        if len(self.heap) > self.floor and 2 * self.cancelled_queued > len(self.heap):
+            live = [e for e in self.heap if not (isinstance(e[2], _RefTimer) and e[2].cancelled)]
+            self.events_cancelled += len(self.heap) - len(live)
+            self.cancelled_queued = 0
+            self.heap = live
+            heapq.heapify(self.heap)
 
     def _push(self, when, entry):
         assert when >= self.now
@@ -122,7 +144,7 @@ class _RefSim:
         return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, when, callback):
-        timer = _RefTimer(callback)
+        timer = _RefTimer(callback, self)
         self._push(when, timer)
         return timer
 
@@ -134,6 +156,7 @@ class _RefSim:
         if isinstance(entry, _RefTimer):
             if entry.cancelled:
                 self.events_cancelled += 1
+                self.cancelled_queued -= 1
                 return
             entry.fired = True
             self.events_run += 1
@@ -145,6 +168,7 @@ class _RefSim:
     def run_until(self, deadline):
         while self.heap and self.heap[0][0] <= deadline:
             self._step()
+        self.collect()
         self.now = max(self.now, deadline)
 
     def run_for(self, duration):
@@ -154,6 +178,7 @@ class _RefSim:
         target = None if max_events is None else self.events_run + max_events
         while self.heap and (target is None or self.events_run < target):
             self._step()
+        self.collect()
 
     @property
     def pending_events(self):
@@ -172,6 +197,8 @@ def _actions(nested):
             st.tuples(st.just("schedule_call"), _offsets, nested),
             st.tuples(st.just("cancel"), _index),
             st.tuples(st.just("rearm"), _index, _offsets, nested),
+            st.tuples(st.just("burst"), st.integers(min_value=1, max_value=12)),
+            st.tuples(st.just("cancel_every"), st.integers(min_value=1, max_value=4)),
         ),
         max_size=5,
     )
@@ -187,9 +214,16 @@ _programs = st.lists(st.one_of(_actions(_nested_actions).map(lambda a: ("do", a)
                      min_size=1, max_size=12)
 
 
-def _interpret(sim, program):
-    """Run ``program`` on ``sim``; return the per-step observable history."""
-    fired, timers, labels = [], [], iter(range(10**9))
+def _interpret(sim, program, floor):
+    """Run ``program`` on ``sim``; return the per-step observable history.
+
+    After every step the queue is at most twice its live entries plus the
+    collection floor."""
+    fired, timers, every_timer, labels = [], [], [], iter(range(10**9))
+
+    def arm(timer):
+        every_timer.append(timer)
+        return timer
 
     def fire(job):
         label, nested = job
@@ -202,9 +236,10 @@ def _interpret(sim, program):
             if kind in ("schedule", "schedule_at", "schedule_call"):
                 job = (next(labels), action[2])
                 if kind == "schedule":
-                    timers.append(sim.schedule(action[1], lambda job=job: fire(job)))
+                    timers.append(arm(sim.schedule(action[1], lambda job=job: fire(job))))
                 elif kind == "schedule_at":
-                    timers.append(sim.schedule_at(sim.now + action[1], lambda job=job: fire(job)))
+                    timers.append(arm(sim.schedule_at(sim.now + action[1],
+                                                      lambda job=job: fire(job))))
                 else:
                     sim.schedule_call(sim.now + action[1], fire, job)
             elif kind == "cancel" and timers:
@@ -213,7 +248,14 @@ def _interpret(sim, program):
                 slot = action[1] % len(timers)
                 timers[slot].cancel()
                 job = (next(labels), action[3])
-                timers[slot] = sim.schedule(action[2], lambda job=job: fire(job))
+                timers[slot] = arm(sim.schedule(action[2], lambda job=job: fire(job)))
+            elif kind == "burst":
+                for i in range(action[1]):
+                    job = (next(labels), [])
+                    timers.append(arm(sim.schedule(1_000 + i, lambda job=job: fire(job))))
+            elif kind == "cancel_every":
+                for timer in timers[::action[1]]:
+                    timer.cancel()
 
     history = []
     for step in program + [("run", None)]:
@@ -228,15 +270,23 @@ def _interpret(sim, program):
         history.append((
             list(fired), sim.now, sim.events_run, sim.events_cancelled,
             sim.events_scheduled, sim.max_queue_len, sim.pending_events,
-            [(t.cancelled, t.fired) for t in timers],
+            [(t.cancelled, t.fired) for t in every_timer],
         ))
+        cancelled_pending = sum(t.cancelled and not t.fired for t in every_timer)
+        live = sim.events_scheduled - sim.events_run - cancelled_pending
+        assert sim.pending_events <= 2 * live + floor
     return history
 
 
-@given(program=_programs)
-@settings(max_examples=300, deadline=None)
-def test_kernel_matches_reference_heap_model(program):
-    real = _interpret(Simulator(), program)
-    model = _interpret(_RefSim(), program)
+@given(
+    program=_programs,
+    # The real floor, or one small enough for these short programs to cross.
+    floor=st.one_of(st.just(simulator._COLLECT_MIN_QUEUED), st.integers(min_value=0, max_value=8)),
+)
+@settings(max_examples=500, deadline=None)
+def test_kernel_matches_reference_heap_model(program, floor):
+    with mock.patch.object(simulator, "_COLLECT_MIN_QUEUED", floor):
+        real = _interpret(Simulator(), program, floor)
+    model = _interpret(_RefSim(floor), program, floor)
     assert real == model
     assert real[-1][-2] == 0  # the final run() drained the queue

@@ -173,3 +173,70 @@ def test_calls_are_counted_like_timers():
     sim.run_until(10)
     assert fired == [1, 2]
     assert (sim.events_run, sim.events_scheduled, sim.max_queue_len) == (2, 2, 2)
+
+
+# -- collecting cancelled timers ------------------------------------------------
+#
+# Cancelled timers leave the heap early once they are more than half of a
+# queue longer than 100 entries (asyncio's rule); until then they are
+# popped and skipped.  Either way they count as cancelled, never as run.
+
+
+def test_cancelled_timers_are_collected_once_they_are_most_of_the_queue():
+    sim = Simulator()
+    fired = []
+    timers = [sim.schedule(i + 1, lambda i=i: fired.append(i)) for i in range(200)]
+    for timer in timers[:100]:
+        timer.cancel()
+    assert sim.pending_events == 200  # exactly half: still queued
+    timers[100].cancel()
+    assert sim.pending_events == 99
+    assert (sim.events_run, sim.events_cancelled) == (0, 101)
+    sim.run()
+    assert fired == list(range(101, 200))
+    assert (sim.events_run, sim.events_cancelled, sim.pending_events) == (99, 101, 0)
+    assert sim.max_queue_len == 200
+
+
+def test_only_cancelling_a_pending_timer_counts():
+    sim = Simulator()
+    timers = [sim.schedule(i + 1, lambda: None) for i in range(150)]
+    sim.run_until(1)  # timers[0] fired
+    assert timers[0].fired
+    for _ in range(3):
+        timers[0].cancel()  # already fired: flag only
+        for timer in timers[1:75]:
+            timer.cancel()  # the second and third time: flag only
+    assert timers[0].cancelled
+    assert sim.pending_events == 149  # 74 cancelled of 149 queued: not more than half
+    timers[75].cancel()
+    assert sim.pending_events == 74
+    assert sim.events_cancelled == 75
+
+
+def test_collection_inside_run_until_rebuilds_the_heap_the_loop_reads():
+    sim = Simulator()
+    fired = []
+    far = [sim.schedule(1_000 + i, lambda i=i: fired.append(i)) for i in range(200)]
+
+    def cancel_most():
+        for timer in far[:150]:
+            timer.cancel()
+
+    sim.schedule(1, cancel_most)
+    sim.run_until(5_000)
+    assert fired == list(range(150, 200))
+    assert (sim.events_run, sim.events_cancelled, sim.pending_events) == (51, 150, 0)
+
+
+def test_a_run_ends_by_collecting_what_its_pops_left_mostly_cancelled():
+    sim = Simulator()
+    near = [sim.schedule(1, lambda: None) for _ in range(100)]
+    far = [sim.schedule(1_000, lambda: None) for _ in range(160)]
+    for timer in far[:120]:
+        timer.cancel()  # 120 of 260 queued
+    assert sim.pending_events == 260
+    sim.run_until(10)  # the 100 near timers ran: 120 of 160 queued are cancelled
+    assert all(timer.fired for timer in near)
+    assert sim.pending_events == 40
+    assert (sim.events_run, sim.events_cancelled) == (100, 120)
