@@ -13,9 +13,9 @@ behaviour is reproduced in :mod:`repro.pbft.recovery`.
 
 from __future__ import annotations
 
-import hmac
 from collections import OrderedDict
 
+from repro.crypto.digests import compare_digest
 from repro.crypto.mac import MAC_SIZE, MacKey, compute_mac, verify_mac
 
 
@@ -106,7 +106,7 @@ class MacCache:
         """Constant-time tag check through the cache."""
         if len(tag) != MAC_SIZE:
             return False
-        return hmac.compare_digest(self.tag(key, data), tag)
+        return compare_digest(self.tag(key, data), tag)
 
     def authenticator(self, keys: dict[int, MacKey], data: bytes) -> Authenticator:
         """:func:`make_authenticator` through the cache."""
@@ -130,7 +130,7 @@ class MacCache:
             expected = self.tag(key, data)
         else:
             self.hits += 1
-        return hmac.compare_digest(expected, tag)
+        return compare_digest(expected, tag)
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._tags)}

@@ -1,22 +1,46 @@
-"""MD5 digests — the hash the original PBFT codebase used.
+"""The process's one hashing seam: MD5 digests, SHA-256 and a constant-time compare.
 
-MD5 is of course broken as a cryptographic hash today; we keep it for
-fidelity to the system under study.  Everything takes digests through this
-module so swapping the primitive is a one-line change.
+MD5 is the hash the original PBFT codebase used.  It is of course broken
+as a cryptographic hash today; we keep it for fidelity to the system under
+study.  Every digest, MAC, derived RNG seed and tag comparison in the
+package goes through this module, so swapping a primitive is a change here
+and nowhere else.
+
+The primitives come from CPython's built-in modules, not from ``hashlib``:
+``md5`` from ``_md5``, ``sha256`` from ``_sha2`` or ``_sha256``, and
+``compare_digest`` from ``_operator._compare_digest``, the constant-time
+compare ``hmac`` itself uses when ``_hashlib`` is absent.  Importing
+``hashlib`` or ``hmac`` loads ``_hashlib``, which maps OpenSSL's
+``libcrypto``: about 3.5 MiB resident that nothing here uses.  A build
+without a built-in module falls back to ``hashlib``'s constructor: the same
+digests, only without the memory saving.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 from typing import Iterable
+
+from _operator import _compare_digest as compare_digest
+
+try:
+    from _md5 import md5
+except ImportError:  # a build without the built-in module
+    from hashlib import md5
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # a build without the built-in module
+        from hashlib import sha256
 
 DIGEST_SIZE = 16
 
 
 def md5_digest(data: bytes) -> bytes:
     """Digest a byte string."""
-    return hashlib.md5(data).digest()
+    return md5(data).digest()
 
 
 #: :func:`md5_digest` through a bounded memo keyed by the bytes themselves,
@@ -36,12 +60,12 @@ memo_digest = functools.lru_cache(maxsize=256)(md5_digest)
 def digest_state(data: bytes):
     """A running digest over ``data``.  ``.copy()`` forks it, so several
     suffixes of one prefix are hashed without re-hashing the prefix."""
-    return hashlib.md5(data)
+    return md5(data)
 
 
 def digest_parts(parts: Iterable[bytes]) -> bytes:
     """Digest the concatenation of ``parts`` without building it in memory."""
-    h = hashlib.md5()
+    h = md5()
     for part in parts:
         h.update(part)
     return h.digest()

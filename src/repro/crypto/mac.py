@@ -4,15 +4,14 @@ The original PBFT uses UMAC32: a fast universal-hash MAC with a 32-bit tag.
 We reproduce the *interface and tag size* with HMAC-MD5 truncated to four
 bytes; the simulated cost model (:mod:`repro.crypto.costs`) carries the
 "MACs are ~3 orders of magnitude cheaper than signatures" property that the
-paper's Table 1 turns on.
+paper's Table 1 turns on.  The MD5 states and the constant-time compare come
+from :mod:`repro.crypto.digests`, the package's one hashing seam.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
-
 from repro.common.errors import CryptoError
+from repro.crypto.digests import compare_digest, md5
 
 MAC_SIZE = 4
 _KEY_SIZE = 16
@@ -32,7 +31,8 @@ class MacKey:
         # (key xor ipad / key xor opad) already absorbed; compute_mac()
         # copies them instead of re-deriving the schedule per tag.  The
         # construction H((K^opad) || H((K^ipad) || data)) is HMAC by
-        # definition, so the tags are byte-identical to hmac.new()'s.
+        # definition, so the tags are byte-identical to the standard
+        # library's HMAC-MD5.
         self._iproto = None
         self._oproto = None
 
@@ -42,7 +42,7 @@ class MacKey:
         return MacKey(bytes(rng.randrange(256) for _ in range(_KEY_SIZE)))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MacKey) and hmac.compare_digest(self.key, other.key)
+        return isinstance(other, MacKey) and compare_digest(self.key, other.key)
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -56,8 +56,8 @@ def compute_mac(key: MacKey, data: bytes) -> bytes:
     iproto = key._iproto
     if iproto is None:
         block = key.key.ljust(_MD5_BLOCK, b"\0")
-        iproto = key._iproto = hashlib.md5(bytes(b ^ 0x36 for b in block))
-        key._oproto = hashlib.md5(bytes(b ^ 0x5C for b in block))
+        iproto = key._iproto = md5(bytes(b ^ 0x36 for b in block))
+        key._oproto = md5(bytes(b ^ 0x5C for b in block))
     inner = iproto.copy()
     inner.update(data)
     outer = key._oproto.copy()
@@ -69,4 +69,4 @@ def verify_mac(key: MacKey, data: bytes, tag: bytes) -> bool:
     """Constant-time check of a 4-byte tag."""
     if len(tag) != MAC_SIZE:
         return False
-    return hmac.compare_digest(compute_mac(key, data), tag)
+    return compare_digest(compute_mac(key, data), tag)

@@ -25,13 +25,13 @@ Two guarantees the tests pin:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.common.errors import ConfigError
+from repro.crypto.digests import sha256
 
 
 @dataclass
@@ -53,7 +53,7 @@ def derive_cell_seed(scenario: str, base_seed: int, index: int) -> int:
     as soon as two scenarios share a base seed.
     """
     material = f"cell|{scenario}|{base_seed}|{index}".encode()
-    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big") >> 1
+    return int.from_bytes(sha256(material).digest()[:8], "big") >> 1
 
 
 # -- cell runners -------------------------------------------------------------------

@@ -8,8 +8,9 @@ Each stream is derived deterministically from the root seed and its name.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+from repro.crypto.digests import sha256
 
 
 class RngStreams:
@@ -33,7 +34,7 @@ class RngStreams:
         if existing is not None:
             return existing
         material = f"{self._seed}:{name}".encode()
-        derived = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+        derived = int.from_bytes(sha256(material).digest()[:8], "big")
         stream = random.Random(derived)
         self._streams[name] = stream
         return stream

@@ -39,16 +39,16 @@ class Timer:
         queued = self.pending
         self.cancelled = True
         if queued:
-            self._sim._cancelled_queued += 1
-            self._sim._collect()
+            sim = self._sim
+            sim._events_cancelled += 1
+            sim._cancelled_queued += 1
+            sim._collect()
 
     def _fire(self) -> None:
         # The heap entry's ``fn``: the plain function ``Timer._fire``, so
         # scheduling a timer builds no bound method.
         if self.cancelled:
-            sim = self._sim
-            sim._events_cancelled += 1
-            sim._cancelled_queued -= 1
+            self._sim._cancelled_queued -= 1
             return
         self.fired = True
         self.callback()
@@ -68,10 +68,11 @@ class Simulator:
     which keeps runs bit-for-bit reproducible.  A :class:`Timer` is an
     ordinary event whose ``fn`` looks at the timer's cancelled flag.
 
-    Cancelled timers that are still queued are counted; when they are more
-    than half of a queue longer than ``_COLLECT_MIN_QUEUED`` -- checked
-    when a pending timer is cancelled and at the end of every run -- the
-    heap is rebuilt from its live entries.  ``(when, seq)`` orders the entries totally, so removing
+    Cancelling a pending timer counts it, once.  Cancelled timers still
+    queued are counted apart; when they are more than half of a queue
+    longer than ``_COLLECT_MIN_QUEUED`` -- checked when a pending timer is
+    cancelled and at the end of every run -- the heap is rebuilt from its
+    live entries.  ``(when, seq)`` orders the entries totally, so removing
     entries that would only have been popped and skipped changes nothing
     that runs, or when.
     """
@@ -90,9 +91,12 @@ class Simulator:
         """Total number of event callbacks executed so far.
 
         Every event that left the queue either ran or was a cancelled
-        timer (popped or collected), so nothing is counted per event.
+        timer (popped or collected) -- every cancelled timer but the
+        ``_cancelled_queued`` still in the queue -- so nothing is counted
+        per event.
         """
-        return self._seq - len(self._queue) - self._events_cancelled
+        return (self._seq - len(self._queue)
+                - self._events_cancelled + self._cancelled_queued)
 
     @property
     def events_scheduled(self) -> int:
@@ -101,7 +105,8 @@ class Simulator:
 
     @property
     def events_cancelled(self) -> int:
-        """Cancelled timers taken off the queue, popped or collected."""
+        """Pending timers cancelled: the protocol's churn, whenever (and
+        whether) their heap entries were popped or collected."""
         return self._events_cancelled
 
     @property
@@ -165,7 +170,6 @@ class Simulator:
             return
         fire = Timer._fire
         live = [entry for entry in queue if entry[2] is not fire or not entry[3].cancelled]
-        self._events_cancelled += len(queue) - len(live)
         self._cancelled_queued = 0
         queue[:] = live
         heapq.heapify(queue)

@@ -24,10 +24,10 @@ deterministic PRNG seeded from it.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Optional
 
 from repro.common.errors import SqlError, StateError
+from repro.crypto.digests import md5_digest
 
 
 class VfsFile:
@@ -219,9 +219,7 @@ class VfsEnvironment:
     def random_bytes(self, count: int) -> bytes:
         out = b""
         while len(out) < count:
-            block = hashlib.md5(
-                self._random_seed + self._random_counter.to_bytes(8, "big")
-            ).digest()
+            block = md5_digest(self._random_seed + self._random_counter.to_bytes(8, "big"))
             self._random_counter += 1
             out += block
         return out[:count]

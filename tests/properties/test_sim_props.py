@@ -101,7 +101,8 @@ def test_run_until_is_equivalent_to_stepped_runs(schedule):
 # The collection rule, as documented on Simulator: on every cancel of a
 # pending timer and at the end of every run, if the queue holds more than
 # ``floor`` entries and more than half of them are cancelled timers, every
-# cancelled timer leaves the queue and counts as cancelled.
+# cancelled timer leaves the queue.  A timer counts as cancelled when a
+# cancel finds it pending, however it later leaves the queue.
 
 
 class _RefTimer:
@@ -113,6 +114,7 @@ class _RefTimer:
         pending = not (self.cancelled or self.fired)
         self.cancelled = True
         if pending:
+            self.sim.events_cancelled += 1
             self.sim.cancelled_queued += 1
             self.sim.collect()
 
@@ -129,7 +131,6 @@ class _RefSim:
     def collect(self):
         if len(self.heap) > self.floor and 2 * self.cancelled_queued > len(self.heap):
             live = [e for e in self.heap if not (isinstance(e[2], _RefTimer) and e[2].cancelled)]
-            self.events_cancelled += len(self.heap) - len(live)
             self.cancelled_queued = 0
             self.heap = live
             heapq.heapify(self.heap)
@@ -155,7 +156,6 @@ class _RefSim:
         self.now, _, entry = heapq.heappop(self.heap)
         if isinstance(entry, _RefTimer):
             if entry.cancelled:
-                self.events_cancelled += 1
                 self.cancelled_queued -= 1
                 return
             entry.fired = True

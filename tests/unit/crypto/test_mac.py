@@ -69,6 +69,12 @@ def test_compute_mac_is_hmac_md5_in_both_cache_modes():
         assert compute_mac(k, data) == reference  # warm
 
 
+def test_mac_tag_is_pinned():
+    # Recorded with the previous hashlib/hmac-backed MAC: a primitive swap
+    # must not move a tag.
+    assert compute_mac(MacKey(bytes(range(16))), b"hello world").hex() == "9757aec2"
+
+
 def test_key_schedule_memo_survives_repeated_use():
     k = key()
     first = compute_mac(k, b"a")
