@@ -38,7 +38,7 @@ A failing run is deterministically re-executed with tracing enabled and
 dumps a Chrome trace plus a minimized event log under ``--artifacts``.
 
 Run:  python examples/fault_campaign.py [--suite group|shard|rebalance]
-          [--smoke] [--seeds N] [--workers W] [--artifacts DIR]
+          [--smoke] [--seeds N] [--artifacts DIR]
       python examples/fault_campaign.py --degraded
       --smoke is the CI-sized sweep: one seed, shortened phases; all 14
       group schedules, three shard scenarios, or three rebalance scenarios
@@ -46,9 +46,6 @@ Run:  python examples/fault_campaign.py [--suite group|shard|rebalance]
       --degraded skips the campaign: it crashes one backup, then the
       primary, under the 12-client 1 KiB null load and exits non-zero if
       the surviving three replicas serve below 90 % of pre-crash ops/sim-s.
-      --workers W farms the group suite's schedule × seed grid across W
-      processes; each cell carries its seed explicitly, so the report is
-      identical at any worker count.
 Exits non-zero if any invariant was violated.
 """
 
@@ -57,16 +54,9 @@ import sys
 import time
 
 from repro.common.units import MILLISECOND
-from repro.faults import (
-    CampaignResult,
-    RunResult,
-    builtin_schedules,
-    run_campaign,
-    run_schedule,
-)
+from repro.faults import builtin_schedules, run_campaign, run_schedule
 from repro.harness.experiments import run_degraded_experiment
 from repro.harness.reporting import format_campaign
-from repro.harness.sweeprunner import SweepCell, run_cells
 from repro.shard.campaign import (
     CHURN_REGRESSION_SEED,
     rebalance_scenarios,
@@ -78,8 +68,8 @@ from repro.shard.campaign import (
 
 # suite -> (scenarios, smoke scenarios, run_one, default seeds, smoke phases).
 # Smoke phases: every group schedule applies and heals all of its faults
-# well inside 800 ms (tests/integration/test_fault_campaign.py sweeps all
-# seeds at these timings); the sharded suites' latest trigger is at 150 ms
+# well inside 800 ms (CI's campaign grid sweeps five seeds at these
+# timings); the sharded suites' latest trigger is at 150 ms
 # and a resumed driver-crash move needs headroom to re-drive, so they keep
 # a 600 ms window and a long drain.
 _GROUP_SMOKE = dict(run_ns=800 * MILLISECOND, drain_ns=2000 * MILLISECOND)
@@ -92,26 +82,6 @@ SUITES = {
         _SHARD_SMOKE,
     ),
 }
-
-
-def run_campaign_parallel(seeds, artifact_dir, timings, workers):
-    """The group suite's schedule × seed grid, farmed through the sweep runner."""
-    params = dict(timings)
-    if artifact_dir is not None:
-        params["artifact_dir"] = artifact_dir
-    cells = [
-        SweepCell(
-            kind="fault-schedule",
-            scenario=schedule.name,
-            params={"schedule": schedule.name, **params},
-            seed=seed,
-        )
-        for schedule in builtin_schedules()
-        for seed in seeds
-    ]
-    results = run_cells(cells, base_seed=seeds[0], workers=workers)
-    # A cell's result is a RunResult as plain data, minus the fault log.
-    return CampaignResult(runs=[RunResult(**r) for r in results])
 
 
 DEGRADED_FLOOR = 0.9
@@ -156,11 +126,6 @@ def main() -> int:
         help="directory for Chrome traces + event logs of failing runs",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="W",
-        help="processes to farm the group suite's schedule × seed grid "
-        "across (default 1 = in-process)",
-    )
-    parser.add_argument(
         "--degraded", action="store_true",
         help="instead of the campaign, check that a 3-of-4 group keeps "
         "90%% of pre-crash throughput",
@@ -168,23 +133,15 @@ def main() -> int:
     args = parser.parse_args()
     if args.degraded:
         return degraded_check()
-    if args.workers > 1 and args.suite != "group":
-        parser.error("--workers applies to --suite group only")
 
     full, smoke, run_one, default_seeds, smoke_phases = SUITES[args.suite]
     scenarios = smoke() if args.smoke else full()
     seeds = [1] if args.smoke else list(range(1, (args.seeds or default_seeds) + 1))
     timings = smoke_phases if args.smoke else {}
     start = time.time()
-    if args.workers > 1:
-        campaign = run_campaign_parallel(
-            seeds, args.artifacts, timings, args.workers
-        )
-    else:
-        campaign = run_campaign(
-            scenarios, seeds, run_one=run_one, artifact_dir=args.artifacts,
-            **timings,
-        )
+    campaign = run_campaign(
+        scenarios, seeds, run_one=run_one, artifact_dir=args.artifacts, **timings
+    )
     if args.smoke and args.suite == "rebalance":
         # The pinned regression: at this seed the churned replica's down
         # periods overlap the freeze/copy window (verified when the seed

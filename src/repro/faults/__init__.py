@@ -1,8 +1,9 @@
 """repro.faults — deterministic fault-injection campaigns.
 
 Declarative :class:`FaultSchedule`s (crash/restart, partitions, windowed
-link disturbances, mute and equivocating primaries) are applied to a
-running cluster by a polling :class:`FaultInjector`; the campaign runner
+link disturbances, replica misbehaviour flag windows, rogue-client
+streams, Markov churn, replica replacement) are applied to a running
+cluster by a polling :class:`FaultInjector`; the campaign runner
 sweeps schedules × RNG seeds and checks the protocol invariants after
 every run — agreement, no committed-op loss, monotone checkpoint
 stability, client liveness, flood liveness, cross-shard atomicity, and
@@ -31,38 +32,30 @@ from repro.faults.invariants import (
 from repro.faults.library import builtin_schedules
 from repro.faults.schedule import (
     CrashReplica,
-    EquivocatingPrimary,
     FaultSchedule,
-    FloodingClient,
-    InvalidMacSpammer,
+    FlagWindow,
     LinkDisturbance,
     MarkovChurn,
-    MutePrimary,
-    OversizedClient,
     PartitionFault,
     ReplicaReplace,
+    RogueClient,
     Trigger,
-    WithholdFullReplies,
 )
 
 __all__ = [
     "CampaignResult",
     "CrashReplica",
-    "EquivocatingPrimary",
     "FaultInjector",
     "FaultSchedule",
-    "FloodingClient",
-    "InvalidMacSpammer",
+    "FlagWindow",
     "LinkDisturbance",
     "MarkovChurn",
-    "MutePrimary",
-    "OversizedClient",
     "PartitionFault",
     "ReplicaReplace",
+    "RogueClient",
     "RunResult",
     "Trigger",
     "Violation",
-    "WithholdFullReplies",
     "builtin_schedules",
     "campaign_config",
     "check_agreement",

@@ -138,11 +138,14 @@ def run_phases(
     run_ns: int,
     drain_ns: int,
     settle_ns: int,
-) -> None:
+) -> list[Violation]:
     """Main phase, drain, settle — over a ``Cluster`` or a ``ShardedCluster``.
 
     The caller has already started the workload and the injectors, and
     stops both afterwards; ``busy()`` says whether work is still in flight.
+    Returns a violation for each injector with a fault that never fired
+    or never healed by the main phase's hard cap: its schedule did not
+    test what it declares.
     """
     step = 10 * MILLISECOND
     # Main phase: at least run_ns, extended until every fault has applied
@@ -154,12 +157,16 @@ def run_phases(
         and top.sim.now < hard_cap
     ):
         top.run_for(step)
-    for injector in injectors:
-        if not injector.quiescent:
-            injector.log.append(
-                f"WARNING: {len(injector.pending)} fault(s) never triggered "
-                f"and {injector.open_heals} heal(s) still open at the hard cap"
-            )
+    unsettled = [
+        Violation(
+            "faults-healed",
+            f"schedule {injector.schedule.name!r}: {len(injector.pending)} "
+            f"fault(s) never triggered and {injector.open_heals} heal(s) "
+            "still open at the hard cap",
+        )
+        for injector in injectors
+        if not injector.quiescent
+    ]
 
     # Drain: stop issuing new work, let in-flight operations finish.
     ledger.issuing = False
@@ -169,6 +176,7 @@ def run_phases(
     # Settle: no client traffic; status gossip catches stragglers up
     # before the committed-loss check examines their watermarks.
     top.run_for(settle_ns)
+    return unsettled
 
 
 def group_violations(
@@ -205,7 +213,7 @@ def execute(
     if before_faults is not None:
         before_faults(cluster)
     injector.start()
-    run_phases(
+    unsettled = run_phases(
         cluster,
         [injector],
         ledger,
@@ -218,7 +226,8 @@ def execute(
     cluster.stop_clients()
 
     violations = (
-        group_violations(cluster, injector, ledger.completed)
+        unsettled
+        + group_violations(cluster, injector, ledger.completed)
         + check_liveness(ledger.invoked, ledger.completed)
         + check_flood_liveness(
             injector.client_fault_windows, ledger.completed_at_ns

@@ -8,6 +8,13 @@ fire through the hooks in :mod:`repro.net.fabric` and
 unpartition, window close, unmute).  Each poll also samples per-replica
 checkpoint stability for the monotonicity invariant.
 
+The injector drives one group, so it resolves the schedule's host names
+and patterns against that group when it is built: a name that matches a
+fabric host as written is used as written (router hosts, another
+shard's replicas, ``"*"``); any other gets the group's prefix
+(``"replica*"`` -> ``"s0-replica*"``).  One schedule thus runs on a lone
+group or on any shard of a sharded deployment unchanged.
+
 Polling (rather than callbacks buried in the protocol) keeps injection
 deterministic and external: the replicas under test never know the
 campaign exists.
@@ -15,6 +22,9 @@ campaign exists.
 
 from __future__ import annotations
 
+from fnmatch import fnmatch
+
+from repro.common.errors import ConfigError
 from repro.common.ids import make_client_id
 from repro.common.units import MILLISECOND
 from repro.net.fabric import LinkFault
@@ -23,18 +33,16 @@ from repro.pbft.cluster import Cluster
 from repro.pbft.messages import Request
 from repro.pbft.node import AUTH_MAC, CLIENT_PORT, Envelope, replica_address
 from repro.faults.schedule import (
+    FLAGS,
+    ROGUE_KINDS,
     CrashReplica,
-    EquivocatingPrimary,
     FaultSchedule,
-    FloodingClient,
-    InvalidMacSpammer,
+    FlagWindow,
     LinkDisturbance,
     MarkovChurn,
-    MutePrimary,
-    OversizedClient,
     PartitionFault,
     ReplicaReplace,
-    WithholdFullReplies,
+    RogueClient,
 )
 
 # How often pending triggers are evaluated (and stability sampled).
@@ -54,7 +62,7 @@ class FaultInjector:
         schedule.validate(cluster.config.n)
         self.cluster = cluster
         self.schedule = schedule
-        self.pending = list(schedule.faults)
+        self.pending = [self._resolve(fault) for fault in schedule.faults]
         self.open_heals = 0  # restarts/heals scheduled but not yet fired
         self.log: list[str] = []  # human-readable applied-fault journal
         # replica id -> list of sampled checkpoint stable seqs (only while
@@ -68,6 +76,44 @@ class FaultInjector:
         self.client_fault_windows: list[tuple[int, int]] = []
         self._rogues = 0
         self._timer = None
+
+    # -- host names ---------------------------------------------------------
+
+    def _host(self, name: str) -> str:
+        """``name`` as written if it matches a fabric host, else prefixed
+        with this group's ``group_prefix``; refused if neither matches."""
+        prefixed = self.cluster.config.group_prefix + name
+        for candidate in (name, prefixed):
+            if any(fnmatch(host, candidate) for host in self.cluster.fabric.hosts):
+                return candidate
+        raise ConfigError(
+            f"schedule {self.schedule.name!r}: neither {name!r} nor "
+            f"{prefixed!r} matches a host"
+        )
+
+    def _resolve(self, fault):
+        """The declaration this group runs; refuses one that would do nothing."""
+        if isinstance(fault, LinkDisturbance):
+            return fault.on_hosts(self._host)
+        if isinstance(fault, PartitionFault):
+            fault = fault.on_hosts(self._host)
+            # The fabric cuts links between exact host names only.
+            patterns = (fault.group_a | fault.group_b) - self.cluster.fabric.hosts.keys()
+            if patterns:
+                raise ConfigError(
+                    f"schedule {self.schedule.name!r}: a partition takes host "
+                    f"names, not patterns: {sorted(patterns)}"
+                )
+        elif (
+            isinstance(fault, RogueClient)
+            and fault.kind == "oversized"
+            and self.cluster.config.max_request_bytes is None
+        ):
+            raise ConfigError(
+                f"schedule {self.schedule.name!r}: an oversized client needs "
+                "max_request_bytes set; without a limit nothing is oversized"
+            )
+        return fault
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -98,12 +144,7 @@ class FaultInjector:
         max_view = max((r.view for r in live), default=0)
         still_pending = []
         for fault in self.pending:
-            trigger = (
-                fault.at
-                if isinstance(fault, (CrashReplica, ReplicaReplace))
-                else fault.start
-            )
-            if trigger.ready(now, max_seq):
+            if fault.start.ready(now, max_seq):
                 self._apply(fault, max_view)
             else:
                 still_pending.append(fault)
@@ -148,7 +189,7 @@ class FaultInjector:
             cluster.fabric.partition(set(fault.group_a), set(fault.group_b))
             self._note(fault.describe())
             self._heal_later(
-                fault.heal_after_ns,
+                fault.duration_ns,
                 lambda: cluster.fabric.unpartition(
                     set(fault.group_a), set(fault.group_b)
                 ),
@@ -171,32 +212,14 @@ class FaultInjector:
                 lambda: cluster.fabric.remove_link_fault(link_fault),
                 f"close disturbance window {fault.src}->{fault.dst}",
             )
-        elif isinstance(fault, MutePrimary):
-            slot = max_view % cluster.config.n
-            self._flag_window(slot, "muted", fault.duration_ns, f"unmute replica{slot}")
-            self._note(f"{fault.describe()} -> replica{slot}")
-        elif isinstance(fault, EquivocatingPrimary):
-            slot = max_view % cluster.config.n
-            self._flag_window(
-                slot, "equivocate", fault.duration_ns, f"replica{slot} stops equivocating"
-            )
-            self._note(f"{fault.describe()} -> replica{slot}")
-        elif isinstance(fault, WithholdFullReplies):
-            self._flag_window(
-                fault.replica, "withhold_full_replies", fault.duration_ns,
-                f"replica{fault.replica} sends full replies again",
-            )
-            self._note(fault.describe())
+        elif isinstance(fault, FlagWindow):
+            self._apply_flag_window(fault, max_view)
         elif isinstance(fault, MarkovChurn):
             self._apply_markov_churn(fault)
         elif isinstance(fault, ReplicaReplace):
             self._apply_replica_replace(fault)
-        elif isinstance(fault, FloodingClient):
-            self._apply_flooding_client(fault)
-        elif isinstance(fault, InvalidMacSpammer):
-            self._apply_invalid_mac_spammer(fault)
-        elif isinstance(fault, OversizedClient):
-            self._apply_oversized_client(fault)
+        elif isinstance(fault, RogueClient):
+            self._apply_rogue_client(fault)
         else:  # pragma: no cover - schedule.validate keeps this unreachable
             raise TypeError(f"unknown fault declaration {fault!r}")
 
@@ -204,16 +227,19 @@ class FaultInjector:
         if self.cluster.restart(slot) is None:
             self._note(f"skip: replica{slot} is already up")
 
-    def _flag_window(self, slot: int, flag: str, duration_ns: int, heal: str) -> None:
-        """Set a misbehaviour flag on whatever replica holds ``slot`` now,
+    def _apply_flag_window(self, fault: FlagWindow, max_view: int) -> None:
+        """Set a misbehaviour flag on whatever replica holds the slot now,
         and clear it on whatever replica holds the slot when the window
         closes (a restart in between builds a new, well-behaved one)."""
-        setattr(self.cluster.replicas[slot], flag, True)
+        on_primary = fault.replica is None
+        slot = max_view % self.cluster.config.n if on_primary else fault.replica
+        setattr(self.cluster.replicas[slot], fault.flag, True)
         self._heal_later(
-            duration_ns,
-            lambda: setattr(self.cluster.replicas[slot], flag, False),
-            heal,
+            fault.duration_ns,
+            lambda: setattr(self.cluster.replicas[slot], fault.flag, False),
+            FLAGS[fault.flag][1].format(slot=slot),
         )
+        self._note(fault.describe() + (f" -> replica{slot}" if on_primary else ""))
 
     # -- membership drivers ---------------------------------------------------
 
@@ -356,117 +382,66 @@ class FaultInjector:
                 )
         return client
 
-    def _open_client_fault_window(self, duration_ns: int) -> int:
-        start = self.cluster.sim.now
-        self.client_fault_windows.append((start, start + duration_ns))
-        return start
-
-    def _apply_flooding_client(self, fault: FloodingClient) -> None:
+    def _apply_rogue_client(self, fault: RogueClient) -> None:
+        """Open the honest-liveness window and send one datagram per
+        interval until it closes; ``_send_rogue`` picks the datagram."""
         cluster = self.cluster
-        rogue = self._rogue_client(register=True)
-        payload = bytes(BYZANTINE_PAYLOAD_BYTES)
+        sender, sent, stream = ROGUE_KINDS[fault.kind]
+        rogue = self._rogue_client(register=sender == "client")
+        if fault.kind == "oversized":
+            payload = bytes(2 * cluster.config.max_request_bytes + 1)
+        else:
+            payload = bytes(BYZANTINE_PAYLOAD_BYTES)
         state = {"req_id": 0, "timer": None}
 
         def tick() -> None:
             state["req_id"] += 1
-            # Fire-and-forget at whoever currently leads: the flooder
-            # never waits for replies, which is exactly what the
-            # per-client in-flight cap is for.  ``big=False`` keeps the
-            # body inline in pre-prepares, so the one admitted request
-            # per cycle stays executable group-wide.
-            req = Request(
-                client=rogue.node_id,
-                req_id=state["req_id"],
-                op=payload,
-                big=False,
-            )
-            view = max(r.view for r in cluster.replicas if not r.crashed)
-            rogue.broadcast_to_replicas(req, only=[view % cluster.config.n])
+            self._send_rogue(fault.kind, rogue, state["req_id"], payload)
             state["timer"] = cluster.sim.schedule(fault.interval_ns, tick)
 
-        self._open_client_fault_window(fault.duration_ns)
+        now = cluster.sim.now
+        self.client_fault_windows.append((now, now + fault.duration_ns))
         tick()
-        self._note(fault.describe() + f" -> client {rogue.node_id}")
+        self._note(fault.describe() + f" -> {sender} {rogue.node_id}")
 
-        def stop_flood() -> None:
+        def stop() -> None:
             if state["timer"] is not None:
                 state["timer"].cancel()
             rogue.stop()
-            self._note(f"  ... {state['req_id']} flood requests were sent")
+            self._note(f"  ... {state['req_id']} {sent} were sent")
 
         self._heal_later(
-            fault.duration_ns, stop_flood,
-            f"flood from client {rogue.node_id} ends",
+            fault.duration_ns, stop,
+            f"{stream} from {sender} {rogue.node_id} ends",
         )
 
-    def _apply_invalid_mac_spammer(self, fault: InvalidMacSpammer) -> None:
-        cluster = self.cluster
-        rogue = self._rogue_client(register=False)
-        payload = bytes(BYZANTINE_PAYLOAD_BYTES)
-        state = {"req_id": 0, "timer": None}
-
-        def tick() -> None:
-            state["req_id"] += 1
-            req = Request(
-                client=rogue.node_id, req_id=state["req_id"], op=payload
-            )
+    def _send_rogue(self, kind: str, rogue: PbftClient, req_id: int, payload: bytes) -> None:
+        """One datagram of the rogue stream ``kind``.  Only an oversized op
+        may travel as a big request: the flood's one admitted request per
+        cycle keeps its body inline in pre-prepares, so it stays
+        executable group-wide."""
+        config = self.cluster.config
+        req = Request(
+            client=rogue.node_id, req_id=req_id, op=payload,
+            big=kind == "oversized" and config.is_big(len(payload)),
+        )
+        if kind == "flood":
+            # Fire-and-forget at whoever currently leads: the flooder
+            # never waits for replies, which is exactly what the
+            # per-client in-flight cap is for.
+            view = max(r.view for r in self.cluster.replicas if not r.crashed)
+            rogue.broadcast_to_replicas(req, only=[view % config.n])
+        elif kind == "oversized":
+            rogue.broadcast_to_replicas(req)
+        else:
             # Hand-built envelope with a garbage MAC trailer: the node
             # send paths would refuse to fake one, a Byzantine sender
             # has no such scruples.
             env = Envelope(req, AUTH_MAC, b"\xde\xad\xbe\xef", "client",
                            rogue.node_id)
-            for rid in range(cluster.config.n):
-                rogue.host.charge_cpu(cluster.config.costs.msg_send_ns)
+            for rid in range(config.n):
+                rogue.host.charge_cpu(config.costs.msg_send_ns)
                 rogue.socket.send(
-                    replica_address(rid, cluster.config.group_prefix),
+                    replica_address(rid, config.group_prefix),
                     env, env.size, "Request",
                 )
-            state["timer"] = cluster.sim.schedule(fault.interval_ns, tick)
-
-        self._open_client_fault_window(fault.duration_ns)
-        tick()
-        self._note(fault.describe() + f" -> principal {rogue.node_id}")
-
-        def stop_spam() -> None:
-            if state["timer"] is not None:
-                state["timer"].cancel()
-            rogue.stop()
-            self._note(f"  ... {state['req_id']} garbage datagrams were sent")
-
-        self._heal_later(
-            fault.duration_ns, stop_spam,
-            f"invalid-MAC spam from principal {rogue.node_id} ends",
-        )
-
-    def _apply_oversized_client(self, fault: OversizedClient) -> None:
-        cluster = self.cluster
-        rogue = self._rogue_client(register=True)
-        limit = cluster.config.max_request_bytes or 0
-        payload = bytes(2 * limit + 1)
-        state = {"req_id": 0, "timer": None}
-
-        def tick() -> None:
-            state["req_id"] += 1
-            req = Request(
-                client=rogue.node_id,
-                req_id=state["req_id"],
-                op=payload,
-                big=cluster.config.is_big(len(payload)),
-            )
-            rogue.broadcast_to_replicas(req)
-            state["timer"] = cluster.sim.schedule(fault.interval_ns, tick)
-
-        self._open_client_fault_window(fault.duration_ns)
-        tick()
-        self._note(fault.describe() + f" -> client {rogue.node_id}")
-
-        def stop_oversized() -> None:
-            if state["timer"] is not None:
-                state["timer"].cancel()
-            rogue.stop()
-            self._note(f"  ... {state['req_id']} oversized requests were sent")
-
-        self._heal_later(
-            fault.duration_ns, stop_oversized,
-            f"oversized spam from client {rogue.node_id} ends",
-        )

@@ -13,18 +13,14 @@ from __future__ import annotations
 from repro.common.units import MILLISECOND
 from repro.faults.schedule import (
     CrashReplica,
-    EquivocatingPrimary,
     FaultSchedule,
-    FloodingClient,
-    InvalidMacSpammer,
+    FlagWindow,
     LinkDisturbance,
     MarkovChurn,
-    MutePrimary,
-    OversizedClient,
     PartitionFault,
     ReplicaReplace,
+    RogueClient,
     Trigger,
-    WithholdFullReplies,
 )
 
 
@@ -36,7 +32,7 @@ def primary_crash_restart() -> FaultSchedule:
         faults=(
             CrashReplica(
                 replica=0,
-                at=Trigger(at_ns=300 * MILLISECOND),
+                start=Trigger(at_ns=300 * MILLISECOND),
                 restart_after_ns=400 * MILLISECOND,
             ),
         ),
@@ -52,7 +48,7 @@ def backup_crash_restart() -> FaultSchedule:
         faults=(
             CrashReplica(
                 replica=2,
-                at=Trigger(at_seq=20),
+                start=Trigger(at_seq=20),
                 restart_after_ns=300 * MILLISECOND,
             ),
         ),
@@ -70,7 +66,7 @@ def primary_partition() -> FaultSchedule:
                 group_a=frozenset({"replica0"}),
                 group_b=frozenset({"replica1", "replica2", "replica3"}),
                 start=Trigger(at_ns=250 * MILLISECOND),
-                heal_after_ns=450 * MILLISECOND,
+                duration_ns=450 * MILLISECOND,
             ),
         ),
     )
@@ -135,7 +131,8 @@ def mute_primary() -> FaultSchedule:
         "receives and executes, but sends nothing.  Only client "
         "retransmissions arm the backups' view-change timers.",
         faults=(
-            MutePrimary(
+            FlagWindow(
+                "muted",
                 start=Trigger(at_ns=300 * MILLISECOND),
                 duration_ns=400 * MILLISECOND,
             ),
@@ -150,7 +147,8 @@ def equivocating_primary() -> FaultSchedule:
         "for the same sequence numbers; the split quorum forces a view "
         "change that must preserve every committed operation.",
         faults=(
-            EquivocatingPrimary(
+            FlagWindow(
+                "equivocate",
                 start=Trigger(at_ns=250 * MILLISECOND),
                 duration_ns=300 * MILLISECOND,
             ),
@@ -166,7 +164,8 @@ def withholding_replica() -> FaultSchedule:
         "must fetch the body from another responder instead of stalling "
         "a retransmit interval on every fourth request.",
         faults=(
-            WithholdFullReplies(
+            FlagWindow(
+                "withhold_full_replies",
                 replica=1,
                 start=Trigger(at_ns=250 * MILLISECOND),
                 duration_ns=500 * MILLISECOND,
@@ -183,7 +182,8 @@ def flooding_client() -> FaultSchedule:
         "cap must hold it to one slot per cycle while honest clients "
         "keep completing inside the flood window.",
         faults=(
-            FloodingClient(
+            RogueClient(
+                "flood",
                 start=Trigger(at_ns=250 * MILLISECOND),
                 duration_ns=400 * MILLISECOND,
                 # Far faster than the group's execution cycle, so several
@@ -201,7 +201,8 @@ def invalid_mac_spammer() -> FaultSchedule:
         "at every replica; after penalty_box_threshold failures each "
         "replica mutes it and drops the rest at header-peek cost.",
         faults=(
-            InvalidMacSpammer(
+            RogueClient(
+                "invalid-mac",
                 start=Trigger(at_ns=250 * MILLISECOND),
                 duration_ns=300 * MILLISECOND,
                 interval_ns=1 * MILLISECOND,
@@ -217,7 +218,8 @@ def oversized_client() -> FaultSchedule:
         "max_request_bytes limit; each is rejected with BUSY/oversized "
         "before consuming queue space.",
         faults=(
-            OversizedClient(
+            RogueClient(
+                "oversized",
                 start=Trigger(at_ns=250 * MILLISECOND),
                 duration_ns=300 * MILLISECOND,
                 interval_ns=10 * MILLISECOND,
@@ -241,7 +243,7 @@ def replace_replica_under_loss() -> FaultSchedule:
             ),
             ReplicaReplace(
                 slot=2,
-                at=Trigger(at_ns=400 * MILLISECOND, at_seq=16),
+                start=Trigger(at_ns=400 * MILLISECOND, at_seq=16),
             ),
         ),
     )

@@ -1,18 +1,23 @@
 """Declarative fault schedules.
 
 A :class:`FaultSchedule` is data, not code: a named list of fault
-declarations, each bound to a :class:`Trigger` saying *when* it fires
-(wall-clock time, committed sequence number, and/or installed view) and,
-where applicable, how long the disturbance lasts.  The
+declarations, one class per fault shape, each with a ``start``
+:class:`Trigger` saying *when* it fires (simulated time and/or committed
+sequence number) and, where the fault is a window, a ``duration_ns``
+saying how long it lasts.  The
 :class:`~repro.faults.injector.FaultInjector` turns the declarations into
 concrete actions against a running cluster; keeping the two apart means a
 schedule can be swept across RNG seeds, printed in a report, and replayed
 exactly when an invariant fails.
+
+Host names and patterns (partitions, link disturbances) are written as
+for a single group ("replica0", "replica*"); the injector resolves them
+against the group it drives (see :mod:`repro.faults.injector`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigError
 from repro.common.units import MILLISECOND
@@ -51,7 +56,7 @@ class CrashReplica:
     """Crash one replica; optionally restart it after a delay."""
 
     replica: int
-    at: Trigger = field(default_factory=Trigger)
+    start: Trigger = field(default_factory=Trigger)
     restart_after_ns: int | None = 400 * MILLISECOND
 
     def describe(self) -> str:
@@ -60,7 +65,7 @@ class CrashReplica:
             if self.restart_after_ns is not None
             else ", no restart"
         )
-        return f"crash replica{self.replica} ({self.at.describe()}{tail})"
+        return f"crash replica{self.replica} ({self.start.describe()}{tail})"
 
 
 @dataclass(frozen=True)
@@ -70,12 +75,19 @@ class PartitionFault:
     group_a: frozenset[str]
     group_b: frozenset[str]
     start: Trigger = field(default_factory=Trigger)
-    heal_after_ns: int = 400 * MILLISECOND
+    duration_ns: int = 400 * MILLISECOND
+
+    def on_hosts(self, resolve) -> PartitionFault:
+        return replace(
+            self,
+            group_a=frozenset(map(resolve, self.group_a)),
+            group_b=frozenset(map(resolve, self.group_b)),
+        )
 
     def describe(self) -> str:
         return (
             f"partition {sorted(self.group_a)} | {sorted(self.group_b)} "
-            f"({self.start.describe()}, heal +{self.heal_after_ns / MILLISECOND:.0f}ms)"
+            f"({self.start.describe()}, heal +{self.duration_ns / MILLISECOND:.0f}ms)"
         )
 
 
@@ -97,6 +109,9 @@ class LinkDisturbance:
     duplicate_probability: float = 0.0
     reorder_probability: float = 0.0
 
+    def on_hosts(self, resolve) -> LinkDisturbance:
+        return replace(self, src=resolve(self.src), dst=resolve(self.dst))
+
     def describe(self) -> str:
         effects = []
         if self.drop_probability:
@@ -113,124 +128,88 @@ class LinkDisturbance:
         )
 
 
+# Replica misbehaviour flags a FlagWindow may set, each with how the log
+# names the window ("{who}" is "primary" or "replicaN") and its close:
+# * muted — the replica receives but sends nothing: a live process behind
+#   a dead NIC, the silent primary only client retransmissions and
+#   view-change timers can detect;
+# * equivocate — a primary assigns conflicting pre-prepares; backups split
+#   between two batch digests, neither side gathers a commit quorum, and
+#   the view change that ends it must not lose committed operations;
+# * withhold_full_replies — the replica votes on every request but answers
+#   digest-only even when it is the designated replier, retransmissions
+#   included; clients must fetch the body from another responder (the
+#   full-reply fetch) rather than wait out a retransmit timer per request.
+FLAGS = {
+    "muted": ("mute {who}", "unmute replica{slot}"),
+    "equivocate": ("equivocating {who}", "replica{slot} stops equivocating"),
+    "withhold_full_replies": (
+        "{who} withholds full replies",
+        "replica{slot} sends full replies again",
+    ),
+}
+
+
 @dataclass(frozen=True)
-class MutePrimary:
-    """Silence the *current* primary: it receives but sends nothing.
+class FlagWindow:
+    """Set a misbehaviour flag (a key of :data:`FLAGS`) on one replica for
+    ``duration_ns``: the named ``replica``, or with ``replica=None``
+    whichever replica is primary when the window opens."""
 
-    Models a live process behind a dead NIC — the silent-primary failure
-    only client retransmissions and view-change timers can detect.
-    """
-
+    flag: str
+    replica: int | None = None
     start: Trigger = field(default_factory=Trigger)
     duration_ns: int = 400 * MILLISECOND
 
     def describe(self) -> str:
+        who = "primary" if self.replica is None else f"replica{self.replica}"
         return (
-            f"mute primary ({self.start.describe()}, "
-            f"{self.duration_ns / MILLISECOND:.0f}ms)"
-        )
-
-
-@dataclass(frozen=True)
-class EquivocatingPrimary:
-    """Make the *current* primary assign conflicting pre-prepares.
-
-    Backups split between two batch digests; neither side can gather a
-    commit quorum, so the window ends in a view change that must not lose
-    committed operations.
-    """
-
-    start: Trigger = field(default_factory=Trigger)
-    duration_ns: int = 300 * MILLISECOND
-
-    def describe(self) -> str:
-        return (
-            f"equivocating primary ({self.start.describe()}, "
-            f"{self.duration_ns / MILLISECOND:.0f}ms)"
-        )
-
-
-@dataclass(frozen=True)
-class WithholdFullReplies:
-    """Make one replica answer digest-only even when it is the designated
-    replier, retransmissions included.
-
-    Its votes still count, so every request it is designated for reaches
-    a reply quorum with no body.  Clients must get the body from another
-    responder (the full-reply fetch) rather than wait out a retransmit
-    timer per request.
-    """
-
-    replica: int
-    start: Trigger = field(default_factory=Trigger)
-    duration_ns: int = 400 * MILLISECOND
-
-    def describe(self) -> str:
-        return (
-            f"replica{self.replica} withholds full replies "
+            f"{FLAGS[self.flag][0].format(who=who)} "
             f"({self.start.describe()}, {self.duration_ns / MILLISECOND:.0f}ms)"
         )
 
 
+# Datagram kinds a RogueClient may send, each with how the log names the
+# sender (an unregistered one is a bare "principal"), what it sends, and
+# its stream:
+# * flood — a registered client fires requests at the primary far faster
+#   than it waits for replies; the admission pipeline should hold it to
+#   one in-flight operation (``inflight_capped`` strikes the rest) while
+#   honest clients keep completing work;
+# * invalid-mac — an unregistered principal sprays garbage-MAC requests at
+#   every replica: the penalty-box workload.  Every datagram fails
+#   authentication; after ``penalty_box_threshold`` failures the sender
+#   is muted and the rest is dropped at header-peek cost;
+# * oversized — a registered client submits operations of twice
+#   ``max_request_bytes``; each must be rejected with a BUSY/oversized
+#   reply before touching the queue.
+ROGUE_KINDS = {
+    "flood": ("client", "flood requests", "flood"),
+    "invalid-mac": ("principal", "garbage datagrams", "invalid-MAC spam"),
+    "oversized": ("client", "oversized requests", "oversized spam"),
+}
+
+
 @dataclass(frozen=True)
-class FloodingClient:
-    """A registered Byzantine client firing requests far faster than it
-    waits for replies, aimed at the primary's batching queue.
+class RogueClient:
+    """A Byzantine client outside the workload population sending one
+    datagram of ``kind`` (one of :data:`ROGUE_KINDS`) every
+    ``interval_ns`` for ``duration_ns``.  Honest clients must keep
+    completing work inside the window (the flood-liveness invariant)."""
 
-    The admission pipeline should hold it to one in-flight operation
-    (``inflight_capped`` strikes the rest) while honest clients keep
-    completing work — the flood-liveness invariant checks exactly that.
-    """
-
+    kind: str
     start: Trigger = field(default_factory=Trigger)
     duration_ns: int = 400 * MILLISECOND
     interval_ns: int = 2 * MILLISECOND
 
     def describe(self) -> str:
-        return (
-            f"flooding client, 1 req/{self.interval_ns / MILLISECOND:.2f}ms "
-            f"at the primary ({self.start.describe()}, "
-            f"{self.duration_ns / MILLISECOND:.0f}ms)"
-        )
-
-
-@dataclass(frozen=True)
-class InvalidMacSpammer:
-    """An unregistered principal spraying garbage-MAC requests at every
-    replica: the penalty-box workload.  Every datagram fails
-    authentication; after ``penalty_box_threshold`` failures the sender
-    is muted and the rest of the flood is dropped at header-peek cost.
-    """
-
-    start: Trigger = field(default_factory=Trigger)
-    duration_ns: int = 300 * MILLISECOND
-    interval_ns: int = 1 * MILLISECOND
-
-    def describe(self) -> str:
-        return (
-            f"invalid-MAC spammer, 1 msg/{self.interval_ns / MILLISECOND:.1f}ms "
-            f"to all replicas ({self.start.describe()}, "
-            f"{self.duration_ns / MILLISECOND:.0f}ms)"
-        )
-
-
-@dataclass(frozen=True)
-class OversizedClient:
-    """A registered client submitting operations beyond
-    ``max_request_bytes``; every one must be rejected with a
-    BUSY/oversized reply before touching the queue.  Each operation is
-    twice the configured limit.
-    """
-
-    start: Trigger = field(default_factory=Trigger)
-    duration_ns: int = 300 * MILLISECOND
-    interval_ns: int = 10 * MILLISECOND
-
-    def describe(self) -> str:
-        return (
-            f"oversized-request client (2x limit, {self.start.describe()}, "
-            f"{self.duration_ns / MILLISECOND:.0f}ms)"
-        )
+        window = f"{self.start.describe()}, {self.duration_ns / MILLISECOND:.0f}ms"
+        interval_ms = self.interval_ns / MILLISECOND
+        if self.kind == "flood":
+            return f"flooding client, 1 req/{interval_ms:.2f}ms at the primary ({window})"
+        if self.kind == "invalid-mac":
+            return f"invalid-MAC spammer, 1 msg/{interval_ms:.1f}ms to all replicas ({window})"
+        return f"oversized-request client (2x limit, {window})"
 
 
 @dataclass(frozen=True)
@@ -272,22 +251,18 @@ class ReplicaReplace:
     """
 
     slot: int
-    at: Trigger = field(default_factory=Trigger)
+    start: Trigger = field(default_factory=Trigger)
 
     def describe(self) -> str:
-        return f"replace replica{self.slot} ({self.at.describe()})"
+        return f"replace replica{self.slot} ({self.start.describe()})"
 
 
 Fault = (
     CrashReplica
     | PartitionFault
     | LinkDisturbance
-    | MutePrimary
-    | EquivocatingPrimary
-    | WithholdFullReplies
-    | FloodingClient
-    | InvalidMacSpammer
-    | OversizedClient
+    | FlagWindow
+    | RogueClient
     | MarkovChurn
     | ReplicaReplace
 )
@@ -305,26 +280,25 @@ class FaultSchedule:
         if not self.name:
             raise ConfigError("fault schedule needs a name")
         for fault in self.faults:
-            if (
-                isinstance(fault, (CrashReplica, WithholdFullReplies))
-                and not 0 <= fault.replica < n
+            replica = getattr(fault, "replica", getattr(fault, "slot", None))
+            if replica is not None and not 0 <= replica < n:
+                raise ConfigError(
+                    f"schedule {self.name!r} targets unknown replica {replica}"
+                )
+            if isinstance(fault, MarkovChurn) and (
+                fault.mean_up_ns <= 0 or fault.mean_down_ns <= 0
             ):
                 raise ConfigError(
-                    f"schedule {self.name!r} targets unknown replica {fault.replica}"
+                    f"schedule {self.name!r}: churn means must be positive"
                 )
-            if isinstance(fault, MarkovChurn):
-                if not 0 <= fault.replica < n:
-                    raise ConfigError(
-                        f"schedule {self.name!r} churns unknown replica "
-                        f"{fault.replica}"
-                    )
-                if fault.mean_up_ns <= 0 or fault.mean_down_ns <= 0:
-                    raise ConfigError(
-                        f"schedule {self.name!r}: churn means must be positive"
-                    )
-            if isinstance(fault, ReplicaReplace) and not 0 <= fault.slot < n:
+            if isinstance(fault, FlagWindow) and fault.flag not in FLAGS:
                 raise ConfigError(
-                    f"schedule {self.name!r} replaces unknown slot {fault.slot}"
+                    f"schedule {self.name!r}: unknown replica flag {fault.flag!r}"
+                )
+            if isinstance(fault, RogueClient) and fault.kind not in ROGUE_KINDS:
+                raise ConfigError(
+                    f"schedule {self.name!r}: unknown rogue-client kind "
+                    f"{fault.kind!r}"
                 )
 
     def describe(self) -> list[str]:

@@ -9,13 +9,13 @@
 * section 2.3's recovery stall — :func:`run_recovery_experiment`;
 * section 2.4's packet-loss wedge — :func:`run_packet_loss_experiment`;
 * degraded service, one replica of four crashed —
-  :func:`run_degraded_experiment`;
-* the fault-injection campaign — :func:`run_fault_campaign` (schedules ×
-  seeds, the protocol invariants checked after every run).
+  :func:`run_degraded_experiment`.
 
 All of them live in :mod:`repro.harness.experiments`.  Each returns
 structured results; :mod:`repro.harness.reporting` renders them in the
-paper's row/series format.  This ``__init__`` imports nothing (nor do
+paper's row/series format.  The fault-injection campaign (schedules ×
+seeds, the protocol invariants checked after every run) is
+:func:`repro.faults.run_campaign`.  This ``__init__`` imports nothing (nor do
 those of ``apps``, ``crypto`` and ``shard``): a caller names the module
 that defines what it uses and loads only that module's imports.
 """

@@ -359,33 +359,3 @@ def run_degraded_experiment(crash_replica: int = 2, seed: int = 3) -> DegradedRe
         failover_ns=failover,
         cluster=cluster,
     )
-
-
-def run_fault_campaign(
-    schedules=None,
-    seeds=(1, 2, 3, 4, 5),
-    config: Optional[PbftConfig] = None,
-    artifact_dir: Optional[str] = None,
-    **run_kwargs,
-):
-    """Sweep the fault-injection campaign: schedules × seeds.
-
-    Runs every :class:`repro.faults.FaultSchedule` (the built-in library
-    by default) at every seed and checks the six single-group
-    invariants — agreement, no committed-op loss, monotone checkpoint
-    stability, client liveness, flood liveness, membership safety —
-    after each run.  With ``artifact_dir`` set, failing
-    runs are deterministically re-executed with tracing enabled and dump
-    a Chrome trace plus a minimized event log for forensics.  Extra
-    keyword arguments (``run_ns``, ``drain_ns``, ``settle_ns``) pass
-    through to :func:`repro.faults.run_campaign` to resize the phases.
-    """
-    from repro.faults.campaign import run_campaign
-    from repro.faults.library import builtin_schedules
-
-    if schedules is None:
-        schedules = builtin_schedules()
-    return run_campaign(
-        schedules, list(seeds), config=config, artifact_dir=artifact_dir,
-        **run_kwargs,
-    )

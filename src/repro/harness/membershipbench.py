@@ -171,7 +171,7 @@ def run_replace_scenario(seed: int = 1, loss: float = 0.0) -> dict:
     warmup_ns = 400 * MILLISECOND
     window_ns = 400 * MILLISECOND
     faults: tuple = (
-        ReplicaReplace(slot=2, at=Trigger(at_ns=warmup_ns, at_seq=16)),
+        ReplicaReplace(slot=2, start=Trigger(at_ns=warmup_ns, at_seq=16)),
     )
     if loss:
         faults = (

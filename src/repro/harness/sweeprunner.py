@@ -2,8 +2,8 @@
 
 Campaigns and sweeps are embarrassingly parallel — every cell builds its
 own deterministic cluster — yet until this module they ran serially.  A
-*cell* is one unit of sweep work (an aggregate overload point, a fault
-schedule at one seed, a shard-count measurement) described entirely by
+*cell* is one unit of sweep work (an aggregate overload point, a
+shard-count measurement, a sharded SQL mix) described entirely by
 JSON-able parameters, so it can cross a process boundary and its result
 can be merged into a ``BENCH_*.json`` document.
 
@@ -14,8 +14,8 @@ Two guarantees the tests pin:
   which collides across scenarios sharing a base seed (scenario A cell 1
   and scenario B cell 0 would run identical RNG streams and masquerade as
   independent measurements).  Cells that carry an explicit ``seed`` (the
-  fault campaign's schedule × seed grid, where the seed is part of the
-  cell's identity for deterministic re-runs) bypass derivation.
+  shard benchmark's points, all measured at the caller's seed) bypass
+  derivation.
 * **Serial ≡ parallel.**  Results are returned in cell order regardless
   of completion order, every cell runs against a fresh deterministic
   simulation, and merged documents are serialized with sorted keys — so
@@ -64,29 +64,6 @@ def _run_aggregate_overload_cell(params: dict, seed: int) -> dict:
     return run_aggregate_point(seed=seed, **params).to_dict()
 
 
-def _run_fault_schedule_cell(params: dict, seed: int) -> dict:
-    """One (schedule, seed) campaign run, reported as plain data."""
-    from repro.faults.campaign import run_schedule
-    from repro.faults.library import builtin_schedules
-
-    params = dict(params)
-    name = params.pop("schedule")
-    by_name = {schedule.name: schedule for schedule in builtin_schedules()}
-    if name not in by_name:
-        raise ConfigError(f"unknown fault schedule {name!r}")
-    result = run_schedule(by_name[name], seed, **params)
-    return {
-        "schedule": result.schedule,
-        "seed": result.seed,
-        "violations": [str(v) for v in result.violations],
-        "invoked_ops": result.invoked_ops,
-        "completed_ops": result.completed_ops,
-        "max_view": result.max_view,
-        "sim_time_ns": result.sim_time_ns,
-        "artifacts": list(result.artifacts),
-    }
-
-
 def _run_shard_scaling_cell(params: dict, seed: int) -> dict:
     from repro.harness.shardbench import run_shard_scaling_point
 
@@ -110,7 +87,6 @@ def _run_shard_sql_mix_cell(params: dict, seed: int) -> dict:
 # kind -> callable(params: dict, seed: int) -> JSON-able dict
 _BUILTINS: dict[str, Callable[[dict, int], dict]] = {
     "aggregate-overload": _run_aggregate_overload_cell,
-    "fault-schedule": _run_fault_schedule_cell,
     "shard-scaling": _run_shard_scaling_cell,
     "shard-sql-mix": _run_shard_sql_mix_cell,
 }

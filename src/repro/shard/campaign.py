@@ -4,13 +4,10 @@ Runs on the spine of :mod:`repro.faults.campaign` — one
 :class:`~repro.faults.injector.FaultInjector` per group, ``run_phases``
 for run/drain/settle, ``group_violations`` per group, ``with_forensics``
 for the deterministic traced re-run, ``run_campaign`` for the sweep —
-and supplies only the sharding layer's own concerns:
+and supplies only the sharding layer's own concerns (the group schedules
+run unchanged: each injector resolves "replica0" or "replica*" to its
+own group's "s0-replica0" or "s0-replica*"):
 
-* **prefixed schedules** — host-name based faults (partitions, link
-  disturbances) written against the single-group names ("replica0",
-  "replica*") are translated onto one group's prefixed hosts
-  ("s0-replica0", ...); replica-index faults need no translation because
-  each injector acts on its own group's replica list;
 * **router workload** — closed-loop routers mix single-shard writes with
   cross-shard transactions on a small set of shared hot keys, so lock
   collisions, wound-free aborts, and stranded-transaction recovery all
@@ -29,7 +26,6 @@ and supplies only the sharding layer's own concerns:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,7 +58,6 @@ from repro.faults.library import (
 from repro.faults.schedule import (
     CrashReplica,
     FaultSchedule,
-    LinkDisturbance,
     MarkovChurn,
     PartitionFault,
     Trigger,
@@ -104,31 +99,6 @@ def shard_campaign_config() -> PbftConfig:
     return campaign_config().with_options(num_clients=0)
 
 
-def prefix_schedule(schedule: FaultSchedule, prefix: str) -> FaultSchedule:
-    """Translate a single-group schedule onto one group's prefixed hosts.
-
-    Partitions name hosts and link disturbances use host-name patterns,
-    so both get the group prefix ("replica*" -> "s0-replica*").  Faults
-    addressed by replica index (crashes, mute/equivocating primaries,
-    Byzantine clients) pass through untouched — the injector applying
-    the schedule already acts on exactly one group.
-    """
-    faults = []
-    for fault in schedule.faults:
-        if isinstance(fault, PartitionFault):
-            fault = dataclasses.replace(
-                fault,
-                group_a=frozenset(prefix + host for host in fault.group_a),
-                group_b=frozenset(prefix + host for host in fault.group_b),
-            )
-        elif isinstance(fault, LinkDisturbance):
-            fault = dataclasses.replace(
-                fault, src=prefix + fault.src, dst=prefix + fault.dst
-            )
-        faults.append(fault)
-    return dataclasses.replace(schedule, faults=tuple(faults))
-
-
 def key_for_shard(
     directory: ShardDirectory, shard: int, tag: str, limit: int = 100_000
 ) -> bytes:
@@ -167,7 +137,7 @@ def _participant_timeout_schedule() -> FaultSchedule:
                     f"routerhost{h}" for h in range(_ROUTER_HOSTS)
                 ),
                 start=Trigger(at_ns=150 * MILLISECOND),
-                heal_after_ns=500 * MILLISECOND,
+                duration_ns=500 * MILLISECOND,
             ),
         ),
     )
@@ -183,7 +153,7 @@ def _mid_migration_primary_crash() -> FaultSchedule:
         faults=(
             CrashReplica(
                 replica=0,
-                at=Trigger(at_ns=150 * MILLISECOND),
+                start=Trigger(at_ns=150 * MILLISECOND),
                 restart_after_ns=250 * MILLISECOND,
             ),
         ),
@@ -211,7 +181,8 @@ def _migration_churn_schedule() -> FaultSchedule:
 
 @dataclass(frozen=True)
 class ShardScenario:
-    """One sharded campaign run: a (translated) schedule plus router hooks."""
+    """One sharded campaign run: a schedule on ``target_shard`` plus router
+    hooks."""
 
     name: str
     schedule: FaultSchedule
@@ -228,17 +199,11 @@ class ShardScenario:
 def shard_scenarios() -> list[ShardScenario]:
     """The default sweep: group-level faults on shard 0 plus 2PC-specific
     coordinator-crash and participant-timeout scenarios."""
-    p = "s0-"
     return [
         ShardScenario("shard-baseline", _NO_FAULTS),
         ShardScenario("shard0-primary-crash-restart", primary_crash_restart()),
-        ShardScenario(
-            "shard0-primary-partition", prefix_schedule(primary_partition(), p)
-        ),
-        ShardScenario(
-            "shard0-lossy-replica-links",
-            prefix_schedule(lossy_replica_links(), p),
-        ),
+        ShardScenario("shard0-primary-partition", primary_partition()),
+        ShardScenario("shard0-lossy-replica-links", lossy_replica_links()),
         ShardScenario("shard0-equivocating-primary", equivocating_primary()),
         ShardScenario("shard0-flooding-client", flooding_client()),
         ShardScenario(
@@ -451,7 +416,7 @@ def _execute_shard(
 
     # Drain excuses crashed routers — their stranded transactions are
     # the point.
-    run_phases(
+    violations = run_phases(
         cluster,
         injectors,
         ledger,
@@ -490,7 +455,6 @@ def _execute_shard(
         injector.stop()
     cluster.stop()
 
-    violations: list[Violation] = []
     for shard, group in enumerate(cluster.groups):
         group_completed = [
             (client_id, req_id)
