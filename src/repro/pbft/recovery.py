@@ -209,7 +209,7 @@ class RecoveryMixin:
         self.view_evidence = dict(image.view_evidence)
         self.next_seq = image.next_seq
         return Checkpoint(
-            seq=image.stable_seq, root=image.root, pages=list(image.pages),
+            seq=image.stable_seq, root=image.root, pages=self.state.snapshot_pages(),
             tree_nodes=self.state.tree.snapshot_nodes(), proof=dict(image.proof),
             client_marks=dict(image.client_marks), client_replies=dict(image.client_replies),
         )

@@ -11,6 +11,36 @@ from repro.statemgr.merkle import MerkleTree
 # What a bytes object allocates beyond its payload (see PagedState._open).
 _BYTES_OVERHEAD = sys.getsizeof(b"")
 
+# Every frozen page content in the process, keyed by its Merkle leaf digest
+# (see PagedState, "Pages are interned").  Only a cache: what it loses is
+# sharing, never a page.
+_interned: dict[bytes, bytes] = {}
+_SWEEP_FLOOR = 64
+_sweep_at = _SWEEP_FLOOR
+
+
+def _intern(digest: bytes, page: bytes | bytearray) -> bytes:
+    """The frozen page for ``page`` (frozen or open) whose digest is
+    ``digest``: the table's object if its bytes are equal, else its own."""
+    shared = _interned.get(digest)
+    if shared is not None:
+        # An MD5 collision keeps its own object, so no two contents alias.
+        return shared if shared == page else bytes(page)
+    if len(_interned) >= _sweep_at:
+        _sweep()
+    page = _interned[digest] = bytes(page)
+    return page
+
+
+def _sweep() -> None:
+    """Drop the entries only the table holds; ``bytes`` take no weak
+    references, so a reference count of 2 (the table's and the call's
+    argument) is what says nothing else does."""
+    global _sweep_at
+    for digest in [d for d in _interned if sys.getrefcount(_interned[d]) <= 2]:
+        del _interned[digest]
+    _sweep_at = max(_SWEEP_FLOOR, 2 * len(_interned))
+
 
 class PagedState:
     """A continuous memory region divided into equal-length pages.
@@ -31,6 +61,16 @@ class PagedState:
     clears the dirty set, and it freezes what it digests), which is what
     lets the dirty set double as the list of buffers to freeze.
 
+    Pages are interned: :meth:`refresh_tree` looks each dirty page's leaf
+    digest up in a process-wide table and, when the stored page's bytes
+    are equal, keeps that object instead, so a content held by several
+    replicas and checkpoints is one object (a digest match with unequal
+    bytes keeps its own).  :meth:`install_page` and a :meth:`restore`
+    without a tree snapshot mark pages dirty, so transfers and restarts
+    intern through the same seam.  An open buffer is never stored.  When
+    an insert finds the table at twice its size after the last sweep (64
+    at least), entries that only the table holds are dropped.
+
     The PBFT contract (paper section 3.2): the application "has free read
     access to it, but is required to notify the library before making
     changes to any region".  :meth:`write` enforces this — an unnotified
@@ -46,11 +86,13 @@ class PagedState:
         self.page_size = page_size
         self.size = num_pages * page_size
         zero_page = bytes(page_size)
+        zero_digest = md5_digest(zero_page)
+        zero_page = _intern(zero_digest, zero_page)
         # A bytearray while the page is open for writing, else bytes.
         self._pages: list[bytes | bytearray] = [zero_page] * num_pages
         # Every page starts zeroed, so the tree is uniform: built with one
         # digest per level instead of one per page.
-        self._tree = MerkleTree.uniform(num_pages, md5_digest(zero_page))
+        self._tree = MerkleTree.uniform(num_pages, zero_digest)
         self._notified: set[int] = set()
         self._dirty: set[int] = set()
         self.writes = 0
@@ -169,20 +211,22 @@ class PagedState:
     # -- library-side operations ----------------------------------------------
 
     def refresh_tree(self) -> bytes:
-        """Freeze and re-digest dirty pages into the Merkle tree; return the root.
+        """Freeze, intern and re-digest dirty pages into the Merkle tree;
+        return the root.
 
         Only pages written since the last refresh are re-digested, and the
         batched tree update re-hashes each affected internal node once —
-        a checkpoint costs O(dirty · log n) digests, not O(n).
+        a checkpoint costs O(dirty · log n) digests, not O(n).  An open
+        buffer is digested as it is and copied to ``bytes`` only when no
+        equal page is interned.
         """
         if self._dirty:
             pages = self._pages
             leaves = []
             for index in sorted(self._dirty):
-                page = pages[index]
-                if page.__class__ is not bytes:
-                    page = pages[index] = bytes(page)
-                leaves.append((index, md5_digest(page)))
+                digest = md5_digest(pages[index])
+                pages[index] = _intern(digest, pages[index])
+                leaves.append((index, digest))
             self._tree.update_leaves(leaves)
             self._dirty.clear()
         return self._tree.root

@@ -1,8 +1,11 @@
 """Property tests: the paged state region behaves like a big bytearray."""
 
+from unittest.mock import patch
+
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.digests import md5_digest
+from repro.statemgr import pages
 from repro.statemgr.merkle import MerkleTree
 from repro.statemgr.pages import PagedState
 
@@ -239,3 +242,85 @@ def test_snapshots_are_isolated_from_later_writes(steps):
     assert state.read(0, SIZE) == bytes(model)
     assert state.writes == writes
     assert state.refresh_tree() == reference_root(state)
+
+
+# -- interned pages under digest collisions ----------------------------------
+#
+# Several states share one intern table while a step list writes, freezes,
+# snapshots and restores them.  The digest is patched to two values, so
+# every other lookup is a collision with unequal bytes; contents come from
+# a two-symbol alphabet, so equal pages (real sharing) are common too.
+
+SMALL_PAGES, SMALL_SIZE, STATES = 4, 16, 3
+SMALL = SMALL_PAGES * SMALL_SIZE
+
+
+def two_valued(data):
+    return bytes([md5_digest(data)[0] & 1]) * 16
+
+
+_bits = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=SMALL_SIZE).map(bytes)
+_page_contents = st.sampled_from([bytes(SMALL_SIZE), b"\x01" * SMALL_SIZE, b"\x00\x01" * 8])
+_state = st.integers(0, STATES - 1)
+_shared_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _state, st.integers(0, SMALL - 1), _bits, _kinds),
+        st.tuples(st.just("install"), _state, st.integers(0, SMALL_PAGES - 1),
+                  _page_contents, _kinds),
+        st.tuples(st.just("snapshot"), _state),
+        st.tuples(st.just("restore"), _state, st.integers(0, 7), st.booleans()),
+        st.tuples(st.just("page"), _state, st.integers(0, SMALL_PAGES - 1)),
+        st.tuples(st.just("refresh"), _state),
+        st.tuples(st.just("end"), _state),
+    ),
+    max_size=50,
+)
+
+
+def two_valued_root(content):
+    tree = MerkleTree.uniform(SMALL_PAGES, two_valued(bytes(SMALL_SIZE)))
+    for index in range(SMALL_PAGES):
+        tree.update_leaf(index, two_valued(content[index * SMALL_SIZE : (index + 1) * SMALL_SIZE]))
+    return tree.root
+
+
+@given(steps=_shared_steps)
+@settings(max_examples=150, deadline=None)
+def test_interned_states_match_their_own_models_under_collisions(steps):
+    with patch.object(pages, "md5_digest", two_valued), \
+            patch.object(pages, "_interned", {}), \
+            patch.object(pages, "_SWEEP_FLOOR", 1), patch.object(pages, "_sweep_at", 1):
+        states = [PagedState(SMALL_PAGES, SMALL_SIZE) for _ in range(STATES)]
+        models = [bytearray(SMALL) for _ in range(STATES)]
+        snapshots = []  # (pages, content, tree nodes), taken from any state
+        for op, who, *args in steps:
+            state, model = states[who], models[who]
+            if op == "write":
+                offset, data, kind = args
+                data = data[: SMALL - offset]
+                state.modify(offset, len(data))
+                state.write(offset, _as(kind, data))
+                model[offset : offset + len(data)] = data
+            elif op == "install":
+                index, data, kind = args
+                state.install_page(index, _as(kind, data))
+                model[index * SMALL_SIZE : (index + 1) * SMALL_SIZE] = data
+            elif op == "snapshot":
+                snapshots.append((state.snapshot_pages(), bytes(model), state.tree.snapshot_nodes()))
+            elif op == "restore" and snapshots:
+                taken, content, nodes = snapshots[args[0] % len(snapshots)]
+                state.restore(taken, nodes if args[1] else None)
+                model[:] = content
+            elif op == "page":
+                index = args[0]
+                assert state.page(index) == model[index * SMALL_SIZE : (index + 1) * SMALL_SIZE]
+            elif op == "refresh":
+                assert state.refresh_tree() == two_valued_root(model)
+            elif op == "end":
+                state.end_of_execution()
+            for each, own in zip(states, models):
+                assert each.read(0, SMALL) == own
+            for taken, content, _nodes in snapshots:
+                assert b"".join(taken) == content
+        for state, model in zip(states, models):
+            assert state.refresh_tree() == two_valued_root(model)

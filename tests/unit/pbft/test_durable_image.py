@@ -121,6 +121,19 @@ def test_restart_keeps_exactly_the_image():
     assert restarted.recovering and not restarted.log.slots and not restarted.exec_journal
 
 
+def test_restarted_stable_checkpoint_shares_its_pages_with_peers():
+    """The restarted replica's stable checkpoint holds the interned pages its
+    state was restored to, not the decoded image's private copies."""
+    cluster = make_cluster()
+    for i in range(6):
+        cluster.invoke_and_wait(cluster.clients[i % 2], bytes([0, i]))
+    cluster.replicas[VICTIM].crash()
+    stable = cluster.restart(VICTIM).checkpoints.latest_stable()
+    peer = cluster.replicas[0].checkpoints.get(stable.seq)
+    assert stable.seq == 4 and peer is not None and peer.root == stable.root
+    assert [i for i, page in enumerate(stable.pages) if page is not peer.pages[i]] == []
+
+
 def test_an_image_that_does_not_match_its_root_is_refused():
     cluster = make_cluster()
     victim = load_victim(cluster)

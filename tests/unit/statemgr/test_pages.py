@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import StateError
+from repro.crypto.digests import md5_digest
+from repro.statemgr import pages
 from repro.statemgr.pages import PagedState
 
 
@@ -136,3 +138,74 @@ def test_invalid_construction():
         PagedState(0, 64)
     with pytest.raises(StateError):
         PagedState(4, 0)
+
+
+# -- interned pages ------------------------------------------------------------
+
+
+@pytest.fixture()
+def fresh_table(monkeypatch):
+    """An empty intern table for the test; the process's own is put back."""
+    table = {}
+    monkeypatch.setattr(pages, "_interned", table)
+    monkeypatch.setattr(pages, "_sweep_at", pages._SWEEP_FLOOR)
+    return table
+
+
+def written(content, num_pages=8):
+    """A state whose page 0 starts with ``content``, refreshed."""
+    state = make_state(num_pages)
+    state.modify(0, len(content))
+    state.write(0, content)
+    state.refresh_tree()
+    return state
+
+
+def test_equal_contents_are_one_object(fresh_table):
+    a, b = written(b"interned"), written(b"interned")
+    assert a.page(0) is b.page(0)
+    assert a.page(1) is b.page(1)  # the zero page, interned when built
+    assert b.snapshot_pages()[0] is a.page(0)
+
+
+def test_a_digest_collision_never_aliases_two_contents(fresh_table, monkeypatch):
+    monkeypatch.setattr(pages, "md5_digest", lambda data: bytes(16))
+    a, b = written(b"first"), written(b"other")
+    assert a.page(0) is not b.page(0)
+    assert a.read(0, 5) == b"first" and b.read(0, 5) == b"other"
+    monkeypatch.setattr(pages, "md5_digest", md5_digest)
+    # Re-digested for real, each page set gives the root of its own content.
+    for state, content in ((a, b"first"), (b, b"other")):
+        state.restore(state.snapshot_pages())
+        assert state.root == written(content).root
+
+
+def test_a_write_to_a_shared_page_opens_a_private_buffer(fresh_table):
+    a, b = written(b"shared"), written(b"shared")
+    shared = a.page(0)
+    a.end_of_execution()
+    a.modify(2, 3)
+    a.write(2, b"XYZ")
+    assert a.read(0, 6) == b"shXYZd"
+    assert b.page(0) is shared and shared[:6] == b"shared"
+    a.refresh_tree()
+    assert a.page(0) is not shared and b.read(0, 6) == b"shared"
+
+
+def test_sweep_drops_only_entries_nothing_else_holds(fresh_table):
+    kept = written(b"kept")
+    dropped = written(b"dropped")
+    kept_digest = md5_digest(kept.page(0))
+    dropped_digest = md5_digest(dropped.page(0))
+    del dropped
+    pages._sweep()
+    assert kept_digest in fresh_table and dropped_digest not in fresh_table
+    assert fresh_table[kept_digest] is kept.page(0)
+    assert md5_digest(kept.page(1)) in fresh_table  # the zero page, still held
+
+
+def test_table_stays_bounded_as_states_come_and_go(fresh_table):
+    for i in range(1_000):
+        state = written(i.to_bytes(4, "big"), num_pages=2)
+        assert len(fresh_table) <= pages._SWEEP_FLOOR
+    assert state.page(0) is fresh_table[md5_digest(state.page(0))]
